@@ -2,9 +2,8 @@
 // solver, validate the bit-true Wave-PIM execution against it, and project
 // the run onto a 2 GB Wave-PIM chip and the GPU baselines.
 //
-// Usage: quickstart [--threads N] [--exec=emit|replay|compiled|word]
-//        [--witness=N]
-//                   [--trace=FILE] [--chip-blocks=N]
+// Usage: quickstart [--threads N] [--exec=emit|compiled|word]
+//                   [--witness=N] [--trace=FILE] [--chip-blocks=N]
 //                   [--topology=htree|bus] [--net-backend=analytic|cycle]
 // Worker count and execution tier change wall-clock time only; fields
 // and cost reports are bit-identical for any combination. --trace records
@@ -52,11 +51,9 @@ int main(int argc, char** argv) {
       i += 1;
     } else if (std::strncmp(argv[i], "--exec=", 7) == 0) {
       const char* tier = argv[i] + 7;
-      if (std::strcmp(tier, "emit") != 0 && std::strcmp(tier, "replay") != 0 &&
-          std::strcmp(tier, "compiled") != 0 &&
-          std::strcmp(tier, "word") != 0) {
-        std::fprintf(stderr,
-                     "error: --exec wants emit, replay, compiled or word\n");
+      mapping::ExecPath path{};
+      if (!mapping::parse_exec_path(tier, path)) {
+        std::fprintf(stderr, "error: --exec wants emit, compiled or word\n");
         return 2;
       }
       setenv("WAVEPIM_EXEC", tier, /*overwrite=*/1);
@@ -98,7 +95,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: unknown option %s\n"
                    "usage: quickstart [--threads N] "
-                   "[--exec=emit|replay|compiled|word] [--witness=N] "
+                   "[--exec=emit|compiled|word] [--witness=N] "
                    "[--trace=FILE] [--chip-blocks=N] "
                    "[--topology=htree|bus] "
                    "[--net-backend=analytic|cycle]\n",
@@ -171,10 +168,9 @@ int main(int argc, char** argv) {
     // compressed the kernel streams (the same numbers ride the
     // word.fuse.* trace counters in the --trace summary).
     const auto& fs = pim.word_plan()->fuse_stats();
-    std::printf("word fusion%s: %llu ops -> %llu "
+    std::printf("word fusion: %llu ops -> %llu "
                 "(%llu pairs, %llu chains/%llu links/%llu paired, "
                 "%llu gathers folded, %llu dead stores elided)\n",
-                pim.word_plan()->fusion_enabled() ? "" : " (disabled)",
                 static_cast<unsigned long long>(fs.ops_before),
                 static_cast<unsigned long long>(fs.ops_after),
                 static_cast<unsigned long long>(fs.scale_add + fs.mul_add +

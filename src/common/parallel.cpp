@@ -84,14 +84,16 @@ void ThreadPool::parallel_for(std::size_t n,
   const std::size_t chunks = std::min(n, 4 * workers);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
 
-  std::atomic<std::size_t> remaining{chunks};
+  // Completion state lives on this frame, so every chunk touches it only
+  // under done_mutex: the caller cannot observe `remaining == 0` (and
+  // return, releasing the frame) until the last chunk has let go of the
+  // lock. `error` keeps the first exception thrown by any chunk; it is
+  // rethrown after every chunk has finished, since the chunks capture
+  // this frame by reference.
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  // First exception thrown by any chunk; rethrown to the caller after
-  // every chunk has finished (the chunks capture this frame by
-  // reference, so unwinding early would leave dangling references).
+  std::size_t remaining = chunks;
   std::exception_ptr error;
-  std::mutex error_mutex;
 
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = c * chunk_size;
@@ -99,18 +101,19 @@ void ThreadPool::parallel_for(std::size_t n,
     enqueue([&, begin, end] {
       trace::Span chunk_span("pool.chunk",
                              static_cast<double>(end - begin));
+      std::exception_ptr thrown;
       try {
         for (std::size_t i = begin; i < end; ++i) {
           fn(i);
         }
       } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!error) {
-          error = std::current_exception();
-        }
+        thrown = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
+      std::lock_guard lock(done_mutex);
+      if (thrown && !error) {
+        error = thrown;
+      }
+      if (--remaining == 0) {
         done_cv.notify_one();
       }
     });
@@ -118,8 +121,7 @@ void ThreadPool::parallel_for(std::size_t n,
 
   {
     std::unique_lock lock(done_mutex);
-    done_cv.wait(
-        lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (error) {
     std::rethrow_exception(error);

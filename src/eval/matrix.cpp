@@ -74,8 +74,8 @@ using mapping::ExecPath;
 using mapping::ExpansionMode;
 using mesh::Boundary;
 
-constexpr ExecPath kAllTiers[] = {ExecPath::Emit, ExecPath::Replay,
-                                  ExecPath::Compiled, ExecPath::Word};
+constexpr ExecPath kAllTiers[] = {ExecPath::Emit, ExecPath::Compiled,
+                                  ExecPath::Word};
 
 Scenario paper(const mapping::Problem& problem) {
   Scenario s;
@@ -111,7 +111,7 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
 
   if (kind == MatrixKind::Reduced) {
     // Two paper benchmarks bracket the physics/flux axes (cheapest and
-    // most compute-intense); the sim slice runs all four execution
+    // most compute-intense); the sim slice runs all three execution
     // tiers against one over-capacity window plus one cell on each
     // beyond-paper axis.
     out.push_back(paper(benchmarks[0]));  // Acoustic_4

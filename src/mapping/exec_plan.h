@@ -13,15 +13,15 @@
 
 namespace wavepim::mapping {
 
-/// Compiled execution engine — the third tier of the mapping layer's
-/// lower-once/execute-many ladder (direct emit -> cached replay ->
-/// compiled plan).
+/// Compiled execution engine — the second tier of the mapping layer's
+/// lower-once/execute-many ladder (direct emit -> compiled plan -> word
+/// kernels).
 ///
-/// The shape-class cache (PR 2) removed per-stage re-lowering, but its
-/// replay path still decodes every cached instruction per element per
-/// stage, dispatches through the virtual ProgramSink interface, and lets
-/// `pim::Block` price every operation individually. The plan removes all
-/// three costs:
+/// The shape-class cache removes per-stage re-lowering, but replaying
+/// its streams element by element would still decode every cached
+/// instruction per element per stage, dispatch through the virtual
+/// ProgramSink interface, and let `pim::Block` price every operation
+/// individually. The plan removes all three costs:
 ///
 ///  * each class's relocatable streams are decoded exactly once into
 ///    flat `Op` arrays with resolved row-span/constant pointers into the
@@ -60,7 +60,7 @@ namespace wavepim::mapping {
 /// Thread safety: the run_* methods are const and touch only the bound
 /// element's blocks (flux additionally reads neighbour variable columns,
 /// which no element writes during the phase — the same contract the
-/// replay path relies on). `integration()` lowers lazily and must be
+/// emit path relies on). `integration()` lowers lazily and must be
 /// called before fanning out, mirroring `ProgramCache::integration`.
 class ExecutionPlan {
  public:

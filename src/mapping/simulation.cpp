@@ -35,8 +35,6 @@ const char* to_string(ExecPath path) {
   switch (path) {
     case ExecPath::Emit:
       return "emit";
-    case ExecPath::Replay:
-      return "replay";
     case ExecPath::Compiled:
       return "compiled";
     case ExecPath::Word:
@@ -45,33 +43,26 @@ const char* to_string(ExecPath path) {
   return "?";
 }
 
-bool PimSimulation::default_program_cache_enabled() {
-  const char* env = std::getenv("WAVEPIM_PROGRAM_CACHE");
-  if (env == nullptr) {
-    return true;
+bool parse_exec_path(const char* s, ExecPath& out) {
+  for (const ExecPath path :
+       {ExecPath::Emit, ExecPath::Compiled, ExecPath::Word}) {
+    if (std::strcmp(s, to_string(path)) == 0) {
+      out = path;
+      return true;
+    }
   }
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
+  return false;
 }
 
 ExecPath PimSimulation::default_exec_path() {
   const char* env = std::getenv("WAVEPIM_EXEC");
-  if (env != nullptr) {
-    if (std::strcmp(env, "emit") == 0) {
-      return ExecPath::Emit;
-    }
-    if (std::strcmp(env, "replay") == 0) {
-      return ExecPath::Replay;
-    }
-    if (std::strcmp(env, "compiled") == 0) {
-      return ExecPath::Compiled;
-    }
-    if (std::strcmp(env, "word") == 0) {
-      return ExecPath::Word;
-    }
-    WAVEPIM_REQUIRE(false,
-                    "WAVEPIM_EXEC must be emit, replay, compiled or word");
+  if (env == nullptr || *env == '\0') {
+    return ExecPath::Word;
   }
-  return default_program_cache_enabled() ? ExecPath::Replay : ExecPath::Emit;
+  ExecPath path = ExecPath::Word;
+  WAVEPIM_REQUIRE(parse_exec_path(env, path),
+                  "WAVEPIM_EXEC must be emit, compiled or word");
+  return path;
 }
 
 std::uint32_t PimSimulation::default_witness_interval() {
@@ -295,16 +286,6 @@ void PimSimulation::set_num_threads(std::size_t num_threads) {
       num_threads == 0 ? nullptr : std::make_unique<ThreadPool>(num_threads);
 }
 
-void PimSimulation::ensure_cache() {
-  if (cache_) {
-    return;
-  }
-  trace::Span span("pim.build_cache");
-  cache_ = std::make_shared<ProgramCache>(
-      setup_, mesh_, volume_coeffs_.empty() ? nullptr : &volume_coeffs_,
-      flux_coeffs_.empty() ? nullptr : &flux_coeffs_);
-}
-
 void PimSimulation::set_shared_cache(std::shared_ptr<ProgramCache> cache) {
   WAVEPIM_REQUIRE(cache != nullptr, "shared cache must not be null");
   WAVEPIM_REQUIRE(!cache_,
@@ -326,7 +307,12 @@ void PimSimulation::ensure_plan() {
   if (plan_) {
     return;
   }
-  ensure_cache();
+  if (!cache_) {
+    trace::Span span("pim.build_cache");
+    cache_ = std::make_shared<ProgramCache>(
+        setup_, mesh_, volume_coeffs_.empty() ? nullptr : &volume_coeffs_,
+        flux_coeffs_.empty() ? nullptr : &flux_coeffs_);
+  }
   trace::Span span("pim.build_plan");
   plan_ = std::make_unique<ExecutionPlan>(*cache_, mesh_, placement_,
                                           pricing_);
@@ -350,6 +336,16 @@ const FluxCoeffs* PimSimulation::flux_override(mesh::ElementId e,
   return flux_coeffs_.empty() ? nullptr : &flux_coeffs_[e][mesh::index_of(f)];
 }
 
+std::span<float> PimSimulation::state_column(std::uint32_t vblock,
+                                             std::uint32_t col) {
+  if (!residency_->is_resident()) {
+    return residency_->backing_column(vblock, col);
+  }
+  const auto nodes = static_cast<std::size_t>(setup_.ref().num_nodes());
+  WAVEPIM_REQUIRE(nodes <= pim::Block::kRows, "state column overflows rows");
+  return residency_->table()[vblock]->column(col).first(nodes);
+}
+
 void PimSimulation::load_state(const dg::Field& u) {
   WAVEPIM_REQUIRE(u.num_elements() == mesh_.num_elements() &&
                       u.num_vars() == problem_.num_vars() &&
@@ -357,8 +353,6 @@ void PimSimulation::load_state(const dg::Field& u) {
                           static_cast<std::size_t>(setup_.ref().num_nodes()),
                   "field shape does not match the problem");
   trace::Span span("pim.load_state");
-  const bool resident = residency_->is_resident();
-  const BlockResolver resolver(*chip_, residency_->table());
   // Elements own disjoint blocks (or disjoint backing columns), so
   // loading parallelizes trivially.
   pool().parallel_for(u.num_elements(), [&](std::size_t e) {
@@ -366,24 +360,14 @@ void PimSimulation::load_state(const dg::Field& u) {
       const std::uint32_t g = setup_.owner_of(v);
       const auto& layout = setup_.layout(g);
       const std::uint32_t slot = setup_.slot_of(v);
-      const auto values = u.at(e, v);
-      if (resident) {
-        auto& block = resolver(
-            placement_.block_of(static_cast<mesh::ElementId>(e), g));
-        block.load_column(layout.col_var(slot), values);
-        block.fill_column(layout.col_aux(slot), 0.0f,
-                          static_cast<std::uint32_t>(values.size()));
-      } else {
-        const std::uint32_t vb =
-            placement_.block_of(static_cast<mesh::ElementId>(e), g);
-        const auto var = residency_->backing_column(vb, layout.col_var(slot));
-        std::copy(values.begin(), values.end(), var.begin());
-        const auto aux = residency_->backing_column(vb, layout.col_aux(slot));
-        std::fill(aux.begin(), aux.end(), 0.0f);
-      }
+      const std::uint32_t vb =
+          placement_.block_of(static_cast<mesh::ElementId>(e), g);
+      std::ranges::copy(u.at(e, v),
+                        state_column(vb, layout.col_var(slot)).begin());
+      std::ranges::fill(state_column(vb, layout.col_aux(slot)), 0.0f);
     }
   });
-  if (resident) {
+  if (residency_->is_resident()) {
     // The one host->HBM->chip transfer of the whole state; batched runs
     // write the host-side backing store and the schedule's Load steps
     // price the staging instead.
@@ -397,27 +381,17 @@ dg::Field PimSimulation::read_state() {
   trace::Span span("pim.read_state");
   dg::Field u(mesh_.num_elements(), problem_.num_vars(),
               static_cast<std::size_t>(setup_.ref().num_nodes()));
-  const bool resident = residency_->is_resident();
-  const BlockResolver resolver(*chip_, residency_->table());
   pool().parallel_for(u.num_elements(), [&](std::size_t e) {
     for (std::uint32_t v = 0; v < problem_.num_vars(); ++v) {
       const std::uint32_t g = setup_.owner_of(v);
-      const std::uint32_t col =
-          setup_.layout(g).col_var(setup_.slot_of(v));
-      if (resident) {
-        auto& block = resolver(
-            placement_.block_of(static_cast<mesh::ElementId>(e), g));
-        block.store_column(col, u.at(e, v));
-      } else {
-        const std::uint32_t vb =
-            placement_.block_of(static_cast<mesh::ElementId>(e), g);
-        const auto src = residency_->backing_column(vb, col);
-        const auto dst = u.at(e, v);
-        std::copy(src.begin(), src.end(), dst.begin());
-      }
+      const std::uint32_t vb =
+          placement_.block_of(static_cast<mesh::ElementId>(e), g);
+      std::ranges::copy(
+          state_column(vb, setup_.layout(g).col_var(setup_.slot_of(v))),
+          u.at(e, v).begin());
     }
   });
-  if (resident) {
+  if (residency_->is_resident()) {
     costs_.hbm += chip_->hbm().transfer_cost(
         element_state_bytes(problem_.kind, problem_.n1d) *
         mesh_.num_elements());
@@ -430,29 +404,16 @@ std::vector<float> PimSimulation::checkpoint() {
   const auto nodes = static_cast<std::size_t>(setup_.ref().num_nodes());
   std::vector<float> out(static_cast<std::size_t>(mesh_.num_elements()) *
                          problem_.num_vars() * 2 * nodes);
-  const bool resident = residency_->is_resident();
-  const BlockResolver resolver(*chip_, residency_->table());
   pool().parallel_for(mesh_.num_elements(), [&](std::size_t e) {
     for (std::uint32_t v = 0; v < problem_.num_vars(); ++v) {
       const std::uint32_t g = setup_.owner_of(v);
       const auto& layout = setup_.layout(g);
       const std::uint32_t slot = setup_.slot_of(v);
+      const std::uint32_t vb =
+          placement_.block_of(static_cast<mesh::ElementId>(e), g);
       float* base = out.data() + (e * problem_.num_vars() + v) * 2 * nodes;
-      const std::span<float> var(base, nodes);
-      const std::span<float> aux(base + nodes, nodes);
-      if (resident) {
-        auto& block = resolver(
-            placement_.block_of(static_cast<mesh::ElementId>(e), g));
-        block.store_column(layout.col_var(slot), var);
-        block.store_column(layout.col_aux(slot), aux);
-      } else {
-        const std::uint32_t vb =
-            placement_.block_of(static_cast<mesh::ElementId>(e), g);
-        const auto v_src = residency_->backing_column(vb, layout.col_var(slot));
-        std::copy(v_src.begin(), v_src.end(), var.begin());
-        const auto a_src = residency_->backing_column(vb, layout.col_aux(slot));
-        std::copy(a_src.begin(), a_src.end(), aux.begin());
-      }
+      std::ranges::copy(state_column(vb, layout.col_var(slot)), base);
+      std::ranges::copy(state_column(vb, layout.col_aux(slot)), base + nodes);
     }
   });
   return out;
@@ -465,30 +426,18 @@ void PimSimulation::restore_checkpoint(std::span<const float> state) {
                       static_cast<std::size_t>(mesh_.num_elements()) *
                           problem_.num_vars() * 2 * nodes,
                   "checkpoint shape does not match the problem");
-  const bool resident = residency_->is_resident();
-  const BlockResolver resolver(*chip_, residency_->table());
   pool().parallel_for(mesh_.num_elements(), [&](std::size_t e) {
     for (std::uint32_t v = 0; v < problem_.num_vars(); ++v) {
       const std::uint32_t g = setup_.owner_of(v);
       const auto& layout = setup_.layout(g);
       const std::uint32_t slot = setup_.slot_of(v);
-      const float* base =
-          state.data() + (e * problem_.num_vars() + v) * 2 * nodes;
-      const std::span<const float> var(base, nodes);
-      const std::span<const float> aux(base + nodes, nodes);
-      if (resident) {
-        auto& block = resolver(
-            placement_.block_of(static_cast<mesh::ElementId>(e), g));
-        block.load_column(layout.col_var(slot), var);
-        block.load_column(layout.col_aux(slot), aux);
-      } else {
-        const std::uint32_t vb =
-            placement_.block_of(static_cast<mesh::ElementId>(e), g);
-        const auto v_dst = residency_->backing_column(vb, layout.col_var(slot));
-        std::copy(var.begin(), var.end(), v_dst.begin());
-        const auto a_dst = residency_->backing_column(vb, layout.col_aux(slot));
-        std::copy(aux.begin(), aux.end(), a_dst.begin());
-      }
+      const std::uint32_t vb =
+          placement_.block_of(static_cast<mesh::ElementId>(e), g);
+      const std::size_t base = (e * problem_.num_vars() + v) * 2 * nodes;
+      std::ranges::copy(state.subspan(base, nodes),
+                        state_column(vb, layout.col_var(slot)).begin());
+      std::ranges::copy(state.subspan(base + nodes, nodes),
+                        state_column(vb, layout.col_aux(slot)).begin());
     }
   });
 }
@@ -590,55 +539,49 @@ void PimSimulation::drain_accumulators(std::vector<pim::OpCost>& acc,
   into += {busiest, energy};
 }
 
-void PimSimulation::drain_network(const std::vector<pim::Transfer>& transfers) {
-  trace::Span span("pim.drain_network", static_cast<double>(transfers.size()));
+PimSimulation::NetDrain PimSimulation::measure_network(
+    const std::vector<pim::Transfer>& transfers) const {
   const auto result = net_->schedule(transfers);
-  costs_.network += {result.makespan, result.energy};
-  net_stats_.schedules += 1;
-  net_stats_.transfers += transfers.size();
+  NetDrain drain{.cost = {result.makespan, result.energy},
+                 .transfers = transfers.size(),
+                 .serial_sum = result.serial_sum,
+                 .has_link_stats = result.has_link_stats,
+                 .links = result.links};
   for (const auto& t : transfers) {
-    net_stats_.words += t.words;
+    drain.words += t.words;
   }
-  net_stats_.serial_sum += result.serial_sum;
-  if (result.has_link_stats) {
+  return drain;
+}
+
+void PimSimulation::fold_network(const NetDrain& drain) {
+  costs_.network += drain.cost;
+  net_stats_.schedules += 1;
+  net_stats_.transfers += drain.transfers;
+  net_stats_.words += drain.words;
+  net_stats_.serial_sum += drain.serial_sum;
+  if (drain.has_link_stats) {
     net_stats_.link_schedules += 1;
-    net_stats_.stall_time += result.links.stall_time;
+    net_stats_.stall_time += drain.links.stall_time;
     net_stats_.max_utilization =
-        std::max(net_stats_.max_utilization, result.links.max_utilization);
+        std::max(net_stats_.max_utilization, drain.links.max_utilization);
     net_stats_.peak_queue =
-        std::max<std::uint64_t>(net_stats_.peak_queue, result.links.peak_queue);
+        std::max<std::uint64_t>(net_stats_.peak_queue, drain.links.peak_queue);
   }
 }
 
-void PimSimulation::drain_network_cached(
-    CachedNetDrain& cached, const std::vector<pim::Transfer>& transfers) {
+void PimSimulation::drain_network(const std::vector<pim::Transfer>& transfers) {
   trace::Span span("pim.drain_network", static_cast<double>(transfers.size()));
-  if (!cached.valid) {
-    const auto result = net_->schedule(transfers);
-    cached.cost = {result.makespan, result.energy};
-    cached.transfers = transfers.size();
-    cached.words = 0;
-    for (const auto& t : transfers) {
-      cached.words += t.words;
-    }
-    cached.serial_sum = result.serial_sum;
-    cached.has_link_stats = result.has_link_stats;
-    cached.links = result.links;
-    cached.valid = true;
+  fold_network(measure_network(transfers));
+}
+
+void PimSimulation::drain_network_cached(
+    std::optional<NetDrain>& cached,
+    const std::vector<pim::Transfer>& transfers) {
+  trace::Span span("pim.drain_network", static_cast<double>(transfers.size()));
+  if (!cached) {
+    cached = measure_network(transfers);
   }
-  costs_.network += cached.cost;
-  net_stats_.schedules += 1;
-  net_stats_.transfers += cached.transfers;
-  net_stats_.words += cached.words;
-  net_stats_.serial_sum += cached.serial_sum;
-  if (cached.has_link_stats) {
-    net_stats_.link_schedules += 1;
-    net_stats_.stall_time += cached.links.stall_time;
-    net_stats_.max_utilization =
-        std::max(net_stats_.max_utilization, cached.links.max_utilization);
-    net_stats_.peak_queue =
-        std::max<std::uint64_t>(net_stats_.peak_queue, cached.links.peak_queue);
-  }
+  fold_network(*cached);
 }
 
 void PimSimulation::step(double dt) {
@@ -646,9 +589,6 @@ void PimSimulation::step(double dt) {
   trace::Span span("pim.step");
   switch (exec_path_) {
     case ExecPath::Emit:
-      break;
-    case ExecPath::Replay:
-      ensure_cache();
       break;
     case ExecPath::Compiled:
       ensure_plan();
@@ -782,7 +722,6 @@ void PimSimulation::run_schedule(double dt) {
   // cost aggregates, deferred-charge settlement through the plan, and
   // the once-scheduled network drains.
   const bool planned = compiled || word;
-  const bool cached = exec_path_ == ExecPath::Replay;
   const BlockResolver resolver(*chip_, residency_->table());
   const BatchSchedule& schedule = residency_->schedule();
   const auto& order = residency_->elements_in_slice_order();
@@ -797,10 +736,7 @@ void PimSimulation::run_schedule(double dt) {
   for (int stage = 0; stage < dg::Lsrk54::kNumStages; ++stage) {
     trace::Span stage_span("pim.rk_stage", static_cast<double>(stage));
     // Lazy lowering of the stage's Integration stream happens before the
-    // fan-outs (replaying / running it is const and worker-safe).
-    const ProgramCache::IntegrationProgram* integ_prog =
-        cached ? &cache_->integration(stage, static_cast<float>(dt))
-               : nullptr;
+    // fan-outs (running it is const and worker-safe).
     const ExecutionPlan::StreamPlan* integ_plan =
         planned ? &plan_->integration(stage, static_cast<float>(dt))
                 : nullptr;
@@ -857,13 +793,8 @@ void PimSimulation::run_schedule(double dt) {
             } else {
               emit_range(
                   elems,
-                  [this, cached](mesh::ElementId e, FunctionalSink& sink) {
-                    if (cached) {
-                      replay(cache_->arena(),
-                             cache_->volume(cache_->class_of(e)), sink);
-                    } else {
-                      emit_volume(setup_, sink, volume_override(e));
-                    }
+                  [this](mesh::ElementId e, FunctionalSink& sink) {
+                    emit_volume(setup_, sink, volume_override(e));
                   },
                   transfer_stash_, /*defer_charges=*/false);
             }
@@ -894,20 +825,11 @@ void PimSimulation::run_schedule(double dt) {
           } else {
             emit_range(
                 elems,
-                [this, cached, group](mesh::ElementId e,
-                                      FunctionalSink& sink) {
-                  if (cached) {
-                    const std::uint32_t cls = cache_->class_of(e);
-                    for (mesh::Face f : faces_of(group)) {
-                      replay(cache_->arena(), cache_->flux(cls, f), sink);
-                    }
-                  } else {
-                    for (mesh::Face f : faces_of(group)) {
-                      const bool boundary =
-                          !mesh_.neighbor(e, f).has_value();
-                      emit_flux_face(setup_, f, boundary, sink,
-                                     flux_override(e, f));
-                    }
+                [this, group](mesh::ElementId e, FunctionalSink& sink) {
+                  for (mesh::Face f : faces_of(group)) {
+                    const bool boundary = !mesh_.neighbor(e, f).has_value();
+                    emit_flux_face(setup_, f, boundary, sink,
+                                   flux_override(e, f));
                   }
                 },
                 flux_stash_[static_cast<std::size_t>(group)],
@@ -950,14 +872,9 @@ void PimSimulation::run_schedule(double dt) {
             } else {
               emit_range(
                   elems,
-                  [this, cached, integ_prog, stage, dt](
-                      mesh::ElementId, FunctionalSink& sink) {
-                    if (cached) {
-                      replay(integ_prog->arena, integ_prog->stream, sink);
-                    } else {
-                      emit_integration_stage(setup_, stage,
-                                             static_cast<float>(dt), sink);
-                    }
+                  [this, stage, dt](mesh::ElementId, FunctionalSink& sink) {
+                    emit_integration_stage(setup_, stage,
+                                           static_cast<float>(dt), sink);
                   },
                   integ_stash_, /*defer_charges=*/false);
             }

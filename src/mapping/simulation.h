@@ -20,28 +20,30 @@
 
 namespace wavepim::mapping {
 
-/// Execution tier of the functional simulator. All four produce
+/// Execution tier of the functional simulator. All three produce
 /// bit-identical fields, cost channels and interconnect statistics
 /// (guarded by tests/mapping/exec_conformance_test.cpp); they trade
 /// host-side simulation speed against implementation directness:
 ///
 ///  * `Emit`     — every element re-lowers its kernels every stage and
-///                 executes them through a FunctionalSink (PR 1).
-///  * `Replay`   — each shape class is lowered once into the program
-///                 cache; steps replay the cached relocatable streams
-///                 per element through a FunctionalSink (PR 2).
-///  * `Compiled` — the cached streams are additionally resolved into
+///                 executes them through a FunctionalSink: the
+///                 reference lowering.
+///  * `Compiled` — each shape class is lowered once into the program
+///                 cache, and the cached streams are resolved into
 ///                 per-class ExecutionPlan op arrays with batched cost
 ///                 aggregates and pre-merged transfer lists, executed by
-///                 a non-virtual dispatch loop (PR 3).
+///                 a non-virtual dispatch loop.
 ///  * `Word`     — the compiled streams are resolved once more into
 ///                 vectorized word-level kernels run op-major over
 ///                 chunks of same-class elements (mapping/word_plan.h),
 ///                 with the compiled bit-serial path retained as an
-///                 optional differential witness (PR 7).
-enum class ExecPath : std::uint8_t { Emit, Replay, Compiled, Word };
+///                 optional differential witness. The default.
+enum class ExecPath : std::uint8_t { Emit, Compiled, Word };
 
 [[nodiscard]] const char* to_string(ExecPath path);
+/// Parses "emit"/"compiled"/"word" (the to_string spellings). Returns
+/// false on anything else, leaving `out` untouched.
+bool parse_exec_path(const char* s, ExecPath& out);
 
 /// Bit-true Wave-PIM simulation: executes the mapped Volume / Flux /
 /// Integration instruction streams on functional crossbar blocks,
@@ -134,34 +136,23 @@ class PimSimulation {
   [[nodiscard]] std::size_t num_threads() { return pool().size(); }
 
   /// Selects the execution tier (see ExecPath). The default comes from
-  /// `WAVEPIM_EXEC` (`emit` / `replay` / `compiled` / `word`); unset falls
-  /// back to the PR-2 `WAVEPIM_PROGRAM_CACHE` switch (on -> Replay,
-  /// off -> Emit).
+  /// `WAVEPIM_EXEC` (`emit` / `compiled` / `word`); unset or empty
+  /// selects Word, and any other value throws.
   void set_exec_path(ExecPath path) { exec_path_ = path; }
   [[nodiscard]] ExecPath exec_path() const { return exec_path_; }
   [[nodiscard]] static ExecPath default_exec_path();
 
-  /// Legacy PR-2 switch, kept as an alias over the tier: `true` selects
-  /// Replay, `false` direct Emit.
-  void set_program_cache(bool enabled) {
-    exec_path_ = enabled ? ExecPath::Replay : ExecPath::Emit;
-  }
-  [[nodiscard]] bool program_cache_enabled() const {
-    return exec_path_ != ExecPath::Emit;
-  }
-  /// The process-wide default: on unless `WAVEPIM_PROGRAM_CACHE` is set
-  /// to `0` or `off` (the CI cache-off lane and A/B runs).
-  [[nodiscard]] static bool default_program_cache_enabled();
-  /// The cache, once the first cached step has built it (nullptr before).
+  /// The cache, once the first compiled or word step has built it
+  /// (nullptr before).
   [[nodiscard]] const ProgramCache* program_cache() const {
     return cache_.get();
   }
   /// Adopts a cache built elsewhere (the service ProgramBank's shared
   /// shape-class entry) instead of lowering a private one: tenants of
-  /// the same (problem, expansion, boundary) class replay the identical
+  /// the same (problem, expansion, boundary) class run the identical
   /// streams, and ProgramCache::integration is thread-safe so tenants on
   /// different chips may lower stages concurrently. Uniform-material
-  /// problems only; call before the first cached/compiled/word step.
+  /// problems only; call before the first compiled/word step.
   void set_shared_cache(std::shared_ptr<ProgramCache> cache);
   /// The compiled plan, once the first compiled step has built it.
   [[nodiscard]] const ExecutionPlan* execution_plan() const {
@@ -309,6 +300,13 @@ class PimSimulation {
 
   [[nodiscard]] ThreadPool& pool();
 
+  /// The first node-count rows of state column `col` of virtual block
+  /// `vblock`: the block's own column when resident, the host-side
+  /// backing store when batched. Elements own disjoint columns, so the
+  /// state loaders fan out over it without synchronisation.
+  [[nodiscard]] std::span<float> state_column(std::uint32_t vblock,
+                                              std::uint32_t col);
+
   /// Runs `emit(element, sink)` for the given elements across the pool,
   /// each element through its own FunctionalSink; transfers land in the
   /// per-element `stash` entries (recycled across stages, concatenated
@@ -335,18 +333,8 @@ class PimSimulation {
   /// {max time, energy summed in ascending virtual-id order}.
   void drain_accumulators(std::vector<pim::OpCost>& acc, pim::OpCost& into);
 
-  /// Schedules a phase's transfer list on the interconnect and folds the
-  /// result into the network cost channel. Does not modify the list (the
-  /// compiled path feeds the plan's pre-merged lists every stage).
-  void drain_network(const std::vector<pim::Transfer>& transfers);
-
-  /// Memoised network drain for the compiled path: its per-phase transfer
-  /// lists are identical every stage, so the interconnect schedule is run
-  /// once and its (deterministic) increments are replayed — the same
-  /// `+=` values in the same order as drain_network, hence bit-identical
-  /// accumulation.
-  struct CachedNetDrain {
-    bool valid = false;
+  /// The ledger increments of one phase's interconnect schedule.
+  struct NetDrain {
     pim::OpCost cost;            ///< {makespan, energy} of the schedule
     std::uint64_t transfers = 0;
     std::uint64_t words = 0;
@@ -354,7 +342,22 @@ class PimSimulation {
     bool has_link_stats = false;  ///< cycle backend ran this schedule
     pim::LinkStats links;
   };
-  void drain_network_cached(CachedNetDrain& cached,
+  /// Schedules a transfer list on the interconnect. Does not modify the
+  /// list (the plan-backed tiers feed their pre-merged lists every stage).
+  [[nodiscard]] NetDrain measure_network(
+      const std::vector<pim::Transfer>& transfers) const;
+  /// Folds one drain into the network cost channel and NetStats.
+  void fold_network(const NetDrain& drain);
+
+  /// Schedules a phase's transfer list and folds the result.
+  void drain_network(const std::vector<pim::Transfer>& transfers);
+
+  /// Memoised network drain for the plan-backed tiers: their per-phase
+  /// transfer lists are identical every stage, so the interconnect
+  /// schedule is run once and its (deterministic) increments are folded
+  /// again — the same `+=` values in the same order as drain_network,
+  /// hence bit-identical accumulation.
+  void drain_network_cached(std::optional<NetDrain>& cached,
                             const std::vector<pim::Transfer>& transfers);
   /// Capacity diagnostics shared by both chip paths (throws
   /// CapacityError with the choose_config hint when the problem cannot
@@ -366,11 +369,9 @@ class PimSimulation {
   void attach_chip();
   void build_face_pairings();
 
-  /// Builds the shape-class cache on the first cached step (classifies
-  /// the mesh, lowers each class once into the shared arena).
-  void ensure_cache();
-  /// Builds the compiled plan (and the cache beneath it) on the first
-  /// compiled step.
+  /// Builds the compiled plan on the first compiled step, and beneath it
+  /// the shape-class cache unless one was adopted (classifies the mesh,
+  /// lowers each class once into the shared arena).
   void ensure_plan();
   /// Builds the word plan (and the compiled plan beneath it — the word
   /// tier's cost source and witness) on the first word-tier step.
@@ -399,7 +400,7 @@ class PimSimulation {
 
   /// One step: five RK stages, each a pass over the residency schedule's
   /// step list, shared by all three tiers (they differ only in how one
-  /// element's stream runs: re-lower, replay, or compiled op loop).
+  /// element's stream runs: re-lower, compiled op loop, or word kernels).
   void run_schedule(double dt);
 
   /// Per-element coefficient overrides for heterogeneous media; empty
@@ -430,7 +431,7 @@ class PimSimulation {
   Costs costs_;
   NetStats net_stats_;
   ExecPath exec_path_ = default_exec_path();
-  /// Built privately by ensure_cache, or adopted via set_shared_cache.
+  /// Built privately by ensure_plan, or adopted via set_shared_cache.
   std::shared_ptr<ProgramCache> cache_;
   std::unique_ptr<ExecutionPlan> plan_;
   std::unique_ptr<WordPlan> word_plan_;
@@ -466,10 +467,10 @@ class PimSimulation {
   /// last store (the periodic staging slice is loaded and stored twice).
   std::vector<std::uint32_t> first_load_step_;
   std::vector<std::uint32_t> last_store_step_;
-  /// Recycled per-element stashes of the sink fan-outs (emit/replay
-  /// tiers). Volume and each flux face group keep their own stash so the
-  /// phase drains can merge in element (x canonical group) order no
-  /// matter which schedule step produced a list; integration emits no
+  /// Recycled per-element stashes of the sink fan-outs (emit tier).
+  /// Volume and each flux face group keep their own stash so the phase
+  /// drains can merge in element (x canonical group) order no matter
+  /// which schedule step produced a list; integration emits no
   /// transfers but needs a scratch stash for the sink protocol.
   std::vector<std::vector<pim::Transfer>> transfer_stash_;
   std::array<std::vector<std::vector<pim::Transfer>>, kNumFaceGroups>
@@ -477,9 +478,9 @@ class PimSimulation {
   std::vector<std::vector<pim::Transfer>> integ_stash_;
   std::vector<RemoteCharges> charge_stash_;
   std::vector<pim::Transfer> merged_transfers_;
-  /// Once-scheduled network phases of the compiled path.
-  CachedNetDrain volume_net_;
-  CachedNetDrain flux_net_;
+  /// Once-scheduled network phases of the plan-backed tiers.
+  std::optional<NetDrain> volume_net_;
+  std::optional<NetDrain> flux_net_;
 };
 
 }  // namespace wavepim::mapping

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/error.h"
 #include "pim/block.h"
@@ -25,35 +24,15 @@ constexpr std::uint32_t kRows = pim::Block::kRows;
 /// produce runs of 4; the cap only bounds the executor's stack arrays).
 constexpr std::uint32_t kMaxChain = 16;
 
-/// The engine is opt-out for testing: WAVEPIM_WORD_AVX2=0 pins the
-/// generic kernels even on AVX2 hosts (the differential unit tests use
-/// this to compare the two back-ends on the same machine).
+/// The engine is opt-out: WAVEPIM_WORD_AVX2=0 pins the generic kernels
+/// even on AVX2 hosts. Read per WordPlan construction, so the
+/// conformance sweeps can compare the two back-ends in one process.
 bool avx_engine_enabled() {
-  static const bool on = [] {
-    const char* e = std::getenv("WAVEPIM_WORD_AVX2");
-    if (e != nullptr && e[0] == '0' && e[1] == '\0') {
-      return false;
-    }
-    return wordavx::supported();
-  }();
-  return on;
-}
-
-/// Peephole fusion gate, default on; read per WordPlan construction
-/// (not a function-local static) so tests can flip it between builds.
-bool fuse_env_enabled() {
-  const char* e = std::getenv("WAVEPIM_WORD_FUSE");
-  return e == nullptr || std::strcmp(e, "0") != 0;
-}
-
-/// Element-major sub-chunk size override (`WAVEPIM_WORD_BLOCK`); 0
-/// disables the blocking loop.
-std::uint32_t block_elems_env(std::uint32_t fallback) {
-  const char* e = std::getenv("WAVEPIM_WORD_BLOCK");
-  if (e == nullptr || *e == '\0') {
-    return fallback;
+  const char* e = std::getenv("WAVEPIM_WORD_AVX2");
+  if (e != nullptr && e[0] == '0' && e[1] == '\0') {
+    return false;
   }
-  return static_cast<std::uint32_t>(std::strtoul(e, nullptr, 10));
+  return wordavx::supported();
 }
 
 /// True when no row repeats — the precondition for interleaving two
@@ -101,8 +80,6 @@ Code arith_code(pim::Opcode opcode, RowPattern::Kind kind) {
 WordPlan::WordPlan(ExecutionPlan& plan)
     : plan_(plan), num_groups_(plan.num_groups()) {
   use_avx2_ = avx_engine_enabled();
-  fuse_enabled_ = fuse_env_enabled();
-  block_elems_ = block_elems_env(block_elems_);
   classes_.reserve(plan.num_classes());
   for (std::uint32_t cls = 0; cls < plan.num_classes(); ++cls) {
     ClassStreams cs;
@@ -244,7 +221,7 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
   const std::uint64_t dead0 = fuse_stats_.dead_stores;
   const std::uint64_t pairs0 = fuse_stats_.chain_pairs;
   fuse_stats_.ops_before += before;
-  if (fuse_enabled_ && ops.size() >= 2) {
+  if (ops.size() >= 2) {
     // Shape equality: both ops must walk the same row set in the same
     // order, so one fused iteration touches row r_i of every column
     // exactly once.
@@ -1665,10 +1642,8 @@ void WordPlan::run_stream(const BlockResolver& blocks,
   // Elements' writes are disjoint, so this reorders only across
   // elements — bit-identity is untouched. move_src indexes elems and
   // ptrs consistently because both are sliced together.
-  const std::size_t sub =
-      block_elems_ == 0 ? (n == 0 ? 1 : n) : block_elems_;
-  for (std::size_t s0 = 0; s0 < n; s0 += sub) {
-    const std::size_t m = std::min(sub, n - s0);
+  for (std::size_t s0 = 0; s0 < n; s0 += kBlockElems) {
+    const std::size_t m = std::min<std::size_t>(kBlockElems, n - s0);
     const auto sub_elems = elems.subspan(s0, m);
     float* const* sub_ptrs = ptrs + s0 * num_groups;
     if (use_avx2_) {

@@ -14,8 +14,8 @@
 
 namespace wavepim::mapping {
 
-/// Word-level execution engine — the fourth tier of the mapping layer's
-/// ladder (emit -> replay -> compiled -> word).
+/// Word-level execution engine — the third tier of the mapping layer's
+/// ladder (emit -> compiled -> word).
 ///
 /// The compiled tier already executes FP32 word arithmetic, but it pays
 /// the bit-serial *structure*: one interpreter dispatch per op per
@@ -29,7 +29,7 @@ namespace wavepim::mapping {
 /// the vectorizable kernels of `pim/word.h`.
 ///
 /// Bit-identity with the compiled tier (pinned end-to-end by the
-/// four-tier conformance suites):
+/// three-tier conformance suites):
 ///
 ///  * every kernel evaluates the exact scalar expression of
 ///    `ExecutionPlan::run_stream` in the same per-element iteration
@@ -208,8 +208,7 @@ class WordPlan {
 
   /// Cumulative peephole-fusion counters across every stream this plan
   /// has compiled (volume + flux at construction, integration stages as
-  /// they are first requested). `ops_before == ops_after` when fusion
-  /// is disabled (`WAVEPIM_WORD_FUSE=0`).
+  /// they are first requested).
   struct FuseStats {
     std::uint64_t ops_before = 0;  ///< word ops entering the peephole
     std::uint64_t ops_after = 0;   ///< dispatched ops after all passes
@@ -223,7 +222,6 @@ class WordPlan {
     std::uint64_t dead_stores = 0;   ///< scratch stores elided (pass 4)
   };
   [[nodiscard]] const FuseStats& fuse_stats() const { return fuse_stats_; }
-  [[nodiscard]] bool fusion_enabled() const { return fuse_enabled_; }
 
   /// Introspection for the differential tests and tools: the compiled
   /// per-class streams, and whether the AVX2 engine drives run_stream.
@@ -250,7 +248,7 @@ class WordPlan {
   /// (Fscale|Fmul)->Fadd and Faxpy->Faxpy pairs whose second op consumes
   /// the first op's destination over the identical row set (indexed rows
   /// additionally verified duplicate-free). Updates fuse_stats_ and the
-  /// word.fuse trace counters; no-op when fuse_enabled_ is false.
+  /// word.fuse trace counters.
   void fuse_stream(std::vector<WordOp>& ops);
   /// Group-normalizes `s.ops` into `s.avx` (see word_avx2.h); ops the
   /// group form cannot express bit-identically become Fallback entries.
@@ -268,16 +266,12 @@ class WordPlan {
   /// WAVEPIM_WORD_AVX2=0 kill-switch is not set. When false, no AVX
   /// mirror streams are built and run_stream uses the generic kernels.
   bool use_avx2_ = false;
-  /// `WAVEPIM_WORD_FUSE` (default on), read at construction so tests
-  /// can toggle fusion between simulation builds.
-  bool fuse_enabled_ = true;
   /// Element-major blocking: run_stream slices each kChunk fan-out task
   /// into sub-chunks of this many elements and runs the *whole* kernel
   /// stream per sub-chunk, keeping the slice's columns L1-resident
-  /// across ops. `WAVEPIM_WORD_BLOCK` overrides (0 disables — the whole
-  /// chunk sweeps op by op). Pure execution-order change across
-  /// elements, whose writes are disjoint: bit-identity is untouched.
-  std::uint32_t block_elems_ = 8;
+  /// across ops. Pure execution-order change across elements, whose
+  /// writes are disjoint: bit-identity is untouched.
+  static constexpr std::uint32_t kBlockElems = 8;
   FuseStats fuse_stats_;
   std::vector<ClassStreams> classes_;
   /// Per element: class id and absolute block base, copied out of the

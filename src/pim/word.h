@@ -19,7 +19,7 @@ namespace wavepim::pim::word {
 /// multiply-add the scalar path would not emit. That contract is pinned
 /// by the differential fuzz sweeps in tests/pim/arith_test.cpp (seeded
 /// random operands incl. +-0, denormals, inf/NaN and overflow rounding)
-/// and end-to-end by the four-tier conformance suites.
+/// and end-to-end by the three-tier conformance suites.
 ///
 /// Three addressing shapes cover every compiled row list (word.cpp's
 /// classify_rows picks one at plan-build time, never per step):

@@ -51,8 +51,6 @@ std::vector<JobSpec> generate_jobs(const GeneratorOptions& opt) {
     const double tier = rng.next_double();
     if (tier < 0.1) {
       spec.exec = mapping::ExecPath::Emit;
-    } else if (tier < 0.4) {
-      spec.exec = mapping::ExecPath::Replay;
     } else if (tier < 0.7) {
       spec.exec = mapping::ExecPath::Compiled;
     } else {

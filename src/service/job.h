@@ -34,7 +34,7 @@ struct JobSpec {
   int refinement_level = 1;
   int n1d = 3;
   mesh::Boundary boundary = mesh::Boundary::Periodic;
-  mapping::ExecPath exec = mapping::ExecPath::Replay;
+  mapping::ExecPath exec = mapping::ExecPath::Word;
   std::uint32_t steps = 1;     ///< time-step budget (0 = load/read only)
   double deadline_s = 0.0;     ///< absolute deadline; <= 0 means none
   std::uint64_t state_seed = 0;  ///< perturbs the initial field
@@ -59,7 +59,7 @@ struct GeneratorOptions {
 
 /// The seeded heterogeneous stream: ~60% acoustic (some at mesh level
 /// 2), the rest split between central-flux and Riemann elastic, across
-/// all four execution tiers and both boundary patterns. Sorted by
+/// all three execution tiers and both boundary patterns. Sorted by
 /// (arrival, id); ids are 0..num_jobs-1.
 [[nodiscard]] std::vector<JobSpec> generate_jobs(const GeneratorOptions& opt);
 

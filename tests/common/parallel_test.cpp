@@ -4,7 +4,9 @@
 
 #include "common/error.h"
 
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -56,6 +58,35 @@ TEST(ThreadPool, ReusableAcrossCalls) {
     std::atomic<int> sum{0};
     pool.parallel_for(100, [&](std::size_t) { sum.fetch_add(1); });
     ASSERT_EQ(sum.load(), 100);
+  }
+}
+
+/// Overwrites the stack region the just-returned parallel_for frame
+/// occupied, so a chunk still touching that frame's mutex or condition
+/// variable finds garbage instead of a look-alike of the next fan-out's.
+[[gnu::noinline]] void scribble_stack() {
+  unsigned char junk[4096];
+  std::memset(junk, 0xA5, sizeof junk);
+  asm volatile("" : : "r"(junk) : "memory");
+}
+
+TEST(ThreadPool, ManyTinyFanOutsCompleteBeforeReturning) {
+  // Completion-race stress: each fan-out's bookkeeping lives on the
+  // caller's frame, which is dead (and scribbled over) as soon as
+  // parallel_for returns. A caller that returned while the last chunk
+  // still touched that frame would corrupt memory, hang or crash;
+  // every index must run exactly once, every time. n = 8 is the
+  // smallest fan-out a 4-worker pool does not run inline.
+  ThreadPool pool(4);
+  constexpr std::size_t kFanOuts = 100000;
+  constexpr std::size_t kN = 8;
+  for (std::size_t round = 0; round < kFanOuts; ++round) {
+    std::array<int, kN> counts{};
+    pool.parallel_for(kN, [&](std::size_t i) { counts[i] += 1; });
+    scribble_stack();
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(counts[i], 1) << "index " << i << " in fan-out " << round;
+    }
   }
 }
 

@@ -54,7 +54,7 @@ TEST(Matrix, ReducedCoversTheGatingAxes) {
     layered = layered || s.materials == Materials::Layered;
     reflective = reflective || s.boundary == mesh::Boundary::Reflective;
   }
-  EXPECT_EQ(tiers.size(), 4u) << "reduced matrix must run all four tiers";
+  EXPECT_EQ(tiers.size(), 3u) << "reduced matrix must run all three tiers";
   EXPECT_TRUE(over_capacity)
       << "reduced matrix must include an over-capacity residency window";
   EXPECT_TRUE(layered);
@@ -93,9 +93,8 @@ TEST(Matrix, IdEncodesEveryAxis) {
   s.boundary = mesh::Boundary::Reflective;
   s.materials = Materials::Layered;
   s.block_limit = 96;
-  s.exec = mapping::ExecPath::Replay;
-  EXPECT_EQ(s.id(),
-            "sim/elastic-central-l2/Er/reflective/layered/win96/replay");
+  s.exec = mapping::ExecPath::Word;
+  EXPECT_EQ(s.id(), "sim/elastic-central-l2/Er/reflective/layered/win96/word");
 }
 
 }  // namespace

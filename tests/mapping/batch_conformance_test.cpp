@@ -90,8 +90,8 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
   EXPECT_EQ(a.net.serial_sum.value(), b.net.serial_sum.value());
 }
 
-constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Replay,
-                                  ExecPath::Compiled, ExecPath::Word};
+constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Compiled,
+                                  ExecPath::Word};
 
 /// The serial fully-resident emit run is the reference every batched
 /// (tier x worker count) combination compares against.
@@ -154,9 +154,9 @@ TEST(BatchConformance, WindowBoundaryYFluxRegression) {
 
 TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
   // The mmap arena backs BOTH the on-chip blocks and the residency host
-  // backing store, and fusion rewrites the streams the batched word runs
-  // execute — so the over-capacity path gets its own knob sweep: with
-  // the arena or fusion disabled, the batched word run must still match
+  // backing store, and the AVX2 engine runs the batched word streams —
+  // so the over-capacity path gets its own switch sweep: with the arena
+  // or the AVX2 engine disabled, the batched word run must still match
   // the fully-resident serial emit reference bit for bit on fields and
   // every compute/net channel (hbm staging stays the only difference).
   const Problem problem{ProblemKind::Acoustic, 2, 3};
@@ -175,7 +175,7 @@ TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
     const char* value;
   } variants[] = {
       {"arena off", "WAVEPIM_WORD_ARENA", "0"},
-      {"fusion off", "WAVEPIM_WORD_FUSE", "0"},
+      {"avx2 off", "WAVEPIM_WORD_AVX2", "0"},
   };
   for (const auto& v : variants) {
     SCOPED_TRACE(v.label);

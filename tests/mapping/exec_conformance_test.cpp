@@ -1,10 +1,10 @@
-// Conformance suite for the four execution tiers of PimSimulation
-// (direct emit -> cached replay -> compiled plan -> word kernels). The
+// Conformance suite for the three execution tiers of PimSimulation
+// (direct emit -> compiled plan -> word kernels). The
 // compiled engine re-implements instruction execution AND cost
 // accounting — resolved op arrays, batched per-block charges,
 // pre-merged transfer lists — and the word tier re-implements execution
 // once more as vectorized FP32 kernels, so this suite pins the
-// contract: for every tested mesh and worker count, all four tiers
+// contract: for every tested mesh and worker count, all three tiers
 // produce bit-identical nodal fields, cost channels, interconnect
 // statistics, and full chip state (every word of every block, scratch
 // columns included, folded into an FNV-1a hash).
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "mapping/exec_plan.h"
 #include "mapping/simulation.h"
 
@@ -126,11 +127,11 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
       << threads << " threads";
 }
 
-constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Replay,
-                                  ExecPath::Compiled, ExecPath::Word};
+constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Compiled,
+                                  ExecPath::Word};
 
-/// The serial emit run is the single reference all twelve (tier x
-/// worker count) combinations compare against.
+/// The serial emit run is the single reference all nine (tier x worker
+/// count) combinations compare against.
 template <typename MakeSim>
 void expect_exec_conformance(MakeSim&& make, int steps) {
   const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
@@ -197,38 +198,10 @@ TEST(ExecConformance, ExpandedAcousticSelfNeighbour) {
   expect_exec_conformance(make, 2);
 }
 
-TEST(ExecConformance, EnvSelectsDefaultPath) {
-  // The tier plumbing: explicit setters win, the legacy cache switch maps
-  // onto the tiers, and a compiled sim exposes its plan after stepping.
-  PimSimulation sim(Problem{ProblemKind::Acoustic, 1, 3},
-                    ExpansionMode::None, pim::chip_512mb());
-  sim.set_exec_path(ExecPath::Compiled);
-  EXPECT_EQ(sim.exec_path(), ExecPath::Compiled);
-  EXPECT_TRUE(sim.program_cache_enabled());
-  sim.set_program_cache(false);
-  EXPECT_EQ(sim.exec_path(), ExecPath::Emit);
-  sim.set_program_cache(true);
-  EXPECT_EQ(sim.exec_path(), ExecPath::Replay);
-
-  sim.set_exec_path(ExecPath::Compiled);
-  EXPECT_EQ(sim.execution_plan(), nullptr);
-  sim.step(1.0e-4);
-  ASSERT_NE(sim.execution_plan(), nullptr);
-  EXPECT_GE(sim.execution_plan()->num_classes(), 1u);
-}
-
-// ---- Fusion / blocking / arena / AVX2 cost invisibility --------------------
-// The word-tier performance knobs (WAVEPIM_WORD_FUSE, WAVEPIM_WORD_BLOCK,
-// WAVEPIM_WORD_ARENA, WAVEPIM_WORD_AVX2) are storage/scheduling choices
-// that must be invisible to every observable: fields, OpCost ledgers per
-// channel, NetStats, and the full chip hash (scratch columns included)
-// must be byte-identical with each knob on and off, at 1, 4 and
-// hardware-default worker counts. All knobs are read at plan-build /
-// allocation time, so a scoped setenv between sim constructions selects
-// the variant.
-
 namespace {
 
+/// Sets (or, for a null value, unsets) an environment variable for the
+/// scope's lifetime.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -237,7 +210,11 @@ class ScopedEnv {
     if (had_old_) {
       old_ = old;
     }
-    setenv(name, value, /*overwrite=*/1);
+    if (value != nullptr) {
+      setenv(name, value, /*overwrite=*/1);
+    } else {
+      unsetenv(name);
+    }
   }
   ~ScopedEnv() {
     if (had_old_) {
@@ -255,6 +232,48 @@ class ScopedEnv {
 
 }  // namespace
 
+TEST(ExecConformance, EnvSelectsDefaultPath) {
+  // The tier plumbing: unset WAVEPIM_EXEC selects the word tier, a
+  // removed or unknown spelling throws, the parser round-trips every
+  // tier's name, and explicit setters win.
+  {
+    ScopedEnv unset("WAVEPIM_EXEC", nullptr);
+    EXPECT_EQ(PimSimulation::default_exec_path(), ExecPath::Word);
+  }
+  {
+    ScopedEnv replay("WAVEPIM_EXEC", "replay");
+    EXPECT_THROW((void)PimSimulation::default_exec_path(), PreconditionError);
+  }
+  for (const ExecPath path : kAllPaths) {
+    ScopedEnv env("WAVEPIM_EXEC", to_string(path));
+    EXPECT_EQ(PimSimulation::default_exec_path(), path);
+    ExecPath parsed = path == ExecPath::Emit ? ExecPath::Word : ExecPath::Emit;
+    ASSERT_TRUE(parse_exec_path(to_string(path), parsed));
+    EXPECT_EQ(parsed, path);
+  }
+  ExecPath untouched = ExecPath::Compiled;
+  EXPECT_FALSE(parse_exec_path("replay", untouched));
+  EXPECT_EQ(untouched, ExecPath::Compiled);
+
+  PimSimulation sim(Problem{ProblemKind::Acoustic, 1, 3},
+                    ExpansionMode::None, pim::chip_512mb());
+  sim.set_exec_path(ExecPath::Compiled);
+  EXPECT_EQ(sim.exec_path(), ExecPath::Compiled);
+  EXPECT_EQ(sim.execution_plan(), nullptr);
+  sim.step(1.0e-4);
+  ASSERT_NE(sim.execution_plan(), nullptr);
+  EXPECT_GE(sim.execution_plan()->num_classes(), 1u);
+}
+
+// ---- Arena / AVX2 cost invisibility ----------------------------------------
+// The two word-tier switches (WAVEPIM_WORD_ARENA, WAVEPIM_WORD_AVX2) are
+// storage/dispatch choices that must be invisible to every observable:
+// fields, OpCost ledgers per channel, NetStats, and the full chip hash
+// (scratch columns included) must be byte-identical with each switch on
+// and off, at 1, 4 and hardware-default worker counts. Both are read at
+// plan-build / allocation time, so a scoped setenv between sim
+// constructions selects the variant.
+
 TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
   const auto make = [] {
     return std::make_unique<PimSimulation>(
@@ -269,8 +288,6 @@ TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
     const char* var;
     const char* value;
   } variants[] = {
-      {"fusion off", "WAVEPIM_WORD_FUSE", "0"},
-      {"blocking off", "WAVEPIM_WORD_BLOCK", "0"},
       {"arena off", "WAVEPIM_WORD_ARENA", "0"},
       {"avx2 off", "WAVEPIM_WORD_AVX2", "0"},
   };
@@ -284,12 +301,19 @@ TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
     }
   }
 
-  // Everything off at once — the PR 7 configuration — and everything on
-  // (the ambient default) must agree too.
+  // The AVX2 switch must actually reach the plan.
   {
-    SCOPED_TRACE("all knobs off");
-    ScopedEnv fuse("WAVEPIM_WORD_FUSE", "0");
-    ScopedEnv block("WAVEPIM_WORD_BLOCK", "0");
+    ScopedEnv avx("WAVEPIM_WORD_AVX2", "0");
+    auto sim = make();
+    sim->set_exec_path(ExecPath::Word);
+    sim->step(2.0e-4);
+    ASSERT_NE(sim->word_plan(), nullptr);
+    EXPECT_FALSE(sim->word_plan()->uses_avx2());
+  }
+
+  // Both off at once and both on (the ambient default) must agree too.
+  {
+    SCOPED_TRACE("both switches off");
     ScopedEnv arena("WAVEPIM_WORD_ARENA", "0");
     ScopedEnv avx("WAVEPIM_WORD_AVX2", "0");
     expect_identical(reference, run_at(make, ExecPath::Word, 4, steps),
@@ -302,7 +326,7 @@ TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
 // ---- Per-block ledger conformance -----------------------------------------
 // The sim-level hashes cover fields and aggregated channels; this pins the
 // batched cost fold at block granularity. One Volume phase is executed
-// twice on identical chips — FunctionalSink replay vs compiled plan — and
+// twice on identical chips — FunctionalSink vs compiled plan — and
 // every block's ledger (one batched charge per block on the compiled
 // side, dozens of per-op charges on the sink side) plus every stored word
 // must match bit-for-bit, as must the phase transfer lists.

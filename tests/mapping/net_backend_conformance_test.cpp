@@ -3,7 +3,7 @@
 // the event-driven cycle backend (or the H-tree for the bus) may move
 // the network cost channel, but the nodal fields, the compute ledgers
 // (volume/flux/integration), the HBM staging ledger, and every transfer
-// count must stay bit-identical — across all four execution tiers, both
+// count must stay bit-identical — across all three execution tiers, both
 // residency modes, and the service scheduler's multiplexed runs.
 #include <gtest/gtest.h>
 
@@ -83,8 +83,8 @@ void expect_pricing_only(const RunResult& a, const RunResult& b,
 }
 
 TEST(NetBackendConformance, PricingOnlyAcrossTiersAndResidency) {
-  const ExecPath tiers[] = {ExecPath::Emit, ExecPath::Replay,
-                           ExecPath::Compiled, ExecPath::Word};
+  const ExecPath tiers[] = {ExecPath::Emit, ExecPath::Compiled,
+                           ExecPath::Word};
   struct Residency {
     std::uint32_t block_limit;
     int level;
@@ -134,9 +134,9 @@ TEST(NetBackendConformance, FieldsAreTopologyIndependentToo) {
   // the H-tree's advantage needs the contended paper-scale batches the
   // Fig. 14 grid evaluates.)
   const auto htree = run_sim(pim::NetBackendKind::Cycle, pim::Topology::HTree,
-                             ExecPath::Replay, 0, 1);
+                             ExecPath::Emit, 0, 1);
   const auto bus = run_sim(pim::NetBackendKind::Cycle, pim::Topology::Bus,
-                           ExecPath::Replay, 0, 1);
+                           ExecPath::Emit, 0, 1);
   ASSERT_EQ(htree.field.size(), bus.field.size());
   for (std::size_t i = 0; i < htree.field.size(); ++i) {
     ASSERT_EQ(htree.field[i], bus.field[i]) << "field word " << i;

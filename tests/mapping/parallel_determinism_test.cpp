@@ -4,9 +4,10 @@
 // settled neighbour charges, block-id-ordered ledger drain) must make the
 // nodal fields AND every cost channel bit-identical for any worker count.
 // The same harness doubles as the shape-class cache conformance suite:
-// replaying cached streams must match direct emission bit-for-bit — fields,
-// cycle/energy channels, and interconnect statistics — at every worker
-// count (the CacheConformance tests below).
+// the compiled tier, which runs the cached class streams, must match
+// direct emission bit-for-bit — fields, cycle/energy channels, and
+// interconnect statistics — at every worker count (the CacheConformance
+// tests below).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -27,17 +28,17 @@ struct RunResult {
 };
 
 /// Runs `steps` time steps at the given worker count and returns the final
-/// nodal field plus the accumulated cost report. `cache` forces the
-/// program cache on or off; nullopt keeps the process default, so the
-/// pre-existing determinism tests exercise whichever path the CI lane
-/// selects via WAVEPIM_PROGRAM_CACHE.
+/// nodal field plus the accumulated cost report. `exec` forces the
+/// execution tier; nullopt keeps the process default, so the
+/// determinism tests exercise whichever tier the CI lane selects via
+/// WAVEPIM_EXEC.
 template <typename MakeSim>
 RunResult run_at(MakeSim&& make_sim, std::size_t threads, int steps,
-                 std::optional<bool> cache = std::nullopt) {
+                 std::optional<ExecPath> exec = std::nullopt) {
   auto sim = make_sim();
   sim->set_num_threads(threads);
-  if (cache.has_value()) {
-    sim->set_program_cache(*cache);
+  if (exec.has_value()) {
+    sim->set_exec_path(*exec);
   }
   dg::Field u(sim->mesh().num_elements(), sim->setup().problem().num_vars(),
               static_cast<std::size_t>(sim->setup().ref().num_nodes()));
@@ -180,16 +181,20 @@ TEST(ParallelDeterminism, RepeatedRunsAgree) {
 }
 
 // ---- Shape-class cache conformance ----------------------------------------
-// Cache on vs off must agree bit-for-bit: nodal fields, every cost
-// channel (cycle time + energy) and the interconnect statistics, at
-// serial, mid, and hardware worker counts. The uncached serial run is
-// the single reference all six combinations compare against.
+// The cached class streams (run by the compiled tier) and direct
+// emission must agree bit-for-bit: nodal fields, every cost channel
+// (cycle time + energy) and the interconnect statistics, at serial, mid,
+// and hardware worker counts. The serial emit run is the single
+// reference all six combinations compare against.
 template <typename MakeSim>
 void expect_cache_conformance(MakeSim&& make, int steps) {
-  const RunResult reference = run_at(make, 1, steps, /*cache=*/false);
+  const RunResult reference = run_at(make, 1, steps, ExecPath::Emit);
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    expect_identical(reference, run_at(make, threads, steps, false), threads);
-    expect_identical(reference, run_at(make, threads, steps, true), threads);
+    expect_identical(reference, run_at(make, threads, steps, ExecPath::Emit),
+                     threads);
+    expect_identical(reference,
+                     run_at(make, threads, steps, ExecPath::Compiled),
+                     threads);
   }
 }
 
@@ -251,8 +256,8 @@ TEST(CacheConformance, ClassCountsMatchProblemStructure) {
   // class per boundary-face pattern (3^3 corner/edge/face/interior
   // combinations = 27); a two-layer medium splits classes by material.
   const auto classes_of = [](PimSimulation& sim) {
-    sim.set_program_cache(true);  // force on regardless of the CI lane
-    sim.step(1.0e-4);             // builds the cache on the first step
+    sim.set_exec_path(ExecPath::Compiled);  // regardless of the CI lane
+    sim.step(1.0e-4);  // builds the cache on the first step
     return sim.program_cache()->num_classes();
   };
 

@@ -110,7 +110,7 @@ std::vector<JobSpec> preemption_specs() {
     spec.arrival_s = 1.0e-12 * static_cast<double>(i);  // before any quantum
     spec.kind = dg::ProblemKind::Acoustic;
     spec.expansion = mapping::ExpansionMode::None;
-    spec.exec = mapping::ExecPath::Replay;
+    spec.exec = mapping::ExecPath::Word;
     spec.steps = 1;
     spec.deadline_s = 1.0e-6 * static_cast<double>(i);
     spec.state_seed = 100 + i;

@@ -54,13 +54,12 @@ int usage() {
       "--threads N: worker threads for the CPU solver and the functional\n"
       "             PIM simulator (default: WAVEPIM_NUM_THREADS or the\n"
       "             hardware); results are identical for any count\n"
-      "--exec=emit|replay|compiled|word: execution tier of the\n"
-      "             functional PIM simulator (default: WAVEPIM_EXEC, else\n"
-      "             replay). emit re-lowers per stage, replay replays the\n"
-      "             cached class streams, compiled runs the resolved\n"
+      "--exec=emit|compiled|word: execution tier of the functional\n"
+      "             PIM simulator (default: WAVEPIM_EXEC, else word).\n"
+      "             emit re-lowers per stage, compiled runs the resolved\n"
       "             execution plan, word runs the vectorized word-level\n"
       "             kernels; fields and cost reports are bit-identical\n"
-      "             across all four\n"
+      "             across all three\n"
       "--witness=N: word tier only: re-execute every Nth phase\n"
       "             application bit-serially on shadow blocks and compare\n"
       "             full-state hashes (1 = every phase, 0/default = off)\n"
@@ -68,11 +67,6 @@ int usage() {
       "             as Chrome trace-event JSON to FILE (open it in\n"
       "             Perfetto or chrome://tracing); also prints a\n"
       "             per-span summary table after the command\n"
-      "--program-cache=on|off: shape-class program cache for the\n"
-      "             functional PIM simulator (default: on, or\n"
-      "             WAVEPIM_PROGRAM_CACHE); results are identical either\n"
-      "             way — off re-lowers every element each stage for A/B\n"
-      "             timing\n"
       "--chip-blocks=N: cap the selected chip at N PIM blocks. Problems\n"
       "             that no longer fit run through the batched residency\n"
       "             window (estimate/schedule report the windowed Fig. 7\n"
@@ -279,20 +273,11 @@ int main(int argc, char** argv) {
       }
       ThreadPool::set_global_threads(n);
       arg += 2;
-    } else if (std::strcmp(argv[arg], "--program-cache=on") == 0 ||
-               std::strcmp(argv[arg], "--program-cache=off") == 0) {
-      // Routed through the environment so every simulation the
-      // subcommand constructs picks it up as its default.
-      const bool on = std::strcmp(argv[arg], "--program-cache=on") == 0;
-      setenv("WAVEPIM_PROGRAM_CACHE", on ? "1" : "0", /*overwrite=*/1);
-      arg += 1;
     } else if (std::strncmp(argv[arg], "--exec=", 7) == 0) {
       const char* tier = argv[arg] + 7;
-      if (std::strcmp(tier, "emit") != 0 && std::strcmp(tier, "replay") != 0 &&
-          std::strcmp(tier, "compiled") != 0 &&
-          std::strcmp(tier, "word") != 0) {
-        std::fprintf(stderr,
-                     "error: --exec wants emit, replay, compiled or word\n");
+      mapping::ExecPath path{};
+      if (!mapping::parse_exec_path(tier, path)) {
+        std::fprintf(stderr, "error: --exec wants emit, compiled or word\n");
         return 2;
       }
       // Routed through the environment so every simulation the
