@@ -1,92 +1,45 @@
 // Reproduces Figure 14: intra-element vs inter-element flux time for the
 // H-tree and Bus interconnects across the paper's four case studies, and
-// the ~2.16x H-tree time saving.
+// the ~2.16x H-tree time saving. The cases and the table come from the
+// shared eval/figures library that tools/paper_eval also runs; this bench
+// prices them with the analytic network backend, paper_eval with the
+// cycle backend.
 #include "bench_util.h"
-#include "common/table.h"
-#include "mapping/estimator.h"
+#include "eval/figures.h"
 
 using namespace wavepim;
-
-namespace {
-
-struct Case {
-  mapping::Problem problem;
-  pim::ChipConfig (*chip)(pim::Topology);
-  const char* label;
-  double paper_inter_share_htree;  // percent
-  double paper_inter_share_bus;
-};
-
-}  // namespace
 
 int main() {
   bench::header("Figure 14 — Comparison between H-Tree and Bus");
 
-  // The four paper cases: without expansion (Acoustic_4/512MB,
-  // Elastic-Central_4/2GB) inter-element is 21.62% (H-tree) / 58.41% (Bus)
-  // of flux execution; with expansion (Acoustic_4/2GB,
-  // Elastic-Central_4/8GB) 42.77% / 69.96%.
-  const Case cases[] = {
-      {{dg::ProblemKind::Acoustic, 4, 8}, pim::chip_512mb,
-       "Acoustic_4 / 512MB (N)", 21.62, 58.41},
-      {{dg::ProblemKind::Acoustic, 4, 8}, pim::chip_2gb,
-       "Acoustic_4 / 2GB (Ep)", 42.77, 69.96},
-      {{dg::ProblemKind::ElasticCentral, 4, 8}, pim::chip_2gb,
-       "Elastic-Central_4 / 2GB (Er)", 21.62, 58.41},
-      {{dg::ProblemKind::ElasticCentral, 4, 8}, pim::chip_8gb,
-       "Elastic-Central_4 / 8GB (Er&Ep)", 42.77, 69.96},
-  };
+  const auto data = eval::compute_fig14_data(pim::NetBackendKind::Analytic);
+  eval::fig14_table(data).print();
+  std::printf("\nPaper inter-element share of flux execution: 21.62%% "
+              "(H-tree) / 58.41%% (Bus) without expansion, 42.77%% / "
+              "69.96%% with expansion.\n");
 
-  TextTable table({"Case", "Topology", "Intra-element (us)",
-                   "Inter-element (us)", "Inter share", "Paper share"});
+  // Rows are case-major, H-tree before Bus.
   bench::ShapeChecks checks;
   double saving_sum = 0.0;
-  for (const auto& c : cases) {
-    double flux_time[2] = {0.0, 0.0};
-    double step_time[2] = {0.0, 0.0};
-    int i = 0;
-    for (auto topo : {pim::Topology::HTree, pim::Topology::Bus}) {
-      mapping::Estimator estimator(c.problem, c.chip(topo));
-      const auto& est = estimator.estimate();
-      const double intra = est.flux_intra_element.value();
-      const double inter = est.flux_inter_element.value();
-      const double share = 100.0 * inter / (intra + inter);
-      flux_time[i] = intra + inter;
-      step_time[i] = est.step_time.value();
-      const double paper_share = (topo == pim::Topology::HTree)
-                                     ? c.paper_inter_share_htree
-                                     : c.paper_inter_share_bus;
-      table.add_row({c.label, pim::to_string(topo),
-                     TextTable::num(intra * 1e6, 4),
-                     TextTable::num(inter * 1e6, 4),
-                     TextTable::num(share, 3) + "%",
-                     TextTable::num(paper_share, 4) + "%"});
-      ++i;
-    }
-    checks.expect(flux_time[1] > flux_time[0],
-                  std::string(c.label) + ": bus flux slower than H-tree");
-    saving_sum += step_time[1] / step_time[0];
+  for (std::size_t i = 0; i + 1 < data.rows.size(); i += 2) {
+    const auto& htree = data.rows[i];
+    const auto& bus = data.rows[i + 1];
+    checks.expect(bus.flux_intra + bus.flux_inter >
+                      htree.flux_intra + htree.flux_inter,
+                  htree.label + ": bus flux slower than H-tree");
+    saving_sum += bus.step_time / htree.step_time;
   }
-  table.print();
-
-  const double avg_saving = saving_sum / 4.0;
+  const double avg_saving =
+      saving_sum / (static_cast<double>(data.rows.size()) / 2.0);
   std::printf("\nAverage whole-step H-tree time saving vs Bus: %.2fx "
               "(paper: ~2.16x on flux-heavy phases)\n\n",
               avg_saving);
-
   checks.expect_between(avg_saving, 1.1, 5.0,
                         "H-tree saves meaningful time over the bus");
 
-  // Expansion raises the inter-element share (the paper's second pair).
-  mapping::Estimator naive({dg::ProblemKind::Acoustic, 4, 8},
-                           pim::chip_512mb(pim::Topology::HTree));
-  mapping::Estimator expanded({dg::ProblemKind::Acoustic, 4, 8},
-                              pim::chip_2gb(pim::Topology::HTree));
-  const auto share = [](const mapping::StepEstimate& e) {
-    return e.flux_inter_element.value() /
-           (e.flux_inter_element.value() + e.flux_intra_element.value());
-  };
-  checks.expect(share(expanded.estimate()) > share(naive.estimate()),
+  // Expansion raises the inter-element share (the paper's second pair):
+  // the H-tree rows of Acoustic_4 on 512MB (N) and on 2GB (Ep).
+  checks.expect(data.rows[2].inter_share > data.rows[0].inter_share,
                 "expansion increases the inter-element share (Fig. 14)");
   return checks.exit_code();
 }

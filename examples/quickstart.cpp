@@ -60,9 +60,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--witness=", 10) == 0) {
       // Witness cadence for the word tier: every Nth phase application is
       // re-executed bit-serially and hash-compared (1 = every phase).
-      char* end = nullptr;
-      (void)std::strtoul(argv[i] + 10, &end, 10);
-      if (end == argv[i] + 10 || *end != '\0') {
+      std::uint32_t cadence = 0;
+      if (!mapping::parse_witness_interval(argv[i] + 10, cadence)) {
         std::fprintf(stderr, "error: --witness wants a cadence (0 = off)\n");
         return 2;
       }

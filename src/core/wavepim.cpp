@@ -8,6 +8,39 @@
 
 namespace wavepim::core {
 
+namespace {
+
+/// Prices `steps` time steps of one modelled run on a process node.
+gpumodel::PlatformEstimate project(const mapping::Estimator& estimator,
+                                   std::uint64_t steps,
+                                   const pim::ProcessScaling& scaling) {
+  const auto cost = estimator.run_cost(steps);
+
+  gpumodel::PlatformEstimate est;
+  est.platform =
+      estimator.chip().name + (scaling.speedup > 1.0 ? "-12nm" : "-28nm");
+  est.total_time = cost.time / scaling.speedup;
+  est.step_time = est.total_time / static_cast<double>(steps);
+  est.total_energy = cost.energy / scaling.energy_saving;
+  const auto& problem = estimator.problem();
+  const auto ops = dg::count_problem_ops(problem.kind, problem.num_elements(),
+                                         problem.n1d);
+  est.achieved_flops = static_cast<double>(ops.total().flops) * 5.0 *
+                       static_cast<double>(steps) / est.total_time.value();
+  return est;
+}
+
+ComparisonRow row_of(const gpumodel::PlatformEstimate& est) {
+  ComparisonRow row;
+  row.platform = est.platform;
+  row.step_time = est.step_time;
+  row.total_time = est.total_time;
+  row.total_energy = est.total_energy;
+  return row;
+}
+
+}  // namespace
+
 gpumodel::PlatformEstimate System::project_pim(const mapping::Problem& problem,
                                                const pim::ChipConfig& chip,
                                                std::uint64_t steps,
@@ -15,20 +48,8 @@ gpumodel::PlatformEstimate System::project_pim(const mapping::Problem& problem,
   trace::Span span("system.project_pim");
   pim::ChipConfig configured = chip;
   configured.topology = options.topology;
-  mapping::Estimator estimator(problem, configured, options.estimator);
-  const auto cost = estimator.run_cost(steps);
-
-  gpumodel::PlatformEstimate est;
-  est.platform = chip.name + (options.scaling.speedup > 1.0 ? "-12nm"
-                                                            : "-28nm");
-  est.total_time = cost.time / options.scaling.speedup;
-  est.step_time = est.total_time / static_cast<double>(steps);
-  est.total_energy = cost.energy / options.scaling.energy_saving;
-  const auto ops = dg::count_problem_ops(problem.kind, problem.num_elements(),
-                                         problem.n1d);
-  est.achieved_flops = static_cast<double>(ops.total().flops) * 5.0 *
-                       static_cast<double>(steps) / est.total_time.value();
-  return est;
+  const mapping::Estimator estimator(problem, configured, options.estimator);
+  return project(estimator, steps, options.scaling);
 }
 
 std::vector<ComparisonRow> System::compare_all(const mapping::Problem& problem,
@@ -37,40 +58,24 @@ std::vector<ComparisonRow> System::compare_all(const mapping::Problem& problem,
   trace::Span span("system.compare_all");
   std::vector<ComparisonRow> rows;
 
-  auto add_gpu = [&](const gpumodel::GpuSpec& gpu,
-                     gpumodel::GpuImplementation impl) {
-    const auto est = gpumodel::estimate_gpu(problem, gpu, impl, steps);
-    ComparisonRow row;
-    row.platform = est.platform;
-    row.step_time = est.step_time;
-    row.total_time = est.total_time;
-    row.total_energy = est.total_energy;
-    rows.push_back(row);
-  };
-  for (const auto& gpu : gpumodel::paper_gpus()) {
-    add_gpu(gpu, gpumodel::GpuImplementation::Unfused);
-  }
-  for (const auto& gpu : gpumodel::paper_gpus()) {
-    add_gpu(gpu, gpumodel::GpuImplementation::Fused);
+  for (const auto impl : {gpumodel::GpuImplementation::Unfused,
+                          gpumodel::GpuImplementation::Fused}) {
+    for (const auto& gpu : gpumodel::paper_gpus()) {
+      rows.push_back(
+          row_of(gpumodel::estimate_gpu(problem, gpu, impl, steps)));
+    }
   }
 
+  // One modelled run per chip; both process nodes scale the same
+  // estimate, and the paper-methodology series rides along.
+  std::vector<mapping::Estimator> estimators;
+  for (const auto& chip : pim::standard_chips(topology)) {
+    estimators.emplace_back(problem, chip);
+  }
   for (const auto scaling : {pim::ProcessScaling::node_28nm(),
                              pim::ProcessScaling::node_12nm()}) {
-    for (const auto& chip : pim::standard_chips(topology)) {
-      PimOptions options;
-      options.topology = topology;
-      options.scaling = scaling;
-      const auto est = project_pim(problem, chip, steps, options);
-
-      // The paper-methodology series rides along for comparison.
-      pim::ChipConfig configured = chip;
-      configured.topology = topology;
-      mapping::Estimator estimator(problem, configured, {});
-      ComparisonRow row;
-      row.platform = est.platform;
-      row.step_time = est.step_time;
-      row.total_time = est.total_time;
-      row.total_energy = est.total_energy;
+    for (const auto& estimator : estimators) {
+      ComparisonRow row = row_of(project(estimator, steps, scaling));
       row.step_time_peak_method =
           estimator.estimate().step_time_peak_method / scaling.speedup;
       row.is_pim = true;

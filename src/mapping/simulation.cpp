@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -54,6 +55,17 @@ bool parse_exec_path(const char* s, ExecPath& out) {
   return false;
 }
 
+bool parse_witness_interval(const char* s, std::uint32_t& out) {
+  const char* end = s + std::strlen(s);
+  std::uint32_t value = 0;
+  const auto [last, error] = std::from_chars(s, end, value);
+  if (error != std::errc{} || last != end) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 ExecPath PimSimulation::default_exec_path() {
   const char* env = std::getenv("WAVEPIM_EXEC");
   if (env == nullptr || *env == '\0') {
@@ -70,12 +82,10 @@ std::uint32_t PimSimulation::default_witness_interval() {
   if (env == nullptr || *env == '\0') {
     return 0;
   }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') {
-    return 0;
-  }
-  return static_cast<std::uint32_t>(value);
+  std::uint32_t interval = 0;
+  WAVEPIM_REQUIRE(parse_witness_interval(env, interval),
+                  "WAVEPIM_WITNESS must be a cadence in [0, 2^32)");
+  return interval;
 }
 
 PimSimulation::PimSimulation(const Problem& problem, ExpansionMode mode,

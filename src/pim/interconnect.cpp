@@ -13,6 +13,35 @@ namespace {
 
 constexpr std::uint32_t kBlocksPerTile = ChipConfig::kBlocksPerTile;
 
+/// The order in which the central controller's micro-sequencer releases
+/// a batch, shared by both backends: short (leaf-local) paths first, then
+/// progressively wider ones, with a deterministic pseudo-random shuffle
+/// inside each class. Naive mesh-order issue chains every transfer
+/// through the switch it shares with its predecessor, collapsing the
+/// network's parallelism to near-serial (and FIFO queues turn that
+/// correlation into head-of-line serialisation); level-ordered,
+/// de-correlated issue approaches the per-switch load bound instead.
+std::vector<std::uint32_t> release_order(const Interconnect& net,
+                                         std::span<const Transfer> transfers) {
+  std::vector<std::uint32_t> order(transfers.size());
+  std::vector<std::uint64_t> key(transfers.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+    const Transfer& t = transfers[i];
+    const std::uint64_t hops = net.hop_count(t.src_block, t.dst_block);
+    // SplitMix64 tie-break: deterministic, order-independent.
+    std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    key[i] = (hops << 56) | (h & 0x00FFFFFFFFFFFFFFull);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return key[a] < key[b];
+                   });
+  return order;
+}
+
 }  // namespace
 
 Interconnect::Interconnect(const ChipConfig& config, LinkParams link)
@@ -201,33 +230,8 @@ ScheduleResult AnalyticBackend::schedule(
     slots[r].assign(net.resource_capacity(r), Seconds(0.0));
   }
   std::vector<std::uint32_t> path;
-
-  // Issue order: short (leaf-local) paths first, then progressively wider
-  // ones, with a deterministic pseudo-random shuffle inside each class.
-  // Naive mesh-order issue chains every transfer through the switch it
-  // shares with its predecessor, collapsing the network's parallelism to
-  // near-serial; level-ordered, de-correlated issue — which is what the
-  // central controller's micro-sequencer would arrange — approaches the
-  // per-switch load bound instead.
-  std::vector<std::uint32_t> order(transfers.size());
-  std::vector<std::uint64_t> key(transfers.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-    const Transfer& t = transfers[i];
-    const std::uint64_t hops = net.hop_count(t.src_block, t.dst_block);
-    // SplitMix64 tie-break: deterministic, order-independent.
-    std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    key[i] = (hops << 56) | (h & 0x00FFFFFFFFFFFFFFull);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return key[a] < key[b];
-                   });
-
   std::vector<std::size_t> chosen_slot;
-  for (std::uint32_t i : order) {
+  for (std::uint32_t i : release_order(net, transfers)) {
     const Transfer& t = transfers[i];
     const Seconds duration = net.isolated_latency(t);
     result.serial_sum += duration;
@@ -287,33 +291,12 @@ ScheduleResult CycleBackend::schedule(
                                           path_begin[i + 1] - path_begin[i]);
   };
 
-  // Release order: the controller's micro-sequencer releases the batch
-  // level-ordered with the same deterministic de-correlating shuffle the
-  // analytic scheduler issues in (see AnalyticBackend::schedule — naive
-  // mesh order chains every transfer through the switch it shares with
-  // its predecessor, and FIFO queues turn that correlation into
-  // head-of-line serialisation). Queues service strictly FIFO in release
-  // order; `rank` is a transfer's position in it.
-  std::vector<std::uint32_t> order(n);
+  // Queues service strictly FIFO in the shared release order; `rank` is
+  // a transfer's position in it.
+  const std::vector<std::uint32_t> order = release_order(net, transfers);
   std::vector<std::uint32_t> rank(n);
-  {
-    std::vector<std::uint64_t> key(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      order[i] = i;
-      const Transfer& t = transfers[i];
-      const std::uint64_t hops = net.hop_count(t.src_block, t.dst_block);
-      std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
-      h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-      h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-      key[i] = (hops << 56) | (h & 0x00FFFFFFFFFFFFFFull);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return key[a] < key[b];
-                     });
-    for (std::uint32_t pos = 0; pos < n; ++pos) {
-      rank[order[pos]] = pos;
-    }
+  for (std::uint32_t pos = 0; pos < n; ++pos) {
+    rank[order[pos]] = pos;
   }
 
   // Release-ordered FIFO queue per resource (the whole batch arrives at
@@ -353,24 +336,31 @@ ScheduleResult CycleBackend::schedule(
   // (capacity - busy) waiting entries of every queue on its path
   // (cut-through within the free-channel window). The single-channel bus
   // degenerates to strict head-of-line FIFO.
-  auto in_window = [&](std::uint32_t r, std::uint32_t i) {
-    const std::uint32_t free = cap[r] - busy[r];
+  //
+  // walk_window visits that window of a switch with a free channel in
+  // release order, after advancing its head cursor past started entries,
+  // and stops early when `visit` returns true.
+  auto walk_window = [&](std::uint32_t r, auto&& visit) {
     const auto& q = queue[r];
     std::uint32_t& h = head[r];
     while (h < q.size() && state[q[h]] != kWaiting) {
       ++h;
     }
+    const std::uint32_t free = cap[r] - busy[r];
     std::uint32_t seen = 0;
     for (std::uint32_t p = h; p < q.size() && seen < free; ++p) {
       if (state[q[p]] != kWaiting) {
         continue;
       }
-      if (q[p] == i) {
+      if (visit(q[p])) {
         return true;
       }
       ++seen;
     }
     return false;
+  };
+  auto in_window = [&](std::uint32_t r, std::uint32_t i) {
+    return walk_window(r, [&](std::uint32_t j) { return j == i; });
   };
   auto eligible = [&](std::uint32_t i) {
     for (const std::uint32_t r : path_of(i)) {
@@ -388,22 +378,11 @@ ScheduleResult CycleBackend::schedule(
                       std::greater<>>
       candidates;
   auto push_window = [&](std::uint32_t r) {
-    if (busy[r] >= cap[r]) {
-      return;
-    }
-    const std::uint32_t free = cap[r] - busy[r];
-    const auto& q = queue[r];
-    std::uint32_t& h = head[r];
-    while (h < q.size() && state[q[h]] != kWaiting) {
-      ++h;
-    }
-    std::uint32_t seen = 0;
-    for (std::uint32_t p = h; p < q.size() && seen < free; ++p) {
-      if (state[q[p]] != kWaiting) {
-        continue;
-      }
-      candidates.push(rank[q[p]]);
-      ++seen;
+    if (busy[r] < cap[r]) {
+      walk_window(r, [&](std::uint32_t j) {
+        candidates.push(rank[j]);
+        return false;
+      });
     }
   };
   auto start = [&](std::uint32_t i) {

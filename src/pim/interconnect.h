@@ -154,8 +154,10 @@ class Interconnect {
     return config_.net_backend;
   }
 
-  /// Number of switch hops between two blocks (same-tile paths only; the
-  /// chip channel is modelled separately for cross-tile transfers).
+  /// Number of switch hops between two blocks: up to the lowest common
+  /// switch and back down within a tile, both tiles' full switch chains
+  /// across tiles. The chip-level channel a cross-tile transfer also
+  /// crosses is priced separately (isolated_latency, transfer_energy).
   [[nodiscard]] std::uint32_t hop_count(std::uint32_t src,
                                         std::uint32_t dst) const;
 

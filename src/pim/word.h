@@ -53,8 +53,11 @@ namespace wavepim::pim::word {
 /// x86-64. Bit-identity holds across clones: AVX2 add/sub/mul are the
 /// same correctly-rounded IEEE operations as their SSE2 counterparts,
 /// and the clone list deliberately excludes FMA so no multiply-add can
-/// contract.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+/// contract. ThreadSanitizer builds keep the plain body: GCC instruments
+/// the ifunc resolver, which runs during relocation, before the TSan
+/// runtime is initialised, and crashes the binary at startup.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define WAVEPIM_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define WAVEPIM_TARGET_CLONES

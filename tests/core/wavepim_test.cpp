@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "trace/trace.h"
+
 namespace wavepim::core {
 namespace {
 
@@ -80,6 +84,59 @@ TEST(System, TwelveNmRowsFasterThanTwentyEight) {
   }
   EXPECT_GT(t28, 0.0);
   EXPECT_NEAR(t28 / t12, 3.81, 1e-6);
+}
+
+TEST(System, CompareAllEstimatesEachChipOnce) {
+  // One modelled run per chip: both process nodes and the peak-method
+  // series read the same estimate, so each chip costs one map.estimate
+  // and its five net.schedule calls.
+  trace::Collector::instance().reset();
+  trace::set_enabled(true);
+  (void)System::compare_all({ProblemKind::Acoustic, 4, 8}, 4);
+  trace::set_enabled(false);
+  std::uint64_t estimates = 0;
+  std::uint64_t schedules = 0;
+  for (const auto& e : trace::Collector::instance().snapshot()) {
+    if (e.name == nullptr || e.type != trace::EventType::Begin) {
+      continue;
+    }
+    estimates += std::string_view(e.name) == "map.estimate";
+    schedules += std::string_view(e.name) == "net.schedule";
+  }
+  trace::Collector::instance().reset();
+  const std::uint64_t chips = pim::standard_chips().size();
+  EXPECT_EQ(estimates, chips);
+  EXPECT_EQ(schedules, 5 * chips);
+}
+
+TEST(System, CompareAllPimRowsMatchProjectPim) {
+  const mapping::Problem problem{ProblemKind::Acoustic, 4, 8};
+  const std::uint64_t steps = 16;
+  for (const auto topology : {pim::Topology::HTree, pim::Topology::Bus}) {
+    const auto rows = System::compare_all(problem, steps, topology);
+    for (const auto scaling : {pim::ProcessScaling::node_28nm(),
+                               pim::ProcessScaling::node_12nm()}) {
+      for (const auto& chip : pim::standard_chips(topology)) {
+        PimOptions options;
+        options.topology = topology;
+        options.scaling = scaling;
+        const auto est = System::project_pim(problem, chip, steps, options);
+        const ComparisonRow* row = nullptr;
+        for (const auto& r : rows) {
+          if (r.is_pim && r.platform == est.platform) {
+            row = &r;
+          }
+        }
+        ASSERT_NE(row, nullptr) << est.platform;
+        EXPECT_EQ(row->total_time.value(), est.total_time.value())
+            << est.platform;
+        EXPECT_EQ(row->step_time.value(), est.step_time.value())
+            << est.platform;
+        EXPECT_EQ(row->total_energy.value(), est.total_energy.value())
+            << est.platform;
+      }
+    }
+  }
 }
 
 TEST(System, SummaryAggregatesAcrossBenchmarks) {

@@ -37,6 +37,12 @@ struct Table5Case {
   const char* expected;
 };
 
+/// Names each case by its cell ("Acoustic_4 on 512MB"); without it the
+/// test names embed the struct's raw bytes, padding and pointers included.
+void PrintTo(const Table5Case& c, std::ostream* os) {
+  *os << c.problem.name() << " on " << c.chip;
+}
+
 class Table5 : public ::testing::TestWithParam<Table5Case> {};
 
 TEST_P(Table5, ConfigurationMatchesPaper) {

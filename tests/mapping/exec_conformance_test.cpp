@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -263,6 +264,36 @@ TEST(ExecConformance, EnvSelectsDefaultPath) {
   sim.step(1.0e-4);
   ASSERT_NE(sim.execution_plan(), nullptr);
   EXPECT_GE(sim.execution_plan()->num_classes(), 1u);
+}
+
+TEST(ExecConformance, EnvSelectsDefaultWitness) {
+  // Cadences are plain digits that fit in 32 bits; a sign, junk or an
+  // overflow is rejected instead of wrapping or truncating to another
+  // cadence, and a rejected WAVEPIM_WITNESS throws like WAVEPIM_EXEC.
+  for (const auto& [text, value] :
+       {std::pair<const char*, std::uint32_t>{"0", 0u}, {"7", 7u},
+        {"4294967295", 4294967295u}}) {
+    std::uint32_t parsed = 1;
+    ASSERT_TRUE(parse_witness_interval(text, parsed)) << text;
+    EXPECT_EQ(parsed, value);
+    ScopedEnv env("WAVEPIM_WITNESS", text);
+    EXPECT_EQ(PimSimulation::default_witness_interval(), value);
+  }
+  for (const char* bad :
+       {"", "-1", "+1", " 1", "1 ", "abc", "4294967296", "99999999999"}) {
+    std::uint32_t untouched = 3;
+    EXPECT_FALSE(parse_witness_interval(bad, untouched)) << bad;
+    EXPECT_EQ(untouched, 3u);
+  }
+  {
+    ScopedEnv unset("WAVEPIM_WITNESS", nullptr);
+    EXPECT_EQ(PimSimulation::default_witness_interval(), 0u);
+  }
+  {
+    ScopedEnv junk("WAVEPIM_WITNESS", "abc");
+    EXPECT_THROW((void)PimSimulation::default_witness_interval(),
+                 PreconditionError);
+  }
 }
 
 // ---- Arena / AVX2 cost invisibility ----------------------------------------

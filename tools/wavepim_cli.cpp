@@ -285,9 +285,8 @@ int main(int argc, char** argv) {
       setenv("WAVEPIM_EXEC", tier, /*overwrite=*/1);
       arg += 1;
     } else if (std::strncmp(argv[arg], "--witness=", 10) == 0) {
-      char* end = nullptr;
-      (void)std::strtoul(argv[arg] + 10, &end, 10);
-      if (end == argv[arg] + 10 || *end != '\0') {
+      std::uint32_t cadence = 0;
+      if (!mapping::parse_witness_interval(argv[arg] + 10, cadence)) {
         std::fprintf(stderr, "error: --witness wants a cadence (0 = off)\n");
         return 2;
       }
