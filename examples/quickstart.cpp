@@ -22,6 +22,7 @@
 #include <string>
 
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "common/statistics.h"
 #include "common/trace_report.h"
 #include "core/wavepim.h"
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
       // Witness cadence for the word tier: every Nth phase application is
       // re-executed bit-serially and hash-compared (1 = every phase).
       std::uint32_t cadence = 0;
-      if (!mapping::parse_witness_interval(argv[i] + 10, cadence)) {
+      if (!parse_u32(argv[i] + 10, cadence)) {
         std::fprintf(stderr, "error: --witness wants a cadence (0 = off)\n");
         return 2;
       }
@@ -73,9 +74,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--chip-blocks=", 14) == 0) {
-      chip_blocks =
-          static_cast<std::uint32_t>(std::strtoul(argv[i] + 14, nullptr, 10));
-      if (chip_blocks == 0) {
+      if (!parse_u32(argv[i] + 14, chip_blocks) || chip_blocks == 0) {
         std::fprintf(stderr,
                      "error: --chip-blocks wants a positive block count\n");
         return 2;

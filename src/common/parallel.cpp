@@ -18,12 +18,16 @@ thread_local bool t_in_pool_worker = false;
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : size_(num_threads != 0
+                ? num_threads
+                : std::max<std::size_t>(1,
+                                        std::thread::hardware_concurrency())) {
+  if (size_ == 1) {
+    return;
   }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  workers_.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }

@@ -16,14 +16,16 @@ namespace wavepim {
 /// element-parallel loops.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means `hardware_concurrency()`.
+  /// Creates `num_threads` workers; 0 means `hardware_concurrency()`. A
+  /// one-worker pool runs every loop inline on the caller, so it starts
+  /// no thread at all.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Runs `fn(i)` for i in [0, n), split into contiguous chunks across the
   /// pool, and blocks until all iterations complete. Runs inline when the
@@ -64,6 +66,7 @@ class ThreadPool {
   void enqueue(std::function<void()> task);
   void worker_loop();
 
+  std::size_t size_;
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;

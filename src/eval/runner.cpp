@@ -1,11 +1,10 @@
 #include "eval/runner.h"
 
-#include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "dg/material.h"
 #include "mesh/structured_mesh.h"
+#include "service/job.h"
 
 namespace wavepim::eval {
 
@@ -27,24 +26,6 @@ dg::Field seeded_state(const mapping::PimSimulation& sim) {
     }
   }
   return u;
-}
-
-/// FNV-1a over the field's float bit patterns: a compact bit-exact
-/// witness of the nodal state (any FP divergence flips it).
-std::string field_hash(const dg::Field& field) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const float f : field.flat()) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &f, sizeof(bits));
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
 }
 
 /// Builds the scenario's simulation (uniform or two-layer media).
@@ -116,7 +97,7 @@ CellResult run_sim_cell(const Scenario& s, const RunOptions& options) {
   if (s.net_backend == pim::NetBackendKind::Cycle) {
     cell.labels.emplace_back("net_backend", pim::to_string(s.net_backend));
   }
-  cell.labels.emplace_back("field_hash", field_hash(out));
+  cell.labels.emplace_back("field_hash", service::field_hash(out));
 
   const auto& costs = sim->costs();
   const auto add_cost = [&cell](const char* name, const pim::OpCost& cost) {

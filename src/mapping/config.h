@@ -44,6 +44,14 @@ struct MappingConfig {
   [[nodiscard]] std::string label() const;
 };
 
+/// The geometry of `problem` under `mode` on `chip`: resident when every
+/// element's blocks fit, otherwise batched in whole Y-slices so the
+/// Fig. 7 flux scheme applies. Throws CapacityError if even one slice
+/// cannot fit.
+MappingConfig config_for_mode(const Problem& problem,
+                              const pim::ChipConfig& chip,
+                              ExpansionMode mode);
+
 /// Reproduces the Table 5 decision: pick the most-expanded applicable mode
 /// that fits the chip without batching; otherwise batch at the least-
 /// expanded mode. Batches are whole Y-slices so the Fig. 7 flux scheme

@@ -19,35 +19,6 @@ using mesh::Face;
 
 namespace {
 
-MappingConfig config_with_mode(const Problem& problem,
-                               const pim::ChipConfig& chip,
-                               ExpansionMode mode) {
-  const std::uint64_t blocks = chip.num_blocks();
-  const std::uint64_t bpe = blocks_per_element(mode);
-  const std::uint64_t dim = 1ull << problem.refinement_level;
-  MappingConfig c;
-  c.expansion = mode;
-  if (problem.num_elements() * bpe <= blocks) {
-    c.batched = false;
-    c.num_batches = 1;
-    c.elements_per_batch = problem.num_elements();
-    c.slices_per_batch = static_cast<std::uint32_t>(dim);
-    return c;
-  }
-  const std::uint64_t elements_per_slice = dim * dim;
-  const std::uint64_t slices_fit = blocks / (elements_per_slice * bpe);
-  if (slices_fit == 0) {
-    throw CapacityError("one slice does not fit with mode " +
-                        std::string(to_string(mode)));
-  }
-  c.batched = true;
-  c.slices_per_batch = static_cast<std::uint32_t>(std::min(slices_fit, dim));
-  c.num_batches = static_cast<std::uint32_t>(
-      (dim + c.slices_per_batch - 1) / c.slices_per_batch);
-  c.elements_per_batch = c.slices_per_batch * elements_per_slice;
-  return c;
-}
-
 /// Mixed-radix Morton interleave: round-robins one bit from each axis
 /// (skipping exhausted axes), producing a bijection onto
 /// [0, dim * spb * dim) for power-of-two extents.
@@ -173,7 +144,7 @@ std::vector<pim::Transfer> expand_intra_transfers(
 Estimator::Estimator(Problem problem, pim::ChipConfig chip, Options options)
     : problem_(problem), chip_(std::move(chip)), options_(options) {
   config_ = options_.force_expansion
-                ? config_with_mode(problem_, chip_, *options_.force_expansion)
+                ? config_for_mode(problem_, chip_, *options_.force_expansion)
                 : choose_config(problem_, chip_);
 }
 

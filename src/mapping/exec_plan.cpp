@@ -313,134 +313,140 @@ ExecutionPlan::ExecutionPlan(ProgramCache& cache,
   }
 }
 
+void ExecutionPlan::run_op(const BlockResolver& blocks, std::uint32_t base,
+                           const std::array<std::uint32_t, 6>* neighbor_base,
+                           const Op& op) const {
+  switch (op.kind) {
+    case Op::Kind::Scatter: {
+      float* dst = blocks(base + op.group).column(op.col_dst).data();
+      for (std::uint32_t i = 0; i < op.count; ++i) {
+        dst[op.rows_a[i]] = op.values[i];
+      }
+      break;
+    }
+    case Op::Kind::Gather: {
+      pim::Block& blk = blocks(base + op.group);
+      // Staged copy first: the gather is a parallel permutation even
+      // when source and destination row ranges overlap (same contract
+      // as Block::gather_rows, same per-worker reusable scratch).
+      static thread_local std::vector<float> staged;
+      staged.resize(op.count);
+      const float* src = blk.column(op.col_a).data();
+      for (std::uint32_t i = 0; i < op.count; ++i) {
+        staged[i] = src[op.rows_a[i]];
+      }
+      float* dst = blk.column(op.col_dst).data();
+      for (std::uint32_t i = 0; i < op.count; ++i) {
+        dst[i] = staged[i];
+      }
+      break;
+    }
+    case Op::Kind::Arith: {
+      pim::Block& blk = blocks(base + op.group);
+      const float* a = blk.column(op.col_a).data();
+      const float* b = blk.column(op.col_b).data();
+      float* dst = blk.column(op.col_dst).data();
+      switch (op.opcode) {
+        case pim::Opcode::Fadd:
+          for (std::uint32_t r = 0; r < op.count; ++r) {
+            dst[r] = a[r] + b[r];
+          }
+          break;
+        case pim::Opcode::Fsub:
+          for (std::uint32_t r = 0; r < op.count; ++r) {
+            dst[r] = a[r] - b[r];
+          }
+          break;
+        case pim::Opcode::Fmul:
+          for (std::uint32_t r = 0; r < op.count; ++r) {
+            dst[r] = a[r] * b[r];
+          }
+          break;
+        default:
+          WAVEPIM_REQUIRE(false, "unsupported two-operand arith opcode");
+      }
+      break;
+    }
+    case Op::Kind::ArithRows: {
+      pim::Block& blk = blocks(base + op.group);
+      const float* a = blk.column(op.col_a).data();
+      const float* b = blk.column(op.col_b).data();
+      float* dst = blk.column(op.col_dst).data();
+      switch (op.opcode) {
+        case pim::Opcode::Fadd:
+          for (std::uint32_t i = 0; i < op.count; ++i) {
+            const std::uint32_t r = op.rows_a[i];
+            dst[r] = a[r] + b[r];
+          }
+          break;
+        case pim::Opcode::Fsub:
+          for (std::uint32_t i = 0; i < op.count; ++i) {
+            const std::uint32_t r = op.rows_a[i];
+            dst[r] = a[r] - b[r];
+          }
+          break;
+        case pim::Opcode::Fmul:
+          for (std::uint32_t i = 0; i < op.count; ++i) {
+            const std::uint32_t r = op.rows_a[i];
+            dst[r] = a[r] * b[r];
+          }
+          break;
+        default:
+          WAVEPIM_REQUIRE(false, "unsupported two-operand arith opcode");
+      }
+      break;
+    }
+    case Op::Kind::Fscale: {
+      pim::Block& blk = blocks(base + op.group);
+      const float* src = blk.column(op.col_a).data();
+      float* dst = blk.column(op.col_dst).data();
+      for (std::uint32_t r = 0; r < op.count; ++r) {
+        dst[r] = op.imm * src[r];
+      }
+      break;
+    }
+    case Op::Kind::FscaleRows: {
+      pim::Block& blk = blocks(base + op.group);
+      const float* src = blk.column(op.col_a).data();
+      float* dst = blk.column(op.col_dst).data();
+      for (std::uint32_t i = 0; i < op.count; ++i) {
+        const std::uint32_t r = op.rows_a[i];
+        dst[r] = op.imm * src[r];
+      }
+      break;
+    }
+    case Op::Kind::Faxpy: {
+      pim::Block& blk = blocks(base + op.group);
+      const float* src = blk.column(op.col_a).data();
+      float* dst = blk.column(op.col_dst).data();
+      for (std::uint32_t r = 0; r < op.count; ++r) {
+        dst[r] = op.imm * dst[r] + op.imm2 * src[r];
+      }
+      break;
+    }
+    case Op::Kind::Move: {
+      const std::uint32_t src_base =
+          op.face < 0
+              ? base
+              : (*neighbor_base)[static_cast<std::size_t>(op.face)];
+      const float* src =
+          blocks(src_base + op.group).column(op.col_a).data();
+      float* dst =
+          blocks(base + op.peer_group).column(op.col_dst).data();
+      for (std::uint32_t i = 0; i < op.count; ++i) {
+        dst[op.rows_b[i]] = src[op.rows_a[i]];
+      }
+      break;
+    }
+  }
+}
+
 void ExecutionPlan::run_stream(
     const BlockResolver& blocks, std::uint32_t base,
     const std::array<std::uint32_t, 6>* neighbor_base,
     const StreamPlan& stream) const {
   for (const Op& op : stream.ops) {
-    switch (op.kind) {
-      case Op::Kind::Scatter: {
-        float* dst = blocks(base + op.group).column(op.col_dst).data();
-        for (std::uint32_t i = 0; i < op.count; ++i) {
-          dst[op.rows_a[i]] = op.values[i];
-        }
-        break;
-      }
-      case Op::Kind::Gather: {
-        pim::Block& blk = blocks(base + op.group);
-        // Staged copy first: the gather is a parallel permutation even
-        // when source and destination row ranges overlap (same contract
-        // as Block::gather_rows, same per-worker reusable scratch).
-        static thread_local std::vector<float> staged;
-        staged.resize(op.count);
-        const float* src = blk.column(op.col_a).data();
-        for (std::uint32_t i = 0; i < op.count; ++i) {
-          staged[i] = src[op.rows_a[i]];
-        }
-        float* dst = blk.column(op.col_dst).data();
-        for (std::uint32_t i = 0; i < op.count; ++i) {
-          dst[i] = staged[i];
-        }
-        break;
-      }
-      case Op::Kind::Arith: {
-        pim::Block& blk = blocks(base + op.group);
-        const float* a = blk.column(op.col_a).data();
-        const float* b = blk.column(op.col_b).data();
-        float* dst = blk.column(op.col_dst).data();
-        switch (op.opcode) {
-          case pim::Opcode::Fadd:
-            for (std::uint32_t r = 0; r < op.count; ++r) {
-              dst[r] = a[r] + b[r];
-            }
-            break;
-          case pim::Opcode::Fsub:
-            for (std::uint32_t r = 0; r < op.count; ++r) {
-              dst[r] = a[r] - b[r];
-            }
-            break;
-          case pim::Opcode::Fmul:
-            for (std::uint32_t r = 0; r < op.count; ++r) {
-              dst[r] = a[r] * b[r];
-            }
-            break;
-          default:
-            WAVEPIM_REQUIRE(false, "unsupported two-operand arith opcode");
-        }
-        break;
-      }
-      case Op::Kind::ArithRows: {
-        pim::Block& blk = blocks(base + op.group);
-        const float* a = blk.column(op.col_a).data();
-        const float* b = blk.column(op.col_b).data();
-        float* dst = blk.column(op.col_dst).data();
-        switch (op.opcode) {
-          case pim::Opcode::Fadd:
-            for (std::uint32_t i = 0; i < op.count; ++i) {
-              const std::uint32_t r = op.rows_a[i];
-              dst[r] = a[r] + b[r];
-            }
-            break;
-          case pim::Opcode::Fsub:
-            for (std::uint32_t i = 0; i < op.count; ++i) {
-              const std::uint32_t r = op.rows_a[i];
-              dst[r] = a[r] - b[r];
-            }
-            break;
-          case pim::Opcode::Fmul:
-            for (std::uint32_t i = 0; i < op.count; ++i) {
-              const std::uint32_t r = op.rows_a[i];
-              dst[r] = a[r] * b[r];
-            }
-            break;
-          default:
-            WAVEPIM_REQUIRE(false, "unsupported two-operand arith opcode");
-        }
-        break;
-      }
-      case Op::Kind::Fscale: {
-        pim::Block& blk = blocks(base + op.group);
-        const float* src = blk.column(op.col_a).data();
-        float* dst = blk.column(op.col_dst).data();
-        for (std::uint32_t r = 0; r < op.count; ++r) {
-          dst[r] = op.imm * src[r];
-        }
-        break;
-      }
-      case Op::Kind::FscaleRows: {
-        pim::Block& blk = blocks(base + op.group);
-        const float* src = blk.column(op.col_a).data();
-        float* dst = blk.column(op.col_dst).data();
-        for (std::uint32_t i = 0; i < op.count; ++i) {
-          const std::uint32_t r = op.rows_a[i];
-          dst[r] = op.imm * src[r];
-        }
-        break;
-      }
-      case Op::Kind::Faxpy: {
-        pim::Block& blk = blocks(base + op.group);
-        const float* src = blk.column(op.col_a).data();
-        float* dst = blk.column(op.col_dst).data();
-        for (std::uint32_t r = 0; r < op.count; ++r) {
-          dst[r] = op.imm * dst[r] + op.imm2 * src[r];
-        }
-        break;
-      }
-      case Op::Kind::Move: {
-        const std::uint32_t src_base =
-            op.face < 0
-                ? base
-                : (*neighbor_base)[static_cast<std::size_t>(op.face)];
-        const float* src =
-            blocks(src_base + op.group).column(op.col_a).data();
-        float* dst =
-            blocks(base + op.peer_group).column(op.col_dst).data();
-        for (std::uint32_t i = 0; i < op.count; ++i) {
-          dst[op.rows_b[i]] = src[op.rows_a[i]];
-        }
-        break;
-      }
-    }
+    run_op(blocks, base, neighbor_base, op);
   }
   // One batched charge per touched block: the pre-folded phase aggregate
   // (bit-identical to the per-op sequence — the ledger starts at zero).

@@ -136,6 +136,15 @@ class ExecutionPlan {
   void run_integration(const BlockResolver& blocks, mesh::ElementId e,
                        const StreamPlan& stage) const;
 
+  /// Executes one op's data movement for the element whose group-0
+  /// block is `base` (no ledger charge). `neighbor_base` resolves the
+  /// source of an inter-element Move and may be null for streams that
+  /// carry none. The word tier runs shapes it has no kernel for through
+  /// this, so the two tiers share one definition of every op.
+  void run_op(const BlockResolver& blocks, std::uint32_t base,
+              const std::array<std::uint32_t, 6>* neighbor_base,
+              const Op& op) const;
+
   /// Applies the deferred neighbour-side read charges of element `e`'s
   /// pull across `face` into the caller's per-virtual-block cost
   /// accumulators (flux phase B; caller iterates the disjoint pairing

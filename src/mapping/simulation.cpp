@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "common/error.h"
+#include "common/parse.h"
 #include "dg/rk.h"
 #include "mapping/config.h"
 #include "trace/trace.h"
@@ -55,17 +55,6 @@ bool parse_exec_path(const char* s, ExecPath& out) {
   return false;
 }
 
-bool parse_witness_interval(const char* s, std::uint32_t& out) {
-  const char* end = s + std::strlen(s);
-  std::uint32_t value = 0;
-  const auto [last, error] = std::from_chars(s, end, value);
-  if (error != std::errc{} || last != end) {
-    return false;
-  }
-  out = value;
-  return true;
-}
-
 ExecPath PimSimulation::default_exec_path() {
   const char* env = std::getenv("WAVEPIM_EXEC");
   if (env == nullptr || *env == '\0') {
@@ -83,7 +72,7 @@ std::uint32_t PimSimulation::default_witness_interval() {
     return 0;
   }
   std::uint32_t interval = 0;
-  WAVEPIM_REQUIRE(parse_witness_interval(env, interval),
+  WAVEPIM_REQUIRE(parse_u32(env, interval),
                   "WAVEPIM_WITNESS must be a cadence in [0, 2^32)");
   return interval;
 }

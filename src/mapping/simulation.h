@@ -44,10 +44,6 @@ enum class ExecPath : std::uint8_t { Emit, Compiled, Word };
 /// Parses "emit"/"compiled"/"word" (the to_string spellings). Returns
 /// false on anything else, leaving `out` untouched.
 bool parse_exec_path(const char* s, ExecPath& out);
-/// Parses a witness cadence: decimal digits only, with a value that fits
-/// in 32 bits. Returns false on anything else (signs, junk, overflow,
-/// the empty string), leaving `out` untouched.
-bool parse_witness_interval(const char* s, std::uint32_t& out);
 
 /// Bit-true Wave-PIM simulation: executes the mapped Volume / Flux /
 /// Integration instruction streams on functional crossbar blocks,
@@ -184,7 +180,7 @@ class PimSimulation {
     return witness_interval_;
   }
   /// The process default, from `WAVEPIM_WITNESS`: unset or empty selects
-  /// 0 (off), and anything parse_witness_interval rejects throws.
+  /// 0 (off), and anything parse_u32 (common/parse.h) rejects throws.
   [[nodiscard]] static std::uint32_t default_witness_interval();
 
   struct WitnessStats {

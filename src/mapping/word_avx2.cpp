@@ -38,31 +38,14 @@ WAVEPIM_AVX2_FN __m256 lane_mask(const AvxOp& op, std::uint32_t g) {
       reinterpret_cast<const __m256i*>(op.mask + 8 * g)));
 }
 
-struct AddT {
-  WAVEPIM_AVX2_FN __m256 apply(__m256 a, __m256 b) {
-    return _mm256_add_ps(a, b);
-  }
-};
-struct SubT {
-  WAVEPIM_AVX2_FN __m256 apply(__m256 a, __m256 b) {
-    return _mm256_sub_ps(a, b);
-  }
-};
-struct MulT {
-  WAVEPIM_AVX2_FN __m256 apply(__m256 a, __m256 b) {
-    return _mm256_mul_ps(a, b);
-  }
-};
-
-/// dst = op(a, b) over the window; masked groups keep old lanes via a
+/// dst = a + b over the window; masked groups keep old lanes via a
 /// blend against the freshly loaded destination (rewriting identical
 /// bytes — bit-neutral, and race-free because every row of the window
 /// belongs to this element's block).
-template <typename OpT, int NG>
-__attribute__((target("avx2"))) void binary_n(const AvxOp& op,
-                                              float* const* ptrs,
-                                              std::size_t n,
-                                              std::uint32_t num_groups) {
+template <int NG>
+__attribute__((target("avx2"))) void add_n(const AvxOp& op,
+                                           float* const* ptrs, std::size_t n,
+                                           std::uint32_t num_groups) {
   __m256 m[NG];
   for (int g = 0; g < NG; ++g) {
     m[g] = lane_mask(op, static_cast<std::uint32_t>(g));
@@ -74,8 +57,8 @@ __attribute__((target("avx2"))) void binary_n(const AvxOp& op,
     const float* b = w + op.off_b;
     float* d = w + op.off_dst;
     for (int g = 0; g < NG; ++g) {
-      const __m256 v = OpT::apply(_mm256_loadu_ps(a + 8 * g),
-                                  _mm256_loadu_ps(b + 8 * g));
+      const __m256 v =
+          _mm256_add_ps(_mm256_loadu_ps(a + 8 * g), _mm256_loadu_ps(b + 8 * g));
       if (static_cast<std::uint32_t>(g) < nfull) {
         _mm256_storeu_ps(d + 8 * g, v);
       } else {
@@ -86,11 +69,10 @@ __attribute__((target("avx2"))) void binary_n(const AvxOp& op,
   }
 }
 
-template <typename OpT>
-__attribute__((target("avx2"))) void binary_generic(const AvxOp& op,
-                                                    float* const* ptrs,
-                                                    std::size_t n,
-                                                    std::uint32_t num_groups) {
+__attribute__((target("avx2"))) void add_generic(const AvxOp& op,
+                                                 float* const* ptrs,
+                                                 std::size_t n,
+                                                 std::uint32_t num_groups) {
   for (std::size_t i = 0; i < n; ++i) {
     float* w = ptrs[i * num_groups + op.group];
     const float* a = w + op.off_a;
@@ -98,37 +80,15 @@ __attribute__((target("avx2"))) void binary_generic(const AvxOp& op,
     float* d = w + op.off_dst;
     std::uint32_t g = 0;
     for (; g < op.nfull; ++g) {
-      _mm256_storeu_ps(d + 8 * g, OpT::apply(_mm256_loadu_ps(a + 8 * g),
-                                             _mm256_loadu_ps(b + 8 * g)));
+      _mm256_storeu_ps(d + 8 * g, _mm256_add_ps(_mm256_loadu_ps(a + 8 * g),
+                                                _mm256_loadu_ps(b + 8 * g)));
     }
     for (; g < op.ngroups; ++g) {
-      const __m256 v = OpT::apply(_mm256_loadu_ps(a + 8 * g),
-                                  _mm256_loadu_ps(b + 8 * g));
+      const __m256 v =
+          _mm256_add_ps(_mm256_loadu_ps(a + 8 * g), _mm256_loadu_ps(b + 8 * g));
       const __m256 old = _mm256_loadu_ps(d + 8 * g);
       _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, lane_mask(op, g)));
     }
-  }
-}
-
-template <typename OpT>
-void run_binary(const AvxOp& op, float* const* ptrs,
-                                std::size_t n, std::uint32_t num_groups) {
-  switch (op.ngroups) {
-    case 1:
-      binary_n<OpT, 1>(op, ptrs, n, num_groups);
-      break;
-    case 2:
-      binary_n<OpT, 2>(op, ptrs, n, num_groups);
-      break;
-    case 3:
-      binary_n<OpT, 3>(op, ptrs, n, num_groups);
-      break;
-    case 4:
-      binary_n<OpT, 4>(op, ptrs, n, num_groups);
-      break;
-    default:
-      binary_generic<OpT>(op, ptrs, n, num_groups);
-      break;
   }
 }
 
@@ -180,72 +140,15 @@ __attribute__((target("avx2"))) void scale_generic(const AvxOp& op,
   }
 }
 
-/// dst = imm * dst + imm2 * a — two multiplies and an add, never an FMA
-/// (intrinsics map to fixed instructions; the scalar tiers round the
-/// same way).
-template <int NG>
-__attribute__((target("avx2"))) void axpy_n(const AvxOp& op,
-                                            float* const* ptrs, std::size_t n,
-                                            std::uint32_t num_groups) {
-  __m256 m[NG];
-  for (int g = 0; g < NG; ++g) {
-    m[g] = lane_mask(op, static_cast<std::uint32_t>(g));
-  }
-  const __m256 ca = _mm256_set1_ps(op.imm);
-  const __m256 cb = _mm256_set1_ps(op.imm2);
-  const std::uint32_t nfull = op.nfull;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* a = w + op.off_a;
-    float* d = w + op.off_dst;
-    for (int g = 0; g < NG; ++g) {
-      const __m256 old = _mm256_loadu_ps(d + 8 * g);
-      const __m256 v =
-          _mm256_add_ps(_mm256_mul_ps(ca, old),
-                        _mm256_mul_ps(cb, _mm256_loadu_ps(a + 8 * g)));
-      if (static_cast<std::uint32_t>(g) < nfull) {
-        _mm256_storeu_ps(d + 8 * g, v);
-      } else {
-        _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, m[g]));
-      }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void axpy_generic(const AvxOp& op,
-                                                  float* const* ptrs,
-                                                  std::size_t n,
-                                                  std::uint32_t num_groups) {
-  const __m256 ca = _mm256_set1_ps(op.imm);
-  const __m256 cb = _mm256_set1_ps(op.imm2);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* a = w + op.off_a;
-    float* d = w + op.off_dst;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256 old = _mm256_loadu_ps(d + 8 * g);
-      const __m256 v =
-          _mm256_add_ps(_mm256_mul_ps(ca, old),
-                        _mm256_mul_ps(cb, _mm256_loadu_ps(a + 8 * g)));
-      if (g < op.nfull) {
-        _mm256_storeu_ps(d + 8 * g, v);
-      } else {
-        _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, lane_mask(op, g)));
-      }
-    }
-  }
-}
-
-/// Fused Fscale->Fadd / Fmul->Fadd: the intermediate is stored to
-/// off_dst (hashed scratch state) and forwarded in a register to the
-/// accumulate, whose other operand (off_c, never equal to off_dst) is
+/// Fused Fscale->Fadd: the intermediate is stored to off_dst (hashed
+/// scratch state) and forwarded in a register to the accumulate, whose other operand (off_c, never equal to off_dst) is
 /// loaded before the destination (off_d) store of the same group — the
 /// scalar kernels' order, so off_c == off_d (dst = dst + mid) and
 /// off_d == off_dst both resolve identically. Cross-group order is
 /// irrelevant: 8-lane group spans of a column are disjoint and blends
 /// rewrite non-member lanes with their own bytes.
-template <bool HasB, int NG>
-__attribute__((target("avx2"))) void fused_acc_n(const AvxOp& op,
+template <int NG>
+__attribute__((target("avx2"))) void scale_add_n(const AvxOp& op,
                                                  float* const* ptrs,
                                                  std::size_t n,
                                                  std::uint32_t num_groups) {
@@ -259,14 +162,11 @@ __attribute__((target("avx2"))) void fused_acc_n(const AvxOp& op,
   for (std::size_t i = 0; i < n; ++i) {
     float* w = ptrs[i * num_groups + op.group];
     const float* a = w + op.off_a;
-    const float* b = w + op.off_b;
     const float* acc = w + op.off_c;
     float* mid = w + op.off_dst;
     float* d = w + op.off_d;
     for (int g = 0; g < NG; ++g) {
-      const __m256 av = _mm256_loadu_ps(a + 8 * g);
-      const __m256 v = HasB ? _mm256_mul_ps(av, _mm256_loadu_ps(b + 8 * g))
-                            : _mm256_mul_ps(c, av);
+      const __m256 v = _mm256_mul_ps(c, _mm256_loadu_ps(a + 8 * g));
       const bool dense = static_cast<std::uint32_t>(g) < nfull;
       if (store_mid) {
         if (dense) {
@@ -287,8 +187,7 @@ __attribute__((target("avx2"))) void fused_acc_n(const AvxOp& op,
   }
 }
 
-template <bool HasB>
-__attribute__((target("avx2"))) void fused_acc_generic(
+__attribute__((target("avx2"))) void scale_add_generic(
     const AvxOp& op, float* const* ptrs, std::size_t n,
     std::uint32_t num_groups) {
   const __m256 c = _mm256_set1_ps(op.imm);
@@ -296,14 +195,11 @@ __attribute__((target("avx2"))) void fused_acc_generic(
   for (std::size_t i = 0; i < n; ++i) {
     float* w = ptrs[i * num_groups + op.group];
     const float* a = w + op.off_a;
-    const float* b = w + op.off_b;
     const float* acc = w + op.off_c;
     float* mid = w + op.off_dst;
     float* d = w + op.off_d;
     for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256 av = _mm256_loadu_ps(a + 8 * g);
-      const __m256 v = HasB ? _mm256_mul_ps(av, _mm256_loadu_ps(b + 8 * g))
-                            : _mm256_mul_ps(c, av);
+      const __m256 v = _mm256_mul_ps(c, _mm256_loadu_ps(a + 8 * g));
       const bool dense = g < op.nfull;
       if (store_mid) {
         if (dense) {
@@ -1055,21 +951,12 @@ void exec(const AvxStream& stream, const ExecCtx& ctx) {
     const AvxOp& op = stream.ops[oi];
     switch (op.kind) {
       case AvxOp::Kind::Add:
-        run_binary<AddT>(op, ctx.ptrs, n, ctx.num_groups);
-        break;
-      case AvxOp::Kind::Sub:
-        run_binary<SubT>(op, ctx.ptrs, n, ctx.num_groups);
-        break;
-      case AvxOp::Kind::Mul:
-        run_binary<MulT>(op, ctx.ptrs, n, ctx.num_groups);
+        run_sized<add_n<1>, add_n<2>, add_n<3>, add_n<4>, add_generic>(
+            op, ctx.ptrs, n, ctx.num_groups);
         break;
       case AvxOp::Kind::Scale:
         run_sized<scale_n<1>, scale_n<2>, scale_n<3>, scale_n<4>,
                   scale_generic>(op, ctx.ptrs, n, ctx.num_groups);
-        break;
-      case AvxOp::Kind::Axpy:
-        run_sized<axpy_n<1>, axpy_n<2>, axpy_n<3>, axpy_n<4>, axpy_generic>(
-            op, ctx.ptrs, n, ctx.num_groups);
         break;
       case AvxOp::Kind::Const:
         run_sized<const_n<1>, const_n<2>, const_n<3>, const_n<4>,
@@ -1079,14 +966,9 @@ void exec(const AvxStream& stream, const ExecCtx& ctx) {
         run_permute(op, ctx);
         break;
       case AvxOp::Kind::ScaleAdd:
-        run_sized<fused_acc_n<false, 1>, fused_acc_n<false, 2>,
-                  fused_acc_n<false, 3>, fused_acc_n<false, 4>,
-                  fused_acc_generic<false>>(op, ctx.ptrs, n, ctx.num_groups);
-        break;
-      case AvxOp::Kind::MulAdd:
-        run_sized<fused_acc_n<true, 1>, fused_acc_n<true, 2>,
-                  fused_acc_n<true, 3>, fused_acc_n<true, 4>,
-                  fused_acc_generic<true>>(op, ctx.ptrs, n, ctx.num_groups);
+        run_sized<scale_add_n<1>, scale_add_n<2>, scale_add_n<3>,
+                  scale_add_n<4>, scale_add_generic>(op, ctx.ptrs, n,
+                                                     ctx.num_groups);
         break;
       case AvxOp::Kind::AxpyPair:
         run_sized<axpy_pair_n<1>, axpy_pair_n<2>, axpy_pair_n<3>,

@@ -22,21 +22,21 @@ class ExecutionPlan;
 /// patterns need. The engine instead normalizes every op at plan-build
 /// time into 8-lane groups over a contiguous row window:
 ///
-///  * compute ops (add/sub/mul/scale/axpy/const) evaluate the full
-///    window and keep non-member lanes at their old value with a
+///  * compute ops (add/scale/const and the fused forms) evaluate the
+///    full window and keep non-member lanes at their old value with a
 ///    precomputed lane mask and a blend-store;
-///  * movement ops (gather/move) load the whole source window into
-///    registers first — which reproduces the compiled tier's staging
-///    semantics for free — then route lanes with a vpermps select
-///    network driven by precomputed lane indices.
+///  * movement ops (moves, and the gathers inside GatherMul*) load the
+///    whole source window into registers first — which reproduces the
+///    compiled tier's staging semantics for free — then route lanes
+///    with a vpermps select network driven by precomputed lane indices.
 ///
 /// Bit-identity with the scalar kernels is structural: each written
 /// lane is produced by exactly one IEEE operation on the same operands
-/// (AVX2 add/sub/mul round identically to their scalar forms, the TU is
+/// (AVX2 add/mul round identically to their scalar forms, the TU is
 /// compiled without FMA so nothing can contract), masked-off lanes are
 /// rewritten with the bytes they already hold, and any op whose rows
-/// repeat or overlap in ways the group form cannot express falls back
-/// to the scalar kernels op-by-op, in stream order.
+/// repeat or overlap in ways the group form cannot express, and every
+/// Compiled op, falls back to the scalar path op-by-op, in stream order.
 namespace wordavx {
 
 /// One group-normalized op. Arena pointers (mask/values/perm) alias
@@ -46,13 +46,11 @@ namespace wordavx {
 struct AvxOp {
   enum class Kind : std::uint8_t {
     Add,      ///< dst = a + b over the window
-    Sub,      ///< dst = a - b
-    Mul,      ///< dst = a * b
     Scale,    ///< dst = imm * a
-    Axpy,     ///< dst = imm * dst + imm2 * a
     Const,    ///< dst = values (scatter of plan constants)
     Permute,  ///< dst lanes select from a <=32-float source window
-    Fallback, ///< run generic WordOp [fallback_idx] from the mirror stream
+    Fallback, ///< run WordOp [fallback_idx] of the mirror stream through
+              ///< the generic kernels (Compiled ops always land here)
     // Fused pairs (see WordPlan::fuse_stream). The first op's result is
     // still stored (scratch columns are hashed state) and forwarded in a
     // register to the second op, whose remaining operand is off_c and
@@ -60,7 +58,6 @@ struct AvxOp {
     // window, so group alignment makes every aliasing case resolve in
     // the scalar kernels' order.
     ScaleAdd,  ///< mid(off_dst) = imm * a; d(off_d) = c(off_c) + mid
-    MulAdd,    ///< mid(off_dst) = a * b;   d(off_d) = c(off_c) + mid
     AxpyPair,  ///< d1(off_dst) = imm*d1 + imm2*a;
                ///< d2(off_c)   = imm3*d2 + imm4*d1
     // Chain head: `chain` consecutive ScaleAdd links into one in-place

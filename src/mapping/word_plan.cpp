@@ -55,24 +55,19 @@ bool rows_distinct(const std::uint32_t* rows, std::uint32_t n) {
   return true;
 }
 
-Code arith_code(pim::Opcode opcode, RowPattern::Kind kind) {
-  switch (opcode) {
-    case pim::Opcode::Fadd:
-      return kind == RowPattern::Kind::Contiguous ? Code::Add
-             : kind == RowPattern::Kind::Strided  ? Code::AddStrided
-                                                  : Code::AddIndexed;
-    case pim::Opcode::Fsub:
-      return kind == RowPattern::Kind::Contiguous ? Code::Sub
-             : kind == RowPattern::Kind::Strided  ? Code::SubStrided
-                                                  : Code::SubIndexed;
-    case pim::Opcode::Fmul:
-      return kind == RowPattern::Kind::Contiguous ? Code::Mul
-             : kind == RowPattern::Kind::Strided  ? Code::MulStrided
-                                                  : Code::MulIndexed;
-    default:
-      WAVEPIM_REQUIRE(false, "unsupported two-operand arith opcode");
-  }
-  return Code::Add;
+/// The code for an op of row shape `kind`; Compiled for a shape no
+/// kernel covers.
+Code shaped(RowPattern::Kind kind, Code contig,
+            Code strided = Code::Compiled, Code indexed = Code::Compiled) {
+  return kind == RowPattern::Kind::Contiguous ? contig
+         : kind == RowPattern::Kind::Strided  ? strided
+                                              : indexed;
+}
+
+/// Kernel codes and Compiled execute; the IR tags between them only
+/// feed the fusion passes.
+bool executable(Code code) {
+  return code < Code::GatherIndexed || code == Code::Compiled;
 }
 
 }  // namespace
@@ -117,77 +112,46 @@ WordPlan::WordStream WordPlan::compile(
     w.rows_a = op.rows_a;
     w.rows_b = op.rows_b;
     w.values = op.values;
+    w.src = &op;
     const auto rows_a = std::span<const std::uint32_t>(
         op.rows_a, op.rows_a != nullptr ? op.count : 0);
+    const RowPattern p = pim::word::classify_rows(rows_a);
+    w.start = p.start;
+    w.stride = p.stride;
     switch (op.kind) {
-      case ExecOp::Kind::Scatter: {
-        const RowPattern p = pim::word::classify_rows(rows_a);
-        w.start = p.start;
-        w.stride = p.stride;
-        w.code = p.kind == RowPattern::Kind::Contiguous ? Code::ScatterContig
-                 : p.kind == RowPattern::Kind::Strided  ? Code::ScatterStrided
-                                                        : Code::ScatterIndexed;
+      case ExecOp::Kind::Scatter:
+        w.code = shaped(p.kind, Code::ScatterContig);
         break;
-      }
-      case ExecOp::Kind::Gather: {
-        // The compiled gather stages reads before writes. With distinct
-        // columns there is no overlap, so the direct shapes reproduce
-        // that outcome; the only same-column shape that can skip the
-        // staging buffer is the identity copy (start 0, unit stride),
-        // where every read and write hit the same index. Everything
-        // else on the destination column stays staged — the direct
-        // kernels may then assert dependence-freedom (WAVEPIM_IVDEP)
-        // unconditionally.
-        const RowPattern p = pim::word::classify_rows(rows_a);
-        w.start = p.start;
-        w.stride = p.stride;
-        if (p.kind == RowPattern::Kind::Contiguous) {
-          w.code = w.off_a == w.off_dst && p.start != 0
-                       ? Code::GatherStaged
-                       : Code::GatherContig;
-        } else if (p.kind == RowPattern::Kind::Strided) {
-          w.code = w.off_a == w.off_dst ? Code::GatherStaged
-                                        : Code::GatherStrided;
-        } else {
-          w.code = w.off_a == w.off_dst ? Code::GatherStaged
-                                        : Code::GatherIndexed;
-        }
+      case ExecOp::Kind::Gather:
+        // The compiled gather stages reads before writes; with distinct
+        // columns there is no overlap, so the fused gather kernels may
+        // read and write directly. Same-column gathers stay compiled.
+        w.code = p.kind == RowPattern::Kind::Indexed && w.off_a != w.off_dst
+                     ? Code::GatherIndexed
+                     : Code::Compiled;
         break;
-      }
       case ExecOp::Kind::Arith:
-        w.code = arith_code(op.opcode, RowPattern::Kind::Contiguous);
+      case ExecOp::Kind::ArithRows:
+        w.code = op.opcode == pim::Opcode::Fadd
+                     ? shaped(p.kind, Code::Add, Code::AddStrided,
+                              Code::AddIndexed)
+                 : op.opcode == pim::Opcode::Fmul ? shaped(p.kind, Code::Mul)
+                                                  : Code::Compiled;
         break;
-      case ExecOp::Kind::ArithRows: {
-        const RowPattern p = pim::word::classify_rows(rows_a);
-        w.start = p.start;
-        w.stride = p.stride;
-        w.code = arith_code(op.opcode, p.kind);
-        break;
-      }
       case ExecOp::Kind::Fscale:
-        w.code = Code::Scale;
+      case ExecOp::Kind::FscaleRows:
+        w.code = shaped(p.kind, Code::Scale, Code::ScaleStrided,
+                        Code::ScaleIndexed);
         break;
-      case ExecOp::Kind::FscaleRows: {
-        const RowPattern p = pim::word::classify_rows(rows_a);
-        w.start = p.start;
-        w.stride = p.stride;
-        w.code = p.kind == RowPattern::Kind::Contiguous ? Code::Scale
-                 : p.kind == RowPattern::Kind::Strided  ? Code::ScaleStrided
-                                                        : Code::ScaleIndexed;
-        break;
-      }
       case ExecOp::Kind::Faxpy:
         w.code = Code::Axpy;
         break;
       case ExecOp::Kind::Move: {
-        const RowPattern pa = pim::word::classify_rows(rows_a);
         const RowPattern pb = pim::word::classify_rows(
             std::span<const std::uint32_t>(op.rows_b, op.count));
-        w.start = pa.start;
-        w.stride = pa.stride;
         w.start_b = pb.start;
         w.stride_b = pb.stride;
-        const bool regular = pa.kind != RowPattern::Kind::Indexed &&
+        const bool regular = p.kind != RowPattern::Kind::Indexed &&
                              pb.kind != RowPattern::Kind::Indexed;
         if (op.group == op.peer_group && w.off_a == w.off_dst) {
           // Source and destination may be the same physical column
@@ -196,7 +160,7 @@ WordPlan::WordStream WordPlan::compile(
           // overlap semantics. The regular Move shapes below are then
           // provably disjoint and free to assert WAVEPIM_IVDEP.
           w.code = Code::MoveIndexed;
-        } else if (regular && pa.kind == RowPattern::Kind::Contiguous &&
+        } else if (regular && p.kind == RowPattern::Kind::Contiguous &&
                    pb.kind == RowPattern::Kind::Contiguous) {
           w.code = Code::MoveContig;
         } else if (regular) {
@@ -277,18 +241,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           } else if (p.code == Code::Mul && q.code == Code::Add &&
                      accumulates(p, q) && same_contig(p, q)) {
             fused = Code::MulAdd;
-            hit = true;
-            ++fuse_stats_.mul_add;
-          } else if (p.code == Code::MulStrided &&
-                     q.code == Code::AddStrided && accumulates(p, q) &&
-                     same_strided(p, q)) {
-            fused = Code::MulAddStrided;
-            hit = true;
-            ++fuse_stats_.mul_add;
-          } else if (p.code == Code::MulIndexed &&
-                     q.code == Code::AddIndexed && accumulates(p, q) &&
-                     same_indexed(p, q)) {
-            fused = Code::MulAddIndexed;
             hit = true;
             ++fuse_stats_.mul_add;
           } else if (p.code == Code::Axpy && q.code == Code::Axpy &&
@@ -458,7 +410,8 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
 
       // Does ops[j] (with its chain links) read column (g, c)? Moves
       // conservatively count their source column against our element
-      // even when it is a neighbour's block.
+      // even when it is a neighbour's block. A Compiled op counts as
+      // reading every column and (below) fully overwriting none.
       const auto reads_col = [&ops](std::size_t j, std::uint8_t g,
                                     std::uint32_t c) -> bool {
         const WordOp& q = ops[j];
@@ -467,27 +420,16 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
         };
         switch (q.code) {
           case Code::ScatterContig:
-          case Code::ScatterStrided:
-          case Code::ScatterIndexed:
             return false;
-          case Code::GatherContig:
-          case Code::GatherStrided:
           case Code::GatherIndexed:
           case Code::MoveContig:
           case Code::MoveStrided:
           case Code::MoveIndexed:
             return r(q.group, q.off_a);
-          case Code::GatherStaged:
-            return r(q.group, q.off_dst);
           case Code::Add:
-          case Code::Sub:
           case Code::Mul:
           case Code::AddStrided:
-          case Code::SubStrided:
-          case Code::MulStrided:
           case Code::AddIndexed:
-          case Code::SubIndexed:
-          case Code::MulIndexed:
             return r(q.group, q.off_a) || r(q.group, q.off_b);
           case Code::GatherMul:
             // A forwarded b operand reads the plan's constant table,
@@ -505,8 +447,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::ScaleAddIndexed:
             return r(q.group, q.off_a) || r(q.group, q.off_c);
           case Code::MulAdd:
-          case Code::MulAddStrided:
-          case Code::MulAddIndexed:
             return r(q.group, q.off_a) || r(q.group, q.off_b) ||
                    r(q.group, q.off_c);
           case Code::GatherMulAdd:
@@ -529,6 +469,8 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
             }
             return false;
           }
+          case Code::Compiled:
+            return true;
         }
         return false;
       };
@@ -543,25 +485,15 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
         };
         switch (q.code) {
           case Code::ScatterContig:
-          case Code::ScatterStrided:
-          case Code::ScatterIndexed:
           case Code::Add:
-          case Code::Sub:
           case Code::Mul:
           case Code::AddStrided:
-          case Code::SubStrided:
-          case Code::MulStrided:
           case Code::AddIndexed:
-          case Code::SubIndexed:
-          case Code::MulIndexed:
           case Code::Scale:
           case Code::ScaleStrided:
           case Code::ScaleIndexed:
             return w(q.group, q.off_dst, own_shape(q));
-          case Code::GatherContig:
-          case Code::GatherStrided:
           case Code::GatherIndexed:
-          case Code::GatherStaged:
           case Code::Axpy:
             return w(q.group, q.off_dst, contig_shape(q));
           case Code::MoveContig:
@@ -573,8 +505,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
           case Code::MulAdd:
-          case Code::MulAddStrided:
-          case Code::MulAddIndexed:
           case Code::ChainScaleAdd:
           case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed:
@@ -590,6 +520,8 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
             return w(q.group, q.off_dst, contig_shape(q)) ||
                    w(q.group, q.off_d, contig_shape(q)) ||
                    w(q.group, q.off_c, contig_shape(q));
+          case Code::Compiled:
+            return false;
         }
         return false;
       };
@@ -605,21 +537,11 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
         };
         switch (q.code) {
           case Code::ScatterContig:
-          case Code::ScatterStrided:
-          case Code::ScatterIndexed:
-          case Code::GatherContig:
-          case Code::GatherStrided:
           case Code::GatherIndexed:
-          case Code::GatherStaged:
           case Code::Add:
-          case Code::Sub:
           case Code::Mul:
           case Code::AddStrided:
-          case Code::SubStrided:
-          case Code::MulStrided:
           case Code::AddIndexed:
-          case Code::SubIndexed:
-          case Code::MulIndexed:
           case Code::Scale:
           case Code::ScaleStrided:
           case Code::ScaleIndexed:
@@ -633,8 +555,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
           case Code::MulAdd:
-          case Code::MulAddStrided:
-          case Code::MulAddIndexed:
           case Code::ChainScaleAdd:
           case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed:
@@ -646,6 +566,8 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::GatherMulAdd:
             return w(q.group, q.off_dst) || w(q.group, q.off_d) ||
                    w(q.group, q.off_c);
+          case Code::Compiled:
+            return true;
         }
         return false;
       };
@@ -697,8 +619,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
           case Code::MulAdd:
-          case Code::MulAddStrided:
-          case Code::MulAddIndexed:
           case Code::ChainScaleAdd:
           case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed:
@@ -795,9 +715,31 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
       }
     }
   }
+  // Ops the passes left without a kernel run their compiled source op.
+  // An unfused MulAdd stands for two: its Fmul and the Fadd after it.
+  if (!std::all_of(ops.begin(), ops.end(),
+                   [](const WordOp& q) { return executable(q.code); })) {
+    std::vector<WordOp> routed;
+    routed.reserve(ops.size() + 1);
+    for (const WordOp& q : ops) {
+      if (executable(q.code)) {
+        routed.push_back(q);
+        continue;
+      }
+      const int n = q.code == Code::MulAdd ? 2 : 1;
+      for (int k = 0; k < n; ++k) {
+        WordOp c;
+        c.code = Code::Compiled;
+        c.src = q.src + k;
+        routed.push_back(c);
+      }
+    }
+    ops = std::move(routed);
+  }
   std::size_t dispatched = 0;
   for (std::size_t j = 0; j < ops.size(); j += ops[j].chain) {
     ++dispatched;
+    fuse_stats_.compiled += ops[j].code == Code::Compiled ? 1 : 0;
   }
   fuse_stats_.ops_after += dispatched;
   // One sample per compiled stream; the trace summary's counter table
@@ -916,45 +858,12 @@ void WordPlan::build_avx(WordStream& s) const {
     bool ok = true;
     switch (w.code) {
       case Code::Add:
-      case Code::AddStrided:
-      case Code::AddIndexed:
-      case Code::Sub:
-      case Code::SubStrided:
-      case Code::SubIndexed:
-      case Code::Mul:
-      case Code::MulStrided:
-      case Code::MulIndexed:
-      case Code::Scale:
-      case Code::ScaleStrided:
-      case Code::ScaleIndexed:
-      case Code::Axpy: {
+      case Code::Scale: {
         // All operands share the destination's row list, so window
         // aliasing between dst and a source is group-aligned: each
         // 8-lane group reads and writes the same rows, and groups are
         // disjoint — no cross-group dependence even in place.
-        switch (w.code) {
-          case Code::Add:
-          case Code::AddStrided:
-          case Code::AddIndexed:
-            a.kind = Kind::Add;
-            break;
-          case Code::Sub:
-          case Code::SubStrided:
-          case Code::SubIndexed:
-            a.kind = Kind::Sub;
-            break;
-          case Code::Mul:
-          case Code::MulStrided:
-          case Code::MulIndexed:
-            a.kind = Kind::Mul;
-            break;
-          case Code::Axpy:
-            a.kind = Kind::Axpy;
-            break;
-          default:
-            a.kind = Kind::Scale;
-            break;
-        }
+        a.kind = w.code == Code::Add ? Kind::Add : Kind::Scale;
         const auto rows =
             rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
         std::uint32_t wbase = 0;
@@ -968,9 +877,7 @@ void WordPlan::build_avx(WordStream& s) const {
         }
         break;
       }
-      case Code::ScatterContig:
-      case Code::ScatterStrided:
-      case Code::ScatterIndexed: {
+      case Code::ScatterContig: {
         a.kind = Kind::Const;
         const auto rows =
             rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
@@ -991,27 +898,12 @@ void WordPlan::build_avx(WordStream& s) const {
       case Code::ScaleAdd:
       case Code::ScaleAddStrided:
       case Code::ScaleAddIndexed:
-      case Code::MulAdd:
-      case Code::MulAddStrided:
-      case Code::MulAddIndexed:
       case Code::AxpyPair: {
         // Both fused halves walk the identical row list (the fuse pass's
         // shape-equality obligation), so one destination window covers
         // every operand and the group-alignment aliasing argument of the
         // compute ops extends to the second store.
-        switch (w.code) {
-          case Code::AxpyPair:
-            a.kind = Kind::AxpyPair;
-            break;
-          case Code::MulAdd:
-          case Code::MulAddStrided:
-          case Code::MulAddIndexed:
-            a.kind = Kind::MulAdd;
-            break;
-          default:
-            a.kind = Kind::ScaleAdd;
-            break;
-        }
+        a.kind = w.code == Code::AxpyPair ? Kind::AxpyPair : Kind::ScaleAdd;
         a.imm3 = w.imm3;
         a.imm4 = w.imm4;
         const bool pair = w.code == Code::AxpyPair;
@@ -1107,32 +999,19 @@ void WordPlan::build_avx(WordStream& s) const {
         }
         break;
       }
-      case Code::GatherContig:
-      case Code::GatherStrided:
-      case Code::GatherIndexed:
-      case Code::GatherStaged:
       case Code::MoveContig:
       case Code::MoveStrided:
       case Code::MoveIndexed: {
+        // Moves read the rows_a pattern and write the rows_b pattern of
+        // the peer block. The whole source window is pre-loaded before
+        // any store, which subsumes the overlapping-move scratch staging.
         a.kind = Kind::Permute;
-        const bool is_move = w.code == Code::MoveContig ||
-                             w.code == Code::MoveStrided ||
-                             w.code == Code::MoveIndexed;
-        // Gathers write rows 0..count-1 of the destination column of
-        // the same block; moves write the rows_b pattern of the peer
-        // block. Sources are the rows_a pattern either way. The whole
-        // source window is pre-loaded before any store, which subsumes
-        // the GatherStaged / overlapping-move scratch staging.
         const auto src_rows =
             rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
         const auto dst_rows =
-            is_move ? rows_of(w.rows_b, w.start_b, w.stride_b, w.count,
-                              rows_buf2)
-                    : rows_of(nullptr, 0, 1, w.count, rows_buf2);
-        if (is_move) {
-          a.peer_group = w.peer_group;
-          a.face = w.face;
-        }
+            rows_of(w.rows_b, w.start_b, w.stride_b, w.count, rows_buf2);
+        a.peer_group = w.peer_group;
+        a.face = w.face;
         std::uint32_t sbase = 0;
         std::uint32_t sgroups = 0;
         std::uint32_t dbase = 0;
@@ -1153,6 +1032,9 @@ void WordPlan::build_avx(WordStream& s) const {
         }
         break;
       }
+      default:  // Compiled: the fallback runs its source op
+        ok = false;
+        break;
     }
 
     if (!ok) {
@@ -1235,8 +1117,8 @@ namespace {
 /// compile an AVX2 body (resolved once per process through an ifunc)
 /// while the library itself stays baseline x86-64. All WAVEPIM_IVDEP
 /// loops below touch provably dependence-free index sets — compile()
-/// routes every shape that could overlap partially to the staged or
-/// scalar-order indexed kernels.
+/// routes every shape that could overlap partially to the scalar-order
+/// indexed Move kernel or to Compiled.
 WAVEPIM_TARGET_CLONES
 void exec_ops(std::span<const WordPlan::WordOp> ops,
               const BlockResolver& blocks, const ExecutionPlan& plan,
@@ -1269,59 +1151,6 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
           }
         }
         break;
-      case Code::ScatterStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* d = ptrs[i * num_groups + op.group] + op.off_dst + op.start;
-          WAVEPIM_IVDEP
-          for (std::uint32_t k = 0; k < op.count; ++k) {
-            d[k * op.stride] = op.values[k];
-          }
-        }
-        break;
-      case Code::ScatterIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          pim::word::scatter(ptrs[i * num_groups + op.group] + op.off_dst,
-                             op.rows_a, op.values, op.count);
-        }
-        break;
-      case Code::GatherContig:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          float* d = w + op.off_dst;
-          const float* s = w + op.off_a + op.start;
-          WAVEPIM_IVDEP
-          for (std::uint32_t k = 0; k < op.count; ++k) {
-            d[k] = s[k];
-          }
-        }
-        break;
-      case Code::GatherStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          float* d = w + op.off_dst;
-          const float* s = w + op.off_a + op.start;
-          WAVEPIM_IVDEP
-          for (std::uint32_t k = 0; k < op.count; ++k) {
-            d[k] = s[k * op.stride];
-          }
-        }
-        break;
-      case Code::GatherIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::gather(w + op.off_dst, w + op.off_a, op.rows_a,
-                            op.count);
-        }
-        break;
-      case Code::GatherStaged: {
-        thread_local std::array<float, kRows> scratch;
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::gather_in_place(w + op.off_dst, op.rows_a, op.count,
-                                     scratch.data());
-        }
-        break;
-      }
       case Code::Add:
         for (std::size_t i = 0; i < n; ++i) {
           float* w = ptrs[i * num_groups + op.group];
@@ -1329,88 +1158,11 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
                          w + op.off_b + op.start, op.count);
         }
         break;
-      case Code::Sub:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::sub(w + op.off_dst + op.start, w + op.off_a + op.start,
-                         w + op.off_b + op.start, op.count);
-        }
-        break;
-      case Code::Mul:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::mul(w + op.off_dst + op.start, w + op.off_a + op.start,
-                         w + op.off_b + op.start, op.count);
-        }
-        break;
-      case Code::AddStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::add_strided(w + op.off_dst, w + op.off_a, w + op.off_b,
-                                 op.start, op.stride, op.count);
-        }
-        break;
-      case Code::SubStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::sub_strided(w + op.off_dst, w + op.off_a, w + op.off_b,
-                                 op.start, op.stride, op.count);
-        }
-        break;
-      case Code::MulStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::mul_strided(w + op.off_dst, w + op.off_a, w + op.off_b,
-                                 op.start, op.stride, op.count);
-        }
-        break;
-      case Code::AddIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::add_indexed(w + op.off_dst, w + op.off_a, w + op.off_b,
-                                 op.rows_a, op.count);
-        }
-        break;
-      case Code::SubIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::sub_indexed(w + op.off_dst, w + op.off_a, w + op.off_b,
-                                 op.rows_a, op.count);
-        }
-        break;
-      case Code::MulIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::mul_indexed(w + op.off_dst, w + op.off_a, w + op.off_b,
-                                 op.rows_a, op.count);
-        }
-        break;
       case Code::Scale:
         for (std::size_t i = 0; i < n; ++i) {
           float* w = ptrs[i * num_groups + op.group];
           pim::word::scale(w + op.off_dst + op.start, w + op.off_a + op.start,
                            op.imm, op.count);
-        }
-        break;
-      case Code::ScaleStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::scale_strided(w + op.off_dst, w + op.off_a, op.imm,
-                                   op.start, op.stride, op.count);
-        }
-        break;
-      case Code::ScaleIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::scale_indexed(w + op.off_dst, w + op.off_a, op.imm,
-                                   op.rows_a, op.count);
-        }
-        break;
-      case Code::Axpy:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::axpy(w + op.off_dst, w + op.off_a, op.imm, op.imm2,
-                          op.count);
         }
         break;
       case Code::ScaleAdd:
@@ -1439,34 +1191,6 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
                                        w + op.off_a, w + op.off_c, op.imm,
                                        op.rows_a, op.count,
                                        (op.skip & WordOp::kSkipMid) == 0);
-        }
-        break;
-      case Code::MulAdd:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::mul_add(w + op.off_d + op.start,
-                             w + op.off_dst + op.start,
-                             w + op.off_a + op.start, w + op.off_b + op.start,
-                             w + op.off_c + op.start, op.count,
-                             (op.skip & WordOp::kSkipMid) == 0);
-        }
-        break;
-      case Code::MulAddStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::mul_add_strided(w + op.off_d, w + op.off_dst,
-                                     w + op.off_a, w + op.off_b, w + op.off_c,
-                                     op.start, op.stride, op.count,
-                                     (op.skip & WordOp::kSkipMid) == 0);
-        }
-        break;
-      case Code::MulAddIndexed:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::mul_add_indexed(w + op.off_d, w + op.off_dst,
-                                     w + op.off_a, w + op.off_b, w + op.off_c,
-                                     op.rows_a, op.count,
-                                     (op.skip & WordOp::kSkipMid) == 0);
         }
         break;
       case Code::AxpyPair:
@@ -1598,6 +1322,14 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
               move_src(op, i) + op.off_a, op.rows_a, op.count);
         }
         break;
+      case Code::Compiled:
+        for (std::size_t i = 0; i < n; ++i) {
+          plan.run_op(blocks, plan.block_base(elems[i]),
+                      &plan.neighbor_bases(elems[i]), *op.src);
+        }
+        break;
+      default:
+        WAVEPIM_REQUIRE(false, "word op without a kernel reached execution");
     }
   }
 }

@@ -28,15 +28,23 @@ namespace wavepim::mapping {
 /// dispatch switch runs once per op per chunk, and the inner loops are
 /// the vectorizable kernels of `pim/word.h`.
 ///
+/// Kernels exist only for the op shapes the DG programs dispatch (15
+/// codes, counted over every physics, element order 2-10, expansion
+/// mode and boundary). Every other shape is a `Compiled` op that runs
+/// its source `ExecutionPlan::Op` through `ExecutionPlan::run_op`, so a
+/// new shape is correct before it is fast.
+///
 /// Bit-identity with the compiled tier (pinned end-to-end by the
 /// three-tier conformance suites):
 ///
 ///  * every kernel evaluates the exact scalar expression of
-///    `ExecutionPlan::run_stream` in the same per-element iteration
-///    order — plain C++ loops, so the compiler's vectorization cannot
-///    change overlap semantics;
-///  * no op is elided or fused: every intermediate scratch write the
-///    bit-serial machine would perform lands in block storage, so
+///    `ExecutionPlan::run_op` in the same per-element iteration order —
+///    plain C++ loops, so the compiler's vectorization cannot change
+///    overlap semantics;
+///  * fused kernels (fuse_stream passes 1-3 and 5) keep every
+///    intermediate the bit-serial machine would store, except stores
+///    pass 4 proves dead: overwritten later in the same stream before
+///    any read. State is observed only after a stream completes, so
 ///    full-chip state hashes (not just final fields) match;
 ///  * reordering is only across elements, whose writes are disjoint
 ///    (flux reads neighbour *variable* columns, which the phase never
@@ -63,26 +71,10 @@ class WordPlan {
   /// alias the program arena's interned tables.
   struct WordOp {
     enum class Code : std::uint8_t {
+      // Dispatched shapes: each has a kernel in exec_ops and pim/word.h.
       ScatterContig,
-      ScatterStrided,
-      ScatterIndexed,
-      GatherContig,
-      GatherStrided,
-      GatherIndexed,  ///< distinct src/dst columns: direct indexed copy
-      GatherStaged,   ///< same column: staged through per-thread scratch
       Add,
-      Sub,
-      Mul,
-      AddStrided,
-      SubStrided,
-      MulStrided,
-      AddIndexed,
-      SubIndexed,
-      MulIndexed,
       Scale,
-      ScaleStrided,
-      ScaleIndexed,
-      Axpy,
       MoveContig,
       MoveStrided,
       MoveIndexed,
@@ -92,9 +84,6 @@ class WordPlan {
       ScaleAdd,         ///< Fscale -> Fadd: mid = imm*a; dst = c2 + mid
       ScaleAddStrided,
       ScaleAddIndexed,
-      MulAdd,           ///< Fmul -> Fadd: mid = a*b; dst = c2 + mid
-      MulAddStrided,
-      MulAddIndexed,
       AxpyPair,         ///< Faxpy -> Faxpy: d1 = i*d1+i2*a; d2 = i3*d2+i4*d1
       // Chain heads: `chain` consecutive ScaleAdd* ops folding into one
       // accumulator (off_c == off_d) through one scratch column
@@ -110,6 +99,20 @@ class WordPlan {
       // mid(off_d).
       GatherMul,
       GatherMulAdd,
+      // Fusion inputs: IR tags the passes match on, with no kernel. One
+      // that survives the passes unfused is rewritten to Compiled. Keep
+      // them after every kernel code: the rewrite tests the order.
+      GatherIndexed,  ///< distinct src/dst columns
+      Mul,
+      AddStrided,
+      AddIndexed,
+      ScaleStrided,
+      ScaleIndexed,
+      Axpy,
+      MulAdd,  ///< Fmul -> Fadd pair (GatherMulAdd input); src is the Fmul
+      /// Runs the source op `src` through ExecutionPlan::run_op, per
+      /// element: every shape without a kernel.
+      Compiled,
     };
 
     Code code = Code::Add;
@@ -140,7 +143,7 @@ class WordPlan {
     /// Dead-store elision flags (fuse pass 4): the flagged secondary
     /// store is proven overwritten later in the SAME stream before any
     /// read, so skipping it is unobservable at phase granularity.
-    /// kSkipMid: the fused intermediate (off_dst of ScaleAdd*/MulAdd*/
+    /// kSkipMid: the fused intermediate (off_dst of ScaleAdd*/MulAdd/
     /// Chain*, off_d of GatherMulAdd). kSkipG: the gathered scratch
     /// column (off_dst of GatherMul/GatherMulAdd).
     static constexpr std::uint8_t kSkipMid = 1;
@@ -160,6 +163,10 @@ class WordPlan {
     /// Shared across every element, so the table stays cache-hot where
     /// per-element scratch columns would not.
     const float* b_values = nullptr;
+    /// The compiled op this word op was resolved from (the first of a
+    /// fused pair). Points into the ExecutionPlan's stream, which
+    /// outlives the word plan.
+    const ExecutionPlan::Op* src = nullptr;
   };
 
   /// One word-resolved stream; `group_cost` aliases the source compiled
@@ -201,6 +208,11 @@ class WordPlan {
                        std::span<const mesh::ElementId> elems,
                        const WordStream& stage) const;
 
+  /// Word-resolves one compiled stream (which must outlive the result):
+  /// the entry every class and integration stream takes, exposed so
+  /// tests can feed op shapes no DG program emits. Not thread-safe.
+  [[nodiscard]] WordStream compile(const ExecutionPlan::StreamPlan& stream);
+
   /// Word-resolved Integration stream for (stage, dt); lowers through
   /// the ExecutionPlan's memoised stream on first request. Not
   /// thread-safe: fetch before fanning out.
@@ -220,6 +232,7 @@ class WordPlan {
     std::uint64_t chain_pairs = 0; ///< chain pairs merged (dual acc)
     std::uint64_t gather_fused = 0;  ///< gathers folded into consumers
     std::uint64_t dead_stores = 0;   ///< scratch stores elided (pass 4)
+    std::uint64_t compiled = 0;      ///< ops routed to Compiled
   };
   [[nodiscard]] const FuseStats& fuse_stats() const { return fuse_stats_; }
 
@@ -243,15 +256,18 @@ class WordPlan {
     std::array<WordStream, kNumFaceGroups> flux;
   };
 
-  [[nodiscard]] WordStream compile(const ExecutionPlan::StreamPlan& stream);
-  /// Peephole pass over a freshly compiled op vector: merges adjacent
-  /// (Fscale|Fmul)->Fadd and Faxpy->Faxpy pairs whose second op consumes
-  /// the first op's destination over the identical row set (indexed rows
-  /// additionally verified duplicate-free). Updates fuse_stats_ and the
-  /// word.fuse trace counters.
+  /// Peephole passes over a freshly compiled op vector: (1) merges
+  /// adjacent (Fscale|Fmul)->Fadd and Faxpy->Faxpy pairs whose second op
+  /// consumes the first op's destination over the identical row set
+  /// (indexed rows additionally verified duplicate-free), (2) folds
+  /// gathers into their consumer, (3) collapses ScaleAdd runs into chain
+  /// heads, (4) elides dead scratch stores and (5) pairs chains. Any op
+  /// still without a kernel is then rewritten to Compiled. Updates
+  /// fuse_stats_ and the word.fuse trace counters.
   void fuse_stream(std::vector<WordOp>& ops);
-  /// Group-normalizes `s.ops` into `s.avx` (see word_avx2.h); ops the
-  /// group form cannot express bit-identically become Fallback entries.
+  /// Group-normalizes `s.ops` into `s.avx` (see word_avx2.h); Compiled
+  /// ops and ops the group form cannot express bit-identically become
+  /// Fallback entries.
   void build_avx(WordStream& s) const;
   void run_stream(const BlockResolver& blocks,
                   std::span<const mesh::ElementId> elems,

@@ -14,15 +14,17 @@ namespace wavepim::pim::word {
 /// that fidelity down to the arithmetic itself: straight loops over raw
 /// column storage, written so the compiler vectorizes them. They MUST
 /// stay bit-identical to the scalar expressions in Block::arith /
-/// fscale / faxpy and ExecutionPlan::run_stream — per word, the same
-/// IEEE operation in the same order, no reassociation, no fused
-/// multiply-add the scalar path would not emit. That contract is pinned
+/// fscale / faxpy / gather_rows and ExecutionPlan::run_op — per word,
+/// the same IEEE operation in the same order, no reassociation, no
+/// fused multiply-add the scalar path would not emit. That contract is pinned
 /// by the differential fuzz sweeps in tests/pim/arith_test.cpp (seeded
 /// random operands incl. +-0, denormals, inf/NaN and overflow rounding)
 /// and end-to-end by the three-tier conformance suites.
 ///
-/// Three addressing shapes cover every compiled row list (word.cpp's
-/// classify_rows picks one at plan-build time, never per step):
+/// Only the shapes the DG programs dispatch have a kernel; the word plan
+/// runs every other op through ExecutionPlan::run_op. Row lists come in
+/// three addressing shapes (word.cpp's classify_rows picks one at
+/// plan-build time, never per step):
 ///  * contiguous — rows [start, start+n)
 ///  * strided    — rows start + i*stride (face-node subsets)
 ///  * indexed    — an arbitrary row list walked through a pointer
@@ -35,10 +37,9 @@ namespace wavepim::pim::word {
 /// only, and the r_i are distinct. WAVEPIM_IVDEP asserts exactly that,
 /// sparing the vectorizer its runtime overlap checks — which, at the
 /// 9-27-row trip counts of a DG element, would otherwise cost more than
-/// the loop body. The indexed *store* kernels (scatter, move,
-/// gather_in_place's write-back) make no such promise and stay
-/// pragma-free: they must execute in scalar forward order whenever the
-/// row list repeats or overlaps the source.
+/// the loop body. The indexed *store* kernel (move) makes no such
+/// promise and stays pragma-free: it must execute in scalar forward
+/// order whenever the row list repeats or overlaps the source.
 
 #if defined(__clang__)
 #define WAVEPIM_IVDEP _Pragma("clang loop vectorize(assume_safety)")
@@ -50,7 +51,7 @@ namespace wavepim::pim::word {
 
 /// Resolves the annotated function through an ifunc so AVX2 hosts run an
 /// 8-lane clone of the word loops while the shipped baseline stays plain
-/// x86-64. Bit-identity holds across clones: AVX2 add/sub/mul are the
+/// x86-64. Bit-identity holds across clones: AVX2 add/mul are the
 /// same correctly-rounded IEEE operations as their SSE2 counterparts,
 /// and the clone list deliberately excludes FMA so no multiply-add can
 /// contract. ThreadSanitizer builds keep the plain body: GCC instruments
@@ -63,8 +64,9 @@ namespace wavepim::pim::word {
 #define WAVEPIM_TARGET_CLONES
 #endif
 
-// --- Binary arithmetic: dst[r] = a[r] (op) b[r] ---------------------------
+// --- Unfused arithmetic ---------------------------------------------------
 
+/// dst[r] = a[r] + b[r] over [0, n).
 inline void add(float* dst, const float* a, const float* b,
                 std::uint32_t n) {
   WAVEPIM_IVDEP
@@ -73,106 +75,11 @@ inline void add(float* dst, const float* a, const float* b,
   }
 }
 
-inline void sub(float* dst, const float* a, const float* b,
-                std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0; i < n; ++i) {
-    dst[i] = a[i] - b[i];
-  }
-}
-
-inline void mul(float* dst, const float* a, const float* b,
-                std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0; i < n; ++i) {
-    dst[i] = a[i] * b[i];
-  }
-}
-
-inline void add_strided(float* dst, const float* a, const float* b,
-                        std::uint32_t start, std::uint32_t stride,
-                        std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    dst[r] = a[r] + b[r];
-  }
-}
-
-inline void sub_strided(float* dst, const float* a, const float* b,
-                        std::uint32_t start, std::uint32_t stride,
-                        std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    dst[r] = a[r] - b[r];
-  }
-}
-
-inline void mul_strided(float* dst, const float* a, const float* b,
-                        std::uint32_t start, std::uint32_t stride,
-                        std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    dst[r] = a[r] * b[r];
-  }
-}
-
-inline void add_indexed(float* dst, const float* a, const float* b,
-                        const std::uint32_t* rows, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rows[i];
-    dst[r] = a[r] + b[r];
-  }
-}
-
-inline void sub_indexed(float* dst, const float* a, const float* b,
-                        const std::uint32_t* rows, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rows[i];
-    dst[r] = a[r] - b[r];
-  }
-}
-
-inline void mul_indexed(float* dst, const float* a, const float* b,
-                        const std::uint32_t* rows, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rows[i];
-    dst[r] = a[r] * b[r];
-  }
-}
-
-// --- Immediate forms ------------------------------------------------------
-
 /// dst[r] = c * src[r] over [0, n).
 inline void scale(float* dst, const float* src, float c, std::uint32_t n) {
   WAVEPIM_IVDEP
   for (std::uint32_t i = 0; i < n; ++i) {
     dst[i] = c * src[i];
-  }
-}
-
-inline void scale_strided(float* dst, const float* src, float c,
-                          std::uint32_t start, std::uint32_t stride,
-                          std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    dst[r] = c * src[r];
-  }
-}
-
-inline void scale_indexed(float* dst, const float* src, float c,
-                          const std::uint32_t* rows, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rows[i];
-    dst[r] = c * src[r];
-  }
-}
-
-/// dst[r] = a * dst[r] + c * src[r] over [0, n) — the Integration update.
-inline void axpy(float* dst, const float* src, float a, float c,
-                 std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0; i < n; ++i) {
-    dst[i] = a * dst[i] + c * src[i];
   }
 }
 
@@ -236,50 +143,6 @@ inline void scale_add_indexed(float* dst, float* mid, const float* a,
     const std::uint32_t r = rows[i];
     const float m = c * a[r];
     const float s = b[r] + m;
-    if (store_mid) {
-      mid[r] = m;
-    }
-    dst[r] = s;
-  }
-}
-
-/// Fused Fmul -> Fadd: m = a[r] * b[r]; mid[r] = m; dst[r] = c2[r] + m.
-inline void mul_add(float* dst, float* mid, const float* a, const float* b,
-                    const float* c2, std::uint32_t n, bool store_mid = true) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const float m = a[i] * b[i];
-    const float s = c2[i] + m;
-    if (store_mid) {
-      mid[i] = m;
-    }
-    dst[i] = s;
-  }
-}
-
-inline void mul_add_strided(float* dst, float* mid, const float* a,
-                            const float* b, const float* c2,
-                            std::uint32_t start, std::uint32_t stride,
-                            std::uint32_t n, bool store_mid = true) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    const float m = a[r] * b[r];
-    const float s = c2[r] + m;
-    if (store_mid) {
-      mid[r] = m;
-    }
-    dst[r] = s;
-  }
-}
-
-inline void mul_add_indexed(float* dst, float* mid, const float* a,
-                            const float* b, const float* c2,
-                            const std::uint32_t* rows, std::uint32_t n,
-                            bool store_mid = true) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rows[i];
-    const float m = a[r] * b[r];
-    const float s = c2[r] + m;
     if (store_mid) {
       mid[r] = m;
     }
@@ -512,39 +375,6 @@ inline void gather_mul_add(float* acc, float* mid, float* g, const float* s,
 }
 
 // --- Data movement --------------------------------------------------------
-
-/// dst[i] = src[rows[i]]. Caller guarantees dst and src are different
-/// columns (the common compiled case); same-column permutations go
-/// through gather_in_place.
-inline void gather(float* dst, const float* src, const std::uint32_t* rows,
-                   std::uint32_t n) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0; i < n; ++i) {
-    dst[i] = src[rows[i]];
-  }
-}
-
-/// Same-column gather: behaves as a parallel permutation even when the
-/// destination range [0, n) overlaps the source rows, staging through
-/// `scratch` (caller-provided, >= n floats, reused across calls so the
-/// hot path never allocates).
-inline void gather_in_place(float* col, const std::uint32_t* rows,
-                            std::uint32_t n, float* scratch) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    scratch[i] = col[rows[i]];
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    col[i] = scratch[i];
-  }
-}
-
-/// dst[rows[i]] = values[i].
-inline void scatter(float* dst, const std::uint32_t* rows,
-                    const float* values, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    dst[rows[i]] = values[i];
-  }
-}
 
 /// dst[dst_rows[i]] = src[src_rows[i]] — inter-column (and inter-block)
 /// row moves.

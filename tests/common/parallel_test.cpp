@@ -7,8 +7,10 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +46,35 @@ TEST(ThreadPool, SingleWorkerRunsInline) {
     EXPECT_EQ(order[i], i);
   }
 }
+
+#if defined(__linux__)
+// The service scheduler binds every tenant with set_num_threads(1); a
+// one-worker pool must not start (and join) a thread it never uses.
+TEST(ThreadPool, SingleWorkerPoolStartsNoThread) {
+  const auto live_threads = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) {
+        return std::stoi(line.substr(8));
+      }
+    }
+    return -1;
+  };
+  const int before = live_threads();
+  ASSERT_GT(before, 0);
+  {
+    ThreadPool pool(1);
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(live_threads(), before);
+  }
+  {
+    // The probe does see workers when a pool has them.
+    ThreadPool pool(2);
+    EXPECT_EQ(live_threads(), before + 2);
+  }
+}
+#endif
 
 TEST(ThreadPool, SmallNRunsInline) {
   ThreadPool pool(8);

@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/parse.h"
 #include "mapping/exec_plan.h"
 #include "mapping/simulation.h"
+#include "mapping/word_plan.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -47,6 +49,7 @@ struct RunResult {
   PimSimulation::Costs costs;
   PimSimulation::NetStats net;
   std::uint64_t chip_hash = kFnvOffset;  ///< every word of every block
+  PimSimulation::WitnessStats witness;
 };
 
 /// Runs `steps` time steps through the given tier and worker count,
@@ -55,10 +58,11 @@ struct RunResult {
 /// field read-back never sees).
 template <typename MakeSim>
 RunResult run_at(MakeSim&& make_sim, ExecPath path, std::size_t threads,
-                 int steps) {
+                 int steps, std::uint32_t witness_interval = 0) {
   auto sim = make_sim();
   sim->set_num_threads(threads);
   sim->set_exec_path(path);
+  sim->set_witness_interval(witness_interval);
   dg::Field u(sim->mesh().num_elements(), sim->setup().problem().num_vars(),
               static_cast<std::size_t>(sim->setup().ref().num_nodes()));
   for (std::size_t e = 0; e < u.num_elements(); ++e) {
@@ -79,7 +83,8 @@ RunResult run_at(MakeSim&& make_sim, ExecPath path, std::size_t threads,
   RunResult result{{out.flat().begin(), out.flat().end()},
                    sim->costs(),
                    sim->net_stats(),
-                   kFnvOffset};
+                   kFnvOffset,
+                   sim->witness_stats()};
   auto& chip = sim->chip();
   const std::uint32_t num_blocks =
       static_cast<std::uint32_t>(chip.num_allocated_blocks());
@@ -199,6 +204,72 @@ TEST(ExecConformance, ExpandedAcousticSelfNeighbour) {
   expect_exec_conformance(make, 2);
 }
 
+// ---- AVX2 fallback bridge ---------------------------------------------------
+// From n1d = 4 on, some gather and move windows exceed the AVX2 engine's
+// group caps, so those ops leave the vector engine and run through the
+// fallback bridge, in stream position. The word tier must still match
+// the compiled tier on fields, full chip state and every cost channel,
+// with the witness re-checking every phase. Under WAVEPIM_WORD_AVX2=0
+// (the word_generic_conformance lane) the same runs take the generic
+// executor instead.
+
+template <typename MakeSim>
+void expect_word_matches_compiled_with_witness(MakeSim&& make) {
+  const RunResult reference = run_at(make, ExecPath::Compiled, 1, 1);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const RunResult word =
+        run_at(make, ExecPath::Word, threads, 1, /*witness_interval=*/1);
+    expect_identical(reference, word, ExecPath::Word, threads);
+    EXPECT_GT(word.witness.checks, 0u);
+    EXPECT_EQ(word.witness.mismatches, 0u);
+  }
+
+  auto sim = make();
+  sim->set_exec_path(ExecPath::Word);
+  sim->step(2.0e-4);
+  const WordPlan* plan = sim->word_plan();
+  ASSERT_NE(plan, nullptr);
+  if (plan->uses_avx2()) {
+    std::size_t fallbacks = 0;
+    const auto count = [&](const WordPlan::WordStream& s) {
+      for (const auto& a : s.avx.ops) {
+        fallbacks += a.kind == wordavx::AvxOp::Kind::Fallback ? 1 : 0;
+      }
+    };
+    for (std::uint32_t cls = 0; cls < plan->num_classes(); ++cls) {
+      count(plan->volume_stream(cls));
+      for (std::uint32_t g = 0; g < kNumFaceGroups; ++g) {
+        count(plan->flux_stream(cls, static_cast<FaceGroup>(g)));
+      }
+    }
+    EXPECT_GT(fallbacks, 0u) << "no op took the fallback bridge";
+  }
+}
+
+TEST(ExecConformance, FallbackBridgeAcousticN4) {
+  expect_word_matches_compiled_with_witness([] {
+    return std::make_unique<PimSimulation>(
+        Problem{ProblemKind::Acoustic, 1, 4}, ExpansionMode::None,
+        pim::chip_512mb());
+  });
+}
+
+TEST(ExecConformance, FallbackBridgeElasticCentralN4) {
+  expect_word_matches_compiled_with_witness([] {
+    return std::make_unique<PimSimulation>(
+        Problem{ProblemKind::ElasticCentral, 1, 4}, ExpansionMode::Elastic3,
+        pim::chip_512mb());
+  });
+}
+
+TEST(ExecConformance, FallbackBridgeElasticRiemannN4) {
+  expect_word_matches_compiled_with_witness([] {
+    return std::make_unique<PimSimulation>(
+        Problem{ProblemKind::ElasticRiemann, 1, 4}, ExpansionMode::Elastic3,
+        pim::chip_512mb(), Boundary::Reflective);
+  });
+}
+
 namespace {
 
 /// Sets (or, for a null value, unsets) an environment variable for the
@@ -274,7 +345,7 @@ TEST(ExecConformance, EnvSelectsDefaultWitness) {
        {std::pair<const char*, std::uint32_t>{"0", 0u}, {"7", 7u},
         {"4294967295", 4294967295u}}) {
     std::uint32_t parsed = 1;
-    ASSERT_TRUE(parse_witness_interval(text, parsed)) << text;
+    ASSERT_TRUE(parse_u32(text, parsed)) << text;
     EXPECT_EQ(parsed, value);
     ScopedEnv env("WAVEPIM_WITNESS", text);
     EXPECT_EQ(PimSimulation::default_witness_interval(), value);
@@ -282,7 +353,7 @@ TEST(ExecConformance, EnvSelectsDefaultWitness) {
   for (const char* bad :
        {"", "-1", "+1", " 1", "1 ", "abc", "4294967296", "99999999999"}) {
     std::uint32_t untouched = 3;
-    EXPECT_FALSE(parse_witness_interval(bad, untouched)) << bad;
+    EXPECT_FALSE(parse_u32(bad, untouched)) << bad;
     EXPECT_EQ(untouched, 3u);
   }
   {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -67,11 +68,11 @@ TEST(OpCost, Accumulates) {
 
 // --- Differential fuzz: Block scalar arithmetic vs the word kernels -------
 //
-// The --exec=word tier replaces Block::arith/fscale/faxpy with the
-// vectorizable kernels of pim/word.h. Its whole correctness claim is
-// that each kernel computes the *same IEEE operation bit for bit* —
-// including every special-value case the solver can produce. These
-// sweeps feed both paths seeded-random operands laced with +-0,
+// The --exec=word tier replaces Block::arith/fscale/faxpy/gather_rows
+// with the vectorizable kernels of pim/word.h. Its whole correctness
+// claim is that each kernel computes the *same IEEE operation bit for
+// bit* — including every special-value case the solver can produce.
+// These sweeps feed both paths seeded-random operands laced with +-0,
 // denormals, infinities, NaNs and values that overflow under add/mul,
 // then compare raw bit patterns word by word.
 
@@ -145,27 +146,18 @@ std::vector<float> fuzz_column(Rng& rng, std::size_t n) {
 TEST(WordKernelFuzz, BinaryOpsBitIdenticalToBlockArith) {
   static const ArithModel model;
   constexpr std::uint32_t kRows = Block::kRows;
-  const struct {
-    Opcode op;
-    void (*kernel)(float*, const float*, const float*, std::uint32_t);
-  } cases[] = {{Opcode::Fadd, &word::add},
-               {Opcode::Fsub, &word::sub},
-               {Opcode::Fmul, &word::mul}};
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 0x9E37u);
     const auto a = fuzz_column(rng, kRows);
     const auto b = fuzz_column(rng, kRows);
-    for (const auto& c : cases) {
-      Block block(&model);
-      block.load_column(0, a);
-      block.load_column(1, b);
-      block.arith(c.op, 0, 1, 2, 0, kRows);
+    Block block(&model);
+    block.load_column(0, a);
+    block.load_column(1, b);
+    block.arith(Opcode::Fadd, 0, 1, 2, 0, kRows);
 
-      std::vector<float> dst(kRows, 0.0f);
-      c.kernel(dst.data(), a.data(), b.data(), kRows);
-      EXPECT_TRUE(bits_equal(dst, block.column(2)))
-          << "op " << static_cast<int>(c.op) << " seed " << seed;
-    }
+    std::vector<float> dst(kRows, 0.0f);
+    word::add(dst.data(), a.data(), b.data(), kRows);
+    EXPECT_TRUE(bits_equal(dst, block.column(2))) << "seed " << seed;
   }
 }
 
@@ -186,75 +178,33 @@ TEST(WordKernelFuzz, ScaleAndAxpyBitIdenticalToBlockForms) {
     word::scale(dst.data(), src.data(), c, kRows);
     EXPECT_TRUE(bits_equal(dst, block.column(1))) << "scale seed " << seed;
 
+    // Faxpy reaches the word kernels only as the first half of
+    // axpy_pair, whose d1 must match Block::faxpy on its own.
     block.load_column(2, acc);
     block.faxpy(2, 0, a, c, 0, kRows);
     std::vector<float> axpy_dst = acc;
-    word::axpy(axpy_dst.data(), src.data(), a, c, kRows);
+    std::vector<float> second = acc;
+    word::axpy_pair(axpy_dst.data(), src.data(), second.data(), a, c, 1.0f,
+                    0.0f, kRows);
     EXPECT_TRUE(bits_equal(axpy_dst, block.column(2)))
         << "axpy seed " << seed;
   }
 }
 
-TEST(WordKernelFuzz, StridedAndIndexedShapesMatchAndLeaveGapsUntouched) {
-  static const ArithModel model;
-  constexpr std::uint32_t kRows = Block::kRows;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed * 0x2545Fu);
-    const auto a = fuzz_column(rng, kRows);
-    const auto b = fuzz_column(rng, kRows);
-    const auto sentinel = fuzz_column(rng, kRows);
-
-    // A strided face-node-style subset and an irregular row list.
-    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(7));
-    const std::uint32_t stride =
-        2 + static_cast<std::uint32_t>(rng.next_below(5));
-    const std::uint32_t count =
-        static_cast<std::uint32_t>((kRows - start) / stride);
-    std::vector<std::uint32_t> rows;
-    for (std::uint32_t i = 0; i < 40; ++i) {
-      rows.push_back(static_cast<std::uint32_t>(rng.next_below(kRows)));
-    }
-
-    Block block(&model);
-    block.load_column(0, a);
-    block.load_column(1, b);
-    block.load_column(2, sentinel);
-    std::vector<std::uint32_t> strided_rows;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      strided_rows.push_back(start + i * stride);
-    }
-    block.arith_rows(Opcode::Fadd, 0, 1, 2, strided_rows);
-
-    std::vector<float> dst = sentinel;
-    word::add_strided(dst.data(), a.data(), b.data(), start, stride, count);
-    EXPECT_TRUE(bits_equal(dst, block.column(2)))
-        << "strided seed " << seed;
-
-    block.load_column(2, sentinel);
-    block.arith_rows(Opcode::Fmul, 0, 1, 2, rows);
-    std::vector<float> idst = sentinel;
-    word::mul_indexed(idst.data(), a.data(), b.data(), rows.data(),
-                      static_cast<std::uint32_t>(rows.size()));
-    EXPECT_TRUE(bits_equal(idst, block.column(2)))
-        << "indexed seed " << seed;
-
-    block.load_column(2, sentinel);
-    block.fscale_rows(0, 2, 0.5f, rows);
-    std::vector<float> sdst = sentinel;
-    word::scale_indexed(sdst.data(), a.data(), 0.5f, rows.data(),
-                        static_cast<std::uint32_t>(rows.size()));
-    EXPECT_TRUE(bits_equal(sdst, block.column(2)))
-        << "scale_indexed seed " << seed;
-  }
-}
-
 TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
+  // word::move is the one unfused movement kernel: Block's gather and
+  // scatter are both special cases of it.
   static const ArithModel model;
   constexpr std::uint32_t kRows = Block::kRows;
   Rng rng(0xC0FFEEu);
   const auto src = fuzz_column(rng, kRows);
+  std::vector<std::uint32_t> iota(64);
+  for (std::uint32_t i = 0; i < iota.size(); ++i) {
+    iota[i] = i;
+  }
 
-  // Gather with repeated sources: NaN payloads must move verbatim.
+  // Gather-shaped move with repeated sources: NaN payloads must move
+  // verbatim.
   std::vector<std::uint32_t> rows;
   for (std::uint32_t i = 0; i < 64; ++i) {
     rows.push_back(static_cast<std::uint32_t>(rng.next_below(kRows)));
@@ -263,25 +213,13 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
   block.load_column(0, src);
   block.gather_rows(rows, 0, 0, 1);
   std::vector<float> dst(kRows, 0.0f);
-  word::gather(dst.data(), src.data(), rows.data(),
-               static_cast<std::uint32_t>(rows.size()));
+  word::move(dst.data(), iota.data(), src.data(), rows.data(),
+             static_cast<std::uint32_t>(rows.size()));
   EXPECT_TRUE(bits_equal(std::span(dst).first(rows.size()),
                          block.column(1).first(rows.size())));
 
-  // Same-column gather where destination range overlaps the sources:
-  // must behave as a parallel permutation (Block stages, the word
-  // kernel stages through caller scratch).
-  block.load_column(2, src);
-  block.gather_rows(rows, 2, 0, 2);
-  std::vector<float> col = src;
-  std::vector<float> scratch(rows.size());
-  word::gather_in_place(col.data(), rows.data(),
-                        static_cast<std::uint32_t>(rows.size()),
-                        scratch.data());
-  EXPECT_TRUE(bits_equal(col, block.column(2)));
-
-  // Scatter with repeated destination rows: forward order, last write
-  // wins — exactly Block::scatter_rows semantics.
+  // Scatter-shaped move with repeated destination rows: forward order,
+  // last write wins — exactly Block::scatter_rows semantics.
   std::vector<std::uint32_t> dup_rows = {5, 9, 5, 11, 9, 5};
   const std::vector<float> values = {
       1.0f, std::numeric_limits<float>::quiet_NaN(), -0.0f, 2.5f,
@@ -289,8 +227,8 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
   block.load_column(3, src);
   block.scatter_rows(dup_rows, 3, values, 4);
   std::vector<float> sdst = src;
-  word::scatter(sdst.data(), dup_rows.data(), values.data(),
-                static_cast<std::uint32_t>(dup_rows.size()));
+  word::move(sdst.data(), dup_rows.data(), values.data(), iota.data(),
+             static_cast<std::uint32_t>(dup_rows.size()));
   EXPECT_TRUE(bits_equal(sdst, block.column(3)));
 }
 
@@ -298,11 +236,14 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
 //
 // The fusion peephole (WordPlan::fuse_stream) replaces op pairs, chains
 // and gather+consume sequences with the fused kernels below. The
-// correctness claim is bit-identity with the unfused kernel sequence on
-// every surviving column — including when the dead-store pass passes
+// correctness claim is bit-identity with the unfused op sequence — run
+// through the pim::Block ops the compiled tier executes — on every
+// surviving column, including when the dead-store pass passes
 // store_mid/store_g = false, in which case the scratch column must be
 // left byte-for-byte untouched while the primary results stay identical.
-// Operands carry the same IEEE edge-case mix as the basic-kernel sweeps.
+// Strided and indexed shapes start every column from sentinel bits, so
+// rows outside the shape must come back untouched. Operands carry the
+// same IEEE edge-case mix as the basic-kernel sweeps.
 
 namespace {
 
@@ -321,9 +262,29 @@ std::vector<std::uint32_t> distinct_rows(Rng& rng, std::uint32_t total,
   return all;
 }
 
+/// Rows start, start + stride, ... that fit in a block.
+std::vector<std::uint32_t> strided_rows(std::uint32_t start,
+                                        std::uint32_t stride) {
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t r = start; r < Block::kRows; r += stride) {
+    rows.push_back(r);
+  }
+  return rows;
+}
+
+/// Loads `cols` into columns 0, 1, ... of `block`.
+void load_columns(Block& block,
+                  std::initializer_list<const std::vector<float>*> cols) {
+  std::uint32_t c = 0;
+  for (const auto* col : cols) {
+    block.load_column(c++, *col);
+  }
+}
+
 }  // namespace
 
 TEST(FusedKernelFuzz, ScaleAddMatchesUnfusedSequenceAllShapes) {
+  static const ArithModel model;
   constexpr std::uint32_t kRows = Block::kRows;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 0x85EBCAu);
@@ -332,108 +293,63 @@ TEST(FusedKernelFuzz, ScaleAddMatchesUnfusedSequenceAllShapes) {
     const auto sentinel = fuzz_column(rng, kRows);
     const float c = fuzz_operand(rng);
 
-    // Contiguous: unfused reference is Fscale into mid, Fadd into dst.
-    std::vector<float> mid_ref(kRows, 0.0f);
-    std::vector<float> dst_ref(kRows, 0.0f);
-    word::scale(mid_ref.data(), a.data(), c, kRows);
-    word::add(dst_ref.data(), b.data(), mid_ref.data(), kRows);
+    // Reference columns: 0 = a, 1 = b, 2 = mid, 3 = dst. Contiguous:
+    // Fscale into mid, Fadd into dst.
+    Block ref(&model);
+    load_columns(ref, {&a, &b, &sentinel, &sentinel});
+    ref.fscale(0, 2, c, 0, kRows);
+    ref.arith(Opcode::Fadd, 1, 2, 3, 0, kRows);
 
-    std::vector<float> mid(kRows, 0.0f);
-    std::vector<float> dst(kRows, 0.0f);
+    std::vector<float> mid = sentinel;
+    std::vector<float> dst = sentinel;
     word::scale_add(dst.data(), mid.data(), a.data(), b.data(), c, kRows);
-    EXPECT_TRUE(bits_equal(dst, dst_ref)) << "contig dst seed " << seed;
-    EXPECT_TRUE(bits_equal(mid, mid_ref)) << "contig mid seed " << seed;
+    EXPECT_TRUE(bits_equal(dst, ref.column(3))) << "contig dst seed " << seed;
+    EXPECT_TRUE(bits_equal(mid, ref.column(2))) << "contig mid seed " << seed;
 
     // store_mid = false: dst identical, scratch column untouched.
     std::vector<float> mid_off = sentinel;
-    std::vector<float> dst_off(kRows, 0.0f);
+    std::vector<float> dst_off = sentinel;
     word::scale_add(dst_off.data(), mid_off.data(), a.data(), b.data(), c,
                     kRows, /*store_mid=*/false);
-    EXPECT_TRUE(bits_equal(dst_off, dst_ref)) << "elided dst seed " << seed;
+    EXPECT_TRUE(bits_equal(dst_off, ref.column(3)))
+        << "elided dst seed " << seed;
     EXPECT_TRUE(bits_equal(mid_off, sentinel)) << "elided mid seed " << seed;
 
     // Strided: gap rows keep their sentinel bits.
     const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
     const std::uint32_t stride =
         2 + static_cast<std::uint32_t>(rng.next_below(4));
-    const std::uint32_t count = (kRows - start) / stride;
-    std::vector<float> smid_ref = sentinel;
-    std::vector<float> sdst_ref = sentinel;
-    word::scale_strided(smid_ref.data(), a.data(), c, start, stride, count);
-    word::add_strided(sdst_ref.data(), b.data(), smid_ref.data(), start,
-                      stride, count);
+    const auto srows = strided_rows(start, stride);
+    Block sref(&model);
+    load_columns(sref, {&a, &b, &sentinel, &sentinel});
+    sref.fscale_rows(0, 2, c, srows);
+    sref.arith_rows(Opcode::Fadd, 1, 2, 3, srows);
     std::vector<float> smid = sentinel;
     std::vector<float> sdst = sentinel;
     word::scale_add_strided(sdst.data(), smid.data(), a.data(), b.data(), c,
-                            start, stride, count);
-    EXPECT_TRUE(bits_equal(sdst, sdst_ref)) << "strided dst seed " << seed;
-    EXPECT_TRUE(bits_equal(smid, smid_ref)) << "strided mid seed " << seed;
+                            start, stride,
+                            static_cast<std::uint32_t>(srows.size()));
+    EXPECT_TRUE(bits_equal(sdst, sref.column(3))) << "strided dst " << seed;
+    EXPECT_TRUE(bits_equal(smid, sref.column(2))) << "strided mid " << seed;
 
     // Indexed over a duplicate-free row list.
     const auto rows = distinct_rows(rng, kRows, 48);
-    std::vector<float> imid_ref = sentinel;
-    std::vector<float> idst_ref = sentinel;
-    word::scale_indexed(imid_ref.data(), a.data(), c, rows.data(),
-                        static_cast<std::uint32_t>(rows.size()));
-    word::add_indexed(idst_ref.data(), b.data(), imid_ref.data(), rows.data(),
-                      static_cast<std::uint32_t>(rows.size()));
+    Block iref(&model);
+    load_columns(iref, {&a, &b, &sentinel, &sentinel});
+    iref.fscale_rows(0, 2, c, rows);
+    iref.arith_rows(Opcode::Fadd, 1, 2, 3, rows);
     std::vector<float> imid = sentinel;
     std::vector<float> idst = sentinel;
     word::scale_add_indexed(idst.data(), imid.data(), a.data(), b.data(), c,
                             rows.data(),
                             static_cast<std::uint32_t>(rows.size()));
-    EXPECT_TRUE(bits_equal(idst, idst_ref)) << "indexed dst seed " << seed;
-    EXPECT_TRUE(bits_equal(imid, imid_ref)) << "indexed mid seed " << seed;
-  }
-}
-
-TEST(FusedKernelFuzz, MulAddMatchesUnfusedSequenceAllShapes) {
-  constexpr std::uint32_t kRows = Block::kRows;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed * 0xC2B2AEu);
-    const auto a = fuzz_column(rng, kRows);
-    const auto b = fuzz_column(rng, kRows);
-    const auto c2 = fuzz_column(rng, kRows);
-    const auto sentinel = fuzz_column(rng, kRows);
-
-    std::vector<float> mid_ref(kRows, 0.0f);
-    std::vector<float> dst_ref(kRows, 0.0f);
-    word::mul(mid_ref.data(), a.data(), b.data(), kRows);
-    word::add(dst_ref.data(), c2.data(), mid_ref.data(), kRows);
-
-    std::vector<float> mid(kRows, 0.0f);
-    std::vector<float> dst(kRows, 0.0f);
-    word::mul_add(dst.data(), mid.data(), a.data(), b.data(), c2.data(),
-                  kRows);
-    EXPECT_TRUE(bits_equal(dst, dst_ref)) << "contig dst seed " << seed;
-    EXPECT_TRUE(bits_equal(mid, mid_ref)) << "contig mid seed " << seed;
-
-    std::vector<float> mid_off = sentinel;
-    std::vector<float> dst_off(kRows, 0.0f);
-    word::mul_add(dst_off.data(), mid_off.data(), a.data(), b.data(),
-                  c2.data(), kRows, /*store_mid=*/false);
-    EXPECT_TRUE(bits_equal(dst_off, dst_ref)) << "elided dst seed " << seed;
-    EXPECT_TRUE(bits_equal(mid_off, sentinel)) << "elided mid seed " << seed;
-
-    const auto rows = distinct_rows(rng, kRows, 40);
-    std::vector<float> imid_ref = sentinel;
-    std::vector<float> idst_ref = sentinel;
-    word::mul_indexed(imid_ref.data(), a.data(), b.data(), rows.data(),
-                      static_cast<std::uint32_t>(rows.size()));
-    word::add_indexed(idst_ref.data(), c2.data(), imid_ref.data(),
-                      rows.data(), static_cast<std::uint32_t>(rows.size()));
-    std::vector<float> imid = sentinel;
-    std::vector<float> idst = sentinel;
-    word::mul_add_indexed(idst.data(), imid.data(), a.data(), b.data(),
-                          c2.data(), rows.data(),
-                          static_cast<std::uint32_t>(rows.size()),
-                          /*store_mid=*/true);
-    EXPECT_TRUE(bits_equal(idst, idst_ref)) << "indexed dst seed " << seed;
-    EXPECT_TRUE(bits_equal(imid, imid_ref)) << "indexed mid seed " << seed;
+    EXPECT_TRUE(bits_equal(idst, iref.column(3))) << "indexed dst " << seed;
+    EXPECT_TRUE(bits_equal(imid, iref.column(2))) << "indexed mid " << seed;
   }
 }
 
 TEST(FusedKernelFuzz, AxpyPairMatchesSequentialAxpys) {
+  static const ArithModel model;
   constexpr std::uint32_t kRows = Block::kRows;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 0x27D4EBu);
@@ -445,203 +361,224 @@ TEST(FusedKernelFuzz, AxpyPairMatchesSequentialAxpys) {
     const float a2 = fuzz_operand(rng);
     const float c2 = fuzz_operand(rng);
 
-    std::vector<float> d1_ref = d1_init;
-    std::vector<float> d2_ref = d2_init;
-    word::axpy(d1_ref.data(), s1.data(), a1, c1, kRows);
-    word::axpy(d2_ref.data(), d1_ref.data(), a2, c2, kRows);
+    // Reference columns: 0 = s1, 1 = d1, 2 = d2.
+    Block ref(&model);
+    load_columns(ref, {&s1, &d1_init, &d2_init});
+    ref.faxpy(1, 0, a1, c1, 0, kRows);
+    ref.faxpy(2, 1, a2, c2, 0, kRows);
 
     std::vector<float> d1 = d1_init;
     std::vector<float> d2 = d2_init;
     word::axpy_pair(d1.data(), s1.data(), d2.data(), a1, c1, a2, c2, kRows);
-    EXPECT_TRUE(bits_equal(d1, d1_ref)) << "d1 seed " << seed;
-    EXPECT_TRUE(bits_equal(d2, d2_ref)) << "d2 seed " << seed;
+    EXPECT_TRUE(bits_equal(d1, ref.column(1))) << "d1 seed " << seed;
+    EXPECT_TRUE(bits_equal(d2, ref.column(2))) << "d2 seed " << seed;
   }
 }
 
-TEST(FusedKernelFuzz, ChainScaleAddMatchesUnfusedLinkSequence) {
-  constexpr std::uint32_t kRows = Block::kRows;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed * 0x165667u);
-    const std::uint32_t k =
-        2 + static_cast<std::uint32_t>(rng.next_below(5));
-    std::vector<std::vector<float>> src_cols;
-    std::vector<const float*> srcs;
-    std::vector<float> imms;
+namespace {
+
+/// Fuzzed chain operands: k source columns with one immediate each per
+/// accumulator, an initial accumulator per chain and a sentinel column.
+struct ChainCase {
+  std::uint32_t k = 0;
+  std::vector<std::vector<float>> src_cols;
+  std::vector<const float*> srcs;
+  std::vector<float> imms1;
+  std::vector<float> imms2;
+  std::vector<float> acc1;
+  std::vector<float> acc2;
+  std::vector<float> sentinel;
+
+  ChainCase(Rng& rng, std::uint32_t rows) {
+    k = 2 + static_cast<std::uint32_t>(rng.next_below(5));
     for (std::uint32_t j = 0; j < k; ++j) {
-      src_cols.push_back(fuzz_column(rng, kRows));
-      imms.push_back(fuzz_operand(rng));
-    }
-    for (const auto& col : src_cols) {
-      srcs.push_back(col.data());
-    }
-    const auto acc_init = fuzz_column(rng, kRows);
-    const auto sentinel = fuzz_column(rng, kRows);
-
-    // Unfused: per link, Fscale into mid then Fadd acc += mid. Only the
-    // last link's mid survives in the reference too.
-    std::vector<float> mid_ref(kRows, 0.0f);
-    std::vector<float> acc_ref = acc_init;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      word::scale(mid_ref.data(), srcs[j], imms[j], kRows);
-      word::add(acc_ref.data(), acc_ref.data(), mid_ref.data(), kRows);
-    }
-
-    std::vector<float> mid(kRows, 0.0f);
-    std::vector<float> acc = acc_init;
-    word::chain_scale_add(acc.data(), mid.data(), srcs.data(), imms.data(),
-                          k, kRows);
-    EXPECT_TRUE(bits_equal(acc, acc_ref)) << "contig acc seed " << seed;
-    EXPECT_TRUE(bits_equal(mid, mid_ref)) << "contig mid seed " << seed;
-
-    // store_mid = false leaves the scratch column alone.
-    std::vector<float> mid_off = sentinel;
-    std::vector<float> acc_off = acc_init;
-    word::chain_scale_add(acc_off.data(), mid_off.data(), srcs.data(),
-                          imms.data(), k, kRows, /*store_mid=*/false);
-    EXPECT_TRUE(bits_equal(acc_off, acc_ref)) << "elided acc seed " << seed;
-    EXPECT_TRUE(bits_equal(mid_off, sentinel)) << "elided mid seed " << seed;
-
-    // Strided and indexed variants against per-link references.
-    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
-    const std::uint32_t stride =
-        2 + static_cast<std::uint32_t>(rng.next_below(4));
-    const std::uint32_t count = (kRows - start) / stride;
-    std::vector<float> smid_ref = sentinel;
-    std::vector<float> sacc_ref = acc_init;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      word::scale_strided(smid_ref.data(), srcs[j], imms[j], start, stride,
-                          count);
-      word::add_strided(sacc_ref.data(), sacc_ref.data(), smid_ref.data(),
-                        start, stride, count);
-    }
-    std::vector<float> smid = sentinel;
-    std::vector<float> sacc = acc_init;
-    word::chain_scale_add_strided(sacc.data(), smid.data(), srcs.data(),
-                                  imms.data(), k, start, stride, count);
-    EXPECT_TRUE(bits_equal(sacc, sacc_ref)) << "strided acc seed " << seed;
-    EXPECT_TRUE(bits_equal(smid, smid_ref)) << "strided mid seed " << seed;
-
-    const auto rows = distinct_rows(rng, kRows, 36);
-    std::vector<float> imid_ref = sentinel;
-    std::vector<float> iacc_ref = acc_init;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      word::scale_indexed(imid_ref.data(), srcs[j], imms[j], rows.data(),
-                          static_cast<std::uint32_t>(rows.size()));
-      word::add_indexed(iacc_ref.data(), iacc_ref.data(), imid_ref.data(),
-                        rows.data(),
-                        static_cast<std::uint32_t>(rows.size()));
-    }
-    std::vector<float> imid = sentinel;
-    std::vector<float> iacc = acc_init;
-    word::chain_scale_add_indexed(iacc.data(), imid.data(), srcs.data(),
-                                  imms.data(), k, rows.data(),
-                                  static_cast<std::uint32_t>(rows.size()));
-    EXPECT_TRUE(bits_equal(iacc, iacc_ref)) << "indexed acc seed " << seed;
-    EXPECT_TRUE(bits_equal(imid, imid_ref)) << "indexed mid seed " << seed;
-  }
-}
-
-TEST(FusedKernelFuzz, Chain2ScaleAddMatchesTwoChainsBackToBack) {
-  constexpr std::uint32_t kRows = Block::kRows;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed * 0x2545F4u);
-    const std::uint32_t k =
-        2 + static_cast<std::uint32_t>(rng.next_below(5));
-    std::vector<std::vector<float>> src_cols;
-    std::vector<const float*> srcs;
-    std::vector<float> imms1;
-    std::vector<float> imms2;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      src_cols.push_back(fuzz_column(rng, kRows));
+      src_cols.push_back(fuzz_column(rng, rows));
       imms1.push_back(fuzz_operand(rng));
       imms2.push_back(fuzz_operand(rng));
     }
     for (const auto& col : src_cols) {
       srcs.push_back(col.data());
     }
-    const auto acc1_init = fuzz_column(rng, kRows);
-    const auto acc2_init = fuzz_column(rng, kRows);
-    const auto sentinel = fuzz_column(rng, kRows);
+    acc1 = fuzz_column(rng, rows);
+    acc2 = fuzz_column(rng, rows);
+    sentinel = fuzz_column(rng, rows);
+  }
 
-    // Reference: the two single chains back to back, exactly the
-    // pre-pairing stream order. The first chain's mid store is elided
-    // there (the pairing precondition), so only the second's survives.
-    std::vector<float> mid_ref = sentinel;
-    std::vector<float> acc1_ref = acc1_init;
-    std::vector<float> acc2_ref = acc2_init;
-    word::chain_scale_add(acc1_ref.data(), mid_ref.data(), srcs.data(),
-                          imms1.data(), k, kRows, /*store_mid=*/false);
-    word::chain_scale_add(acc2_ref.data(), mid_ref.data(), srcs.data(),
-                          imms2.data(), k, kRows);
+  /// A Block holding the sources in columns [0, k), then acc1, acc2
+  /// and a sentinel scratch column (k, k + 1, k + 2).
+  void load(Block& block) const {
+    for (std::uint32_t j = 0; j < k; ++j) {
+      block.load_column(j, src_cols[j]);
+    }
+    block.load_column(k, acc1);
+    block.load_column(k + 1, acc2);
+    block.load_column(k + 2, sentinel);
+  }
 
-    std::vector<float> mid = sentinel;
-    std::vector<float> acc1 = acc1_init;
-    std::vector<float> acc2 = acc2_init;
-    word::chain2_scale_add(acc1.data(), acc2.data(), mid.data(), srcs.data(),
-                           imms1.data(), imms2.data(), k, kRows);
-    EXPECT_TRUE(bits_equal(acc1, acc1_ref)) << "contig acc1 seed " << seed;
-    EXPECT_TRUE(bits_equal(acc2, acc2_ref)) << "contig acc2 seed " << seed;
-    EXPECT_TRUE(bits_equal(mid, mid_ref)) << "contig mid seed " << seed;
+  /// The unfused chain into accumulator column `acc`: per link, Fscale
+  /// into the scratch column, then acc = acc + scratch. Empty `rows`
+  /// means the contiguous ops over every row.
+  void run_chain(Block& block, const std::vector<float>& imms,
+                 std::uint32_t acc,
+                 std::span<const std::uint32_t> rows = {}) const {
+    const std::uint32_t mid = k + 2;
+    for (std::uint32_t j = 0; j < k; ++j) {
+      if (rows.empty()) {
+        block.fscale(j, mid, imms[j], 0, Block::kRows);
+        block.arith(Opcode::Fadd, acc, mid, acc, 0, Block::kRows);
+      } else {
+        block.fscale_rows(j, mid, imms[j], rows);
+        block.arith_rows(Opcode::Fadd, acc, mid, acc, rows);
+      }
+    }
+  }
+};
+
+}  // namespace
+
+TEST(FusedKernelFuzz, ChainScaleAddMatchesUnfusedLinkSequence) {
+  static const ArithModel model;
+  constexpr std::uint32_t kRows = Block::kRows;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 0x165667u);
+    const ChainCase cc(rng, kRows);
+    const std::uint32_t k = cc.k;
+
+    // Only the last link's mid survives in the reference too.
+    Block ref(&model);
+    cc.load(ref);
+    cc.run_chain(ref, cc.imms1, k);
+
+    std::vector<float> mid = cc.sentinel;
+    std::vector<float> acc = cc.acc1;
+    word::chain_scale_add(acc.data(), mid.data(), cc.srcs.data(),
+                          cc.imms1.data(), k, kRows);
+    EXPECT_TRUE(bits_equal(acc, ref.column(k))) << "contig acc seed " << seed;
+    EXPECT_TRUE(bits_equal(mid, ref.column(k + 2)))
+        << "contig mid seed " << seed;
 
     // store_mid = false leaves the scratch column alone.
-    std::vector<float> mid_off = sentinel;
-    std::vector<float> acc1_off = acc1_init;
-    std::vector<float> acc2_off = acc2_init;
+    std::vector<float> mid_off = cc.sentinel;
+    std::vector<float> acc_off = cc.acc1;
+    word::chain_scale_add(acc_off.data(), mid_off.data(), cc.srcs.data(),
+                          cc.imms1.data(), k, kRows, /*store_mid=*/false);
+    EXPECT_TRUE(bits_equal(acc_off, ref.column(k)))
+        << "elided acc seed " << seed;
+    EXPECT_TRUE(bits_equal(mid_off, cc.sentinel))
+        << "elided mid seed " << seed;
+
+    // Strided and indexed variants against per-link references.
+    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
+    const std::uint32_t stride =
+        2 + static_cast<std::uint32_t>(rng.next_below(4));
+    const auto srows = strided_rows(start, stride);
+    Block sref(&model);
+    cc.load(sref);
+    cc.run_chain(sref, cc.imms1, k, srows);
+    std::vector<float> smid = cc.sentinel;
+    std::vector<float> sacc = cc.acc1;
+    word::chain_scale_add_strided(sacc.data(), smid.data(), cc.srcs.data(),
+                                  cc.imms1.data(), k, start, stride,
+                                  static_cast<std::uint32_t>(srows.size()));
+    EXPECT_TRUE(bits_equal(sacc, sref.column(k))) << "strided acc " << seed;
+    EXPECT_TRUE(bits_equal(smid, sref.column(k + 2)))
+        << "strided mid " << seed;
+
+    const auto rows = distinct_rows(rng, kRows, 36);
+    Block iref(&model);
+    cc.load(iref);
+    cc.run_chain(iref, cc.imms1, k, rows);
+    std::vector<float> imid = cc.sentinel;
+    std::vector<float> iacc = cc.acc1;
+    word::chain_scale_add_indexed(iacc.data(), imid.data(), cc.srcs.data(),
+                                  cc.imms1.data(), k, rows.data(),
+                                  static_cast<std::uint32_t>(rows.size()));
+    EXPECT_TRUE(bits_equal(iacc, iref.column(k))) << "indexed acc " << seed;
+    EXPECT_TRUE(bits_equal(imid, iref.column(k + 2)))
+        << "indexed mid " << seed;
+  }
+}
+
+TEST(FusedKernelFuzz, Chain2ScaleAddMatchesTwoChainsBackToBack) {
+  static const ArithModel model;
+  constexpr std::uint32_t kRows = Block::kRows;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 0x2545F4u);
+    const ChainCase cc(rng, kRows);
+    const std::uint32_t k = cc.k;
+
+    // Reference: the two single chains back to back, exactly the
+    // pre-pairing stream order. The second chain overwrites the first
+    // one's scratch rows, so only its last product survives.
+    Block ref(&model);
+    cc.load(ref);
+    cc.run_chain(ref, cc.imms1, k);
+    cc.run_chain(ref, cc.imms2, k + 1);
+
+    std::vector<float> mid = cc.sentinel;
+    std::vector<float> acc1 = cc.acc1;
+    std::vector<float> acc2 = cc.acc2;
+    word::chain2_scale_add(acc1.data(), acc2.data(), mid.data(),
+                           cc.srcs.data(), cc.imms1.data(), cc.imms2.data(),
+                           k, kRows);
+    EXPECT_TRUE(bits_equal(acc1, ref.column(k))) << "contig acc1 " << seed;
+    EXPECT_TRUE(bits_equal(acc2, ref.column(k + 1))) << "contig acc2 " << seed;
+    EXPECT_TRUE(bits_equal(mid, ref.column(k + 2))) << "contig mid " << seed;
+
+    // store_mid = false leaves the scratch column alone.
+    std::vector<float> mid_off = cc.sentinel;
+    std::vector<float> acc1_off = cc.acc1;
+    std::vector<float> acc2_off = cc.acc2;
     word::chain2_scale_add(acc1_off.data(), acc2_off.data(), mid_off.data(),
-                           srcs.data(), imms1.data(), imms2.data(), k, kRows,
-                           /*store_mid=*/false);
-    EXPECT_TRUE(bits_equal(acc1_off, acc1_ref)) << "elided acc1 " << seed;
-    EXPECT_TRUE(bits_equal(acc2_off, acc2_ref)) << "elided acc2 " << seed;
-    EXPECT_TRUE(bits_equal(mid_off, sentinel)) << "elided mid " << seed;
+                           cc.srcs.data(), cc.imms1.data(), cc.imms2.data(),
+                           k, kRows, /*store_mid=*/false);
+    EXPECT_TRUE(bits_equal(acc1_off, ref.column(k))) << "elided acc1 " << seed;
+    EXPECT_TRUE(bits_equal(acc2_off, ref.column(k + 1)))
+        << "elided acc2 " << seed;
+    EXPECT_TRUE(bits_equal(mid_off, cc.sentinel)) << "elided mid " << seed;
 
     // Strided and indexed variants against the same paired reference.
     const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
     const std::uint32_t stride =
         2 + static_cast<std::uint32_t>(rng.next_below(4));
-    const std::uint32_t count = (kRows - start) / stride;
-    std::vector<float> smid_ref = sentinel;
-    std::vector<float> sacc1_ref = acc1_init;
-    std::vector<float> sacc2_ref = acc2_init;
-    word::chain_scale_add_strided(sacc1_ref.data(), smid_ref.data(),
-                                  srcs.data(), imms1.data(), k, start, stride,
-                                  count, /*store_mid=*/false);
-    word::chain_scale_add_strided(sacc2_ref.data(), smid_ref.data(),
-                                  srcs.data(), imms2.data(), k, start, stride,
-                                  count);
-    std::vector<float> smid = sentinel;
-    std::vector<float> sacc1 = acc1_init;
-    std::vector<float> sacc2 = acc2_init;
-    word::chain2_scale_add_strided(sacc1.data(), sacc2.data(), smid.data(),
-                                   srcs.data(), imms1.data(), imms2.data(), k,
-                                   start, stride, count);
-    EXPECT_TRUE(bits_equal(sacc1, sacc1_ref)) << "strided acc1 " << seed;
-    EXPECT_TRUE(bits_equal(sacc2, sacc2_ref)) << "strided acc2 " << seed;
-    EXPECT_TRUE(bits_equal(smid, smid_ref)) << "strided mid " << seed;
+    const auto srows = strided_rows(start, stride);
+    Block sref(&model);
+    cc.load(sref);
+    cc.run_chain(sref, cc.imms1, k, srows);
+    cc.run_chain(sref, cc.imms2, k + 1, srows);
+    std::vector<float> smid = cc.sentinel;
+    std::vector<float> sacc1 = cc.acc1;
+    std::vector<float> sacc2 = cc.acc2;
+    word::chain2_scale_add_strided(
+        sacc1.data(), sacc2.data(), smid.data(), cc.srcs.data(),
+        cc.imms1.data(), cc.imms2.data(), k, start, stride,
+        static_cast<std::uint32_t>(srows.size()));
+    EXPECT_TRUE(bits_equal(sacc1, sref.column(k))) << "strided acc1 " << seed;
+    EXPECT_TRUE(bits_equal(sacc2, sref.column(k + 1)))
+        << "strided acc2 " << seed;
+    EXPECT_TRUE(bits_equal(smid, sref.column(k + 2))) << "strided mid " << seed;
 
     const auto rows = distinct_rows(rng, kRows, 36);
     const auto nrows = static_cast<std::uint32_t>(rows.size());
-    std::vector<float> imid_ref = sentinel;
-    std::vector<float> iacc1_ref = acc1_init;
-    std::vector<float> iacc2_ref = acc2_init;
-    word::chain_scale_add_indexed(iacc1_ref.data(), imid_ref.data(),
-                                  srcs.data(), imms1.data(), k, rows.data(),
-                                  nrows, /*store_mid=*/false);
-    word::chain_scale_add_indexed(iacc2_ref.data(), imid_ref.data(),
-                                  srcs.data(), imms2.data(), k, rows.data(),
-                                  nrows);
-    std::vector<float> imid = sentinel;
-    std::vector<float> iacc1 = acc1_init;
-    std::vector<float> iacc2 = acc2_init;
+    Block iref(&model);
+    cc.load(iref);
+    cc.run_chain(iref, cc.imms1, k, rows);
+    cc.run_chain(iref, cc.imms2, k + 1, rows);
+    std::vector<float> imid = cc.sentinel;
+    std::vector<float> iacc1 = cc.acc1;
+    std::vector<float> iacc2 = cc.acc2;
     word::chain2_scale_add_indexed(iacc1.data(), iacc2.data(), imid.data(),
-                                   srcs.data(), imms1.data(), imms2.data(), k,
-                                   rows.data(), nrows);
-    EXPECT_TRUE(bits_equal(iacc1, iacc1_ref)) << "indexed acc1 " << seed;
-    EXPECT_TRUE(bits_equal(iacc2, iacc2_ref)) << "indexed acc2 " << seed;
-    EXPECT_TRUE(bits_equal(imid, imid_ref)) << "indexed mid " << seed;
+                                   cc.srcs.data(), cc.imms1.data(),
+                                   cc.imms2.data(), k, rows.data(), nrows);
+    EXPECT_TRUE(bits_equal(iacc1, iref.column(k))) << "indexed acc1 " << seed;
+    EXPECT_TRUE(bits_equal(iacc2, iref.column(k + 1)))
+        << "indexed acc2 " << seed;
+    EXPECT_TRUE(bits_equal(imid, iref.column(k + 2))) << "indexed mid " << seed;
   }
 }
 
 TEST(FusedKernelFuzz, GatherMulAndGatherMulAddMatchUnfusedSequences) {
+  static const ArithModel model;
   constexpr std::uint32_t kRows = Block::kRows;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 0x9E3779u);
@@ -656,39 +593,33 @@ TEST(FusedKernelFuzz, GatherMulAndGatherMulAddMatchUnfusedSequences) {
     }
     const auto n = static_cast<std::uint32_t>(rows.size());
 
+    // Reference columns: 0 = s, 1 = b, 2 = acc, 3 = g, 4 = mid / dst.
     // gather_mul vs gather; mul.
-    std::vector<float> g_ref(kRows, 0.0f);
-    std::vector<float> dst_ref(kRows, 0.0f);
-    word::gather(g_ref.data(), s.data(), rows.data(), n);
-    word::mul(dst_ref.data(), g_ref.data(), b.data(), n);
+    Block ref(&model);
+    load_columns(ref, {&s, &b, &acc_init, &sentinel, &sentinel});
+    ref.gather_rows(rows, 0, 0, 3);
+    ref.arith(Opcode::Fmul, 3, 1, 4, 0, n);
 
-    std::vector<float> g(kRows, 0.0f);
-    std::vector<float> dst(kRows, 0.0f);
+    std::vector<float> g = sentinel;
+    std::vector<float> dst = sentinel;
     word::gather_mul(dst.data(), g.data(), s.data(), rows.data(), b.data(),
                      n);
-    EXPECT_TRUE(bits_equal(std::span(dst).first(n),
-                           std::span(dst_ref).first(n)))
+    EXPECT_TRUE(bits_equal(dst, ref.column(4)))
         << "gather_mul dst seed " << seed;
-    EXPECT_TRUE(bits_equal(std::span(g).first(n),
-                           std::span(g_ref).first(n)))
-        << "gather_mul g seed " << seed;
+    EXPECT_TRUE(bits_equal(g, ref.column(3))) << "gather_mul g seed " << seed;
 
     std::vector<float> g_off = sentinel;
-    std::vector<float> dst_off(kRows, 0.0f);
+    std::vector<float> dst_off = sentinel;
     word::gather_mul(dst_off.data(), g_off.data(), s.data(), rows.data(),
                      b.data(), n, /*store_g=*/false);
-    EXPECT_TRUE(bits_equal(std::span(dst_off).first(n),
-                           std::span(dst_ref).first(n)))
+    EXPECT_TRUE(bits_equal(dst_off, ref.column(4)))
         << "gather_mul elided dst seed " << seed;
     EXPECT_TRUE(bits_equal(g_off, sentinel))
         << "gather_mul elided g seed " << seed;
 
     // gather_mul_add vs gather; mul; add — all four store_g/store_mid
     // combinations leave acc identical; elided columns stay untouched.
-    std::vector<float> mid_ref(kRows, 0.0f);
-    std::vector<float> acc_ref = acc_init;
-    word::mul(mid_ref.data(), g_ref.data(), b.data(), n);
-    word::add(acc_ref.data(), acc_ref.data(), mid_ref.data(), n);
+    ref.arith(Opcode::Fadd, 2, 4, 2, 0, n);
     for (int combo = 0; combo < 4; ++combo) {
       const bool store_g = (combo & 1) != 0;
       const bool store_mid = (combo & 2) != 0;
@@ -697,25 +628,14 @@ TEST(FusedKernelFuzz, GatherMulAndGatherMulAddMatchUnfusedSequences) {
       std::vector<float> acc2 = acc_init;
       word::gather_mul_add(acc2.data(), mid2.data(), g2.data(), s.data(),
                            rows.data(), b.data(), n, store_g, store_mid);
-      EXPECT_TRUE(bits_equal(std::span(acc2).first(n),
-                             std::span(acc_ref).first(n)))
+      EXPECT_TRUE(bits_equal(acc2, ref.column(2)))
           << "gma acc combo " << combo << " seed " << seed;
-      if (store_g) {
-        EXPECT_TRUE(bits_equal(std::span(g2).first(n),
-                               std::span(g_ref).first(n)))
-            << "gma g combo " << combo << " seed " << seed;
-      } else {
-        EXPECT_TRUE(bits_equal(g2, sentinel))
-            << "gma g untouched combo " << combo << " seed " << seed;
-      }
-      if (store_mid) {
-        EXPECT_TRUE(bits_equal(std::span(mid2).first(n),
-                               std::span(mid_ref).first(n)))
-            << "gma mid combo " << combo << " seed " << seed;
-      } else {
-        EXPECT_TRUE(bits_equal(mid2, sentinel))
-            << "gma mid untouched combo " << combo << " seed " << seed;
-      }
+      const std::span<const float> g_want = ref.column(3);
+      const std::span<const float> mid_want = ref.column(4);
+      EXPECT_TRUE(bits_equal(g2, store_g ? g_want : sentinel))
+          << "gma g combo " << combo << " seed " << seed;
+      EXPECT_TRUE(bits_equal(mid2, store_mid ? mid_want : sentinel))
+          << "gma mid combo " << combo << " seed " << seed;
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "common/statistics.h"
 #include "common/table.h"
 #include "common/trace_report.h"
@@ -286,7 +287,7 @@ int main(int argc, char** argv) {
       arg += 1;
     } else if (std::strncmp(argv[arg], "--witness=", 10) == 0) {
       std::uint32_t cadence = 0;
-      if (!mapping::parse_witness_interval(argv[arg] + 10, cadence)) {
+      if (!parse_u32(argv[arg] + 10, cadence)) {
         std::fprintf(stderr, "error: --witness wants a cadence (0 = off)\n");
         return 2;
       }
@@ -295,9 +296,8 @@ int main(int argc, char** argv) {
       setenv("WAVEPIM_WITNESS", argv[arg] + 10, /*overwrite=*/1);
       arg += 1;
     } else if (std::strncmp(argv[arg], "--chip-blocks=", 14) == 0) {
-      const std::uint32_t n = static_cast<std::uint32_t>(
-          std::strtoul(argv[arg] + 14, nullptr, 10));
-      if (n == 0) {
+      std::uint32_t n = 0;
+      if (!parse_u32(argv[arg] + 14, n) || n == 0) {
         std::fprintf(stderr,
                      "error: --chip-blocks wants a positive block count\n");
         return 2;

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/parse.h"
 #include "common/trace_report.h"
 #include "common/units.h"
 #include "service/chip_pool.h"
@@ -35,12 +36,15 @@ using namespace wavepim;
 
 namespace {
 
-bool parse_u32(const char* arg, const char* prefix, std::uint32_t& out) {
+/// Whether `arg` is the `prefix` flag; `ok` then says whether its value
+/// is plain digits below 2^32 (stored in `out`).
+bool u32_flag(const char* arg, const char* prefix, std::uint32_t& out,
+              bool& ok) {
   const std::size_t len = std::strlen(prefix);
   if (std::strncmp(arg, prefix, len) != 0) {
     return false;
   }
-  out = static_cast<std::uint32_t>(std::strtoul(arg + len, nullptr, 10));
+  ok = parse_u32(arg + len, out);
   return true;
 }
 
@@ -54,18 +58,17 @@ int main(int argc, char** argv) {
   std::string trace_path;
 
   for (int i = 1; i < argc; ++i) {
-    std::uint32_t value = 0;
-    if (parse_u32(argv[i], "--chips=", svc.num_chips) ||
-        parse_u32(argv[i], "--jobs=", gen.num_jobs) ||
-        parse_u32(argv[i], "--max-steps=", gen.max_steps)) {
-      continue;
-    }
-    if (parse_u32(argv[i], "--seed=", seed32)) {
-      gen.seed = seed32;
-      continue;
-    }
-    if (parse_u32(argv[i], "--threads=", threads32)) {
-      svc.threads = threads32;
+    bool ok = true;
+    if (u32_flag(argv[i], "--chips=", svc.num_chips, ok) ||
+        u32_flag(argv[i], "--jobs=", gen.num_jobs, ok) ||
+        u32_flag(argv[i], "--max-steps=", gen.max_steps, ok) ||
+        u32_flag(argv[i], "--seed=", seed32, ok) ||
+        u32_flag(argv[i], "--threads=", threads32, ok)) {
+      if (!ok) {
+        std::fprintf(stderr, "error: %s wants a count below 2^32\n",
+                     argv[i]);
+        return 2;
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--policy=", 9) == 0) {
@@ -103,7 +106,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    (void)value;
     std::fprintf(stderr,
                  "usage: wavepim_serve [--chips=N] [--jobs=N] "
                  "[--policy=fifo|srs|edf] [--seed=N] [--threads=N] "
@@ -111,6 +113,8 @@ int main(int argc, char** argv) {
                  "[--topology=htree|bus] [--net-backend=analytic|cycle]\n");
     return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
   }
+  gen.seed = seed32;
+  svc.threads = threads32;
   if (svc.num_chips == 0 || gen.num_jobs == 0) {
     std::fprintf(stderr, "error: --chips and --jobs must be positive\n");
     return 2;
