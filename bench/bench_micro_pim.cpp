@@ -44,28 +44,13 @@ void BM_BlockGather(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockGather);
 
-void BM_InterconnectSchedule(benchmark::State& state) {
-  const pim::Interconnect net(pim::chip_2gb(pim::Topology::HTree));
-  std::vector<pim::Transfer> transfers;
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    transfers.push_back({.src_block = (i * 13) % 16384,
-                         .dst_block = (i * 29 + 1) % 16384,
-                         .words = 64});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.schedule(transfers).makespan);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_InterconnectSchedule)->Arg(1024)->Arg(8192)->Arg(65536);
-
 // Timing-backend head-to-head on the same contended flux-like batch:
-// the analytic list scheduler's greedy slot packing vs the event-driven
-// queue model (which additionally folds per-link busy/stall/occupancy
-// statistics). Both price the identical resource model, so the delta is
-// pure scheduling cost — the cycle backend's event heap and window
-// scans against the analytic earliest-slot scan.
+// the analytic list scheduler's greedy channel packing vs the
+// event-driven queue model (which additionally folds per-link
+// busy/stall/occupancy statistics). Both price the identical resource
+// model, so the delta is pure scheduling cost — the cycle backend's
+// event heap and window scans against the analytic per-switch
+// min-heaps.
 void BM_NetSchedule(benchmark::State& state) {
   pim::ChipConfig config = pim::chip_2gb(pim::Topology::HTree);
   config.net_backend = state.range(1) == 0 ? pim::NetBackendKind::Analytic

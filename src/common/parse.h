@@ -1,6 +1,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -14,6 +15,20 @@ inline bool parse_u32(const char* s, std::uint32_t& out) {
   std::uint32_t value = 0;
   const auto [last, error] = std::from_chars(s, end, value);
   if (error != std::errc{} || last != end) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+/// Parses a real-valued flag: one whole decimal or scientific number that
+/// is finite (no "inf", "nan" or overflow to infinity). Returns false on
+/// anything else, leaving `out` untouched.
+inline bool parse_finite_double(const char* s, double& out) {
+  const char* end = s + std::strlen(s);
+  double value = 0.0;
+  const auto [last, error] = std::from_chars(s, end, value);
+  if (error != std::errc{} || last != end || !std::isfinite(value)) {
     return false;
   }
   out = value;

@@ -212,8 +212,12 @@ StepEstimate Estimator::compute() const {
       net.schedule(expand_intra_transfers(config_, vol.intra()));
   const auto flux_stage_minus =
       net.schedule(expand_intra_transfers(config_, flux_minus.intra()));
+  // Both face signs usually stage the same intra-element transfers;
+  // scheduling an identical batch twice would give the same result.
   const auto flux_stage_plus =
-      net.schedule(expand_intra_transfers(config_, flux_plus.intra()));
+      flux_plus.intra() == flux_minus.intra()
+          ? flux_stage_minus
+          : net.schedule(expand_intra_transfers(config_, flux_plus.intra()));
   const auto fetch_minus = net.schedule(expand_inter_transfers(
       problem_, config_, flux_minus.inter(), -1, options_.morton_placement));
   const auto fetch_plus = net.schedule(expand_inter_transfers(

@@ -194,6 +194,8 @@ class CostSink : public ProgramSink {
     std::uint32_t src_group;
     std::uint32_t dst_group;
     std::uint32_t words;
+
+    bool operator==(const IntraDescriptor&) const = default;
   };
   /// Transfer from a face-neighbour element's block.
   struct InterDescriptor {

@@ -13,7 +13,8 @@ StructuredMesh::StructuredMesh(int level, double extent, Boundary boundary)
       extent_(extent),
       h_(extent / static_cast<double>(1u << level)),
       boundary_(boundary) {
-  WAVEPIM_REQUIRE(level >= 0 && level <= 10, "refinement level out of range");
+  WAVEPIM_REQUIRE(level >= 0 && level <= kMaxLevel,
+                  "refinement level out of range");
   WAVEPIM_REQUIRE(extent > 0.0, "domain extent must be positive");
 }
 

@@ -23,7 +23,11 @@ enum class Boundary : std::uint8_t { Periodic, Reflective };
 /// discretises the domain into (2^n)^3 elements" (Table 1).
 class StructuredMesh {
  public:
-  /// `level` >= 0; `extent` is the physical edge length of the domain.
+  /// Finest refinement level: (2^10)^3 elements.
+  static constexpr int kMaxLevel = 10;
+
+  /// `level` in [0, kMaxLevel]; `extent` is the physical edge length of
+  /// the domain.
   StructuredMesh(int level, double extent, Boundary boundary);
 
   [[nodiscard]] int level() const { return level_; }

@@ -1,6 +1,7 @@
 #include "pim/interconnect.h"
 
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <utility>
 
@@ -13,33 +14,24 @@ namespace {
 
 constexpr std::uint32_t kBlocksPerTile = ChipConfig::kBlocksPerTile;
 
-/// The order in which the central controller's micro-sequencer releases
-/// a batch, shared by both backends: short (leaf-local) paths first, then
-/// progressively wider ones, with a deterministic pseudo-random shuffle
-/// inside each class. Naive mesh-order issue chains every transfer
-/// through the switch it shares with its predecessor, collapsing the
-/// network's parallelism to near-serial (and FIFO queues turn that
-/// correlation into head-of-line serialisation); level-ordered,
-/// de-correlated issue approaches the per-switch load bound instead.
-std::vector<std::uint32_t> release_order(const Interconnect& net,
-                                         std::span<const Transfer> transfers) {
-  std::vector<std::uint32_t> order(transfers.size());
-  std::vector<std::uint64_t> key(transfers.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-    const Transfer& t = transfers[i];
-    const std::uint64_t hops = net.hop_count(t.src_block, t.dst_block);
-    // SplitMix64 tie-break: deterministic, order-independent.
-    std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    key[i] = (hops << 56) | (h & 0x00FFFFFFFFFFFFFFull);
+/// Replaces the minimum of a binary min-heap of channel free times by
+/// `value` (never below it) and restores the heap order. Plain doubles
+/// and a branch-free choice of the smaller child keep the sift cheap:
+/// which child is smaller is a coin flip the branch predictor loses.
+void replace_top(double* heap, std::uint32_t size, double value) {
+  std::uint32_t i = 0;
+  for (std::uint32_t child = 1; child < size; child = 2 * i + 1) {
+    if (child + 1 < size) {
+      child += heap[child + 1] < heap[child] ? 1 : 0;
+    }
+    const double next = heap[child];
+    if (!(next < value)) {
+      break;
+    }
+    heap[i] = next;
+    i = child;
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return key[a] < key[b];
-                   });
-  return order;
+  heap[i] = value;
 }
 
 }  // namespace
@@ -220,17 +212,70 @@ std::uint32_t Interconnect::resource_capacity(std::uint32_t resource) const {
   return 1u << (shift_ * level);
 }
 
+std::vector<std::uint32_t> release_order(const Interconnect& net,
+                                         std::span<const Transfer> transfers) {
+  const std::size_t n = transfers.size();
+  std::vector<std::uint32_t> order(n);
+  std::vector<std::uint64_t> key(n);
+  // Byte histograms of all eight radix digits, gathered in one pass.
+  std::array<std::array<std::uint32_t, 256>, 8> count{};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    order[i] = i;
+    const Transfer& t = transfers[i];
+    const std::uint64_t hops = net.hop_count(t.src_block, t.dst_block);
+    // SplitMix64 tie-break: deterministic, order-independent.
+    std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    key[i] = (hops << 56) | (h & 0x00FFFFFFFFFFFFFFull);
+    for (std::uint32_t d = 0; d < 8; ++d) {
+      ++count[d][(key[i] >> (8 * d)) & 0xFF];
+    }
+  }
+  // Stable LSD radix sort, least significant byte first. A digit that
+  // every key shares (e.g. the hop class of a single-class batch) leaves
+  // the order unchanged and is skipped. Stability keeps equal keys in
+  // index order, as a stable comparison sort would.
+  std::vector<std::uint32_t> order_out(n);
+  std::vector<std::uint64_t> key_out(n);
+  for (std::uint32_t d = 0; d < 8 && n > 0; ++d) {
+    auto& bucket = count[d];
+    const std::uint32_t shift = 8 * d;
+    if (bucket[(key[0] >> shift) & 0xFF] == n) {
+      continue;
+    }
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : bucket) {
+      offset += std::exchange(c, offset);
+    }
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::uint32_t dst = bucket[(key[p] >> shift) & 0xFF]++;
+      key_out[dst] = key[p];
+      order_out[dst] = order[p];
+    }
+    key.swap(key_out);
+    order.swap(order_out);
+  }
+  return order;
+}
+
 ScheduleResult AnalyticBackend::schedule(
     const Interconnect& net, std::span<const Transfer> transfers) const {
   ScheduleResult result{};
-  // Per-resource channel slots: a transfer claims the earliest-free slot
-  // of every switch on its path.
-  std::vector<std::vector<Seconds>> slots(net.num_resources());
-  for (std::uint32_t r = 0; r < slots.size(); ++r) {
-    slots[r].assign(net.resource_capacity(r), Seconds(0.0));
-  }
+  // Each switch's channels as a min-heap of their free times, carved out
+  // of one pool on the switch's first touch. A transfer starts when the
+  // earliest-free channel of every switch on its path is free, and then
+  // holds one such channel of each until it ends. A switch's state is
+  // only the multiset of its free times: which of several equal minima a
+  // transfer takes cannot change any later start, so no tie rule is
+  // needed.
+  struct Heap {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;  ///< 0 until first touch
+  };
+  std::vector<Heap> heaps(net.num_resources());
+  std::vector<double> pool;  ///< free times, in seconds
   std::vector<std::uint32_t> path;
-  std::vector<std::size_t> chosen_slot;
   for (std::uint32_t i : release_order(net, transfers)) {
     const Transfer& t = transfers[i];
     const Seconds duration = net.isolated_latency(t);
@@ -238,22 +283,19 @@ ScheduleResult AnalyticBackend::schedule(
     result.energy += net.transfer_energy(t);
 
     net.path_resources(t, path);
-    chosen_slot.assign(path.size(), 0);
-    Seconds start(0.0);
-    for (std::size_t p = 0; p < path.size(); ++p) {
-      auto& res = slots[path[p]];
-      std::size_t best = 0;
-      for (std::size_t s = 1; s < res.size(); ++s) {
-        if (res[s] < res[best]) {
-          best = s;
-        }
+    double start = 0.0;
+    for (const std::uint32_t r : path) {
+      Heap& heap = heaps[r];
+      if (heap.size == 0) {
+        heap.begin = static_cast<std::uint32_t>(pool.size());
+        heap.size = net.resource_capacity(r);
+        pool.resize(pool.size() + heap.size, 0.0);
       }
-      chosen_slot[p] = best;
-      start = std::max(start, res[best]);
+      start = std::max(start, pool[heap.begin]);
     }
-    const Seconds end = start + duration;
-    for (std::size_t p = 0; p < path.size(); ++p) {
-      slots[path[p]][chosen_slot[p]] = end;
+    const Seconds end = Seconds(start) + duration;
+    for (const std::uint32_t r : path) {
+      replace_top(pool.data() + heaps[r].begin, heaps[r].size, end.value());
     }
     result.makespan = std::max(result.makespan, end);
   }

@@ -78,12 +78,13 @@ class NetBackend {
 };
 
 /// The greedy list-scheduler (the original model, default): transfers are
-/// issued shortest-path-class first with a deterministic shuffle inside
-/// each class, each claiming the earliest-free channel slot of every
-/// switch on its path. Contention-aware but queue-free: a transfer may
-/// start in a slot that frees *before* earlier-issued traffic elsewhere
-/// on its path would really have let it through. Bit-identical to the
-/// pre-seam `Interconnect::schedule`, so all committed baselines stand.
+/// issued in `release_order`, each claiming the earliest-free channel of
+/// every switch on its path. Contention-aware but queue-free: a transfer
+/// may start in a channel that frees *before* earlier-issued traffic
+/// elsewhere on its path would really have let it through. Each switch
+/// keeps its channels' free times in a min-heap, allocated on first
+/// touch. Bit-identical to the pre-seam `Interconnect::schedule`, so all
+/// committed baselines stand.
 class AnalyticBackend final : public NetBackend {
  public:
   [[nodiscard]] NetBackendKind kind() const override {
@@ -122,6 +123,21 @@ class CycleBackend final : public NetBackend {
       const Interconnect& net,
       std::span<const Transfer> transfers) const override;
 };
+
+/// The order in which the central controller's micro-sequencer releases
+/// a batch, shared by both backends: short (leaf-local) paths first, then
+/// progressively wider ones, with a deterministic pseudo-random shuffle
+/// inside each class. Naive mesh-order issue chains every transfer
+/// through the switch it shares with its predecessor, collapsing the
+/// network's parallelism to near-serial (and FIFO queues turn that
+/// correlation into head-of-line serialisation); level-ordered,
+/// de-correlated issue approaches the per-switch load bound instead.
+///
+/// Returns transfer indices sorted by the key
+/// (hop count << 56 | low 56 bits of SplitMix64(index)), equal keys in
+/// index order.
+std::vector<std::uint32_t> release_order(const Interconnect& net,
+                                         std::span<const Transfer> transfers);
 
 /// The process singleton for a backend kind.
 const NetBackend& net_backend_for(NetBackendKind kind);

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
+#include "mapping/element_program.h"
+#include "mapping/program_cache.h"
+#include "mapping/sinks.h"
+#include "mesh/face.h"
+#include "trace/trace.h"
+
 namespace wavepim::mapping {
 namespace {
 
@@ -119,6 +128,52 @@ TEST(Estimator, StageScheduleTimelineIsConsistent) {
   // The pipelined overlaps: host and fetch(-1) start with volume.
   EXPECT_EQ(s.timeline[1].start.value(), 0.0);
   EXPECT_EQ(s.timeline[2].start.value(), 0.0);
+}
+
+TEST(Estimator, SchedulesTheSharedFluxStagingBatchOnce) {
+  // Acoustic_4 on PIM-2GB: both face signs stage the same intra-element
+  // transfers...
+  const Problem problem{ProblemKind::Acoustic, 4, 8};
+  pim::ChipConfig chip = pim::chip_2gb();
+  chip.net_backend = pim::NetBackendKind::Analytic;
+  Estimator e(problem, chip);
+  {
+    const ElementSetup setup(problem, e.config().expansion, 1.0 / 16.0);
+    ProgramCache cache(setup);
+    const pim::ArithModel arith;
+    SinkPricing pricing;
+    pricing.model = &arith;
+    CostSink minus(pricing, setup.num_groups());
+    CostSink plus(pricing, setup.num_groups());
+    for (const mesh::Face f : mesh::kAllFaces) {
+      replay(cache.arena(), cache.flux(0, f),
+             mesh::normal_sign(f) < 0 ? minus : plus);
+    }
+    ASSERT_FALSE(minus.intra().empty());
+    ASSERT_EQ(minus.intra(), plus.intra());
+  }
+
+  // ...so the estimate schedules four batches instead of five...
+  trace::Collector::instance().reset();
+  trace::set_enabled(true);
+  const StepEstimate& est = e.estimate();
+  trace::set_enabled(false);
+  std::uint64_t schedules = 0;
+  for (const auto& event : trace::Collector::instance().snapshot()) {
+    schedules += event.type == trace::EventType::Begin &&
+                 event.name != nullptr &&
+                 std::string_view(event.name) == "net.schedule";
+  }
+  trace::Collector::instance().reset();
+  EXPECT_EQ(schedules, 4u);
+
+  // ...and prices the step exactly as the estimator that scheduled all
+  // five did (values recorded from it, bit for bit).
+  EXPECT_EQ(est.segments.compute_plus.value(), 0x1.e4bb44d3de52fp-15);
+  EXPECT_EQ(est.segments.compute_minus.value(), 0x1.e4bb44d3de52fp-15);
+  EXPECT_EQ(est.network_energy.value(), 0x1.79f505f357ac2p-12);
+  EXPECT_EQ(est.step_time.value(), 0x1.42c67920a8414p-10);
+  EXPECT_EQ(est.step_energy.value(), 0x1.4026a53d58b6p-3);
 }
 
 }  // namespace

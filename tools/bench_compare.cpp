@@ -13,7 +13,6 @@
 // summaries; it does not change the exit-code contract.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -23,6 +22,7 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/parse.h"
 #include "common/table.h"
 
 using namespace wavepim;
@@ -103,10 +103,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--markdown") == 0) {
       markdown = true;
     } else if (std::strncmp(argv[i], "--fail-above=", 13) == 0) {
-      fail_above = std::strtod(argv[i] + 13, nullptr);
-      if (!(fail_above > 1.0)) {
+      if (!parse_finite_double(argv[i] + 13, fail_above) ||
+          !(fail_above > 1.0)) {
         std::fprintf(stderr,
-                     "error: --fail-above wants a ratio above 1.0\n");
+                     "error: --fail-above wants a finite ratio above 1.0\n");
         return 2;
       }
     } else {

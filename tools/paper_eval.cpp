@@ -20,7 +20,6 @@
 // reproducible to FP precision). --update-baseline merges the run into
 // the --baseline file instead of gating against it.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -30,6 +29,7 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "eval/matrix.h"
 #include "eval/report.h"
 #include "eval/runner.h"
@@ -122,10 +122,10 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = arg_value(argc, argv, i, "--filter")) {
       args.filter = v;
     } else if (const char* v = arg_value(argc, argv, i, "--fail-above")) {
-      args.fail_above = std::strtod(v, nullptr);
-      if (!(args.fail_above > 0.0)) {
+      if (!parse_finite_double(v, args.fail_above) ||
+          !(args.fail_above > 0.0)) {
         std::fprintf(stderr,
-                     "error: --fail-above wants a positive deviation\n");
+                     "error: --fail-above wants a finite positive deviation\n");
         return false;
       }
     } else if (const char* v = arg_value(argc, argv, i, "--threads")) {

@@ -9,7 +9,6 @@
 //   validate                                   bit-true PIM-vs-CPU check
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -24,6 +23,7 @@
 #include "dg/sources.h"
 #include "mapping/batch_schedule.h"
 #include "mapping/simulation.h"
+#include "mesh/structured_mesh.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 
@@ -356,6 +356,28 @@ int main(int argc, char** argv) {
 
 namespace {
 
+// <level>: plain digits naming a level StructuredMesh accepts.
+bool parse_level(const char* s, int& level) {
+  std::uint32_t value = 0;
+  if (!parse_u32(s, value) ||
+      value > static_cast<std::uint32_t>(mesh::StructuredMesh::kMaxLevel)) {
+    std::fprintf(stderr, "error: <level> wants an integer in [0, %d]\n",
+                 mesh::StructuredMesh::kMaxLevel);
+    return false;
+  }
+  level = static_cast<int>(value);
+  return true;
+}
+
+// [steps]: plain digits, at least one step.
+bool parse_steps(const char* s, std::uint32_t& steps) {
+  if (!parse_u32(s, steps) || steps == 0) {
+    std::fprintf(stderr, "error: [steps] wants a positive integer\n");
+    return false;
+  }
+  return true;
+}
+
 int run_command(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
@@ -373,9 +395,13 @@ int run_command(int argc, char** argv) {
       if (!parse_kind(argv[2], kind)) {
         return usage();
       }
-      const mapping::Problem problem{kind, std::atoi(argv[3]), 8};
-      const std::uint64_t steps = argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                                           : 1024;
+      int level = 0;
+      std::uint32_t steps = 1024;
+      if (!parse_level(argv[3], level) ||
+          (argc > 4 && !parse_steps(argv[4], steps))) {
+        return 2;
+      }
+      const mapping::Problem problem{kind, level, 8};
       return cmd_compare(problem, steps, cmd == "csv");
     }
     if (cmd == "estimate" || cmd == "schedule") {
@@ -387,7 +413,11 @@ int run_command(int argc, char** argv) {
       if (!parse_kind(argv[2], kind) || !parse_chip(argv[4], chip)) {
         return usage();
       }
-      const mapping::Problem problem{kind, std::atoi(argv[3]), 8};
+      int level = 0;
+      if (!parse_level(argv[3], level)) {
+        return 2;
+      }
+      const mapping::Problem problem{kind, level, 8};
       return cmd == "estimate" ? cmd_estimate(problem, chip)
                                : cmd_schedule(problem, chip);
     }
