@@ -76,6 +76,27 @@ BENCHMARK(BM_NetSchedule)
     ->Args({32768, 0})
     ->Args({32768, 1});
 
+// The shared release order alone (hop classes, then hash buckets), on
+// PIM-8GB's H-tree up to the size of the largest batch a paper cell
+// schedules (Elastic-Riemann_4's 196,608 fetches).
+void BM_ReleaseOrder(benchmark::State& state) {
+  pim::ChipConfig config = pim::chip_8gb(pim::Topology::HTree);
+  const pim::Interconnect net(config);
+  const std::uint32_t blocks = config.num_blocks();
+  std::vector<pim::Transfer> transfers;
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    transfers.push_back({.src_block = (i * 13) % blocks,
+                         .dst_block = (i * 29 + 1) % blocks,
+                         .words = 64});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pim::release_order(net, transfers).data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ReleaseOrder)->Arg(4096)->Arg(32768)->Arg(196608);
+
 // assemble_stage in isolation — the pure lowering cost the cache removes
 // from the hot path. Arg(0) re-emits every element's kernels; Arg(1)
 // replays the cached class streams (the cache itself is built outside

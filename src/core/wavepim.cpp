@@ -67,10 +67,14 @@ std::vector<ComparisonRow> System::compare_all(const mapping::Problem& problem,
   }
 
   // One modelled run per chip; both process nodes scale the same
-  // estimate, and the paper-methodology series rides along.
+  // estimate, and the paper-methodology series rides along. The chips
+  // share one pricer, so a network batch that two chips map alike is
+  // scheduled once.
+  mapping::BatchPricer pricer;
   std::vector<mapping::Estimator> estimators;
   for (const auto& chip : pim::standard_chips(topology)) {
-    estimators.emplace_back(problem, chip);
+    estimators.emplace_back(problem, chip, mapping::Estimator::Options{},
+                            pricer);
   }
   for (const auto scaling : {pim::ProcessScaling::node_28nm(),
                              pim::ProcessScaling::node_12nm()}) {

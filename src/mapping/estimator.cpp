@@ -73,21 +73,24 @@ struct BatchIndexer {
 };
 
 /// Expands the representative element's inter-element transfer
-/// descriptors over every element of the batch (periodic wrap in x/z;
-/// y faces that leave the batch are staged through HBM per Fig. 7 and do
-/// not ride the on-chip network).
+/// descriptors of the recipe's normal sign over every element of the
+/// batch (periodic wrap in x/z; y faces that leave the batch are staged
+/// through HBM per Fig. 7 and do not ride the on-chip network).
 std::vector<pim::Transfer> expand_inter_transfers(
-    const Problem& problem, const MappingConfig& config,
-    const std::vector<CostSink::InterDescriptor>& descriptors,
-    int normal_sign, bool morton) {
-  const std::uint64_t dim = 1ull << problem.refinement_level;
-  const std::uint32_t spb = config.slices_per_batch;
-  const std::uint32_t bpe = blocks_per_element(config.expansion);
-  const BatchIndexer indexer{dim, spb, morton};
+    const BatchPricer::Recipe& recipe) {
+  const std::uint64_t dim = recipe.dim;
+  const std::uint32_t spb = recipe.slices_per_batch;
+  const std::uint32_t bpe = recipe.blocks_per_element;
+  const BatchIndexer indexer{dim, spb, recipe.morton};
 
+  const auto faces = std::count_if(
+      recipe.inter.begin(), recipe.inter.end(), [&](const auto& d) {
+        return mesh::normal_sign(d.face) == recipe.normal_sign;
+      });
   std::vector<pim::Transfer> transfers;
-  for (const auto& d : descriptors) {
-    if (mesh::normal_sign(d.face) != normal_sign) {
+  transfers.reserve(static_cast<std::size_t>(faces) * dim * spb * dim);
+  for (const auto& d : recipe.inter) {
+    if (mesh::normal_sign(d.face) != recipe.normal_sign) {
       continue;
     }
     const auto axis = mesh::index_of(mesh::axis_of(d.face));
@@ -99,7 +102,7 @@ std::vector<pim::Transfer> expand_inter_transfers(
           // the resident slice window.
           const std::uint64_t limit = (axis == 1) ? spb : dim;
           std::uint64_t n = c[axis];
-          if (normal_sign < 0) {
+          if (recipe.normal_sign < 0) {
             n = (n == 0) ? limit - 1 : n - 1;
           } else {
             n = (n + 1 == limit) ? 0 : n + 1;
@@ -123,13 +126,12 @@ std::vector<pim::Transfer> expand_inter_transfers(
 
 /// Expands intra-element transfer descriptors over the batch.
 std::vector<pim::Transfer> expand_intra_transfers(
-    const MappingConfig& config,
-    const std::vector<CostSink::IntraDescriptor>& descriptors) {
-  const std::uint32_t bpe = blocks_per_element(config.expansion);
+    const BatchPricer::Recipe& recipe) {
+  const std::uint32_t bpe = recipe.blocks_per_element;
   std::vector<pim::Transfer> transfers;
-  transfers.reserve(descriptors.size() * config.elements_per_batch);
-  for (std::uint64_t e = 0; e < config.elements_per_batch; ++e) {
-    for (const auto& d : descriptors) {
+  transfers.reserve(recipe.intra.size() * recipe.elements_per_batch);
+  for (std::uint64_t e = 0; e < recipe.elements_per_batch; ++e) {
+    for (const auto& d : recipe.intra) {
       transfers.push_back(
           {.src_block = static_cast<std::uint32_t>(e * bpe + d.src_group),
            .dst_block = static_cast<std::uint32_t>(e * bpe + d.dst_group),
@@ -141,11 +143,41 @@ std::vector<pim::Transfer> expand_intra_transfers(
 
 }  // namespace
 
+pim::ScheduleResult BatchPricer::price(const pim::Interconnect& net,
+                                       const Recipe& recipe) {
+  const Fabric fabric{net.topology(), net.config().htree_arity,
+                      net.backend_kind(), net.link()};
+  const std::uint32_t blocks = net.config().num_blocks();
+  for (const Entry& entry : entries_) {
+    if (entry.block_end <= blocks && entry.fabric == fabric &&
+        entry.recipe == recipe) {
+      return entry.result;
+    }
+  }
+  const std::vector<pim::Transfer> transfers =
+      recipe.normal_sign == 0 ? expand_intra_transfers(recipe)
+                              : expand_inter_transfers(recipe);
+  std::uint64_t block_end = 0;
+  for (const pim::Transfer& t : transfers) {
+    block_end = std::max<std::uint64_t>(
+        block_end, std::max(t.src_block, t.dst_block) + 1ull);
+  }
+  const pim::ScheduleResult result = net.schedule(transfers);
+  entries_.push_back({recipe, fabric, block_end, result});
+  return result;
+}
+
 Estimator::Estimator(Problem problem, pim::ChipConfig chip, Options options)
     : problem_(problem), chip_(std::move(chip)), options_(options) {
   config_ = options_.force_expansion
                 ? config_for_mode(problem_, chip_, *options_.force_expansion)
                 : choose_config(problem_, chip_);
+}
+
+Estimator::Estimator(Problem problem, pim::ChipConfig chip, Options options,
+                     BatchPricer& pricer)
+    : Estimator(std::move(problem), std::move(chip), options) {
+  pricer_ = &pricer;
 }
 
 const StepEstimate& Estimator::estimate() const {
@@ -208,20 +240,33 @@ StepEstimate Estimator::compute() const {
   replay(integ_program.arena, integ_program.stream, integ);
 
   // --- Interconnect schedules over one batch ------------------------------
-  const auto vol_staging =
-      net.schedule(expand_intra_transfers(config_, vol.intra()));
-  const auto flux_stage_minus =
-      net.schedule(expand_intra_transfers(config_, flux_minus.intra()));
-  // Both face signs usually stage the same intra-element transfers;
-  // scheduling an identical batch twice would give the same result.
-  const auto flux_stage_plus =
-      flux_plus.intra() == flux_minus.intra()
-          ? flux_stage_minus
-          : net.schedule(expand_intra_transfers(config_, flux_plus.intra()));
-  const auto fetch_minus = net.schedule(expand_inter_transfers(
-      problem_, config_, flux_minus.inter(), -1, options_.morton_placement));
-  const auto fetch_plus = net.schedule(expand_inter_transfers(
-      problem_, config_, flux_plus.inter(), +1, options_.morton_placement));
+  BatchPricer own_pricer;
+  BatchPricer& pricer = pricer_ != nullptr ? *pricer_ : own_pricer;
+  BatchPricer::Recipe recipe;
+  recipe.dim = 1ull << problem_.refinement_level;
+  recipe.slices_per_batch = config_.slices_per_batch;
+  recipe.blocks_per_element = blocks_per_element(config_.expansion);
+  recipe.elements_per_batch = config_.elements_per_batch;
+  recipe.morton = options_.morton_placement;
+  auto staging = [&](const CostSink& sink) {
+    recipe.normal_sign = 0;
+    recipe.intra = sink.intra();
+    recipe.inter.clear();
+    return pricer.price(net, recipe);
+  };
+  auto fetch = [&](const CostSink& sink, int normal_sign) {
+    recipe.normal_sign = normal_sign;
+    recipe.intra.clear();
+    recipe.inter = sink.inter();
+    return pricer.price(net, recipe);
+  };
+  // Both face signs usually stage the same intra-element transfers; the
+  // pricer schedules that batch once.
+  const auto vol_staging = staging(vol);
+  const auto flux_stage_minus = staging(flux_minus);
+  const auto flux_stage_plus = staging(flux_plus);
+  const auto fetch_minus = fetch(flux_minus, -1);
+  const auto fetch_plus = fetch(flux_plus, +1);
 
   // --- Segments of one RK stage (one batch) -------------------------------
   StepEstimate est;

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "mapping/config.h"
 #include "mapping/pipeline.h"
+#include "mapping/sinks.h"
 #include "pim/chip.h"
 #include "pim/interconnect.h"
 
@@ -50,6 +52,64 @@ struct StepEstimate {
   }
 };
 
+/// Prices the network batches of Estimators, expanding and scheduling
+/// each distinct batch once. A batch's transfer list is a function of its
+/// Recipe, and its schedule a function of that list and the fabric
+/// (topology, H-tree arity, backend, link parameters), so a request that
+/// matches an earlier one on both is served the earlier result. Requests
+/// are compared in full, and only recipes and results are kept, never a
+/// transfer list.
+///
+/// Chip size is not part of the key: a schedule depends only on the
+/// blocks its transfers touch. A stored result is therefore served only
+/// to a chip whose `num_blocks()` (`block_limit` included) covers the
+/// batch's largest block id; any other request is priced afresh, and
+/// throws as it would without the pricer.
+///
+/// Not thread-safe: share a pricer only among Estimators that are
+/// estimated on one thread.
+class BatchPricer {
+ public:
+  /// Everything a batch's transfer list is expanded from.
+  struct Recipe {
+    /// `normal_sign` 0 marks an intra-element staging batch, expanded
+    /// from `intra` over `elements_per_batch` elements. A sign of -1 or
+    /// +1 marks a face-neighbour fetch batch, expanded from the `inter`
+    /// descriptors of that sign over the batch's slice window.
+    int normal_sign = 0;
+    std::vector<CostSink::IntraDescriptor> intra;
+    std::vector<CostSink::InterDescriptor> inter;
+    std::uint64_t dim = 0;  ///< elements along x and z
+    std::uint32_t slices_per_batch = 0;
+    std::uint32_t blocks_per_element = 0;
+    std::uint64_t elements_per_batch = 0;
+    bool morton = false;  ///< Estimator::Options::morton_placement
+
+    bool operator==(const Recipe&) const = default;
+  };
+
+  /// The schedule of `recipe`'s batch on `net`.
+  [[nodiscard]] pim::ScheduleResult price(const pim::Interconnect& net,
+                                          const Recipe& recipe);
+
+ private:
+  struct Fabric {
+    pim::Topology topology;
+    std::uint32_t htree_arity;
+    pim::NetBackendKind backend;
+    pim::LinkParams link;
+
+    bool operator==(const Fabric&) const = default;
+  };
+  struct Entry {
+    Recipe recipe;
+    Fabric fabric;
+    std::uint64_t block_end;  ///< largest block id + 1; 0 when empty
+    pim::ScheduleResult result;
+  };
+  std::vector<Entry> entries_;
+};
+
 /// Maps a wave-simulation problem onto a PIM chip configuration and
 /// projects per-step time and energy, reproducing the paper's methodology:
 /// Table 5 config selection, per-block instruction-stream timing,
@@ -70,9 +130,14 @@ class Estimator {
     bool morton_placement = false;
   };
 
+  /// Prices the network batches with a private BatchPricer.
   Estimator(Problem problem, pim::ChipConfig chip, Options options);
   Estimator(Problem problem, pim::ChipConfig chip)
       : Estimator(std::move(problem), std::move(chip), Options{}) {}
+  /// Prices the network batches with `pricer`, which must outlive the
+  /// first estimate() call.
+  Estimator(Problem problem, pim::ChipConfig chip, Options options,
+            BatchPricer& pricer);
 
   [[nodiscard]] const Problem& problem() const { return problem_; }
   [[nodiscard]] const pim::ChipConfig& chip() const { return chip_; }
@@ -91,6 +156,7 @@ class Estimator {
   pim::ChipConfig chip_;
   Options options_;
   MappingConfig config_;
+  BatchPricer* pricer_ = nullptr;  ///< null: a private one per compute()
   mutable std::optional<StepEstimate> cached_;
 };
 

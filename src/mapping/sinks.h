@@ -203,6 +203,8 @@ class CostSink : public ProgramSink {
     std::uint32_t src_group;
     std::uint32_t dst_group;
     std::uint32_t words;
+
+    bool operator==(const InterDescriptor&) const = default;
   };
 
   [[nodiscard]] const pim::OpCost& group_cost(std::uint32_t g) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <queue>
 #include <utility>
 
@@ -32,6 +33,54 @@ void replace_top(double* heap, std::uint32_t size, double value) {
     i = child;
   }
   heap[i] = value;
+}
+
+/// Low 56 bits of SplitMix64(i): the release order's deterministic,
+/// order-independent shuffle inside a hop class.
+std::uint64_t release_hash(std::uint64_t i) {
+  std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+  return h & 0x00FFFFFFFFFFFFFFull;
+}
+
+/// Isolated latency and energy of a transfer over a known number of
+/// switch hops: the arithmetic behind Interconnect::isolated_latency and
+/// transfer_energy, for the backends' loops, which know the hops already.
+struct TransferCost {
+  Seconds latency;
+  Joules energy;
+};
+
+TransferCost transfer_cost(const Interconnect& net, const Transfer& t,
+                           std::uint32_t hops) {
+  const LinkParams& link = net.link();
+  const bool bus = net.topology() == Topology::Bus;
+  const bool cross_tile =
+      t.src_block / kBlocksPerTile != t.dst_block / kBlocksPerTile;
+  // Wormhole pipelining: words stream through the path, so latency is
+  // (words + hops) cycles of the per-word hop time. The bus moves
+  // several words per cycle over its wide shared medium.
+  std::uint32_t cycles = t.words;
+  if (bus) {
+    cycles = (t.words + link.bus_words_per_cycle - 1) /
+             link.bus_words_per_cycle;
+  }
+  TransferCost cost;
+  cost.latency =
+      link.hop_latency_per_word * static_cast<double>(cycles + hops);
+  cost.energy =
+      link.hop_energy_per_word *
+      static_cast<double>(static_cast<std::uint64_t>(t.words) * hops);
+  if (cross_tile) {
+    // The wide bus datapath extends through the chip-level channel.
+    const std::uint32_t inter_words = bus ? cycles : t.words;
+    cost.latency += link.inter_tile_latency_per_word *
+                    static_cast<double>(inter_words);
+    cost.energy +=
+        link.inter_tile_energy_per_word * static_cast<double>(t.words);
+  }
+  return cost;
 }
 
 }  // namespace
@@ -103,38 +152,11 @@ std::uint32_t Interconnect::hop_count(std::uint32_t src,
 
 Seconds Interconnect::isolated_latency(const Transfer& t) const {
   WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
-  const std::uint32_t hops = hop_count(t.src_block, t.dst_block);
-  // Wormhole pipelining: words stream through the path, so latency is
-  // (words + hops) cycles of the per-word hop time. The bus moves
-  // several words per cycle over its wide shared medium.
-  std::uint32_t cycles = t.words;
-  if (config_.topology == Topology::Bus) {
-    cycles = (t.words + link_.bus_words_per_cycle - 1) /
-             link_.bus_words_per_cycle;
-  }
-  Seconds latency =
-      link_.hop_latency_per_word * static_cast<double>(cycles + hops);
-  if (t.src_block / kBlocksPerTile != t.dst_block / kBlocksPerTile) {
-    // The wide bus datapath extends through the chip-level channel.
-    const std::uint32_t inter_words =
-        config_.topology == Topology::Bus
-            ? (t.words + link_.bus_words_per_cycle - 1) /
-                  link_.bus_words_per_cycle
-            : t.words;
-    latency += link_.inter_tile_latency_per_word *
-               static_cast<double>(inter_words);
-  }
-  return latency;
+  return transfer_cost(*this, t, hop_count(t.src_block, t.dst_block)).latency;
 }
 
 Joules Interconnect::transfer_energy(const Transfer& t) const {
-  const std::uint32_t hops = hop_count(t.src_block, t.dst_block);
-  Joules e = link_.hop_energy_per_word *
-             static_cast<double>(static_cast<std::uint64_t>(t.words) * hops);
-  if (t.src_block / kBlocksPerTile != t.dst_block / kBlocksPerTile) {
-    e += link_.inter_tile_energy_per_word * static_cast<double>(t.words);
-  }
-  return e;
+  return transfer_cost(*this, t, hop_count(t.src_block, t.dst_block)).energy;
 }
 
 void Interconnect::path_resources(const Transfer& t,
@@ -215,46 +237,62 @@ std::uint32_t Interconnect::resource_capacity(std::uint32_t resource) const {
 std::vector<std::uint32_t> release_order(const Interconnect& net,
                                          std::span<const Transfer> transfers) {
   const std::size_t n = transfers.size();
-  std::vector<std::uint32_t> order(n);
-  std::vector<std::uint64_t> key(n);
-  // Byte histograms of all eight radix digits, gathered in one pass.
-  std::array<std::array<std::uint32_t, 256>, 8> count{};
+  // Pass 1: every transfer's hop class, kept as one byte.
+  std::vector<std::uint8_t> hops(n);
+  std::array<std::uint32_t, 256> class_size{};
   for (std::uint32_t i = 0; i < n; ++i) {
-    order[i] = i;
     const Transfer& t = transfers[i];
-    const std::uint64_t hops = net.hop_count(t.src_block, t.dst_block);
-    // SplitMix64 tie-break: deterministic, order-independent.
-    std::uint64_t h = i + 0x9E3779B97F4A7C15ull;
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    key[i] = (hops << 56) | (h & 0x00FFFFFFFFFFFFFFull);
-    for (std::uint32_t d = 0; d < 8; ++d) {
-      ++count[d][(key[i] >> (8 * d)) & 0xFF];
+    hops[i] =
+        static_cast<std::uint8_t>(net.hop_count(t.src_block, t.dst_block));
+    ++class_size[hops[i]];
+  }
+  // Each class of m transfers owns bit_ceil(m) / 4 buckets (at least
+  // one), addressed by the top bits of its 56-bit hash, so a bucket holds
+  // 2-4 entries on average. `first[c]` is class c's first bucket.
+  std::array<std::uint32_t, 256> first{};
+  std::array<std::uint32_t, 256> shift{};
+  std::uint32_t buckets = 0;
+  for (std::uint32_t c = 0; c < 256; ++c) {
+    const std::uint32_t width =
+        std::max(std::bit_ceil(class_size[c]) / 4, 1u);
+    first[c] = buckets;
+    shift[c] = 56 - static_cast<std::uint32_t>(std::countr_zero(width));
+    buckets += class_size[c] == 0 ? 0 : width;
+  }
+  auto bucket_of = [&](std::uint32_t i) {
+    return first[hops[i]] + static_cast<std::uint32_t>(
+                                release_hash(i) >> shift[hops[i]]);
+  };
+  // Pass 2: a stable counting sort by (class, bucket) leaves every bucket
+  // in index order. The scatter advances each bucket's start to its end,
+  // so afterwards bucket b spans [end[b - 1], end[b]).
+  std::vector<std::uint32_t> end(buckets, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t b = bucket_of(i);
+    if (b + 1 < buckets) {
+      ++end[b + 1];
     }
   }
-  // Stable LSD radix sort, least significant byte first. A digit that
-  // every key shares (e.g. the hop class of a single-class batch) leaves
-  // the order unchanged and is skipped. Stability keeps equal keys in
-  // index order, as a stable comparison sort would.
-  std::vector<std::uint32_t> order_out(n);
-  std::vector<std::uint64_t> key_out(n);
-  for (std::uint32_t d = 0; d < 8 && n > 0; ++d) {
-    auto& bucket = count[d];
-    const std::uint32_t shift = 8 * d;
-    if (bucket[(key[0] >> shift) & 0xFF] == n) {
-      continue;
+  for (std::uint32_t b = 1; b < buckets; ++b) {
+    end[b] += end[b - 1];
+  }
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    order[end[bucket_of(i)]++] = i;
+  }
+  // A bucket's entries share their class and top hash bits; insertion
+  // sort on the hash finishes them, and its stability keeps equal hashes
+  // in index order.
+  for (std::uint32_t b = 0, lo = 0; b < buckets; lo = end[b++]) {
+    for (std::uint32_t p = lo + 1; p < end[b]; ++p) {
+      const std::uint32_t i = order[p];
+      const std::uint64_t h = release_hash(i);
+      std::uint32_t q = p;
+      for (; q > lo && release_hash(order[q - 1]) > h; --q) {
+        order[q] = order[q - 1];
+      }
+      order[q] = i;
     }
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : bucket) {
-      offset += std::exchange(c, offset);
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::uint32_t dst = bucket[(key[p] >> shift) & 0xFF]++;
-      key_out[dst] = key[p];
-      order_out[dst] = order[p];
-    }
-    key.swap(key_out);
-    order.swap(order_out);
   }
   return order;
 }
@@ -278,9 +316,12 @@ ScheduleResult AnalyticBackend::schedule(
   std::vector<std::uint32_t> path;
   for (std::uint32_t i : release_order(net, transfers)) {
     const Transfer& t = transfers[i];
-    const Seconds duration = net.isolated_latency(t);
+    WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
+    const TransferCost cost =
+        transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
+    const Seconds duration = cost.latency;
     result.serial_sum += duration;
-    result.energy += net.transfer_energy(t);
+    result.energy += cost.energy;
 
     net.path_resources(t, path);
     double start = 0.0;
@@ -320,10 +361,14 @@ ScheduleResult CycleBackend::schedule(
   {
     std::vector<std::uint32_t> scratch;
     for (std::uint32_t i = 0; i < n; ++i) {
-      duration[i] = net.isolated_latency(transfers[i]);
+      const Transfer& t = transfers[i];
+      WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
+      const TransferCost cost =
+          transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
+      duration[i] = cost.latency;
       result.serial_sum += duration[i];
-      result.energy += net.transfer_energy(transfers[i]);
-      net.path_resources(transfers[i], scratch);
+      result.energy += cost.energy;
+      net.path_resources(t, scratch);
       paths.insert(paths.end(), scratch.begin(), scratch.end());
       path_begin[i + 1] = static_cast<std::uint32_t>(paths.size());
     }

@@ -82,6 +82,8 @@ struct LinkParams {
   /// The bus alternative trades its single data path for a wide shared
   /// medium: words moved per bus cycle (§4.2.2 trade-off).
   std::uint32_t bus_words_per_cycle = 4;
+
+  bool operator==(const LinkParams&) const = default;
 };
 
 /// Interconnect topology choice inside each memory tile (paper §4.2).

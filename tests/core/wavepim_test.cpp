@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "trace/trace.h"
 
@@ -86,14 +89,14 @@ TEST(System, TwelveNmRowsFasterThanTwentyEight) {
   EXPECT_NEAR(t28 / t12, 3.81, 1e-6);
 }
 
-TEST(System, CompareAllEstimatesEachChipOnce) {
-  // One modelled run per chip: both process nodes and the peak-method
-  // series read the same estimate, so each chip costs one map.estimate
-  // and its four net.schedule calls (the two face signs share one flux
-  // staging batch).
+/// {map.estimate, net.schedule} spans begun by compare_all over `problems`.
+std::pair<std::uint64_t, std::uint64_t> count_estimates_and_schedules(
+    std::initializer_list<mapping::Problem> problems) {
   trace::Collector::instance().reset();
   trace::set_enabled(true);
-  (void)System::compare_all({ProblemKind::Acoustic, 4, 8}, 4);
+  for (const auto& problem : problems) {
+    (void)System::compare_all(problem, 4);
+  }
   trace::set_enabled(false);
   std::uint64_t estimates = 0;
   std::uint64_t schedules = 0;
@@ -105,9 +108,68 @@ TEST(System, CompareAllEstimatesEachChipOnce) {
     schedules += std::string_view(e.name) == "net.schedule";
   }
   trace::Collector::instance().reset();
-  const std::uint64_t chips = pim::standard_chips().size();
-  EXPECT_EQ(estimates, chips);
-  EXPECT_EQ(schedules, 4 * chips);
+  return {estimates, schedules};
+}
+
+TEST(System, CompareAllEstimatesEachChipOnce) {
+  // One modelled run per chip: both process nodes and the peak-method
+  // series read the same estimate, so each chip costs one map.estimate.
+  // The chips share one batch pricer: PIM-512MB schedules four batches
+  // (the two face signs share one flux staging batch), PIM-2GB three
+  // (its empty volume staging batch is 512MB's), and PIM-8GB and
+  // PIM-16GB map Acoustic_4 exactly as PIM-2GB does and schedule none.
+  const auto [estimates, schedules] =
+      count_estimates_and_schedules({{ProblemKind::Acoustic, 4, 8}});
+  EXPECT_EQ(estimates, pim::standard_chips().size());
+  EXPECT_EQ(schedules, 7u);
+}
+
+TEST(System, CompareAllSchedulesEachDistinctBatchOnce) {
+  // The reduced matrix's paper cells: eight estimates, which without a
+  // shared pricer would schedule 4 batches each (32). Elastic-Riemann_4
+  // adds four batches for each of PIM-512MB, 2GB and 8GB, and PIM-16GB
+  // repeats PIM-8GB's.
+  const auto [estimates, schedules] = count_estimates_and_schedules(
+      {{ProblemKind::Acoustic, 4, 8}, {ProblemKind::ElasticRiemann, 4, 8}});
+  EXPECT_EQ(estimates, 2 * pim::standard_chips().size());
+  EXPECT_EQ(schedules, 19u);
+}
+
+TEST(System, CompareAllRowsMatchEstimatorsWithTheirOwnPricers) {
+  const std::uint64_t steps = 16;
+  for (const ProblemKind kind :
+       {ProblemKind::Acoustic, ProblemKind::ElasticRiemann}) {
+    const mapping::Problem problem{kind, 4, 8};
+    const auto rows = System::compare_all(problem, steps);
+    for (const auto& chip : pim::standard_chips()) {
+      const mapping::Estimator own(problem, chip);
+      const auto cost = own.run_cost(steps);
+      for (const auto scaling : {pim::ProcessScaling::node_28nm(),
+                                 pim::ProcessScaling::node_12nm()}) {
+        const std::string platform =
+            chip.name + (scaling.speedup > 1.0 ? "-12nm" : "-28nm");
+        const ComparisonRow* row = nullptr;
+        for (const auto& r : rows) {
+          if (r.is_pim && r.platform == platform) {
+            row = &r;
+          }
+        }
+        ASSERT_NE(row, nullptr) << platform;
+        const Seconds total = cost.time / scaling.speedup;
+        EXPECT_EQ(row->total_time.value(), total.value()) << platform;
+        EXPECT_EQ(row->step_time.value(),
+                  (total / static_cast<double>(steps)).value())
+            << platform;
+        EXPECT_EQ(row->total_energy.value(),
+                  (cost.energy / scaling.energy_saving).value())
+            << platform;
+        EXPECT_EQ(row->step_time_peak_method.value(),
+                  (own.estimate().step_time_peak_method / scaling.speedup)
+                      .value())
+            << platform;
+      }
+    }
+  }
 }
 
 TEST(System, CompareAllPimRowsMatchProjectPim) {

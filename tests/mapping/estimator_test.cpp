@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/error.h"
 #include "mapping/element_program.h"
 #include "mapping/program_cache.h"
 #include "mapping/sinks.h"
@@ -15,6 +16,30 @@ namespace wavepim::mapping {
 namespace {
 
 using dg::ProblemKind;
+
+/// Number of net.schedule spans `body` begins.
+template <typename Body>
+std::uint64_t count_schedules(Body&& body) {
+  trace::Collector::instance().reset();
+  trace::set_enabled(true);
+  body();
+  trace::set_enabled(false);
+  std::uint64_t schedules = 0;
+  for (const auto& event : trace::Collector::instance().snapshot()) {
+    schedules += event.type == trace::EventType::Begin &&
+                 event.name != nullptr &&
+                 std::string_view(event.name) == "net.schedule";
+  }
+  trace::Collector::instance().reset();
+  return schedules;
+}
+
+void expect_same_result(const pim::ScheduleResult& got,
+                        const pim::ScheduleResult& want) {
+  EXPECT_EQ(got.makespan.value(), want.makespan.value());
+  EXPECT_EQ(got.serial_sum.value(), want.serial_sum.value());
+  EXPECT_EQ(got.energy.value(), want.energy.value());
+}
 
 TEST(Estimator, UsesTable5Configuration) {
   Estimator e({ProblemKind::Acoustic, 4, 8}, pim::chip_2gb());
@@ -154,18 +179,8 @@ TEST(Estimator, SchedulesTheSharedFluxStagingBatchOnce) {
   }
 
   // ...so the estimate schedules four batches instead of five...
-  trace::Collector::instance().reset();
-  trace::set_enabled(true);
+  EXPECT_EQ(count_schedules([&] { (void)e.estimate(); }), 4u);
   const StepEstimate& est = e.estimate();
-  trace::set_enabled(false);
-  std::uint64_t schedules = 0;
-  for (const auto& event : trace::Collector::instance().snapshot()) {
-    schedules += event.type == trace::EventType::Begin &&
-                 event.name != nullptr &&
-                 std::string_view(event.name) == "net.schedule";
-  }
-  trace::Collector::instance().reset();
-  EXPECT_EQ(schedules, 4u);
 
   // ...and prices the step exactly as the estimator that scheduled all
   // five did (values recorded from it, bit for bit).
@@ -174,6 +189,79 @@ TEST(Estimator, SchedulesTheSharedFluxStagingBatchOnce) {
   EXPECT_EQ(est.network_energy.value(), 0x1.79f505f357ac2p-12);
   EXPECT_EQ(est.step_time.value(), 0x1.42c67920a8414p-10);
   EXPECT_EQ(est.step_energy.value(), 0x1.4026a53d58b6p-3);
+}
+
+TEST(BatchPricer, ServesAStoredResultOnlyToChipsItsBlocksFit) {
+  // 1,000 elements of two blocks each: the batch's largest block id is
+  // 1,999, far inside PIM-16GB.
+  BatchPricer::Recipe recipe;
+  recipe.intra = {{.src_group = 0, .dst_group = 1, .words = 8}};
+  recipe.blocks_per_element = 2;
+  recipe.elements_per_batch = 1000;
+  pim::ChipConfig big = pim::chip_16gb();
+  big.net_backend = pim::NetBackendKind::Analytic;
+  BatchPricer pricer;
+  pim::ScheduleResult first;
+  EXPECT_EQ(count_schedules([&] {
+              first = pricer.price(pim::Interconnect(big), recipe);
+            }),
+            1u);
+
+  // A chip whose block_limit ends just below that block is priced
+  // afresh, and throws as it would without the pricer...
+  pim::ChipConfig limited = big;
+  limited.block_limit = 1999;
+  EXPECT_THROW((void)pricer.price(pim::Interconnect(limited), recipe),
+               PreconditionError);
+
+  // ...while one that just holds it is served the stored result.
+  limited.block_limit = 2000;
+  pim::ScheduleResult served;
+  EXPECT_EQ(count_schedules([&] {
+              served = pricer.price(pim::Interconnect(limited), recipe);
+            }),
+            0u);
+  expect_same_result(served, first);
+}
+
+TEST(BatchPricer, PricesRecipesThatDifferInSignOrMortonSeparately) {
+  // An 8 x 8 x 8 resident window (power-of-two, so Morton placement
+  // applies) with one fetch descriptor per face.
+  BatchPricer::Recipe minus;
+  for (const mesh::Face f : mesh::kAllFaces) {
+    minus.inter.push_back(
+        {.face = f, .src_group = 0, .dst_group = 0, .words = 16});
+  }
+  minus.normal_sign = -1;
+  minus.dim = 8;
+  minus.slices_per_batch = 8;
+  minus.blocks_per_element = 1;
+  minus.elements_per_batch = 512;
+  BatchPricer::Recipe plus = minus;
+  plus.normal_sign = +1;
+  BatchPricer::Recipe morton = minus;
+  morton.morton = true;
+
+  pim::ChipConfig chip = pim::chip_2gb();
+  chip.net_backend = pim::NetBackendKind::Analytic;
+  const pim::Interconnect net(chip);
+  BatchPricer pricer;
+  pim::ScheduleResult first[3];
+  EXPECT_EQ(count_schedules([&] {
+              first[0] = pricer.price(net, minus);
+              first[1] = pricer.price(net, plus);
+              first[2] = pricer.price(net, morton);
+            }),
+            3u);
+  // Asked again, each recipe is served its own result.
+  EXPECT_EQ(count_schedules([&] {
+              expect_same_result(pricer.price(net, minus), first[0]);
+              expect_same_result(pricer.price(net, plus), first[1]);
+              expect_same_result(pricer.price(net, morton), first[2]);
+            }),
+            0u);
+  // Row-major and Morton placement give different batches here.
+  EXPECT_NE(first[0].makespan.value(), first[2].makespan.value());
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 // sort for the release order, and a linear scan for the lowest-index
 // earliest-free channel of every switch on a transfer's path (the
 // original scheduler). The production code keeps per-switch min-heaps
-// and a radix sort; these tests pin that both changes are invisible.
+// and a bucket sort; these tests pin that both changes are invisible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "pim/interconnect.h"
@@ -192,7 +193,7 @@ TEST(ReleaseOrder, MatchesStableSortOnRandomBatches) {
 }
 
 TEST(ReleaseOrder, MatchesStableSortOnSingleHopClassBatches) {
-  // Every key shares its top byte, so the radix sort skips that digit.
+  // Every transfer shares one hop class, which then owns all buckets.
   const Interconnect htree(chip_with(Topology::HTree, 4, 2));
   std::vector<Transfer> leaf_local;  // one S0 switch each: 1 hop
   std::vector<Transfer> cross_tile;  // full ascent and descent: 8 hops
@@ -217,6 +218,62 @@ TEST(ReleaseOrder, MatchesStableSortOnSingleHopClassBatches) {
             reference_release_order(htree, cross_tile));
   EXPECT_EQ(release_order(bus, bus_local),
             reference_release_order(bus, bus_local));
+}
+
+TEST(ReleaseOrder, MatchesStableSortAtBucketWidthEdges) {
+  // A class of m transfers gets bit_ceil(m) / 4 buckets: one up to four
+  // transfers, two at five, and 256 at 1,023 and 1,024 but 512 at 1,025.
+  const Interconnect net(chip_with(Topology::HTree, 4, 1));
+  for (const std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 1023u, 1024u, 1025u}) {
+    std::vector<Transfer> leaf_local;  // one S0 switch each: 1 hop
+    for (std::uint32_t i = 0; i < n; ++i) {
+      leaf_local.push_back({.src_block = (4 * i) % 256,
+                            .dst_block = (4 * i + 3) % 256,
+                            .words = 8});
+    }
+    EXPECT_EQ(release_order(net, leaf_local),
+              reference_release_order(net, leaf_local))
+        << n << " transfers";
+  }
+}
+
+TEST(ReleaseOrder, MatchesStableSortOnAProjectSizedBatch) {
+  // The largest batch a paper cell schedules: 196,608 face-neighbour
+  // fetches on a 256-tile (PIM-8GB) H-tree, mostly within a tile.
+  const Interconnect net(chip_with(Topology::HTree, 4, 256));
+  std::vector<Transfer> fetch;
+  const std::uint32_t blocks = net.config().num_blocks();
+  for (std::uint32_t i = 0; i < 196608; ++i) {
+    const std::uint32_t dst = (3 * i) % blocks;
+    const std::uint32_t step = i % 3 == 0 ? 3 : i % 3 == 1 ? 48 : 768;
+    fetch.push_back({.src_block = (dst + step) % blocks,
+                     .dst_block = dst,
+                     .words = 16});
+  }
+  EXPECT_EQ(release_order(net, fetch), reference_release_order(net, fetch));
+}
+
+TEST(ReleaseOrder, MatchesStableSortAcrossEveryArityTwoHopClass) {
+  // A binary tree has eight levels: hop classes 0 (self), 1, 3, ..., 15
+  // (within a tile) and 16 (across tiles). Class sizes differ, so each
+  // class gets its own bucket width.
+  const Interconnect net(chip_with(Topology::HTree, 2, 2));
+  std::vector<Transfer> batch;
+  std::set<std::uint32_t> classes;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    const std::uint32_t src = (i * 37) % 256;
+    const std::uint32_t level = i % 10;
+    std::uint32_t dst = src;  // level 8: self-transfer
+    if (level < 8) {
+      dst = src ^ (1u << level);
+    } else if (level == 9) {
+      dst = 256 + (i * 11) % 256;
+    }
+    batch.push_back({.src_block = src, .dst_block = dst, .words = 4});
+    classes.insert(net.hop_count(src, dst));
+  }
+  ASSERT_EQ(classes.size(), 10u);
+  EXPECT_EQ(release_order(net, batch), reference_release_order(net, batch));
 }
 
 }  // namespace
