@@ -68,14 +68,14 @@ std::vector<ComparisonRow> System::compare_all(const mapping::Problem& problem,
 
   // One modelled run per chip; both process nodes scale the same
   // estimate, and the paper-methodology series rides along. The chips
-  // share one pricer, so a network batch that two chips map alike is
-  // scheduled once.
-  mapping::BatchPricer pricer;
+  // are estimated together, so a network batch that two chips map alike
+  // is scheduled once and the distinct ones are scheduled in parallel.
   std::vector<mapping::Estimator> estimators;
   for (const auto& chip : pim::standard_chips(topology)) {
-    estimators.emplace_back(problem, chip, mapping::Estimator::Options{},
-                            pricer);
+    estimators.emplace_back(problem, chip);
   }
+  mapping::BatchPricer pricer;
+  mapping::Estimator::estimate_all(estimators, pricer);
   for (const auto scaling : {pim::ProcessScaling::node_28nm(),
                              pim::ProcessScaling::node_12nm()}) {
     for (const auto& estimator : estimators) {

@@ -1,8 +1,12 @@
 #include "mapping/estimator.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <exception>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "dg/rk.h"
 #include "mapping/element_program.h"
 #include "mapping/program_cache.h"
@@ -50,121 +54,193 @@ std::uint32_t log2_exact(std::uint64_t v) {
   return bits;
 }
 
-/// Elements of the first batch (slices [0, spb)) with their batch-local
-/// index; row-major (x fastest) by default, Morton order when requested
-/// and the window geometry is power-of-two.
-struct BatchIndexer {
-  std::uint64_t dim;
-  std::uint32_t spb;
-  bool morton = false;
-
-  [[nodiscard]] bool morton_applicable() const {
-    return (spb & (spb - 1)) == 0;
-  }
-
-  [[nodiscard]] std::uint64_t local_of(std::uint64_t x, std::uint64_t y,
-                                       std::uint64_t z) const {
-    if (morton && morton_applicable()) {
-      return morton3(x, y, z, log2_exact(dim), log2_exact(spb),
-                     log2_exact(dim));
-    }
-    return x + dim * (y + spb * z);
-  }
-};
-
-/// Expands the representative element's inter-element transfer
-/// descriptors of the recipe's normal sign over every element of the
-/// batch (periodic wrap in x/z; y faces that leave the batch are staged
-/// through HBM per Fig. 7 and do not ride the on-chip network).
-std::vector<pim::Transfer> expand_inter_transfers(
-    const BatchPricer::Recipe& recipe) {
-  const std::uint64_t dim = recipe.dim;
-  const std::uint32_t spb = recipe.slices_per_batch;
-  const std::uint32_t bpe = recipe.blocks_per_element;
-  const BatchIndexer indexer{dim, spb, recipe.morton};
-
-  const auto faces = std::count_if(
-      recipe.inter.begin(), recipe.inter.end(), [&](const auto& d) {
-        return mesh::normal_sign(d.face) == recipe.normal_sign;
-      });
-  std::vector<pim::Transfer> transfers;
-  transfers.reserve(static_cast<std::size_t>(faces) * dim * spb * dim);
-  for (const auto& d : recipe.inter) {
-    if (mesh::normal_sign(d.face) != recipe.normal_sign) {
-      continue;
-    }
-    const auto axis = mesh::index_of(mesh::axis_of(d.face));
-    for (std::uint64_t z = 0; z < dim; ++z) {
-      for (std::uint64_t y = 0; y < spb; ++y) {
-        for (std::uint64_t x = 0; x < dim; ++x) {
-          std::uint64_t c[3] = {x, y, z};
-          // Neighbour coordinate with periodic wrap; y wraps only within
-          // the resident slice window.
-          const std::uint64_t limit = (axis == 1) ? spb : dim;
-          std::uint64_t n = c[axis];
-          if (recipe.normal_sign < 0) {
-            n = (n == 0) ? limit - 1 : n - 1;
-          } else {
-            n = (n + 1 == limit) ? 0 : n + 1;
-          }
-          std::uint64_t nc[3] = {x, y, z};
-          nc[axis] = n;
-          const std::uint64_t my_local = indexer.local_of(x, y, z);
-          const std::uint64_t nb_local = indexer.local_of(nc[0], nc[1], nc[2]);
-          transfers.push_back(
-              {.src_block =
-                   static_cast<std::uint32_t>(nb_local * bpe + d.src_group),
-               .dst_block =
-                   static_cast<std::uint32_t>(my_local * bpe + d.dst_group),
-               .words = d.words});
-        }
-      }
-    }
-  }
-  return transfers;
-}
-
-/// Expands intra-element transfer descriptors over the batch.
-std::vector<pim::Transfer> expand_intra_transfers(
-    const BatchPricer::Recipe& recipe) {
-  const std::uint32_t bpe = recipe.blocks_per_element;
-  std::vector<pim::Transfer> transfers;
-  transfers.reserve(recipe.intra.size() * recipe.elements_per_batch);
-  for (std::uint64_t e = 0; e < recipe.elements_per_batch; ++e) {
-    for (const auto& d : recipe.intra) {
-      transfers.push_back(
-          {.src_block = static_cast<std::uint32_t>(e * bpe + d.src_group),
-           .dst_block = static_cast<std::uint32_t>(e * bpe + d.dst_group),
-           .words = d.words});
-    }
-  }
-  return transfers;
-}
-
 }  // namespace
 
-pim::ScheduleResult BatchPricer::price(const pim::Interconnect& net,
-                                       const Recipe& recipe) {
-  const Fabric fabric{net.topology(), net.config().htree_arity,
-                      net.backend_kind(), net.link()};
-  const std::uint32_t blocks = net.config().num_blocks();
-  for (const Entry& entry : entries_) {
-    if (entry.block_end <= blocks && entry.fabric == fabric &&
-        entry.recipe == recipe) {
-      return entry.result;
+RecipeBatch::RecipeBatch(const BatchPricer::Recipe& recipe)
+    : fetch_(recipe.normal_sign != 0),
+      normal_sign_(recipe.normal_sign),
+      bpe_(recipe.blocks_per_element) {
+  std::uint32_t max_group = 0;
+  auto add = [&](std::uint32_t src, std::uint32_t dst, std::uint32_t words,
+                 std::uint32_t axis) {
+    descriptors_.push_back({src, dst, words, axis});
+    max_group = std::max({max_group, src, dst});
+  };
+  std::uint64_t elements = 0;
+  if (fetch_) {
+    WAVEPIM_REQUIRE(std::has_single_bit(recipe.dim),
+                    "a fetch batch's grid edge must be a power of two");
+    for (const auto& d : recipe.inter) {
+      if (mesh::normal_sign(d.face) == normal_sign_) {
+        add(d.src_group, d.dst_group, d.words,
+            static_cast<std::uint32_t>(mesh::index_of(mesh::axis_of(d.face))));
+      }
+    }
+    dim_ = static_cast<std::uint32_t>(recipe.dim);
+    dim_bits_ = log2_exact(dim_);
+    spb_ = recipe.slices_per_batch;
+    spb_bits_ = log2_exact(spb_);
+    // Morton placement needs a power-of-two window.
+    morton_ = recipe.morton && (spb_ & (spb_ - 1)) == 0;
+    elements = recipe.dim * spb_ * recipe.dim;
+  } else {
+    for (const auto& d : recipe.intra) {
+      add(d.src_group, d.dst_group, d.words, 0);
+    }
+    elements = recipe.elements_per_batch;
+  }
+  size_ = static_cast<std::size_t>(descriptors_.size() * elements);
+  if (size_ != 0) {
+    // Every element of the batch is some transfer's destination and some
+    // transfer's source (a neighbour map is a bijection of the window),
+    // and both placements are monotone in each coordinate, so the far
+    // corner holds the largest element index.
+    const std::uint64_t last =
+        fetch_ ? local_of(dim_ - 1, spb_ - 1, dim_ - 1) : elements - 1;
+    block_end_ = last * bpe_ + max_group + 1;
+  }
+}
+
+pim::TransferView RecipeBatch::view() const {
+  return {size_, this, fetch_ ? &fetch_transfer : &staging_transfer};
+}
+
+std::uint64_t RecipeBatch::local_of(std::uint32_t x, std::uint32_t y,
+                                    std::uint32_t z) const {
+  if (morton_) {
+    return morton3(x, y, z, dim_bits_, spb_bits_, dim_bits_);
+  }
+  return x + std::uint64_t{dim_} * (y + std::uint64_t{spb_} * z);
+}
+
+pim::Transfer RecipeBatch::staging_transfer(const void* self,
+                                            std::size_t i) {
+  const auto& batch = *static_cast<const RecipeBatch*>(self);
+  const std::size_t per_element = batch.descriptors_.size();
+  const std::uint64_t e = i / per_element;
+  const Descriptor& d = batch.descriptors_[i % per_element];
+  return {.src_block = static_cast<std::uint32_t>(e * batch.bpe_ + d.src_group),
+          .dst_block = static_cast<std::uint32_t>(e * batch.bpe_ + d.dst_group),
+          .words = d.words};
+}
+
+/// Transfer `i` of a face-neighbour fetch: descriptor d pulls element
+/// (x, y, z)'s face data from its neighbour across d's face, with
+/// periodic wrap in x and z. y wraps within the resident slice window:
+/// y faces that leave the batch are staged through HBM per Fig. 7 and do
+/// not ride the on-chip network.
+pim::Transfer RecipeBatch::fetch_transfer(const void* self, std::size_t i) {
+  const auto& batch = *static_cast<const RecipeBatch*>(self);
+  const std::uint32_t dim = batch.dim_;
+  const std::uint32_t spb = batch.spb_;
+  std::uint32_t c[3];
+  c[0] = static_cast<std::uint32_t>(i) & (dim - 1);
+  const auto rest = static_cast<std::uint32_t>(i >> batch.dim_bits_);
+  c[1] = rest % spb;
+  const std::uint32_t zk = rest / spb;
+  c[2] = zk & (dim - 1);
+  const Descriptor& d = batch.descriptors_[zk >> batch.dim_bits_];
+
+  std::uint32_t nc[3] = {c[0], c[1], c[2]};
+  const std::uint32_t limit = d.axis == 1 ? spb : dim;
+  std::uint32_t& n = nc[d.axis];
+  if (batch.normal_sign_ < 0) {
+    n = (n == 0) ? limit - 1 : n - 1;
+  } else {
+    n = (n + 1 == limit) ? 0 : n + 1;
+  }
+  const std::uint64_t my_local = batch.local_of(c[0], c[1], c[2]);
+  const std::uint64_t nb_local = batch.local_of(nc[0], nc[1], nc[2]);
+  return {.src_block = static_cast<std::uint32_t>(nb_local * batch.bpe_ +
+                                                  d.src_group),
+          .dst_block = static_cast<std::uint32_t>(my_local * batch.bpe_ +
+                                                  d.dst_group),
+          .words = d.words};
+}
+
+std::vector<pim::ScheduleResult> BatchPricer::price_all(
+    std::span<const Request> requests) {
+  const std::size_t n = requests.size();
+  std::vector<pim::ScheduleResult> results(n);
+  std::vector<Fabric> fabrics;
+  std::vector<RecipeBatch> batches;
+  fabrics.reserve(n);
+  batches.reserve(n);
+  for (const Request& request : requests) {
+    const pim::Interconnect& net = *request.net;
+    fabrics.push_back({net.topology(), net.config().htree_arity,
+                       net.backend_kind(), net.link()});
+    batches.emplace_back(*request.recipe);
+  }
+  auto fits = [&](std::size_t request, std::uint64_t block_end) {
+    return block_end <= requests[request].net->config().num_blocks();
+  };
+
+  // Each request is served by a stored entry, by an earlier request of
+  // this call that prices the same batch and fits both chips, or else
+  // prices its own batch (`owner[j] == j`).
+  constexpr std::size_t kStored = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> owner(n);
+  std::vector<std::size_t> misses;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Recipe& recipe = *requests[j].recipe;
+    const std::uint64_t block_end = batches[j].block_end();
+    owner[j] = j;
+    for (const Entry& entry : entries_) {
+      if (fits(j, entry.block_end) && entry.fabric == fabrics[j] &&
+          entry.recipe == recipe) {
+        results[j] = entry.result;
+        owner[j] = kStored;
+        break;
+      }
+    }
+    for (std::size_t k = 0; owner[j] == j && k < misses.size(); ++k) {
+      const std::size_t m = misses[k];
+      if (fits(j, block_end) && fits(m, block_end) &&
+          fabrics[m] == fabrics[j] && *requests[m].recipe == recipe) {
+        owner[j] = m;
+      }
+    }
+    if (owner[j] == j) {
+      misses.push_back(j);
     }
   }
-  const std::vector<pim::Transfer> transfers =
-      recipe.normal_sign == 0 ? expand_intra_transfers(recipe)
-                              : expand_inter_transfers(recipe);
-  std::uint64_t block_end = 0;
-  for (const pim::Transfer& t : transfers) {
-    block_end = std::max<std::uint64_t>(
-        block_end, std::max(t.src_block, t.dst_block) + 1ull);
+
+  // Price the misses, largest first so the long batches start early.
+  // Each keeps its own exception: parallel_for would rethrow whichever
+  // it saw first, which depends on the worker count and timing.
+  std::vector<std::size_t> by_size = misses;
+  std::sort(by_size.begin(), by_size.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t size_a = batches[a].size();
+    const std::size_t size_b = batches[b].size();
+    return size_a != size_b ? size_a > size_b : a < b;
+  });
+  std::vector<std::exception_ptr> errors(n);
+  parallel_for(by_size.size(), [&](std::size_t k) {
+    const std::size_t j = by_size[k];
+    try {
+      results[j] = requests[j].net->schedule(batches[j].view());
+    } catch (...) {
+      errors[j] = std::current_exception();
+    }
+  });
+
+  // Store the new entries in request order. A request-by-request pass
+  // stops at the first request that throws, so the entries before it are
+  // stored and its exception is rethrown.
+  for (const std::size_t m : misses) {
+    if (errors[m]) {
+      std::rethrow_exception(errors[m]);
+    }
+    entries_.push_back({*requests[m].recipe, fabrics[m],
+                        batches[m].block_end(), results[m]});
   }
-  const pim::ScheduleResult result = net.schedule(transfers);
-  entries_.push_back({recipe, fabric, block_end, result});
-  return result;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (owner[j] != kStored && owner[j] != j) {
+      results[j] = results[owner[j]];
+    }
+  }
+  return results;
 }
 
 Estimator::Estimator(Problem problem, pim::ChipConfig chip, Options options)
@@ -174,18 +250,68 @@ Estimator::Estimator(Problem problem, pim::ChipConfig chip, Options options)
                 : choose_config(problem_, chip_);
 }
 
-Estimator::Estimator(Problem problem, pim::ChipConfig chip, Options options,
-                     BatchPricer& pricer)
-    : Estimator(std::move(problem), std::move(chip), options) {
-  pricer_ = &pricer;
-}
+struct Estimator::Plan {
+  pim::ArithModel arith;  ///< the sinks price through it
+  pim::Interconnect net;
+  SinkPricing pricing;
+  CostSink vol;
+  CostSink flux_minus;
+  CostSink flux_plus;
+  CostSink integ;
+  /// Volume staging, flux staging of each face sign, then the fetch of
+  /// each face sign.
+  std::array<BatchPricer::Recipe, kBatches> recipes;
+
+  Plan(const pim::ChipConfig& chip, std::uint32_t groups)
+      : net(chip),
+        pricing(pricing_on(arith, net)),
+        vol(pricing, groups),
+        flux_minus(pricing, groups),
+        flux_plus(pricing, groups),
+        integ(pricing, groups) {}
+
+  static SinkPricing pricing_on(const pim::ArithModel& arith,
+                                const pim::Interconnect& net) {
+    SinkPricing pricing;
+    pricing.model = &arith;
+    // Alg. 1 unit cost: index read + content read + destination write
+    // plus the switch leg from a same-quadrant LUT block.
+    const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
+    pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
+    pricing.lut_unit += {net.isolated_latency(hop), net.transfer_energy(hop)};
+    return pricing;
+  }
+};
 
 const StepEstimate& Estimator::estimate() const {
   if (!cached_) {
-    trace::Span span("map.estimate");
-    cached_ = compute();
+    BatchPricer pricer;
+    estimate_all({this, 1}, pricer);
   }
   return *cached_;
+}
+
+void Estimator::estimate_all(std::span<const Estimator> estimators,
+                             BatchPricer& pricer) {
+  std::vector<const Estimator*> pending;
+  std::vector<std::unique_ptr<Plan>> plans;
+  std::vector<BatchPricer::Request> requests;
+  for (const Estimator& estimator : estimators) {
+    if (estimator.cached_) {
+      continue;
+    }
+    pending.push_back(&estimator);
+    plans.push_back(estimator.plan());
+    for (const BatchPricer::Recipe& recipe : plans.back()->recipes) {
+      requests.push_back({&plans.back()->net, &recipe});
+    }
+  }
+  const std::vector<pim::ScheduleResult> results = pricer.price_all(requests);
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    pending[k]->cached_ = pending[k]->finish(
+        *plans[k],
+        std::span(results).subspan(k * kBatches).first<kBatches>());
+  }
 }
 
 pim::OpCost Estimator::run_cost(std::uint64_t steps) const {
@@ -194,26 +320,11 @@ pim::OpCost Estimator::run_cost(std::uint64_t steps) const {
           e.step_energy * static_cast<double>(steps)};
 }
 
-StepEstimate Estimator::compute() const {
+std::unique_ptr<Estimator::Plan> Estimator::plan() const {
+  trace::Span span("map.estimate");
   const double h = 1.0 / static_cast<double>(1ull << problem_.refinement_level);
   const ElementSetup setup(problem_, config_.expansion, h);
-  const std::uint32_t groups = setup.num_groups();
-
-  const pim::ArithModel arith;
-  const pim::Interconnect net(chip_);
-  const pim::HbmModel hbm;
-  const pim::HostModel host(options_.host_special_ops_per_s);
-
-  SinkPricing pricing;
-  pricing.model = &arith;
-  {
-    // Alg. 1 unit cost: index read + content read + destination write plus
-    // the switch leg from a same-quadrant LUT block.
-    const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
-    pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
-    pricing.lut_unit +=
-        {net.isolated_latency(hop), net.transfer_energy(hop)};
-  }
+  auto plan = std::make_unique<Plan>(chip_, setup.num_groups());
 
   // --- Cost the representative element's kernels -------------------------
   // Every element of the (uniform, all-interior) representative class
@@ -224,24 +335,18 @@ StepEstimate Estimator::compute() const {
   ProgramCache cache(setup);
   const std::uint32_t cls = 0;
 
-  CostSink vol(pricing, groups);
-  replay(cache.arena(), cache.volume(cls), vol);
-
-  CostSink flux_minus(pricing, groups);
-  CostSink flux_plus(pricing, groups);
+  replay(cache.arena(), cache.volume(cls), plan->vol);
   for (Face f : mesh::kAllFaces) {
     replay(cache.arena(), cache.flux(cls, f),
-           mesh::normal_sign(f) < 0 ? flux_minus : flux_plus);
+           mesh::normal_sign(f) < 0 ? plan->flux_minus : plan->flux_plus);
   }
-
-  CostSink integ(pricing, groups);
   const ProgramCache::IntegrationProgram& integ_program =
       cache.integration(/*stage=*/1, /*dt=*/1.0e-3f);
-  replay(integ_program.arena, integ_program.stream, integ);
+  replay(integ_program.arena, integ_program.stream, plan->integ);
 
-  // --- Interconnect schedules over one batch ------------------------------
-  BatchPricer own_pricer;
-  BatchPricer& pricer = pricer_ != nullptr ? *pricer_ : own_pricer;
+  // --- Interconnect batches of one batch of elements ---------------------
+  // Both face signs usually stage the same intra-element transfers; the
+  // pricer schedules that batch once.
   BatchPricer::Recipe recipe;
   recipe.dim = 1ull << problem_.refinement_level;
   recipe.slices_per_batch = config_.slices_per_batch;
@@ -249,24 +354,36 @@ StepEstimate Estimator::compute() const {
   recipe.elements_per_batch = config_.elements_per_batch;
   recipe.morton = options_.morton_placement;
   auto staging = [&](const CostSink& sink) {
-    recipe.normal_sign = 0;
-    recipe.intra = sink.intra();
-    recipe.inter.clear();
-    return pricer.price(net, recipe);
+    BatchPricer::Recipe staged = recipe;
+    staged.intra = sink.intra();
+    return staged;
   };
   auto fetch = [&](const CostSink& sink, int normal_sign) {
-    recipe.normal_sign = normal_sign;
-    recipe.intra.clear();
-    recipe.inter = sink.inter();
-    return pricer.price(net, recipe);
+    BatchPricer::Recipe fetched = recipe;
+    fetched.normal_sign = normal_sign;
+    fetched.inter = sink.inter();
+    return fetched;
   };
-  // Both face signs usually stage the same intra-element transfers; the
-  // pricer schedules that batch once.
-  const auto vol_staging = staging(vol);
-  const auto flux_stage_minus = staging(flux_minus);
-  const auto flux_stage_plus = staging(flux_plus);
-  const auto fetch_minus = fetch(flux_minus, -1);
-  const auto fetch_plus = fetch(flux_plus, +1);
+  plan->recipes = {staging(plan->vol), staging(plan->flux_minus),
+                   staging(plan->flux_plus), fetch(plan->flux_minus, -1),
+                   fetch(plan->flux_plus, +1)};
+  return plan;
+}
+
+StepEstimate Estimator::finish(
+    const Plan& plan,
+    std::span<const pim::ScheduleResult, kBatches> schedules) const {
+  const pim::HbmModel hbm;
+  const pim::HostModel host(options_.host_special_ops_per_s);
+  const CostSink& vol = plan.vol;
+  const CostSink& flux_minus = plan.flux_minus;
+  const CostSink& flux_plus = plan.flux_plus;
+  const CostSink& integ = plan.integ;
+  const pim::ScheduleResult& vol_staging = schedules[0];
+  const pim::ScheduleResult& flux_stage_minus = schedules[1];
+  const pim::ScheduleResult& flux_stage_plus = schedules[2];
+  const pim::ScheduleResult& fetch_minus = schedules[3];
+  const pim::ScheduleResult& fetch_plus = schedules[4];
 
   // --- Segments of one RK stage (one batch) -------------------------------
   StepEstimate est;

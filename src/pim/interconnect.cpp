@@ -235,13 +235,13 @@ std::uint32_t Interconnect::resource_capacity(std::uint32_t resource) const {
 }
 
 std::vector<std::uint32_t> release_order(const Interconnect& net,
-                                         std::span<const Transfer> transfers) {
+                                         TransferView transfers) {
   const std::size_t n = transfers.size();
   // Pass 1: every transfer's hop class, kept as one byte.
   std::vector<std::uint8_t> hops(n);
   std::array<std::uint32_t, 256> class_size{};
   for (std::uint32_t i = 0; i < n; ++i) {
-    const Transfer& t = transfers[i];
+    const Transfer t = transfers[i];
     hops[i] =
         static_cast<std::uint8_t>(net.hop_count(t.src_block, t.dst_block));
     ++class_size[hops[i]];
@@ -297,8 +297,8 @@ std::vector<std::uint32_t> release_order(const Interconnect& net,
   return order;
 }
 
-ScheduleResult AnalyticBackend::schedule(
-    const Interconnect& net, std::span<const Transfer> transfers) const {
+ScheduleResult AnalyticBackend::schedule(const Interconnect& net,
+                                         TransferView transfers) const {
   ScheduleResult result{};
   // Each switch's channels as a min-heap of their free times, carved out
   // of one pool on the switch's first touch. A transfer starts when the
@@ -315,7 +315,7 @@ ScheduleResult AnalyticBackend::schedule(
   std::vector<double> pool;  ///< free times, in seconds
   std::vector<std::uint32_t> path;
   for (std::uint32_t i : release_order(net, transfers)) {
-    const Transfer& t = transfers[i];
+    const Transfer t = transfers[i];
     WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
     const TransferCost cost =
         transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
@@ -343,8 +343,8 @@ ScheduleResult AnalyticBackend::schedule(
   return result;
 }
 
-ScheduleResult CycleBackend::schedule(
-    const Interconnect& net, std::span<const Transfer> transfers) const {
+ScheduleResult CycleBackend::schedule(const Interconnect& net,
+                                      TransferView transfers) const {
   ScheduleResult result{};
   result.has_link_stats = true;
   if (transfers.empty()) {
@@ -361,7 +361,7 @@ ScheduleResult CycleBackend::schedule(
   {
     std::vector<std::uint32_t> scratch;
     for (std::uint32_t i = 0; i < n; ++i) {
-      const Transfer& t = transfers[i];
+      const Transfer t = transfers[i];
       WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
       const TransferCost cost =
           transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
@@ -555,13 +555,12 @@ const NetBackend& net_backend_for(NetBackendKind kind) {
   return analytic;
 }
 
-ScheduleResult Interconnect::schedule(
-    std::span<const Transfer> transfers) const {
+ScheduleResult Interconnect::schedule(TransferView transfers) const {
   trace::Span span("net.schedule", static_cast<double>(transfers.size()));
   if (trace::enabled()) {
     std::uint64_t words = 0;
-    for (const Transfer& t : transfers) {
-      words += t.words;
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      words += transfers[i].words;
     }
     trace::counter("net.transfers", static_cast<double>(transfers.size()));
     trace::counter("net.words", static_cast<double>(words));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -16,6 +17,35 @@ struct Transfer {
   std::uint32_t src_block = 0;
   std::uint32_t dst_block = 0;
   std::uint32_t words = 0;
+};
+
+/// A batch of transfers read by index: `size()` transfers, the i-th made
+/// by `operator[](i)`. The view either reads a stored list (the span
+/// constructor) or generates each transfer from a compact description of
+/// the batch, so that a large batch never has to sit in memory as a list
+/// (mapping::RecipeBatch). Either way it does not own what it reads.
+class TransferView {
+ public:
+  /// Makes transfer `i` of the batch that `source` describes.
+  using Generator = Transfer (*)(const void* source, std::size_t i);
+
+  TransferView(std::size_t size, const void* source, Generator generate)
+      : size_(size), source_(source), generate_(generate) {}
+  explicit TransferView(std::span<const Transfer> transfers)
+      : size_(transfers.size()), list_(transfers.data()) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] Transfer operator[](std::size_t i) const {
+    // A stored list is read in place, without a call per transfer.
+    return list_ != nullptr ? list_[i] : generate_(source_, i);
+  }
+
+ private:
+  std::size_t size_;
+  const Transfer* list_ = nullptr;  ///< the stored list; null if generated
+  const void* source_ = nullptr;
+  Generator generate_ = nullptr;
 };
 
 /// Per-link aggregates of one scheduled batch, produced by the cycle
@@ -74,7 +104,7 @@ class NetBackend {
 
   [[nodiscard]] virtual NetBackendKind kind() const = 0;
   [[nodiscard]] virtual ScheduleResult schedule(
-      const Interconnect& net, std::span<const Transfer> transfers) const = 0;
+      const Interconnect& net, TransferView transfers) const = 0;
 };
 
 /// The greedy list-scheduler (the original model, default): transfers are
@@ -91,8 +121,7 @@ class AnalyticBackend final : public NetBackend {
     return NetBackendKind::Analytic;
   }
   [[nodiscard]] ScheduleResult schedule(
-      const Interconnect& net,
-      std::span<const Transfer> transfers) const override;
+      const Interconnect& net, TransferView transfers) const override;
 };
 
 /// Event-driven backend: every transfer of the batch arrives at t = 0 (the
@@ -120,8 +149,7 @@ class CycleBackend final : public NetBackend {
     return NetBackendKind::Cycle;
   }
   [[nodiscard]] ScheduleResult schedule(
-      const Interconnect& net,
-      std::span<const Transfer> transfers) const override;
+      const Interconnect& net, TransferView transfers) const override;
 };
 
 /// The order in which the central controller's micro-sequencer releases
@@ -137,7 +165,11 @@ class CycleBackend final : public NetBackend {
 /// (hop count << 56 | low 56 bits of SplitMix64(index)), equal keys in
 /// index order.
 std::vector<std::uint32_t> release_order(const Interconnect& net,
-                                         std::span<const Transfer> transfers);
+                                         TransferView transfers);
+inline std::vector<std::uint32_t> release_order(
+    const Interconnect& net, std::span<const Transfer> transfers) {
+  return release_order(net, TransferView(transfers));
+}
 
 /// The process singleton for a backend kind.
 const NetBackend& net_backend_for(NetBackendKind kind);
@@ -186,8 +218,11 @@ class Interconnect {
   /// Prices the transfer batch through the configured backend and
   /// returns makespan/energy (plus link stats under the cycle backend,
   /// also exported as `net.link.*` trace counters).
+  [[nodiscard]] ScheduleResult schedule(TransferView transfers) const;
   [[nodiscard]] ScheduleResult schedule(
-      std::span<const Transfer> transfers) const;
+      std::span<const Transfer> transfers) const {
+    return schedule(TransferView(transfers));
+  }
 
   // --- Resource model (shared by the backends, pinned by unit tests) ----
 
