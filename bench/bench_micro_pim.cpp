@@ -44,13 +44,11 @@ void BM_BlockGather(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockGather);
 
-// Timing-backend head-to-head on the same contended flux-like batch:
-// the analytic list scheduler's greedy channel packing vs the
-// event-driven queue model (which additionally folds per-link
-// busy/stall/occupancy statistics). Both price the identical resource
-// model, so the delta is pure scheduling cost — the cycle backend's
-// event heap and window scans against the analytic per-switch
-// min-heaps.
+// The list schedule on a contended flux-like batch under both backend
+// kinds. The makespan is the same; the cycle kind also folds per-link
+// busy/stall/occupancy statistics (a second input-order pass for the
+// sums, per-resource counters and a sort of the start times), so the
+// delta is the cost of that bookkeeping.
 void BM_NetSchedule(benchmark::State& state) {
   pim::ChipConfig config = pim::chip_2gb(pim::Topology::HTree);
   config.net_backend = state.range(1) == 0 ? pim::NetBackendKind::Analytic

@@ -73,9 +73,10 @@ struct Fig14Data {
 
 /// Runs the paper's four Fig. 14 cases (Acoustic_4 on 512MB/2GB,
 /// Elastic-Central_4 on 2GB/8GB — the no-expansion and expansion pairs)
-/// through the estimator on each topology under the given backend. With
-/// the cycle backend the H-tree-over-bus result is *derived* from
-/// queuing dynamics rather than assumed by the analytic formula.
+/// through the estimator on each topology under the given backend. The
+/// H-tree-over-bus result is *derived* from path contention in the
+/// network schedule rather than assumed; the rows are the same under
+/// both backend kinds.
 [[nodiscard]] Fig14Data compute_fig14_data(pim::NetBackendKind backend);
 
 /// Fig. 14 main table: one row per (case, topology).

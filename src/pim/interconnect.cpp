@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <queue>
-#include <utility>
 
 #include "common/error.h"
 #include "trace/trace.h"
@@ -86,9 +84,7 @@ TransferCost transfer_cost(const Interconnect& net, const Transfer& t,
 }  // namespace
 
 Interconnect::Interconnect(const ChipConfig& config, LinkParams link)
-    : config_(config),
-      link_(link),
-      backend_(&net_backend_for(config.net_backend)) {
+    : config_(config), link_(link) {
   WAVEPIM_REQUIRE(config.num_tiles() > 0, "chip must have at least one tile");
   // Derive the tree geometry from the (configurable, §4.2.1) arity.
   const std::uint32_t arity = config.htree_arity;
@@ -297,9 +293,27 @@ std::vector<std::uint32_t> release_order(const Interconnect& net,
   return order;
 }
 
-ScheduleResult AnalyticBackend::schedule(const Interconnect& net,
-                                         TransferView transfers) const {
+namespace {
+
+/// The one scheduling loop behind Interconnect::schedule. `kLinkStats`
+/// selects the cycle kind's bookkeeping; the analytic kind compiles
+/// without it. Each cycle-kind field matches the event-driven simulation
+/// of the per-link queues (every transfer queued at t = 0) bit for bit:
+///  - `serial_sum` and `energy` fold in input order, as that model does.
+///  - `peak_queue` is the most paths that cross one resource: the model's
+///    initial queue length, independent of the schedule.
+///  - `stall_time` sums the start times in ascending order. The model
+///    adds its clock, which never decreases, at each start; equal start
+///    times are equal values, so the order of ties cannot change the sum.
+///  - Busy time, behind the utilizations, folds in release order. The
+///    model folds it in its start order, which cannot be rebuilt
+///    without its event loop. The two orders agreed bit for bit on all
+///    of the repository's own traffic; on other batches the
+///    utilizations may differ by summation order.
+template <bool kLinkStats>
+ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
   ScheduleResult result{};
+  result.has_link_stats = kLinkStats;
   // Each switch's channels as a min-heap of their free times, carved out
   // of one pool on the switch's first touch. A transfer starts when the
   // earliest-free channel of every switch on its path is free, and then
@@ -314,14 +328,33 @@ ScheduleResult AnalyticBackend::schedule(const Interconnect& net,
   std::vector<Heap> heaps(net.num_resources());
   std::vector<double> pool;  ///< free times, in seconds
   std::vector<std::uint32_t> path;
+  // Cycle kind only: per-resource path count and busy time, and every
+  // transfer's start time.
+  std::vector<std::uint32_t> crossing;
+  std::vector<Seconds> busy_time;
+  std::vector<double> starts;
+  if constexpr (kLinkStats) {
+    crossing.assign(heaps.size(), 0);
+    busy_time.assign(heaps.size(), Seconds(0.0));
+    starts.reserve(transfers.size());
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      const Transfer t = transfers[i];
+      const TransferCost cost =
+          transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
+      result.serial_sum += cost.latency;
+      result.energy += cost.energy;
+    }
+  }
   for (std::uint32_t i : release_order(net, transfers)) {
     const Transfer t = transfers[i];
     WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
     const TransferCost cost =
         transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
     const Seconds duration = cost.latency;
-    result.serial_sum += duration;
-    result.energy += cost.energy;
+    if constexpr (!kLinkStats) {
+      result.serial_sum += duration;
+      result.energy += cost.energy;
+    }
 
     net.path_resources(t, path);
     double start = 0.0;
@@ -337,223 +370,49 @@ ScheduleResult AnalyticBackend::schedule(const Interconnect& net,
     const Seconds end = Seconds(start) + duration;
     for (const std::uint32_t r : path) {
       replace_top(pool.data() + heaps[r].begin, heaps[r].size, end.value());
+      if constexpr (kLinkStats) {
+        ++crossing[r];
+        busy_time[r] += duration;  // folded in release order
+      }
+    }
+    if constexpr (kLinkStats) {
+      starts.push_back(start);
     }
     result.makespan = std::max(result.makespan, end);
   }
-  return result;
-}
-
-ScheduleResult CycleBackend::schedule(const Interconnect& net,
-                                      TransferView transfers) const {
-  ScheduleResult result{};
-  result.has_link_stats = true;
-  if (transfers.empty()) {
-    return result;
-  }
-  const std::uint32_t num_res = net.num_resources();
-  const std::uint32_t n = static_cast<std::uint32_t>(transfers.size());
-
-  // Flattened per-transfer paths and durations; serial_sum/energy fold in
-  // arrival (input) order — order-independent values, same as analytic.
-  std::vector<std::uint32_t> path_begin(n + 1, 0);
-  std::vector<std::uint32_t> paths;
-  std::vector<Seconds> duration(n);
-  {
-    std::vector<std::uint32_t> scratch;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const Transfer t = transfers[i];
-      WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
-      const TransferCost cost =
-          transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
-      duration[i] = cost.latency;
-      result.serial_sum += duration[i];
-      result.energy += cost.energy;
-      net.path_resources(t, scratch);
-      paths.insert(paths.end(), scratch.begin(), scratch.end());
-      path_begin[i + 1] = static_cast<std::uint32_t>(paths.size());
+  if constexpr (kLinkStats) {
+    LinkStats& links = result.links;
+    links.peak_queue = *std::max_element(crossing.begin(), crossing.end());
+    // Arrival is t = 0, so each transfer's wait is its start time.
+    std::sort(starts.begin(), starts.end());
+    for (const double start : starts) {
+      links.stall_time += Seconds(start);
     }
-  }
-  auto path_of = [&](std::uint32_t i) {
-    return std::span<const std::uint32_t>(paths.data() + path_begin[i],
-                                          path_begin[i + 1] - path_begin[i]);
-  };
-
-  // Queues service strictly FIFO in the shared release order; `rank` is
-  // a transfer's position in it.
-  const std::vector<std::uint32_t> order = release_order(net, transfers);
-  std::vector<std::uint32_t> rank(n);
-  for (std::uint32_t pos = 0; pos < n; ++pos) {
-    rank[order[pos]] = pos;
-  }
-
-  // Release-ordered FIFO queue per resource (the whole batch arrives at
-  // t = 0: the controller releases a phase's transfer list at once). The
-  // head cursor advances lazily past entries that already started.
-  std::vector<std::vector<std::uint32_t>> queue(num_res);
-  std::vector<std::uint32_t> cap(num_res);
-  for (std::uint32_t r = 0; r < num_res; ++r) {
-    cap[r] = net.resource_capacity(r);
-  }
-  for (const std::uint32_t i : order) {
-    for (const std::uint32_t r : path_of(i)) {
-      queue[r].push_back(i);
-    }
-  }
-  std::vector<std::uint32_t> head(num_res, 0);
-  std::vector<std::uint32_t> busy(num_res, 0);
-  std::vector<Seconds> busy_time(num_res, Seconds(0.0));
-  for (std::uint32_t r = 0; r < num_res; ++r) {
-    result.links.peak_queue = std::max(
-        result.links.peak_queue, static_cast<std::uint32_t>(queue[r].size()));
-  }
-
-  enum State : std::uint8_t { kWaiting, kRunning, kDone };
-  std::vector<std::uint8_t> state(n, kWaiting);
-
-  // Completion events, earliest first; the transfer index breaks time
-  // ties so event processing is fully deterministic.
-  using Event = std::pair<double, std::uint32_t>;  ///< (end time, transfer)
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-
-  Seconds now(0.0);
-
-  // Start rule: a switch with k channels serves its queue FIFO per
-  // channel grant — a transfer may overtake a *blocked* head, but only
-  // onto a free channel, so it must sit within the first
-  // (capacity - busy) waiting entries of every queue on its path
-  // (cut-through within the free-channel window). The single-channel bus
-  // degenerates to strict head-of-line FIFO.
-  //
-  // walk_window visits that window of a switch with a free channel in
-  // release order, after advancing its head cursor past started entries,
-  // and stops early when `visit` returns true.
-  auto walk_window = [&](std::uint32_t r, auto&& visit) {
-    const auto& q = queue[r];
-    std::uint32_t& h = head[r];
-    while (h < q.size() && state[q[h]] != kWaiting) {
-      ++h;
-    }
-    const std::uint32_t free = cap[r] - busy[r];
-    std::uint32_t seen = 0;
-    for (std::uint32_t p = h; p < q.size() && seen < free; ++p) {
-      if (state[q[p]] != kWaiting) {
-        continue;
+    // Utilization normalises each link's busy time by its channel count
+    // over the batch makespan.
+    if (result.makespan > Seconds(0.0)) {
+      double util_sum = 0.0;
+      for (std::uint32_t r = 0; r < busy_time.size(); ++r) {
+        if (busy_time[r] <= Seconds(0.0)) {
+          continue;
+        }
+        ++links.links_used;
+        const double util =
+            busy_time[r].value() /
+            (static_cast<double>(heaps[r].size) * result.makespan.value());
+        util_sum += util;
+        links.max_utilization = std::max(links.max_utilization, util);
       }
-      if (visit(q[p])) {
-        return true;
+      if (links.links_used > 0) {
+        links.mean_utilization =
+            util_sum / static_cast<double>(links.links_used);
       }
-      ++seen;
-    }
-    return false;
-  };
-  auto in_window = [&](std::uint32_t r, std::uint32_t i) {
-    return walk_window(r, [&](std::uint32_t j) { return j == i; });
-  };
-  auto eligible = [&](std::uint32_t i) {
-    for (const std::uint32_t r : path_of(i)) {
-      if (busy[r] >= cap[r] || !in_window(r, i)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Candidate pool, drained in release-rank order: the total order makes
-  // every start decision deterministic no matter which event exposed the
-  // candidate. Entries are ranks (stale ones are discarded at pop).
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<>>
-      candidates;
-  auto push_window = [&](std::uint32_t r) {
-    if (busy[r] < cap[r]) {
-      walk_window(r, [&](std::uint32_t j) {
-        candidates.push(rank[j]);
-        return false;
-      });
-    }
-  };
-  auto start = [&](std::uint32_t i) {
-    state[i] = kRunning;
-    result.links.stall_time += now;  // arrival was t = 0
-    for (const std::uint32_t r : path_of(i)) {
-      ++busy[r];
-      busy_time[r] += duration[i];
-    }
-    events.emplace((now + duration[i]).value(), i);
-  };
-  auto drain = [&]() {
-    while (!candidates.empty()) {
-      const std::uint32_t i = order[candidates.top()];
-      candidates.pop();
-      if (state[i] != kWaiting || !eligible(i)) {
-        continue;  // stale, or still blocked — re-exposed by later events
-      }
-      start(i);
-      // Starting shrinks the path windows and shifts entries behind i
-      // into them; re-expose both effects.
-      for (const std::uint32_t r : path_of(i)) {
-        push_window(r);
-      }
-    }
-  };
-
-  // t = 0: self-transfers bypass the fabric entirely; everything else
-  // negotiates the queues.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (path_begin[i] == path_begin[i + 1]) {
-      start(i);
-    }
-  }
-  for (std::uint32_t r = 0; r < num_res; ++r) {
-    push_window(r);
-  }
-  drain();
-
-  while (!events.empty()) {
-    const auto [end_time, i] = events.top();
-    events.pop();
-    now = Seconds(end_time);
-    state[i] = kDone;
-    result.makespan = std::max(result.makespan, now);
-    for (const std::uint32_t r : path_of(i)) {
-      --busy[r];
-      push_window(r);
-    }
-    drain();
-  }
-
-  // Per-link aggregates: utilization normalises each link's busy time by
-  // its channel count over the batch makespan.
-  if (result.makespan > Seconds(0.0)) {
-    double util_sum = 0.0;
-    for (std::uint32_t r = 0; r < num_res; ++r) {
-      if (busy_time[r] <= Seconds(0.0)) {
-        continue;
-      }
-      ++result.links.links_used;
-      const double util =
-          busy_time[r].value() /
-          (static_cast<double>(cap[r]) * result.makespan.value());
-      util_sum += util;
-      result.links.max_utilization =
-          std::max(result.links.max_utilization, util);
-    }
-    if (result.links.links_used > 0) {
-      result.links.mean_utilization =
-          util_sum / static_cast<double>(result.links.links_used);
     }
   }
   return result;
 }
 
-const NetBackend& net_backend_for(NetBackendKind kind) {
-  static const AnalyticBackend analytic;
-  static const CycleBackend cycle;
-  if (kind == NetBackendKind::Cycle) {
-    return cycle;
-  }
-  return analytic;
-}
+}  // namespace
 
 ScheduleResult Interconnect::schedule(TransferView transfers) const {
   trace::Span span("net.schedule", static_cast<double>(transfers.size()));
@@ -565,7 +424,9 @@ ScheduleResult Interconnect::schedule(TransferView transfers) const {
     trace::counter("net.transfers", static_cast<double>(transfers.size()));
     trace::counter("net.words", static_cast<double>(words));
   }
-  ScheduleResult result = backend_->schedule(*this, transfers);
+  ScheduleResult result = config_.net_backend == NetBackendKind::Cycle
+                              ? list_schedule<true>(*this, transfers)
+                              : list_schedule<false>(*this, transfers);
   if (trace::enabled() && result.has_link_stats) {
     trace::counter("net.link.utilization", result.links.max_utilization);
     trace::counter("net.link.stall_cycles",

@@ -48,9 +48,10 @@ class TransferView {
   Generator generate_ = nullptr;
 };
 
-/// Per-link aggregates of one scheduled batch, produced by the cycle
-/// backend (`has_link_stats` below). "Link" means one contended resource
-/// of the fabric: an H-tree switch or a tile's bus switch.
+/// Per-link aggregates of one scheduled batch, produced on a chip whose
+/// `net_backend` is the cycle kind (`has_link_stats` below). "Link" means
+/// one contended resource of the fabric: an H-tree switch or a tile's bus
+/// switch.
 struct LinkStats {
   std::uint32_t links_used = 0;  ///< resources that carried any traffic
   /// Busy-time fraction of the busiest link over the batch makespan,
@@ -59,11 +60,11 @@ struct LinkStats {
   /// Mean of the same fraction over the links used.
   double mean_utilization = 0.0;
   /// Total queue wait: sum over transfers of (start time - arrival). All
-  /// transfers of a batch arrive together, so this is the FIFO
-  /// head-of-line cost the analytic model cannot see.
+  /// transfers of a batch arrive together, so this is the sum of the
+  /// start times.
   Seconds stall_time;
-  /// Deepest per-link waiting queue (= the peak concurrent demand on the
-  /// most oversubscribed link).
+  /// Deepest per-link waiting queue: the most paths that cross one link,
+  /// all of them queued there at t = 0.
   std::uint32_t peak_queue = 0;
 };
 
@@ -72,7 +73,7 @@ struct ScheduleResult {
   Seconds makespan;    ///< completion time with path contention
   Seconds serial_sum;  ///< sum of isolated latencies (no-overlap bound)
   Joules energy;
-  bool has_link_stats = false;  ///< set by the cycle backend
+  bool has_link_stats = false;  ///< set under the cycle kind
   LinkStats links;
 
   [[nodiscard]] double overlap_factor() const {
@@ -83,83 +84,15 @@ struct ScheduleResult {
 
 class Interconnect;
 
-/// Timing backend: prices one phase's transfer batch over the fabric's
-/// shared resources. Backends are stateless (all per-batch state lives in
-/// the schedule call), so the two implementations are process singletons
-/// and an Interconnect just points at one.
-///
-/// Invariants every backend must keep (pinned by
-/// tests/pim/net_backend_test.cpp):
-///  - `serial_sum` is the sum of isolated latencies and `energy` the sum
-///    of transfer energies — order-independent, so identical across
-///    backends up to summation order.
-///  - `makespan <= serial_sum` (+ one transfer's latency of slack for an
-///    empty batch: both are zero).
-///  - A single-transfer batch completes in its isolated latency, and a
-///    batch of fully path-disjoint transfers in the max of theirs —
-///    queuing can only matter when paths share a resource.
-class NetBackend {
- public:
-  virtual ~NetBackend() = default;
-
-  [[nodiscard]] virtual NetBackendKind kind() const = 0;
-  [[nodiscard]] virtual ScheduleResult schedule(
-      const Interconnect& net, TransferView transfers) const = 0;
-};
-
-/// The greedy list-scheduler (the original model, default): transfers are
-/// issued in `release_order`, each claiming the earliest-free channel of
-/// every switch on its path. Contention-aware but queue-free: a transfer
-/// may start in a channel that frees *before* earlier-issued traffic
-/// elsewhere on its path would really have let it through. Each switch
-/// keeps its channels' free times in a min-heap, allocated on first
-/// touch. Bit-identical to the pre-seam `Interconnect::schedule`, so all
-/// committed baselines stand.
-class AnalyticBackend final : public NetBackend {
- public:
-  [[nodiscard]] NetBackendKind kind() const override {
-    return NetBackendKind::Analytic;
-  }
-  [[nodiscard]] ScheduleResult schedule(
-      const Interconnect& net, TransferView transfers) const override;
-};
-
-/// Event-driven backend: every transfer of the batch arrives at t = 0 (the
-/// controller releases a phase's transfer list at once, level-ordered
-/// and de-correlated by the micro-sequencer — the same release order the
-/// analytic scheduler issues in) and waits in a FIFO queue at each
-/// switch of its path, ordered by release. A switch with k channels
-/// grants them FIFO with free-channel bypass: a transfer starts once it
-/// sits within the first (capacity - busy) waiting entries of *every*
-/// queue on its path — a blocked head may be overtaken, but only onto a
-/// channel it is not itself waiting for (cut-through). Completions free
-/// the channels and re-arm the queues. The single-channel bus
-/// degenerates to strict head-of-line FIFO and collapses to
-/// near-serial under flux traffic, while the fat-tree H-tree keeps its
-/// subtrees draining concurrently — Fig. 14's result, derived rather
-/// than assumed. Produces LinkStats (`has_link_stats`).
-///
-/// Determinism: start decisions are drained from a candidate pool in
-/// release-rank order (a total order), so the outcome is independent of
-/// which completion event exposed a candidate; completion events
-/// tie-break on transfer index.
-class CycleBackend final : public NetBackend {
- public:
-  [[nodiscard]] NetBackendKind kind() const override {
-    return NetBackendKind::Cycle;
-  }
-  [[nodiscard]] ScheduleResult schedule(
-      const Interconnect& net, TransferView transfers) const override;
-};
-
 /// The order in which the central controller's micro-sequencer releases
-/// a batch, shared by both backends: short (leaf-local) paths first, then
-/// progressively wider ones, with a deterministic pseudo-random shuffle
-/// inside each class. Naive mesh-order issue chains every transfer
-/// through the switch it shares with its predecessor, collapsing the
-/// network's parallelism to near-serial (and FIFO queues turn that
-/// correlation into head-of-line serialisation); level-ordered,
-/// de-correlated issue approaches the per-switch load bound instead.
+/// a batch, the list schedule's issue order: short (leaf-local) paths
+/// first, then progressively wider ones, with a deterministic
+/// pseudo-random shuffle inside each class. Naive mesh-order issue
+/// chains every transfer through the switch it shares with its
+/// predecessor, collapsing the network's parallelism to near-serial (and
+/// FIFO queues turn that correlation into head-of-line serialisation);
+/// level-ordered, de-correlated issue approaches the per-switch load
+/// bound instead.
 ///
 /// Returns transfer indices sorted by the key
 /// (hop count << 56 | low 56 bits of SplitMix64(index)), equal keys in
@@ -170,9 +103,6 @@ inline std::vector<std::uint32_t> release_order(
     const Interconnect& net, std::span<const Transfer> transfers) {
   return release_order(net, TransferView(transfers));
 }
-
-/// The process singleton for a backend kind.
-const NetBackend& net_backend_for(NetBackendKind kind);
 
 /// Circuit-switched inter-block interconnect of one Wave-PIM chip.
 ///
@@ -188,9 +118,8 @@ const NetBackend& net_backend_for(NetBackendKind kind);
 /// chip-level channel through the central controller.
 ///
 /// The class owns the *resource model* (paths, per-switch channel
-/// capacities, isolated latency/energy); *when* each transfer of a batch
-/// moves is delegated to the NetBackend selected by
-/// `ChipConfig::net_backend`.
+/// capacities, isolated latency/energy) and the schedule that decides
+/// *when* each transfer of a batch moves.
 class Interconnect {
  public:
   explicit Interconnect(const ChipConfig& config, LinkParams link = {});
@@ -215,16 +144,45 @@ class Interconnect {
   /// Switch + channel energy of one transfer.
   [[nodiscard]] Joules transfer_energy(const Transfer& t) const;
 
-  /// Prices the transfer batch through the configured backend and
-  /// returns makespan/energy (plus link stats under the cycle backend,
-  /// also exported as `net.link.*` trace counters).
+  /// Prices a transfer batch with the list schedule: transfers are issued
+  /// in `release_order`, each starting once every switch on its path has
+  /// a free channel and holding one channel of each until it ends. Each
+  /// switch keeps its channels' free times in a min-heap.
+  ///
+  /// `ChipConfig::net_backend` picks what else is reported. Under the
+  /// cycle kind the result also carries LinkStats (exported as the
+  /// `net.link.*` trace counters), and `serial_sum` and `energy` are
+  /// folded in input order instead of release order. The makespan is the
+  /// same under both kinds.
+  ///
+  /// The cycle kind reads the schedule as per-link FIFO queues: every
+  /// transfer arrives at t = 0 and queues at each switch of its path in
+  /// release order, and a switch with `c` channels, `b` of them busy, may
+  /// start any of its first `c - b` waiting entries. Simulated event by
+  /// event, those queues start every transfer when the list schedule
+  /// does. All transfers arrive together in one release order, and the
+  /// window rule lets a later-ranked transfer take a channel only while a
+  /// free channel is left for every earlier-ranked waiting entry. So, as
+  /// in the list schedule, no transfer is ever delayed by a later-ranked
+  /// one. The queue statistics are therefore read off the list schedule
+  /// (`list_schedule` in interconnect.cpp says how each field is
+  /// computed). tests/pim/net_backend_test.cpp keeps the event-driven
+  /// simulation as an oracle and checks every result field against it.
+  ///
+  /// Invariants (pinned by that test):
+  ///  - `serial_sum` is the sum of isolated latencies and `energy` the sum
+  ///    of transfer energies; the two kinds differ only in summation
+  ///    order.
+  ///  - `makespan <= serial_sum`.
+  ///  - A single-transfer batch completes in its isolated latency, and a
+  ///    batch of fully path-disjoint transfers in the max of theirs.
   [[nodiscard]] ScheduleResult schedule(TransferView transfers) const;
   [[nodiscard]] ScheduleResult schedule(
       std::span<const Transfer> transfers) const {
     return schedule(TransferView(transfers));
   }
 
-  // --- Resource model (shared by the backends, pinned by unit tests) ----
+  // --- Resource model (pinned by unit tests) ----------------------------
 
   /// Resource ids occupied by a transfer's path. An H-tree self-transfer
   /// (src == dst) has an empty path — the row buffer moves the words
@@ -243,7 +201,6 @@ class Interconnect {
  private:
   ChipConfig config_;
   LinkParams link_;
-  const NetBackend* backend_ = nullptr;
   // Derived H-tree geometry (supports the §4.2.1 configurable arity).
   std::uint32_t shift_ = 2;              ///< log2(arity)
   std::uint32_t levels_ = 4;             ///< tree levels above the blocks

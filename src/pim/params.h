@@ -94,20 +94,20 @@ const char* to_string(Topology t);
 /// anything else, leaving `out` untouched.
 bool parse_topology(const char* s, Topology& out);
 
-/// Timing backend used to price a phase's transfer batch
-/// (pim/interconnect.h):
+/// What Interconnect::schedule reports for a phase's transfer batch
+/// (pim/interconnect.h). Both kinds run the same greedy list schedule:
+/// each transfer starts at the earliest time its whole path has a free
+/// channel slot, so they give the same makespan.
 ///
-///  * `Analytic` — the greedy list-scheduler: each transfer starts at the
-///    earliest time its whole path has a free channel slot. Contention is
-///    modelled, queuing dynamics are not. The default; every committed
-///    baseline was produced by it.
-///  * `Cycle`    — event-driven simulation with per-link FIFO queues,
-///    reporting link utilization, stall time and queue depth alongside
-///    the makespan.
+///  * `Analytic` — makespan, serial sum and energy. The default; every
+///    committed baseline was produced by it.
+///  * `Cycle`    — also link utilization, stall time and queue depth,
+///    the statistics of the per-link FIFO queues the schedule implies;
+///    the sums fold in input order rather than release order.
 ///
-/// The backend prices only the `network` cost channel: fields, compute
-/// and hbm ledgers are bit-identical for either choice (pinned by
-/// tests/mapping/net_backend_conformance_test.cpp).
+/// The kind touches only the `network` cost channel: fields, compute
+/// and hbm ledgers, and the network time, are bit-identical for either
+/// choice (pinned by tests/mapping/net_backend_conformance_test.cpp).
 enum class NetBackendKind { Analytic, Cycle };
 
 const char* to_string(NetBackendKind k);

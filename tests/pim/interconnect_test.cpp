@@ -133,6 +133,13 @@ TEST(Transfer, ZeroWordTransfersRejected) {
   const auto net = make(Topology::HTree);
   const Transfer t{.src_block = 0, .dst_block = 1, .words = 0};
   EXPECT_THROW((void)net.isolated_latency(t), PreconditionError);
+  for (const NetBackendKind kind :
+       {NetBackendKind::Analytic, NetBackendKind::Cycle}) {
+    ChipConfig config = chip_2gb();
+    config.net_backend = kind;
+    EXPECT_THROW((void)Interconnect(config).schedule({&t, 1}),
+                 PreconditionError);
+  }
 }
 
 // --- Resource-model edge cases (shared by both timing backends) -------

@@ -1,15 +1,24 @@
-// Contract tests of the pluggable interconnect timing backends: the
-// invariants every NetBackend must keep (documented on the interface),
-// exact agreement between the analytic and cycle models where queuing
-// cannot matter, and the cycle backend's link statistics. Bit-identity
-// of everything *outside* the network channel lives in
+// Contract tests of Interconnect::schedule under both backend kinds: the
+// invariants documented on it, exact agreement between the kinds where
+// queuing cannot matter, and the cycle kind's link statistics. An
+// event-driven simulation of the per-link FIFO queues the cycle kind
+// describes is kept here as an oracle, and a seeded property test checks
+// every result field against it. Bit-identity of everything *outside*
+// the network channel lives in
 // tests/mapping/net_backend_conformance_test.cpp.
 #include "pim/interconnect.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <queue>
+#include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -27,14 +36,203 @@ const NetBackendKind kBackends[] = {NetBackendKind::Analytic,
                                     NetBackendKind::Cycle};
 const Topology kTopologies[] = {Topology::HTree, Topology::Bus};
 
-TEST(NetBackendSelection, SingletonsReportTheirKind) {
-  EXPECT_EQ(net_backend_for(NetBackendKind::Analytic).kind(),
-            NetBackendKind::Analytic);
-  EXPECT_EQ(net_backend_for(NetBackendKind::Cycle).kind(),
-            NetBackendKind::Cycle);
-  // Process singletons: repeated lookups return the same object.
-  EXPECT_EQ(&net_backend_for(NetBackendKind::Cycle),
-            &net_backend_for(NetBackendKind::Cycle));
+/// Event-driven simulation of the per-link FIFO queues whose statistics
+/// the cycle kind reports, the oracle for Interconnect::schedule. Every
+/// transfer of the batch arrives at t = 0 and waits in a FIFO queue at
+/// each switch of its path, ordered by release. A switch with k channels
+/// grants them FIFO with free-channel bypass: a transfer starts once it
+/// sits within the first (capacity - busy) waiting entries of *every*
+/// queue on its path. Completions free the channels and re-arm the
+/// queues. Start decisions are drained from a candidate pool in
+/// release-rank order, and completion events tie-break on transfer index.
+ScheduleResult event_model_schedule(const Interconnect& net,
+                                    TransferView transfers) {
+  ScheduleResult result{};
+  result.has_link_stats = true;
+  if (transfers.empty()) {
+    return result;
+  }
+  const std::uint32_t num_res = net.num_resources();
+  const std::uint32_t n = static_cast<std::uint32_t>(transfers.size());
+
+  // Flattened per-transfer paths and durations; serial_sum/energy fold in
+  // arrival (input) order.
+  std::vector<std::uint32_t> path_begin(n + 1, 0);
+  std::vector<std::uint32_t> paths;
+  std::vector<Seconds> duration(n);
+  {
+    std::vector<std::uint32_t> scratch;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Transfer t = transfers[i];
+      WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
+      duration[i] = net.isolated_latency(t);
+      result.serial_sum += duration[i];
+      result.energy += net.transfer_energy(t);
+      net.path_resources(t, scratch);
+      paths.insert(paths.end(), scratch.begin(), scratch.end());
+      path_begin[i + 1] = static_cast<std::uint32_t>(paths.size());
+    }
+  }
+  auto path_of = [&](std::uint32_t i) {
+    return std::span<const std::uint32_t>(paths.data() + path_begin[i],
+                                          path_begin[i + 1] - path_begin[i]);
+  };
+
+  // Queues service strictly FIFO in the shared release order; `rank` is
+  // a transfer's position in it.
+  const std::vector<std::uint32_t> order = release_order(net, transfers);
+  std::vector<std::uint32_t> rank(n);
+  for (std::uint32_t pos = 0; pos < n; ++pos) {
+    rank[order[pos]] = pos;
+  }
+
+  // Release-ordered FIFO queue per resource. The head cursor advances
+  // lazily past entries that already started.
+  std::vector<std::vector<std::uint32_t>> queue(num_res);
+  std::vector<std::uint32_t> cap(num_res);
+  for (std::uint32_t r = 0; r < num_res; ++r) {
+    cap[r] = net.resource_capacity(r);
+  }
+  for (const std::uint32_t i : order) {
+    for (const std::uint32_t r : path_of(i)) {
+      queue[r].push_back(i);
+    }
+  }
+  std::vector<std::uint32_t> head(num_res, 0);
+  std::vector<std::uint32_t> busy(num_res, 0);
+  std::vector<Seconds> busy_time(num_res, Seconds(0.0));
+  for (std::uint32_t r = 0; r < num_res; ++r) {
+    result.links.peak_queue = std::max(
+        result.links.peak_queue, static_cast<std::uint32_t>(queue[r].size()));
+  }
+
+  enum State : std::uint8_t { kWaiting, kRunning, kDone };
+  std::vector<std::uint8_t> state(n, kWaiting);
+
+  // Completion events, earliest first; the transfer index breaks time
+  // ties so event processing is fully deterministic.
+  using Event = std::pair<double, std::uint32_t>;  ///< (end time, transfer)
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+
+  Seconds now(0.0);
+
+  // walk_window visits the free-channel window of a switch in release
+  // order, after advancing its head cursor past started entries, and
+  // stops early when `visit` returns true.
+  auto walk_window = [&](std::uint32_t r, auto&& visit) {
+    const auto& q = queue[r];
+    std::uint32_t& h = head[r];
+    while (h < q.size() && state[q[h]] != kWaiting) {
+      ++h;
+    }
+    const std::uint32_t free = cap[r] - busy[r];
+    std::uint32_t seen = 0;
+    for (std::uint32_t p = h; p < q.size() && seen < free; ++p) {
+      if (state[q[p]] != kWaiting) {
+        continue;
+      }
+      if (visit(q[p])) {
+        return true;
+      }
+      ++seen;
+    }
+    return false;
+  };
+  auto in_window = [&](std::uint32_t r, std::uint32_t i) {
+    return walk_window(r, [&](std::uint32_t j) { return j == i; });
+  };
+  auto eligible = [&](std::uint32_t i) {
+    for (const std::uint32_t r : path_of(i)) {
+      if (busy[r] >= cap[r] || !in_window(r, i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Candidate pool, drained in release-rank order. Entries are ranks
+  // (stale ones are discarded at pop).
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      std::greater<>>
+      candidates;
+  auto push_window = [&](std::uint32_t r) {
+    if (busy[r] < cap[r]) {
+      walk_window(r, [&](std::uint32_t j) {
+        candidates.push(rank[j]);
+        return false;
+      });
+    }
+  };
+  auto start = [&](std::uint32_t i) {
+    state[i] = kRunning;
+    result.links.stall_time += now;  // arrival was t = 0
+    for (const std::uint32_t r : path_of(i)) {
+      ++busy[r];
+      busy_time[r] += duration[i];
+    }
+    events.emplace((now + duration[i]).value(), i);
+  };
+  auto drain = [&]() {
+    while (!candidates.empty()) {
+      const std::uint32_t i = order[candidates.top()];
+      candidates.pop();
+      if (state[i] != kWaiting || !eligible(i)) {
+        continue;  // stale, or still blocked — re-exposed by later events
+      }
+      start(i);
+      // Starting shrinks the path windows and shifts entries behind i
+      // into them; re-expose both effects.
+      for (const std::uint32_t r : path_of(i)) {
+        push_window(r);
+      }
+    }
+  };
+
+  // t = 0: self-transfers bypass the fabric entirely; everything else
+  // negotiates the queues.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (path_begin[i] == path_begin[i + 1]) {
+      start(i);
+    }
+  }
+  for (std::uint32_t r = 0; r < num_res; ++r) {
+    push_window(r);
+  }
+  drain();
+
+  while (!events.empty()) {
+    const auto [end_time, i] = events.top();
+    events.pop();
+    now = Seconds(end_time);
+    state[i] = kDone;
+    result.makespan = std::max(result.makespan, now);
+    for (const std::uint32_t r : path_of(i)) {
+      --busy[r];
+      push_window(r);
+    }
+    drain();
+  }
+
+  if (result.makespan > Seconds(0.0)) {
+    double util_sum = 0.0;
+    for (std::uint32_t r = 0; r < num_res; ++r) {
+      if (busy_time[r] <= Seconds(0.0)) {
+        continue;
+      }
+      ++result.links.links_used;
+      const double util =
+          busy_time[r].value() /
+          (static_cast<double>(cap[r]) * result.makespan.value());
+      util_sum += util;
+      result.links.max_utilization =
+          std::max(result.links.max_utilization, util);
+    }
+    if (result.links.links_used > 0) {
+      result.links.mean_utilization =
+          util_sum / static_cast<double>(result.links.links_used);
+    }
+  }
+  return result;
 }
 
 TEST(NetBackendSelection, ParseAndToStringRoundTrip) {
@@ -265,6 +463,95 @@ TEST(CycleBackend, WorksAcrossHtreeArities) {
     EXPECT_TRUE(r.has_link_stats);
     EXPECT_GT(r.links.links_used, 0u);
   }
+}
+
+/// Every ScheduleResult field of the cycle kind against the event model.
+/// Utilisations fold busy time in release order where the model folded
+/// it in its start order, so they may differ by summation order: they are
+/// compared within 1e-12 relative, everything else exactly.
+void expect_matches_event_model(const Interconnect& net,
+                                const std::vector<Transfer>& batch) {
+  ASSERT_EQ(net.backend_kind(), NetBackendKind::Cycle);
+  const ScheduleResult got = net.schedule(batch);
+  const ScheduleResult want = event_model_schedule(net, TransferView(batch));
+  EXPECT_EQ(got.makespan.value(), want.makespan.value());
+  EXPECT_EQ(got.serial_sum.value(), want.serial_sum.value());
+  EXPECT_EQ(got.energy.value(), want.energy.value());
+  EXPECT_TRUE(got.has_link_stats);
+  EXPECT_EQ(got.links.stall_time.value(), want.links.stall_time.value());
+  EXPECT_EQ(got.links.peak_queue, want.links.peak_queue);
+  EXPECT_EQ(got.links.links_used, want.links.links_used);
+  EXPECT_NEAR(got.links.max_utilization, want.links.max_utilization,
+              1e-12 * want.links.max_utilization);
+  EXPECT_NEAR(got.links.mean_utilization, want.links.mean_utilization,
+              1e-12 * want.links.mean_utilization);
+}
+
+TEST(CycleKind, MatchesTheEventModelOnRandomBatches) {
+  struct Fabric {
+    Topology topology;
+    std::uint32_t arity;
+  };
+  constexpr Fabric kFabrics[] = {{Topology::Bus, 4},
+                                 {Topology::HTree, 2},
+                                 {Topology::HTree, 4},
+                                 {Topology::HTree, 16}};
+  std::mt19937_64 rng(1421);
+  for (std::uint32_t b = 0; b < 300; ++b) {
+    const Fabric fabric = kFabrics[b % 4];
+    ChipConfig config = chip_2gb(fabric.topology);
+    config.capacity = ChipConfig::tile_bytes() * (1 + rng() % 4);
+    config.htree_arity = fabric.arity;
+    config.net_backend = NetBackendKind::Cycle;
+    const Interconnect net(config);
+    const std::uint32_t blocks = config.num_blocks();
+    // Log-uniform sizes from 1 to 3,000 transfers keep the slow oracle
+    // cheap while still reaching large contended batches.
+    const auto n = static_cast<std::uint32_t>(
+        std::exp(std::uniform_real_distribution<double>(0.0, 8.0)(rng)));
+    // Half the batches draw words from a few values, so that equal
+    // durations produce tied start and end times.
+    const bool ties = b % 8 < 4;
+    std::vector<Transfer> batch;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto src = static_cast<std::uint32_t>(rng() % blocks);
+      std::uint32_t dst = src;  // self-transfer
+      switch (rng() % 5) {
+        case 0:
+          break;
+        case 1:
+          dst = static_cast<std::uint32_t>(rng() % blocks);
+          break;
+        default:  // nearby: contends on the low switches
+          dst = static_cast<std::uint32_t>((src ^ (rng() % 64)) % blocks);
+          break;
+      }
+      constexpr std::uint32_t kTied[] = {1, 16, 64, 200};
+      const auto words = ties ? kTied[rng() % 4]
+                              : static_cast<std::uint32_t>(1 + rng() % 200);
+      batch.push_back({.src_block = src, .dst_block = dst, .words = words});
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "batch " << b << ": " << to_string(fabric.topology)
+                 << " arity " << fabric.arity << ", "
+                 << config.num_tiles() << " tiles, " << n << " transfers");
+    expect_matches_event_model(net, batch);
+  }
+}
+
+TEST(CycleKind, MatchesTheEventModelOnTheNetScheduleBenchBatch) {
+  // BM_NetSchedule's 4K-transfer batch: a contended flux-like exchange
+  // over the whole 2GB H-tree.
+  ChipConfig config = chip_2gb(Topology::HTree);
+  config.net_backend = NetBackendKind::Cycle;
+  const Interconnect net(config);
+  std::vector<Transfer> batch;
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    batch.push_back({.src_block = (i * 13) % 16384,
+                     .dst_block = (i * 29 + 1) % 16384,
+                     .words = 64});
+  }
+  expect_matches_event_model(net, batch);
 }
 
 }  // namespace
