@@ -15,95 +15,23 @@
 // the validation chip's fabric and --net-backend its timing model; both
 // are pricing-only (the network cost channel moves, fields never do),
 // and the cycle backend additionally reports link queuing statistics.
+// The flags go through the tools' shared front end (tools/frontend.h):
+// a bad value exits 2, a library error (a --chip-blocks cap too small to
+// batch on, say) prints "error: ..." and exits 1.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
-#include "common/parallel.h"
-#include "common/parse.h"
 #include "common/statistics.h"
-#include "common/trace_report.h"
 #include "core/wavepim.h"
 #include "dg/solver.h"
 #include "dg/sources.h"
-#include "trace/export.h"
-#include "trace/trace.h"
+#include "frontend.h"
 
 using namespace wavepim;
 
-int main(int argc, char** argv) {
-  std::string trace_path;
-  std::uint32_t chip_blocks = 0;
-  // Fabric and timing backend of the *validation* chip only (part 2
-  // below); the part-3 projection grid keeps the library defaults so its
-  // numbers stay comparable across quickstart invocations.
-  pim::Topology topology = pim::chip_512mb().topology;
-  pim::NetBackendKind net_backend = pim::default_net_backend();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const std::size_t n = ThreadPool::parse_thread_count(argv[i + 1]);
-      if (n == 0) {
-        std::fprintf(stderr, "error: --threads wants a positive integer\n");
-        return 2;
-      }
-      ThreadPool::set_global_threads(n);
-      i += 1;
-    } else if (std::strncmp(argv[i], "--exec=", 7) == 0) {
-      const char* tier = argv[i] + 7;
-      mapping::ExecPath path{};
-      if (!mapping::parse_exec_path(tier, path)) {
-        std::fprintf(stderr, "error: --exec wants emit, compiled or word\n");
-        return 2;
-      }
-      setenv("WAVEPIM_EXEC", tier, /*overwrite=*/1);
-    } else if (std::strncmp(argv[i], "--witness=", 10) == 0) {
-      // Witness cadence for the word tier: every Nth phase application is
-      // re-executed bit-serially and hash-compared (1 = every phase).
-      std::uint32_t cadence = 0;
-      if (!parse_u32(argv[i] + 10, cadence)) {
-        std::fprintf(stderr, "error: --witness wants a cadence (0 = off)\n");
-        return 2;
-      }
-      setenv("WAVEPIM_WITNESS", argv[i] + 10, /*overwrite=*/1);
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-      if (trace_path.empty()) {
-        std::fprintf(stderr, "error: --trace wants an output path\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--chip-blocks=", 14) == 0) {
-      if (!parse_u32(argv[i] + 14, chip_blocks) || chip_blocks == 0) {
-        std::fprintf(stderr,
-                     "error: --chip-blocks wants a positive block count\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--topology=", 11) == 0) {
-      if (!pim::parse_topology(argv[i] + 11, topology)) {
-        std::fprintf(stderr, "error: --topology wants htree or bus\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--net-backend=", 14) == 0) {
-      if (!pim::parse_net_backend(argv[i] + 14, net_backend)) {
-        std::fprintf(stderr, "error: --net-backend wants analytic or cycle\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown option %s\n"
-                   "usage: quickstart [--threads N] "
-                   "[--exec=emit|compiled|word] [--witness=N] "
-                   "[--trace=FILE] [--chip-blocks=N] "
-                   "[--topology=htree|bus] "
-                   "[--net-backend=analytic|cycle]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-  if (!trace_path.empty()) {
-    trace::set_enabled(true);
-  }
+namespace {
+
+int quickstart(const frontend::SharedFlags& flags) {
   std::printf("Wave-PIM quickstart\n===================\n\n");
 
   // 1. A small periodic acoustic problem (order-2 basis). A capped chip
@@ -111,7 +39,7 @@ int main(int argc, char** argv) {
   //    two 4-element slices fit any usable cap) grows to level 2 — 64
   //    elements in four 16-element slices — when --chip-blocks is given.
   const mapping::Problem small{dg::ProblemKind::Acoustic,
-                               chip_blocks != 0 ? 2 : 1, 3};
+                               flags.chip_blocks != 0 ? 2 : 1, 3};
   mesh::StructuredMesh mesh(small.refinement_level, 1.0,
                             mesh::Boundary::Periodic);
   dg::MaterialField<dg::AcousticMaterial> materials(mesh.num_elements(),
@@ -120,17 +48,19 @@ int main(int argc, char** argv) {
                          {.n1d = small.n1d, .flux = dg::FluxType::Upwind});
   dg::init_acoustic_plane_wave(cpu, mesh::Axis::X, 1);
 
-  // 2. Run it bit-true through the PIM instruction streams.
+  // 2. Run it bit-true through the PIM instruction streams. The flags
+  //    shape this validation chip only; the part-3 projection grid keeps
+  //    the library defaults so its numbers stay comparable across
+  //    quickstart invocations.
   pim::ChipConfig chip = pim::chip_512mb();
-  chip.block_limit = chip_blocks;
-  chip.topology = topology;
-  chip.net_backend = net_backend;
+  flags.apply(chip);
   mapping::PimSimulation pim(small, mapping::ExpansionMode::None, chip);
-  if (chip_blocks != 0) {
+  flags.apply(pim);
+  if (flags.chip_blocks != 0) {
     const auto& residency = pim.residency();
     std::printf("chip capped at %u blocks: %u Y-slices, window of %u "
                 "slice(s) + 1 staging slot (%s)\n\n",
-                chip_blocks, residency.num_slices(), residency.window(),
+                flags.chip_blocks, residency.num_slices(), residency.window(),
                 residency.is_resident() ? "fully resident" : "batched");
   }
   pim.load_state(cpu.state());
@@ -202,7 +132,7 @@ int main(int argc, char** argv) {
                 100.0 * net.max_utilization,
                 static_cast<unsigned long long>(net.peak_queue));
   }
-  if (chip_blocks != 0) {
+  if (flags.chip_blocks != 0) {
     std::printf("HBM staging (hbm channel): %s, %s over %llu slice moves\n",
                 format_time(pim.costs().hbm.time).c_str(),
                 format_energy(pim.costs().hbm.energy).c_str(),
@@ -224,16 +154,30 @@ int main(int argc, char** argv) {
                 format_energy(row.total_energy).c_str(), row.speedup);
   }
 
-  if (!trace_path.empty()) {
-    trace::set_enabled(false);
-    if (!trace::write_chrome_trace(trace_path)) {
-      std::fprintf(stderr, "error: could not write trace to %s\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    std::printf("\n");
-    print_trace_summary(trace::summarize());
-    std::printf("trace written to %s\n", trace_path.c_str());
-  }
   return (err < 1e-4 && !witness_failed) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  frontend::SharedFlags flags;
+  for (int i = 1; i < argc; ++i) {
+    const auto parsed =
+        frontend::parse_flag(argc, argv, i, frontend::kAllFlags, flags);
+    if (parsed == frontend::Parse::Bad) {
+      return 2;
+    }
+    if (parsed == frontend::Parse::NotShared) {
+      std::fprintf(stderr,
+                   "error: unknown option %s\n"
+                   "usage: quickstart [--threads N] "
+                   "[--exec=emit|compiled|word] [--witness=N] "
+                   "[--trace=FILE] [--chip-blocks=N] "
+                   "[--topology=htree|bus] "
+                   "[--net-backend=analytic|cycle]\n",
+                   argv[i]);
+      return 2;
+    }
+  }
+  return frontend::run(flags, [&] { return quickstart(flags); });
 }

@@ -103,15 +103,19 @@ void ThreadPool::parallel_for(std::size_t n,
     const std::size_t begin = c * chunk_size;
     const std::size_t end = std::min(n, begin + chunk_size);
     enqueue([&, begin, end] {
-      trace::Span chunk_span("pool.chunk",
-                             static_cast<double>(end - begin));
       std::exception_ptr thrown;
-      try {
-        for (std::size_t i = begin; i < end; ++i) {
-          fn(i);
+      {
+        // Closed before the chunk reports completion: once the caller
+        // returns it may stop tracing and export every thread's ring.
+        trace::Span chunk_span("pool.chunk",
+                               static_cast<double>(end - begin));
+        try {
+          for (std::size_t i = begin; i < end; ++i) {
+            fn(i);
+          }
+        } catch (...) {
+          thrown = std::current_exception();
         }
-      } catch (...) {
-        thrown = std::current_exception();
       }
       std::lock_guard lock(done_mutex);
       if (thrown && !error) {

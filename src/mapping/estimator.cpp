@@ -23,6 +23,10 @@ using mesh::Face;
 
 namespace {
 
+/// Host sqrt/inverse throughput the estimator prices the host
+/// pre-processing at (vectorised, LUT-reusing rate).
+constexpr double kHostSpecialOpsPerS = 1.0e10;
+
 /// Mixed-radix Morton interleave: round-robins one bit from each axis
 /// (skipping exhausted axes), producing a bijection onto
 /// [0, dim * spb * dim) for power-of-two extents.
@@ -374,7 +378,7 @@ StepEstimate Estimator::finish(
     const Plan& plan,
     std::span<const pim::ScheduleResult, kBatches> schedules) const {
   const pim::HbmModel hbm;
-  const pim::HostModel host(options_.host_special_ops_per_s);
+  const pim::HostModel host(kHostSpecialOpsPerS);
   const CostSink& vol = plan.vol;
   const CostSink& flux_minus = plan.flux_minus;
   const CostSink& flux_plus = plan.flux_plus;

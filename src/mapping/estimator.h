@@ -181,8 +181,6 @@ class Estimator {
  public:
   struct Options {
     bool pipelined = true;
-    /// Host sqrt/inverse throughput (vectorised, LUT-reusing rate).
-    double host_special_ops_per_s = 1.0e10;
     /// Override the Table 5 choice (nullopt = choose automatically).
     std::optional<ExpansionMode> force_expansion;
     /// Place elements in Morton (Z-curve) order instead of row-major:

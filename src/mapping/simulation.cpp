@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "common/parse.h"
 #include "dg/rk.h"
 #include "mapping/config.h"
 #include "trace/trace.h"
@@ -64,17 +63,6 @@ ExecPath PimSimulation::default_exec_path() {
   WAVEPIM_REQUIRE(parse_exec_path(env, path),
                   "WAVEPIM_EXEC must be emit, compiled or word");
   return path;
-}
-
-std::uint32_t PimSimulation::default_witness_interval() {
-  const char* env = std::getenv("WAVEPIM_WITNESS");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  std::uint32_t interval = 0;
-  WAVEPIM_REQUIRE(parse_u32(env, interval),
-                  "WAVEPIM_WITNESS must be a cadence in [0, 2^32)");
-  return interval;
 }
 
 PimSimulation::PimSimulation(const Problem& problem, ExpansionMode mode,
@@ -195,6 +183,7 @@ void PimSimulation::init_chip(pim::ChipConfig chip) {
 }
 
 void PimSimulation::attach_chip() {
+  exec_path_ = default_exec_path();
   const std::uint32_t bpe = blocks_per_element(setup_.mode());
   const std::uint64_t needed = problem_.num_elements() * bpe;
 

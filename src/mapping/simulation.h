@@ -135,9 +135,9 @@ class PimSimulation {
   void set_num_threads(std::size_t num_threads);
   [[nodiscard]] std::size_t num_threads() { return pool().size(); }
 
-  /// Selects the execution tier (see ExecPath). The default comes from
-  /// `WAVEPIM_EXEC` (`emit` / `compiled` / `word`); unset or empty
-  /// selects Word, and any other value throws.
+  /// Selects the execution tier (see ExecPath). The default, read once
+  /// per construction, comes from `WAVEPIM_EXEC` (`emit` / `compiled` /
+  /// `word`); unset or empty selects Word, and any other value throws.
   void set_exec_path(ExecPath path) { exec_path_ = path; }
   [[nodiscard]] ExecPath exec_path() const { return exec_path_; }
   [[nodiscard]] static ExecPath default_exec_path();
@@ -170,18 +170,15 @@ class PimSimulation {
   // neighbour *variable* columns from the live blocks — safe, because no
   // phase writes them before Integration.
 
-  /// Witness cadence: 0 disables (and keeps the hot path allocation-
-  /// free), 1 checks every phase application ("full", the CI lane), N
-  /// checks every Nth phase application, starting with the first.
+  /// Witness cadence: 0 (default) disables (and keeps the hot path
+  /// allocation-free), 1 checks every phase application ("full", the CI
+  /// lane), N checks every Nth phase application, starting with the first.
   void set_witness_interval(std::uint32_t interval) {
     witness_interval_ = interval;
   }
   [[nodiscard]] std::uint32_t witness_interval() const {
     return witness_interval_;
   }
-  /// The process default, from `WAVEPIM_WITNESS`: unset or empty selects
-  /// 0 (off), and anything parse_u32 (common/parse.h) rejects throws.
-  [[nodiscard]] static std::uint32_t default_witness_interval();
 
   struct WitnessStats {
     std::uint64_t checks = 0;          ///< phase applications re-executed
@@ -365,8 +362,9 @@ class PimSimulation {
   /// even batch on this chip).
   void check_capacity(const pim::ChipConfig& chip) const;
   void init_chip(pim::ChipConfig chip);
-  /// Pricing/residency/accumulator setup over whatever chip_ points at
-  /// (owned or pooled) — the tail both constructors share.
+  /// The `WAVEPIM_EXEC` tier default, then pricing/residency/accumulator
+  /// setup over whatever chip_ points at (owned or pooled) — the tail
+  /// every constructor shares.
   void attach_chip();
   void build_face_pairings();
 
@@ -431,14 +429,14 @@ class PimSimulation {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< set_num_threads(n >= 1)
   Costs costs_;
   NetStats net_stats_;
-  ExecPath exec_path_ = default_exec_path();
+  ExecPath exec_path_ = ExecPath::Word;  ///< attach_chip reads the default
   /// Built privately by ensure_plan, or adopted via set_shared_cache.
   std::shared_ptr<ProgramCache> cache_;
   std::unique_ptr<ExecutionPlan> plan_;
   std::unique_ptr<WordPlan> word_plan_;
   /// Witness state (word tier). Everything below is touched only when
   /// `witness_interval_ != 0`, so witness-off steps allocate nothing.
-  std::uint32_t witness_interval_ = default_witness_interval();
+  std::uint32_t witness_interval_ = 0;
   std::uint64_t witness_counter_ = 0;  ///< phase applications seen
   WitnessStats witness_stats_;
   std::vector<WitnessMismatch> witness_mismatches_;

@@ -1,7 +1,6 @@
 #include "pim/params.h"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
@@ -38,17 +37,6 @@ bool parse_net_backend(const char* s, NetBackendKind& out) {
     return true;
   }
   return false;
-}
-
-NetBackendKind default_net_backend() {
-  const char* env = std::getenv("WAVEPIM_NET_BACKEND");
-  if (env == nullptr || *env == '\0') {
-    return NetBackendKind::Analytic;
-  }
-  NetBackendKind kind = NetBackendKind::Analytic;
-  WAVEPIM_REQUIRE(parse_net_backend(env, kind),
-                  "WAVEPIM_NET_BACKEND must be analytic or cycle");
-  return kind;
 }
 
 namespace {

@@ -114,8 +114,6 @@ const char* to_string(NetBackendKind k);
 /// Parses "analytic"/"cycle". Returns false on anything else, leaving
 /// `out` untouched.
 bool parse_net_backend(const char* s, NetBackendKind& out);
-/// Process default from `WAVEPIM_NET_BACKEND` (unset -> Analytic).
-NetBackendKind default_net_backend();
 
 /// Geometry of one Wave-PIM chip configuration.
 ///
@@ -133,10 +131,9 @@ struct ChipConfig {
   /// and the CLI under-provision a chip (forcing batched residency)
   /// without changing the tile geometry the interconnect is built from.
   std::uint32_t block_limit = 0;
-  /// Timing backend of the chip's interconnect (pricing-only; the env
-  /// default keeps every existing call site on the analytic scheduler
-  /// unless `WAVEPIM_NET_BACKEND` overrides it).
-  NetBackendKind net_backend = default_net_backend();
+  /// Timing kind of the chip's interconnect (pricing-only; analytic
+  /// unless set, as the tools' --net-backend does).
+  NetBackendKind net_backend = NetBackendKind::Analytic;
 
   static constexpr std::uint32_t kBlockRows = 1024;
   static constexpr std::uint32_t kBlockCols = 1024;

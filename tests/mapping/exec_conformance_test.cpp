@@ -337,18 +337,16 @@ TEST(ExecConformance, EnvSelectsDefaultPath) {
   EXPECT_GE(sim.execution_plan()->num_classes(), 1u);
 }
 
-TEST(ExecConformance, EnvSelectsDefaultWitness) {
+TEST(ExecConformance, WitnessCadenceParsesPlainDigits) {
   // Cadences are plain digits that fit in 32 bits; a sign, junk or an
   // overflow is rejected instead of wrapping or truncating to another
-  // cadence, and a rejected WAVEPIM_WITNESS throws like WAVEPIM_EXEC.
+  // cadence.
   for (const auto& [text, value] :
        {std::pair<const char*, std::uint32_t>{"0", 0u}, {"7", 7u},
         {"4294967295", 4294967295u}}) {
     std::uint32_t parsed = 1;
     ASSERT_TRUE(parse_u32(text, parsed)) << text;
     EXPECT_EQ(parsed, value);
-    ScopedEnv env("WAVEPIM_WITNESS", text);
-    EXPECT_EQ(PimSimulation::default_witness_interval(), value);
   }
   for (const char* bad :
        {"", "-1", "+1", " 1", "1 ", "abc", "4294967296", "99999999999"}) {
@@ -356,15 +354,23 @@ TEST(ExecConformance, EnvSelectsDefaultWitness) {
     EXPECT_FALSE(parse_u32(bad, untouched)) << bad;
     EXPECT_EQ(untouched, 3u);
   }
-  {
-    ScopedEnv unset("WAVEPIM_WITNESS", nullptr);
-    EXPECT_EQ(PimSimulation::default_witness_interval(), 0u);
-  }
-  {
-    ScopedEnv junk("WAVEPIM_WITNESS", "abc");
-    EXPECT_THROW((void)PimSimulation::default_witness_interval(),
-                 PreconditionError);
-  }
+}
+
+TEST(ExecConformance, RetiredEnvironmentKnobsAreIgnored) {
+  // The fabric's timing kind and the witness cadence arrive only as
+  // explicit values (ChipConfig::net_backend, set_witness_interval):
+  // the retired WAVEPIM_NET_BACKEND and WAVEPIM_WITNESS reach nothing.
+  ScopedEnv backend("WAVEPIM_NET_BACKEND", "cycle");
+  ScopedEnv witness("WAVEPIM_WITNESS", "1");
+  EXPECT_EQ(pim::ChipConfig{}.net_backend, pim::NetBackendKind::Analytic);
+  EXPECT_EQ(pim::chip_512mb().net_backend, pim::NetBackendKind::Analytic);
+
+  PimSimulation sim(Problem{ProblemKind::Acoustic, 1, 3},
+                    ExpansionMode::None, pim::chip_512mb());
+  EXPECT_EQ(sim.witness_interval(), 0u);
+  sim.step(1.0e-4);
+  EXPECT_EQ(sim.witness_stats().checks, 0u);
+  EXPECT_EQ(sim.net_stats().link_schedules, 0u);
 }
 
 // ---- Arena / AVX2 cost invisibility ----------------------------------------

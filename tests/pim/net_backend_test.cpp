@@ -12,12 +12,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <queue>
 #include <random>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -245,25 +243,6 @@ TEST(NetBackendSelection, ParseAndToStringRoundTrip) {
   EXPECT_FALSE(parse_net_backend("", kind));
   EXPECT_STREQ(to_string(NetBackendKind::Analytic), "analytic");
   EXPECT_STREQ(to_string(NetBackendKind::Cycle), "cycle");
-}
-
-TEST(NetBackendSelection, EnvironmentDefault) {
-  const char* saved = std::getenv("WAVEPIM_NET_BACKEND");
-  const std::string restore = saved != nullptr ? saved : "";
-
-  unsetenv("WAVEPIM_NET_BACKEND");
-  EXPECT_EQ(default_net_backend(), NetBackendKind::Analytic);
-  setenv("WAVEPIM_NET_BACKEND", "cycle", 1);
-  EXPECT_EQ(default_net_backend(), NetBackendKind::Cycle);
-  EXPECT_EQ(chip_512mb().net_backend, NetBackendKind::Cycle);
-  setenv("WAVEPIM_NET_BACKEND", "analytic", 1);
-  EXPECT_EQ(default_net_backend(), NetBackendKind::Analytic);
-
-  if (saved != nullptr) {
-    setenv("WAVEPIM_NET_BACKEND", restore.c_str(), 1);
-  } else {
-    unsetenv("WAVEPIM_NET_BACKEND");
-  }
 }
 
 TEST(NetBackendContract, SingleTransferCompletesInIsolatedLatency) {

@@ -12,32 +12,26 @@
 #include <cstring>
 #include <string>
 
-#include "common/parallel.h"
 #include "common/parse.h"
 #include "common/statistics.h"
 #include "common/table.h"
-#include "common/trace_report.h"
 #include "core/report.h"
 #include "core/wavepim.h"
 #include "dg/solver.h"
 #include "dg/sources.h"
+#include "frontend.h"
 #include "mapping/batch_schedule.h"
 #include "mapping/simulation.h"
 #include "mesh/structured_mesh.h"
-#include "trace/export.h"
-#include "trace/trace.h"
 
 using namespace wavepim;
 
 namespace {
 
-// --chip-blocks cap, applied to every chip a subcommand selects
-// (0 = uncapped).
-std::uint32_t g_chip_block_limit = 0;
-
-// --topology fabric, applied to every chip a subcommand selects (the
-// compare/csv grids project their PIM rows on it too).
-pim::Topology g_topology = pim::Topology::HTree;
+// The global options. Every chip a subcommand selects takes the fabric,
+// timing kind and --chip-blocks cap; the compare/csv grids project their
+// PIM rows on the fabric too, and validate's chips take the fabric only.
+frontend::SharedFlags g_flags;
 
 int usage() {
   std::fprintf(
@@ -76,12 +70,12 @@ int usage() {
       "--topology=htree|bus: interconnect fabric of every selected chip\n"
       "             (default: htree, the paper's Table 3 switch tree);\n"
       "             compare/csv project their PIM rows on it too\n"
-      "--net-backend=analytic|cycle: interconnect timing backend\n"
-      "             (default: WAVEPIM_NET_BACKEND, else analytic).\n"
-      "             Pricing-only: the network cost channel moves, fields\n"
-      "             and the compute/hbm ledgers never do; cycle models\n"
-      "             per-link FIFO queuing and exports net.link.* trace\n"
-      "             counters\n");
+      "--net-backend=analytic|cycle: interconnect timing backend of\n"
+      "             the chips estimate, schedule and validate build\n"
+      "             (default: analytic). Pricing-only: the network cost\n"
+      "             channel moves, fields and the compute/hbm ledgers\n"
+      "             never do; cycle models per-link FIFO queuing and\n"
+      "             exports net.link.* trace counters\n");
   return 2;
 }
 
@@ -102,8 +96,7 @@ bool parse_chip(const char* s, pim::ChipConfig& chip) {
   for (const auto& c : pim::standard_chips()) {
     if (c.name == std::string("PIM-") + s) {
       chip = c;
-      chip.block_limit = g_chip_block_limit;
-      chip.topology = g_topology;
+      g_flags.apply(chip);
       return true;
     }
   }
@@ -112,7 +105,7 @@ bool parse_chip(const char* s, pim::ChipConfig& chip) {
 
 int cmd_compare(const mapping::Problem& problem, std::uint64_t steps,
                 bool as_csv) {
-  const auto rows = core::System::compare_all(problem, steps, g_topology);
+  const auto rows = core::System::compare_all(problem, steps, g_flags.topology);
   if (as_csv) {
     const std::vector<std::vector<core::ComparisonRow>> grids = {rows};
     std::fputs(core::to_csv({problem.name()}, grids, false).c_str(), stdout);
@@ -199,6 +192,24 @@ int cmd_configs() {
   return 0;
 }
 
+// Steps `cpu` and a PIM simulation of `problem` loaded from it five
+// times; the relative L-inf error between the two fields.
+template <typename Solver>
+double pim_vs_cpu(Solver& cpu, const mapping::Problem& problem,
+                  mapping::ExpansionMode mode) {
+  pim::ChipConfig chip = pim::chip_512mb();
+  g_flags.apply_fabric(chip);
+  mapping::PimSimulation pim(problem, mode, chip);
+  g_flags.apply(pim);
+  pim.load_state(cpu.state());
+  const double dt = cpu.stable_dt();
+  for (int i = 0; i < 5; ++i) {
+    cpu.step(dt);
+    pim.step(dt);
+  }
+  return relative_linf_error(pim.read_state().flat(), cpu.state().flat());
+}
+
 int cmd_validate() {
   std::printf("Bit-true PIM-vs-CPU validation (level 1, order 2):\n");
   struct Case {
@@ -222,31 +233,13 @@ int cmd_validate() {
       dg::ElasticSolver cpu(mesh, std::move(mats),
                             {.n1d = 3, .flux = dg::flux_of(c.kind)});
       init_elastic_plane_p_wave(cpu, 1);
-      pim::ChipConfig chip = pim::chip_512mb();
-      chip.topology = g_topology;
-      mapping::PimSimulation pim(problem, c.mode, chip);
-      pim.load_state(cpu.state());
-      const double dt = cpu.stable_dt();
-      for (int i = 0; i < 5; ++i) {
-        cpu.step(dt);
-        pim.step(dt);
-      }
-      err = relative_linf_error(pim.read_state().flat(), cpu.state().flat());
+      err = pim_vs_cpu(cpu, problem, c.mode);
     } else {
       dg::MaterialField<dg::AcousticMaterial> mats(mesh.num_elements(), {});
       dg::AcousticSolver cpu(mesh, std::move(mats),
                              {.n1d = 3, .flux = dg::flux_of(c.kind)});
       init_acoustic_plane_wave(cpu, mesh::Axis::X, 1);
-      pim::ChipConfig chip = pim::chip_512mb();
-      chip.topology = g_topology;
-      mapping::PimSimulation pim(problem, c.mode, chip);
-      pim.load_state(cpu.state());
-      const double dt = cpu.stable_dt();
-      for (int i = 0; i < 5; ++i) {
-        cpu.step(dt);
-        pim.step(dt);
-      }
-      err = relative_linf_error(pim.read_state().flat(), cpu.state().flat());
+      err = pim_vs_cpu(cpu, problem, c.mode);
     }
     const bool pass = err < 1e-4;
     ok = ok && pass;
@@ -255,106 +248,6 @@ int cmd_validate() {
   }
   return ok ? 0 : 1;
 }
-
-int run_command(int argc, char** argv);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Global options precede the subcommand. --threads pins the global pool
-  // (must happen before any library call spins it up).
-  std::string trace_path;
-  int arg = 1;
-  while (arg < argc && argv[arg][0] == '-') {
-    if (std::strcmp(argv[arg], "--threads") == 0 && arg + 1 < argc) {
-      const std::size_t n = ThreadPool::parse_thread_count(argv[arg + 1]);
-      if (n == 0) {
-        std::fprintf(stderr, "error: --threads wants a positive integer\n");
-        return 2;
-      }
-      ThreadPool::set_global_threads(n);
-      arg += 2;
-    } else if (std::strncmp(argv[arg], "--exec=", 7) == 0) {
-      const char* tier = argv[arg] + 7;
-      mapping::ExecPath path{};
-      if (!mapping::parse_exec_path(tier, path)) {
-        std::fprintf(stderr, "error: --exec wants emit, compiled or word\n");
-        return 2;
-      }
-      // Routed through the environment so every simulation the
-      // subcommand constructs picks it up as its default tier.
-      setenv("WAVEPIM_EXEC", tier, /*overwrite=*/1);
-      arg += 1;
-    } else if (std::strncmp(argv[arg], "--witness=", 10) == 0) {
-      std::uint32_t cadence = 0;
-      if (!parse_u32(argv[arg] + 10, cadence)) {
-        std::fprintf(stderr, "error: --witness wants a cadence (0 = off)\n");
-        return 2;
-      }
-      // Routed through the environment like --exec; only the word tier
-      // reads it.
-      setenv("WAVEPIM_WITNESS", argv[arg] + 10, /*overwrite=*/1);
-      arg += 1;
-    } else if (std::strncmp(argv[arg], "--chip-blocks=", 14) == 0) {
-      std::uint32_t n = 0;
-      if (!parse_u32(argv[arg] + 14, n) || n == 0) {
-        std::fprintf(stderr,
-                     "error: --chip-blocks wants a positive block count\n");
-        return 2;
-      }
-      g_chip_block_limit = n;
-      arg += 1;
-    } else if (std::strncmp(argv[arg], "--topology=", 11) == 0) {
-      if (!pim::parse_topology(argv[arg] + 11, g_topology)) {
-        std::fprintf(stderr, "error: --topology wants htree or bus\n");
-        return 2;
-      }
-      arg += 1;
-    } else if (std::strncmp(argv[arg], "--net-backend=", 14) == 0) {
-      // Validated here, routed through the environment like --exec so
-      // every chip the subcommand constructs defaults to it.
-      pim::NetBackendKind backend{};
-      if (!pim::parse_net_backend(argv[arg] + 14, backend)) {
-        std::fprintf(stderr, "error: --net-backend wants analytic or cycle\n");
-        return 2;
-      }
-      setenv("WAVEPIM_NET_BACKEND", argv[arg] + 14, /*overwrite=*/1);
-      arg += 1;
-    } else if (std::strncmp(argv[arg], "--trace=", 8) == 0) {
-      trace_path = argv[arg] + 8;
-      if (trace_path.empty()) {
-        std::fprintf(stderr, "error: --trace wants an output path\n");
-        return 2;
-      }
-      arg += 1;
-    } else {
-      return usage();
-    }
-  }
-  argc -= arg - 1;
-  argv += arg - 1;
-  if (argc < 2) {
-    return usage();
-  }
-
-  if (trace_path.empty()) {
-    return run_command(argc, argv);
-  }
-  trace::set_enabled(true);
-  const int rc = run_command(argc, argv);
-  trace::set_enabled(false);
-  if (!trace::write_chrome_trace(trace_path)) {
-    std::fprintf(stderr, "error: could not write trace to %s\n",
-                 trace_path.c_str());
-    return rc != 0 ? rc : 1;
-  }
-  std::printf("\n");
-  print_trace_summary(trace::summarize());
-  std::printf("trace written to %s\n", trace_path.c_str());
-  return rc;
-}
-
-namespace {
 
 // <level>: plain digits naming a level StructuredMesh accepts.
 bool parse_level(const char* s, int& level) {
@@ -380,52 +273,65 @@ bool parse_steps(const char* s, std::uint32_t& steps) {
 
 int run_command(int argc, char** argv) {
   const std::string cmd = argv[1];
-  try {
-    if (cmd == "configs") {
-      return cmd_configs();
+  if (cmd == "configs") {
+    return cmd_configs();
+  }
+  if (cmd == "validate") {
+    return cmd_validate();
+  }
+  if (cmd == "compare" || cmd == "csv") {
+    if (argc < 4) {
+      return usage();
     }
-    if (cmd == "validate") {
-      return cmd_validate();
+    dg::ProblemKind kind;
+    if (!parse_kind(argv[2], kind)) {
+      return usage();
     }
-    if (cmd == "compare" || cmd == "csv") {
-      if (argc < 4) {
-        return usage();
-      }
-      dg::ProblemKind kind;
-      if (!parse_kind(argv[2], kind)) {
-        return usage();
-      }
-      int level = 0;
-      std::uint32_t steps = 1024;
-      if (!parse_level(argv[3], level) ||
-          (argc > 4 && !parse_steps(argv[4], steps))) {
-        return 2;
-      }
-      const mapping::Problem problem{kind, level, 8};
-      return cmd_compare(problem, steps, cmd == "csv");
+    int level = 0;
+    std::uint32_t steps = 1024;
+    if (!parse_level(argv[3], level) ||
+        (argc > 4 && !parse_steps(argv[4], steps))) {
+      return 2;
     }
-    if (cmd == "estimate" || cmd == "schedule") {
-      if (argc < 5) {
-        return usage();
-      }
-      dg::ProblemKind kind;
-      pim::ChipConfig chip;
-      if (!parse_kind(argv[2], kind) || !parse_chip(argv[4], chip)) {
-        return usage();
-      }
-      int level = 0;
-      if (!parse_level(argv[3], level)) {
-        return 2;
-      }
-      const mapping::Problem problem{kind, level, 8};
-      return cmd == "estimate" ? cmd_estimate(problem, chip)
-                               : cmd_schedule(problem, chip);
+    const mapping::Problem problem{kind, level, 8};
+    return cmd_compare(problem, steps, cmd == "csv");
+  }
+  if (cmd == "estimate" || cmd == "schedule") {
+    if (argc < 5) {
+      return usage();
     }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    dg::ProblemKind kind;
+    pim::ChipConfig chip;
+    if (!parse_kind(argv[2], kind) || !parse_chip(argv[4], chip)) {
+      return usage();
+    }
+    int level = 0;
+    if (!parse_level(argv[3], level)) {
+      return 2;
+    }
+    const mapping::Problem problem{kind, level, 8};
+    return cmd == "estimate" ? cmd_estimate(problem, chip)
+                             : cmd_schedule(problem, chip);
   }
   return usage();
 }
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  // Global options precede the subcommand.
+  int arg = 1;
+  for (; arg < argc && argv[arg][0] == '-'; ++arg) {
+    const auto parsed = frontend::parse_flag(argc, argv, arg,
+                                             frontend::kAllFlags, g_flags);
+    if (parsed != frontend::Parse::Consumed) {
+      return parsed == frontend::Parse::Bad ? 2 : usage();
+    }
+  }
+  argc -= arg - 1;
+  argv += arg - 1;
+  if (argc < 2) {
+    return usage();
+  }
+  return frontend::run(g_flags, [&] { return run_command(argc, argv); });
+}

@@ -16,21 +16,20 @@
 // (pinned by the service slice of NetBackendConformance).
 //
 // --trace records the run (service.* spans and counters plus the tenant
-// simulations underneath) and writes Chrome trace-event JSON.
+// simulations underneath) and writes Chrome trace-event JSON. These
+// three go through the tools' shared front end (tools/frontend.h);
+// --threads=N is this program's own: threads per tenant, not the global
+// pool.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/parse.h"
-#include "common/trace_report.h"
 #include "common/units.h"
+#include "frontend.h"
 #include "service/chip_pool.h"
 #include "service/job.h"
 #include "service/scheduler.h"
-#include "trace/export.h"
-#include "trace/trace.h"
 
 using namespace wavepim;
 
@@ -48,82 +47,9 @@ bool u32_flag(const char* arg, const char* prefix, std::uint32_t& out,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  service::GeneratorOptions gen;
-  service::ServiceOptions svc;
-  std::uint32_t seed32 = 1;
-  std::uint32_t threads32 = 1;
-  std::string trace_path;
-
-  for (int i = 1; i < argc; ++i) {
-    bool ok = true;
-    if (u32_flag(argv[i], "--chips=", svc.num_chips, ok) ||
-        u32_flag(argv[i], "--jobs=", gen.num_jobs, ok) ||
-        u32_flag(argv[i], "--max-steps=", gen.max_steps, ok) ||
-        u32_flag(argv[i], "--seed=", seed32, ok) ||
-        u32_flag(argv[i], "--threads=", threads32, ok)) {
-      if (!ok) {
-        std::fprintf(stderr, "error: %s wants a count below 2^32\n",
-                     argv[i]);
-        return 2;
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--policy=", 9) == 0) {
-      const auto policy = service::parse_policy(argv[i] + 9);
-      if (!policy) {
-        std::fprintf(stderr, "error: unknown policy '%s'\n", argv[i] + 9);
-        return 2;
-      }
-      svc.policy = *policy;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--zero-step") == 0) {
-      gen.zero_step_jobs = true;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-      if (trace_path.empty()) {
-        std::fprintf(stderr, "error: --trace wants an output path\n");
-        return 2;
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--topology=", 11) == 0) {
-      if (!pim::parse_topology(argv[i] + 11, svc.chip.topology)) {
-        std::fprintf(stderr, "error: --topology wants htree or bus\n");
-        return 2;
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--net-backend=", 14) == 0) {
-      if (!pim::parse_net_backend(argv[i] + 14, svc.chip.net_backend)) {
-        std::fprintf(stderr, "error: --net-backend wants analytic or cycle\n");
-        return 2;
-      }
-      continue;
-    }
-    std::fprintf(stderr,
-                 "usage: wavepim_serve [--chips=N] [--jobs=N] "
-                 "[--policy=fifo|srs|edf] [--seed=N] [--threads=N] "
-                 "[--max-steps=N] [--zero-step] [--trace=FILE] "
-                 "[--topology=htree|bus] [--net-backend=analytic|cycle]\n");
-    return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
-  }
-  gen.seed = seed32;
-  svc.threads = threads32;
-  if (svc.num_chips == 0 || gen.num_jobs == 0) {
-    std::fprintf(stderr, "error: --chips and --jobs must be positive\n");
-    return 2;
-  }
-
-  if (!trace_path.empty()) {
-    trace::set_enabled(true);
-  }
-
+/// Runs the generated job stream and prints the service report.
+int serve(const service::GeneratorOptions& gen,
+          const service::ServiceOptions& svc) {
   std::printf("Wave-PIM service: %u jobs (seed %llu) over %u chip(s), "
               "policy %s, %zu thread(s)/tenant, %s fabric (%s backend)\n\n",
               gen.num_jobs, static_cast<unsigned long long>(gen.seed),
@@ -175,17 +101,67 @@ int main(int argc, char** argv) {
                 100.0 * report.net.max_utilization,
                 static_cast<unsigned long long>(report.net.peak_queue));
   }
-
-  if (!trace_path.empty()) {
-    trace::set_enabled(false);
-    if (!trace::write_chrome_trace(trace_path)) {
-      std::fprintf(stderr, "error: could not write trace to %s\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    std::printf("\n");
-    print_trace_summary(trace::summarize());
-    std::printf("trace written to %s\n", trace_path.c_str());
-  }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  service::GeneratorOptions gen;
+  service::ServiceOptions svc;
+  std::uint32_t seed32 = 1;
+  std::uint32_t threads32 = 1;
+  frontend::SharedFlags flags;
+
+  for (int i = 1; i < argc; ++i) {
+    const auto parsed = frontend::parse_flag(
+        argc, argv, i,
+        frontend::kTrace | frontend::kTopology | frontend::kNetBackend, flags);
+    if (parsed == frontend::Parse::Bad) {
+      return 2;
+    }
+    if (parsed == frontend::Parse::Consumed) {
+      continue;
+    }
+    bool ok = true;
+    if (u32_flag(argv[i], "--chips=", svc.num_chips, ok) ||
+        u32_flag(argv[i], "--jobs=", gen.num_jobs, ok) ||
+        u32_flag(argv[i], "--max-steps=", gen.max_steps, ok) ||
+        u32_flag(argv[i], "--seed=", seed32, ok) ||
+        u32_flag(argv[i], "--threads=", threads32, ok)) {
+      if (!ok) {
+        std::fprintf(stderr, "error: %s wants a count below 2^32\n",
+                     argv[i]);
+        return 2;
+      }
+      continue;
+    }
+    if (std::strncmp(argv[i], "--policy=", 9) == 0) {
+      const auto policy = service::parse_policy(argv[i] + 9);
+      if (!policy) {
+        std::fprintf(stderr, "error: unknown policy '%s'\n", argv[i] + 9);
+        return 2;
+      }
+      svc.policy = *policy;
+      continue;
+    }
+    if (std::strcmp(argv[i], "--zero-step") == 0) {
+      gen.zero_step_jobs = true;
+      continue;
+    }
+    std::fprintf(stderr,
+                 "usage: wavepim_serve [--chips=N] [--jobs=N] "
+                 "[--policy=fifo|srs|edf] [--seed=N] [--threads=N] "
+                 "[--max-steps=N] [--zero-step] [--trace=FILE] "
+                 "[--topology=htree|bus] [--net-backend=analytic|cycle]\n");
+    return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
+  }
+  gen.seed = seed32;
+  svc.threads = threads32;
+  flags.apply_fabric(svc.chip);
+  if (svc.num_chips == 0 || gen.num_jobs == 0) {
+    std::fprintf(stderr, "error: --chips and --jobs must be positive\n");
+    return 2;
+  }
+  return frontend::run(flags, [&] { return serve(gen, svc); });
 }
