@@ -74,9 +74,6 @@ using mapping::ExecPath;
 using mapping::ExpansionMode;
 using mesh::Boundary;
 
-constexpr ExecPath kAllTiers[] = {ExecPath::Emit, ExecPath::Compiled,
-                                  ExecPath::Word};
-
 Scenario paper(const mapping::Problem& problem) {
   Scenario s;
   s.kind = CellKind::Paper;
@@ -117,7 +114,7 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
     out.push_back(paper(benchmarks[0]));  // Acoustic_4
     out.push_back(paper(benchmarks[2]));  // Elastic-Riemann_4
     for (const std::uint32_t limit : {0u, 32u}) {
-      for (const ExecPath tier : kAllTiers) {
+      for (const ExecPath tier : mapping::kAllExecPaths) {
         out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
                           Boundary::Periodic, Materials::Uniform, limit,
                           tier));
@@ -156,19 +153,19 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
   // one resident slice + the Fig. 7 staging slot at each problem's
   // blocks-per-slice.
   for (const std::uint32_t limit : {0u, 32u}) {
-    for (const ExecPath tier : kAllTiers) {
+    for (const ExecPath tier : mapping::kAllExecPaths) {
       out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
                         Boundary::Periodic, Materials::Uniform, limit, tier));
     }
   }
-  for (const ExecPath tier : kAllTiers) {
+  for (const ExecPath tier : mapping::kAllExecPaths) {
     out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
                       Boundary::Periodic, Materials::Uniform, 0, tier));
   }
   out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
                     Boundary::Periodic, Materials::Uniform, 96,
                     ExecPath::Compiled));
-  for (const ExecPath tier : kAllTiers) {
+  for (const ExecPath tier : mapping::kAllExecPaths) {
     out.push_back(sim(ProblemKind::ElasticRiemann, 1, ExpansionMode::Elastic9,
                       Boundary::Periodic, Materials::Uniform, 0, tier));
   }
@@ -216,7 +213,7 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
   // Cycle net-backend axis: every tier resident (the backend must leave
   // each tier's field hash untouched), the reduced matrix's windowed
   // cell, and one elastic point with its heavier flux traffic.
-  for (const ExecPath tier : kAllTiers) {
+  for (const ExecPath tier : mapping::kAllExecPaths) {
     out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
                       Boundary::Periodic, Materials::Uniform, 0, tier,
                       pim::NetBackendKind::Cycle));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -44,25 +43,13 @@ const char* to_string(ExecPath path) {
 }
 
 bool parse_exec_path(const char* s, ExecPath& out) {
-  for (const ExecPath path :
-       {ExecPath::Emit, ExecPath::Compiled, ExecPath::Word}) {
+  for (const ExecPath path : kAllExecPaths) {
     if (std::strcmp(s, to_string(path)) == 0) {
       out = path;
       return true;
     }
   }
   return false;
-}
-
-ExecPath PimSimulation::default_exec_path() {
-  const char* env = std::getenv("WAVEPIM_EXEC");
-  if (env == nullptr || *env == '\0') {
-    return ExecPath::Word;
-  }
-  ExecPath path = ExecPath::Word;
-  WAVEPIM_REQUIRE(parse_exec_path(env, path),
-                  "WAVEPIM_EXEC must be emit, compiled or word");
-  return path;
 }
 
 PimSimulation::PimSimulation(const Problem& problem, ExpansionMode mode,
@@ -183,7 +170,6 @@ void PimSimulation::init_chip(pim::ChipConfig chip) {
 }
 
 void PimSimulation::attach_chip() {
-  exec_path_ = default_exec_path();
   const std::uint32_t bpe = blocks_per_element(setup_.mode());
   const std::uint64_t needed = problem_.num_elements() * bpe;
 

@@ -39,6 +39,10 @@ namespace wavepim::mapping {
 ///                 with the compiled bit-serial path retained as an
 ///                 optional differential witness. The default.
 enum class ExecPath : std::uint8_t { Emit, Compiled, Word };
+/// Every tier, in enum order.
+inline constexpr ExecPath kAllExecPaths[] = {ExecPath::Emit,
+                                             ExecPath::Compiled,
+                                             ExecPath::Word};
 
 [[nodiscard]] const char* to_string(ExecPath path);
 /// Parses "emit"/"compiled"/"word" (the to_string spellings). Returns
@@ -135,12 +139,9 @@ class PimSimulation {
   void set_num_threads(std::size_t num_threads);
   [[nodiscard]] std::size_t num_threads() { return pool().size(); }
 
-  /// Selects the execution tier (see ExecPath). The default, read once
-  /// per construction, comes from `WAVEPIM_EXEC` (`emit` / `compiled` /
-  /// `word`); unset or empty selects Word, and any other value throws.
+  /// Selects the execution tier (see ExecPath). The default is Word.
   void set_exec_path(ExecPath path) { exec_path_ = path; }
   [[nodiscard]] ExecPath exec_path() const { return exec_path_; }
-  [[nodiscard]] static ExecPath default_exec_path();
 
   /// The cache, once the first compiled or word step has built it
   /// (nullptr before).
@@ -362,9 +363,8 @@ class PimSimulation {
   /// even batch on this chip).
   void check_capacity(const pim::ChipConfig& chip) const;
   void init_chip(pim::ChipConfig chip);
-  /// The `WAVEPIM_EXEC` tier default, then pricing/residency/accumulator
-  /// setup over whatever chip_ points at (owned or pooled) — the tail
-  /// every constructor shares.
+  /// Pricing/residency/accumulator setup over whatever chip_ points at
+  /// (owned or pooled) — the tail every constructor shares.
   void attach_chip();
   void build_face_pairings();
 
@@ -429,7 +429,7 @@ class PimSimulation {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< set_num_threads(n >= 1)
   Costs costs_;
   NetStats net_stats_;
-  ExecPath exec_path_ = ExecPath::Word;  ///< attach_chip reads the default
+  ExecPath exec_path_ = ExecPath::Word;
   /// Built privately by ensure_plan, or adopted via set_shared_cache.
   std::shared_ptr<ProgramCache> cache_;
   std::unique_ptr<ExecutionPlan> plan_;

@@ -9,14 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "dg/rk.h"
 #include "mapping/residency.h"
 #include "mapping/simulation.h"
+#include "support/scoped_env.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -90,16 +89,13 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
   EXPECT_EQ(a.net.serial_sum.value(), b.net.serial_sum.value());
 }
 
-constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Compiled,
-                                  ExecPath::Word};
-
 /// The serial fully-resident emit run is the reference every batched
 /// (tier x worker count) combination compares against.
 template <typename MakeResident, typename MakeBatched>
 void expect_batch_conformance(MakeResident&& make_resident,
                               MakeBatched&& make_batched, int steps) {
   const RunResult reference = run_at(make_resident, ExecPath::Emit, 1, steps);
-  for (ExecPath path : kAllPaths) {
+  for (ExecPath path : kAllExecPaths) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
       expect_identical(reference, run_at(make_batched, path, threads, steps),
@@ -147,7 +143,7 @@ TEST(BatchConformance, WindowBoundaryYFluxRegression) {
                                            capped_chip(48));
   };
   const RunResult reference = run_at(resident, ExecPath::Emit, 1, 1);
-  for (ExecPath path : kAllPaths) {
+  for (ExecPath path : kAllExecPaths) {
     expect_identical(reference, run_at(batched, path, 1, 1), path, 1);
   }
 }
@@ -179,18 +175,11 @@ TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
   };
   for (const auto& v : variants) {
     SCOPED_TRACE(v.label);
-    const char* old = std::getenv(v.var);
-    const std::string saved = old != nullptr ? old : "";
-    setenv(v.var, v.value, /*overwrite=*/1);
+    ScopedEnv env(v.var, v.value);
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       expect_identical(reference,
                        run_at(batched, ExecPath::Word, threads, 1),
                        ExecPath::Word, threads);
-    }
-    if (old != nullptr) {
-      setenv(v.var, saved.c_str(), /*overwrite=*/1);
-    } else {
-      unsetenv(v.var);
     }
   }
 }
@@ -226,63 +215,71 @@ TEST(BatchConformance, ExpandedElasticBatched) {
                                            capped_chip(96));
   };
   const RunResult reference = run_at(resident, ExecPath::Emit, 1, 1);
-  for (ExecPath path : kAllPaths) {
+  for (ExecPath path : kAllExecPaths) {
     expect_identical(reference, run_at(batched, path, 0, 1), path, 0);
   }
 }
 
 TEST(BatchConformance, ExecutedStagingMatchesSchedule) {
   const Problem problem{ProblemKind::Acoustic, 2, 3};
-  PimSimulation sim(problem, ExpansionMode::None, capped_chip(32));
-  ASSERT_FALSE(sim.residency().is_resident());
-  sim.load_state(seeded_state(sim));
-  const int steps = 2;
-  for (int i = 0; i < steps; ++i) {
-    sim.step(2.0e-4);
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    PimSimulation sim(problem, ExpansionMode::None, capped_chip(32));
+    sim.set_exec_path(path);
+    ASSERT_FALSE(sim.residency().is_resident());
+    sim.load_state(seeded_state(sim));
+    const int steps = 2;
+    for (int i = 0; i < steps; ++i) {
+      sim.step(2.0e-4);
+    }
+
+    // The executed load/store counts are the schedule's counts, replayed
+    // once per RK stage — the same single source (count_staging) the
+    // analytic estimator prices.
+    const auto& residency = sim.residency();
+    const StagingCounts counts =
+        count_staging(residency.schedule(), residency.slice_bytes());
+    const std::uint64_t passes =
+        static_cast<std::uint64_t>(dg::Lsrk54::kNumStages) * steps;
+    EXPECT_EQ(counts.slice_loads, residency.schedule().total_loads());
+    EXPECT_EQ(counts.slice_stores, residency.schedule().total_stores());
+    EXPECT_EQ(residency.slice_loads(), counts.slice_loads * passes);
+    EXPECT_EQ(residency.slice_stores(), counts.slice_stores * passes);
+    EXPECT_EQ(residency.bytes_staged(), counts.bytes * passes);
+
+    // Staging lands in the hbm channel, outside the compute total.
+    EXPECT_GT(sim.costs().hbm.time.value(), 0.0);
+    EXPECT_GT(sim.costs().hbm.energy.value(), 0.0);
+
+    // Periodic 4-slice mesh with a 1-slice window: slice 0 moves twice.
+    EXPECT_EQ(residency.schedule().total_loads(), 5u);
+    EXPECT_EQ(residency.schedule().peak_resident(), 2u);
   }
-
-  // The executed load/store counts are the schedule's counts, replayed
-  // once per RK stage — the same single source (count_staging) the
-  // analytic estimator prices.
-  const auto& residency = sim.residency();
-  const StagingCounts counts =
-      count_staging(residency.schedule(), residency.slice_bytes());
-  const std::uint64_t passes =
-      static_cast<std::uint64_t>(dg::Lsrk54::kNumStages) * steps;
-  EXPECT_EQ(counts.slice_loads, residency.schedule().total_loads());
-  EXPECT_EQ(counts.slice_stores, residency.schedule().total_stores());
-  EXPECT_EQ(residency.slice_loads(), counts.slice_loads * passes);
-  EXPECT_EQ(residency.slice_stores(), counts.slice_stores * passes);
-  EXPECT_EQ(residency.bytes_staged(), counts.bytes * passes);
-
-  // Staging lands in the hbm channel, outside the compute total.
-  EXPECT_GT(sim.costs().hbm.time.value(), 0.0);
-  EXPECT_GT(sim.costs().hbm.energy.value(), 0.0);
-
-  // Periodic 4-slice mesh with a 1-slice window: slice 0 moves twice.
-  EXPECT_EQ(residency.schedule().total_loads(), 5u);
-  EXPECT_EQ(residency.schedule().peak_resident(), 2u);
 }
 
 TEST(BatchConformance, ResidentRunsPriceStateMovement) {
   // Fully resident: the only HBM traffic is the initial state load and
   // the final readback, charged to the hbm channel (not total()).
   const Problem problem{ProblemKind::Acoustic, 1, 3};
-  PimSimulation sim(problem, ExpansionMode::None, pim::chip_512mb());
-  ASSERT_TRUE(sim.residency().is_resident());
-  EXPECT_EQ(sim.costs().hbm.time.value(), 0.0);
-  sim.load_state(seeded_state(sim));
-  const double after_load = sim.costs().hbm.time.value();
-  EXPECT_GT(after_load, 0.0);
-  sim.step(2.0e-4);
-  EXPECT_EQ(sim.costs().hbm.time.value(), after_load);  // no staging
-  (void)sim.read_state();
-  EXPECT_GT(sim.costs().hbm.time.value(), after_load);
-  const auto total = sim.costs().total();
-  EXPECT_EQ(total.time.value(), sim.costs().volume.time.value() +
-                                    sim.costs().flux.time.value() +
-                                    sim.costs().integration.time.value() +
-                                    sim.costs().network.time.value());
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    PimSimulation sim(problem, ExpansionMode::None, pim::chip_512mb());
+    sim.set_exec_path(path);
+    ASSERT_TRUE(sim.residency().is_resident());
+    EXPECT_EQ(sim.costs().hbm.time.value(), 0.0);
+    sim.load_state(seeded_state(sim));
+    const double after_load = sim.costs().hbm.time.value();
+    EXPECT_GT(after_load, 0.0);
+    sim.step(2.0e-4);
+    EXPECT_EQ(sim.costs().hbm.time.value(), after_load);  // no staging
+    (void)sim.read_state();
+    EXPECT_GT(sim.costs().hbm.time.value(), after_load);
+    const auto total = sim.costs().total();
+    EXPECT_EQ(total.time.value(), sim.costs().volume.time.value() +
+                                      sim.costs().flux.time.value() +
+                                      sim.costs().integration.time.value() +
+                                      sim.costs().network.time.value());
+  }
 }
 
 }  // namespace

@@ -12,17 +12,15 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/error.h"
 #include "common/parse.h"
 #include "mapping/exec_plan.h"
 #include "mapping/simulation.h"
 #include "mapping/word_plan.h"
+#include "support/scoped_env.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -133,15 +131,12 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
       << threads << " threads";
 }
 
-constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Compiled,
-                                  ExecPath::Word};
-
 /// The serial emit run is the single reference all nine (tier x worker
 /// count) combinations compare against.
 template <typename MakeSim>
 void expect_exec_conformance(MakeSim&& make, int steps) {
   const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
-  for (ExecPath path : kAllPaths) {
+  for (ExecPath path : kAllExecPaths) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
       expect_identical(reference, run_at(make, path, threads, steps), path,
@@ -270,55 +265,11 @@ TEST(ExecConformance, FallbackBridgeElasticRiemannN4) {
   });
 }
 
-namespace {
-
-/// Sets (or, for a null value, unsets) an environment variable for the
-/// scope's lifetime.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, /*overwrite=*/1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, old_.c_str(), /*overwrite=*/1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
-}  // namespace
-
-TEST(ExecConformance, EnvSelectsDefaultPath) {
-  // The tier plumbing: unset WAVEPIM_EXEC selects the word tier, a
-  // removed or unknown spelling throws, the parser round-trips every
-  // tier's name, and explicit setters win.
-  {
-    ScopedEnv unset("WAVEPIM_EXEC", nullptr);
-    EXPECT_EQ(PimSimulation::default_exec_path(), ExecPath::Word);
-  }
-  {
-    ScopedEnv replay("WAVEPIM_EXEC", "replay");
-    EXPECT_THROW((void)PimSimulation::default_exec_path(), PreconditionError);
-  }
-  for (const ExecPath path : kAllPaths) {
-    ScopedEnv env("WAVEPIM_EXEC", to_string(path));
-    EXPECT_EQ(PimSimulation::default_exec_path(), path);
+TEST(ExecConformance, ParserRoundTripsAndSetterSelectsTier) {
+  // The tier plumbing: the parser round-trips every tier's name and
+  // rejects the removed spelling, a new simulation runs the word tier,
+  // and the explicit setter selects another.
+  for (const ExecPath path : kAllExecPaths) {
     ExecPath parsed = path == ExecPath::Emit ? ExecPath::Word : ExecPath::Emit;
     ASSERT_TRUE(parse_exec_path(to_string(path), parsed));
     EXPECT_EQ(parsed, path);
@@ -329,6 +280,7 @@ TEST(ExecConformance, EnvSelectsDefaultPath) {
 
   PimSimulation sim(Problem{ProblemKind::Acoustic, 1, 3},
                     ExpansionMode::None, pim::chip_512mb());
+  EXPECT_EQ(sim.exec_path(), ExecPath::Word);
   sim.set_exec_path(ExecPath::Compiled);
   EXPECT_EQ(sim.exec_path(), ExecPath::Compiled);
   EXPECT_EQ(sim.execution_plan(), nullptr);
@@ -357,16 +309,19 @@ TEST(ExecConformance, WitnessCadenceParsesPlainDigits) {
 }
 
 TEST(ExecConformance, RetiredEnvironmentKnobsAreIgnored) {
-  // The fabric's timing kind and the witness cadence arrive only as
-  // explicit values (ChipConfig::net_backend, set_witness_interval):
-  // the retired WAVEPIM_NET_BACKEND and WAVEPIM_WITNESS reach nothing.
+  // The fabric's timing kind, the witness cadence and the execution
+  // tier arrive only as explicit values (ChipConfig::net_backend,
+  // set_witness_interval, set_exec_path): the retired
+  // WAVEPIM_NET_BACKEND, WAVEPIM_WITNESS and WAVEPIM_EXEC reach nothing.
   ScopedEnv backend("WAVEPIM_NET_BACKEND", "cycle");
   ScopedEnv witness("WAVEPIM_WITNESS", "1");
+  ScopedEnv exec("WAVEPIM_EXEC", "emit");
   EXPECT_EQ(pim::ChipConfig{}.net_backend, pim::NetBackendKind::Analytic);
   EXPECT_EQ(pim::chip_512mb().net_backend, pim::NetBackendKind::Analytic);
 
   PimSimulation sim(Problem{ProblemKind::Acoustic, 1, 3},
                     ExpansionMode::None, pim::chip_512mb());
+  EXPECT_EQ(sim.exec_path(), ExecPath::Word);
   EXPECT_EQ(sim.witness_interval(), 0u);
   sim.step(1.0e-4);
   EXPECT_EQ(sim.witness_stats().checks, 0u);

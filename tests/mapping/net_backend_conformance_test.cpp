@@ -90,8 +90,6 @@ void expect_pricing_only(const RunResult& a, const RunResult& b,
 }
 
 TEST(NetBackendConformance, PricingOnlyAcrossTiersAndResidency) {
-  const ExecPath tiers[] = {ExecPath::Emit, ExecPath::Compiled,
-                           ExecPath::Word};
   struct Residency {
     std::uint32_t block_limit;
     int level;
@@ -101,7 +99,7 @@ TEST(NetBackendConformance, PricingOnlyAcrossTiersAndResidency) {
   // batched residency window (HBM staging traffic in the hbm channel).
   const Residency modes[] = {{0, 1, "resident"}, {32, 2, "windowed"}};
   for (const auto& mode : modes) {
-    for (const ExecPath tier : tiers) {
+    for (const ExecPath tier : kAllExecPaths) {
       const std::string what = std::string(to_string(tier)) + "/" + mode.name;
       const auto analytic =
           run_sim(pim::NetBackendKind::Analytic, pim::Topology::HTree, tier,

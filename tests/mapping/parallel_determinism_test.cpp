@@ -2,7 +2,8 @@
 // simulator distributes whole elements across ThreadPool workers, and the
 // schedule (element-ordered transfer merge, two-phase flux with pairing-
 // settled neighbour charges, block-id-ordered ledger drain) must make the
-// nodal fields AND every cost channel bit-identical for any worker count.
+// nodal fields AND every cost channel bit-identical for any worker count,
+// on each execution tier.
 // The same harness doubles as the shape-class cache conformance suite:
 // the compiled tier, which runs the cached class streams, must match
 // direct emission bit-for-bit — fields, cycle/energy channels, and
@@ -10,7 +11,6 @@
 // tests below).
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "mapping/simulation.h"
@@ -27,19 +27,14 @@ struct RunResult {
   PimSimulation::NetStats net;
 };
 
-/// Runs `steps` time steps at the given worker count and returns the final
-/// nodal field plus the accumulated cost report. `exec` forces the
-/// execution tier; nullopt keeps the process default, so the
-/// determinism tests exercise whichever tier the CI lane selects via
-/// WAVEPIM_EXEC.
+/// Runs `steps` time steps on the given tier and worker count and
+/// returns the final nodal field plus the accumulated cost report.
 template <typename MakeSim>
-RunResult run_at(MakeSim&& make_sim, std::size_t threads, int steps,
-                 std::optional<ExecPath> exec = std::nullopt) {
+RunResult run_at(MakeSim&& make_sim, ExecPath path, std::size_t threads,
+                 int steps) {
   auto sim = make_sim();
   sim->set_num_threads(threads);
-  if (exec.has_value()) {
-    sim->set_exec_path(*exec);
-  }
+  sim->set_exec_path(path);
   dg::Field u(sim->mesh().num_elements(), sim->setup().problem().num_vars(),
               static_cast<std::size_t>(sim->setup().ref().num_nodes()));
   for (std::size_t e = 0; e < u.num_elements(); ++e) {
@@ -93,6 +88,19 @@ void expect_identical(const RunResult& a, const RunResult& b,
 /// that still beats the inline-execution threshold on a 64-element mesh.
 const std::size_t kThreadCounts[] = {2, 4, 8, 0};
 
+/// On every tier, each worker count's run must equal that tier's serial
+/// run.
+template <typename MakeSim>
+void expect_worker_count_independent(MakeSim&& make, int steps) {
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    const RunResult serial = run_at(make, path, 1, steps);
+    for (std::size_t threads : kThreadCounts) {
+      expect_identical(serial, run_at(make, path, threads, steps), threads);
+    }
+  }
+}
+
 TEST(ParallelDeterminism, AcousticLevel2MatchesSerialBitExact) {
   // Level 2: 64 elements, enough for real work distribution (the pool
   // parallelises once n >= 2 * workers).
@@ -101,10 +109,7 @@ TEST(ParallelDeterminism, AcousticLevel2MatchesSerialBitExact) {
         Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
         pim::chip_512mb());
   };
-  const RunResult serial = run_at(make, 1, 2);
-  for (std::size_t threads : kThreadCounts) {
-    expect_identical(serial, run_at(make, threads, 2), threads);
-  }
+  expect_worker_count_independent(make, 2);
 }
 
 TEST(ParallelDeterminism, ExpandedAcousticMatchesSerialBitExact) {
@@ -115,10 +120,7 @@ TEST(ParallelDeterminism, ExpandedAcousticMatchesSerialBitExact) {
         Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::Acoustic4,
         pim::chip_512mb());
   };
-  const RunResult serial = run_at(make, 1, 1);
-  for (std::size_t threads : kThreadCounts) {
-    expect_identical(serial, run_at(make, threads, 1), threads);
-  }
+  expect_worker_count_independent(make, 1);
 }
 
 TEST(ParallelDeterminism, ElasticReflectiveMatchesSerialBitExact) {
@@ -129,10 +131,7 @@ TEST(ParallelDeterminism, ElasticReflectiveMatchesSerialBitExact) {
         Problem{ProblemKind::ElasticCentral, 1, 3}, ExpansionMode::Elastic3,
         pim::chip_512mb(), Boundary::Reflective);
   };
-  const RunResult serial = run_at(make, 1, 2);
-  for (std::size_t threads : kThreadCounts) {
-    expect_identical(serial, run_at(make, threads, 2), threads);
-  }
+  expect_worker_count_independent(make, 2);
 }
 
 TEST(ParallelDeterminism, HeterogeneousAcousticMatchesSerialBitExact) {
@@ -149,10 +148,7 @@ TEST(ParallelDeterminism, HeterogeneousAcousticMatchesSerialBitExact) {
         Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
         pim::chip_512mb(), mats);
   };
-  const RunResult serial = run_at(make, 1, 1);
-  for (std::size_t threads : kThreadCounts) {
-    expect_identical(serial, run_at(make, threads, 1), threads);
-  }
+  expect_worker_count_independent(make, 1);
 }
 
 TEST(ParallelDeterminism, SingleElementSelfNeighbourIsStable) {
@@ -163,10 +159,7 @@ TEST(ParallelDeterminism, SingleElementSelfNeighbourIsStable) {
         Problem{ProblemKind::Acoustic, 0, 3}, ExpansionMode::None,
         pim::chip_512mb());
   };
-  const RunResult serial = run_at(make, 1, 2);
-  for (std::size_t threads : kThreadCounts) {
-    expect_identical(serial, run_at(make, threads, 2), threads);
-  }
+  expect_worker_count_independent(make, 2);
 }
 
 TEST(ParallelDeterminism, RepeatedRunsAgree) {
@@ -177,7 +170,10 @@ TEST(ParallelDeterminism, RepeatedRunsAgree) {
         Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
         pim::chip_512mb());
   };
-  expect_identical(run_at(make, 3, 1), run_at(make, 3, 1), 3);
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    expect_identical(run_at(make, path, 3, 1), run_at(make, path, 3, 1), 3);
+  }
 }
 
 // ---- Shape-class cache conformance ----------------------------------------
@@ -188,12 +184,12 @@ TEST(ParallelDeterminism, RepeatedRunsAgree) {
 // reference all six combinations compare against.
 template <typename MakeSim>
 void expect_cache_conformance(MakeSim&& make, int steps) {
-  const RunResult reference = run_at(make, 1, steps, ExecPath::Emit);
+  const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    expect_identical(reference, run_at(make, threads, steps, ExecPath::Emit),
+    expect_identical(reference, run_at(make, ExecPath::Emit, threads, steps),
                      threads);
     expect_identical(reference,
-                     run_at(make, threads, steps, ExecPath::Compiled),
+                     run_at(make, ExecPath::Compiled, threads, steps),
                      threads);
   }
 }
@@ -256,7 +252,7 @@ TEST(CacheConformance, ClassCountsMatchProblemStructure) {
   // class per boundary-face pattern (3^3 corner/edge/face/interior
   // combinations = 27); a two-layer medium splits classes by material.
   const auto classes_of = [](PimSimulation& sim) {
-    sim.set_exec_path(ExecPath::Compiled);  // regardless of the CI lane
+    sim.set_exec_path(ExecPath::Compiled);
     sim.step(1.0e-4);  // builds the cache on the first step
     return sim.program_cache()->num_classes();
   };

@@ -12,21 +12,31 @@ namespace {
 using dg::ProblemKind;
 using mesh::Boundary;
 
-/// Runs CPU solver and PIM functional simulation side by side and returns
-/// the relative L-inf error over the whole state, normalised by the global
-/// field magnitude (per-variable normalisation would divide by zero for
-/// identically-zero components like the transverse velocity of a plane
-/// wave).
-template <typename Solver>
-double compare_pim_to_cpu(Solver& cpu, PimSimulation& pim, int steps) {
+/// Steps the CPU solver, then on every execution tier a fresh
+/// PimSimulation(sim_args...) from the same initial state, and expects
+/// each tier within 1e-4 of the CPU field: the relative L-inf error over
+/// the whole state, normalised by the global field magnitude
+/// (per-variable normalisation would divide by zero for identically-zero
+/// components like the transverse velocity of a plane wave).
+template <typename Solver, typename... SimArgs>
+void expect_pim_matches_cpu(Solver& cpu, int steps,
+                            const SimArgs&... sim_args) {
   const double dt = cpu.stable_dt();
-  pim.load_state(cpu.state());
+  const dg::Field initial = cpu.state();
   for (int i = 0; i < steps; ++i) {
     cpu.step(dt);
-    pim.step(dt);
   }
-  const dg::Field got = pim.read_state();
-  return relative_linf_error(got.flat(), cpu.state().flat());
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    PimSimulation pim(sim_args...);
+    pim.set_exec_path(path);
+    pim.load_state(initial);
+    for (int i = 0; i < steps; ++i) {
+      pim.step(dt);
+    }
+    const dg::Field got = pim.read_state();
+    EXPECT_LT(relative_linf_error(got.flat(), cpu.state().flat()), 1e-4);
+  }
 }
 
 TEST(PimSimulation, AcousticMatchesCpuSolverPeriodic) {
@@ -37,8 +47,8 @@ TEST(PimSimulation, AcousticMatchesCpuSolverPeriodic) {
                          {.n1d = 3, .flux = dg::FluxType::Upwind});
   init_acoustic_plane_wave(cpu, mesh::Axis::X, 1);
 
-  PimSimulation pim(problem, ExpansionMode::None, pim::chip_512mb());
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 5), 1e-4);
+  expect_pim_matches_cpu(cpu, 5, problem, ExpansionMode::None,
+                         pim::chip_512mb());
 }
 
 TEST(PimSimulation, AcousticMatchesCpuSolverReflective) {
@@ -49,9 +59,8 @@ TEST(PimSimulation, AcousticMatchesCpuSolverReflective) {
                          {.n1d = 3, .flux = dg::FluxType::Upwind});
   init_acoustic_gaussian_pulse(cpu, {0.5, 0.5, 0.5}, 0.2, 1.0);
 
-  PimSimulation pim(problem, ExpansionMode::None, pim::chip_512mb(),
-                    Boundary::Reflective);
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 5), 1e-4);
+  expect_pim_matches_cpu(cpu, 5, problem, ExpansionMode::None,
+                         pim::chip_512mb(), Boundary::Reflective);
 }
 
 TEST(PimSimulation, AcousticExpansionMatchesNaive) {
@@ -64,8 +73,8 @@ TEST(PimSimulation, AcousticExpansionMatchesNaive) {
                          {.n1d = 3, .flux = dg::FluxType::Upwind});
   init_acoustic_plane_wave(cpu, mesh::Axis::Y, 1);
 
-  PimSimulation pim(problem, ExpansionMode::Acoustic4, pim::chip_512mb());
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 5), 1e-4);
+  expect_pim_matches_cpu(cpu, 5, problem, ExpansionMode::Acoustic4,
+                         pim::chip_512mb());
 }
 
 TEST(PimSimulation, ElasticCentralMatchesCpuSolver) {
@@ -77,8 +86,8 @@ TEST(PimSimulation, ElasticCentralMatchesCpuSolver) {
                         {.n1d = 3, .flux = dg::FluxType::Central});
   init_elastic_plane_p_wave(cpu, 1);
 
-  PimSimulation pim(problem, ExpansionMode::Elastic3, pim::chip_512mb());
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 5), 1e-4);
+  expect_pim_matches_cpu(cpu, 5, problem, ExpansionMode::Elastic3,
+                         pim::chip_512mb());
 }
 
 TEST(PimSimulation, ElasticRiemannMatchesCpuSolver) {
@@ -90,8 +99,8 @@ TEST(PimSimulation, ElasticRiemannMatchesCpuSolver) {
                         {.n1d = 3, .flux = dg::FluxType::Upwind});
   init_elastic_plane_s_wave(cpu, 1);
 
-  PimSimulation pim(problem, ExpansionMode::Elastic3, pim::chip_512mb());
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 5), 1e-4);
+  expect_pim_matches_cpu(cpu, 5, problem, ExpansionMode::Elastic3,
+                         pim::chip_512mb());
 }
 
 TEST(PimSimulation, ElasticNineBlockMatchesThreeBlock) {
@@ -103,45 +112,55 @@ TEST(PimSimulation, ElasticNineBlockMatchesThreeBlock) {
                         {.n1d = 3, .flux = dg::FluxType::Central});
   init_elastic_plane_p_wave(cpu, 1);
 
-  PimSimulation pim(problem, ExpansionMode::Elastic9, pim::chip_512mb());
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 3), 1e-4);
+  expect_pim_matches_cpu(cpu, 3, problem, ExpansionMode::Elastic9,
+                         pim::chip_512mb());
 }
 
 TEST(PimSimulation, CostsAccumulateAcrossSteps) {
   const Problem problem{ProblemKind::Acoustic, 1, 3};
-  PimSimulation pim(problem, ExpansionMode::None, pim::chip_512mb());
-  dg::Field u(8, 4, 27);
-  pim.load_state(u);
-  pim.step(1e-3);
-  const auto after_one = pim.costs().total();
-  EXPECT_GT(after_one.time.value(), 0.0);
-  EXPECT_GT(after_one.energy.value(), 0.0);
-  pim.step(1e-3);
-  const auto after_two = pim.costs().total();
-  EXPECT_NEAR(after_two.time.value(), 2 * after_one.time.value(), 1e-9);
-  // Volume dominates flux network on this tiny mesh, but all kernels ran.
-  EXPECT_GT(pim.costs().volume.time.value(), 0.0);
-  EXPECT_GT(pim.costs().flux.time.value(), 0.0);
-  EXPECT_GT(pim.costs().integration.time.value(), 0.0);
-  EXPECT_GT(pim.costs().network.time.value(), 0.0);
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    PimSimulation pim(problem, ExpansionMode::None, pim::chip_512mb());
+    pim.set_exec_path(path);
+    dg::Field u(8, 4, 27);
+    pim.load_state(u);
+    pim.step(1e-3);
+    const auto after_one = pim.costs().total();
+    EXPECT_GT(after_one.time.value(), 0.0);
+    EXPECT_GT(after_one.energy.value(), 0.0);
+    pim.step(1e-3);
+    const auto after_two = pim.costs().total();
+    EXPECT_NEAR(after_two.time.value(), 2 * after_one.time.value(), 1e-9);
+    // Volume dominates flux network on this tiny mesh, but all kernels
+    // ran.
+    EXPECT_GT(pim.costs().volume.time.value(), 0.0);
+    EXPECT_GT(pim.costs().flux.time.value(), 0.0);
+    EXPECT_GT(pim.costs().integration.time.value(), 0.0);
+    EXPECT_GT(pim.costs().network.time.value(), 0.0);
+  }
 }
 
 TEST(PimSimulation, ExpansionReducesVolumeTime) {
   const Problem problem{ProblemKind::Acoustic, 1, 3};
-  PimSimulation naive(problem, ExpansionMode::None, pim::chip_512mb());
-  PimSimulation expanded(problem, ExpansionMode::Acoustic4,
-                         pim::chip_512mb());
-  dg::Field u(8, 4, 27);
-  naive.load_state(u);
-  expanded.load_state(u);
-  naive.step(1e-3);
-  expanded.step(1e-3);
-  // §6.2.1: the four-block implementation achieves better performance at
-  // the price of more energy (duplication + transfers).
-  EXPECT_LT(expanded.costs().volume.time.value(),
-            naive.costs().volume.time.value());
-  EXPECT_GT(expanded.costs().total().energy.value(),
-            naive.costs().total().energy.value());
+  for (ExecPath path : kAllExecPaths) {
+    SCOPED_TRACE(to_string(path));
+    PimSimulation naive(problem, ExpansionMode::None, pim::chip_512mb());
+    PimSimulation expanded(problem, ExpansionMode::Acoustic4,
+                           pim::chip_512mb());
+    naive.set_exec_path(path);
+    expanded.set_exec_path(path);
+    dg::Field u(8, 4, 27);
+    naive.load_state(u);
+    expanded.load_state(u);
+    naive.step(1e-3);
+    expanded.step(1e-3);
+    // §6.2.1: the four-block implementation achieves better performance
+    // at the price of more energy (duplication + transfers).
+    EXPECT_LT(expanded.costs().volume.time.value(),
+              naive.costs().volume.time.value());
+    EXPECT_GT(expanded.costs().total().energy.value(),
+              naive.costs().total().energy.value());
+  }
 }
 
 TEST(PimSimulation, RejectsProblemsWhereTwoSlicesCannotFit) {
@@ -191,8 +210,8 @@ TEST(PimSimulation, HeterogeneousAcousticMatchesCpuSolver) {
                          {.n1d = 3, .flux = dg::FluxType::Upwind});
   init_acoustic_gaussian_pulse(cpu, {0.25, 0.5, 0.5}, 0.15, 1.0);
 
-  PimSimulation pim(problem, ExpansionMode::None, pim::chip_512mb(), mats);
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 5), 1e-4);
+  expect_pim_matches_cpu(cpu, 5, problem, ExpansionMode::None,
+                         pim::chip_512mb(), mats);
 }
 
 TEST(PimSimulation, HeterogeneousElasticMatchesCpuSolver) {
@@ -216,9 +235,8 @@ TEST(PimSimulation, HeterogeneousElasticMatchesCpuSolver) {
     }
   }
 
-  PimSimulation pim(problem, ExpansionMode::Elastic3, pim::chip_512mb(),
-                    mats, Boundary::Reflective);
-  EXPECT_LT(compare_pim_to_cpu(cpu, pim, 4), 1e-4);
+  expect_pim_matches_cpu(cpu, 4, problem, ExpansionMode::Elastic3,
+                         pim::chip_512mb(), mats, Boundary::Reflective);
 }
 
 TEST(PimSimulation, MaterialKindMismatchRejected) {

@@ -9,38 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <utility>
+
+#include "support/scoped_env.h"
 
 namespace wavepim::pim {
 namespace {
-
-/// Scoped env override, restored on destruction so later tests (and the
-/// rest of the suite) see the ambient configuration again.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, old_.c_str(), /*overwrite=*/1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 TEST(FloatArena, BuffersArriveZeroFilledAndPageAligned) {
   auto& arena = FloatArena::instance();

@@ -23,9 +23,7 @@ void SharedFlags::apply(pim::ChipConfig& chip) const {
 }
 
 void SharedFlags::apply(mapping::PimSimulation& sim) const {
-  if (exec) {
-    sim.set_exec_path(*exec);
-  }
+  sim.set_exec_path(exec);
   sim.set_witness_interval(witness);
 }
 

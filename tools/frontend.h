@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "mapping/simulation.h"
@@ -32,7 +31,7 @@ enum Flag : unsigned {
 /// Parsed values of the shared flags. The defaults are the library's, so
 /// applying an unflagged set changes nothing.
 struct SharedFlags {
-  std::optional<mapping::ExecPath> exec;  ///< unset: WAVEPIM_EXEC or word
+  mapping::ExecPath exec = mapping::ExecPath::Word;
   std::uint32_t witness = 0;
   std::uint32_t chip_blocks = 0;  ///< 0 = uncapped
   pim::Topology topology = pim::Topology::HTree;
@@ -43,7 +42,7 @@ struct SharedFlags {
   void apply_fabric(pim::ChipConfig& chip) const;
   /// The fabric, its timing kind and the block cap.
   void apply(pim::ChipConfig& chip) const;
-  /// The execution tier (when --exec was given) and the witness cadence.
+  /// The execution tier and the witness cadence.
   void apply(mapping::PimSimulation& sim) const;
 };
 

@@ -50,7 +50,7 @@ int usage() {
       "             PIM simulator (default: WAVEPIM_NUM_THREADS or the\n"
       "             hardware); results are identical for any count\n"
       "--exec=emit|compiled|word: execution tier of the functional\n"
-      "             PIM simulator (default: WAVEPIM_EXEC, else word).\n"
+      "             PIM simulator (default: word).\n"
       "             emit re-lowers per stage, compiled runs the resolved\n"
       "             execution plan, word runs the vectorized word-level\n"
       "             kernels; fields and cost reports are bit-identical\n"
