@@ -22,10 +22,12 @@ class PlanBuilder final : public ProgramSink {
   PlanBuilder(ExecutionPlan::StreamPlan& out,
               std::array<std::vector<ExecutionPlan::DeferredCharge>, 6>*
                   deferred,
-              SinkPricing pricing, std::uint32_t num_groups)
+              SinkPricing pricing, std::uint32_t num_groups,
+              std::uint32_t rows)
       : out_(out),
         deferred_(deferred),
         pricing_(pricing),
+        rows_(rows),
         acc_(num_groups),
         touched_(num_groups, 0) {}
 
@@ -49,11 +51,11 @@ class PlanBuilder final : public ProgramSink {
     op.kind = Op::Kind::Scatter;
     op.group = check_group(group);
     op.col_dst = static_cast<std::uint8_t>(col);
-    op.count = check_rows(rows);
+    op.count = static_cast<std::uint32_t>(rows.size());
     op.rows_a = rows.data();
     op.values = values.data();
     op.distinct = distinct_values;
-    out_.ops.push_back(op);
+    push(op);
     charge(group, pim::Block::scatter_cost(*pricing_.model, rows.size(),
                                            distinct_values));
   }
@@ -65,16 +67,15 @@ class PlanBuilder final : public ProgramSink {
     op.group = check_group(group);
     op.col_a = static_cast<std::uint8_t>(src_col);
     op.col_dst = static_cast<std::uint8_t>(dst_col);
-    op.count = check_rows(src_rows);
+    op.count = static_cast<std::uint32_t>(src_rows.size());
     op.rows_a = src_rows.data();
-    out_.ops.push_back(op);
+    push(op);
     charge(group, pim::Block::gather_cost(*pricing_.model, src_rows.size()));
   }
 
   void arith(std::uint32_t group, pim::Opcode opcode, std::uint32_t col_a,
              std::uint32_t col_b, std::uint32_t col_dst,
              std::uint32_t rows) override {
-    WAVEPIM_REQUIRE(rows <= pim::Block::kRows, "arith overflows rows");
     Op op;
     op.kind = Op::Kind::Arith;
     op.opcode = opcode;
@@ -83,13 +84,12 @@ class PlanBuilder final : public ProgramSink {
     op.col_b = static_cast<std::uint8_t>(col_b);
     op.col_dst = static_cast<std::uint8_t>(col_dst);
     op.count = rows;
-    out_.ops.push_back(op);
+    push(op);
     charge(group, pricing_.model->op_cost(opcode, rows));
   }
 
   void fscale(std::uint32_t group, std::uint32_t col_src,
               std::uint32_t col_dst, float imm, std::uint32_t rows) override {
-    WAVEPIM_REQUIRE(rows <= pim::Block::kRows, "fscale overflows rows");
     Op op;
     op.kind = Op::Kind::Fscale;
     op.group = check_group(group);
@@ -97,14 +97,13 @@ class PlanBuilder final : public ProgramSink {
     op.col_dst = static_cast<std::uint8_t>(col_dst);
     op.imm = imm;
     op.count = rows;
-    out_.ops.push_back(op);
+    push(op);
     charge(group, pricing_.model->op_cost(pim::Opcode::Fscale, rows));
   }
 
   void faxpy(std::uint32_t group, std::uint32_t col_dst,
              std::uint32_t col_src, float a, float c,
              std::uint32_t rows) override {
-    WAVEPIM_REQUIRE(rows <= pim::Block::kRows, "faxpy overflows rows");
     Op op;
     op.kind = Op::Kind::Faxpy;
     op.group = check_group(group);
@@ -113,7 +112,7 @@ class PlanBuilder final : public ProgramSink {
     op.imm = a;
     op.imm2 = c;
     op.count = rows;
-    out_.ops.push_back(op);
+    push(op);
     charge(group, pricing_.model->op_cost(pim::Opcode::Faxpy, rows));
   }
 
@@ -128,9 +127,9 @@ class PlanBuilder final : public ProgramSink {
     op.col_a = static_cast<std::uint8_t>(col_a);
     op.col_b = static_cast<std::uint8_t>(col_b);
     op.col_dst = static_cast<std::uint8_t>(col_dst);
-    op.count = check_rows(rows);
+    op.count = static_cast<std::uint32_t>(rows.size());
     op.rows_a = rows.data();
-    out_.ops.push_back(op);
+    push(op);
     charge(group, pricing_.model->op_cost(
                       opcode, static_cast<std::uint32_t>(rows.size())));
   }
@@ -144,9 +143,9 @@ class PlanBuilder final : public ProgramSink {
     op.col_a = static_cast<std::uint8_t>(col_src);
     op.col_dst = static_cast<std::uint8_t>(col_dst);
     op.imm = imm;
-    op.count = check_rows(rows);
+    op.count = static_cast<std::uint32_t>(rows.size());
     op.rows_a = rows.data();
-    out_.ops.push_back(op);
+    push(op);
     charge(group,
            pricing_.model->op_cost(pim::Opcode::Fscale,
                                    static_cast<std::uint32_t>(rows.size())));
@@ -198,15 +197,9 @@ class PlanBuilder final : public ProgramSink {
     return static_cast<std::uint8_t>(group);
   }
 
-  /// Validates a row list against the block shape once at compile time —
-  /// the execution loops then walk raw pointers without per-word checks.
-  static std::uint32_t check_rows(std::span<const std::uint32_t> rows) {
-    WAVEPIM_REQUIRE(rows.size() <= pim::Block::kRows,
-                    "row list overflows rows");
-    for (std::uint32_t r : rows) {
-      WAVEPIM_REQUIRE(r < pim::Block::kRows, "block address out of range");
-    }
-    return static_cast<std::uint32_t>(rows.size());
+  void push(const Op& op) {
+    ExecutionPlan::check_rows(op, rows_);
+    out_.ops.push_back(op);
   }
 
   void push_move(std::int8_t face, std::uint32_t src_group,
@@ -223,11 +216,10 @@ class PlanBuilder final : public ProgramSink {
     op.peer_group = check_group(dst_group);
     op.col_a = static_cast<std::uint8_t>(src_col);
     op.col_dst = static_cast<std::uint8_t>(dst_col);
-    op.count = check_rows(src_rows);
-    check_rows(dst_rows);
+    op.count = static_cast<std::uint32_t>(src_rows.size());
     op.rows_a = src_rows.data();
     op.rows_b = dst_rows.data();
-    out_.ops.push_back(op);
+    push(op);
     out_.transfers.push_back(
         {face, static_cast<std::uint8_t>(src_group),
          static_cast<std::uint8_t>(dst_group), op.count});
@@ -241,6 +233,7 @@ class PlanBuilder final : public ProgramSink {
   ExecutionPlan::StreamPlan& out_;
   std::array<std::vector<ExecutionPlan::DeferredCharge>, 6>* deferred_;
   SinkPricing pricing_;
+  std::uint32_t rows_;
   std::vector<pim::OpCost> acc_;
   std::vector<std::uint8_t> touched_;
 };
@@ -249,17 +242,31 @@ constexpr std::uint32_t kNoNeighbor = 0xFFFFFFFFu;
 
 }  // namespace
 
+void ExecutionPlan::check_rows(const Op& op, std::uint32_t row_extent) {
+  WAVEPIM_REQUIRE(op.count <= row_extent, "op overflows rows");
+  for (const std::uint32_t* rows : {op.rows_a, op.rows_b}) {
+    for (std::uint32_t i = 0; rows != nullptr && i < op.count; ++i) {
+      WAVEPIM_REQUIRE(rows[i] < row_extent, "block address out of range");
+    }
+  }
+}
+
 ExecutionPlan::ExecutionPlan(ProgramCache& cache,
                              const mesh::StructuredMesh& mesh,
-                             Placement placement, SinkPricing pricing)
-    : cache_(cache), placement_(placement), pricing_(pricing) {
+                             Placement placement, SinkPricing pricing,
+                             std::uint32_t row_extent)
+    : cache_(cache),
+      placement_(placement),
+      pricing_(pricing),
+      row_extent_(row_extent) {
   const std::uint32_t num_groups = cache.setup().num_groups();
 
   classes_.resize(cache.num_classes());
   for (std::uint32_t cls = 0; cls < cache.num_classes(); ++cls) {
     ClassPlan& cp = classes_[cls];
     {
-      PlanBuilder builder(cp.volume, nullptr, pricing_, num_groups);
+      PlanBuilder builder(cp.volume, nullptr, pricing_, num_groups,
+                          row_extent_);
       replay(cache.arena(), cache.volume(cls), builder);
       builder.finish();
     }
@@ -268,7 +275,8 @@ ExecutionPlan::ExecutionPlan(ProgramCache& cache,
       // compute step. A group's faces fold into one aggregate (the
       // emit path charges them continuously within the step); folds
       // never span a step boundary, where ledgers are drained.
-      PlanBuilder builder(cp.flux[g], &cp.deferred, pricing_, num_groups);
+      PlanBuilder builder(cp.flux[g], &cp.deferred, pricing_, num_groups,
+                          row_extent_);
       for (mesh::Face f : faces_of(static_cast<FaceGroup>(g))) {
         replay(cache.arena(), cache.flux(cls, f), builder);
       }
@@ -497,8 +505,8 @@ const ExecutionPlan::StreamPlan& ExecutionPlan::integration(int stage,
     return it->second;
   }
   StreamPlan plan;
-  PlanBuilder builder(plan, nullptr, pricing_,
-                      cache_.setup().num_groups());
+  PlanBuilder builder(plan, nullptr, pricing_, cache_.setup().num_groups(),
+                      row_extent_);
   const ProgramCache::IntegrationProgram& integ =
       cache_.integration(stage, dt);
   replay(integ.arena, integ.stream, builder);

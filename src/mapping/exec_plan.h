@@ -125,8 +125,10 @@ class ExecutionPlan {
 
   /// Compiles every class of `cache` and resolves the per-element
   /// binding tables. The cache (and its arena) must outlive the plan.
+  /// Every op must pass check_rows at `row_extent` (Chip::row_extent).
   ExecutionPlan(ProgramCache& cache, const mesh::StructuredMesh& mesh,
-                Placement placement, SinkPricing pricing);
+                Placement placement, SinkPricing pricing,
+                std::uint32_t row_extent = pim::Block::kRows);
 
   /// Executes one element's Volume / flux-group / Integration stream:
   /// the data ops, then the batched per-block cost aggregates.
@@ -135,6 +137,10 @@ class ExecutionPlan {
                       FaceGroup group) const;
   void run_integration(const BlockResolver& blocks, mesh::ElementId e,
                        const StreamPlan& stage) const;
+
+  /// Rejects an op whose count or a listed row reaches `row_extent`; both
+  /// plan builders check every op once, so execution never checks rows.
+  static void check_rows(const Op& op, std::uint32_t row_extent);
 
   /// Executes one op's data movement for the element whose group-0
   /// block is `base` (no ledger charge). `neighbor_base` resolves the
@@ -172,6 +178,7 @@ class ExecutionPlan {
   [[nodiscard]] std::uint32_t num_classes() const {
     return static_cast<std::uint32_t>(classes_.size());
   }
+  [[nodiscard]] std::uint32_t row_extent() const { return row_extent_; }
 
   // --- Word-tier introspection ---------------------------------------------
   // The word-level engine (mapping/word_plan.h) re-resolves these compiled
@@ -224,6 +231,7 @@ class ExecutionPlan {
   ProgramCache& cache_;
   Placement placement_;
   SinkPricing pricing_;
+  std::uint32_t row_extent_;
   std::vector<ClassPlan> classes_;
   /// Per element: absolute block base of the neighbour across each face
   /// (UINT32_MAX for boundary faces, never dereferenced — boundary-face

@@ -67,10 +67,10 @@ struct StagingCounts {
 /// copies it back out and frees the slot. Every slice load/store is
 /// charged to the HbmModel at the slice's off-chip state footprint.
 ///
-/// The functional copies are bit-exact full-column moves, and programs
-/// only ever touch the node rows that are persisted, so a reloaded
-/// slice is indistinguishable from one that stayed resident — the root
-/// of the batched-vs-resident bit-identity guarantee.
+/// The functional copies are bit-exact moves of the node rows of every
+/// column, and programs only ever touch those rows, so a reloaded slice
+/// is indistinguishable from one that stayed resident — the root of the
+/// batched-vs-resident bit-identity guarantee.
 class ResidencyManager {
  public:
   /// `rows` is the per-block row count programs touch (nodes per
@@ -143,10 +143,9 @@ class ResidencyManager {
   std::vector<mesh::ElementId> slice_order_;
   std::vector<std::uint32_t> slot_of_slice_;
   std::vector<std::uint32_t> free_slots_;
-  /// Batched: rows_ floats per (vblock, col), served from the same
-  /// mmap-backed arena as block storage so huge over-capacity meshes
-  /// commit pages lazily instead of allocating the whole virtual state
-  /// up front.
+  /// Batched: rows_ floats per (vblock, col), served from the
+  /// mmap-backed pim::FloatArena so huge over-capacity meshes commit
+  /// pages lazily instead of allocating the whole virtual state up front.
   pim::FloatArena::Buffer backing_;
 
   std::uint64_t slice_loads_ = 0;

@@ -1,6 +1,7 @@
 #include "mapping/simulation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -27,6 +28,9 @@ std::uint64_t fnv1a_words(std::span<const float> words) {
   }
   return hash;
 }
+
+/// Process-wide witness check count; keys the per-worker table copies.
+std::atomic<std::uint64_t> g_witness_check{0};
 
 }  // namespace
 
@@ -172,6 +176,10 @@ void PimSimulation::init_chip(pim::ChipConfig chip) {
 void PimSimulation::attach_chip() {
   const std::uint32_t bpe = blocks_per_element(setup_.mode());
   const std::uint64_t needed = problem_.num_elements() * bpe;
+  const auto nodes = static_cast<std::uint32_t>(setup_.ref().num_nodes());
+  // Blocks store the node rows programs touch, in whole 8-row vector
+  // groups; set before the residency manager allocates a block.
+  chip_->set_row_extent((nodes + 7) / 8 * 8);
 
   pricing_ = {};
   pricing_.model = &chip_->arith();
@@ -182,8 +190,7 @@ void PimSimulation::attach_chip() {
 
   placement_ = Placement(bpe);
   residency_ = std::make_unique<ResidencyManager>(
-      *chip_, mesh_, bpe,
-      static_cast<std::uint32_t>(setup_.ref().num_nodes()),
+      *chip_, mesh_, bpe, nodes,
       element_state_bytes(problem_.kind, problem_.n1d));
 
   // Transfers carry virtual block ids. When the problem is batched those
@@ -289,7 +296,7 @@ void PimSimulation::ensure_plan() {
   }
   trace::Span span("pim.build_plan");
   plan_ = std::make_unique<ExecutionPlan>(*cache_, mesh_, placement_,
-                                          pricing_);
+                                          pricing_, chip_->row_extent());
 }
 
 void PimSimulation::ensure_word_plan() {
@@ -315,9 +322,8 @@ std::span<float> PimSimulation::state_column(std::uint32_t vblock,
   if (!residency_->is_resident()) {
     return residency_->backing_column(vblock, col);
   }
-  const auto nodes = static_cast<std::size_t>(setup_.ref().num_nodes());
-  WAVEPIM_REQUIRE(nodes <= pim::Block::kRows, "state column overflows rows");
-  return residency_->table()[vblock]->column(col).first(nodes);
+  return residency_->table()[vblock]->column(col).first(
+      static_cast<std::size_t>(setup_.ref().num_nodes()));
 }
 
 void PimSimulation::load_state(const dg::Field& u) {
@@ -575,10 +581,10 @@ void PimSimulation::step(double dt) {
 }
 
 void PimSimulation::witness_snapshot(std::span<const mesh::ElementId> elems) {
-  constexpr std::size_t kBlockWords =
-      std::size_t{pim::Block::kRows} * pim::Block::kWords;
+  const std::size_t block_words =
+      std::size_t{chip_->row_extent()} * pim::Block::kWords;
   const std::uint32_t bpe = placement_.blocks_per_element();
-  witness_snapshot_.resize(elems.size() * bpe * kBlockWords);
+  witness_snapshot_.resize(elems.size() * bpe * block_words);
   pim::Block* const* table = residency_->table();
   pool().parallel_for(elems.size(), [&](std::size_t i) {
     for (std::uint32_t g = 0; g < bpe; ++g) {
@@ -586,7 +592,7 @@ void PimSimulation::witness_snapshot(std::span<const mesh::ElementId> elems) {
           table[static_cast<std::size_t>(elems[i]) * bpe + g]->words();
       std::copy(src.begin(), src.end(),
                 witness_snapshot_.begin() +
-                    static_cast<std::ptrdiff_t>((i * bpe + g) * kBlockWords));
+                    static_cast<std::ptrdiff_t>((i * bpe + g) * block_words));
     }
   });
 }
@@ -596,55 +602,62 @@ void PimSimulation::witness_verify(
     std::uint32_t step_idx,
     const std::function<void(const BlockResolver&, mesh::ElementId)>&
         run_shadow) {
-  constexpr std::size_t kBlockWords =
-      std::size_t{pim::Block::kRows} * pim::Block::kWords;
+  const std::uint32_t rows = chip_->row_extent();
+  const std::size_t block_words = std::size_t{rows} * pim::Block::kWords;
   const std::uint32_t bpe = placement_.blocks_per_element();
   pim::Block* const* table = residency_->table();
   if (witness_corruption_) {
     // The injected fault (tests): flip the sign bit of one live word
     // after the word kernels ran, so a functioning witness must flag
     // exactly this block.
-    auto words = table[witness_corruption_->vblock]->words();
-    float& w = words[witness_corruption_->col * pim::Block::kRows +
-                     witness_corruption_->row];
-    w = std::bit_cast<float>(std::bit_cast<std::uint32_t>(w) ^ 0x80000000u);
+    const auto [vblock, col, row] = *witness_corruption_;
     witness_corruption_.reset();
+    const float w = table[vblock]->at(row, col);
+    table[vblock]->set(
+        row, col,
+        std::bit_cast<float>(std::bit_cast<std::uint32_t>(w) ^ 0x80000000u));
   }
   trace::Span span("pim.witness", static_cast<double>(elems.size()));
   witness_bad_.assign(elems.size() * bpe, 0);
   const std::size_t table_entries =
       static_cast<std::size_t>(mesh_.num_elements()) * bpe;
+  const std::uint64_t check =
+      g_witness_check.fetch_add(1, std::memory_order_relaxed) + 1;
   pool().parallel_for(elems.size(), [&](std::size_t i) {
-    // Per-worker shadow pool and virtual-table copy, capacity-retaining
-    // across checks. The element's ids are remapped onto the shadow
-    // blocks (seeded from the snapshot); every other id resolves to the
-    // live block — safe for flux, which only reads neighbour variable
+    // Per-worker shadow pool and virtual-table copy (taken once per
+    // check). The element's ids point at the shadow blocks (seeded from
+    // the snapshot) for its shadow run only; every other id resolves to
+    // the live block — safe for flux, which only reads neighbour variable
     // columns, and those are not written before Integration.
     thread_local std::vector<pim::Block> shadow_blocks;
     thread_local std::vector<pim::Block*> shadow_table;
+    thread_local std::uint64_t shadow_check = 0;
     if (shadow_blocks.size() < bpe ||
-        &shadow_blocks.front().model() != &chip_->arith()) {
+        &shadow_blocks.front().model() != &chip_->arith() ||
+        shadow_blocks.front().rows() != rows) {
       shadow_blocks.clear();
       shadow_blocks.reserve(bpe);
       for (std::uint32_t g = 0; g < bpe; ++g) {
-        shadow_blocks.emplace_back(&chip_->arith());
+        shadow_blocks.emplace_back(&chip_->arith(), rows);
       }
+    }
+    if (shadow_check != check) {
+      shadow_table.assign(table, table + table_entries);
+      shadow_check = check;
     }
     const std::size_t e = elems[i];
     for (std::uint32_t g = 0; g < bpe; ++g) {
       const float* src =
-          witness_snapshot_.data() + (i * bpe + g) * kBlockWords;
+          witness_snapshot_.data() + (i * bpe + g) * block_words;
       const auto dst = shadow_blocks[g].words();
-      std::copy(src, src + kBlockWords, dst.begin());
+      std::copy(src, src + block_words, dst.begin());
       shadow_blocks[g].reset_cost();  // shadow ledgers are discarded
-    }
-    shadow_table.assign(table, table + table_entries);
-    for (std::uint32_t g = 0; g < bpe; ++g) {
       shadow_table[e * bpe + g] = &shadow_blocks[g];
     }
     const BlockResolver shadow(*chip_, shadow_table.data());
     run_shadow(shadow, static_cast<mesh::ElementId>(e));
     for (std::uint32_t g = 0; g < bpe; ++g) {
+      shadow_table[e * bpe + g] = table[e * bpe + g];
       witness_bad_[i * bpe + g] =
           fnv1a_words(shadow_blocks[g].words()) !=
           fnv1a_words(table[e * bpe + g]->words());

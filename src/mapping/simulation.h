@@ -167,7 +167,7 @@ class PimSimulation {
   // word tier: a checked phase snapshots its elements' blocks before the
   // word kernels run, re-executes the phase through the ExecutionPlan on
   // shadow blocks seeded from the snapshot, and compares per-block
-  // FNV-1a hashes of the full post-state. Flux re-execution reads
+  // FNV-1a hashes of the full stored post-state. Flux re-execution reads
   // neighbour *variable* columns from the live blocks — safe, because no
   // phase writes them before Integration.
 

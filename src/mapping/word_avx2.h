@@ -87,7 +87,7 @@ struct AvxOp {
   std::uint16_t nfull = 0;      ///< leading dense 8-lane groups
   std::uint16_t ngroups = 0;    ///< total 8-lane groups
   std::uint16_t wgroups = 0;    ///< Permute source window groups
-  std::uint32_t off_a = 0;      ///< col*kRows + window base of operand a
+  std::uint32_t off_a = 0;      ///< col*extent + window base of operand a
   std::uint32_t off_b = 0;
   std::uint32_t off_dst = 0;
   std::uint32_t off_c = 0;  ///< fused: second op's other operand column

@@ -73,7 +73,7 @@ bool executable(Code code) {
 }  // namespace
 
 WordPlan::WordPlan(ExecutionPlan& plan)
-    : plan_(plan), num_groups_(plan.num_groups()) {
+    : plan_(plan), num_groups_(plan.num_groups()), rows_(plan.row_extent()) {
   use_avx2_ = avx_engine_enabled();
   classes_.reserve(plan.num_classes());
   for (std::uint32_t cls = 0; cls < plan.num_classes(); ++cls) {
@@ -99,13 +99,14 @@ WordPlan::WordStream WordPlan::compile(
   out.group_cost = &stream.group_cost;
   out.ops.reserve(stream.ops.size());
   for (const ExecOp& op : stream.ops) {
+    ExecutionPlan::check_rows(op, rows_);
     WordOp w;
     w.group = op.group;
     w.peer_group = op.peer_group;
     w.face = op.face;
-    w.off_a = op.col_a * kRows;
-    w.off_b = op.col_b * kRows;
-    w.off_dst = op.col_dst * kRows;
+    w.off_a = op.col_a * rows_;
+    w.off_b = op.col_b * rows_;
+    w.off_dst = op.col_dst * rows_;
     w.count = op.count;
     w.imm = op.imm;
     w.imm2 = op.imm2;
@@ -759,7 +760,7 @@ void WordPlan::build_avx(WordStream& s) const {
   using Kind = AvxOp::Kind;
   // Destination windows are capped well above anything the DG programs
   // produce (row spans are <= 27); an op that exceeds a cap, or whose
-  // window would run past the column end, falls back to its generic
+  // window is wider than the row extent, falls back to its generic
   // kernel rather than widening the engine's proof obligations.
   constexpr std::uint32_t kMaxDstGroups = 8;
   constexpr std::uint32_t kMaxSrcGroups = 4;
@@ -820,14 +821,17 @@ void WordPlan::build_avx(WordStream& s) const {
     std::array<std::uint32_t, 3> off = {kNone, kNone, kNone};
 
     // Window over a row list: returns false (-> fallback) when the
-    // group form cannot hold it.
+    // group form cannot hold it. A window that would run past the row
+    // extent slides down to end at it; it still covers [lo, hi] because
+    // every row lies below the extent.
     const auto window = [&](std::span<const std::uint32_t> rows,
                             std::uint32_t max_groups, std::uint32_t& wbase,
                             std::uint32_t& ngroups) {
       const auto [lo, hi] = std::minmax_element(rows.begin(), rows.end());
-      wbase = *lo;
       ngroups = (*hi - *lo + 8) / 8;
-      return ngroups <= max_groups && wbase + ngroups * 8 <= kRows;
+      const bool fits = ngroups <= max_groups && ngroups * 8 <= rows_;
+      wbase = fits ? std::min(*lo, rows_ - ngroups * 8) : 0;
+      return fits;
     };
     // Lane mask over the destination window (-1 = member row), plus the
     // dense-prefix count. Duplicate rows collapse onto one lane, which
@@ -1363,7 +1367,9 @@ void WordPlan::run_stream(const BlockResolver& blocks,
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t base = base_of_[elems[i]];
     for (std::uint32_t g = 0; g < num_groups; ++g) {
-      ptrs[i * num_groups + g] = blocks(base + g).words().data();
+      pim::Block& block = blocks(base + g);
+      WAVEPIM_ASSERT(block.rows() == rows_, "block extent is not the plan's");
+      ptrs[i * num_groups + g] = block.words().data();
     }
   }
 

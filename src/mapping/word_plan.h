@@ -119,7 +119,7 @@ class WordPlan {
     std::uint8_t group = 0;       ///< target block (source for Move)
     std::uint8_t peer_group = 0;  ///< Move destination block
     std::int8_t face = -1;        ///< Move source face (-1: own element)
-    std::uint32_t off_a = 0;      ///< col_a * kRows
+    std::uint32_t off_a = 0;      ///< col_a * row extent
     std::uint32_t off_b = 0;
     std::uint32_t off_dst = 0;
     std::uint32_t start = 0;    ///< contiguous/strided first row (rows_a)
@@ -278,6 +278,7 @@ class WordPlan {
 
   ExecutionPlan& plan_;
   std::uint32_t num_groups_;
+  std::uint32_t rows_;  ///< the plan's row extent (column stride, bound)
   /// Resolved once at construction: host executes AVX2 and the
   /// WAVEPIM_WORD_AVX2=0 kill-switch is not set. When false, no AVX
   /// mirror streams are built and run_stream uses the generic kernels.

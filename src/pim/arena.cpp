@@ -1,6 +1,5 @@
 #include "pim/arena.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -14,9 +13,9 @@
 namespace wavepim::pim {
 namespace {
 
-/// One reservation covers the largest supported chip plus residency
-/// backing stores with room to spare; MAP_NORESERVE keeps it virtual
-/// until a slot's pages are actually touched.
+/// One reservation covers the residency backing stores with room to
+/// spare; MAP_NORESERVE keeps it virtual until a slot's pages are
+/// actually touched.
 constexpr std::size_t kReserveBytes = std::size_t{1} << 30;  // 1 GiB
 
 /// Slot granularity: whole pages, so lazily-committed pages are never
@@ -27,22 +26,14 @@ constexpr std::size_t kAlignFloats = 4096 / sizeof(float);
   return (n + kAlignFloats - 1) & ~(kAlignFloats - 1);
 }
 
-/// Per-allocation gate: `WAVEPIM_WORD_ARENA=0` forces the heap path.
-/// Read per call (a relaxed getenv, plan-build/construction frequency)
-/// so conformance tests can flip it between simulation constructions.
-[[nodiscard]] bool arena_enabled() {
-  const char* env = std::getenv("WAVEPIM_WORD_ARENA");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 }  // namespace
 
 struct FloatArena::Impl {
   std::mutex mu;
   std::size_t bump = 0;  ///< floats handed out from the cursor
-  /// Exact-size free lists: block slots and backing stores come in a
-  /// handful of sizes per run, so recycling by size keeps the mapping
-  /// compact without a general allocator.
+  /// Exact-size free lists: backing stores come in a handful of sizes
+  /// per run, so recycling by size keeps the mapping compact without a
+  /// general allocator.
   std::unordered_map<std::size_t, std::vector<float*>> free_lists;
   Stats stats;
 };
@@ -54,7 +45,6 @@ FloatArena::FloatArena() : impl_(new Impl) {
   if (p != MAP_FAILED) {
     base_ = static_cast<float*>(p);
     capacity_floats_ = kReserveBytes / sizeof(float);
-    impl_->stats.reserved_bytes = kReserveBytes;
   }
 #endif
 }
@@ -65,14 +55,13 @@ FloatArena& FloatArena::instance() {
 }
 
 FloatArena::Buffer FloatArena::allocate(std::size_t n) {
-  if (base_ != nullptr && arena_enabled()) {
+  if (base_ != nullptr) {
     const std::size_t slot = align_up(n);
     std::lock_guard<std::mutex> lock(impl_->mu);
     auto it = impl_->free_lists.find(slot);
     if (it != impl_->free_lists.end() && !it->second.empty()) {
       float* p = it->second.back();
       it->second.pop_back();
-      ++impl_->stats.arena_allocs;
       ++impl_->stats.recycled;
       std::memset(p, 0, n * sizeof(float));
       return Buffer(p, n, true);
@@ -80,14 +69,8 @@ FloatArena::Buffer FloatArena::allocate(std::size_t n) {
     if (impl_->bump + slot <= capacity_floats_) {
       float* p = base_ + impl_->bump;
       impl_->bump += slot;
-      impl_->stats.bump_floats = impl_->bump;
-      ++impl_->stats.arena_allocs;
       return Buffer(p, n, true);  // fresh pages are already zero
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    ++impl_->stats.heap_allocs;
   }
   return Buffer(new float[n](), n, false);
 }

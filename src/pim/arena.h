@@ -6,41 +6,37 @@
 namespace wavepim::pim {
 
 /// Process-wide storage arena for FP32 column data — one reserved,
-/// lazily-committed virtual mapping that backs every pim::Block's column
-/// store and the residency layer's host backing buffers, in the style of
-/// a PIM simulator's up-front physical-memory reservation
-/// (PhysmemInit): reserve the address range once, let the OS commit
-/// pages on first touch, and recycle fixed-size slots through free
-/// lists instead of paying an allocator round-trip per block.
+/// lazily-committed virtual mapping that backs the residency layer's
+/// host backing stores, in the style of a PIM simulator's up-front
+/// physical-memory reservation (PhysmemInit): reserve the address range
+/// once, let the OS commit pages on first touch, and recycle fixed-size
+/// slots through free lists instead of paying an allocator round-trip
+/// per store.
 ///
-/// Why it exists: batched over-capacity runs construct and destroy
-/// thousands of shadow/witness blocks and slide residency windows whose
-/// backing stores are reallocated per simulation; the arena turns each
-/// of those into a mutex-guarded free-list pop plus a memset. Huge
-/// meshes additionally stop fragmenting the heap with 132 KB block
-/// slots.
+/// Why it exists: a batched over-capacity run keeps the whole virtual
+/// state of a huge mesh in one backing store, of which a step touches a
+/// window at a time; the mapping commits only the pages written. Block
+/// storage does not use it: blocks are a few KiB at their row extent
+/// (see pim::Block), and a plain allocation runs the word and compiled
+/// steps at least as fast as an arena slot.
 ///
 /// Semantics the rest of the system relies on:
 ///  * `allocate(n)` returns an n-float buffer of ZEROS — fresh mappings
 ///    are zero pages, recycled slots are cleared before reuse — so it is
 ///    a drop-in for `std::vector<float>(n)` / `new float[n]()`.
-///  * Slots are page-aligned (4 KiB). The 4K-alias stagger pim::Block
-///    applies to its column base is a per-block *offset into* the slot,
-///    so the coloring behaviour is unchanged.
-///  * `WAVEPIM_WORD_ARENA=0` (checked per allocation, so tests can
-///    toggle it between simulation constructions) routes every request
-///    to a plain `new float[n]()`; the same fallback serves platforms
-///    without mmap and requests that exceed the reservation. Either
-///    path yields bit-identical simulation state — the arena is a
-///    storage substrate, invisible to the cost model and the hashes.
+///  * Slots are page-aligned (4 KiB).
+///  * Platforms without mmap, and requests that exceed the reservation,
+///    get a plain `new float[n]()`. Either path yields bit-identical
+///    simulation state — the arena is a storage substrate, invisible to
+///    the cost model and the hashes.
 ///  * The singleton is intentionally leaked: buffers released from
-///    thread_local destructors (the witness shadow blocks) must find
-///    the arena alive at any shutdown order.
+///    static or thread_local destructors must find the arena alive at
+///    any shutdown order.
 class FloatArena {
  public:
-  /// Owning handle for one allocation; movable so pim::Block stays
-  /// movable. Arena-backed buffers return their slot to the free list
-  /// on destruction, heap-backed ones delete[].
+  /// Owning handle for one allocation; movable. Arena-backed buffers
+  /// return their slot to the free list on destruction, heap-backed
+  /// ones delete[].
   class Buffer {
    public:
     Buffer() = default;
@@ -70,18 +66,14 @@ class FloatArena {
   };
 
   struct Stats {
-    std::uint64_t arena_allocs = 0;   ///< buffers served from the mapping
-    std::uint64_t heap_allocs = 0;    ///< new[] fallback buffers
-    std::uint64_t recycled = 0;       ///< arena slots reused via free list
-    std::size_t reserved_bytes = 0;   ///< reserved mapping size (0 = none)
-    std::size_t bump_floats = 0;      ///< floats consumed from the cursor
+    std::uint64_t recycled = 0;  ///< arena slots reused via free list
   };
 
   /// The process-wide arena (leaked; see class comment).
   static FloatArena& instance();
 
-  /// Zero-filled n-float buffer; arena-backed when the mapping exists,
-  /// the gate is on and the reservation has room, heap-backed otherwise.
+  /// Zero-filled n-float buffer; arena-backed when the mapping exists
+  /// and the reservation has room, heap-backed otherwise.
   [[nodiscard]] Buffer allocate(std::size_t n);
 
   [[nodiscard]] Stats stats() const;

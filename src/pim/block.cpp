@@ -1,53 +1,37 @@
 #include "pim/block.h"
 
-#include <atomic>
 #include <vector>
 
 #include "common/error.h"
 
 namespace wavepim::pim {
 
-namespace {
-
-/// Round-robin base color, 32 steps of 128 B covering one 4 KiB page.
-/// Deterministic in allocation order; simulation state is unaffected
-/// (the color only shifts where in its private page each block starts).
-std::size_t next_color() {
-  static std::atomic<std::size_t> counter{0};
-  return (counter.fetch_add(1, std::memory_order_relaxed) % 32) * 32;
-}
-
-}  // namespace
-
-Block::Block(const ArithModel* model)
-    : model_(model),
-      words_(FloatArena::instance().allocate(
-          static_cast<std::size_t>(kRows) * kWords + kRows)),
-      color_(next_color()) {
+Block::Block(const ArithModel* model, std::uint32_t rows)
+    : model_(model), rows_(rows) {
   WAVEPIM_REQUIRE(model != nullptr, "block needs an arithmetic model");
+  WAVEPIM_REQUIRE(rows >= 1 && rows <= kRows, "block row extent out of range");
+  words_ = std::make_unique<float[]>(static_cast<std::size_t>(rows_) * kWords);
 }
 
-// Column-major: one contiguous kRows-float run per word-column, so the
+// Column-major: one contiguous rows_-float run per word-column, so the
 // row-parallel ops below iterate stride-1.
 std::size_t Block::idx(std::uint32_t row, std::uint32_t col) const {
-  WAVEPIM_REQUIRE(row < kRows && col < kWords, "block address out of range");
-  return color_ + static_cast<std::size_t>(col) * kRows + row;
+  WAVEPIM_REQUIRE(row < rows_ && col < kWords, "block address out of range");
+  return static_cast<std::size_t>(col) * rows_ + row;
 }
 
 std::span<const float> Block::column(std::uint32_t col) const {
   WAVEPIM_REQUIRE(col < kWords, "block column out of range");
-  return {words_.data() + color_ + static_cast<std::size_t>(col) * kRows,
-          kRows};
+  return {words_.get() + static_cast<std::size_t>(col) * rows_, rows_};
 }
 
 std::span<float> Block::column(std::uint32_t col) {
   WAVEPIM_REQUIRE(col < kWords, "block column out of range");
-  return {words_.data() + color_ + static_cast<std::size_t>(col) * kRows,
-          kRows};
+  return {words_.get() + static_cast<std::size_t>(col) * rows_, rows_};
 }
 
 void Block::load_column(std::uint32_t col, std::span<const float> values) {
-  WAVEPIM_REQUIRE(values.size() <= kRows, "column load overflows rows");
+  WAVEPIM_REQUIRE(values.size() <= rows_, "column load overflows rows");
   float* dst = column(col).data();
   for (std::size_t i = 0; i < values.size(); ++i) {
     dst[i] = values[i];
@@ -55,18 +39,10 @@ void Block::load_column(std::uint32_t col, std::span<const float> values) {
 }
 
 void Block::store_column(std::uint32_t col, std::span<float> out) const {
-  WAVEPIM_REQUIRE(out.size() <= kRows, "column read overflows rows");
+  WAVEPIM_REQUIRE(out.size() <= rows_, "column read overflows rows");
   const float* src = column(col).data();
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = src[i];
-  }
-}
-
-void Block::fill_column(std::uint32_t col, float v, std::uint32_t count) {
-  WAVEPIM_REQUIRE(count <= kRows, "column fill overflows rows");
-  float* dst = column(col).data();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    dst[i] = v;
   }
 }
 
@@ -91,11 +67,11 @@ void Block::read_row(std::uint32_t row, std::uint32_t col,
 void Block::broadcast(std::uint32_t src_row, std::uint32_t col,
                       std::uint32_t word_count, std::uint32_t dst_begin,
                       std::uint32_t dst_count) {
-  WAVEPIM_REQUIRE(dst_begin + dst_count <= kRows, "broadcast overflows rows");
+  WAVEPIM_REQUIRE(dst_begin + dst_count <= rows_, "broadcast overflows rows");
+  WAVEPIM_REQUIRE(src_row < rows_, "block address out of range");
   WAVEPIM_REQUIRE(col + word_count <= kWords, "broadcast overflows columns");
   for (std::uint32_t w = 0; w < word_count; ++w) {
-    float* column_run = words_.data() + color_ +
-                        static_cast<std::size_t>(col + w) * kRows;
+    float* column_run = column(col + w).data();
     const float v = column_run[src_row];
     for (std::uint32_t r = 0; r < dst_count; ++r) {
       const std::uint32_t dst = dst_begin + r;
@@ -131,7 +107,7 @@ OpCost Block::scatter_cost(const ArithModel& model, std::size_t rows,
 void Block::gather_rows(std::span<const std::uint32_t> src_rows,
                         std::uint32_t src_col, std::uint32_t dst_begin,
                         std::uint32_t dst_col) {
-  WAVEPIM_REQUIRE(dst_begin + src_rows.size() <= kRows,
+  WAVEPIM_REQUIRE(dst_begin + src_rows.size() <= rows_,
                   "gather overflows rows");
   // Copy values out first: the gather must behave like a parallel
   // permutation even when source and destination row ranges overlap. The
@@ -141,7 +117,7 @@ void Block::gather_rows(std::span<const std::uint32_t> src_rows,
   staged.resize(src_rows.size());
   const float* src = column(src_col).data();
   for (std::size_t i = 0; i < src_rows.size(); ++i) {
-    WAVEPIM_REQUIRE(src_rows[i] < kRows, "block address out of range");
+    WAVEPIM_REQUIRE(src_rows[i] < rows_, "block address out of range");
     staged[i] = src[src_rows[i]];
   }
   float* dst = column(dst_col).data() + dst_begin;
@@ -154,7 +130,7 @@ void Block::gather_rows(std::span<const std::uint32_t> src_rows,
 void Block::arith(Opcode op, std::uint32_t col_a, std::uint32_t col_b,
                   std::uint32_t col_dst, std::uint32_t row_begin,
                   std::uint32_t count) {
-  WAVEPIM_REQUIRE(row_begin + count <= kRows, "arith overflows rows");
+  WAVEPIM_REQUIRE(row_begin + count <= rows_, "arith overflows rows");
   const float* a = column(col_a).data() + row_begin;
   const float* b = column(col_b).data() + row_begin;
   float* dst = column(col_dst).data() + row_begin;
@@ -182,7 +158,7 @@ void Block::arith(Opcode op, std::uint32_t col_a, std::uint32_t col_b,
 
 void Block::fscale(std::uint32_t col_src, std::uint32_t col_dst, float c,
                    std::uint32_t row_begin, std::uint32_t count) {
-  WAVEPIM_REQUIRE(row_begin + count <= kRows, "fscale overflows rows");
+  WAVEPIM_REQUIRE(row_begin + count <= rows_, "fscale overflows rows");
   const float* src = column(col_src).data() + row_begin;
   float* dst = column(col_dst).data() + row_begin;
   for (std::uint32_t r = 0; r < count; ++r) {
@@ -193,7 +169,7 @@ void Block::fscale(std::uint32_t col_src, std::uint32_t col_dst, float c,
 
 void Block::faxpy(std::uint32_t col_dst, std::uint32_t col_src, float a,
                   float c, std::uint32_t row_begin, std::uint32_t count) {
-  WAVEPIM_REQUIRE(row_begin + count <= kRows, "faxpy overflows rows");
+  WAVEPIM_REQUIRE(row_begin + count <= rows_, "faxpy overflows rows");
   const float* src = column(col_src).data() + row_begin;
   float* dst = column(col_dst).data() + row_begin;
   for (std::uint32_t r = 0; r < count; ++r) {
@@ -204,7 +180,7 @@ void Block::faxpy(std::uint32_t col_dst, std::uint32_t col_src, float a,
 
 void Block::copy_cols(std::uint32_t col_src, std::uint32_t col_dst,
                       std::uint32_t row_begin, std::uint32_t count) {
-  WAVEPIM_REQUIRE(row_begin + count <= kRows, "copy overflows rows");
+  WAVEPIM_REQUIRE(row_begin + count <= rows_, "copy overflows rows");
   const float* src = column(col_src).data() + row_begin;
   float* dst = column(col_dst).data() + row_begin;
   for (std::uint32_t r = 0; r < count; ++r) {
@@ -220,7 +196,7 @@ void Block::arith_rows(Opcode op, std::uint32_t col_a, std::uint32_t col_b,
   const float* b = column(col_b).data();
   float* dst = column(col_dst).data();
   for (std::uint32_t r : rows) {
-    WAVEPIM_REQUIRE(r < kRows, "block address out of range");
+    WAVEPIM_REQUIRE(r < rows_, "block address out of range");
     float v = 0.0f;
     switch (op) {
       case Opcode::Fadd:
@@ -245,7 +221,7 @@ void Block::fscale_rows(std::uint32_t col_src, std::uint32_t col_dst, float c,
   const float* src = column(col_src).data();
   float* dst = column(col_dst).data();
   for (std::uint32_t r : rows) {
-    WAVEPIM_REQUIRE(r < kRows, "block address out of range");
+    WAVEPIM_REQUIRE(r < rows_, "block address out of range");
     dst[r] = c * src[r];
   }
   ledger_ +=
@@ -259,7 +235,7 @@ void Block::scatter_rows(std::span<const std::uint32_t> rows,
                   "scatter needs one value per row");
   float* dst = column(col).data();
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    WAVEPIM_REQUIRE(rows[i] < kRows, "block address out of range");
+    WAVEPIM_REQUIRE(rows[i] < rows_, "block address out of range");
     dst[rows[i]] = values[i];
   }
   ledger_ += scatter_cost(*model_, rows.size(), distinct_values);

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
-#include "pim/arena.h"
 #include "pim/arith.h"
 
 namespace wavepim::pim {
@@ -19,19 +19,30 @@ namespace wavepim::pim {
 /// block are serial (single set of drivers), so the ledger time is the
 /// block's busy time.
 ///
-/// Storage is column-major (one contiguous kRows-float run per
+/// Storage is column-major (one contiguous `rows()`-float run per
 /// word-column): the hot operations — row-parallel arith/fscale/faxpy,
 /// column copies, gathers — walk one or two columns over a row range, so
 /// the inner loops are stride-1 and vectorize. The row-buffer I/O
 /// methods (write_row/read_row/broadcast) stride instead, but they run
 /// once per constant distribution, not once per node per stage.
+///
+/// The modelled crossbar has kRows rows (costs and capacity use that),
+/// but a block stores only its *row extent*, rows [0, rows()) of each
+/// column: a chip running DG programs sizes it to an element's node rows
+/// (Chip::set_row_extent), 32 instead of 1,024 at n1d = 3. Every address
+/// at or past the extent is out of range.
 class Block {
  public:
   static constexpr std::uint32_t kRows = ChipConfig::kBlockRows;
   static constexpr std::uint32_t kWords = ChipConfig::kBlockCols /
                                           ChipConfig::kWordBits;
 
-  explicit Block(const ArithModel* model);
+  /// A zeroed block storing rows [0, rows) of every column; `rows` is
+  /// in [1, kRows] and defaults to the whole modelled crossbar.
+  explicit Block(const ArithModel* model, std::uint32_t rows = kRows);
+
+  /// The storage row extent: column stride in floats and row bound.
+  [[nodiscard]] std::uint32_t rows() const { return rows_; }
 
   // --- Row-buffer I/O ----------------------------------------------------
 
@@ -99,7 +110,7 @@ class Block {
                     std::uint32_t distinct_values);
 
   // --- Bulk column access ---------------------------------------------------
-  // Contiguous storage of one word-column across all kRows rows. The
+  // Contiguous storage of one word-column across its rows() rows. The
   // compiled execution engine (mapping/exec_plan) runs its resolved op
   // streams directly over these spans — one bounds check per op instead
   // of one per word — and the state loaders use them for bulk variable
@@ -109,17 +120,17 @@ class Block {
   [[nodiscard]] std::span<const float> column(std::uint32_t col) const;
   [[nodiscard]] std::span<float> column(std::uint32_t col);
 
-  /// The whole column-major storage (kWords * kRows floats; column c is
-  /// the run [c * kRows, (c+1) * kRows)). The word-level execution tier
+  /// The whole column-major storage (kWords * rows() floats; column c is
+  /// the run [c * rows(), (c+1) * rows())). The word-level execution tier
   /// (mapping/word_plan) resolves column numbers to offsets into this
   /// span at plan build, leaving zero per-op address computation; like
   /// column(), mutation bypasses the ledger and the caller charges the
   /// pre-folded stream aggregates.
   [[nodiscard]] std::span<const float> words() const {
-    return {words_.data() + color_, static_cast<std::size_t>(kRows) * kWords};
+    return {words_.get(), static_cast<std::size_t>(rows_) * kWords};
   }
   [[nodiscard]] std::span<float> words() {
-    return {words_.data() + color_, static_cast<std::size_t>(kRows) * kWords};
+    return {words_.get(), static_cast<std::size_t>(rows_) * kWords};
   }
 
   /// Bulk variable load: values[i] -> (i, col). Cost-free like set():
@@ -128,9 +139,6 @@ class Block {
 
   /// Bulk variable read-back: out[i] <- (i, col).
   void store_column(std::uint32_t col, std::span<float> out) const;
-
-  /// Fills rows [0, count) of `col` with `v` (auxiliary zeroing on load).
-  void fill_column(std::uint32_t col, float v, std::uint32_t count);
 
   // --- Shared cost formulas -------------------------------------------------
   // The ledger charges of gather_rows / scatter_rows, exposed so the
@@ -162,19 +170,9 @@ class Block {
   [[nodiscard]] std::size_t idx(std::uint32_t row, std::uint32_t col) const;
 
   const ArithModel* model_;
-  /// Storage over-allocated by one 4 KiB page; `color_` staggers each
-  /// block's base address across the page (128 B steps, round-robin per
-  /// allocation). Column strides are exactly 4 KiB (kRows words), so
-  /// without the stagger every block maps equal (column, row) addresses
-  /// to identical page offsets — and the word tier's op-major sweep then
-  /// pays a 4K-alias store-to-load stall on every element. The color is
-  /// invisible to the logical layout: words()/column() start at the
-  /// colored base and all indexing is relative to it. The slot itself
-  /// comes from the process-wide FloatArena (mmap-backed, recycled
-  /// across block lifetimes; plain new[] when the arena is disabled or
-  /// unavailable) — the stagger is an offset into the slot either way.
-  FloatArena::Buffer words_;
-  std::size_t color_ = 0;
+  std::uint32_t rows_;
+  /// kWords * rows_ floats, column-major, zero-initialised.
+  std::unique_ptr<float[]> words_;
   OpCost ledger_;
 };
 

@@ -18,7 +18,7 @@ Block& Chip::block(std::uint32_t id) {
   WAVEPIM_REQUIRE(id < config_.num_blocks(), "block id out of range");
   auto& slot = blocks_[id];
   if (!slot) {
-    slot = std::make_unique<Block>(&arith_);
+    slot = std::make_unique<Block>(&arith_, row_extent_);
     ++num_allocated_;
   }
   return *slot;
@@ -31,11 +31,20 @@ void Chip::ensure_blocks(std::uint32_t count) {
   }
 }
 
+void Chip::set_row_extent(std::uint32_t rows) {
+  WAVEPIM_REQUIRE(rows >= 1 && rows <= Block::kRows,
+                  "row extent out of range");
+  WAVEPIM_REQUIRE(rows == row_extent_ || num_allocated_ == 0,
+                  "row extent changes need a chip with no allocated blocks");
+  row_extent_ = rows;
+}
+
 void Chip::reset() {
   for (auto& slot : blocks_) {
     slot.reset();
   }
   num_allocated_ = 0;
+  row_extent_ = Block::kRows;
 }
 
 bool Chip::block_allocated(std::uint32_t id) const {

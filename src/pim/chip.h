@@ -39,12 +39,18 @@ class Chip {
   /// safe from concurrent workers.
   void ensure_blocks(std::uint32_t count);
 
+  /// Row extent of the blocks this chip allocates (see pim::Block):
+  /// Block::kRows until a tenant narrows it, which only while no block
+  /// is allocated. Capacity and costs keep the modelled geometry.
+  void set_row_extent(std::uint32_t rows);
+  [[nodiscard]] std::uint32_t row_extent() const { return row_extent_; }
+
   /// Returns the chip to its just-constructed state so a pool can hand it
-  /// to the next tenant: every allocated block is destroyed (their
-  /// FloatArena slots go back to the process free list) and the
-  /// allocation count is cleared. Any Block* a previous tenant's
-  /// residency table still holds becomes dangling — destroy the tenant
-  /// simulation before recycling its chip.
+  /// to the next tenant: every allocated block is destroyed, the
+  /// allocation count is cleared and the row extent is back to
+  /// Block::kRows. Any Block* a previous tenant's residency table still
+  /// holds becomes dangling — destroy the tenant simulation before
+  /// recycling its chip.
   void reset();
 
   [[nodiscard]] bool block_allocated(std::uint32_t id) const;
@@ -77,6 +83,7 @@ class Chip {
   /// here, so even a 16 GB configuration costs ~1 MB until blocks are used.
   std::vector<std::unique_ptr<Block>> blocks_;
   std::size_t num_allocated_ = 0;
+  std::uint32_t row_extent_ = Block::kRows;
 };
 
 }  // namespace wavepim::pim

@@ -328,14 +328,13 @@ TEST(ExecConformance, RetiredEnvironmentKnobsAreIgnored) {
   EXPECT_EQ(sim.net_stats().link_schedules, 0u);
 }
 
-// ---- Arena / AVX2 cost invisibility ----------------------------------------
-// The two word-tier switches (WAVEPIM_WORD_ARENA, WAVEPIM_WORD_AVX2) are
-// storage/dispatch choices that must be invisible to every observable:
-// fields, OpCost ledgers per channel, NetStats, and the full chip hash
-// (scratch columns included) must be byte-identical with each switch on
-// and off, at 1, 4 and hardware-default worker counts. Both are read at
-// plan-build / allocation time, so a scoped setenv between sim
-// constructions selects the variant.
+// ---- AVX2 cost invisibility ------------------------------------------------
+// The word-tier switch WAVEPIM_WORD_AVX2 is a dispatch choice that must
+// be invisible to every observable: fields, OpCost ledgers per channel,
+// NetStats, and the full chip hash (scratch columns included) must be
+// byte-identical with it on and off, at 1, 4 and hardware-default
+// worker counts. It is read at plan build, so a scoped setenv between
+// sim constructions selects the variant.
 
 TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
   const auto make = [] {
@@ -345,43 +344,22 @@ TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
   };
   const int steps = 1;
   const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
-
-  const struct {
-    const char* label;
-    const char* var;
-    const char* value;
-  } variants[] = {
-      {"arena off", "WAVEPIM_WORD_ARENA", "0"},
-      {"avx2 off", "WAVEPIM_WORD_AVX2", "0"},
-  };
-  for (const auto& v : variants) {
-    SCOPED_TRACE(v.label);
-    ScopedEnv env(v.var, v.value);
+  {
+    SCOPED_TRACE("avx2 off");
+    ScopedEnv env("WAVEPIM_WORD_AVX2", "0");
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
       expect_identical(reference, run_at(make, ExecPath::Word, threads, steps),
                        ExecPath::Word, threads);
     }
-  }
-
-  // The AVX2 switch must actually reach the plan.
-  {
-    ScopedEnv avx("WAVEPIM_WORD_AVX2", "0");
+    // The switch must actually reach the plan.
     auto sim = make();
     sim->set_exec_path(ExecPath::Word);
     sim->step(2.0e-4);
     ASSERT_NE(sim->word_plan(), nullptr);
     EXPECT_FALSE(sim->word_plan()->uses_avx2());
   }
-
-  // Both off at once and both on (the ambient default) must agree too.
-  {
-    SCOPED_TRACE("both switches off");
-    ScopedEnv arena("WAVEPIM_WORD_ARENA", "0");
-    ScopedEnv avx("WAVEPIM_WORD_AVX2", "0");
-    expect_identical(reference, run_at(make, ExecPath::Word, 4, steps),
-                     ExecPath::Word, 4);
-  }
+  // The ambient default must agree too.
   expect_identical(reference, run_at(make, ExecPath::Word, 4, steps),
                    ExecPath::Word, 4);
 }

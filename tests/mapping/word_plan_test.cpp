@@ -2,15 +2,18 @@
 // kernel, and every other shape runs its compiled op bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <vector>
 
+#include "common/error.h"
 #include "dg/rk.h"
 #include "mapping/exec_plan.h"
 #include "mapping/layout.h"
 #include "mapping/program_cache.h"
+#include "mapping/simulation.h"
 #include "mapping/word_plan.h"
 #include "pim/chip.h"
 
@@ -55,6 +58,190 @@ TEST(WordCensus, DgProgramsDispatchNoCompiledOps) {
       }
     }
   }
+}
+
+/// Row extent a simulation gives its chip: nodes rounded up to 8.
+std::uint32_t compact_extent(const Problem& problem) {
+  const auto nodes =
+      static_cast<std::uint32_t>(problem.n1d * problem.n1d * problem.n1d);
+  return (nodes + 7) / 8 * 8;
+}
+
+/// Word ops whose AVX2 mirror fell back to the generic kernels.
+std::uint64_t avx_fallbacks(const WordPlan& word) {
+  const auto count = [](const WordPlan::WordStream& s) {
+    return std::count_if(s.avx.ops.begin(), s.avx.ops.end(),
+                         [](const wordavx::AvxOp& a) {
+                           return a.kind == wordavx::AvxOp::Kind::Fallback;
+                         });
+  };
+  std::uint64_t n = 0;
+  for (std::uint32_t cls = 0; cls < word.num_classes(); ++cls) {
+    n += count(word.volume_stream(cls));
+    for (std::uint32_t g = 0; g < kNumFaceGroups; ++g) {
+      n += count(word.flux_stream(cls, static_cast<FaceGroup>(g)));
+    }
+  }
+  return n;
+}
+
+// Compact block storage must not cost the word tier a kernel: at the
+// row extent a simulation uses, every stream fuses exactly as at the
+// full crossbar height (no op silently falls back to Compiled), and the
+// AVX2 engine keeps every op it could vectorize.
+TEST(RowExtent, WordPlanIsTheSameAtCompactAndFullExtent) {
+  const pim::ArithModel model;
+  SinkPricing pricing;
+  pricing.model = &model;
+  for (const ProblemKind kind : {ProblemKind::Acoustic,
+                                 ProblemKind::ElasticCentral,
+                                 ProblemKind::ElasticRiemann}) {
+    for (int n1d = 2; n1d <= 4; ++n1d) {
+      for (const ExpansionMode mode : applicable_modes(kind)) {
+        const Problem problem{kind, 2, n1d};
+        SCOPED_TRACE(problem.name() + " " + to_string(mode));
+        const mesh::StructuredMesh mesh(problem.refinement_level, 1.0,
+                                        Boundary::Periodic);
+        const ElementSetup setup(problem, mode, mesh.element_size());
+        ProgramCache cache(setup, mesh, nullptr, nullptr);
+        const Placement placement(blocks_per_element(mode));
+        ExecutionPlan full_plan(cache, mesh, placement, pricing);
+        ExecutionPlan compact_plan(cache, mesh, placement, pricing,
+                                   compact_extent(problem));
+        WordPlan full(full_plan);
+        WordPlan compact(compact_plan);
+        for (int stage = 0; stage < dg::Lsrk54::kNumStages; ++stage) {
+          (void)full.integration(stage, 1.0e-4f);
+          (void)compact.integration(stage, 1.0e-4f);
+        }
+        const auto& a = full.fuse_stats();
+        const auto& b = compact.fuse_stats();
+        EXPECT_EQ(a.ops_before, b.ops_before);
+        EXPECT_EQ(a.ops_after, b.ops_after);
+        EXPECT_EQ(a.scale_add, b.scale_add);
+        EXPECT_EQ(a.mul_add, b.mul_add);
+        EXPECT_EQ(a.axpy_pair, b.axpy_pair);
+        EXPECT_EQ(a.chains, b.chains);
+        EXPECT_EQ(a.chain_links, b.chain_links);
+        EXPECT_EQ(a.chain_pairs, b.chain_pairs);
+        EXPECT_EQ(a.gather_fused, b.gather_fused);
+        EXPECT_EQ(a.dead_stores, b.dead_stores);
+        EXPECT_EQ(a.compiled, b.compiled);
+        EXPECT_EQ(avx_fallbacks(full), avx_fallbacks(compact));
+      }
+    }
+  }
+}
+
+// Both plan builders check every op's rows against the row extent once,
+// so execution can walk raw offsets: an op reaching the extent is
+// rejected at build time.
+TEST(RowExtent, PlanBuildersRejectRowsReachingTheExtent) {
+  const Problem problem{ProblemKind::Acoustic, 1, 3};  // 27 node rows
+  const ExpansionMode mode = ExpansionMode::None;
+  const mesh::StructuredMesh mesh(problem.refinement_level, 1.0,
+                                  Boundary::Periodic);
+  const ElementSetup setup(problem, mode, mesh.element_size());
+  const pim::ArithModel model;
+  SinkPricing pricing;
+  pricing.model = &model;
+  ProgramCache cache(setup, mesh, nullptr, nullptr);
+  const Placement placement(blocks_per_element(mode));
+
+  // Compiled builder: the DG streams address rows [0, 27).
+  EXPECT_THROW(ExecutionPlan(cache, mesh, placement, pricing, 26),
+               PreconditionError);
+  ExecutionPlan tight(cache, mesh, placement, pricing, 27);
+  EXPECT_EQ(tight.row_extent(), 27u);
+
+  // Word builder, fed ops directly at extent 32.
+  ExecutionPlan plan(cache, mesh, placement, pricing, 32);
+  WordPlan word(plan);
+  using Op = ExecutionPlan::Op;
+  const std::vector<std::uint32_t> last = {0, 31};
+  const std::vector<std::uint32_t> past = {0, 32};
+  const std::vector<float> values = {1.0f, 2.0f};
+  const auto compile_one = [&](const Op& op) {
+    ExecutionPlan::StreamPlan stream;
+    stream.ops = {op};
+    return word.compile(stream).ops.size();
+  };
+  Op add;
+  add.kind = Op::Kind::Arith;
+  add.opcode = pim::Opcode::Fadd;
+  add.col_a = 0;
+  add.col_b = 1;
+  add.col_dst = pim::Block::kWords - 1;
+  add.count = 32;
+  EXPECT_EQ(compile_one(add), 1u);
+  add.count = 33;
+  EXPECT_THROW((void)compile_one(add), PreconditionError);
+
+  Op scatter;
+  scatter.kind = Op::Kind::Scatter;
+  scatter.col_dst = pim::Block::kWords - 1;
+  scatter.values = values.data();
+  scatter.count = 2;
+  scatter.rows_a = last.data();
+  EXPECT_EQ(compile_one(scatter), 1u);
+  scatter.rows_a = past.data();
+  EXPECT_THROW((void)compile_one(scatter), PreconditionError);
+
+  Op move;
+  move.kind = Op::Kind::Move;
+  move.col_a = 0;
+  move.col_dst = 1;
+  move.peer_group = 0;
+  move.count = 2;
+  move.rows_a = last.data();
+  move.rows_b = last.data();
+  EXPECT_EQ(compile_one(move), 1u);
+  move.rows_b = past.data();
+  EXPECT_THROW((void)compile_one(move), PreconditionError);
+}
+
+// A simulation's chip stores only its elements' node rows, rounded up
+// to whole 8-row groups: blocks x extent x 32 floats in all.
+TEST(RowExtent, SimulationChipStoresOnlyTheNodeRows) {
+  for (int n1d = 2; n1d <= 4; ++n1d) {
+    const Problem problem{ProblemKind::Acoustic, 1, n1d};
+    PimSimulation sim(problem, ExpansionMode::None, pim::chip_512mb());
+    const pim::Chip& chip = sim.chip();
+    const std::uint32_t extent = compact_extent(problem);
+    EXPECT_EQ(chip.row_extent(), extent) << "n1d " << n1d;
+    ASSERT_GT(chip.num_allocated_blocks(), 0u);
+    std::size_t stored = 0;
+    for (std::uint32_t id = 0; id < chip.config().num_blocks(); ++id) {
+      if (chip.block_allocated(id)) {
+        stored += sim.chip().block(id).words().size();
+      }
+    }
+    EXPECT_EQ(stored, chip.num_allocated_blocks() * extent *
+                          pim::Block::kWords)
+        << "n1d " << n1d;
+  }
+}
+
+// Word ops address blocks by precomputed column offsets, so a plan
+// must only run on blocks of its own row extent.
+TEST(RowExtent, WordPlanRefusesBlocksOfAnotherExtent) {
+  const Problem problem{ProblemKind::Acoustic, 1, 3};
+  const ExpansionMode mode = ExpansionMode::None;
+  const mesh::StructuredMesh mesh(problem.refinement_level, 1.0,
+                                  Boundary::Periodic);
+  const ElementSetup setup(problem, mode, mesh.element_size());
+  pim::Chip chip(pim::chip_512mb());
+  chip.set_row_extent(compact_extent(problem));
+  chip.ensure_blocks(mesh.num_elements() * blocks_per_element(mode));
+  SinkPricing pricing;
+  pricing.model = &chip.arith();
+  ProgramCache cache(setup, mesh, nullptr, nullptr);
+  ExecutionPlan plan(cache, mesh, Placement(blocks_per_element(mode)),
+                     pricing);  // full extent
+  WordPlan word(plan);
+  std::vector<mesh::ElementId> elems(mesh.num_elements());
+  std::iota(elems.begin(), elems.end(), mesh::ElementId{0});
+  EXPECT_THROW(word.run_volume(chip, elems), InvariantError);
 }
 
 // Shapes no DG program emits — an unfused Fsub, a strided scatter, a

@@ -1,17 +1,13 @@
-// FloatArena: the mmap-backed storage substrate behind pim::Block
-// columns and the residency backing stores. These tests pin the
-// contract the simulation relies on — zero-filled buffers, slot
-// recycling through the free lists, page alignment (the 4K-alias
-// stagger is an offset into the slot), the WAVEPIM_WORD_ARENA=0 heap
-// fallback, and Buffer move semantics (pim::Block must stay movable).
+// FloatArena: the mmap-backed storage substrate behind the residency
+// backing stores. These tests pin the contract the simulation relies
+// on — zero-filled buffers, slot recycling through the free lists, page
+// alignment, and Buffer move semantics.
 #include "pim/arena.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
-
-#include "support/scoped_env.h"
 
 namespace wavepim::pim {
 namespace {
@@ -52,21 +48,6 @@ TEST(FloatArena, RecyclesSlotsAndClearsThemForReuse) {
   }
   const auto after = arena.stats();
   EXPECT_GT(after.recycled, before.recycled);
-}
-
-TEST(FloatArena, EnvGateRoutesToHeapFallback) {
-  ScopedEnv off("WAVEPIM_WORD_ARENA", "0");
-  auto& arena = FloatArena::instance();
-  const auto before = arena.stats();
-  auto buf = arena.allocate(512);
-  ASSERT_NE(buf.data(), nullptr);
-  EXPECT_FALSE(buf.from_arena());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    EXPECT_EQ(buf[i], 0.0f);
-  }
-  const auto after = arena.stats();
-  EXPECT_EQ(after.heap_allocs, before.heap_allocs + 1);
-  EXPECT_EQ(after.arena_allocs, before.arena_allocs);
 }
 
 TEST(FloatArena, BufferMoveTransfersOwnership) {

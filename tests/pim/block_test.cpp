@@ -161,5 +161,38 @@ TEST(BlockConstruction, RequiresModel) {
   EXPECT_THROW(Block(nullptr), PreconditionError);
 }
 
+TEST(BlockConstruction, RowExtentIsStrideAndBound) {
+  ArithModel model;
+  EXPECT_THROW(Block(&model, 0), PreconditionError);
+  EXPECT_THROW(Block(&model, Block::kRows + 1), PreconditionError);
+
+  Block block(&model, 32);
+  EXPECT_EQ(block.rows(), 32u);
+  EXPECT_EQ(block.words().size(), std::size_t{32} * Block::kWords);
+  block.set(31, 2, 5.0f);
+  // Column c is the run [c * 32, (c + 1) * 32) of words().
+  EXPECT_EQ(block.words()[2 * 32 + 31], 5.0f);
+  EXPECT_EQ(block.column(2).size(), 32u);
+  EXPECT_EQ(block.column(2)[31], 5.0f);
+
+  // Every access at or past the extent is out of range, although the
+  // modelled crossbar has Block::kRows rows.
+  const std::vector<float> row(1, 1.0f);
+  const std::vector<std::uint32_t> past = {32};
+  EXPECT_THROW((void)block.at(32, 0), PreconditionError);
+  EXPECT_THROW(block.write_row(32, 0, row), PreconditionError);
+  EXPECT_THROW(block.arith(Opcode::Fadd, 0, 1, 2, 0, 33), PreconditionError);
+  EXPECT_THROW(block.fscale(0, 1, 2.0f, 1, 32), PreconditionError);
+  EXPECT_THROW(block.arith_rows(Opcode::Fadd, 0, 1, 2, past),
+               PreconditionError);
+  EXPECT_THROW(block.gather_rows(past, 0, 0, 1), PreconditionError);
+  EXPECT_THROW(block.broadcast(0, 0, 1, 0, 33), PreconditionError);
+  EXPECT_THROW(block.load_column(0, std::vector<float>(33)),
+               PreconditionError);
+  // The full extent of rows is reachable.
+  block.arith(Opcode::Fadd, 2, 2, 3, 0, 32);
+  EXPECT_EQ(block.at(31, 3), 10.0f);
+}
+
 }  // namespace
 }  // namespace wavepim::pim

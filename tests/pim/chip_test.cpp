@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "pim/arena.h"
 
 namespace wavepim::pim {
 namespace {
@@ -62,30 +61,55 @@ TEST(Chip, ExposesSubModels) {
 }
 
 
-TEST(Chip, ResetClearsBlocksAndRecyclesArenaSlots) {
+TEST(Chip, ResetClearsBlocksAndRestoresFullRowExtent) {
   Chip chip(chip_512mb());
+  chip.set_row_extent(32);
   chip.block(0).set(0, 0, 3.5f);
   chip.block(3).set(1, 2, -1.0f);
   ASSERT_EQ(chip.num_allocated_blocks(), 2u);
 
-  const auto before = FloatArena::instance().stats();
   chip.reset();
   EXPECT_EQ(chip.num_allocated_blocks(), 0u);
   EXPECT_FALSE(chip.block_allocated(0));
   EXPECT_FALSE(chip.block_allocated(3));
+  EXPECT_EQ(chip.row_extent(), Block::kRows);
 
   // The next tenant sees a fresh fabric: re-touched blocks read zeros,
-  // not the previous tenant's columns.
+  // not the previous tenant's columns, at the full extent.
   EXPECT_EQ(chip.block(0).at(0, 0), 0.0f);
   EXPECT_EQ(chip.block(3).at(1, 2), 0.0f);
+  EXPECT_EQ(chip.block(3).rows(), Block::kRows);
   EXPECT_EQ(chip.num_allocated_blocks(), 2u);
+}
 
-  // When the storage arena is live, the destroyed blocks' slots came
-  // back through the free list instead of growing the mapping.
-  const auto after = FloatArena::instance().stats();
-  if (after.arena_allocs > before.arena_allocs) {
-    EXPECT_GT(after.recycled, before.recycled);
+TEST(Chip, BlocksStoreOnlyTheRowExtent) {
+  Chip chip(chip_512mb());
+  EXPECT_EQ(chip.row_extent(), Block::kRows);
+  chip.set_row_extent(64);
+  chip.ensure_blocks(10);
+  std::size_t stored = 0;
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    const Block& block = chip.block(id);
+    EXPECT_EQ(block.rows(), 64u);
+    EXPECT_EQ(block.column(Block::kWords - 1).size(), 64u);
+    stored += block.words().size();
   }
+  EXPECT_EQ(stored, std::size_t{10} * 64 * Block::kWords);
+  // Rows at or past the extent are out of range; the modelled geometry
+  // the cost model prices is unchanged.
+  EXPECT_THROW((void)chip.block(0).at(64, 0), PreconditionError);
+  EXPECT_EQ(chip.config().num_blocks(), chip_512mb().num_blocks());
+}
+
+TEST(Chip, RowExtentIsFixedOnceBlocksExist) {
+  Chip chip(chip_512mb());
+  EXPECT_THROW(chip.set_row_extent(0), PreconditionError);
+  EXPECT_THROW(chip.set_row_extent(Block::kRows + 1), PreconditionError);
+  chip.set_row_extent(32);
+  (void)chip.block(0);
+  chip.set_row_extent(32);  // unchanged: allowed
+  EXPECT_THROW(chip.set_row_extent(64), PreconditionError);
+  EXPECT_EQ(chip.block(0).rows(), 32u);
 }
 
 }  // namespace

@@ -39,6 +39,32 @@ void expect_matches_solo(const JobResult& got, const JobResult& solo) {
   EXPECT_EQ(got.steps_run, solo.steps_run);
 }
 
+// One chip serves an n1d = 2 tenant (8-row block extent), an n1d = 4
+// tenant (64 rows), then n1d = 2 again: every recycle resizes the
+// chip's block storage, and each job must still match its solo run.
+TEST(ServiceConformance, RecycledChipTakesEachTenantsRowExtent) {
+  std::vector<JobSpec> specs;
+  for (const int n1d : {2, 4, 2}) {
+    JobSpec spec;
+    spec.id = static_cast<std::uint32_t>(specs.size());
+    spec.arrival_s = 1.0e-4 * spec.id;
+    spec.n1d = n1d;
+    spec.steps = 2;
+    spec.state_seed = 5 + spec.id;
+    specs.push_back(spec);
+  }
+  ServiceOptions svc;
+  svc.num_chips = 1;
+  svc.policy = Policy::Fifo;
+  const ServiceReport report = Scheduler(svc).run(specs);
+  ASSERT_EQ(report.jobs.size(), specs.size());
+  EXPECT_GE(report.chip_recycles, specs.size());
+  for (const JobSpec& spec : specs) {
+    expect_matches_solo(report.jobs[spec.id],
+                        run_job_solo(spec, pim::chip_512mb()));
+  }
+}
+
 /// The shared 8-job stream and its solo reference results, computed
 /// once for the whole grid.
 const std::vector<JobSpec>& grid_specs() {
