@@ -145,25 +145,17 @@ BENCHMARK(BM_FunctionalPimStepThreaded)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The three execution tiers head-to-head on the threaded 512-element
-// case: range(0) selects the tier (0 emit, 1 compiled, 2 word),
-// range(1) the worker count. The first step runs outside the timed loop
-// so cache/plan construction is amortised the way a real run amortises
-// it; fields and cost reports are bit-identical across all rows
-// (mapping/exec_conformance_test.cpp). The emit rows re-lower every
-// element each stage, so emit vs word is the whole lower-once saving;
-// the word rows target >= 2x over compiled at equal threads (measured
-// 2.2x serial on a 1-core host — the op-major sweep is L1-port bound
-// there; see ROADMAP.md for the path to the >= 10x target on wider
-// hosts).
+// The two execution tiers head-to-head on the threaded 512-element
+// case: range(0) indexes mapping::kAllExecPaths (0 compiled, 1 word),
+// range(1) is the worker count. The first step runs outside the timed
+// loop so cache/plan construction is amortised the way a real run
+// amortises it; fields and cost reports are bit-identical across all
+// rows (mapping/exec_conformance_test.cpp).
 void BM_FunctionalPimStepExecPath(benchmark::State& state) {
-  constexpr mapping::ExecPath kTiers[] = {mapping::ExecPath::Emit,
-                                          mapping::ExecPath::Compiled,
-                                          mapping::ExecPath::Word};
   const mapping::Problem problem{dg::ProblemKind::Acoustic, 3, 3};
   mapping::PimSimulation sim(problem, mapping::ExpansionMode::None,
                              pim::chip_512mb());
-  const mapping::ExecPath path = kTiers[state.range(0)];
+  const mapping::ExecPath path = mapping::kAllExecPaths[state.range(0)];
   sim.set_exec_path(path);
   sim.set_num_threads(static_cast<std::size_t>(state.range(1)));
   dg::Field u(512, 4, 27);
@@ -179,10 +171,8 @@ void BM_FunctionalPimStepExecPath(benchmark::State& state) {
 BENCHMARK(BM_FunctionalPimStepExecPath)
     ->Args({0, 1})
     ->Args({1, 1})
-    ->Args({2, 1})
     ->Args({0, 8})
     ->Args({1, 8})
-    ->Args({2, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -192,7 +182,8 @@ BENCHMARK(BM_FunctionalPimStepExecPath)
 // per-thread shadow blocks, and compares full-block FNV hashes — so
 // witness=1 (every phase) bounds the cost of full conformance mode,
 // and witness=16 is the steady spot-check cadence. The witness=0 row
-// must match BM_FunctionalPimStepExecPath/2/8 (zero overhead off).
+// must match BM_FunctionalPimStepExecPath/1/8, the word tier at 8
+// workers (zero overhead off).
 void BM_FunctionalPimStepWitness(benchmark::State& state) {
   const mapping::Problem problem{dg::ProblemKind::Acoustic, 3, 3};
   mapping::PimSimulation sim(problem, mapping::ExpansionMode::None,

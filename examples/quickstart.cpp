@@ -2,7 +2,7 @@
 // solver, validate the bit-true Wave-PIM execution against it, and project
 // the run onto a 2 GB Wave-PIM chip and the GPU baselines.
 //
-// Usage: quickstart [--threads N] [--exec=emit|compiled|word]
+// Usage: quickstart [--threads N] [--exec=compiled|word]
 //                   [--witness=N] [--trace=FILE] [--chip-blocks=N]
 //                   [--topology=htree|bus] [--net-backend=analytic|cycle]
 // Worker count and execution tier change wall-clock time only; fields
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: unknown option %s\n"
                    "usage: quickstart [--threads N] "
-                   "[--exec=emit|compiled|word] [--witness=N] "
+                   "[--exec=compiled|word] [--witness=N] "
                    "[--trace=FILE] [--chip-blocks=N] "
                    "[--topology=htree|bus] "
                    "[--net-backend=analytic|cycle]\n",

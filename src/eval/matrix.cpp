@@ -108,8 +108,8 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
 
   if (kind == MatrixKind::Reduced) {
     // Two paper benchmarks bracket the physics/flux axes (cheapest and
-    // most compute-intense); the sim slice runs all three execution
-    // tiers against one over-capacity window plus one cell on each
+    // most compute-intense); the sim slice runs both execution tiers
+    // against one over-capacity window plus one cell on each
     // beyond-paper axis.
     out.push_back(paper(benchmarks[0]));  // Acoustic_4
     out.push_back(paper(benchmarks[2]));  // Elastic-Riemann_4

@@ -61,7 +61,7 @@ struct Scenario {
 };
 
 /// Matrix selection: `Reduced` is the CI gate (small meshes, a subset
-/// of paper benchmarks, all three execution tiers, one over-capacity
+/// of paper benchmarks, both execution tiers, one over-capacity
 /// window); `Full` is the complete cross product incl. both level-5
 /// paper benchmarks and the extended sim axes, and carries enough
 /// benchmarks to evaluate the Fig. 11/12 shape claims.

@@ -11,7 +11,8 @@ namespace wavepim::mapping {
 /// Lowers the emitted kernel streams into a pim::LoweredProgram — the
 /// actual instruction sequence the host would send to the ISA-based PIM
 /// (§4.1). Executing the lowered program through pim::Controller is
-/// equivalent to driving a FunctionalSink directly; the assembler is what
+/// equivalent to executing the emitted calls one by one on the blocks (the
+/// functional oracle's sink in tests/support); the assembler is what
 /// closes the loop between the mapping layer and the wire-level ISA.
 class AssemblerSink : public ProgramSink {
  public:

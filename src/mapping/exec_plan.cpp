@@ -14,9 +14,9 @@ using Op = ExecutionPlan::Op;
 /// ProgramSink that compiles a replayed relocatable stream into a
 /// StreamPlan: decoded ops with resolved span pointers, plus the
 /// left-folded per-group cost aggregates in exact charge order. Each
-/// callback mirrors what FunctionalSink + pim::Block would charge for
-/// the same call — through the shared formulas, so the aggregate equals
-/// the sequential ledger bit-for-bit.
+/// callback mirrors what pim::Block's own ops would charge for the same
+/// call when the functional oracle executes it — through the shared
+/// formulas, so the aggregate equals the sequential ledger bit-for-bit.
 class PlanBuilder final : public ProgramSink {
  public:
   PlanBuilder(ExecutionPlan::StreamPlan& out,
@@ -157,8 +157,8 @@ class PlanBuilder final : public ProgramSink {
                       std::span<const std::uint32_t> dst_rows) override {
     push_move(/*face=*/-1, src_group, src_col, src_rows, dst_group, dst_col,
               dst_rows);
-    // Charge order mirrors FunctionalSink::intra_transfer: destination
-    // writes first (inside move_rows), then the source reads — the order
+    // Charge order mirrors the oracle's sequential execution: destination
+    // writes first, then the source reads — the order
     // matters when both land on the same ledger (src_group == dst_group).
     charge(dst_group, pricing_.rows_written(dst_rows.size()));
     charge(src_group, pricing_.rows_read(src_rows.size()));
@@ -182,7 +182,7 @@ class PlanBuilder final : public ProgramSink {
   }
 
   void lut_fetch(std::uint32_t group, std::uint32_t count) override {
-    // Mirrors FunctionalSink::lut_fetch: the ledger receives ONE charge
+    // Mirrors the oracle's lut_fetch: the ledger receives ONE charge
     // whose value is the count-fold of lut_unit.
     pim::OpCost total{};
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -273,7 +273,7 @@ ExecutionPlan::ExecutionPlan(ProgramCache& cache,
     for (std::uint32_t g = 0; g < kNumFaceGroups; ++g) {
       // One stream per face group — the granularity of one schedule
       // compute step. A group's faces fold into one aggregate (the
-      // emit path charges them continuously within the step); folds
+      // oracle charges them op by op within the step); folds
       // never span a step boundary, where ledgers are drained.
       PlanBuilder builder(cp.flux[g], &cp.deferred, pricing_, num_groups,
                           row_extent_);
@@ -285,8 +285,7 @@ ExecutionPlan::ExecutionPlan(ProgramCache& cache,
   }
 
   // Per-element resolution, done exactly once: neighbour block bases and
-  // the element-order merged transfer lists the emit path rebuilds every
-  // stage.
+  // the element-order merged transfer lists of every phase.
   neighbor_base_.resize(mesh.num_elements());
   for (mesh::ElementId e = 0; e < mesh.num_elements(); ++e) {
     for (mesh::Face f : mesh::kAllFaces) {
@@ -305,7 +304,7 @@ ExecutionPlan::ExecutionPlan(ProgramCache& cache,
     }
     // Flux transfers in the canonical per-element group order the batch
     // schedule applies faces in, so the pre-merged list matches what
-    // the emit path collects stage by stage on any window size.
+    // the functional oracle collects phase by phase on any window size.
     for (FaceGroup g : canonical_group_order(y_minus_deferred(mesh, e))) {
       const StreamPlan& stream = cp.flux[static_cast<std::size_t>(g)];
       for (const TransferTemplate& t : stream.transfers) {

@@ -13,9 +13,11 @@
 
 namespace wavepim::mapping {
 
-/// Compiled execution engine — the second tier of the mapping layer's
-/// lower-once/execute-many ladder (direct emit -> compiled plan -> word
-/// kernels).
+/// Compiled execution engine — the first of the mapping layer's two
+/// lower-once/execute-many tiers (compiled plan -> word kernels). Its
+/// reference is the test-side functional oracle, which re-lowers every
+/// element each phase and executes it call by call
+/// (tests/mapping/functional_oracle_test.cpp).
 ///
 /// The shape-class cache removes per-stage re-lowering, but replaying
 /// its streams element by element would still decode every cached
@@ -50,8 +52,7 @@ namespace wavepim::mapping {
 /// Deferred neighbour-side flux charges arrive *after* the step folds,
 /// so they are NOT folded in: the plan keeps them as per-face charge
 /// lists applied individually (to the caller's per-virtual-block
-/// accumulators) in the settlement order of the pairing schedule,
-/// exactly like the emit path.
+/// accumulators) in the settlement order of the pairing schedule.
 ///
 /// Blocks are addressed by *virtual* id and resolved through a
 /// `BlockResolver`, so the same plan executes whether the problem is
@@ -59,8 +60,8 @@ namespace wavepim::mapping {
 ///
 /// Thread safety: the run_* methods are const and touch only the bound
 /// element's blocks (flux additionally reads neighbour variable columns,
-/// which no element writes during the phase — the same contract the
-/// emit path relies on). `integration()` lowers lazily and must be
+/// which no element writes during the phase). `integration()` lowers
+/// lazily and must be
 /// called before fanning out, mirroring `ProgramCache::integration`.
 class ExecutionPlan {
  public:
@@ -153,8 +154,9 @@ class ExecutionPlan {
 
   /// Applies the deferred neighbour-side read charges of element `e`'s
   /// pull across `face` into the caller's per-virtual-block cost
-  /// accumulators (flux phase B; caller iterates the disjoint pairing
-  /// schedule exactly like the emit path's settlement).
+  /// accumulators (flux phase B; the caller iterates the disjoint
+  /// pairing schedule). Each charge is the rows_read the oracle's
+  /// functional sink defers for the same pull, applied in its order.
   void settle_pull(pim::OpCost* accumulators, mesh::ElementId e,
                    mesh::Face face) const;
 

@@ -133,9 +133,9 @@ class RelocatableAssembler : public ProgramSink {
 };
 
 /// Replays a cached relocatable stream through a sink. The sink resolves
-/// the element-relative operands — FunctionalSink executes bit-true on
-/// the bound element's blocks, AssemblerSink links an absolute
-/// LoweredProgram, CostSink tallies the class's op counts. The replayed
+/// the element-relative operands — the compiled plan's builder decodes
+/// them into op arrays, AssemblerSink links an absolute LoweredProgram,
+/// CostSink tallies the class's op counts. The replayed
 /// call sequence is identical to the original emission, so any
 /// sink-observable property (fields, ledgers, transfer lists, deferred
 /// charges) is bit-identical to uncached emission by construction.

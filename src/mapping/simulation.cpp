@@ -36,8 +36,6 @@ std::atomic<std::uint64_t> g_witness_check{0};
 
 const char* to_string(ExecPath path) {
   switch (path) {
-    case ExecPath::Emit:
-      return "emit";
     case ExecPath::Compiled:
       return "compiled";
     case ExecPath::Word:
@@ -308,15 +306,6 @@ void PimSimulation::ensure_word_plan() {
   word_plan_ = std::make_unique<WordPlan>(*plan_);
 }
 
-const VolumeCoeffs* PimSimulation::volume_override(mesh::ElementId e) const {
-  return volume_coeffs_.empty() ? nullptr : &volume_coeffs_[e];
-}
-
-const FluxCoeffs* PimSimulation::flux_override(mesh::ElementId e,
-                                               mesh::Face f) const {
-  return flux_coeffs_.empty() ? nullptr : &flux_coeffs_[e][mesh::index_of(f)];
-}
-
 std::span<float> PimSimulation::state_column(std::uint32_t vblock,
                                              std::uint32_t col) {
   if (!residency_->is_resident()) {
@@ -422,39 +411,6 @@ void PimSimulation::restore_checkpoint(std::span<const float> state) {
   });
 }
 
-void PimSimulation::emit_range(
-    std::span<const mesh::ElementId> elements,
-    const std::function<void(mesh::ElementId, FunctionalSink&)>& emit,
-    std::vector<std::vector<pim::Transfer>>& stash, bool defer_charges) {
-  // Per-element stashes keep the merged transfer list (and the deferred
-  // charge records) in element order no matter which worker ran what.
-  // The stash vectors are members recycled across steps and stages —
-  // adopting them into the sink clears contents but keeps capacity.
-  stash.resize(mesh_.num_elements());
-  if (defer_charges) {
-    charge_stash_.resize(mesh_.num_elements());
-  }
-  const BlockResolver resolver(*chip_, residency_->table());
-  pool().parallel_for(elements.size(), [&](std::size_t i) {
-    const mesh::ElementId element = elements[i];
-    FunctionalSink sink(resolver, mesh_, placement_, pricing_);
-    sink.adopt_transfers(std::move(stash[element]));
-    sink.defer_remote_charges(defer_charges);
-    if (defer_charges) {
-      // Keep earlier face groups' charges: an element's deferred reads
-      // accumulate across the compute steps of one stage.
-      sink.adopt_remote_charges(std::move(charge_stash_[element]),
-                                /*clear=*/false);
-    }
-    sink.bind(element);
-    emit(element, sink);
-    stash[element] = sink.take_transfers();
-    if (defer_charges) {
-      charge_stash_[element] = sink.take_remote_charges();
-    }
-  });
-}
-
 void PimSimulation::fold_ledgers(std::span<const mesh::ElementId> elements,
                                  std::vector<pim::OpCost>& acc) {
   // A step only ever charges the ranged elements' own blocks (neighbour
@@ -472,7 +428,7 @@ void PimSimulation::fold_ledgers(std::span<const mesh::ElementId> elements,
   }
 }
 
-void PimSimulation::settle_charges(bool compiled) {
+void PimSimulation::settle_charges() {
   // Six sequential pairing groups; within each, pairings touch disjoint
   // element pairs, so they settle concurrently, and every accumulator
   // receives its charges in a fixed (group, face, emission) order.
@@ -489,17 +445,8 @@ void PimSimulation::settle_charges(bool compiled) {
       // the partner's pull back across -axis owes reads to ours. The
       // charges land in the flux accumulators (not the block ledgers):
       // a batched window may already have evicted the physical blocks.
-      if (compiled) {
-        plan_->settle_pull(flux_acc_.data(), e, plus);
-        plan_->settle_pull(flux_acc_.data(), nbr, minus);
-      } else {
-        for (const auto& c : charge_stash_[e][mesh::index_of(plus)]) {
-          flux_acc_[c.block] += pricing_.rows_read(c.words);
-        }
-        for (const auto& c : charge_stash_[nbr][mesh::index_of(minus)]) {
-          flux_acc_[c.block] += pricing_.rows_read(c.words);
-        }
-      }
+      plan_->settle_pull(flux_acc_.data(), e, plus);
+      plan_->settle_pull(flux_acc_.data(), nbr, minus);
     });
   }
 }
@@ -549,12 +496,7 @@ void PimSimulation::fold_network(const NetDrain& drain) {
   }
 }
 
-void PimSimulation::drain_network(const std::vector<pim::Transfer>& transfers) {
-  trace::Span span("pim.drain_network", static_cast<double>(transfers.size()));
-  fold_network(measure_network(transfers));
-}
-
-void PimSimulation::drain_network_cached(
+void PimSimulation::drain_network(
     std::optional<NetDrain>& cached,
     const std::vector<pim::Transfer>& transfers) {
   trace::Span span("pim.drain_network", static_cast<double>(transfers.size()));
@@ -568,8 +510,6 @@ void PimSimulation::step(double dt) {
   WAVEPIM_REQUIRE(dt > 0.0, "time step must be positive");
   trace::Span span("pim.step");
   switch (exec_path_) {
-    case ExecPath::Emit:
-      break;
     case ExecPath::Compiled:
       ensure_plan();
       break;
@@ -703,12 +643,10 @@ void PimSimulation::run_word_phase(std::span<const mesh::ElementId> elems,
 }
 
 void PimSimulation::run_schedule(double dt) {
-  const bool compiled = exec_path_ == ExecPath::Compiled;
+  // Both tiers share the compiled infrastructure: batched cost
+  // aggregates, deferred-charge settlement through the plan, and the
+  // once-scheduled network drains.
   const bool word = exec_path_ == ExecPath::Word;
-  // Both plan-backed tiers share the compiled infrastructure: batched
-  // cost aggregates, deferred-charge settlement through the plan, and
-  // the once-scheduled network drains.
-  const bool planned = compiled || word;
   const BlockResolver resolver(*chip_, residency_->table());
   const BatchSchedule& schedule = residency_->schedule();
   const auto& order = residency_->elements_in_slice_order();
@@ -724,23 +662,11 @@ void PimSimulation::run_schedule(double dt) {
     trace::Span stage_span("pim.rk_stage", static_cast<double>(stage));
     // Lazy lowering of the stage's Integration stream happens before the
     // fan-outs (running it is const and worker-safe).
-    const ExecutionPlan::StreamPlan* integ_plan =
-        planned ? &plan_->integration(stage, static_cast<float>(dt))
-                : nullptr;
+    const ExecutionPlan::StreamPlan& integ_plan =
+        plan_->integration(stage, static_cast<float>(dt));
     const WordPlan::WordStream* integ_word =
         word ? &word_plan_->integration(stage, static_cast<float>(dt))
              : nullptr;
-
-    if (!planned) {
-      // An element's deferred neighbour-side charges accumulate across
-      // the stage's compute steps; start the stage clean.
-      charge_stash_.resize(mesh_.num_elements());
-      for (auto& charges : charge_stash_) {
-        for (auto& list : charges) {
-          list.clear();
-        }
-      }
-    }
 
     for (std::uint32_t idx = 0;
          idx < static_cast<std::uint32_t>(schedule.steps.size()); ++idx) {
@@ -773,17 +699,10 @@ void PimSimulation::run_schedule(double dt) {
                   [&](const BlockResolver& shadow, mesh::ElementId e) {
                     plan_->run_volume(shadow, e);
                   });
-            } else if (compiled) {
+            } else {
               pool().parallel_for(elems.size(), [&](std::size_t i) {
                 plan_->run_volume(resolver, elems[i]);
               });
-            } else {
-              emit_range(
-                  elems,
-                  [this](mesh::ElementId e, FunctionalSink& sink) {
-                    emit_volume(setup_, sink, volume_override(e));
-                  },
-                  transfer_stash_, /*defer_charges=*/false);
             }
             fold_ledgers(elems, volume_acc_);
           }
@@ -805,22 +724,10 @@ void PimSimulation::run_schedule(double dt) {
                 [&](const BlockResolver& shadow, mesh::ElementId e) {
                   plan_->run_flux_group(shadow, e, group);
                 });
-          } else if (compiled) {
+          } else {
             pool().parallel_for(elems.size(), [&](std::size_t i) {
               plan_->run_flux_group(resolver, elems[i], group);
             });
-          } else {
-            emit_range(
-                elems,
-                [this, group](mesh::ElementId e, FunctionalSink& sink) {
-                  for (mesh::Face f : faces_of(group)) {
-                    const bool boundary = !mesh_.neighbor(e, f).has_value();
-                    emit_flux_face(setup_, f, boundary, sink,
-                                   flux_override(e, f));
-                  }
-                },
-                flux_stash_[static_cast<std::size_t>(group)],
-                /*defer_charges=*/true);
           }
           fold_ledgers(elems, flux_acc_);
           break;
@@ -850,20 +757,12 @@ void PimSimulation::run_schedule(double dt) {
                     word_plan_->run_integration(resolver, chunk, *integ_word);
                   },
                   [&](const BlockResolver& shadow, mesh::ElementId e) {
-                    plan_->run_integration(shadow, e, *integ_plan);
+                    plan_->run_integration(shadow, e, integ_plan);
                   });
-            } else if (compiled) {
-              pool().parallel_for(elems.size(), [&](std::size_t i) {
-                plan_->run_integration(resolver, elems[i], *integ_plan);
-              });
             } else {
-              emit_range(
-                  elems,
-                  [this, stage, dt](mesh::ElementId, FunctionalSink& sink) {
-                    emit_integration_stage(setup_, stage,
-                                           static_cast<float>(dt), sink);
-                  },
-                  integ_stash_, /*defer_charges=*/false);
+              pool().parallel_for(elems.size(), [&](std::size_t i) {
+                plan_->run_integration(resolver, elems[i], integ_plan);
+              });
             }
             fold_ledgers(elems, integ_acc_);
           }
@@ -875,38 +774,13 @@ void PimSimulation::run_schedule(double dt) {
 
     // Flux phase B: the deferred neighbour-side read charges, settled
     // over the disjoint pairings after every face group has run.
-    settle_charges(planned);
+    settle_charges();
 
     // Phase drains, in the fixed volume -> flux -> integration order.
     drain_accumulators(volume_acc_, costs_.volume);
-    if (planned) {
-      drain_network_cached(volume_net_, plan_->volume_transfers());
-    } else {
-      merged_transfers_.clear();
-      for (const auto& list : transfer_stash_) {
-        merged_transfers_.insert(merged_transfers_.end(), list.begin(),
-                                 list.end());
-      }
-      drain_network(merged_transfers_);
-    }
+    drain_network(volume_net_, plan_->volume_transfers());
     drain_accumulators(flux_acc_, costs_.flux);
-    if (planned) {
-      drain_network_cached(flux_net_, plan_->flux_transfers());
-    } else {
-      // Element-ascending, each element's groups in its canonical
-      // application order — the exact emission order of the schedule,
-      // and the order the compiled plan pre-merges.
-      merged_transfers_.clear();
-      for (mesh::ElementId e = 0; e < mesh_.num_elements(); ++e) {
-        for (const FaceGroup g :
-             canonical_group_order(y_minus_deferred(mesh_, e))) {
-          const auto& list = flux_stash_[static_cast<std::size_t>(g)][e];
-          merged_transfers_.insert(merged_transfers_.end(), list.begin(),
-                                   list.end());
-        }
-      }
-      drain_network(merged_transfers_);
-    }
+    drain_network(flux_net_, plan_->flux_transfers());
     drain_accumulators(integ_acc_, costs_.integration);
 
     // Staging traffic of this stage pass (zero when fully resident).

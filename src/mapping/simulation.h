@@ -20,14 +20,12 @@
 
 namespace wavepim::mapping {
 
-/// Execution tier of the functional simulator. All three produce
+/// Execution tier of the functional simulator. Both produce
 /// bit-identical fields, cost channels and interconnect statistics
-/// (guarded by tests/mapping/exec_conformance_test.cpp); they trade
-/// host-side simulation speed against implementation directness:
+/// (guarded by tests/mapping/exec_conformance_test.cpp), and both are
+/// checked against a test-side functional oracle that re-lowers every
+/// element each phase (tests/mapping/functional_oracle_test.cpp):
 ///
-///  * `Emit`     — every element re-lowers its kernels every stage and
-///                 executes them through a FunctionalSink: the
-///                 reference lowering.
 ///  * `Compiled` — each shape class is lowered once into the program
 ///                 cache, and the cached streams are resolved into
 ///                 per-class ExecutionPlan op arrays with batched cost
@@ -38,14 +36,13 @@ namespace wavepim::mapping {
 ///                 chunks of same-class elements (mapping/word_plan.h),
 ///                 with the compiled bit-serial path retained as an
 ///                 optional differential witness. The default.
-enum class ExecPath : std::uint8_t { Emit, Compiled, Word };
+enum class ExecPath : std::uint8_t { Compiled, Word };
 /// Every tier, in enum order.
-inline constexpr ExecPath kAllExecPaths[] = {ExecPath::Emit,
-                                             ExecPath::Compiled,
+inline constexpr ExecPath kAllExecPaths[] = {ExecPath::Compiled,
                                              ExecPath::Word};
 
 [[nodiscard]] const char* to_string(ExecPath path);
-/// Parses "emit"/"compiled"/"word" (the to_string spellings). Returns
+/// Parses "compiled"/"word" (the to_string spellings). Returns
 /// false on anything else, leaving `out` untouched.
 bool parse_exec_path(const char* s, ExecPath& out);
 
@@ -294,9 +291,6 @@ class PimSimulation {
   }
 
  private:
-  using RemoteCharges =
-      std::array<std::vector<FunctionalSink::DeferredCharge>, 6>;
-
   [[nodiscard]] ThreadPool& pool();
 
   /// The first node-count rows of state column `col` of virtual block
@@ -305,17 +299,6 @@ class PimSimulation {
   /// state loaders fan out over it without synchronisation.
   [[nodiscard]] std::span<float> state_column(std::uint32_t vblock,
                                               std::uint32_t col);
-
-  /// Runs `emit(element, sink)` for the given elements across the pool,
-  /// each element through its own FunctionalSink; transfers land in the
-  /// per-element `stash` entries (recycled across stages, concatenated
-  /// in element order at the phase drain). When `defer_charges` the
-  /// sinks defer neighbour-side costs into `charge_stash_`, which
-  /// *accumulates* across the compute steps of one stage.
-  void emit_range(
-      std::span<const mesh::ElementId> elements,
-      const std::function<void(mesh::ElementId, FunctionalSink&)>& emit,
-      std::vector<std::vector<pim::Transfer>>& stash, bool defer_charges);
 
   /// Folds the physical block ledgers of `elements` into the phase's
   /// per-virtual-block accumulators and clears them — called at every
@@ -326,7 +309,7 @@ class PimSimulation {
 
   /// Flux phase B: applies the deferred neighbour-side read charges over
   /// the precomputed disjoint face pairings into `flux_acc_`.
-  void settle_charges(bool compiled);
+  void settle_charges();
 
   /// Merges and clears a phase's accumulators into a cost channel:
   /// {max time, energy summed in ascending virtual-id order}.
@@ -342,22 +325,17 @@ class PimSimulation {
     pim::LinkStats links;
   };
   /// Schedules a transfer list on the interconnect. Does not modify the
-  /// list (the plan-backed tiers feed their pre-merged lists every stage).
+  /// list (the plan's pre-merged lists are fed every stage).
   [[nodiscard]] NetDrain measure_network(
       const std::vector<pim::Transfer>& transfers) const;
   /// Folds one drain into the network cost channel and NetStats.
   void fold_network(const NetDrain& drain);
 
-  /// Schedules a phase's transfer list and folds the result.
-  void drain_network(const std::vector<pim::Transfer>& transfers);
-
-  /// Memoised network drain for the plan-backed tiers: their per-phase
-  /// transfer lists are identical every stage, so the interconnect
-  /// schedule is run once and its (deterministic) increments are folded
-  /// again — the same `+=` values in the same order as drain_network,
-  /// hence bit-identical accumulation.
-  void drain_network_cached(std::optional<NetDrain>& cached,
-                            const std::vector<pim::Transfer>& transfers);
+  /// Memoised network drain: a phase's transfer list is identical every
+  /// stage, so the interconnect schedule is run once and its
+  /// (deterministic) increments are folded again every stage.
+  void drain_network(std::optional<NetDrain>& cached,
+                     const std::vector<pim::Transfer>& transfers);
   /// Capacity diagnostics shared by both chip paths (throws
   /// CapacityError with the choose_config hint when the problem cannot
   /// even batch on this chip).
@@ -398,21 +376,13 @@ class PimSimulation {
           run_shadow);
 
   /// One step: five RK stages, each a pass over the residency schedule's
-  /// step list, shared by all three tiers (they differ only in how one
-  /// element's stream runs: re-lower, compiled op loop, or word kernels).
+  /// step list, shared by both tiers (they differ only in how one
+  /// element's stream runs: compiled op loop or word kernels).
   void run_schedule(double dt);
-
-  /// Per-element coefficient overrides for heterogeneous media; empty
-  /// for uniform problems (the setup's coefficients apply).
-  [[nodiscard]] const VolumeCoeffs* volume_override(
-      mesh::ElementId e) const;
-  [[nodiscard]] const FluxCoeffs* flux_override(mesh::ElementId e,
-                                                mesh::Face f) const;
 
   Problem problem_;
   mesh::StructuredMesh mesh_;
   ElementSetup setup_;
-  pim::ArithModel arith_;
   /// Owned for the ChipConfig constructors; aliased when a pool hands in
   /// an external chip (shared ownership keeps it alive past the pool).
   std::shared_ptr<pim::Chip> chip_;
@@ -466,18 +436,7 @@ class PimSimulation {
   /// last store (the periodic staging slice is loaded and stored twice).
   std::vector<std::uint32_t> first_load_step_;
   std::vector<std::uint32_t> last_store_step_;
-  /// Recycled per-element stashes of the sink fan-outs (emit tier).
-  /// Volume and each flux face group keep their own stash so the phase
-  /// drains can merge in element (x canonical group) order no matter
-  /// which schedule step produced a list; integration emits no
-  /// transfers but needs a scratch stash for the sink protocol.
-  std::vector<std::vector<pim::Transfer>> transfer_stash_;
-  std::array<std::vector<std::vector<pim::Transfer>>, kNumFaceGroups>
-      flux_stash_;
-  std::vector<std::vector<pim::Transfer>> integ_stash_;
-  std::vector<RemoteCharges> charge_stash_;
-  std::vector<pim::Transfer> merged_transfers_;
-  /// Once-scheduled network phases of the plan-backed tiers.
+  /// Once-scheduled network phases.
   std::optional<NetDrain> volume_net_;
   std::optional<NetDrain> flux_net_;
 };

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "mapping/element_program.h"
@@ -9,8 +8,8 @@
 
 namespace wavepim::mapping {
 
-/// Shared pricing of the operations the sinks account identically; both
-/// sinks call these helpers so functional and analytic costs cannot drift.
+/// Shared pricing of the operations every sink and the compiled plan
+/// account identically, so functional and analytic costs cannot drift.
 struct SinkPricing {
   const pim::ArithModel* model = nullptr;
   /// Cost of fetching one LUT constant (Algorithm 1: index read, content
@@ -63,122 +62,6 @@ class BlockResolver {
  private:
   pim::Chip* chip_;
   pim::Block* const* table_ = nullptr;
-};
-
-/// Executes the emitted program bit-true on a Chip's crossbar blocks and
-/// collects the inter-block transfers of the phase for interconnect
-/// scheduling. Bind the current element (and thereby its neighbours via
-/// the mesh) before emitting.
-class FunctionalSink : public ProgramSink {
- public:
-  FunctionalSink(BlockResolver resolver, const mesh::StructuredMesh& mesh,
-                 Placement placement, SinkPricing pricing);
-
-  /// Sets the element whose program is being emitted.
-  void bind(mesh::ElementId element);
-
-  [[nodiscard]] const std::vector<pim::Transfer>& transfers() const {
-    return transfers_;
-  }
-  void clear_transfers() { transfers_.clear(); }
-  /// Moves the collected transfers out (parallel executors stash them per
-  /// element and concatenate in element order).
-  [[nodiscard]] std::vector<pim::Transfer> take_transfers() {
-    return std::move(transfers_);
-  }
-
-  /// Hands the sink a recycled buffer to collect transfers into: contents
-  /// are discarded, capacity is kept. Paired with take_transfers, this
-  /// lets the simulation's per-element stashes survive across phases and
-  /// stages without reallocating.
-  void adopt_transfers(std::vector<pim::Transfer>&& buffer) {
-    transfers_ = std::move(buffer);
-    transfers_.clear();
-  }
-
-  /// A source-block read cost an `inter_transfer` owes to the *neighbour*
-  /// element's block. In deferred mode these are recorded instead of
-  /// charged, so concurrent per-element emission never writes another
-  /// element's ledger; the caller settles them afterwards over a
-  /// conflict-free face pairing (PimSimulation's flux phase B).
-  struct DeferredCharge {
-    std::uint32_t block;  ///< global id of the neighbour's source block
-    std::uint32_t words;  ///< rows read out of it
-  };
-
-  /// Enables deferral of neighbour-side charges. Data still moves
-  /// immediately — flux only *reads* neighbour variable columns, which no
-  /// element writes during the phase, so the words themselves are safe.
-  void defer_remote_charges(bool enable) { defer_remote_ = enable; }
-
-  /// Deferred charges of the bound element's pulls, keyed by the face they
-  /// crossed, in emission order.
-  [[nodiscard]] std::array<std::vector<DeferredCharge>, 6>
-  take_remote_charges() {
-    return std::move(remote_charges_);
-  }
-
-  /// Recycled-buffer counterpart of adopt_transfers for the deferred
-  /// charge lists. With `clear` false the buffer's contents are kept:
-  /// the schedule-driven executor emits one face group at a time and
-  /// accumulates an element's charges across the groups of a stage.
-  void adopt_remote_charges(std::array<std::vector<DeferredCharge>, 6>&& buffer,
-                            bool clear = true) {
-    remote_charges_ = std::move(buffer);
-    if (clear) {
-      for (auto& list : remote_charges_) {
-        list.clear();
-      }
-    }
-  }
-
-  [[nodiscard]] pim::Block& block_of(mesh::ElementId element,
-                                     std::uint32_t group);
-
-  void scatter(std::uint32_t group, std::span<const std::uint32_t> rows,
-               std::uint32_t col, std::span<const float> values,
-               std::uint32_t distinct_values) override;
-  void gather(std::uint32_t group, std::span<const std::uint32_t> src_rows,
-              std::uint32_t src_col, std::uint32_t dst_col) override;
-  void arith(std::uint32_t group, pim::Opcode op, std::uint32_t col_a,
-             std::uint32_t col_b, std::uint32_t col_dst,
-             std::uint32_t rows) override;
-  void fscale(std::uint32_t group, std::uint32_t col_src,
-              std::uint32_t col_dst, float imm, std::uint32_t rows) override;
-  void faxpy(std::uint32_t group, std::uint32_t col_dst,
-             std::uint32_t col_src, float a, float c,
-             std::uint32_t rows) override;
-  void arith_rows(std::uint32_t group, pim::Opcode op, std::uint32_t col_a,
-                  std::uint32_t col_b, std::uint32_t col_dst,
-                  std::span<const std::uint32_t> rows) override;
-  void fscale_rows(std::uint32_t group, std::uint32_t col_src,
-                   std::uint32_t col_dst, float imm,
-                   std::span<const std::uint32_t> rows) override;
-  void intra_transfer(std::uint32_t src_group, std::uint32_t src_col,
-                      std::span<const std::uint32_t> src_rows,
-                      std::uint32_t dst_group, std::uint32_t dst_col,
-                      std::span<const std::uint32_t> dst_rows) override;
-  void inter_transfer(mesh::Face face, std::uint32_t src_group,
-                      std::uint32_t src_col,
-                      std::span<const std::uint32_t> src_rows,
-                      std::uint32_t dst_group, std::uint32_t dst_col,
-                      std::span<const std::uint32_t> dst_rows) override;
-  void lut_fetch(std::uint32_t group, std::uint32_t count) override;
-
- private:
-  void move_rows(pim::Block& src, std::uint32_t src_col,
-                 std::span<const std::uint32_t> src_rows, pim::Block& dst,
-                 std::uint32_t dst_col,
-                 std::span<const std::uint32_t> dst_rows);
-
-  BlockResolver resolver_;
-  const mesh::StructuredMesh& mesh_;
-  Placement placement_;
-  SinkPricing pricing_;
-  mesh::ElementId element_ = 0;
-  bool defer_remote_ = false;
-  std::vector<pim::Transfer> transfers_;
-  std::array<std::vector<DeferredCharge>, 6> remote_charges_;
 };
 
 /// Tallies per-group block costs and transfer descriptors for one

@@ -14,8 +14,8 @@
 
 namespace wavepim::mapping {
 
-/// Word-level execution engine — the third tier of the mapping layer's
-/// ladder (emit -> compiled -> word).
+/// Word-level execution engine — the second tier of the mapping layer's
+/// ladder (compiled -> word).
 ///
 /// The compiled tier already executes FP32 word arithmetic, but it pays
 /// the bit-serial *structure*: one interpreter dispatch per op per

@@ -48,14 +48,8 @@ std::vector<JobSpec> generate_jobs(const GeneratorOptions& opt) {
     spec.boundary = rng.next_double() < 0.25 ? mesh::Boundary::Reflective
                                              : mesh::Boundary::Periodic;
 
-    const double tier = rng.next_double();
-    if (tier < 0.1) {
-      spec.exec = mapping::ExecPath::Emit;
-    } else if (tier < 0.7) {
-      spec.exec = mapping::ExecPath::Compiled;
-    } else {
-      spec.exec = mapping::ExecPath::Word;
-    }
+    spec.exec = rng.next_double() < 0.7 ? mapping::ExecPath::Compiled
+                                        : mapping::ExecPath::Word;
 
     spec.steps = opt.zero_step_jobs
                      ? 0

@@ -59,7 +59,7 @@ struct GeneratorOptions {
 
 /// The seeded heterogeneous stream: ~60% acoustic (some at mesh level
 /// 2), the rest split between central-flux and Riemann elastic, across
-/// all three execution tiers and both boundary patterns. Sorted by
+/// both execution tiers and both boundary patterns. Sorted by
 /// (arrival, id); ids are 0..num_jobs-1.
 [[nodiscard]] std::vector<JobSpec> generate_jobs(const GeneratorOptions& opt);
 

@@ -89,12 +89,13 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
   EXPECT_EQ(a.net.serial_sum.value(), b.net.serial_sum.value());
 }
 
-/// The serial fully-resident emit run is the reference every batched
+/// The serial fully-resident compiled run is the reference every batched
 /// (tier x worker count) combination compares against.
 template <typename MakeResident, typename MakeBatched>
 void expect_batch_conformance(MakeResident&& make_resident,
                               MakeBatched&& make_batched, int steps) {
-  const RunResult reference = run_at(make_resident, ExecPath::Emit, 1, steps);
+  const RunResult reference =
+      run_at(make_resident, ExecPath::Compiled, 1, steps);
   for (ExecPath path : kAllExecPaths) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
@@ -142,7 +143,7 @@ TEST(BatchConformance, WindowBoundaryYFluxRegression) {
     return std::make_unique<PimSimulation>(problem, ExpansionMode::None,
                                            capped_chip(48));
   };
-  const RunResult reference = run_at(resident, ExecPath::Emit, 1, 1);
+  const RunResult reference = run_at(resident, ExecPath::Compiled, 1, 1);
   for (ExecPath path : kAllExecPaths) {
     expect_identical(reference, run_at(batched, path, 1, 1), path, 1);
   }
@@ -152,7 +153,7 @@ TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
   // The AVX2 engine runs the batched word streams too, so the
   // over-capacity path gets its own switch sweep: with the AVX2 engine
   // disabled, the batched word run must still match the fully-resident
-  // serial emit reference bit for bit on fields and every compute/net
+  // serial compiled reference bit for bit on fields and every compute/net
   // channel (hbm staging stays the only difference).
   const Problem problem{ProblemKind::Acoustic, 2, 3};
   const auto resident = [&] {
@@ -163,7 +164,7 @@ TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
     return std::make_unique<PimSimulation>(problem, ExpansionMode::None,
                                            capped_chip(32));
   };
-  const RunResult reference = run_at(resident, ExecPath::Emit, 1, 1);
+  const RunResult reference = run_at(resident, ExecPath::Compiled, 1, 1);
   ScopedEnv env("WAVEPIM_WORD_AVX2", "0");
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     expect_identical(reference, run_at(batched, ExecPath::Word, threads, 1),
@@ -201,7 +202,7 @@ TEST(BatchConformance, ExpandedElasticBatched) {
     return std::make_unique<PimSimulation>(problem, ExpansionMode::Elastic3,
                                            capped_chip(96));
   };
-  const RunResult reference = run_at(resident, ExecPath::Emit, 1, 1);
+  const RunResult reference = run_at(resident, ExecPath::Compiled, 1, 1);
   for (ExecPath path : kAllExecPaths) {
     expect_identical(reference, run_at(batched, path, 0, 1), path, 0);
   }

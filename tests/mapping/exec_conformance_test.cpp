@@ -1,13 +1,13 @@
-// Conformance suite for the three execution tiers of PimSimulation
-// (direct emit -> compiled plan -> word kernels). The
-// compiled engine re-implements instruction execution AND cost
-// accounting — resolved op arrays, batched per-block charges,
-// pre-merged transfer lists — and the word tier re-implements execution
-// once more as vectorized FP32 kernels, so this suite pins the
-// contract: for every tested mesh and worker count, all three tiers
-// produce bit-identical nodal fields, cost channels, interconnect
-// statistics, and full chip state (every word of every block, scratch
-// columns included, folded into an FNV-1a hash).
+// Conformance suite for the two execution tiers of PimSimulation
+// (compiled plan -> word kernels). The word tier re-implements
+// execution as vectorized FP32 kernels over the compiled streams, so
+// this suite pins the contract: for every tested mesh and worker count,
+// both tiers produce bit-identical nodal fields, cost channels,
+// interconnect statistics, and full chip state (every word of every
+// block, scratch columns included, folded into an FNV-1a hash) to the
+// serial compiled run. The compiled plan itself answers to the
+// functional oracle (functional_oracle_test.cpp), which re-lowers every
+// element phase by phase.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,6 +20,7 @@
 #include "mapping/exec_plan.h"
 #include "mapping/simulation.h"
 #include "mapping/word_plan.h"
+#include "support/functional_sink.h"
 #include "support/scoped_env.h"
 
 namespace wavepim::mapping {
@@ -131,11 +132,11 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
       << threads << " threads";
 }
 
-/// The serial emit run is the single reference all nine (tier x worker
-/// count) combinations compare against.
+/// The serial compiled run is the single reference every (tier x worker
+/// count) combination compares against.
 template <typename MakeSim>
 void expect_exec_conformance(MakeSim&& make, int steps) {
-  const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
+  const RunResult reference = run_at(make, ExecPath::Compiled, 1, steps);
   for (ExecPath path : kAllExecPaths) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
@@ -267,16 +268,19 @@ TEST(ExecConformance, FallbackBridgeElasticRiemannN4) {
 
 TEST(ExecConformance, ParserRoundTripsAndSetterSelectsTier) {
   // The tier plumbing: the parser round-trips every tier's name and
-  // rejects the removed spelling, a new simulation runs the word tier,
+  // rejects the removed spellings, a new simulation runs the word tier,
   // and the explicit setter selects another.
   for (const ExecPath path : kAllExecPaths) {
-    ExecPath parsed = path == ExecPath::Emit ? ExecPath::Word : ExecPath::Emit;
+    ExecPath parsed =
+        path == ExecPath::Compiled ? ExecPath::Word : ExecPath::Compiled;
     ASSERT_TRUE(parse_exec_path(to_string(path), parsed));
     EXPECT_EQ(parsed, path);
   }
-  ExecPath untouched = ExecPath::Compiled;
-  EXPECT_FALSE(parse_exec_path("replay", untouched));
-  EXPECT_EQ(untouched, ExecPath::Compiled);
+  for (const char* removed : {"replay", "emit"}) {
+    ExecPath untouched = ExecPath::Compiled;
+    EXPECT_FALSE(parse_exec_path(removed, untouched)) << removed;
+    EXPECT_EQ(untouched, ExecPath::Compiled);
+  }
 
   PimSimulation sim(Problem{ProblemKind::Acoustic, 1, 3},
                     ExpansionMode::None, pim::chip_512mb());
@@ -315,7 +319,7 @@ TEST(ExecConformance, RetiredEnvironmentKnobsAreIgnored) {
   // WAVEPIM_NET_BACKEND, WAVEPIM_WITNESS and WAVEPIM_EXEC reach nothing.
   ScopedEnv backend("WAVEPIM_NET_BACKEND", "cycle");
   ScopedEnv witness("WAVEPIM_WITNESS", "1");
-  ScopedEnv exec("WAVEPIM_EXEC", "emit");
+  ScopedEnv exec("WAVEPIM_EXEC", "compiled");
   EXPECT_EQ(pim::ChipConfig{}.net_backend, pim::NetBackendKind::Analytic);
   EXPECT_EQ(pim::chip_512mb().net_backend, pim::NetBackendKind::Analytic);
 
@@ -343,7 +347,7 @@ TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
         pim::chip_512mb());
   };
   const int steps = 1;
-  const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
+  const RunResult reference = run_at(make, ExecPath::Compiled, 1, steps);
   {
     SCOPED_TRACE("avx2 off");
     ScopedEnv env("WAVEPIM_WORD_AVX2", "0");
@@ -367,7 +371,8 @@ TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
 // ---- Per-block ledger conformance -----------------------------------------
 // The sim-level hashes cover fields and aggregated channels; this pins the
 // batched cost fold at block granularity. One Volume phase is executed
-// twice on identical chips — FunctionalSink vs compiled plan — and
+// twice on identical chips — the cached stream replayed through the
+// test-side FunctionalSink vs the compiled plan — and
 // every block's ledger (one batched charge per block on the compiled
 // side, dozens of per-op charges on the sink side) plus every stored word
 // must match bit-for-bit, as must the phase transfer lists.

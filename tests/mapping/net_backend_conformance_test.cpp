@@ -135,9 +135,9 @@ TEST(NetBackendConformance, FieldsAreTopologyIndependentToo) {
   // the H-tree's advantage needs the contended paper-scale batches the
   // Fig. 14 grid evaluates.)
   const auto htree = run_sim(pim::NetBackendKind::Cycle, pim::Topology::HTree,
-                             ExecPath::Emit, 0, 1);
+                             ExecPath::Compiled, 0, 1);
   const auto bus = run_sim(pim::NetBackendKind::Cycle, pim::Topology::Bus,
-                           ExecPath::Emit, 0, 1);
+                           ExecPath::Compiled, 0, 1);
   ASSERT_EQ(htree.field.size(), bus.field.size());
   for (std::size_t i = 0; i < htree.field.size(); ++i) {
     ASSERT_EQ(htree.field[i], bus.field[i]) << "field word " << i;

@@ -3,12 +3,9 @@
 // schedule (element-ordered transfer merge, two-phase flux with pairing-
 // settled neighbour charges, block-id-ordered ledger drain) must make the
 // nodal fields AND every cost channel bit-identical for any worker count,
-// on each execution tier.
-// The same harness doubles as the shape-class cache conformance suite:
-// the compiled tier, which runs the cached class streams, must match
-// direct emission bit-for-bit — fields, cycle/energy channels, and
-// interconnect statistics — at every worker count (the CacheConformance
-// tests below).
+// on each execution tier. The cache's class streams are checked against
+// direct emission by the functional oracle (functional_oracle_test.cpp);
+// CacheConformance below pins how many classes the cache forms.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -176,76 +173,7 @@ TEST(ParallelDeterminism, RepeatedRunsAgree) {
   }
 }
 
-// ---- Shape-class cache conformance ----------------------------------------
-// The cached class streams (run by the compiled tier) and direct
-// emission must agree bit-for-bit: nodal fields, every cost channel
-// (cycle time + energy) and the interconnect statistics, at serial, mid,
-// and hardware worker counts. The serial emit run is the single
-// reference all six combinations compare against.
-template <typename MakeSim>
-void expect_cache_conformance(MakeSim&& make, int steps) {
-  const RunResult reference = run_at(make, ExecPath::Emit, 1, steps);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    expect_identical(reference, run_at(make, ExecPath::Emit, threads, steps),
-                     threads);
-    expect_identical(reference,
-                     run_at(make, ExecPath::Compiled, threads, steps),
-                     threads);
-  }
-}
-
-TEST(CacheConformance, UniformPeriodic) {
-  // One shape class (uniform coefficients, no boundary faces): the
-  // maximal-reuse case.
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
-        pim::chip_512mb());
-  };
-  expect_cache_conformance(make, 2);
-}
-
-TEST(CacheConformance, HeterogeneousAcoustic) {
-  // Two material layers: the cache must key streams by the interned
-  // per-element (and per-face-pair) coefficient sets.
-  const auto make = [] {
-    mesh::StructuredMesh mesh(2, 1.0, Boundary::Periodic);
-    dg::MaterialField<dg::AcousticMaterial> mats(mesh.num_elements(), {});
-    for (mesh::ElementId e = 0; e < mesh.num_elements(); ++e) {
-      if (mesh.coords_of(e)[2] >= 2) {
-        mats.set(e, {.kappa = 4.0, .rho = 2.0});
-      }
-    }
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
-        pim::chip_512mb(), mats);
-  };
-  expect_cache_conformance(make, 1);
-}
-
-TEST(CacheConformance, ReflectiveElastic) {
-  // Reflective walls split elements into boundary-pattern classes whose
-  // wall faces emit no neighbour pulls.
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::ElasticCentral, 1, 3}, ExpansionMode::Elastic3,
-        pim::chip_512mb(), Boundary::Reflective);
-  };
-  expect_cache_conformance(make, 2);
-}
-
-TEST(CacheConformance, SelfNeighbour) {
-  // Level 0 periodic: one element that is its own neighbour on all six
-  // faces — the relocatable streams carry no neighbour identity, so the
-  // degenerate resolution happens entirely in the sink.
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 0, 3}, ExpansionMode::None,
-        pim::chip_512mb());
-  };
-  expect_cache_conformance(make, 2);
-}
-
+// ---- Shape-class cache ----------------------------------------------------
 TEST(CacheConformance, ClassCountsMatchProblemStructure) {
   // The cache must actually collapse equivalent elements: a uniform
   // periodic mesh is a single class; a reflective level-2 mesh has one

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "mapping/element_program.h"
-#include "mapping/sinks.h"
+#include "support/functional_sink.h"
 #include "pim/chip.h"
 
 namespace wavepim::mapping {

@@ -1,7 +1,7 @@
 // TraceConformance: pins the tracing contract the rest of the repo
 // relies on — (1) at one worker thread the recorded "pim." event
 // sequence of a simulation step is deterministic, identical across runs
-// AND across all three execution tiers (the tiers share span names by
+// AND across both execution tiers (the tiers share span names by
 // design, so a trace diff is an execution diff); (2) disabled tracing
 // allocates nothing and records nothing.
 #include <gtest/gtest.h>
@@ -87,16 +87,14 @@ std::vector<SeqEntry> expected_step_sequence() {
 }
 
 TEST(TraceConformance, StepSequenceMatchesPinnedGolden) {
-  EXPECT_EQ(captured_step_sequence(mapping::ExecPath::Emit),
+  EXPECT_EQ(captured_step_sequence(mapping::ExecPath::Compiled),
             expected_step_sequence());
 }
 
 TEST(TraceConformance, StepSequenceIdenticalAcrossTiers) {
-  const auto emit = captured_step_sequence(mapping::ExecPath::Emit);
   const auto compiled = captured_step_sequence(mapping::ExecPath::Compiled);
   const auto word = captured_step_sequence(mapping::ExecPath::Word);
-  EXPECT_EQ(emit, compiled);
-  EXPECT_EQ(emit, word);
+  EXPECT_EQ(compiled, word);
 }
 
 TEST(TraceConformance, StepSequenceIdenticalAcrossRuns) {

@@ -58,7 +58,7 @@ Parse parse_flag(int argc, char** argv, int& i, unsigned accepted,
   } else if ((v = value(kExec, "--exec=")) != nullptr) {
     mapping::ExecPath path{};
     if (!mapping::parse_exec_path(v, path)) {
-      return bad("--exec wants emit, compiled or word");
+      return bad("--exec wants compiled or word");
     }
     flags.exec = path;
   } else if ((v = value(kWitness, "--witness=")) != nullptr) {

@@ -1,9 +1,10 @@
 #pragma once
 
-// The command-line front end quickstart, wavepim and wavepim_serve share:
-// one parser for the flags they have in common, which hands each parsed
-// value to the chips and simulations the program builds, and one run
-// wrapper for the trace session and the library-error exit code.
+// The command-line front end quickstart, wavepim, wavepim_serve and
+// paper_eval share: one parser for the flags they have in common, which
+// hands each parsed value to the chips and simulations the program
+// builds, and one run wrapper for the trace session and the
+// library-error exit code.
 
 #include <cstdint>
 #include <functional>
@@ -19,7 +20,7 @@ namespace wavepim::frontend {
 /// instead of --threads N.
 enum Flag : unsigned {
   kThreads = 1u << 0,     ///< --threads N: sizes the global pool at once
-  kExec = 1u << 1,        ///< --exec=emit|compiled|word
+  kExec = 1u << 1,        ///< --exec=compiled|word
   kWitness = 1u << 2,     ///< --witness=N: word-tier cadence, 0 = off
   kChipBlocks = 1u << 3,  ///< --chip-blocks=N: positive block cap
   kTopology = 1u << 4,    ///< --topology=htree|bus

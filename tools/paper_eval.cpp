@@ -13,12 +13,13 @@
 // Usage:
 //   paper_eval [--matrix reduced|full] [--baseline FILE] [--fail-above=R]
 //              [--update-baseline] [--out FILE] [--tables FILE]
-//              [--threads N] [--filter SUBSTR] [--list]
+//              [--threads N] [--trace=FILE] [--filter SUBSTR] [--list]
 //
 // --fail-above=R is the maximum relative deviation per metric (default
 // 1e-6 — the metrics are model outputs, not wall clock, so they are
 // reproducible to FP precision). --update-baseline merges the run into
-// the --baseline file instead of gating against it.
+// the --baseline file instead of gating against it. --threads N and
+// --trace=FILE go through the tools' shared front end (tools/frontend.h).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,12 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "common/error.h"
-#include "common/parallel.h"
 #include "common/parse.h"
 #include "eval/matrix.h"
 #include "eval/report.h"
 #include "eval/runner.h"
+#include "frontend.h"
 
 using namespace wavepim;
 
@@ -52,6 +52,7 @@ int usage() {
       "  --out FILE             write the JSON report\n"
       "  --tables FILE          write the ASCII tables (also printed)\n"
       "  --threads N            simulator worker threads (default: auto)\n"
+      "  --trace=FILE           write a Chrome trace-event JSON of the run\n"
       "  --filter SUBSTR        only run scenarios whose id contains this\n"
       "  --list                 print the scenario ids and exit\n");
   return 2;
@@ -85,6 +86,7 @@ struct Args {
   double fail_above = 1e-6;
   bool update_baseline = false;
   bool list = false;
+  frontend::SharedFlags shared;  ///< --threads N, --trace=FILE
 };
 
 /// Accepts both `--flag value` and `--flag=value` spellings.
@@ -104,6 +106,14 @@ const char* arg_value(int argc, char** argv, int& i, const char* flag) {
 
 bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
+    const auto shared = frontend::parse_flag(
+        argc, argv, i, frontend::kThreads | frontend::kTrace, args.shared);
+    if (shared == frontend::Parse::Bad) {
+      return false;
+    }
+    if (shared == frontend::Parse::Consumed) {
+      continue;
+    }
     if (std::strcmp(argv[i], "--list") == 0) {
       args.list = true;
     } else if (std::strcmp(argv[i], "--update-baseline") == 0) {
@@ -128,13 +138,6 @@ bool parse_args(int argc, char** argv, Args& args) {
                      "error: --fail-above wants a finite positive deviation\n");
         return false;
       }
-    } else if (const char* v = arg_value(argc, argv, i, "--threads")) {
-      const std::size_t n = ThreadPool::parse_thread_count(v);
-      if (n == 0) {
-        std::fprintf(stderr, "error: --threads wants a positive integer\n");
-        return false;
-      }
-      ThreadPool::set_global_threads(n);
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
       return false;
@@ -145,6 +148,80 @@ bool parse_args(int argc, char** argv, Args& args) {
     return false;
   }
   return true;
+}
+
+/// Runs the selected scenarios, prints and writes the report, and gates
+/// it against the baseline: 0 clean, 1 on a failed claim or regression.
+int evaluate(const Args& args, const std::vector<eval::Scenario>& scenarios) {
+  eval::RunOptions options;
+  options.progress = [](const eval::Scenario& s) {
+    std::printf("  running %s\n", s.id().c_str());
+    std::fflush(stdout);
+  };
+  std::printf("paper_eval: %s matrix, %zu scenario(s)\n",
+              eval::to_string(args.matrix), scenarios.size());
+  const eval::MatrixResult result =
+      eval::run_matrix(args.matrix, scenarios, options);
+
+  const std::string tables = eval::render_tables(result);
+  std::printf("\n%s", tables.c_str());
+  if (!args.tables.empty() && !write_file(args.tables, tables)) {
+    std::fprintf(stderr, "error: could not write %s\n",
+                 args.tables.c_str());
+    return 1;
+  }
+
+  const json::Value report = eval::report_to_json(result);
+  if (!args.out.empty() &&
+      !write_file(args.out, json::dump(report, 1) + "\n")) {
+    std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
+    return 1;
+  }
+
+  int failures = 0;
+  for (const auto& claim : result.claims) {
+    if (!claim.pass) {
+      ++failures;
+    }
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "error: %d shape claim(s) FAILED\n", failures);
+  }
+
+  if (!args.baseline.empty()) {
+    const auto text = read_file(args.baseline);
+    if (args.update_baseline) {
+      std::optional<json::Value> existing;
+      if (text.has_value()) {
+        existing = json::parse(*text);
+      }
+      const json::Value merged = eval::merge_baseline(
+          existing.has_value() ? &*existing : nullptr, report);
+      if (!write_file(args.baseline, json::dump(merged, 1) + "\n")) {
+        std::fprintf(stderr, "error: could not write %s\n",
+                     args.baseline.c_str());
+        return 1;
+      }
+      std::printf("baseline %s updated (%zu cell(s) in file)\n",
+                  args.baseline.c_str(),
+                  merged.find("cells")->as_array().size());
+    } else {
+      if (!text.has_value()) {
+        std::fprintf(stderr, "error: cannot open baseline %s\n",
+                     args.baseline.c_str());
+        return 1;
+      }
+      const json::Value baseline = json::parse(*text);
+      const eval::DiffResult diff = eval::diff_reports(
+          baseline, report, {.tolerance = args.fail_above});
+      std::printf("\n== Baseline comparison (%s) ==\n\n%s",
+                  args.baseline.c_str(), diff.table.c_str());
+      if (!diff.ok()) {
+        ++failures;
+      }
+    }
+  }
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace
@@ -177,78 +254,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  try {
-    eval::RunOptions options;
-    options.progress = [](const eval::Scenario& s) {
-      std::printf("  running %s\n", s.id().c_str());
-      std::fflush(stdout);
-    };
-    std::printf("paper_eval: %s matrix, %zu scenario(s)\n",
-                eval::to_string(args.matrix), scenarios.size());
-    const eval::MatrixResult result =
-        eval::run_matrix(args.matrix, scenarios, options);
-
-    const std::string tables = eval::render_tables(result);
-    std::printf("\n%s", tables.c_str());
-    if (!args.tables.empty() && !write_file(args.tables, tables)) {
-      std::fprintf(stderr, "error: could not write %s\n",
-                   args.tables.c_str());
-      return 1;
-    }
-
-    const json::Value report = eval::report_to_json(result);
-    if (!args.out.empty() &&
-        !write_file(args.out, json::dump(report, 1) + "\n")) {
-      std::fprintf(stderr, "error: could not write %s\n", args.out.c_str());
-      return 1;
-    }
-
-    int failures = 0;
-    for (const auto& claim : result.claims) {
-      if (!claim.pass) {
-        ++failures;
-      }
-    }
-    if (failures > 0) {
-      std::fprintf(stderr, "error: %d shape claim(s) FAILED\n", failures);
-    }
-
-    if (!args.baseline.empty()) {
-      const auto text = read_file(args.baseline);
-      if (args.update_baseline) {
-        std::optional<json::Value> existing;
-        if (text.has_value()) {
-          existing = json::parse(*text);
-        }
-        const json::Value merged = eval::merge_baseline(
-            existing.has_value() ? &*existing : nullptr, report);
-        if (!write_file(args.baseline, json::dump(merged, 1) + "\n")) {
-          std::fprintf(stderr, "error: could not write %s\n",
-                       args.baseline.c_str());
-          return 1;
-        }
-        std::printf("baseline %s updated (%zu cell(s) in file)\n",
-                    args.baseline.c_str(),
-                    merged.find("cells")->as_array().size());
-      } else {
-        if (!text.has_value()) {
-          std::fprintf(stderr, "error: cannot open baseline %s\n",
-                       args.baseline.c_str());
-          return 1;
-        }
-        const json::Value baseline = json::parse(*text);
-        const eval::DiffResult diff = eval::diff_reports(
-            baseline, report, {.tolerance = args.fail_above});
-        std::printf("\n== Baseline comparison (%s) ==\n\n%s",
-                    args.baseline.c_str(), diff.table.c_str());
-        if (!diff.ok()) {
-          ++failures;
-        }
-      }
-    }
-    return failures > 0 ? 1 : 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return frontend::run(args.shared,
+                       [&] { return evaluate(args, scenarios); });
 }

@@ -49,12 +49,11 @@ int usage() {
       "--threads N: worker threads for the CPU solver and the functional\n"
       "             PIM simulator (default: WAVEPIM_NUM_THREADS or the\n"
       "             hardware); results are identical for any count\n"
-      "--exec=emit|compiled|word: execution tier of the functional\n"
+      "--exec=compiled|word: execution tier of the functional\n"
       "             PIM simulator (default: word).\n"
-      "             emit re-lowers per stage, compiled runs the resolved\n"
-      "             execution plan, word runs the vectorized word-level\n"
-      "             kernels; fields and cost reports are bit-identical\n"
-      "             across all three\n"
+      "             compiled runs the resolved execution plan, word runs\n"
+      "             the vectorized word-level kernels; fields and cost\n"
+      "             reports are bit-identical across both\n"
       "--witness=N: word tier only: re-execute every Nth phase\n"
       "             application bit-serially on shadow blocks and compare\n"
       "             full-state hashes (1 = every phase, 0/default = off)\n"
