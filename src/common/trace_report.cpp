@@ -19,7 +19,7 @@ TextTable trace_summary_table(const trace::Summary& summary) {
   const double wall = static_cast<double>(summary.duration_ns());
   for (const auto& s : summary.spans) {
     const double share =
-        wall > 0.0 ? 100.0 * static_cast<double>(s.total_ns) / wall : 0.0;
+        wall > 0.0 ? 100.0 * static_cast<double>(s.covered_ns) / wall : 0.0;
     char share_text[16];
     std::snprintf(share_text, sizeof(share_text), "%.1f%%", share);
     table.add_row({s.name, std::to_string(s.count),

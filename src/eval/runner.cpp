@@ -230,9 +230,10 @@ MatrixResult run_matrix(MatrixKind kind,
     for (auto& claim : fig12_claims(result.figures)) {
       result.claims.push_back(std::move(claim));
     }
-    // Fig. 14 rides the complete sweep too, computed by the *cycle*
-    // backend: the H-tree-over-bus headline is derived from queuing
-    // dynamics instead of being an input to the analytic formula.
+    // Fig. 14 rides the complete sweep too, computed under the *cycle*
+    // kind (which adds link statistics): the H-tree-over-bus headline
+    // is derived from the contention-aware list schedule instead of
+    // being an input to the analytic formula.
     result.fig14 = compute_fig14_data(pim::NetBackendKind::Cycle);
     for (auto& claim : fig14_claims(result.fig14)) {
       result.claims.push_back(std::move(claim));

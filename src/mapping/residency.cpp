@@ -1,6 +1,7 @@
 #include "mapping/residency.h"
 
 #include <limits>
+#include <new>
 
 #include "common/error.h"
 #include "trace/trace.h"
@@ -118,8 +119,12 @@ ResidencyManager::ResidencyManager(pim::Chip& chip,
     for (std::uint32_t slot = window_ + 1; slot-- > 0;) {
       free_slots_.push_back(slot);
     }
-    backing_ = pim::FloatArena::instance().allocate(
-        static_cast<std::size_t>(num_virtual) * pim::Block::kWords * rows_);
+    backing_.reset(static_cast<float*>(std::calloc(
+        static_cast<std::size_t>(num_virtual) * pim::Block::kWords * rows_,
+        sizeof(float))));
+    if (!backing_) {
+      throw std::bad_alloc();
+    }
   }
   schedule_ = build_flux_batch_schedule(
       num_slices_, window_, mesh.boundary() == mesh::Boundary::Periodic);
@@ -129,7 +134,7 @@ std::span<float> ResidencyManager::backing_column(std::uint32_t vblock,
                                                   std::uint32_t col) {
   const std::size_t offset =
       (static_cast<std::size_t>(vblock) * pim::Block::kWords + col) * rows_;
-  return {backing_.data() + offset, rows_};
+  return {backing_.get() + offset, rows_};
 }
 
 void ResidencyManager::bind_slice(std::uint32_t slice, std::uint32_t slot) {

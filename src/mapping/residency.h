@@ -2,12 +2,13 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "mapping/batch_schedule.h"
 #include "mesh/structured_mesh.h"
-#include "pim/arena.h"
 #include "pim/chip.h"
 
 namespace wavepim::mapping {
@@ -143,10 +144,12 @@ class ResidencyManager {
   std::vector<mesh::ElementId> slice_order_;
   std::vector<std::uint32_t> slot_of_slice_;
   std::vector<std::uint32_t> free_slots_;
-  /// Batched: rows_ floats per (vblock, col), served from the
-  /// mmap-backed pim::FloatArena so huge over-capacity meshes commit
-  /// pages lazily instead of allocating the whole virtual state up front.
-  pim::FloatArena::Buffer backing_;
+  struct Free {
+    void operator()(float* p) const { std::free(p); }
+  };
+  /// Batched: rows_ floats per (vblock, col), one calloc'd buffer, so a
+  /// huge over-capacity mesh commits only the zero pages a run writes.
+  std::unique_ptr<float[], Free> backing_;
 
   std::uint64_t slice_loads_ = 0;
   std::uint64_t slice_stores_ = 0;

@@ -272,8 +272,9 @@ class PimSimulation {
     std::uint64_t transfers = 0;  ///< transfer descriptors scheduled
     std::uint64_t words = 0;      ///< 32-bit words moved
     Seconds serial_sum;           ///< sum of isolated latencies
-    // Link aggregates, populated only by the cycle backend (zero under
-    // the default analytic scheduler, which has no queuing dynamics).
+    // Link aggregates, populated only under the cycle kind (zero under
+    // the default analytic kind, which skips the link bookkeeping on the
+    // same schedule).
     std::uint64_t link_schedules = 0;  ///< drains that carried link stats
     Seconds stall_time;                ///< total per-transfer queue wait
     double max_utilization = 0.0;  ///< busiest link fraction of any drain

@@ -18,8 +18,8 @@ namespace wavepim::service {
 /// The service's chip fleet: N identically configured simulated chips,
 /// each owned by at most one tenant simulation at a time. Binding a job
 /// hands its `chip(i)` handle to a PimSimulation; `recycle(i)` resets
-/// the chip (blocks destroyed, arena slots returned to the free list)
-/// once that simulation is gone, so the next tenant starts from a fresh
+/// the chip (blocks destroyed, row extent restored) once that
+/// simulation is gone, so the next tenant starts from a fresh
 /// fabric with no stale column aliases.
 class ChipPool {
  public:

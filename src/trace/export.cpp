@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/statistics.h"
@@ -126,6 +127,8 @@ Summary summarize(std::span<const Event> events) {
   std::map<std::uint32_t, std::vector<Open>> stacks;  // per thread
   std::map<std::string_view, SpanStats> spans;
   std::map<std::string_view, std::vector<double>> durations;
+  using Interval = std::pair<std::uint64_t, std::uint64_t>;  // [begin, end)
+  std::map<std::string_view, std::vector<Interval>> intervals;
   std::map<std::string_view, CounterStats> counters;
 
   for (const Event& e : events) {
@@ -161,6 +164,7 @@ Summary summarize(std::span<const Event> events) {
         s.min_ns = std::min(s.min_ns, dur);
         s.max_ns = std::max(s.max_ns, dur);
         durations[name].push_back(static_cast<double>(dur));
+        intervals[name].emplace_back(e.ts_ns - dur, e.ts_ns);
         break;
       }
       case EventType::Instant:
@@ -183,6 +187,18 @@ Summary summarize(std::span<const Event> events) {
     const auto& durs = durations[name];
     stats.p50_ns = static_cast<std::uint64_t>(percentile(durs, 50.0));
     stats.p99_ns = static_cast<std::uint64_t>(percentile(durs, 99.0));
+    // Covered time: sweep the intervals in start order, counting only
+    // what extends past the union so far.
+    auto& spans_of = intervals[name];
+    std::sort(spans_of.begin(), spans_of.end());
+    std::uint64_t covered_to = 0;
+    for (const auto& [begin, end] : spans_of) {
+      const std::uint64_t from = std::max(begin, covered_to);
+      if (end > from) {
+        stats.covered_ns += end - from;
+        covered_to = end;
+      }
+    }
     summary.spans.push_back(std::move(stats));
   }
   std::sort(summary.spans.begin(), summary.spans.end(),

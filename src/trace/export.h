@@ -14,6 +14,10 @@ struct SpanStats {
   std::string name;
   std::uint64_t count = 0;     ///< completed Begin/End pairs
   std::uint64_t total_ns = 0;  ///< summed wall time (nested spans included)
+  /// Wall time during which at least one instance was open on any thread:
+  /// the union of the [begin, end) intervals, so never above the trace
+  /// extent even when spans overlap across pool workers.
+  std::uint64_t covered_ns = 0;
   std::uint64_t min_ns = 0;
   std::uint64_t max_ns = 0;
   /// Nearest-rank percentiles over the individual span durations (an

@@ -245,6 +245,40 @@ TEST(BatchConformance, ExecutedStagingMatchesSchedule) {
   }
 }
 
+TEST(BatchConformance, BackingStoreArrivesZeroed) {
+  // State load fills only the variable and residual columns; every other
+  // column a slice carries onto the chip comes from the backing store as
+  // allocated, and must read zero like the fresh blocks a resident run
+  // starts from. Dirty one store, drop it, and the next of the same size
+  // must read zero.
+  const mesh::StructuredMesh mesh(2, 1.0, Boundary::Periodic);
+  pim::Chip chip(capped_chip(32));
+  constexpr std::uint32_t kRowsPerBlock = 27;  // n1d = 3
+  const auto make = [&] {
+    return std::make_unique<ResidencyManager>(chip, mesh, 1, kRowsPerBlock,
+                                              Bytes{1});
+  };
+  auto first = make();
+  ASSERT_FALSE(first->is_resident());
+  for (std::uint32_t v = 0; v < mesh.num_elements(); ++v) {
+    for (std::uint32_t c = 0; c < pim::Block::kWords; ++c) {
+      for (float& x : first->backing_column(v, c)) {
+        x = 1.0f + static_cast<float>(v);
+      }
+    }
+  }
+  first.reset();
+
+  auto second = make();
+  for (std::uint32_t v = 0; v < mesh.num_elements(); ++v) {
+    for (std::uint32_t c = 0; c < pim::Block::kWords; ++c) {
+      for (float x : second->backing_column(v, c)) {
+        ASSERT_EQ(x, 0.0f) << "virtual block " << v << ", column " << c;
+      }
+    }
+  }
+}
+
 TEST(BatchConformance, ResidentRunsPriceStateMovement) {
   // Fully resident: the only HBM traffic is the initial state load and
   // the final readback, charged to the hbm channel (not total()).

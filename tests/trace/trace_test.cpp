@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/trace_report.h"
 #include "trace/clock.h"
 #include "trace/export.h"
 
@@ -240,6 +241,40 @@ TEST(TraceExport, SummaryPinsLatencyPercentiles) {
   EXPECT_EQ(s.max_ns, 400u);
   EXPECT_EQ(s.p50_ns, 200u);
   EXPECT_EQ(s.p99_ns, 400u);
+}
+
+TEST(TraceExport, ShareCountsOverlappingThreadsOnce) {
+  // Two workers run the same span at once: the total sums both, but the
+  // share is the wall time during which either was open, so a parallel
+  // layer never reads above the whole run.
+  std::vector<Event> events;
+  std::uint64_t seq = 0;
+  const auto add = [&](std::uint64_t ts, const char* name, EventType type,
+                       std::uint32_t tid) {
+    events.push_back({ts, seq++, name, 0.0, type, tid});
+  };
+  add(100, "test.run", EventType::Begin, 0);
+  add(100, "test.chunk", EventType::Begin, 1);
+  add(200, "test.chunk", EventType::Begin, 2);
+  add(400, "test.chunk", EventType::End, 1);
+  add(600, "test.chunk", EventType::End, 2);
+  add(700, "test.chunk", EventType::Begin, 1);
+  add(800, "test.chunk", EventType::End, 1);
+  add(800, "test.run", EventType::End, 0);
+  const Summary summary = summarize(events);
+  ASSERT_EQ(summary.duration_ns(), 700u);
+  ASSERT_EQ(summary.spans.size(), 2u);
+  const SpanStats& chunk = summary.spans[0];
+  ASSERT_EQ(chunk.name, "test.chunk");
+  EXPECT_EQ(chunk.count, 3u);
+  EXPECT_EQ(chunk.total_ns, 300u + 400u + 100u);
+  EXPECT_EQ(chunk.covered_ns, 500u + 100u);  // [100, 600) and [700, 800)
+  EXPECT_LE(chunk.covered_ns, summary.duration_ns());
+
+  const std::string table = trace_summary_table(summary).to_string();
+  EXPECT_NE(table.find("85.7%"), std::string::npos) << table;
+  EXPECT_NE(table.find("100.0%"), std::string::npos) << table;  // test.run
+  EXPECT_EQ(table.find("114.3%"), std::string::npos) << table;
 }
 
 TEST(TraceExport, SingleSpanPercentilesEqualItsDuration) {
