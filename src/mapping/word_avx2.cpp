@@ -11,14 +11,15 @@
 // and leak into baseline binaries through the linker. Dispatch happens
 // once, in WordPlan's constructor, via supported().
 //
-// The hot kernels are specialized on the (small) group counts: the
-// destination loop fully unrolls, and the per-op constants — lane
-// masks, permutation indices, scatter values — hoist into ymm registers
-// once per op instead of reloading per element. At 9-27 rows per op the
-// kernels are load-port bound, so removing those reloads is worth more
-// than the arithmetic itself. Ops wider than the specialized forms
-// (not produced by any current program, but legal) take the generic
-// un-hoisted loop.
+// Every kernel is specialized on its group counts (1-4 destination
+// groups, 1-4 source-window groups): the destination loop fully
+// unrolls, and the per-op constants — lane masks, permutation indices,
+// scatter values — hoist into ymm registers once per op instead of
+// reloading per element. At 9-27 rows per op the kernels are load-port
+// bound, so removing those reloads is worth more than the arithmetic
+// itself. There is no wider form: WordPlan::build_avx turns any op
+// whose window exceeds 4 groups into a Fallback op, so the size
+// switches below only ever see 1-4.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define WAVEPIM_WORD_AVX2 1
 #include <immintrin.h>
@@ -69,29 +70,6 @@ __attribute__((target("avx2"))) void add_n(const AvxOp& op,
   }
 }
 
-__attribute__((target("avx2"))) void add_generic(const AvxOp& op,
-                                                 float* const* ptrs,
-                                                 std::size_t n,
-                                                 std::uint32_t num_groups) {
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* a = w + op.off_a;
-    const float* b = w + op.off_b;
-    float* d = w + op.off_dst;
-    std::uint32_t g = 0;
-    for (; g < op.nfull; ++g) {
-      _mm256_storeu_ps(d + 8 * g, _mm256_add_ps(_mm256_loadu_ps(a + 8 * g),
-                                                _mm256_loadu_ps(b + 8 * g)));
-    }
-    for (; g < op.ngroups; ++g) {
-      const __m256 v =
-          _mm256_add_ps(_mm256_loadu_ps(a + 8 * g), _mm256_loadu_ps(b + 8 * g));
-      const __m256 old = _mm256_loadu_ps(d + 8 * g);
-      _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, lane_mask(op, g)));
-    }
-  }
-}
-
 /// dst = imm * a.
 template <int NG>
 __attribute__((target("avx2"))) void scale_n(const AvxOp& op,
@@ -115,27 +93,6 @@ __attribute__((target("avx2"))) void scale_n(const AvxOp& op,
         const __m256 old = _mm256_loadu_ps(d + 8 * g);
         _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, m[g]));
       }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void scale_generic(const AvxOp& op,
-                                                   float* const* ptrs,
-                                                   std::size_t n,
-                                                   std::uint32_t num_groups) {
-  const __m256 c = _mm256_set1_ps(op.imm);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* a = w + op.off_a;
-    float* d = w + op.off_dst;
-    std::uint32_t g = 0;
-    for (; g < op.nfull; ++g) {
-      _mm256_storeu_ps(d + 8 * g, _mm256_mul_ps(c, _mm256_loadu_ps(a + 8 * g)));
-    }
-    for (; g < op.ngroups; ++g) {
-      const __m256 v = _mm256_mul_ps(c, _mm256_loadu_ps(a + 8 * g));
-      const __m256 old = _mm256_loadu_ps(d + 8 * g);
-      _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, lane_mask(op, g)));
     }
   }
 }
@@ -187,41 +144,6 @@ __attribute__((target("avx2"))) void scale_add_n(const AvxOp& op,
   }
 }
 
-__attribute__((target("avx2"))) void scale_add_generic(
-    const AvxOp& op, float* const* ptrs, std::size_t n,
-    std::uint32_t num_groups) {
-  const __m256 c = _mm256_set1_ps(op.imm);
-  const bool store_mid = (op.skip & 1u) == 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* a = w + op.off_a;
-    const float* acc = w + op.off_c;
-    float* mid = w + op.off_dst;
-    float* d = w + op.off_d;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256 v = _mm256_mul_ps(c, _mm256_loadu_ps(a + 8 * g));
-      const bool dense = g < op.nfull;
-      if (store_mid) {
-        if (dense) {
-          _mm256_storeu_ps(mid + 8 * g, v);
-        } else {
-          const __m256 oldm = _mm256_loadu_ps(mid + 8 * g);
-          _mm256_storeu_ps(mid + 8 * g,
-                           _mm256_blendv_ps(oldm, v, lane_mask(op, g)));
-        }
-      }
-      const __m256 r = _mm256_add_ps(_mm256_loadu_ps(acc + 8 * g), v);
-      if (dense) {
-        _mm256_storeu_ps(d + 8 * g, r);
-      } else {
-        const __m256 oldd = _mm256_loadu_ps(d + 8 * g);
-        _mm256_storeu_ps(d + 8 * g,
-                         _mm256_blendv_ps(oldd, r, lane_mask(op, g)));
-      }
-    }
-  }
-}
-
 /// Fused Faxpy->Faxpy RK chain: d1 is stored before d2's old value is
 /// loaded, so d2 == d1 reads the freshly written lanes exactly like the
 /// scalar kernel's per-row order. Two multiplies and an add per axpy —
@@ -263,43 +185,6 @@ __attribute__((target("avx2"))) void axpy_pair_n(const AvxOp& op,
         _mm256_storeu_ps(d2 + 8 * g, r);
       } else {
         _mm256_storeu_ps(d2 + 8 * g, _mm256_blendv_ps(old2, r, m[g]));
-      }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void axpy_pair_generic(
-    const AvxOp& op, float* const* ptrs, std::size_t n,
-    std::uint32_t num_groups) {
-  const __m256 a1 = _mm256_set1_ps(op.imm);
-  const __m256 c1 = _mm256_set1_ps(op.imm2);
-  const __m256 a2 = _mm256_set1_ps(op.imm3);
-  const __m256 c2 = _mm256_set1_ps(op.imm4);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* s1 = w + op.off_a;
-    float* d1 = w + op.off_dst;
-    float* d2 = w + op.off_c;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256 old1 = _mm256_loadu_ps(d1 + 8 * g);
-      const __m256 v =
-          _mm256_add_ps(_mm256_mul_ps(a1, old1),
-                        _mm256_mul_ps(c1, _mm256_loadu_ps(s1 + 8 * g)));
-      const bool dense = g < op.nfull;
-      if (dense) {
-        _mm256_storeu_ps(d1 + 8 * g, v);
-      } else {
-        _mm256_storeu_ps(d1 + 8 * g,
-                         _mm256_blendv_ps(old1, v, lane_mask(op, g)));
-      }
-      const __m256 old2 = _mm256_loadu_ps(d2 + 8 * g);
-      const __m256 r =
-          _mm256_add_ps(_mm256_mul_ps(a2, old2), _mm256_mul_ps(c2, v));
-      if (dense) {
-        _mm256_storeu_ps(d2 + 8 * g, r);
-      } else {
-        _mm256_storeu_ps(d2 + 8 * g,
-                         _mm256_blendv_ps(old2, r, lane_mask(op, g)));
       }
     }
   }
@@ -359,49 +244,6 @@ __attribute__((target("avx2"))) void chain_n(const AvxOp* ops,
   }
 }
 
-__attribute__((target("avx2"))) void chain_generic(const AvxOp* ops,
-                                                   float* const* ptrs,
-                                                   std::size_t n,
-                                                   std::uint32_t num_groups) {
-  const AvxOp& op = ops[0];
-  const std::uint32_t chain = op.chain;
-  __m256 cs[16];
-  for (std::uint32_t j = 0; j < chain; ++j) {
-    cs[j] = _mm256_set1_ps(ops[j].imm);
-  }
-  const bool store_mid = (op.skip & 1u) == 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    float* accp = w + op.off_c;
-    float* midp = w + op.off_dst;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256 old = _mm256_loadu_ps(accp + 8 * g);
-      __m256 acc = old;
-      __m256 v = _mm256_setzero_ps();
-      for (std::uint32_t j = 0; j < chain; ++j) {
-        v = _mm256_mul_ps(cs[j], _mm256_loadu_ps(w + ops[j].off_a + 8 * g));
-        acc = _mm256_add_ps(acc, v);
-      }
-      const bool dense = g < op.nfull;
-      if (store_mid) {
-        if (dense) {
-          _mm256_storeu_ps(midp + 8 * g, v);
-        } else {
-          const __m256 mk = lane_mask(op, g);
-          const __m256 oldm = _mm256_loadu_ps(midp + 8 * g);
-          _mm256_storeu_ps(midp + 8 * g, _mm256_blendv_ps(oldm, v, mk));
-        }
-      }
-      if (dense) {
-        _mm256_storeu_ps(accp + 8 * g, acc);
-      } else {
-        _mm256_storeu_ps(accp + 8 * g,
-                         _mm256_blendv_ps(old, acc, lane_mask(op, g)));
-      }
-    }
-  }
-}
-
 void run_chain(const AvxOp* ops, float* const* ptrs, std::size_t n,
                std::uint32_t num_groups) {
   switch (ops[0].ngroups) {
@@ -416,9 +258,6 @@ void run_chain(const AvxOp* ops, float* const* ptrs, std::size_t n,
       break;
     case 4:
       chain_n<4>(ops, ptrs, n, num_groups);
-      break;
-    default:
-      chain_generic(ops, ptrs, n, num_groups);
       break;
   }
 }
@@ -487,57 +326,6 @@ __attribute__((target("avx2"))) void chain2_n(const AvxOp* ops,
   }
 }
 
-__attribute__((target("avx2"))) void chain2_generic(const AvxOp* ops,
-                                                    float* const* ptrs,
-                                                    std::size_t n,
-                                                    std::uint32_t num_groups) {
-  const AvxOp& op = ops[0];
-  const std::uint32_t half = op.chain2;
-  __m256 cs1[16];
-  __m256 cs2[16];
-  for (std::uint32_t j = 0; j < half; ++j) {
-    cs1[j] = _mm256_set1_ps(ops[j].imm);
-    cs2[j] = _mm256_set1_ps(ops[half + j].imm);
-  }
-  const bool store_mid = (op.skip & 1u) == 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    float* acc1p = w + op.off_c;
-    float* acc2p = w + op.off_b;
-    float* midp = w + op.off_dst;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256 old1 = _mm256_loadu_ps(acc1p + 8 * g);
-      const __m256 old2 = _mm256_loadu_ps(acc2p + 8 * g);
-      __m256 a1 = old1;
-      __m256 a2 = old2;
-      __m256 v2 = _mm256_setzero_ps();
-      for (std::uint32_t j = 0; j < half; ++j) {
-        const __m256 v = _mm256_loadu_ps(w + ops[j].off_a + 8 * g);
-        a1 = _mm256_add_ps(a1, _mm256_mul_ps(cs1[j], v));
-        v2 = _mm256_mul_ps(cs2[j], v);
-        a2 = _mm256_add_ps(a2, v2);
-      }
-      const bool dense = g < op.nfull;
-      const __m256 mk = lane_mask(op, g);
-      if (store_mid) {
-        if (dense) {
-          _mm256_storeu_ps(midp + 8 * g, v2);
-        } else {
-          const __m256 oldm = _mm256_loadu_ps(midp + 8 * g);
-          _mm256_storeu_ps(midp + 8 * g, _mm256_blendv_ps(oldm, v2, mk));
-        }
-      }
-      if (dense) {
-        _mm256_storeu_ps(acc1p + 8 * g, a1);
-        _mm256_storeu_ps(acc2p + 8 * g, a2);
-      } else {
-        _mm256_storeu_ps(acc1p + 8 * g, _mm256_blendv_ps(old1, a1, mk));
-        _mm256_storeu_ps(acc2p + 8 * g, _mm256_blendv_ps(old2, a2, mk));
-      }
-    }
-  }
-}
-
 void run_chain2(const AvxOp* ops, float* const* ptrs, std::size_t n,
                 std::uint32_t num_groups) {
   switch (ops[0].ngroups) {
@@ -552,9 +340,6 @@ void run_chain2(const AvxOp* ops, float* const* ptrs, std::size_t n,
       break;
     case 4:
       chain2_n<4>(ops, ptrs, n, num_groups);
-      break;
-    default:
-      chain2_generic(ops, ptrs, n, num_groups);
       break;
   }
 }
@@ -635,68 +420,6 @@ __attribute__((target("avx2"))) void gather_mul_n(const AvxOp& op,
   }
 }
 
-template <bool Acc>
-__attribute__((target("avx2"))) void gather_mul_avx_generic(
-    const AvxOp& op, float* const* ptrs, std::size_t n,
-    std::uint32_t num_groups) {
-  const bool store_g = (op.skip & 2u) == 0;
-  const bool store_mid = (op.skip & 1u) == 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* w = ptrs[i * num_groups + op.group];
-    const float* srcp = w + op.off_a;
-    __m256 win[4];
-    for (std::uint32_t j = 0; j < op.wgroups; ++j) {
-      win[j] = _mm256_loadu_ps(srcp + 8 * j);
-    }
-    float* gp = w + op.off_dst;
-    const float* bp = op.values != nullptr ? op.values : w + op.off_b;
-    float* midp = w + op.off_d;
-    float* accp = w + op.off_c;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(op.perm + 8 * g));
-      __m256 gv = _mm256_permutevar8x32_ps(win[0], idx);
-      const __m256i hi = _mm256_srli_epi32(idx, 3);
-      for (std::uint32_t j = 1; j < op.wgroups; ++j) {
-        const __m256i sel =
-            _mm256_cmpeq_epi32(hi, _mm256_set1_epi32(static_cast<int>(j)));
-        gv = _mm256_blendv_ps(gv, _mm256_permutevar8x32_ps(win[j], idx),
-                              _mm256_castsi256_ps(sel));
-      }
-      const __m256 bv = _mm256_loadu_ps(bp + 8 * g);
-      const __m256 cv =
-          Acc ? _mm256_loadu_ps(accp + 8 * g) : _mm256_setzero_ps();
-      const bool dense = g < op.nfull;
-      const __m256 mk = dense ? _mm256_setzero_ps() : lane_mask(op, g);
-      if (store_g) {
-        if (dense) {
-          _mm256_storeu_ps(gp + 8 * g, gv);
-        } else {
-          const __m256 oldg = _mm256_loadu_ps(gp + 8 * g);
-          _mm256_storeu_ps(gp + 8 * g, _mm256_blendv_ps(oldg, gv, mk));
-        }
-      }
-      const __m256 prod = _mm256_mul_ps(gv, bv);
-      if (store_mid) {
-        if (dense) {
-          _mm256_storeu_ps(midp + 8 * g, prod);
-        } else {
-          const __m256 oldm = _mm256_loadu_ps(midp + 8 * g);
-          _mm256_storeu_ps(midp + 8 * g, _mm256_blendv_ps(oldm, prod, mk));
-        }
-      }
-      if (Acc) {
-        const __m256 r = _mm256_add_ps(cv, prod);
-        if (dense) {
-          _mm256_storeu_ps(accp + 8 * g, r);
-        } else {
-          _mm256_storeu_ps(accp + 8 * g, _mm256_blendv_ps(cv, r, mk));
-        }
-      }
-    }
-  }
-}
-
 template <bool Acc, int NG>
 void run_gather_mul_ng(const AvxOp& op, float* const* ptrs, std::size_t n,
                        std::uint32_t num_groups) {
@@ -712,9 +435,6 @@ void run_gather_mul_ng(const AvxOp& op, float* const* ptrs, std::size_t n,
       break;
     case 4:
       gather_mul_n<Acc, NG, 4>(op, ptrs, n, num_groups);
-      break;
-    default:
-      gather_mul_avx_generic<Acc>(op, ptrs, n, num_groups);
       break;
   }
 }
@@ -734,9 +454,6 @@ void run_gather_mul(const AvxOp& op, float* const* ptrs, std::size_t n,
       break;
     case 4:
       run_gather_mul_ng<Acc, 4>(op, ptrs, n, num_groups);
-      break;
-    default:
-      gather_mul_avx_generic<Acc>(op, ptrs, n, num_groups);
       break;
   }
 }
@@ -762,24 +479,6 @@ __attribute__((target("avx2"))) void const_n(const AvxOp& op,
         const __m256 old = _mm256_loadu_ps(d + 8 * g);
         _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v[g], m[g]));
       }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void const_generic(const AvxOp& op,
-                                                   float* const* ptrs,
-                                                   std::size_t n,
-                                                   std::uint32_t num_groups) {
-  for (std::size_t i = 0; i < n; ++i) {
-    float* d = ptrs[i * num_groups + op.group] + op.off_dst;
-    std::uint32_t g = 0;
-    for (; g < op.nfull; ++g) {
-      _mm256_storeu_ps(d + 8 * g, _mm256_loadu_ps(op.values + 8 * g));
-    }
-    for (; g < op.ngroups; ++g) {
-      const __m256 v = _mm256_loadu_ps(op.values + 8 * g);
-      const __m256 old = _mm256_loadu_ps(d + 8 * g);
-      _mm256_storeu_ps(d + 8 * g, _mm256_blendv_ps(old, v, lane_mask(op, g)));
     }
   }
 }
@@ -840,40 +539,6 @@ __attribute__((target("avx2"))) void permute_n(const AvxOp& op,
   }
 }
 
-__attribute__((target("avx2"))) void permute_generic(const AvxOp& op,
-                                                     const ExecCtx& ctx) {
-  const std::size_t n = ctx.elems.size();
-  const std::uint32_t num_groups = ctx.num_groups;
-  float* const* ptrs = ctx.ptrs;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* srcp = permute_src(op, ctx, i);
-    __m256 win[4];
-    for (std::uint32_t j = 0; j < op.wgroups; ++j) {
-      win[j] = _mm256_loadu_ps(srcp + 8 * j);
-    }
-    float* d = ptrs[i * num_groups + op.peer_group] + op.off_dst;
-    for (std::uint32_t g = 0; g < op.ngroups; ++g) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(op.perm + 8 * g));
-      __m256 r = _mm256_permutevar8x32_ps(win[0], idx);
-      const __m256i hi = _mm256_srli_epi32(idx, 3);
-      for (std::uint32_t j = 1; j < op.wgroups; ++j) {
-        const __m256i sel = _mm256_cmpeq_epi32(hi, _mm256_set1_epi32(
-                                                       static_cast<int>(j)));
-        r = _mm256_blendv_ps(r, _mm256_permutevar8x32_ps(win[j], idx),
-                             _mm256_castsi256_ps(sel));
-      }
-      if (g < op.nfull) {
-        _mm256_storeu_ps(d + 8 * g, r);
-      } else {
-        const __m256 old = _mm256_loadu_ps(d + 8 * g);
-        _mm256_storeu_ps(d + 8 * g,
-                         _mm256_blendv_ps(old, r, lane_mask(op, g)));
-      }
-    }
-  }
-}
-
 template <int NG>
 void run_permute_ng(const AvxOp& op, const ExecCtx& ctx) {
   switch (op.wgroups) {
@@ -888,9 +553,6 @@ void run_permute_ng(const AvxOp& op, const ExecCtx& ctx) {
       break;
     case 4:
       permute_n<NG, 4>(op, ctx);
-      break;
-    default:
-      permute_generic(op, ctx);
       break;
   }
 }
@@ -909,19 +571,15 @@ void run_permute(const AvxOp& op, const ExecCtx& ctx) {
     case 4:
       run_permute_ng<4>(op, ctx);
       break;
-    default:
-      permute_generic(op, ctx);
-      break;
   }
 }
 
 template <void (*Fn1)(const AvxOp&, float* const*, std::size_t, std::uint32_t),
           void (*Fn2)(const AvxOp&, float* const*, std::size_t, std::uint32_t),
           void (*Fn3)(const AvxOp&, float* const*, std::size_t, std::uint32_t),
-          void (*Fn4)(const AvxOp&, float* const*, std::size_t, std::uint32_t),
-          void (*FnG)(const AvxOp&, float* const*, std::size_t, std::uint32_t)>
-void run_sized(const AvxOp& op, float* const* ptrs,
-                               std::size_t n, std::uint32_t num_groups) {
+          void (*Fn4)(const AvxOp&, float* const*, std::size_t, std::uint32_t)>
+void run_sized(const AvxOp& op, float* const* ptrs, std::size_t n,
+               std::uint32_t num_groups) {
   switch (op.ngroups) {
     case 1:
       Fn1(op, ptrs, n, num_groups);
@@ -934,9 +592,6 @@ void run_sized(const AvxOp& op, float* const* ptrs,
       break;
     case 4:
       Fn4(op, ptrs, n, num_groups);
-      break;
-    default:
-      FnG(op, ptrs, n, num_groups);
       break;
   }
 }
@@ -951,29 +606,27 @@ void exec(const AvxStream& stream, const ExecCtx& ctx) {
     const AvxOp& op = stream.ops[oi];
     switch (op.kind) {
       case AvxOp::Kind::Add:
-        run_sized<add_n<1>, add_n<2>, add_n<3>, add_n<4>, add_generic>(
-            op, ctx.ptrs, n, ctx.num_groups);
+        run_sized<add_n<1>, add_n<2>, add_n<3>, add_n<4>>(op, ctx.ptrs, n,
+                                                          ctx.num_groups);
         break;
       case AvxOp::Kind::Scale:
-        run_sized<scale_n<1>, scale_n<2>, scale_n<3>, scale_n<4>,
-                  scale_generic>(op, ctx.ptrs, n, ctx.num_groups);
+        run_sized<scale_n<1>, scale_n<2>, scale_n<3>, scale_n<4>>(
+            op, ctx.ptrs, n, ctx.num_groups);
         break;
       case AvxOp::Kind::Const:
-        run_sized<const_n<1>, const_n<2>, const_n<3>, const_n<4>,
-                  const_generic>(op, ctx.ptrs, n, ctx.num_groups);
+        run_sized<const_n<1>, const_n<2>, const_n<3>, const_n<4>>(
+            op, ctx.ptrs, n, ctx.num_groups);
         break;
       case AvxOp::Kind::Permute:
         run_permute(op, ctx);
         break;
       case AvxOp::Kind::ScaleAdd:
         run_sized<scale_add_n<1>, scale_add_n<2>, scale_add_n<3>,
-                  scale_add_n<4>, scale_add_generic>(op, ctx.ptrs, n,
-                                                     ctx.num_groups);
+                  scale_add_n<4>>(op, ctx.ptrs, n, ctx.num_groups);
         break;
       case AvxOp::Kind::AxpyPair:
         run_sized<axpy_pair_n<1>, axpy_pair_n<2>, axpy_pair_n<3>,
-                  axpy_pair_n<4>, axpy_pair_generic>(op, ctx.ptrs, n,
-                                                     ctx.num_groups);
+                  axpy_pair_n<4>>(op, ctx.ptrs, n, ctx.num_groups);
         break;
       case AvxOp::Kind::ChainScaleAdd:
         run_chain(&stream.ops[oi], ctx.ptrs, n, ctx.num_groups);

@@ -20,7 +20,8 @@ class ExecutionPlan;
 /// prologues and scalar tails cost more than the arithmetic — and its
 /// if-conversion refuses the masked stores the irregular face-node
 /// patterns need. The engine instead normalizes every op at plan-build
-/// time into 8-lane groups over a contiguous row window:
+/// time into 1-4 8-lane groups over a contiguous row window (32 rows
+/// hold every window of an n1d <= 3 element):
 ///
 ///  * compute ops (add/scale/const and the fused forms) evaluate the
 ///    full window and keep non-member lanes at their old value with a
@@ -34,9 +35,11 @@ class ExecutionPlan;
 /// lane is produced by exactly one IEEE operation on the same operands
 /// (AVX2 add/mul round identically to their scalar forms, the TU is
 /// compiled without FMA so nothing can contract), masked-off lanes are
-/// rewritten with the bytes they already hold, and any op whose rows
-/// repeat or overlap in ways the group form cannot express, and every
-/// Compiled op, falls back to the scalar path op-by-op, in stream order.
+/// rewritten with the bytes they already hold. Every other op — each
+/// Compiled op, and each op whose window spans more than 4 groups or
+/// more rows than the block holds — becomes a Fallback op and runs its
+/// portable pim/word.h kernel in stream position. WordPlan::build_avx
+/// decides this once per op; the executor never checks a width.
 namespace wordavx {
 
 /// One group-normalized op. Arena pointers (mask/values/perm) alias
@@ -50,7 +53,7 @@ struct AvxOp {
     Const,    ///< dst = values (scatter of plan constants)
     Permute,  ///< dst lanes select from a <=32-float source window
     Fallback, ///< run WordOp [fallback_idx] of the mirror stream through
-              ///< the generic kernels (Compiled ops always land here)
+              ///< the portable kernels (Compiled ops, windows > 4 groups)
     // Fused pairs (see WordPlan::fuse_stream). The first op's result is
     // still stored (scratch columns are hashed state) and forwarded in a
     // register to the second op, whose remaining operand is off_c and
@@ -85,8 +88,8 @@ struct AvxOp {
   std::uint8_t peer_group = 0;  ///< Permute dst block group
   std::int8_t face = -1;        ///< Permute src face (-1: own element)
   std::uint16_t nfull = 0;      ///< leading dense 8-lane groups
-  std::uint16_t ngroups = 0;    ///< total 8-lane groups
-  std::uint16_t wgroups = 0;    ///< Permute source window groups
+  std::uint16_t ngroups = 0;    ///< total 8-lane groups, 1-4
+  std::uint16_t wgroups = 0;    ///< Permute/GatherMul* source groups, 1-4
   std::uint32_t off_a = 0;      ///< col*extent + window base of operand a
   std::uint32_t off_b = 0;
   std::uint32_t off_dst = 0;
@@ -119,8 +122,8 @@ struct AvxStream {
 };
 
 /// Everything the executor needs per run. `fallback` executes one
-/// generic WordOp of the mirror stream across the whole element range
-/// (rare: ops the group form cannot express bit-identically).
+/// WordOp of the mirror stream across the whole element range through
+/// the portable kernels (no op of an n1d <= 3 DG program needs it).
 struct ExecCtx {
   const BlockResolver* blocks = nullptr;
   const ExecutionPlan* plan = nullptr;

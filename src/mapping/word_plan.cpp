@@ -758,12 +758,12 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
 void WordPlan::build_avx(WordStream& s) const {
   using AvxOp = wordavx::AvxOp;
   using Kind = AvxOp::Kind;
-  // Destination windows are capped well above anything the DG programs
-  // produce (row spans are <= 27); an op that exceeds a cap, or whose
-  // window is wider than the row extent, falls back to its generic
-  // kernel rather than widening the engine's proof obligations.
-  constexpr std::uint32_t kMaxDstGroups = 8;
-  constexpr std::uint32_t kMaxSrcGroups = 4;
+  // The engine's kernels exist for 1-4 groups per window, destination
+  // and source alike. An op with a wider window, or one wider than the
+  // row extent, becomes a Fallback op and runs the portable kernel of
+  // its mirror WordOp. At n1d <= 3 the row extent (<= 32 rows) already
+  // caps every window at 4 groups; wider windows first appear at n1d = 4.
+  constexpr std::uint32_t kMaxGroups = 4;
 
   s.avx.ops.reserve(s.ops.size());
   // Arena offsets per AvxOp, patched into pointers once the arenas stop
@@ -825,11 +825,10 @@ void WordPlan::build_avx(WordStream& s) const {
     // extent slides down to end at it; it still covers [lo, hi] because
     // every row lies below the extent.
     const auto window = [&](std::span<const std::uint32_t> rows,
-                            std::uint32_t max_groups, std::uint32_t& wbase,
-                            std::uint32_t& ngroups) {
+                            std::uint32_t& wbase, std::uint32_t& ngroups) {
       const auto [lo, hi] = std::minmax_element(rows.begin(), rows.end());
       ngroups = (*hi - *lo + 8) / 8;
-      const bool fits = ngroups <= max_groups && ngroups * 8 <= rows_;
+      const bool fits = ngroups <= kMaxGroups && ngroups * 8 <= rows_;
       wbase = fits ? std::min(*lo, rows_ - ngroups * 8) : 0;
       return fits;
     };
@@ -872,7 +871,7 @@ void WordPlan::build_avx(WordStream& s) const {
             rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
-        ok = window(rows, kMaxDstGroups, wbase, ngroups);
+        ok = window(rows, wbase, ngroups);
         if (ok) {
           fill_mask(rows, wbase, ngroups);
           a.off_a = w.off_a + wbase;
@@ -887,7 +886,7 @@ void WordPlan::build_avx(WordStream& s) const {
             rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
-        ok = window(rows, kMaxDstGroups, wbase, ngroups);
+        ok = window(rows, wbase, ngroups);
         if (ok) {
           fill_mask(rows, wbase, ngroups);
           a.off_dst = w.off_dst + wbase;
@@ -916,7 +915,7 @@ void WordPlan::build_avx(WordStream& s) const {
                  : rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
-        ok = window(rows, kMaxDstGroups, wbase, ngroups);
+        ok = window(rows, wbase, ngroups);
         if (ok) {
           fill_mask(rows, wbase, ngroups);
           a.off_a = w.off_a + wbase;
@@ -943,7 +942,7 @@ void WordPlan::build_avx(WordStream& s) const {
             rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
-        ok = window(rows, kMaxDstGroups, wbase, ngroups);
+        ok = window(rows, wbase, ngroups);
         if (ok) {
           fill_mask(rows, wbase, ngroups);
           a.off_a = w.off_a + wbase;
@@ -974,8 +973,8 @@ void WordPlan::build_avx(WordStream& s) const {
         std::uint32_t sgroups = 0;
         std::uint32_t dbase = 0;
         std::uint32_t dgroups = 0;
-        ok = window(src_rows, kMaxSrcGroups, sbase, sgroups) &&
-             window(dst_rows, kMaxDstGroups, dbase, dgroups);
+        ok = window(src_rows, sbase, sgroups) &&
+             window(dst_rows, dbase, dgroups);
         if (ok) {
           fill_mask(dst_rows, dbase, dgroups);
           a.wgroups = static_cast<std::uint16_t>(sgroups);
@@ -1020,8 +1019,8 @@ void WordPlan::build_avx(WordStream& s) const {
         std::uint32_t sgroups = 0;
         std::uint32_t dbase = 0;
         std::uint32_t dgroups = 0;
-        ok = window(src_rows, kMaxSrcGroups, sbase, sgroups) &&
-             window(dst_rows, kMaxDstGroups, dbase, dgroups);
+        ok = window(src_rows, sbase, sgroups) &&
+             window(dst_rows, dbase, dgroups);
         if (ok) {
           fill_mask(dst_rows, dbase, dgroups);
           a.wgroups = static_cast<std::uint16_t>(sgroups);
@@ -1117,13 +1116,13 @@ const WordPlan::WordStream& WordPlan::integration(int stage, float dt) {
 
 namespace {
 
-/// The op-major hot loop, split out of run_stream so target cloning can
-/// compile an AVX2 body (resolved once per process through an ifunc)
-/// while the library itself stays baseline x86-64. All WAVEPIM_IVDEP
-/// loops below touch provably dependence-free index sets — compile()
-/// routes every shape that could overlap partially to the scalar-order
-/// indexed Move kernel or to Compiled.
-WAVEPIM_TARGET_CLONES
+/// The op-major loop over the portable pim/word.h kernels: the whole
+/// executor on hosts without AVX2 (or under WAVEPIM_WORD_AVX2=0), and
+/// the Fallback ops' bridge on AVX2 hosts. Compiled once, for the
+/// baseline target. All WAVEPIM_IVDEP loops below touch provably
+/// dependence-free index sets — compile() routes every shape that could
+/// overlap partially to the scalar-order indexed Move kernel or to
+/// Compiled.
 void exec_ops(std::span<const WordPlan::WordOp> ops,
               const BlockResolver& blocks, const ExecutionPlan& plan,
               std::span<const mesh::ElementId> elems, float* const* ptrs,

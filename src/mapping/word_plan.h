@@ -266,8 +266,9 @@ class WordPlan {
   /// fuse_stats_ and the word.fuse trace counters.
   void fuse_stream(std::vector<WordOp>& ops);
   /// Group-normalizes `s.ops` into `s.avx` (see word_avx2.h); Compiled
-  /// ops and ops the group form cannot express bit-identically become
-  /// Fallback entries.
+  /// ops, ops whose windows exceed the engine's 4-group kernels and ops
+  /// the group form cannot express bit-identically become Fallback
+  /// entries.
   void build_avx(WordStream& s) const;
   void run_stream(const BlockResolver& blocks,
                   std::span<const mesh::ElementId> elems,

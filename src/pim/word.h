@@ -40,6 +40,12 @@ namespace wavepim::pim::word {
 /// the loop body. The indexed *store* kernel (move) makes no such
 /// promise and stays pragma-free: it must execute in scalar forward
 /// order whenever the row list repeats or overlaps the source.
+///
+/// These kernels are compiled once, for the build's baseline target
+/// (4-lane SSE2 on plain x86-64). AVX2 hosts run the word plan through
+/// the hand-vectorized engine of mapping/word_avx2.h instead, and reach
+/// these kernels only for the ops that engine has no form for (its
+/// Fallback ops: Compiled ops and windows wider than 4 groups).
 
 #if defined(__clang__)
 #define WAVEPIM_IVDEP _Pragma("clang loop vectorize(assume_safety)")
@@ -47,21 +53,6 @@ namespace wavepim::pim::word {
 #define WAVEPIM_IVDEP _Pragma("GCC ivdep")
 #else
 #define WAVEPIM_IVDEP
-#endif
-
-/// Resolves the annotated function through an ifunc so AVX2 hosts run an
-/// 8-lane clone of the word loops while the shipped baseline stays plain
-/// x86-64. Bit-identity holds across clones: AVX2 add/mul are the
-/// same correctly-rounded IEEE operations as their SSE2 counterparts,
-/// and the clone list deliberately excludes FMA so no multiply-add can
-/// contract. ThreadSanitizer builds keep the plain body: GCC instruments
-/// the ifunc resolver, which runs during relocation, before the TSan
-/// runtime is initialised, and crashes the binary at startup.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define WAVEPIM_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define WAVEPIM_TARGET_CLONES
 #endif
 
 // --- Unfused arithmetic ---------------------------------------------------

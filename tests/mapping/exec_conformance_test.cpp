@@ -201,13 +201,15 @@ TEST(ExecConformance, ExpandedAcousticSelfNeighbour) {
 }
 
 // ---- AVX2 fallback bridge ---------------------------------------------------
-// From n1d = 4 on, some gather and move windows exceed the AVX2 engine's
-// group caps, so those ops leave the vector engine and run through the
-// fallback bridge, in stream position. The word tier must still match
-// the compiled tier on fields, full chip state and every cost channel,
-// with the witness re-checking every phase. Under WAVEPIM_WORD_AVX2=0
-// (the word_generic_conformance lane) the same runs take the generic
-// executor instead.
+// The AVX2 engine has kernels for windows of 1-4 8-lane groups. At
+// n1d = 4 (64 node rows) many windows span more, so those ops run their
+// portable pim/word.h kernels through the fallback bridge, in stream
+// position, interleaved with the vector ops. n1d <= 3 never reaches the
+// bridge, so these runs are its only coverage. The word tier must still
+// match the compiled tier on fields, full chip state and every cost
+// channel, with the witness re-checking every phase. Under
+// WAVEPIM_WORD_AVX2=0 (the word_generic_conformance lane) the same runs
+// take the portable executor alone.
 
 template <typename MakeSim>
 void expect_word_matches_compiled_with_witness(MakeSim&& make) {

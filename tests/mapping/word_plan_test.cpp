@@ -67,28 +67,60 @@ std::uint32_t compact_extent(const Problem& problem) {
   return (nodes + 7) / 8 * 8;
 }
 
-/// Word ops whose AVX2 mirror fell back to the generic kernels.
-std::uint64_t avx_fallbacks(const WordPlan& word) {
-  const auto count = [](const WordPlan::WordStream& s) {
-    return std::count_if(s.avx.ops.begin(), s.avx.ops.end(),
-                         [](const wordavx::AvxOp& a) {
-                           return a.kind == wordavx::AvxOp::Kind::Fallback;
-                         });
+/// Applies `fn` to every AVX2 op of the plan's volume, flux and
+/// integration streams (the integration streams at the test's dt).
+template <typename Fn>
+void for_each_avx_op(WordPlan& word, Fn&& fn) {
+  const auto walk = [&](const WordPlan::WordStream& s) {
+    std::for_each(s.avx.ops.begin(), s.avx.ops.end(), fn);
   };
-  std::uint64_t n = 0;
   for (std::uint32_t cls = 0; cls < word.num_classes(); ++cls) {
-    n += count(word.volume_stream(cls));
+    walk(word.volume_stream(cls));
     for (std::uint32_t g = 0; g < kNumFaceGroups; ++g) {
-      n += count(word.flux_stream(cls, static_cast<FaceGroup>(g)));
+      walk(word.flux_stream(cls, static_cast<FaceGroup>(g)));
     }
   }
+  for (int stage = 0; stage < dg::Lsrk54::kNumStages; ++stage) {
+    walk(word.integration(stage, 1.0e-4f));
+  }
+}
+
+/// Word ops whose AVX2 mirror fell back to the portable kernels.
+std::uint64_t avx_fallbacks(WordPlan& word) {
+  std::uint64_t n = 0;
+  for_each_avx_op(word, [&](const wordavx::AvxOp& a) {
+    n += a.kind == wordavx::AvxOp::Kind::Fallback ? 1 : 0;
+  });
   return n;
+}
+
+/// Every vector op has 1-4 destination groups, and every windowed one
+/// 1-4 source groups: the only sizes the AVX2 engine has kernels for.
+void expect_windows_within_engine(WordPlan& word) {
+  using Kind = wordavx::AvxOp::Kind;
+  for_each_avx_op(word, [](const wordavx::AvxOp& a) {
+    if (a.kind == Kind::Fallback || a.kind == Kind::Nop) {
+      return;
+    }
+    EXPECT_GE(a.ngroups, 1u);
+    EXPECT_LE(a.ngroups, 4u);
+    const bool windowed = a.kind == Kind::Permute ||
+                          a.kind == Kind::GatherMul ||
+                          a.kind == Kind::GatherMulAdd;
+    if (windowed) {
+      EXPECT_GE(a.wgroups, 1u);
+      EXPECT_LE(a.wgroups, 4u);
+    }
+  });
 }
 
 // Compact block storage must not cost the word tier a kernel: at the
 // row extent a simulation uses, every stream fuses exactly as at the
 // full crossbar height (no op silently falls back to Compiled), and the
-// AVX2 engine keeps every op it could vectorize.
+// AVX2 engine keeps every op it could vectorize. On AVX2 hosts it also
+// pins the engine's traffic: every vector op fits the 1-4 group
+// kernels, and through n1d = 3 — every element order the entry points
+// run — no op takes the fallback bridge.
 TEST(RowExtent, WordPlanIsTheSameAtCompactAndFullExtent) {
   const pim::ArithModel model;
   SinkPricing pricing;
@@ -128,6 +160,13 @@ TEST(RowExtent, WordPlanIsTheSameAtCompactAndFullExtent) {
         EXPECT_EQ(a.dead_stores, b.dead_stores);
         EXPECT_EQ(a.compiled, b.compiled);
         EXPECT_EQ(avx_fallbacks(full), avx_fallbacks(compact));
+        if (compact.uses_avx2()) {
+          expect_windows_within_engine(full);
+          expect_windows_within_engine(compact);
+          if (n1d <= 3) {
+            EXPECT_EQ(avx_fallbacks(compact), 0u);
+          }
+        }
       }
     }
   }

@@ -1,7 +1,8 @@
 # ctest helper: run CMD (a shell-style string) and fail unless the exit
-# code equals EXPECTED. Used to pin the CLI exit-code contracts of
-# bench_compare and paper_eval (0 ok, 1 regression/bad input, 2 usage),
-# which gtest cannot exercise portably.
+# code equals EXPECTED and, when STDERR_MATCH is given, stderr matches
+# that regex. Used to pin the CLI exit-code contracts of the tools
+# (0 ok, 1 regression/bad input, 2 usage), which gtest cannot exercise
+# portably.
 if(NOT DEFINED CMD OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "expect_exit.cmake needs -DCMD=... and -DEXPECTED=...")
 endif()
@@ -16,4 +17,10 @@ if(NOT rc STREQUAL "${EXPECTED}")
   message(FATAL_ERROR
     "command: ${CMD}\nexpected exit ${EXPECTED}, got: ${rc}\n"
     "stdout:\n${out}\nstderr:\n${err}")
+endif()
+
+if(DEFINED STDERR_MATCH AND NOT err MATCHES "${STDERR_MATCH}")
+  message(FATAL_ERROR
+    "command: ${CMD}\nstderr does not match '${STDERR_MATCH}'\n"
+    "stderr:\n${err}")
 endif()

@@ -47,8 +47,10 @@ Parse parse_flag(int argc, char** argv, int& i, unsigned accepted,
                : nullptr;
   };
   const char* v = nullptr;
-  if ((accepted & kThreads) != 0 && std::strcmp(arg, "--threads") == 0 &&
-      i + 1 < argc) {
+  if ((accepted & kThreads) != 0 && std::strcmp(arg, "--threads") == 0) {
+    if (i + 1 >= argc) {
+      return bad("--threads wants a value");
+    }
     // Before any library call spins the global pool up.
     const std::size_t n = ThreadPool::parse_thread_count(argv[++i]);
     if (n == 0) {

@@ -48,7 +48,7 @@ struct SharedFlags {
 };
 
 enum class Parse {
-  NotShared,  ///< not one of the accepted flags (or --threads lacks N)
+  NotShared,  ///< not one of the accepted flags
   Consumed,   ///< stored; `i` now indexes the flag's last argument
   Bad,        ///< malformed value, reported on stderr: exit with 2
 };

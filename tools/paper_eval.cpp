@@ -89,8 +89,10 @@ struct Args {
   frontend::SharedFlags shared;  ///< --threads N, --trace=FILE
 };
 
-/// Accepts both `--flag value` and `--flag=value` spellings.
-const char* arg_value(int argc, char** argv, int& i, const char* flag) {
+/// Accepts both `--flag value` and `--flag=value` spellings. A bare
+/// `flag` with no argument after it sets `missing` and returns null.
+const char* arg_value(int argc, char** argv, int& i, const char* flag,
+                      bool& missing) {
   const std::size_t len = std::strlen(flag);
   if (std::strncmp(argv[i], flag, len) != 0) {
     return nullptr;
@@ -98,14 +100,18 @@ const char* arg_value(int argc, char** argv, int& i, const char* flag) {
   if (argv[i][len] == '=') {
     return argv[i] + len + 1;
   }
-  if (argv[i][len] == '\0' && i + 1 < argc) {
-    return argv[++i];
+  if (argv[i][len] == '\0') {
+    if (i + 1 < argc) {
+      return argv[++i];
+    }
+    missing = true;
   }
   return nullptr;
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
+    bool missing = false;
     const auto shared = frontend::parse_flag(
         argc, argv, i, frontend::kThreads | frontend::kTrace, args.shared);
     if (shared == frontend::Parse::Bad) {
@@ -114,30 +120,36 @@ bool parse_args(int argc, char** argv, Args& args) {
     if (shared == frontend::Parse::Consumed) {
       continue;
     }
+    const auto value = [&](const char* flag) {
+      return arg_value(argc, argv, i, flag, missing);
+    };
     if (std::strcmp(argv[i], "--list") == 0) {
       args.list = true;
     } else if (std::strcmp(argv[i], "--update-baseline") == 0) {
       args.update_baseline = true;
-    } else if (const char* v = arg_value(argc, argv, i, "--matrix")) {
+    } else if (const char* v = value("--matrix")) {
       if (!eval::parse_matrix(v, args.matrix)) {
         std::fprintf(stderr, "error: unknown matrix '%s'\n", v);
         return false;
       }
-    } else if (const char* v = arg_value(argc, argv, i, "--baseline")) {
+    } else if (const char* v = value("--baseline")) {
       args.baseline = v;
-    } else if (const char* v = arg_value(argc, argv, i, "--out")) {
+    } else if (const char* v = value("--out")) {
       args.out = v;
-    } else if (const char* v = arg_value(argc, argv, i, "--tables")) {
+    } else if (const char* v = value("--tables")) {
       args.tables = v;
-    } else if (const char* v = arg_value(argc, argv, i, "--filter")) {
+    } else if (const char* v = value("--filter")) {
       args.filter = v;
-    } else if (const char* v = arg_value(argc, argv, i, "--fail-above")) {
+    } else if (const char* v = value("--fail-above")) {
       if (!parse_finite_double(v, args.fail_above) ||
           !(args.fail_above > 0.0)) {
         std::fprintf(stderr,
                      "error: --fail-above wants a finite positive deviation\n");
         return false;
       }
+    } else if (missing) {
+      std::fprintf(stderr, "error: %s wants a value\n", argv[i]);
+      return false;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
       return false;
