@@ -2,7 +2,7 @@
 // solver, validate the bit-true Wave-PIM execution against it, and project
 // the run onto a 2 GB Wave-PIM chip and the GPU baselines.
 //
-// Usage: quickstart [--threads N] [--exec=compiled|word]
+// Usage: quickstart [--threads N | --threads=N] [--exec=compiled|word]
 //                   [--witness=N] [--trace=FILE] [--chip-blocks=N]
 //                   [--topology=htree|bus] [--net-backend=analytic|cycle]
 // Worker count and execution tier change wall-clock time only; fields
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     if (parsed == frontend::Parse::NotShared) {
       std::fprintf(stderr,
                    "error: unknown option %s\n"
-                   "usage: quickstart [--threads N] "
+                   "usage: quickstart [--threads N | --threads=N] "
                    "[--exec=compiled|word] [--witness=N] "
                    "[--trace=FILE] [--chip-blocks=N] "
                    "[--topology=htree|bus] "

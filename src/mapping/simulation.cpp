@@ -754,7 +754,7 @@ void PimSimulation::run_schedule(double dt) {
               run_word_phase(
                   elems, stage, idx,
                   [&](std::span<const mesh::ElementId> chunk) {
-                    word_plan_->run_integration(resolver, chunk, *integ_word);
+                    word_plan_->run_stream(resolver, chunk, *integ_word);
                   },
                   [&](const BlockResolver& shadow, mesh::ElementId e) {
                     plan_->run_integration(shadow, e, integ_plan);

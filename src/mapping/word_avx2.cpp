@@ -8,8 +8,10 @@
 // rather than a TU-wide -mavx2: the attribute lets GCC/clang emit AVX2
 // intrinsics from an otherwise-baseline translation unit, so no inline
 // function from a shared header can ever be instantiated with AVX2 code
-// and leak into baseline binaries through the linker. Dispatch happens
-// once, in WordPlan's constructor, via supported().
+// and leak into baseline binaries through the linker. Dispatch is
+// decided at plan build: WordPlan::compile gives a stream its AVX2
+// mirror only when supported() holds, and a stream without one runs
+// the portable kernels.
 //
 // Every kernel is specialized on its group counts (1-4 destination
 // groups, 1-4 source-window groups): the destination loop fully
@@ -21,13 +23,13 @@
 // whose window exceeds 4 groups into a Fallback op, so the size
 // switches below only ever see 1-4.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define WAVEPIM_WORD_AVX2 1
+#define WAVEPIM_AVX2_ENGINE 1
 #include <immintrin.h>
 #endif
 
 namespace wavepim::mapping::wordavx {
 
-#if WAVEPIM_WORD_AVX2
+#if WAVEPIM_AVX2_ENGINE
 
 #define WAVEPIM_AVX2_FN \
   __attribute__((target("avx2"), always_inline)) static inline
@@ -649,7 +651,7 @@ void exec(const AvxStream& stream, const ExecCtx& ctx) {
   }
 }
 
-#else  // !WAVEPIM_WORD_AVX2
+#else  // !WAVEPIM_AVX2_ENGINE
 
 bool supported() { return false; }
 

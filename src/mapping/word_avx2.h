@@ -10,10 +10,12 @@ namespace wavepim::mapping {
 
 class ExecutionPlan;
 
-/// AVX2 execution engine for the word tier — the vector back-end
-/// `WordPlan` dispatches to at runtime when the host supports it
-/// (`wordavx::supported()`), with the portable kernels of `pim/word.h`
-/// as the always-correct fallback.
+/// AVX2 execution engine for the word tier. The host alone selects it:
+/// `WordPlan` builds a stream's AVX2 mirror only when
+/// `wordavx::supported()` holds, and runs every stream that carries one
+/// here. Streams without a mirror run the portable kernels of
+/// `pim/word.h`, which are also this engine's fallback. No setting
+/// overrides the choice.
 ///
 /// Why hand-rolled vectors: the compiled row lists are 9-27 rows long,
 /// and at that trip count the autovectorizer's runtime alias checks,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdlib>
 
 #include "common/error.h"
 #include "pim/block.h"
@@ -23,17 +22,6 @@ constexpr std::uint32_t kRows = pim::Block::kRows;
 /// Longest ScaleAdd run a chain head may absorb (the flux programs
 /// produce runs of 4; the cap only bounds the executor's stack arrays).
 constexpr std::uint32_t kMaxChain = 16;
-
-/// The engine is opt-out: WAVEPIM_WORD_AVX2=0 pins the generic kernels
-/// even on AVX2 hosts. Read per WordPlan construction, so the
-/// conformance sweeps can compare the two back-ends in one process.
-bool avx_engine_enabled() {
-  const char* e = std::getenv("WAVEPIM_WORD_AVX2");
-  if (e != nullptr && e[0] == '0' && e[1] == '\0') {
-    return false;
-  }
-  return wordavx::supported();
-}
 
 /// True when no row repeats — the precondition for interleaving two
 /// fused ops' per-row bodies (see the fused-kernel comment in
@@ -58,10 +46,8 @@ bool rows_distinct(const std::uint32_t* rows, std::uint32_t n) {
 /// The code for an op of row shape `kind`; Compiled for a shape no
 /// kernel covers.
 Code shaped(RowPattern::Kind kind, Code contig,
-            Code strided = Code::Compiled, Code indexed = Code::Compiled) {
-  return kind == RowPattern::Kind::Contiguous ? contig
-         : kind == RowPattern::Kind::Strided  ? strided
-                                              : indexed;
+            Code indexed = Code::Compiled) {
+  return kind == RowPattern::Kind::Contiguous ? contig : indexed;
 }
 
 /// Kernel codes and Compiled execute; the IR tags between them only
@@ -74,7 +60,6 @@ bool executable(Code code) {
 
 WordPlan::WordPlan(ExecutionPlan& plan)
     : plan_(plan), num_groups_(plan.num_groups()), rows_(plan.row_extent()) {
-  use_avx2_ = avx_engine_enabled();
   classes_.reserve(plan.num_classes());
   for (std::uint32_t cls = 0; cls < plan.num_classes(); ++cls) {
     ClassStreams cs;
@@ -118,7 +103,6 @@ WordPlan::WordStream WordPlan::compile(
         op.rows_a, op.rows_a != nullptr ? op.count : 0);
     const RowPattern p = pim::word::classify_rows(rows_a);
     w.start = p.start;
-    w.stride = p.stride;
     switch (op.kind) {
       case ExecOp::Kind::Scatter:
         w.code = shaped(p.kind, Code::ScatterContig);
@@ -134,15 +118,13 @@ WordPlan::WordStream WordPlan::compile(
       case ExecOp::Kind::Arith:
       case ExecOp::Kind::ArithRows:
         w.code = op.opcode == pim::Opcode::Fadd
-                     ? shaped(p.kind, Code::Add, Code::AddStrided,
-                              Code::AddIndexed)
+                     ? shaped(p.kind, Code::Add, Code::AddIndexed)
                  : op.opcode == pim::Opcode::Fmul ? shaped(p.kind, Code::Mul)
                                                   : Code::Compiled;
         break;
       case ExecOp::Kind::Fscale:
       case ExecOp::Kind::FscaleRows:
-        w.code = shaped(p.kind, Code::Scale, Code::ScaleStrided,
-                        Code::ScaleIndexed);
+        w.code = shaped(p.kind, Code::Scale, Code::ScaleIndexed);
         break;
       case ExecOp::Kind::Faxpy:
         w.code = Code::Axpy;
@@ -151,31 +133,23 @@ WordPlan::WordStream WordPlan::compile(
         const RowPattern pb = pim::word::classify_rows(
             std::span<const std::uint32_t>(op.rows_b, op.count));
         w.start_b = pb.start;
-        w.stride_b = pb.stride;
-        const bool regular = p.kind != RowPattern::Kind::Indexed &&
-                             pb.kind != RowPattern::Kind::Indexed;
-        if (op.group == op.peer_group && w.off_a == w.off_dst) {
-          // Source and destination may be the same physical column
-          // (same element, or a periodic self-neighbour): only the
-          // scalar-order indexed kernel reproduces the compiled loop's
-          // overlap semantics. The regular Move shapes below are then
-          // provably disjoint and free to assert WAVEPIM_IVDEP.
-          w.code = Code::MoveIndexed;
-        } else if (regular && p.kind == RowPattern::Kind::Contiguous &&
-                   pb.kind == RowPattern::Kind::Contiguous) {
-          w.code = Code::MoveContig;
-        } else if (regular) {
-          w.code = Code::MoveStrided;
-        } else {
-          w.code = Code::MoveIndexed;
-        }
+        // Source and destination may be the same physical column (same
+        // element, or a periodic self-neighbour): only the scalar-order
+        // indexed kernel reproduces the compiled loop's overlap
+        // semantics. MoveContig is then provably disjoint and free to
+        // assert WAVEPIM_IVDEP.
+        const bool same_col = op.group == op.peer_group && w.off_a == w.off_dst;
+        w.code = !same_col && p.kind == RowPattern::Kind::Contiguous &&
+                         pb.kind == RowPattern::Kind::Contiguous
+                     ? Code::MoveContig
+                     : Code::MoveIndexed;
         break;
       }
     }
     out.ops.push_back(w);
   }
   fuse_stream(out.ops);
-  if (use_avx2_) {
+  if (wordavx::supported()) {
     build_avx(out);
   }
   return out;
@@ -193,12 +167,9 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
     const auto same_contig = [](const WordOp& p, const WordOp& q) {
       return p.start == q.start && p.count == q.count;
     };
-    const auto same_strided = [&](const WordOp& p, const WordOp& q) {
-      return same_contig(p, q) && p.stride == q.stride;
-    };
     // Indexed lists are interned in the program arena, so pointer
     // equality identifies the identical list; distinctness is the extra
-    // obligation the regular shapes satisfy by construction.
+    // obligation contiguous runs satisfy by construction.
     const auto same_indexed = [](const WordOp& p, const WordOp& q) {
       return p.rows_a == q.rows_a && p.count == q.count &&
              rows_distinct(p.rows_a, p.count);
@@ -225,12 +196,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           if (p.code == Code::Scale && q.code == Code::Add &&
               accumulates(p, q) && same_contig(p, q)) {
             fused = Code::ScaleAdd;
-            hit = true;
-            ++fuse_stats_.scale_add;
-          } else if (p.code == Code::ScaleStrided &&
-                     q.code == Code::AddStrided && accumulates(p, q) &&
-                     same_strided(p, q)) {
-            fused = Code::ScaleAddStrided;
             hit = true;
             ++fuse_stats_.scale_add;
           } else if (p.code == Code::ScaleIndexed &&
@@ -339,7 +304,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
       while (j < ops.size()) {
         WordOp& p = ops[j];
         const bool head_shape = (p.code == Code::ScaleAdd ||
-                                 p.code == Code::ScaleAddStrided ||
                                  p.code == Code::ScaleAddIndexed) &&
                                 p.off_c == p.off_d &&
                                 p.off_a != p.off_dst && p.off_a != p.off_c;
@@ -352,7 +316,7 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           const WordOp& q = ops[e];
           if (q.code != p.code || q.group != p.group ||
               q.count != p.count || q.start != p.start ||
-              q.stride != p.stride || q.rows_a != p.rows_a ||
+              q.rows_a != p.rows_a ||
               q.off_dst != p.off_dst || q.off_c != p.off_c ||
               q.off_d != p.off_d || q.off_a == q.off_dst ||
               q.off_a == q.off_c) {
@@ -364,9 +328,7 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
         if (len >= 2) {
           p.chain = static_cast<std::uint16_t>(len);
           p.code = p.code == Code::ScaleAdd ? Code::ChainScaleAdd
-                   : p.code == Code::ScaleAddStrided
-                       ? Code::ChainScaleAddStrided
-                       : Code::ChainScaleAddIndexed;
+                                            : Code::ChainScaleAddIndexed;
           ++fuse_stats_.chains;
           fuse_stats_.chain_links += len;
         }
@@ -387,26 +349,21 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
     {
       struct RowShape {
         std::uint32_t start;
-        std::uint32_t stride;
         std::uint32_t count;
         const std::uint32_t* rows;
       };
       const auto covers = [](const RowShape& w, const RowShape& s) {
         if (w.rows != nullptr || s.rows != nullptr) {
-          // Indexed lists are interned: pointer identity pins the rows.
+          // Row lists are interned: pointer identity pins the rows.
           return w.rows == s.rows && w.count == s.count;
         }
-        if (w.stride == 1 && s.stride == 1) {
-          return w.start <= s.start && w.start + w.count >= s.start + s.count;
-        }
-        return w.start == s.start && w.stride == s.stride &&
-               w.count == s.count;
+        return w.start <= s.start && w.start + w.count >= s.start + s.count;
       };
       const auto own_shape = [](const WordOp& q) -> RowShape {
-        return {q.start, q.stride, q.count, q.rows_a};
+        return {q.start, q.count, q.rows_a};
       };
       const auto contig_shape = [](const WordOp& q) -> RowShape {
-        return {0, 1, q.count, nullptr};
+        return {0, q.count, nullptr};
       };
 
       // Does ops[j] (with its chain links) read column (g, c)? Moves
@@ -424,12 +381,10 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
             return false;
           case Code::GatherIndexed:
           case Code::MoveContig:
-          case Code::MoveStrided:
           case Code::MoveIndexed:
             return r(q.group, q.off_a);
           case Code::Add:
           case Code::Mul:
-          case Code::AddStrided:
           case Code::AddIndexed:
             return r(q.group, q.off_a) || r(q.group, q.off_b);
           case Code::GatherMul:
@@ -438,13 +393,11 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
             return r(q.group, q.off_a) ||
                    (q.b_values == nullptr && r(q.group, q.off_b));
           case Code::Scale:
-          case Code::ScaleStrided:
           case Code::ScaleIndexed:
             return r(q.group, q.off_a);
           case Code::Axpy:
             return r(q.group, q.off_a) || r(q.group, q.off_dst);
           case Code::ScaleAdd:
-          case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
             return r(q.group, q.off_a) || r(q.group, q.off_c);
           case Code::MulAdd:
@@ -458,7 +411,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
             return r(q.group, q.off_a) || r(q.group, q.off_dst) ||
                    r(q.group, q.off_c);
           case Code::ChainScaleAdd:
-          case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed: {
             if (r(q.group, q.off_c)) {
               return true;
@@ -488,26 +440,21 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::ScatterContig:
           case Code::Add:
           case Code::Mul:
-          case Code::AddStrided:
           case Code::AddIndexed:
           case Code::Scale:
-          case Code::ScaleStrided:
           case Code::ScaleIndexed:
             return w(q.group, q.off_dst, own_shape(q));
           case Code::GatherIndexed:
           case Code::Axpy:
             return w(q.group, q.off_dst, contig_shape(q));
           case Code::MoveContig:
-          case Code::MoveStrided:
           case Code::MoveIndexed:
             return w(q.peer_group, q.off_dst,
-                     RowShape{q.start_b, q.stride_b, q.count, q.rows_b});
+                     RowShape{q.start_b, q.count, q.rows_b});
           case Code::ScaleAdd:
-          case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
           case Code::MulAdd:
           case Code::ChainScaleAdd:
-          case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed:
             return w(q.group, q.off_dst, own_shape(q)) ||
                    w(q.group, q.off_d, own_shape(q));
@@ -541,23 +488,18 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
           case Code::GatherIndexed:
           case Code::Add:
           case Code::Mul:
-          case Code::AddStrided:
           case Code::AddIndexed:
           case Code::Scale:
-          case Code::ScaleStrided:
           case Code::ScaleIndexed:
           case Code::Axpy:
             return w(q.group, q.off_dst);
           case Code::MoveContig:
-          case Code::MoveStrided:
           case Code::MoveIndexed:
             return w(q.peer_group, q.off_dst);
           case Code::ScaleAdd:
-          case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
           case Code::MulAdd:
           case Code::ChainScaleAdd:
-          case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed:
             return w(q.group, q.off_dst) || w(q.group, q.off_d);
           case Code::AxpyPair:
@@ -617,11 +559,9 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
         int nc = 0;
         switch (p.code) {
           case Code::ScaleAdd:
-          case Code::ScaleAddStrided:
           case Code::ScaleAddIndexed:
           case Code::MulAdd:
           case Code::ChainScaleAdd:
-          case Code::ChainScaleAddStrided:
           case Code::ChainScaleAddIndexed:
             cands[nc++] = {p.off_dst, own_shape(p), WordOp::kSkipMid};
             break;
@@ -684,7 +624,6 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
       while (j5 < ops.size()) {
         WordOp& p = ops[j5];
         const bool head = p.code == Code::ChainScaleAdd ||
-                          p.code == Code::ChainScaleAddStrided ||
                           p.code == Code::ChainScaleAddIndexed;
         const std::size_t k = p.chain;
         const std::size_t bj = j5 + k;
@@ -696,8 +635,8 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
         const WordOp& q = ops[bj];
         bool match = q.code == p.code && q.chain == p.chain &&
                      q.group == p.group && q.count == p.count &&
-                     q.start == p.start && q.stride == p.stride &&
-                     q.rows_a == p.rows_a && q.off_dst == p.off_dst &&
+                     q.start == p.start && q.rows_a == p.rows_a &&
+                     q.off_dst == p.off_dst &&
                      q.off_c != p.off_c && q.off_c != p.off_dst &&
                      p.off_c != p.off_dst;
         for (std::size_t l = 0; match && l < k; ++l) {
@@ -773,10 +712,11 @@ void WordPlan::build_avx(WordStream& s) const {
   constexpr std::uint32_t kNone = 0xffffffffu;
   std::vector<std::uint32_t> rows_buf, rows_buf2;
 
-  // Materializes an op's row list (indexed ops carry it verbatim; the
-  // contiguous/strided shapes rebuild it from start/stride).
+  // Materializes an op's row list: an op with an interned list carries
+  // it verbatim, and one without (a contiguous op addressed by count
+  // alone) rebuilds [start, start + count).
   const auto rows_of = [](const std::uint32_t* idx, std::uint32_t start,
-                          std::uint32_t stride, std::uint32_t count,
+                          std::uint32_t count,
                           std::vector<std::uint32_t>& buf)
       -> std::span<const std::uint32_t> {
     if (idx != nullptr) {
@@ -784,7 +724,7 @@ void WordPlan::build_avx(WordStream& s) const {
     }
     buf.resize(count);
     for (std::uint32_t k = 0; k < count; ++k) {
-      buf[k] = start + k * stride;
+      buf[k] = start + k;
     }
     return buf;
   };
@@ -868,7 +808,7 @@ void WordPlan::build_avx(WordStream& s) const {
         // disjoint — no cross-group dependence even in place.
         a.kind = w.code == Code::Add ? Kind::Add : Kind::Scale;
         const auto rows =
-            rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
+            rows_of(w.rows_a, w.start, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
         ok = window(rows, wbase, ngroups);
@@ -883,7 +823,7 @@ void WordPlan::build_avx(WordStream& s) const {
       case Code::ScatterContig: {
         a.kind = Kind::Const;
         const auto rows =
-            rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
+            rows_of(w.rows_a, w.start, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
         ok = window(rows, wbase, ngroups);
@@ -899,7 +839,6 @@ void WordPlan::build_avx(WordStream& s) const {
         break;
       }
       case Code::ScaleAdd:
-      case Code::ScaleAddStrided:
       case Code::ScaleAddIndexed:
       case Code::AxpyPair: {
         // Both fused halves walk the identical row list (the fuse pass's
@@ -911,8 +850,8 @@ void WordPlan::build_avx(WordStream& s) const {
         a.imm4 = w.imm4;
         const bool pair = w.code == Code::AxpyPair;
         const auto rows =
-            pair ? rows_of(nullptr, 0, 1, w.count, rows_buf)
-                 : rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
+            pair ? rows_of(nullptr, 0, w.count, rows_buf)
+                 : rows_of(w.rows_a, w.start, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
         ok = window(rows, wbase, ngroups);
@@ -927,7 +866,6 @@ void WordPlan::build_avx(WordStream& s) const {
         break;
       }
       case Code::ChainScaleAdd:
-      case Code::ChainScaleAddStrided:
       case Code::ChainScaleAddIndexed: {
         // The head's window covers every link too (identical row lists,
         // the chain pass's shape obligation); link source offsets are
@@ -939,7 +877,7 @@ void WordPlan::build_avx(WordStream& s) const {
         a.chain = w.chain;
         a.chain2 = w.chain2;
         const auto rows =
-            rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
+            rows_of(w.rows_a, w.start, w.count, rows_buf);
         std::uint32_t wbase = 0;
         std::uint32_t ngroups = 0;
         ok = window(rows, wbase, ngroups);
@@ -967,8 +905,8 @@ void WordPlan::build_avx(WordStream& s) const {
         a.kind = w.code == Code::GatherMul ? Kind::GatherMul
                                            : Kind::GatherMulAdd;
         const auto src_rows =
-            rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
-        const auto dst_rows = rows_of(nullptr, 0, 1, w.count, rows_buf2);
+            rows_of(w.rows_a, w.start, w.count, rows_buf);
+        const auto dst_rows = rows_of(nullptr, 0, w.count, rows_buf2);
         std::uint32_t sbase = 0;
         std::uint32_t sgroups = 0;
         std::uint32_t dbase = 0;
@@ -1003,16 +941,15 @@ void WordPlan::build_avx(WordStream& s) const {
         break;
       }
       case Code::MoveContig:
-      case Code::MoveStrided:
       case Code::MoveIndexed: {
         // Moves read the rows_a pattern and write the rows_b pattern of
         // the peer block. The whole source window is pre-loaded before
         // any store, which subsumes the overlapping-move scratch staging.
         a.kind = Kind::Permute;
         const auto src_rows =
-            rows_of(w.rows_a, w.start, w.stride, w.count, rows_buf);
+            rows_of(w.rows_a, w.start, w.count, rows_buf);
         const auto dst_rows =
-            rows_of(w.rows_b, w.start_b, w.stride_b, w.count, rows_buf2);
+            rows_of(w.rows_b, w.start_b, w.count, rows_buf2);
         a.peer_group = w.peer_group;
         a.face = w.face;
         std::uint32_t sbase = 0;
@@ -1096,14 +1033,6 @@ void WordPlan::run_flux_group(const BlockResolver& blocks,
   });
 }
 
-void WordPlan::run_integration(const BlockResolver& blocks,
-                               std::span<const mesh::ElementId> elems,
-                               const WordStream& stage) const {
-  // Integration is class-independent (one stream per RK stage), so the
-  // whole range is one run.
-  run_stream(blocks, elems, stage);
-}
-
 const WordPlan::WordStream& WordPlan::integration(int stage, float dt) {
   const auto key = std::make_pair(stage, std::bit_cast<std::uint32_t>(dt));
   const auto it = integration_.find(key);
@@ -1117,12 +1046,12 @@ const WordPlan::WordStream& WordPlan::integration(int stage, float dt) {
 namespace {
 
 /// The op-major loop over the portable pim/word.h kernels: the whole
-/// executor on hosts without AVX2 (or under WAVEPIM_WORD_AVX2=0), and
-/// the Fallback ops' bridge on AVX2 hosts. Compiled once, for the
-/// baseline target. All WAVEPIM_IVDEP loops below touch provably
-/// dependence-free index sets — compile() routes every shape that could
-/// overlap partially to the scalar-order indexed Move kernel or to
-/// Compiled.
+/// executor for streams without an AVX2 mirror (every stream on hosts
+/// without AVX2), and the Fallback ops' bridge on AVX2 hosts. Compiled
+/// once, for the baseline target. All WAVEPIM_IVDEP loops below touch
+/// provably dependence-free index sets — compile() routes every shape
+/// that could overlap partially to the scalar-order indexed Move kernel
+/// or to Compiled.
 void exec_ops(std::span<const WordPlan::WordOp> ops,
               const BlockResolver& blocks, const ExecutionPlan& plan,
               std::span<const mesh::ElementId> elems, float* const* ptrs,
@@ -1178,15 +1107,6 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
                                (op.skip & WordOp::kSkipMid) == 0);
         }
         break;
-      case Code::ScaleAddStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          float* w = ptrs[i * num_groups + op.group];
-          pim::word::scale_add_strided(w + op.off_d, w + op.off_dst,
-                                       w + op.off_a, w + op.off_c, op.imm,
-                                       op.start, op.stride, op.count,
-                                       (op.skip & WordOp::kSkipMid) == 0);
-        }
-        break;
       case Code::ScaleAddIndexed:
         for (std::size_t i = 0; i < n; ++i) {
           float* w = ptrs[i * num_groups + op.group];
@@ -1204,7 +1124,6 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
         }
         break;
       case Code::ChainScaleAdd:
-      case Code::ChainScaleAddStrided:
       case Code::ChainScaleAddIndexed: {
         // op and its links are consecutive in `ops`; every link shares
         // the head's shape, scratch (off_dst) and accumulator (off_c)
@@ -1244,20 +1163,6 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
                                          w + op.off_dst + op.start,
                                          srcs.data(), imms.data(), k,
                                          op.count, store_mid);
-            }
-          } else if (op.code == Code::ChainScaleAddStrided) {
-            for (std::uint32_t j = 0; j < k; ++j) {
-              srcs[j] = w + ops[oi + j].off_a;
-            }
-            if (paired) {
-              pim::word::chain2_scale_add_strided(
-                  w + op.off_c, w + off_c2, w + op.off_dst, srcs.data(),
-                  imms.data(), imms2.data(), k, op.start, op.stride,
-                  op.count, store_mid);
-            } else {
-              pim::word::chain_scale_add_strided(
-                  w + op.off_c, w + op.off_dst, srcs.data(), imms.data(), k,
-                  op.start, op.stride, op.count, store_mid);
             }
           } else {
             for (std::uint32_t j = 0; j < k; ++j) {
@@ -1305,16 +1210,6 @@ void exec_ops(std::span<const WordPlan::WordOp> ops,
           WAVEPIM_IVDEP
           for (std::uint32_t k = 0; k < op.count; ++k) {
             d[k] = s[k];
-          }
-        }
-        break;
-      case Code::MoveStrided:
-        for (std::size_t i = 0; i < n; ++i) {
-          const float* s = move_src(op, i) + op.off_a;
-          float* d = ptrs[i * num_groups + op.peer_group] + op.off_dst;
-          WAVEPIM_IVDEP
-          for (std::uint32_t k = 0; k < op.count; ++k) {
-            d[op.start_b + k * op.stride_b] = s[op.start + k * op.stride];
           }
         }
         break;
@@ -1383,7 +1278,7 @@ void WordPlan::run_stream(const BlockResolver& blocks,
     const std::size_t m = std::min<std::size_t>(kBlockElems, n - s0);
     const auto sub_elems = elems.subspan(s0, m);
     float* const* sub_ptrs = ptrs + s0 * num_groups;
-    if (use_avx2_) {
+    if (!stream.avx.ops.empty()) {
       wordavx::ExecCtx ctx;
       ctx.blocks = &blocks;
       ctx.plan = &plan_;

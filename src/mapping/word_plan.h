@@ -23,19 +23,21 @@ namespace wavepim::mapping {
 /// compiled step time. This engine re-resolves each class's compiled
 /// streams once more, into ops whose addressing is fully precomputed
 /// (column offsets into `pim::Block::words()`, row lists classified into
-/// contiguous / strided / indexed shapes by `pim::word::classify_rows`),
-/// and executes them **op-major over a run of same-class elements**: the
-/// dispatch switch runs once per op per chunk, and the inner loops are
-/// the vectorizable kernels of `pim/word.h`.
+/// contiguous / indexed shapes by `pim::word::classify_rows`), and
+/// executes them **op-major over a run of same-class elements**: the
+/// dispatch switch runs once per op per chunk. The host picks the
+/// engine: on AVX2 hosts every stream carries a group-normalized mirror
+/// that `wordavx::exec` runs (mapping/word_avx2.h); elsewhere the
+/// portable executor walks the ops through the kernels of `pim/word.h`.
 ///
-/// Kernels exist only for the op shapes the DG programs dispatch (15
+/// Kernels exist only for the op shapes the DG programs dispatch (12
 /// codes, counted over every physics, element order 2-10, expansion
 /// mode and boundary). Every other shape is a `Compiled` op that runs
 /// its source `ExecutionPlan::Op` through `ExecutionPlan::run_op`, so a
 /// new shape is correct before it is fast.
 ///
 /// Bit-identity with the compiled tier (pinned end-to-end by the
-/// three-tier conformance suites):
+/// conformance suites):
 ///
 ///  * every kernel evaluates the exact scalar expression of
 ///    `ExecutionPlan::run_op` in the same per-element iteration order —
@@ -67,8 +69,8 @@ class WordPlan {
   /// One word-resolved op. `code` fuses the op kind, the arithmetic
   /// opcode and the row-pattern shape, so execution switches once and
   /// runs a specialized loop. Offsets are pre-multiplied column bases
-  /// into Block::words(); row-list pointers (the indexed shapes only)
-  /// alias the program arena's interned tables.
+  /// into Block::words(); row-list pointers alias the program arena's
+  /// interned tables, which the indexed shapes walk.
   struct WordOp {
     enum class Code : std::uint8_t {
       // Dispatched shapes: each has a kernel in exec_ops and pim/word.h.
@@ -76,13 +78,11 @@ class WordPlan {
       Add,
       Scale,
       MoveContig,
-      MoveStrided,
       MoveIndexed,
       // Fused pairs (the peephole pass; see fuse_stream). Each keeps
       // the first op's intermediate store — scratch columns are part of
       // the hashed state — and forwards the value in a register.
       ScaleAdd,         ///< Fscale -> Fadd: mid = imm*a; dst = c2 + mid
-      ScaleAddStrided,
       ScaleAddIndexed,
       AxpyPair,         ///< Faxpy -> Faxpy: d1 = i*d1+i2*a; d2 = i3*d2+i4*d1
       // Chain heads: `chain` consecutive ScaleAdd* ops folding into one
@@ -91,7 +91,6 @@ class WordPlan {
       // in a register (pim/word.h chain kernels); the link ops stay in
       // the stream as data carriers (off_a / imm) and are skipped.
       ChainScaleAdd,
-      ChainScaleAddStrided,
       ChainScaleAddIndexed,
       // Gather feeding its consumer: g(off_dst) = src(off_a)[rows];
       // then dst(off_d) = g * b(off_b), with GatherMulAdd additionally
@@ -104,9 +103,7 @@ class WordPlan {
       // them after every kernel code: the rewrite tests the order.
       GatherIndexed,  ///< distinct src/dst columns
       Mul,
-      AddStrided,
       AddIndexed,
-      ScaleStrided,
       ScaleIndexed,
       Axpy,
       MulAdd,  ///< Fmul -> Fadd pair (GatherMulAdd input); src is the Fmul
@@ -122,10 +119,8 @@ class WordPlan {
     std::uint32_t off_a = 0;      ///< col_a * row extent
     std::uint32_t off_b = 0;
     std::uint32_t off_dst = 0;
-    std::uint32_t start = 0;    ///< contiguous/strided first row (rows_a)
-    std::uint32_t stride = 1;   ///< strided row step (rows_a)
-    std::uint32_t start_b = 0;  ///< Move destination pattern (rows_b)
-    std::uint32_t stride_b = 1;
+    std::uint32_t start = 0;    ///< contiguous first row (rows_a)
+    std::uint32_t start_b = 0;  ///< MoveContig destination first row
     std::uint32_t count = 0;
     /// Fused pairs only: the second op's remaining operand column and
     /// destination column (off_dst holds the first op's intermediate).
@@ -170,9 +165,10 @@ class WordPlan {
   };
 
   /// One word-resolved stream; `group_cost` aliases the source compiled
-  /// stream's aggregate list (never copied — shared accounting). When
-  /// the AVX2 engine is active, `avx` holds the group-normalized mirror
-  /// of `ops` (same order, one AvxOp per WordOp) and the lane arenas own
+  /// stream's aggregate list (never copied — shared accounting). On
+  /// AVX2 hosts `avx` holds the group-normalized mirror of `ops` (same
+  /// order, one AvxOp per WordOp), and run_stream executes the mirror
+  /// whenever it is non-empty; the lane arenas own
   /// the precomputed masks / constants / permutation indices its ops
   /// point into. The arenas are heap buffers, so moving the stream
   /// keeps the aliasing pointers valid; they are never resized after
@@ -204,9 +200,13 @@ class WordPlan {
   void run_flux_group(const BlockResolver& blocks,
                       std::span<const mesh::ElementId> elems,
                       FaceGroup group) const;
-  void run_integration(const BlockResolver& blocks,
-                       std::span<const mesh::ElementId> elems,
-                       const WordStream& stage) const;
+  /// Runs any compiled stream (an integration stage, or one stream of
+  /// a class) over `elems`: through its AVX2 mirror when it carries
+  /// one, else through the portable kernels. Elements of a class stream
+  /// must all be of that class.
+  void run_stream(const BlockResolver& blocks,
+                  std::span<const mesh::ElementId> elems,
+                  const WordStream& stream) const;
 
   /// Word-resolves one compiled stream (which must outlive the result):
   /// the entry every class and integration stream takes, exposed so
@@ -237,8 +237,7 @@ class WordPlan {
   [[nodiscard]] const FuseStats& fuse_stats() const { return fuse_stats_; }
 
   /// Introspection for the differential tests and tools: the compiled
-  /// per-class streams, and whether the AVX2 engine drives run_stream.
-  [[nodiscard]] bool uses_avx2() const { return use_avx2_; }
+  /// per-class streams.
   [[nodiscard]] std::uint32_t num_classes() const {
     return static_cast<std::uint32_t>(classes_.size());
   }
@@ -270,9 +269,6 @@ class WordPlan {
   /// the group form cannot express bit-identically become Fallback
   /// entries.
   void build_avx(WordStream& s) const;
-  void run_stream(const BlockResolver& blocks,
-                  std::span<const mesh::ElementId> elems,
-                  const WordStream& stream) const;
   /// Applies `fn(run, class_streams)` to each maximal same-class run.
   template <typename Fn>
   void for_class_runs(std::span<const mesh::ElementId> elems, Fn&& fn) const;
@@ -280,10 +276,6 @@ class WordPlan {
   ExecutionPlan& plan_;
   std::uint32_t num_groups_;
   std::uint32_t rows_;  ///< the plan's row extent (column stride, bound)
-  /// Resolved once at construction: host executes AVX2 and the
-  /// WAVEPIM_WORD_AVX2=0 kill-switch is not set. When false, no AVX
-  /// mirror streams are built and run_stream uses the generic kernels.
-  bool use_avx2_ = false;
   /// Element-major blocking: run_stream slices each kChunk fan-out task
   /// into sub-chunks of this many elements and runs the *whole* kernel
   /// stream per sub-chunk, keeping the slice's columns L1-resident

@@ -5,27 +5,12 @@ namespace wavepim::pim::word {
 RowPattern classify_rows(std::span<const std::uint32_t> rows) {
   RowPattern pattern;
   pattern.start = rows.empty() ? 0 : rows.front();
-  if (rows.size() < 2) {
-    pattern.kind = RowPattern::Kind::Contiguous;
-    pattern.stride = 1;
-    return pattern;
-  }
-  const std::uint32_t first = rows[0];
-  const std::uint32_t second = rows[1];
-  if (second <= first) {
-    pattern.kind = RowPattern::Kind::Indexed;
-    return pattern;
-  }
-  const std::uint32_t stride = second - first;
-  for (std::size_t i = 2; i < rows.size(); ++i) {
-    if (rows[i] <= rows[i - 1] || rows[i] - rows[i - 1] != stride) {
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i] != rows[i - 1] + 1) {
       pattern.kind = RowPattern::Kind::Indexed;
       return pattern;
     }
   }
-  pattern.kind = stride == 1 ? RowPattern::Kind::Contiguous
-                             : RowPattern::Kind::Strided;
-  pattern.stride = stride;
   return pattern;
 }
 

@@ -23,11 +23,11 @@ namespace wavepim::pim::word {
 ///
 /// Only the shapes the DG programs dispatch have a kernel; the word plan
 /// runs every other op through ExecutionPlan::run_op. Row lists come in
-/// three addressing shapes (word.cpp's classify_rows picks one at
+/// two addressing shapes (word.cpp's classify_rows picks one at
 /// plan-build time, never per step):
-///  * contiguous — rows [start, start+n)
-///  * strided    — rows start + i*stride (face-node subsets)
-///  * indexed    — an arbitrary row list walked through a pointer
+///  * contiguous — rows [start, start+n), walked by offset
+///  * indexed    — any other list (face-node subsets included), walked
+///    through its interned row pointer
 ///
 /// Pointers may alias only as whole columns (col_dst == col_a is legal,
 /// partial overlap cannot happen — columns are disjoint contiguous
@@ -42,10 +42,12 @@ namespace wavepim::pim::word {
 /// order whenever the row list repeats or overlaps the source.
 ///
 /// These kernels are compiled once, for the build's baseline target
-/// (4-lane SSE2 on plain x86-64). AVX2 hosts run the word plan through
-/// the hand-vectorized engine of mapping/word_avx2.h instead, and reach
+/// (4-lane SSE2 on plain x86-64): they are the whole word executor on
+/// hosts without AVX2. AVX2 hosts run the word plan through the
+/// hand-vectorized engine of mapping/word_avx2.h instead, and reach
 /// these kernels only for the ops that engine has no form for (its
-/// Fallback ops: Compiled ops and windows wider than 4 groups).
+/// Fallback ops: Compiled ops and windows wider than 4 groups). The
+/// host alone picks the engine; no setting overrides it.
 
 #if defined(__clang__)
 #define WAVEPIM_IVDEP _Pragma("clang loop vectorize(assume_safety)")
@@ -111,21 +113,6 @@ inline void scale_add(float* dst, float* mid, const float* a, const float* b,
   }
 }
 
-inline void scale_add_strided(float* dst, float* mid, const float* a,
-                              const float* b, float c, std::uint32_t start,
-                              std::uint32_t stride, std::uint32_t n,
-                              bool store_mid = true) {
-  WAVEPIM_IVDEP
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    const float m = c * a[r];
-    const float s = b[r] + m;
-    if (store_mid) {
-      mid[r] = m;
-    }
-    dst[r] = s;
-  }
-}
-
 inline void scale_add_indexed(float* dst, float* mid, const float* a,
                               const float* b, float c,
                               const std::uint32_t* rows, std::uint32_t n,
@@ -170,7 +157,7 @@ inline void axpy_pair(float* d1, const float* s1, float* d2, float a1,
 // Row-distinctness is required — with a repeated row, the unfused pass
 // order folds link k into ALL duplicate rows before link k+1, while the
 // chain folds all links into one row first — and is inherited from the
-// pairwise fusion obligations (regular shapes by construction, indexed
+// pairwise fusion obligations (contiguous runs by construction, indexed
 // lists verified duplicate-free).
 
 /// K-link chain over rows [0, n): acc[r] += sum_k imm_k * src_k[r] in
@@ -190,25 +177,6 @@ inline void chain_scale_add(float* acc, float* mid,
       mid[i] = m;
     }
     acc[i] = a;
-  }
-}
-
-inline void chain_scale_add_strided(float* acc, float* mid,
-                                    const float* const* srcs,
-                                    const float* imms, std::uint32_t k,
-                                    std::uint32_t start, std::uint32_t stride,
-                                    std::uint32_t n, bool store_mid = true) {
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    float a = acc[r];
-    float m = 0.0f;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      m = imms[j] * srcs[j][r];
-      a = a + m;
-    }
-    if (store_mid) {
-      mid[r] = m;
-    }
-    acc[r] = a;
   }
 }
 
@@ -268,30 +236,6 @@ inline void chain2_scale_add(float* acc1, float* acc2, float* mid,
     }
     acc1[i] = a1;
     acc2[i] = a2;
-  }
-}
-
-inline void chain2_scale_add_strided(float* acc1, float* acc2, float* mid,
-                                     const float* const* srcs,
-                                     const float* imms1, const float* imms2,
-                                     std::uint32_t k, std::uint32_t start,
-                                     std::uint32_t stride, std::uint32_t n,
-                                     bool store_mid = true) {
-  for (std::uint32_t i = 0, r = start; i < n; ++i, r += stride) {
-    float a1 = acc1[r];
-    float a2 = acc2[r];
-    float m = 0.0f;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      const float v = srcs[j][r];
-      a1 = a1 + imms1[j] * v;
-      m = imms2[j] * v;
-      a2 = a2 + m;
-    }
-    if (store_mid) {
-      mid[r] = m;
-    }
-    acc1[r] = a1;
-    acc2[r] = a2;
   }
 }
 
@@ -381,16 +325,15 @@ inline void move(float* dst, const std::uint32_t* dst_rows, const float* src,
 /// Addressing shape of one compiled row list, resolved once at word-plan
 /// build so the per-step loops never inspect indices.
 struct RowPattern {
-  enum class Kind : std::uint8_t { Contiguous, Strided, Indexed };
+  enum class Kind : std::uint8_t { Contiguous, Indexed };
 
   Kind kind = Kind::Contiguous;
-  std::uint32_t start = 0;
-  std::uint32_t stride = 1;  ///< Strided only (ascending, >= 2)
+  std::uint32_t start = 0;  ///< Contiguous only
 };
 
 /// Classifies `rows`: an empty or single-row list and any run with unit
-/// ascending stride is Contiguous, a constant ascending stride >= 2 is
-/// Strided, anything else (descending, irregular, repeated) is Indexed.
+/// ascending stride is Contiguous, anything else (strided, descending,
+/// irregular, repeated) is Indexed.
 [[nodiscard]] RowPattern classify_rows(std::span<const std::uint32_t> rows);
 
 }  // namespace wavepim::pim::word

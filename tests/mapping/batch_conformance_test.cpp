@@ -15,7 +15,6 @@
 #include "dg/rk.h"
 #include "mapping/residency.h"
 #include "mapping/simulation.h"
-#include "support/scoped_env.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -146,29 +145,6 @@ TEST(BatchConformance, WindowBoundaryYFluxRegression) {
   const RunResult reference = run_at(resident, ExecPath::Compiled, 1, 1);
   for (ExecPath path : kAllExecPaths) {
     expect_identical(reference, run_at(batched, path, 1, 1), path, 1);
-  }
-}
-
-TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
-  // The AVX2 engine runs the batched word streams too, so the
-  // over-capacity path gets its own switch sweep: with the AVX2 engine
-  // disabled, the batched word run must still match the fully-resident
-  // serial compiled reference bit for bit on fields and every compute/net
-  // channel (hbm staging stays the only difference).
-  const Problem problem{ProblemKind::Acoustic, 2, 3};
-  const auto resident = [&] {
-    return std::make_unique<PimSimulation>(problem, ExpansionMode::None,
-                                           pim::chip_512mb());
-  };
-  const auto batched = [&] {
-    return std::make_unique<PimSimulation>(problem, ExpansionMode::None,
-                                           capped_chip(32));
-  };
-  const RunResult reference = run_at(resident, ExecPath::Compiled, 1, 1);
-  ScopedEnv env("WAVEPIM_WORD_AVX2", "0");
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    expect_identical(reference, run_at(batched, ExecPath::Word, threads, 1),
-                     ExecPath::Word, threads);
   }
 }
 

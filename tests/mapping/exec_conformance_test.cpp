@@ -207,9 +207,10 @@ TEST(ExecConformance, ExpandedAcousticSelfNeighbour) {
 // position, interleaved with the vector ops. n1d <= 3 never reaches the
 // bridge, so these runs are its only coverage. The word tier must still
 // match the compiled tier on fields, full chip state and every cost
-// channel, with the witness re-checking every phase. Under
-// WAVEPIM_WORD_AVX2=0 (the word_generic_conformance lane) the same runs
-// take the portable executor alone.
+// channel, with the witness re-checking every phase. Hosts without
+// AVX2 take the portable executor alone, and
+// WordEngines.PortableMatchesAvx2PerStream pins the two executors
+// against each other on AVX2 hosts.
 
 template <typename MakeSim>
 void expect_word_matches_compiled_with_witness(MakeSim&& make) {
@@ -227,7 +228,7 @@ void expect_word_matches_compiled_with_witness(MakeSim&& make) {
   sim->step(2.0e-4);
   const WordPlan* plan = sim->word_plan();
   ASSERT_NE(plan, nullptr);
-  if (plan->uses_avx2()) {
+  if (wordavx::supported()) {
     std::size_t fallbacks = 0;
     const auto count = [&](const WordPlan::WordStream& s) {
       for (const auto& a : s.avx.ops) {
@@ -317,11 +318,13 @@ TEST(ExecConformance, WitnessCadenceParsesPlainDigits) {
 TEST(ExecConformance, RetiredEnvironmentKnobsAreIgnored) {
   // The fabric's timing kind, the witness cadence and the execution
   // tier arrive only as explicit values (ChipConfig::net_backend,
-  // set_witness_interval, set_exec_path): the retired
-  // WAVEPIM_NET_BACKEND, WAVEPIM_WITNESS and WAVEPIM_EXEC reach nothing.
+  // set_witness_interval, set_exec_path), and the host alone picks the
+  // word engine: the retired WAVEPIM_NET_BACKEND, WAVEPIM_WITNESS,
+  // WAVEPIM_EXEC and WAVEPIM_WORD_AVX2 reach nothing.
   ScopedEnv backend("WAVEPIM_NET_BACKEND", "cycle");
   ScopedEnv witness("WAVEPIM_WITNESS", "1");
   ScopedEnv exec("WAVEPIM_EXEC", "compiled");
+  ScopedEnv word_avx2("WAVEPIM_WORD_AVX2", "0");
   EXPECT_EQ(pim::ChipConfig{}.net_backend, pim::NetBackendKind::Analytic);
   EXPECT_EQ(pim::chip_512mb().net_backend, pim::NetBackendKind::Analytic);
 
@@ -332,42 +335,22 @@ TEST(ExecConformance, RetiredEnvironmentKnobsAreIgnored) {
   sim.step(1.0e-4);
   EXPECT_EQ(sim.witness_stats().checks, 0u);
   EXPECT_EQ(sim.net_stats().link_schedules, 0u);
-}
 
-// ---- AVX2 cost invisibility ------------------------------------------------
-// The word-tier switch WAVEPIM_WORD_AVX2 is a dispatch choice that must
-// be invisible to every observable: fields, OpCost ledgers per channel,
-// NetStats, and the full chip hash (scratch columns included) must be
-// byte-identical with it on and off, at 1, 4 and hardware-default
-// worker counts. It is read at plan build, so a scoped setenv between
-// sim constructions selects the variant.
-
-TEST(ExecConformance, WordKnobsAreCostAndStateInvisible) {
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
-        pim::chip_512mb());
-  };
-  const int steps = 1;
-  const RunResult reference = run_at(make, ExecPath::Compiled, 1, steps);
-  {
-    SCOPED_TRACE("avx2 off");
-    ScopedEnv env("WAVEPIM_WORD_AVX2", "0");
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-      expect_identical(reference, run_at(make, ExecPath::Word, threads, steps),
-                       ExecPath::Word, threads);
+  // On AVX2 hosts every word stream still carries its AVX2 mirror.
+  const WordPlan* plan = sim.word_plan();
+  ASSERT_NE(plan, nullptr);
+  if (wordavx::supported()) {
+    const auto expect_mirror = [](const WordPlan::WordStream& s) {
+      EXPECT_FALSE(s.ops.empty());
+      EXPECT_EQ(s.avx.ops.size(), s.ops.size());
+    };
+    for (std::uint32_t cls = 0; cls < plan->num_classes(); ++cls) {
+      expect_mirror(plan->volume_stream(cls));
+      for (std::uint32_t g = 0; g < kNumFaceGroups; ++g) {
+        expect_mirror(plan->flux_stream(cls, static_cast<FaceGroup>(g)));
+      }
     }
-    // The switch must actually reach the plan.
-    auto sim = make();
-    sim->set_exec_path(ExecPath::Word);
-    sim->step(2.0e-4);
-    ASSERT_NE(sim->word_plan(), nullptr);
-    EXPECT_FALSE(sim->word_plan()->uses_avx2());
   }
-  // The ambient default must agree too.
-  expect_identical(reference, run_at(make, ExecPath::Word, 4, steps),
-                   ExecPath::Word, 4);
 }
 
 // ---- Per-block ledger conformance -----------------------------------------

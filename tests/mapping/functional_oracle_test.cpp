@@ -28,6 +28,7 @@
 #include "mapping/exec_plan.h"
 #include "mapping/residency.h"
 #include "support/functional_sink.h"
+#include "support/layered_medium.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -36,9 +37,8 @@ using dg::ProblemKind;
 using mesh::Boundary;
 
 /// The material layout of a case: uniform (the setup's coefficients), or
-/// two horizontal layers whose per-element and per-face coefficients are
-/// probed here, independently of the simulator's own probing.
-enum class Medium { Uniform, LayeredAcoustic, LayeredElastic };
+/// two horizontal layers of the problem's physics (support/layered_medium.h).
+enum class Medium { Uniform, Layered };
 
 struct OracleCase {
   Problem problem;
@@ -47,50 +47,10 @@ struct OracleCase {
   Medium medium = Medium::Uniform;
 };
 
-struct Coefficients {
-  std::vector<VolumeCoeffs> volume;
-  std::vector<std::array<FluxCoeffs, 6>> flux;
-};
-
-template <typename Physics>
-Coefficients probe_layers(const mesh::StructuredMesh& mesh,
-                          dg::FluxType flux,
-                          const typename Physics::Material& lower,
-                          const typename Physics::Material& upper) {
-  const auto material = [&](mesh::ElementId e) {
-    return mesh.coords_of(e)[2] >= mesh.dim() / 2 ? upper : lower;
-  };
-  Coefficients out;
-  out.volume.resize(mesh.num_elements());
-  out.flux.resize(mesh.num_elements());
-  for (mesh::ElementId e = 0; e < mesh.num_elements(); ++e) {
-    const auto mine = material(e);
-    out.volume[e] = probe_volume<Physics>(mine);
-    for (const mesh::Face f : mesh::kAllFaces) {
-      const auto nbr = mesh.neighbor(e, f);
-      out.flux[e][mesh::index_of(f)] =
-          nbr ? probe_flux<Physics>(f, flux, mine, material(*nbr), false)
-              : probe_flux<Physics>(f, flux, mine, mine, true);
-    }
-  }
-  return out;
-}
-
-Coefficients probe_medium(const OracleCase& c,
+MediumCoeffs probe_medium(const OracleCase& c,
                           const mesh::StructuredMesh& mesh) {
-  const dg::FluxType flux = dg::flux_of(c.problem.kind);
-  switch (c.medium) {
-    case Medium::Uniform:
-      return {};
-    case Medium::LayeredAcoustic:
-      return probe_layers<dg::AcousticPhysics>(mesh, flux, {},
-                                               {.kappa = 4.0, .rho = 2.0});
-    case Medium::LayeredElastic:
-      return probe_layers<dg::ElasticPhysics>(
-          mesh, flux, {.lambda = 2.0, .mu = 1.0, .rho = 1.0},
-          {.lambda = 5.0, .mu = 2.0, .rho = 1.5});
-  }
-  return {};
+  return c.medium == Medium::Layered ? layered_medium(c.problem.kind, mesh)
+                                     : MediumCoeffs{};
 }
 
 void expect_same_transfers(const std::vector<pim::Transfer>& oracle,
@@ -293,7 +253,7 @@ class Harness {
 
   mesh::StructuredMesh mesh_;
   ElementSetup setup_;
-  Coefficients coeffs_;
+  MediumCoeffs coeffs_;
   std::uint32_t bpe_;
   std::uint32_t num_blocks_;
   pim::Chip oracle_chip_;
@@ -317,7 +277,7 @@ TEST(FunctionalOracle, HeterogeneousAcoustic) {
   // per-element and per-face-pair coefficient sets.
   expect_plan_matches_oracle({Problem{ProblemKind::Acoustic, 2, 3},
                               ExpansionMode::None, Boundary::Periodic,
-                              Medium::LayeredAcoustic});
+                              Medium::Layered});
 }
 
 TEST(FunctionalOracle, ReflectiveElastic) {
@@ -370,7 +330,7 @@ TEST(FunctionalOracle, LayeredElasticRiemannElastic9) {
   // reflective walls: probed interface and wall coefficients per face.
   expect_plan_matches_oracle({Problem{ProblemKind::ElasticRiemann, 1, 3},
                               ExpansionMode::Elastic9, Boundary::Reflective,
-                              Medium::LayeredElastic});
+                              Medium::Layered});
 }
 
 }  // namespace

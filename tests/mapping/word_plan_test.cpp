@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -16,6 +21,7 @@
 #include "mapping/simulation.h"
 #include "mapping/word_plan.h"
 #include "pim/chip.h"
+#include "support/layered_medium.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -160,7 +166,7 @@ TEST(RowExtent, WordPlanIsTheSameAtCompactAndFullExtent) {
         EXPECT_EQ(a.dead_stores, b.dead_stores);
         EXPECT_EQ(a.compiled, b.compiled);
         EXPECT_EQ(avx_fallbacks(full), avx_fallbacks(compact));
-        if (compact.uses_avx2()) {
+        if (wordavx::supported()) {
           expect_windows_within_engine(full);
           expect_windows_within_engine(compact);
           if (n1d <= 3) {
@@ -283,12 +289,14 @@ TEST(RowExtent, WordPlanRefusesBlocksOfAnotherExtent) {
   EXPECT_THROW(word.run_volume(chip, elems), InvariantError);
 }
 
-// Shapes no DG program emits — an unfused Fsub, a strided scatter, a
-// same-column gather overlapping its destination rows, an Fmul->Fadd
-// pair with no gather to fold into and an unpaired Faxpy — all route to
-// Compiled, and running them through the word
-// tier (AVX2 fallback bridge, or the generic executor in the
-// WAVEPIM_WORD_AVX2=0 lane) equals ExecutionPlan::run_op bit-for-bit.
+// Shapes no DG program emits — an unfused Fsub, a scatter over an
+// indexed row list (every third row: scatters have a contiguous kernel
+// only), a same-column gather overlapping its destination rows, an
+// Fmul->Fadd pair with no gather to fold into and an unpaired Faxpy —
+// all route to Compiled. Running them through both word executors (on
+// AVX2 hosts, the stream as built takes the engine's fallback bridge;
+// a copy with its mirror cleared takes the portable executor) equals
+// ExecutionPlan::run_op bit-for-bit.
 TEST(WordFallbackConformance, CompiledOpsMatchRunOpBitForBit) {
   const Problem problem{ProblemKind::Acoustic, 1, 3};
   const ExpansionMode mode = ExpansionMode::None;
@@ -298,33 +306,34 @@ TEST(WordFallbackConformance, CompiledOpsMatchRunOpBitForBit) {
   const std::uint32_t num_blocks =
       mesh.num_elements() * blocks_per_element(mode);
 
-  pim::Chip chip_word(pim::chip_512mb());
-  pim::Chip chip_ref(pim::chip_512mb());
-  chip_word.ensure_blocks(num_blocks);
-  chip_ref.ensure_blocks(num_blocks);
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (std::uint32_t b = 0; b < num_blocks; ++b) {
-    for (std::uint32_t c = 0; c < pim::Block::kWords; ++c) {
-      for (std::uint32_t r = 0; r < 32; ++r) {
-        const std::uint32_t k = (b * 263 + c * 29 + r * 7) % 211;
-        const float v = k == 5 ? nan : k == 9 ? -0.0f
-                                              : 0.01f * static_cast<float>(k) -
-                                                    1.0f;
-        chip_word.block(b).set(r, c, v);
-        chip_ref.block(b).set(r, c, v);
+  const auto seeded_chip = [&] {
+    auto chip = std::make_unique<pim::Chip>(pim::chip_512mb());
+    chip->ensure_blocks(num_blocks);
+    for (std::uint32_t b = 0; b < num_blocks; ++b) {
+      for (std::uint32_t c = 0; c < pim::Block::kWords; ++c) {
+        for (std::uint32_t r = 0; r < 32; ++r) {
+          const std::uint32_t k = (b * 263 + c * 29 + r * 7) % 211;
+          const float v = k == 5   ? nan
+                          : k == 9 ? -0.0f
+                                   : 0.01f * static_cast<float>(k) - 1.0f;
+          chip->block(b).set(r, c, v);
+        }
       }
     }
-  }
+    return chip;
+  };
+  const auto chip_ref = seeded_chip();
 
   SinkPricing pricing;
-  pricing.model = &chip_word.arith();
+  pricing.model = &chip_ref->arith();
   ProgramCache cache(setup, mesh, nullptr, nullptr);
   ExecutionPlan plan(cache, mesh, Placement(blocks_per_element(mode)),
                      pricing);
   WordPlan word(plan);
 
   using Op = ExecutionPlan::Op;
-  const std::vector<std::uint32_t> strided = {1, 4, 7, 10, 13};
+  const std::vector<std::uint32_t> every_third = {1, 4, 7, 10, 13};
   const std::vector<float> values = {1.5f, -0.0f, nan, 2.25f, -3.0f};
   const std::vector<std::uint32_t> perm = {7, 3, 0, 5, 3, 1, 6, 2};
   ExecutionPlan::StreamPlan stream;
@@ -338,9 +347,9 @@ TEST(WordFallbackConformance, CompiledOpsMatchRunOpBitForBit) {
   Op scatter;
   scatter.kind = Op::Kind::Scatter;
   scatter.col_dst = 4;
-  scatter.rows_a = strided.data();
+  scatter.rows_a = every_third.data();
   scatter.values = values.data();
-  scatter.count = static_cast<std::uint32_t>(strided.size());
+  scatter.count = static_cast<std::uint32_t>(every_third.size());
   Op gather;
   gather.kind = Op::Kind::Gather;
   gather.col_a = 5;
@@ -382,7 +391,7 @@ TEST(WordFallbackConformance, CompiledOpsMatchRunOpBitForBit) {
     EXPECT_EQ(ws.ops[i].code, Code::Compiled) << "op " << i;
     EXPECT_EQ(ws.ops[i].src, &stream.ops[i]) << "op " << i;
   }
-  if (word.uses_avx2()) {
+  if (wordavx::supported()) {
     ASSERT_EQ(ws.avx.ops.size(), ws.ops.size());
     for (const auto& a : ws.avx.ops) {
       EXPECT_EQ(a.kind, wordavx::AvxOp::Kind::Fallback);
@@ -391,17 +400,186 @@ TEST(WordFallbackConformance, CompiledOpsMatchRunOpBitForBit) {
 
   std::vector<mesh::ElementId> elems(mesh.num_elements());
   std::iota(elems.begin(), elems.end(), mesh::ElementId{0});
-  word.run_integration(chip_word, elems, ws);
   for (const mesh::ElementId e : elems) {
     for (const Op& op : stream.ops) {
-      plan.run_op(chip_ref, plan.block_base(e), &plan.neighbor_bases(e), op);
+      plan.run_op(*chip_ref, plan.block_base(e), &plan.neighbor_bases(e), op);
     }
   }
-  for (std::uint32_t b = 0; b < num_blocks; ++b) {
-    const auto got = chip_word.block(b).words();
-    const auto want = chip_ref.block(b).words();
-    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size_bytes()), 0)
-        << "block " << b;
+  WordPlan::WordStream portable = ws;
+  portable.avx.ops.clear();
+  const std::array<const WordPlan::WordStream*, 2> runs = {&ws, &portable};
+  for (const WordPlan::WordStream* run : runs) {
+    SCOPED_TRACE(run->avx.ops.empty() ? "portable executor"
+                                      : "AVX2 fallback bridge");
+    const auto chip_word = seeded_chip();
+    word.run_stream(*chip_word, elems, *run);
+    for (std::uint32_t b = 0; b < num_blocks; ++b) {
+      const auto got = chip_word->block(b).words();
+      const auto want = chip_ref->block(b).words();
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size_bytes()), 0)
+          << "block " << b;
+    }
+  }
+}
+
+
+// The word tier has two executors and the host picks one: on AVX2 hosts
+// every stream carries an AVX2 mirror that the engine runs, and a
+// stream without one runs the portable pim/word.h kernels (every stream
+// on other hosts). This pins the two against each other stream by
+// stream. Every compiled stream of every physics x expansion plan at
+// n1d 2-4 (each class's volume and flux-group streams, plus two
+// integration stages), on a periodic, a reflective and a layered mesh,
+// runs over its class's elements on twin chips loaded with the same
+// words: once as built, through the engine, and once as a copy with its
+// mirror cleared, through the portable executor. The words mix IEEE
+// edge cases with plain values. Every NaN carries the one payload x86
+// generates itself: which of two NaN operands an add returns is the
+// compiler's choice (it treats float addition as commutative), so
+// distinct payloads would test code generation, not the executors.
+// Every stored word and every block ledger must match bit for bit. The
+// layered case resolves blocks through a permuted virtual block table,
+// as the batched residency path does.
+TEST(WordEngines, PortableMatchesAvx2PerStream) {
+  if (!wordavx::supported()) {
+    GTEST_SKIP() << "no AVX2 on this host: the portable executor runs "
+                    "every stream";
+  }
+  enum class Medium { Periodic, Reflective, Layered };
+  for (const ProblemKind kind : {ProblemKind::Acoustic,
+                                 ProblemKind::ElasticCentral,
+                                 ProblemKind::ElasticRiemann}) {
+    for (int n1d = 2; n1d <= 4; ++n1d) {
+      for (const ExpansionMode mode : applicable_modes(kind)) {
+        for (const Medium medium :
+             {Medium::Periodic, Medium::Reflective, Medium::Layered}) {
+          const Problem problem{kind, 1, n1d};
+          SCOPED_TRACE(problem.name() + " " + to_string(mode) + " medium " +
+                       std::to_string(static_cast<int>(medium)));
+          const mesh::StructuredMesh mesh(problem.refinement_level, 1.0,
+                                          medium == Medium::Reflective
+                                              ? Boundary::Reflective
+                                              : Boundary::Periodic);
+          const ElementSetup setup(problem, mode, mesh.element_size());
+          const MediumCoeffs coeffs = medium == Medium::Layered
+                                          ? layered_medium(kind, mesh)
+                                          : MediumCoeffs{};
+          const std::uint32_t extent = compact_extent(problem);
+          const std::uint32_t num_blocks =
+              mesh.num_elements() * blocks_per_element(mode);
+
+          std::array<pim::Chip, 2> chips = {pim::Chip(pim::chip_512mb()),
+                                            pim::Chip(pim::chip_512mb())};
+          std::array<std::vector<pim::Block*>, 2> tables;
+          for (std::size_t side = 0; side < 2; ++side) {
+            chips[side].set_row_extent(extent);
+            chips[side].ensure_blocks(num_blocks);
+            for (std::uint32_t id = 0; id < num_blocks; ++id) {
+              tables[side].push_back(&chips[side].block(num_blocks - 1 - id));
+            }
+          }
+          const auto resolver = [&](std::size_t side) {
+            return medium == Medium::Layered
+                       ? BlockResolver(chips[side], tables[side].data())
+                       : BlockResolver(chips[side]);
+          };
+
+          // One image of every stored word, reloaded before each stream:
+          // 1 word in 8 a NaN, then -0, denormals, overflow-prone
+          // magnitudes and plain values.
+          std::vector<float> image(std::size_t{num_blocks} * extent *
+                                   pim::Block::kWords);
+          std::uint32_t x = 0x9E3779B9u;
+          for (float& v : image) {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            const std::uint32_t sign = x & 0x80000000u;
+            switch (x % 16) {
+              case 0:
+              case 1:
+                v = std::bit_cast<float>(0xFFC00000u);
+                break;
+              case 2:
+                v = -0.0f;
+                break;
+              case 3:
+                v = std::bit_cast<float>(sign | ((x >> 8) & 0x007FFFFFu) | 1u);
+                break;
+              case 4:
+                v = std::bit_cast<float>(sign | 0x7E000000u | (x >> 9));
+                break;
+              default:
+                v = static_cast<float>(static_cast<std::int32_t>(x)) * 0x1p-31f;
+            }
+          }
+
+          SinkPricing pricing;
+          pricing.model = &chips[0].arith();
+          ProgramCache cache(setup, mesh,
+                             coeffs.volume.empty() ? nullptr : &coeffs.volume,
+                             coeffs.flux.empty() ? nullptr : &coeffs.flux);
+          ExecutionPlan plan(cache, mesh, Placement(blocks_per_element(mode)),
+                             pricing, extent);
+          WordPlan word(plan);
+
+          const auto ledger_bits = [](const pim::Block& block) {
+            return std::pair{
+                std::bit_cast<std::uint64_t>(block.consumed().time.value()),
+                std::bit_cast<std::uint64_t>(block.consumed().energy.value())};
+          };
+          const auto run_both = [&](const WordPlan::WordStream& built,
+                                    std::span<const mesh::ElementId> elems,
+                                    const std::string& what) {
+            ASSERT_EQ(built.avx.ops.size(), built.ops.size()) << what;
+            WordPlan::WordStream portable = built;
+            portable.avx.ops.clear();
+            for (std::size_t side = 0; side < 2; ++side) {
+              const std::size_t per_block = std::size_t{extent} *
+                                            pim::Block::kWords;
+              for (std::uint32_t b = 0; b < num_blocks; ++b) {
+                pim::Block& block = chips[side].block(b);
+                std::copy_n(image.begin() + b * per_block, per_block,
+                            block.words().begin());
+                block.reset_cost();
+              }
+              word.run_stream(resolver(side), elems,
+                              side == 0 ? built : portable);
+            }
+            for (std::uint32_t b = 0; b < num_blocks; ++b) {
+              const pim::Block& avx = chips[0].block(b);
+              const pim::Block& port = chips[1].block(b);
+              ASSERT_EQ(std::memcmp(avx.words().data(), port.words().data(),
+                                    avx.words().size_bytes()),
+                        0)
+                  << what << ": words of block " << b;
+              EXPECT_EQ(ledger_bits(avx), ledger_bits(port))
+                  << what << ": ledger of block " << b;
+            }
+          };
+
+          std::vector<mesh::ElementId> all(mesh.num_elements());
+          std::iota(all.begin(), all.end(), mesh::ElementId{0});
+          for (std::uint32_t cls = 0; cls < word.num_classes(); ++cls) {
+            std::vector<mesh::ElementId> elems;
+            std::copy_if(all.begin(), all.end(), std::back_inserter(elems),
+                         [&](mesh::ElementId e) {
+                           return plan.class_of(e) == cls;
+                         });
+            const std::string name = "class " + std::to_string(cls);
+            run_both(word.volume_stream(cls), elems, name + " volume");
+            for (std::uint32_t g = 0; g < kNumFaceGroups; ++g) {
+              run_both(word.flux_stream(cls, static_cast<FaceGroup>(g)), elems,
+                       name + " flux group " + std::to_string(g));
+            }
+          }
+          for (int stage = 0; stage < 2; ++stage) {
+            run_both(word.integration(stage, 1.0e-4f), all,
+                     "integration stage " + std::to_string(stage));
+          }
+        }
+      }
+    }
   }
 }
 

@@ -241,9 +241,9 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
 // surviving column, including when the dead-store pass passes
 // store_mid/store_g = false, in which case the scratch column must be
 // left byte-for-byte untouched while the primary results stay identical.
-// Strided and indexed shapes start every column from sentinel bits, so
-// rows outside the shape must come back untouched. Operands carry the
-// same IEEE edge-case mix as the basic-kernel sweeps.
+// Indexed shapes start every column from sentinel bits, so rows outside
+// the shape must come back untouched. Operands carry the same IEEE
+// edge-case mix as the basic-kernel sweeps.
 
 namespace {
 
@@ -260,16 +260,6 @@ std::vector<std::uint32_t> distinct_rows(Rng& rng, std::uint32_t total,
   }
   all.resize(n);
   return all;
-}
-
-/// Rows start, start + stride, ... that fit in a block.
-std::vector<std::uint32_t> strided_rows(std::uint32_t start,
-                                        std::uint32_t stride) {
-  std::vector<std::uint32_t> rows;
-  for (std::uint32_t r = start; r < Block::kRows; r += stride) {
-    rows.push_back(r);
-  }
-  return rows;
 }
 
 /// Loads `cols` into columns 0, 1, ... of `block`.
@@ -314,23 +304,6 @@ TEST(FusedKernelFuzz, ScaleAddMatchesUnfusedSequenceAllShapes) {
     EXPECT_TRUE(bits_equal(dst_off, ref.column(3)))
         << "elided dst seed " << seed;
     EXPECT_TRUE(bits_equal(mid_off, sentinel)) << "elided mid seed " << seed;
-
-    // Strided: gap rows keep their sentinel bits.
-    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
-    const std::uint32_t stride =
-        2 + static_cast<std::uint32_t>(rng.next_below(4));
-    const auto srows = strided_rows(start, stride);
-    Block sref(&model);
-    load_columns(sref, {&a, &b, &sentinel, &sentinel});
-    sref.fscale_rows(0, 2, c, srows);
-    sref.arith_rows(Opcode::Fadd, 1, 2, 3, srows);
-    std::vector<float> smid = sentinel;
-    std::vector<float> sdst = sentinel;
-    word::scale_add_strided(sdst.data(), smid.data(), a.data(), b.data(), c,
-                            start, stride,
-                            static_cast<std::uint32_t>(srows.size()));
-    EXPECT_TRUE(bits_equal(sdst, sref.column(3))) << "strided dst " << seed;
-    EXPECT_TRUE(bits_equal(smid, sref.column(2))) << "strided mid " << seed;
 
     // Indexed over a duplicate-free row list.
     const auto rows = distinct_rows(rng, kRows, 48);
@@ -467,23 +440,7 @@ TEST(FusedKernelFuzz, ChainScaleAddMatchesUnfusedLinkSequence) {
     EXPECT_TRUE(bits_equal(mid_off, cc.sentinel))
         << "elided mid seed " << seed;
 
-    // Strided and indexed variants against per-link references.
-    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
-    const std::uint32_t stride =
-        2 + static_cast<std::uint32_t>(rng.next_below(4));
-    const auto srows = strided_rows(start, stride);
-    Block sref(&model);
-    cc.load(sref);
-    cc.run_chain(sref, cc.imms1, k, srows);
-    std::vector<float> smid = cc.sentinel;
-    std::vector<float> sacc = cc.acc1;
-    word::chain_scale_add_strided(sacc.data(), smid.data(), cc.srcs.data(),
-                                  cc.imms1.data(), k, start, stride,
-                                  static_cast<std::uint32_t>(srows.size()));
-    EXPECT_TRUE(bits_equal(sacc, sref.column(k))) << "strided acc " << seed;
-    EXPECT_TRUE(bits_equal(smid, sref.column(k + 2)))
-        << "strided mid " << seed;
-
+    // The indexed variant against per-link references.
     const auto rows = distinct_rows(rng, kRows, 36);
     Block iref(&model);
     cc.load(iref);
@@ -537,27 +494,7 @@ TEST(FusedKernelFuzz, Chain2ScaleAddMatchesTwoChainsBackToBack) {
         << "elided acc2 " << seed;
     EXPECT_TRUE(bits_equal(mid_off, cc.sentinel)) << "elided mid " << seed;
 
-    // Strided and indexed variants against the same paired reference.
-    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(5));
-    const std::uint32_t stride =
-        2 + static_cast<std::uint32_t>(rng.next_below(4));
-    const auto srows = strided_rows(start, stride);
-    Block sref(&model);
-    cc.load(sref);
-    cc.run_chain(sref, cc.imms1, k, srows);
-    cc.run_chain(sref, cc.imms2, k + 1, srows);
-    std::vector<float> smid = cc.sentinel;
-    std::vector<float> sacc1 = cc.acc1;
-    std::vector<float> sacc2 = cc.acc2;
-    word::chain2_scale_add_strided(
-        sacc1.data(), sacc2.data(), smid.data(), cc.srcs.data(),
-        cc.imms1.data(), cc.imms2.data(), k, start, stride,
-        static_cast<std::uint32_t>(srows.size()));
-    EXPECT_TRUE(bits_equal(sacc1, sref.column(k))) << "strided acc1 " << seed;
-    EXPECT_TRUE(bits_equal(sacc2, sref.column(k + 1)))
-        << "strided acc2 " << seed;
-    EXPECT_TRUE(bits_equal(smid, sref.column(k + 2))) << "strided mid " << seed;
-
+    // The indexed variant against the same paired reference.
     const auto rows = distinct_rows(rng, kRows, 36);
     const auto nrows = static_cast<std::uint32_t>(rows.size());
     Block iref(&model);
@@ -647,11 +584,9 @@ TEST(WordKernelFuzz, ClassifyRowsResolvesEveryShape) {
   EXPECT_EQ(p.kind, RowPattern::Kind::Contiguous);
   EXPECT_EQ(p.start, 4u);
 
+  // A constant stride is walked through its row list like any other.
   const std::uint32_t strided[] = {3, 6, 9, 12};
-  p = word::classify_rows(strided);
-  EXPECT_EQ(p.kind, RowPattern::Kind::Strided);
-  EXPECT_EQ(p.start, 3u);
-  EXPECT_EQ(p.stride, 3u);
+  EXPECT_EQ(word::classify_rows(strided).kind, RowPattern::Kind::Indexed);
 
   const std::uint32_t descending[] = {9, 6, 3};
   EXPECT_EQ(word::classify_rows(descending).kind, RowPattern::Kind::Indexed);

@@ -47,12 +47,17 @@ Parse parse_flag(int argc, char** argv, int& i, unsigned accepted,
                : nullptr;
   };
   const char* v = nullptr;
-  if ((accepted & kThreads) != 0 && std::strcmp(arg, "--threads") == 0) {
-    if (i + 1 >= argc) {
-      return bad("--threads wants a value");
+  const bool threads_arg =
+      (accepted & kThreads) != 0 && std::strcmp(arg, "--threads") == 0;
+  if (threads_arg || (v = value(kThreads, "--threads=")) != nullptr) {
+    if (threads_arg) {
+      if (i + 1 >= argc) {
+        return bad("--threads wants a value");
+      }
+      v = argv[++i];
     }
     // Before any library call spins the global pool up.
-    const std::size_t n = ThreadPool::parse_thread_count(argv[++i]);
+    const std::size_t n = ThreadPool::parse_thread_count(v);
     if (n == 0) {
       return bad("--threads wants a positive integer");
     }

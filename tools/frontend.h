@@ -17,9 +17,10 @@ namespace wavepim::frontend {
 
 /// The shared flags. A program accepts a subset of them, given as a mask;
 /// wavepim_serve, for one, has its own --threads=N (threads per tenant)
-/// instead of --threads N.
+/// instead of the shared flag.
 enum Flag : unsigned {
-  kThreads = 1u << 0,     ///< --threads N: sizes the global pool at once
+  kThreads = 1u << 0,     ///< --threads N or --threads=N: sizes the global
+                          ///< pool at once
   kExec = 1u << 1,        ///< --exec=compiled|word
   kWitness = 1u << 2,     ///< --witness=N: word-tier cadence, 0 = off
   kChipBlocks = 1u << 3,  ///< --chip-blocks=N: positive block cap

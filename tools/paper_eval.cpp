@@ -13,13 +13,15 @@
 // Usage:
 //   paper_eval [--matrix reduced|full] [--baseline FILE] [--fail-above=R]
 //              [--update-baseline] [--out FILE] [--tables FILE]
-//              [--threads N] [--trace=FILE] [--filter SUBSTR] [--list]
+//              [--threads N | --threads=N] [--trace=FILE] [--filter SUBSTR]
+//              [--list]
 //
 // --fail-above=R is the maximum relative deviation per metric (default
 // 1e-6 — the metrics are model outputs, not wall clock, so they are
 // reproducible to FP precision). --update-baseline merges the run into
-// the --baseline file instead of gating against it. --threads N and
-// --trace=FILE go through the tools' shared front end (tools/frontend.h).
+// the --baseline file instead of gating against it. --threads N (or
+// --threads=N) and --trace=FILE go through the tools' shared front end
+// (tools/frontend.h).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,7 +53,8 @@ int usage() {
       "                         file instead of gating against it\n"
       "  --out FILE             write the JSON report\n"
       "  --tables FILE          write the ASCII tables (also printed)\n"
-      "  --threads N            simulator worker threads (default: auto)\n"
+      "  --threads N            simulator worker threads (default: auto);\n"
+      "                         also --threads=N\n"
       "  --trace=FILE           write a Chrome trace-event JSON of the run\n"
       "  --filter SUBSTR        only run scenarios whose id contains this\n"
       "  --list                 print the scenario ids and exit\n");
@@ -86,7 +89,7 @@ struct Args {
   double fail_above = 1e-6;
   bool update_baseline = false;
   bool list = false;
-  frontend::SharedFlags shared;  ///< --threads N, --trace=FILE
+  frontend::SharedFlags shared;  ///< --threads[=]N, --trace=FILE
 };
 
 /// Accepts both `--flag value` and `--flag=value` spellings. A bare
