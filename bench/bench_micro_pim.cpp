@@ -1,48 +1,20 @@
 // Microbenchmarks of the PIM architectural simulator (google-benchmark):
-// crossbar block operations, interconnect scheduling, and the bit-true
-// functional simulation.
+// interconnect scheduling, the bit-true functional simulation and the
+// service scheduler.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "mapping/assembler.h"
 #include "mapping/simulation.h"
 #include "service/scheduler.h"
-#include "pim/block.h"
 #include "pim/interconnect.h"
 #include "trace/trace.h"
 
 using namespace wavepim;
 
 namespace {
-
-void BM_BlockRowParallelArith(benchmark::State& state) {
-  pim::ArithModel model;
-  pim::Block block(&model);
-  for (auto _ : state) {
-    block.arith(pim::Opcode::Fmul, 0, 1, 2, 0,
-                static_cast<std::uint32_t>(state.range(0)));
-    benchmark::DoNotOptimize(block.at(0, 2));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BlockRowParallelArith)->Arg(64)->Arg(512)->Arg(1024);
-
-void BM_BlockGather(benchmark::State& state) {
-  pim::ArithModel model;
-  pim::Block block(&model);
-  std::vector<std::uint32_t> perm(512);
-  for (std::uint32_t i = 0; i < perm.size(); ++i) {
-    perm[i] = (i * 7) % 512;
-  }
-  for (auto _ : state) {
-    block.gather_rows(perm, 0, 0, 1);
-    benchmark::DoNotOptimize(block.at(0, 1));
-  }
-}
-BENCHMARK(BM_BlockGather);
 
 // The list schedule on a contended flux-like batch under both backend
 // kinds. The makespan is the same; the cycle kind also folds per-link
@@ -94,30 +66,6 @@ void BM_ReleaseOrder(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ReleaseOrder)->Arg(4096)->Arg(32768)->Arg(196608);
-
-// assemble_stage in isolation — the pure lowering cost the cache removes
-// from the hot path. Arg(0) re-emits every element's kernels; Arg(1)
-// replays the cached class streams (the cache itself is built outside
-// the timed loop, matching how the simulation amortises it).
-void BM_AssembleStage(benchmark::State& state) {
-  const mapping::Problem problem{dg::ProblemKind::Acoustic, 2, 3};
-  const mesh::StructuredMesh mesh(problem.refinement_level, 1.0,
-                                  mesh::Boundary::Periodic);
-  const mapping::ElementSetup setup(problem, mapping::ExpansionMode::None,
-                                    mesh.element_size());
-  const mapping::Placement placement(1);
-  const bool cached = state.range(0) != 0;
-  mapping::ProgramCache cache(setup, mesh, nullptr, nullptr);
-  for (auto _ : state) {
-    auto program =
-        cached ? mapping::assemble_stage(mesh, placement, 1, 1.0e-3f, cache)
-               : mapping::assemble_stage(setup, mesh, placement, 1, 1.0e-3f);
-    benchmark::DoNotOptimize(program.instructions.data());
-  }
-  state.SetItemsProcessed(state.iterations() * mesh.num_elements());
-  state.SetLabel(cached ? "cache=on" : "cache=off");
-}
-BENCHMARK(BM_AssembleStage)->Arg(0)->Arg(1);
 
 // Block-parallel functional execution of an 8^3-element acoustic problem
 // (refinement level 3, 512 element-blocks) at 1/2/4/8 workers. The 8-worker
@@ -294,23 +242,6 @@ void BM_DisabledSpanSite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DisabledSpanSite);
-
-void BM_LutEncodeDecode(benchmark::State& state) {
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < 1024; ++i) {
-      const pim::LutInstructionFields f{.opcode = pim::kLutOpcode,
-                                        .row_id = i,
-                                        .offset_s = static_cast<std::uint8_t>(i % 32),
-                                        .lut_block_id = i * 3,
-                                        .offset_d = static_cast<std::uint8_t>((i + 7) % 32)};
-      acc ^= pim::encode_lut(f);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_LutEncodeDecode);
 
 // Scheduler overhead in isolation: a stream of zero-step jobs runs the
 // whole service path — admission, policy selection, chip binding with a

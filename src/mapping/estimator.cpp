@@ -268,23 +268,11 @@ struct Estimator::Plan {
 
   Plan(const pim::ChipConfig& chip, std::uint32_t groups)
       : net(chip),
-        pricing(pricing_on(arith, net)),
+        pricing(SinkPricing::make(arith, net)),
         vol(pricing, groups),
         flux_minus(pricing, groups),
         flux_plus(pricing, groups),
         integ(pricing, groups) {}
-
-  static SinkPricing pricing_on(const pim::ArithModel& arith,
-                                const pim::Interconnect& net) {
-    SinkPricing pricing;
-    pricing.model = &arith;
-    // Alg. 1 unit cost: index read + content read + destination write
-    // plus the switch leg from a same-quadrant LUT block.
-    const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
-    pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
-    pricing.lut_unit += {net.isolated_latency(hop), net.transfer_energy(hop)};
-    return pricing;
-  }
 };
 
 const StepEstimate& Estimator::estimate() const {

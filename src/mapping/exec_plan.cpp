@@ -335,7 +335,7 @@ void ExecutionPlan::run_op(const BlockResolver& blocks, std::uint32_t base,
       pim::Block& blk = blocks(base + op.group);
       // Staged copy first: the gather is a parallel permutation even
       // when source and destination row ranges overlap (same contract
-      // as Block::gather_rows, same per-worker reusable scratch).
+      // as the test oracle's pim::gather_rows, same per-worker scratch).
       static thread_local std::vector<float> staged;
       staged.resize(op.count);
       const float* src = blk.column(op.col_a).data();

@@ -35,7 +35,7 @@ namespace wavepim::mapping {
 ///     face's neighbour (the replayer turns it back into
 ///     intra_transfer / inter_transfer);
 ///   * LutLookup folds the fetch count into `word_count` (one cached
-///     instruction per lut_fetch call; absolute lowering re-expands it).
+///     instruction per lut_fetch call).
 
 /// Span of one kernel's instructions inside the arena. Kept as indices
 /// (not spans) so streams stay valid while the arena keeps growing.
@@ -134,8 +134,8 @@ class RelocatableAssembler : public ProgramSink {
 
 /// Replays a cached relocatable stream through a sink. The sink resolves
 /// the element-relative operands — the compiled plan's builder decodes
-/// them into op arrays, AssemblerSink links an absolute LoweredProgram,
-/// CostSink tallies the class's op counts. The replayed
+/// them into op arrays, CostSink tallies the class's op counts, and the
+/// test-side FunctionalSink executes them on crossbar blocks. The replayed
 /// call sequence is identical to the original emission, so any
 /// sink-observable property (fields, ledgers, transfer lists, deferred
 /// charges) is bit-identical to uncached emission by construction.

@@ -179,12 +179,7 @@ void PimSimulation::attach_chip() {
   // groups; set before the residency manager allocates a block.
   chip_->set_row_extent((nodes + 7) / 8 * 8);
 
-  pricing_ = {};
-  pricing_.model = &chip_->arith();
-  const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
-  pricing_.lut_unit = pricing_.rows_read(2) + pricing_.rows_written(1);
-  pricing_.lut_unit += {chip_->interconnect().isolated_latency(hop),
-                        chip_->interconnect().transfer_energy(hop)};
+  pricing_ = SinkPricing::make(chip_->arith(), chip_->interconnect());
 
   placement_ = Placement(bpe);
   residency_ = std::make_unique<ResidencyManager>(

@@ -6,6 +6,16 @@
 
 namespace wavepim::mapping {
 
+SinkPricing SinkPricing::make(const pim::ArithModel& model,
+                              const pim::Interconnect& net) {
+  SinkPricing pricing;
+  pricing.model = &model;
+  const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
+  pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
+  pricing.lut_unit += {net.isolated_latency(hop), net.transfer_energy(hop)};
+  return pricing;
+}
+
 pim::OpCost SinkPricing::rows_read(std::size_t n) const {
   const auto& b = model->basic();
   return {b.t_row_read() * static_cast<double>(n),

@@ -12,10 +12,15 @@ namespace wavepim::mapping {
 /// account identically, so functional and analytic costs cannot drift.
 struct SinkPricing {
   const pim::ArithModel* model = nullptr;
-  /// Cost of fetching one LUT constant (Algorithm 1: index read, content
-  /// read, destination write plus the interconnect hop), computed once by
-  /// the compiler from the chip's interconnect.
+  /// Cost of fetching one LUT constant (see make()).
   pim::OpCost lut_unit{};
+
+  /// The pricing on one chip's arithmetic model and interconnect. The
+  /// LUT unit is Algorithm 1's index read + content read + destination
+  /// write plus the switch leg from a same-quadrant LUT block
+  /// (block 0 -> block 5).
+  [[nodiscard]] static SinkPricing make(const pim::ArithModel& model,
+                                        const pim::Interconnect& net);
 
   [[nodiscard]] pim::OpCost rows_read(std::size_t n) const;
   [[nodiscard]] pim::OpCost rows_written(std::size_t n) const;

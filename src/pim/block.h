@@ -13,18 +13,16 @@ namespace wavepim::pim {
 ///
 /// The block is modelled functionally at FP32 word granularity: a row
 /// holds 32 words, and row-parallel arithmetic combines two word-columns
-/// into a third across a row range in one (bit-serial) operation. Every
-/// method both mutates the stored data and accrues the operation's
-/// modelled time/energy into the block's ledger; operations within one
-/// block are serial (single set of drivers), so the ledger time is the
-/// block's busy time.
+/// into a third across a row range in one (bit-serial) operation. The
+/// execution plans (mapping/exec_plan, mapping/word_plan) run those
+/// operations over the block's columns and charge their modelled
+/// time/energy into its ledger; operations within one block are serial
+/// (single set of drivers), so the ledger time is the block's busy time.
 ///
 /// Storage is column-major (one contiguous `rows()`-float run per
-/// word-column): the hot operations — row-parallel arith/fscale/faxpy,
-/// column copies, gathers — walk one or two columns over a row range, so
-/// the inner loops are stride-1 and vectorize. The row-buffer I/O
-/// methods (write_row/read_row/broadcast) stride instead, but they run
-/// once per constant distribution, not once per node per stage.
+/// word-column): the hot operations — row-parallel arithmetic, column
+/// copies, gathers — walk one or two columns over a row range, so the
+/// inner loops are stride-1 and vectorize.
 ///
 /// The modelled crossbar has kRows rows (costs and capacity use that),
 /// but a block stores only its *row extent*, rows [0, rows()) of each
@@ -43,71 +41,6 @@ class Block {
 
   /// The storage row extent: column stride in floats and row bound.
   [[nodiscard]] std::uint32_t rows() const { return rows_; }
-
-  // --- Row-buffer I/O ----------------------------------------------------
-
-  /// Writes `values` into consecutive word-columns of one row.
-  void write_row(std::uint32_t row, std::uint32_t col,
-                 std::span<const float> values);
-
-  /// Reads consecutive word-columns of one row.
-  void read_row(std::uint32_t row, std::uint32_t col,
-                std::span<float> out);
-
-  /// Replicates `word_count` words of `src_row` into rows
-  /// [dst_begin, dst_begin+dst_count) — the constants broadcast of Fig. 5.
-  void broadcast(std::uint32_t src_row, std::uint32_t col,
-                 std::uint32_t word_count, std::uint32_t dst_begin,
-                 std::uint32_t dst_count);
-
-  /// Row permutation through the row buffer: row (dst_begin + i) column
-  /// `dst_col` receives the value at (src_rows[i], src_col). This is the
-  /// intra-block data movement of the Volume stencil gathers — the
-  /// "hardware hazard" that prevents pipelining Volume (§6.3).
-  void gather_rows(std::span<const std::uint32_t> src_rows,
-                   std::uint32_t src_col, std::uint32_t dst_begin,
-                   std::uint32_t dst_col);
-
-  // --- Row-parallel compute ----------------------------------------------
-
-  /// dst = a op b across rows [row_begin, row_begin+count).
-  void arith(Opcode op, std::uint32_t col_a, std::uint32_t col_b,
-             std::uint32_t col_dst, std::uint32_t row_begin,
-             std::uint32_t count);
-
-  /// dst = c * src (immediate constant, e.g. material or GLL weight that
-  /// was broadcast into a constants column).
-  void fscale(std::uint32_t col_src, std::uint32_t col_dst, float c,
-              std::uint32_t row_begin, std::uint32_t count);
-
-  /// dst = a * dst + c * src — the Integration update
-  /// (k = A k + dt r fused with u += B k is issued as two Faxpy ops).
-  void faxpy(std::uint32_t col_dst, std::uint32_t col_src, float a, float c,
-             std::uint32_t row_begin, std::uint32_t count);
-
-  /// Row-parallel column copy.
-  void copy_cols(std::uint32_t col_src, std::uint32_t col_dst,
-                 std::uint32_t row_begin, std::uint32_t count);
-
-  // --- Row-list variants ---------------------------------------------------
-  // Flux kernels act on the face-node rows only (a strided subset); the
-  // hardware drives the same row-parallel operation with a row mask, so
-  // time matches the contiguous variant at equal row count.
-
-  /// dst = a op b across an explicit row set.
-  void arith_rows(Opcode op, std::uint32_t col_a, std::uint32_t col_b,
-                  std::uint32_t col_dst, std::span<const std::uint32_t> rows);
-
-  /// dst = c * src across an explicit row set.
-  void fscale_rows(std::uint32_t col_src, std::uint32_t col_dst, float c,
-                   std::span<const std::uint32_t> rows);
-
-  /// Writes one value per row of an explicit row set (constant
-  /// distribution from the storage rows; priced as serial row writes plus
-  /// one buffered read per distinct source value).
-  void scatter_rows(std::span<const std::uint32_t> rows, std::uint32_t col,
-                    std::span<const float> values,
-                    std::uint32_t distinct_values);
 
   // --- Bulk column access ---------------------------------------------------
   // Contiguous storage of one word-column across its rows() rows. The
@@ -141,10 +74,10 @@ class Block {
   void store_column(std::uint32_t col, std::span<float> out) const;
 
   // --- Shared cost formulas -------------------------------------------------
-  // The ledger charges of gather_rows / scatter_rows, exposed so the
-  // compiled execution engine can pre-fold per-stream aggregates from the
-  // *same* formulas the functional methods charge — the two accountings
-  // cannot drift.
+  // The ledger charges of a row gather and of a constant scatter. The
+  // compiled execution engine pre-folds its per-stream aggregates from
+  // these, and the test-side functional oracle charges them per call, so
+  // the two accountings cannot drift.
 
   [[nodiscard]] static OpCost gather_cost(const ArithModel& model,
                                           std::size_t rows);

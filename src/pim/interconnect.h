@@ -114,8 +114,13 @@ inline std::vector<std::uint32_t> release_order(
 /// Bus: one central switch per tile; all transfers in a tile serialise
 /// (Fig. 3 bottom).
 ///
-/// Transfers that cross tiles additionally traverse a single shared
-/// chip-level channel through the central controller.
+/// Transfers that cross tiles additionally pay a chip-level leg through
+/// the central controller, priced per word in latency and energy. That
+/// leg is not a contended resource: the chip-level network is a crossbar,
+/// so a cross-tile transfer contends only for the switches of its two
+/// tiles (both full ancestor chains on the H-tree, both tile switches on
+/// the bus), and transfers between distinct tile pairs proceed
+/// concurrently.
 ///
 /// The class owns the *resource model* (paths, per-switch channel
 /// capacities, isolated latency/energy) and the schedule that decides

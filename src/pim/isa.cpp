@@ -1,7 +1,5 @@
 #include "pim/isa.h"
 
-#include "common/error.h"
-
 namespace wavepim::pim {
 
 const char* to_string(Opcode op) {
@@ -38,56 +36,6 @@ const char* to_string(Opcode op) {
       return "host_store";
   }
   return "?";
-}
-
-bool is_arith(Opcode op) {
-  switch (op) {
-    case Opcode::Fadd:
-    case Opcode::Fsub:
-    case Opcode::Fmul:
-    case Opcode::Fscale:
-    case Opcode::Faxpy:
-      return true;
-    default:
-      return false;
-  }
-}
-
-std::uint64_t encode_lut(const LutInstructionFields& f) {
-  WAVEPIM_REQUIRE(f.opcode < (1u << 7), "opcode exceeds 7 bits");
-  WAVEPIM_REQUIRE(f.row_id < (1u << 26), "row id exceeds 26 bits");
-  WAVEPIM_REQUIRE(f.offset_s < (1u << 5), "offset_s exceeds 5 bits");
-  WAVEPIM_REQUIRE(f.lut_block_id < (1u << 21), "lut block id exceeds 21 bits");
-  WAVEPIM_REQUIRE(f.offset_d < (1u << 5), "offset_d exceeds 5 bits");
-  return (static_cast<std::uint64_t>(f.opcode) << 57) |
-         (static_cast<std::uint64_t>(f.row_id) << 31) |
-         (static_cast<std::uint64_t>(f.offset_s) << 26) |
-         (static_cast<std::uint64_t>(f.lut_block_id) << 5) |
-         static_cast<std::uint64_t>(f.offset_d);
-}
-
-LutInstructionFields decode_lut(std::uint64_t word) {
-  LutInstructionFields f;
-  f.opcode = static_cast<std::uint8_t>((word >> 57) & 0x7F);
-  f.row_id = static_cast<std::uint32_t>((word >> 31) & 0x3FFFFFF);
-  f.offset_s = static_cast<std::uint8_t>((word >> 26) & 0x1F);
-  f.lut_block_id = static_cast<std::uint32_t>((word >> 5) & 0x1FFFFF);
-  f.offset_d = static_cast<std::uint8_t>(word & 0x1F);
-  return f;
-}
-
-LutAddresses lut_addresses(const LutInstructionFields& f,
-                           std::uint32_t index) {
-  // Algorithm 1 with 1024-bit rows and 32-bit words.
-  LutAddresses a;
-  a.index_bit_address =
-      static_cast<std::uint64_t>(f.row_id) * 1024 + f.offset_s * 32ull;
-  a.content_bit_address =
-      static_cast<std::uint64_t>(f.lut_block_id) * 1024 * 1024 +
-      static_cast<std::uint64_t>(index) * 32;
-  a.dest_bit_address =
-      static_cast<std::uint64_t>(f.row_id) * 1024 + f.offset_d * 32ull;
-  return a;
 }
 
 }  // namespace wavepim::pim

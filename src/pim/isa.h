@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/units.h"
 #include "pim/params.h"
@@ -31,26 +30,22 @@ enum class Opcode : std::uint8_t {
 
 const char* to_string(Opcode op);
 
-/// True for the row-parallel arithmetic opcodes.
-bool is_arith(Opcode op);
-
-/// A decoded (typed) PIM instruction. The mapping layer builds programs of
-/// these; `encode_lut`/`decode_lut` provide the paper's 64-bit wire format
-/// for the LUT instruction (Fig. 4).
+/// A decoded (typed) PIM instruction. The mapping layer's program cache
+/// lowers every kernel into streams of these (mapping/program_cache.h).
 struct Instruction {
   Opcode op = Opcode::Nop;
-  std::uint32_t block = 0;       ///< target block (global id on chip)
+  std::uint32_t block = 0;       ///< target block (group in a cached stream)
   std::uint32_t row = 0;         ///< first row
   std::uint32_t row_count = 1;   ///< rows covered (parallel for arith)
   std::uint8_t col_a = 0;        ///< word-column operand A / source
   std::uint8_t col_b = 0;        ///< word-column operand B
   std::uint8_t col_dst = 0;      ///< word-column destination
   std::uint32_t word_count = 1;  ///< words moved (copies / memcpy)
-  std::uint32_t peer_block = 0;  ///< memcpy destination / LUT block
+  std::uint32_t peer_block = 0;  ///< memcpy destination group
   float imm = 0.0f;              ///< immediate for Fscale / Faxpy
   float imm2 = 0.0f;             ///< second immediate (Faxpy)
   /// Micro-sequence side-table references (row permutations / constant
-  /// vectors); UINT32_MAX when unused. See pim::LoweredProgram.
+  /// vectors); UINT32_MAX when unused. See mapping::ProgramArena.
   std::uint32_t table_a = 0xFFFFFFFFu;
   std::uint32_t table_b = 0xFFFFFFFFu;
 
@@ -58,42 +53,5 @@ struct Instruction {
 
   friend bool operator==(const Instruction&, const Instruction&) = default;
 };
-
-/// A program is a flat instruction list; phases are delimited by the
-/// mapping layer, not the ISA.
-using Program = std::vector<Instruction>;
-
-/// The paper's 64-bit LUT instruction format (Fig. 4):
-///   [63:57] opcode  [56:31] row id  [30:26] offset_s
-///   [25:5]  LUT block id            [4:0]   offset_d
-/// Offsets are 5 bits because a 1024-column row holds 32 FP32 words.
-struct LutInstructionFields {
-  std::uint8_t opcode = 0;        ///< 7 bits
-  std::uint32_t row_id = 0;       ///< 26 bits
-  std::uint8_t offset_s = 0;      ///< 5 bits
-  std::uint32_t lut_block_id = 0; ///< 21 bits
-  std::uint8_t offset_d = 0;      ///< 5 bits
-
-  friend bool operator==(const LutInstructionFields&,
-                         const LutInstructionFields&) = default;
-};
-
-/// Opcode value that marks LUT instructions on the wire.
-inline constexpr std::uint8_t kLutOpcode = 0x4C;  // 'L'
-
-std::uint64_t encode_lut(const LutInstructionFields& f);
-LutInstructionFields decode_lut(std::uint64_t word);
-
-/// Derived addresses of Algorithm 1 for a decoded LUT instruction,
-/// assuming 1024x1024-bit blocks and 32-bit data.
-struct LutAddresses {
-  std::uint64_t index_bit_address = 0;    ///< R_1 location
-  std::uint64_t content_bit_address = 0;  ///< R_2 location (given index)
-  std::uint64_t dest_bit_address = 0;     ///< W_1 location
-};
-
-/// Computes R_1/W_1 addresses (content address additionally needs the
-/// fetched index; pass it in).
-LutAddresses lut_addresses(const LutInstructionFields& f, std::uint32_t index);
 
 }  // namespace wavepim::pim

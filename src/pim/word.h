@@ -8,18 +8,19 @@ namespace wavepim::pim::word {
 /// Word-level FP32 kernels — the fast-path substrate of the `--exec=word`
 /// execution tier (mapping/word_plan.h).
 ///
-/// The functional Block model already stores FP32 words; its methods pay
-/// per-op ledger pricing and per-word address checks so the bit-serial
-/// cost semantics stay attached to every operation. These kernels strip
-/// that fidelity down to the arithmetic itself: straight loops over raw
-/// column storage, written so the compiler vectorizes them. They MUST
-/// stay bit-identical to the scalar expressions in Block::arith /
-/// fscale / faxpy / gather_rows and ExecutionPlan::run_op — per word,
-/// the same IEEE operation in the same order, no reassociation, no
-/// fused multiply-add the scalar path would not emit. That contract is pinned
-/// by the differential fuzz sweeps in tests/pim/arith_test.cpp (seeded
-/// random operands incl. +-0, denormals, inf/NaN and overflow rounding)
-/// and end-to-end by the three-tier conformance suites.
+/// The functional Block model already stores FP32 words; the test-side
+/// oracle's block ops (tests/support/block_ops.h) pay per-op ledger
+/// pricing and per-word address checks so the bit-serial cost semantics
+/// stay attached to every operation. These kernels strip that fidelity
+/// down to the arithmetic itself: straight loops over raw column storage,
+/// written so the compiler vectorizes them. They MUST stay bit-identical
+/// to the scalar expressions of the oracle's arith / fscale / faxpy /
+/// gather_rows and ExecutionPlan::run_op — per word, the same IEEE
+/// operation in the same order, no reassociation, no fused multiply-add
+/// the scalar path would not emit. That contract is pinned by the
+/// differential fuzz sweeps in tests/pim/arith_test.cpp (seeded random
+/// operands incl. +-0, denormals, inf/NaN and overflow rounding) and
+/// end-to-end by the conformance suites.
 ///
 /// Only the shapes the DG programs dispatch have a kernel; the word plan
 /// runs every other op through ExecutionPlan::run_op. Row lists come in

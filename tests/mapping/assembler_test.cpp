@@ -1,89 +1,66 @@
-#include "mapping/assembler.h"
+// The cache's lowering (RelocatableAssembler) is the one PIM program of
+// a stage: per shape class a Volume stream and six Flux streams, plus the
+// class-independent Integration stream.
+#include "mapping/program_cache.h"
 
 #include <gtest/gtest.h>
 
-#include "common/statistics.h"
-#include "dg/solver.h"
-#include "dg/sources.h"
+#include <cstddef>
+#include <set>
 
 namespace wavepim::mapping {
 namespace {
 
 using dg::ProblemKind;
 
+/// Every stream of one RK stage: each class's Volume and Flux streams in
+/// the shared arena, then the stage's Integration stream.
+template <typename Visit>
+void for_each_instruction(ProgramCache& cache, int stage, Visit visit) {
+  for (std::uint32_t cls = 0; cls < cache.num_classes(); ++cls) {
+    for (const pim::Instruction& inst : cache.arena().view(cache.volume(cls))) {
+      visit(inst);
+    }
+    for (mesh::Face f : mesh::kAllFaces) {
+      for (const pim::Instruction& inst :
+           cache.arena().view(cache.flux(cls, f))) {
+        visit(inst);
+      }
+    }
+  }
+  const ProgramCache::IntegrationProgram& integ =
+      cache.integration(stage, 1e-3f);
+  for (const pim::Instruction& inst : integ.arena.view(integ.stream)) {
+    visit(inst);
+  }
+}
+
+std::size_t flux_length(const ProgramCache& cache) {
+  std::size_t n = 0;
+  for (std::uint32_t cls = 0; cls < cache.num_classes(); ++cls) {
+    for (mesh::Face f : mesh::kAllFaces) {
+      n += cache.flux(cls, f).count;
+    }
+  }
+  return n;
+}
+
 TEST(Assembler, LowersEveryEmissionKind) {
   const Problem problem{ProblemKind::Acoustic, 1, 3};
   mesh::StructuredMesh mesh(1, 1.0, mesh::Boundary::Periodic);
   const ElementSetup setup(problem, ExpansionMode::None,
                            mesh.element_size());
-  const auto program = assemble_stage(setup, mesh, Placement(1), 0, 1e-3f);
+  ProgramCache cache(setup, mesh, nullptr, nullptr);
 
-  const auto mix = pim::analyze(program);
-  EXPECT_GT(mix.total, 0u);
-  EXPECT_GT(mix.count(pim::Opcode::GatherRows), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::BroadcastRow), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::Fmul), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::Fadd), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::Fscale), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::Faxpy), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::MemCpy), 0u);
-  EXPECT_GT(mix.count(pim::Opcode::LutLookup), 0u);
-  EXPECT_EQ(mix.total, mix.arith_count() + mix.memory_count() +
-                           mix.count(pim::Opcode::Nop) +
-                           mix.count(pim::Opcode::CopyCols));
-}
-
-TEST(Assembler, ControllerExecutionMatchesCpuSolver) {
-  // Full loop closure: emit -> assemble to the ISA -> execute through the
-  // central controller -> identical fields to the CPU reference.
-  const Problem problem{ProblemKind::Acoustic, 1, 3};
-  mesh::StructuredMesh mesh(1, 1.0, mesh::Boundary::Periodic);
-  dg::MaterialField<dg::AcousticMaterial> mats(mesh.num_elements(), {});
-  dg::AcousticSolver cpu(mesh, std::move(mats),
-                         {.n1d = 3, .flux = dg::FluxType::Upwind});
-  init_acoustic_plane_wave(cpu, mesh::Axis::X, 1);
-  const double dt = cpu.stable_dt();
-
-  const ElementSetup setup(problem, ExpansionMode::None,
-                           mesh.element_size());
-  pim::Chip chip(pim::chip_512mb());
-  pim::Controller controller(chip);
-  const BlockLayout layout(4);
-
-  // Load the initial state into the variable columns.
-  for (std::size_t e = 0; e < mesh.num_elements(); ++e) {
-    for (std::uint32_t v = 0; v < 4; ++v) {
-      for (std::uint32_t n = 0; n < 27; ++n) {
-        chip.block(static_cast<std::uint32_t>(e))
-            .set(n, layout.col_var(v), cpu.state().value(e, v, n));
-      }
-    }
+  std::set<pim::Opcode> ops;
+  for_each_instruction(cache, 0,
+                       [&](const pim::Instruction& i) { ops.insert(i.op); });
+  for (pim::Opcode op :
+       {pim::Opcode::BroadcastRow, pim::Opcode::GatherRows,
+        pim::Opcode::Fmul, pim::Opcode::Fadd, pim::Opcode::Fscale,
+        pim::Opcode::Faxpy, pim::Opcode::MemCpy, pim::Opcode::LutLookup}) {
+    EXPECT_EQ(ops.count(op), 1u) << pim::to_string(op);
   }
-
-  // Two full time steps, each as five assembled stage programs.
-  for (int step = 0; step < 2; ++step) {
-    cpu.step(dt);
-    for (int stage = 0; stage < 5; ++stage) {
-      const auto program = assemble_stage(setup, mesh, Placement(1), stage,
-                                          static_cast<float>(dt));
-      const auto result = controller.execute(program);
-      EXPECT_EQ(result.executed, program.size());
-      EXPECT_GT(result.compute.time.value(), 0.0);
-    }
-  }
-
-  double worst = 0.0;
-  for (std::size_t e = 0; e < mesh.num_elements(); ++e) {
-    for (std::uint32_t v = 0; v < 4; ++v) {
-      for (std::uint32_t n = 0; n < 27; ++n) {
-        const double got =
-            chip.block(static_cast<std::uint32_t>(e)).at(n, layout.col_var(v));
-        worst = std::max(worst,
-                         std::abs(got - cpu.state().value(e, v, n)));
-      }
-    }
-  }
-  EXPECT_LT(worst, 1e-5);
 }
 
 TEST(Assembler, ElasticExpansionProgramTargetsMultipleBlocks) {
@@ -91,26 +68,18 @@ TEST(Assembler, ElasticExpansionProgramTargetsMultipleBlocks) {
   mesh::StructuredMesh mesh(1, 1.0, mesh::Boundary::Periodic);
   const ElementSetup setup(problem, ExpansionMode::Elastic3,
                            mesh.element_size());
-  const auto program = assemble_stage(setup, mesh, Placement(3), 0, 1e-3f);
+  ProgramCache cache(setup, mesh, nullptr, nullptr);
 
-  std::set<std::uint32_t> blocks;
-  for (const auto& inst : program.instructions) {
-    blocks.insert(inst.block);
-  }
-  // 8 elements x 3 blocks each.
-  EXPECT_GE(blocks.size(), 24u);
-}
-
-TEST(Assembler, InstructionCountScalesWithElements) {
-  const Problem p1{ProblemKind::Acoustic, 1, 3};
-  mesh::StructuredMesh m1(1, 1.0, mesh::Boundary::Periodic);
-  mesh::StructuredMesh m2(2, 1.0, mesh::Boundary::Periodic);
-  const ElementSetup s1(p1, ExpansionMode::None, m1.element_size());
-  const Problem p2{ProblemKind::Acoustic, 2, 3};
-  const ElementSetup s2(p2, ExpansionMode::None, m2.element_size());
-  const auto prog1 = assemble_stage(s1, m1, Placement(1), 0, 1e-3f);
-  const auto prog2 = assemble_stage(s2, m2, Placement(1), 0, 1e-3f);
-  EXPECT_NEAR(static_cast<double>(prog2.size()) / prog1.size(), 8.0, 0.1);
+  // Relocatable streams address an element's groups, not chip blocks:
+  // Elastic3 spreads each element over exactly groups 0-2.
+  std::set<std::uint32_t> groups;
+  for_each_instruction(cache, 0, [&](const pim::Instruction& i) {
+    groups.insert(i.block);
+    if (i.op == pim::Opcode::MemCpy) {
+      groups.insert(i.peer_block);
+    }
+  });
+  EXPECT_EQ(groups, (std::set<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(Assembler, RiemannStreamLongerThanCentral) {
@@ -120,30 +89,9 @@ TEST(Assembler, RiemannStreamLongerThanCentral) {
                              ExpansionMode::Elastic3, mesh.element_size());
   const ElementSetup riemann({ProblemKind::ElasticRiemann, 1, 3},
                              ExpansionMode::Elastic3, mesh.element_size());
-  const auto pc = assemble_stage(central, mesh, Placement(3), 0, 1e-3f);
-  const auto pr = assemble_stage(riemann, mesh, Placement(3), 0, 1e-3f);
-  EXPECT_GT(pr.size(), pc.size());
-}
-
-TEST(LoweredProgram, TableBookkeeping) {
-  pim::LoweredProgram program;
-  const auto r = program.add_rows({1, 2, 3});
-  const auto v = program.add_values({0.5f});
-  EXPECT_EQ(r, 0u);
-  EXPECT_EQ(v, 0u);
-  EXPECT_EQ(program.row_tables[r].size(), 3u);
-  EXPECT_EQ(program.value_tables[v][0], 0.5f);
-}
-
-TEST(Controller, RejectsBadTableReference) {
-  pim::Chip chip(pim::chip_512mb());
-  pim::Controller controller(chip);
-  pim::LoweredProgram program;
-  pim::Instruction inst;
-  inst.op = pim::Opcode::GatherRows;
-  inst.table_a = 7;  // no such table
-  program.instructions.push_back(inst);
-  EXPECT_THROW((void)controller.execute(program), PreconditionError);
+  const ProgramCache pc(central, mesh, nullptr, nullptr);
+  const ProgramCache pr(riemann, mesh, nullptr, nullptr);
+  EXPECT_GT(flux_length(pr), flux_length(pc));
 }
 
 }  // namespace

@@ -389,12 +389,8 @@ TEST(ExecConformance, PerBlockVolumeLedgersMatchBitExact) {
     }
   }
 
-  SinkPricing pricing;
-  pricing.model = &chip_sink.arith();
-  const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
-  pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
-  pricing.lut_unit += {chip_sink.interconnect().isolated_latency(hop),
-                       chip_sink.interconnect().transfer_energy(hop)};
+  const SinkPricing pricing =
+      SinkPricing::make(chip_sink.arith(), chip_sink.interconnect());
   const Placement placement(bpe);
 
   ProgramCache cache(setup, mesh, nullptr, nullptr);

@@ -105,11 +105,8 @@ class Harness {
       }
     }
 
-    pricing_.model = &oracle_chip_.arith();
-    const pim::Transfer hop{.src_block = 0, .dst_block = 5, .words = 1};
-    pricing_.lut_unit = pricing_.rows_read(2) + pricing_.rows_written(1);
-    pricing_.lut_unit += {oracle_chip_.interconnect().isolated_latency(hop),
-                          oracle_chip_.interconnect().transfer_energy(hop)};
+    pricing_ =
+        SinkPricing::make(oracle_chip_.arith(), oracle_chip_.interconnect());
   }
 
   /// Runs one RK step phase by phase, comparing after each phase.

@@ -9,14 +9,15 @@
 // and paste the printed constants over the kGolden* tables below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 
-#include "mapping/assembler.h"
 #include "mapping/program_cache.h"
 #include "mapping/simulation.h"
 
@@ -173,28 +174,74 @@ TEST(GoldenTrace, ElasticRiemannPeriodic) {
         kGoldenRiemannPeriodic);
 }
 
-// ---- Cached lowering parity ----------------------------------------------
-// assemble_stage through the cache must produce the exact instruction
-// sequence (and side tables) of direct per-element emission.
+// ---- Cache classification parity ------------------------------------------
+// Every element's own lowering must be its class's cached stream. On a
+// level-1 reflective mesh all eight elements are corners with distinct
+// wall faces, so each forms its own class and a misclassified element
+// would replay another corner's flux.
 
-TEST(GoldenTrace, CachedAssembleStageMatchesDirectLowering) {
-  const Problem problem{ProblemKind::Acoustic, 1, 3};
-  mesh::StructuredMesh mesh(1, 1.0, Boundary::Periodic);
-  const ElementSetup setup(problem, ExpansionMode::None, mesh.element_size());
-  ProgramCache cache(setup, mesh, nullptr, nullptr);
-
-  for (int stage = 0; stage < 2; ++stage) {
-    const auto direct =
-        assemble_stage(setup, mesh, Placement(1), stage, 1.0e-3f);
-    const auto cached = assemble_stage(mesh, Placement(1), stage, 1.0e-3f,
-                                       cache);
-    ASSERT_EQ(direct.instructions.size(), cached.instructions.size());
-    for (std::size_t i = 0; i < direct.instructions.size(); ++i) {
-      ASSERT_EQ(direct.instructions[i], cached.instructions[i])
-          << "instruction " << i << " diverged at stage " << stage;
+/// Expects `got` (in `got_arena`) to hold `want`'s instructions, with
+/// side tables compared by content: the cache interns tables across
+/// classes, so equal tables may carry different ids.
+void expect_same_stream(const ProgramArena& got_arena, StreamRef got,
+                        const ProgramArena& want_arena, StreamRef want) {
+  const auto a = got_arena.view(got);
+  const auto b = want_arena.view(want);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    pim::Instruction x = a[i];
+    pim::Instruction y = b[i];
+    const bool values_in_b = x.op == pim::Opcode::BroadcastRow;
+    if (x.table_a != pim::Instruction::kNoTable &&
+        y.table_a != pim::Instruction::kNoTable) {
+      ASSERT_TRUE(std::ranges::equal(got_arena.rows(x.table_a),
+                                     want_arena.rows(y.table_a)))
+          << "instruction " << i;
+      x.table_a = y.table_a = 0;
     }
-    EXPECT_EQ(direct.row_tables, cached.row_tables);
-    EXPECT_EQ(direct.value_tables, cached.value_tables);
+    if (x.table_b != pim::Instruction::kNoTable &&
+        y.table_b != pim::Instruction::kNoTable) {
+      if (values_in_b) {
+        ASSERT_TRUE(std::ranges::equal(got_arena.values(x.table_b),
+                                       want_arena.values(y.table_b)))
+            << "instruction " << i;
+      } else {
+        ASSERT_TRUE(std::ranges::equal(got_arena.rows(x.table_b),
+                                       want_arena.rows(y.table_b)))
+            << "instruction " << i;
+      }
+      x.table_b = y.table_b = 0;
+    }
+    ASSERT_EQ(x, y) << "instruction " << i;
+  }
+}
+
+TEST(GoldenTrace, EveryElementLowersToItsCachedClassStreams) {
+  for (const auto& [kind, mode] :
+       {std::pair{ProblemKind::Acoustic, ExpansionMode::None},
+        std::pair{ProblemKind::ElasticCentral, ExpansionMode::Elastic3}}) {
+    SCOPED_TRACE(dg::to_string(kind));
+    mesh::StructuredMesh mesh(1, 1.0, Boundary::Reflective);
+    const ElementSetup setup({kind, 1, 3}, mode, mesh.element_size());
+    const ProgramCache cache(setup, mesh, nullptr, nullptr);
+    EXPECT_EQ(cache.num_classes(), mesh.num_elements());
+
+    for (mesh::ElementId e = 0; e < mesh.num_elements(); ++e) {
+      SCOPED_TRACE("element " + std::to_string(e));
+      const std::uint32_t cls = cache.class_of(e);
+      ProgramArena direct;
+      RelocatableAssembler sink(direct);
+      emit_volume(setup, sink);
+      expect_same_stream(direct, {0, direct.num_instructions()},
+                         cache.arena(), cache.volume(cls));
+      for (mesh::Face f : mesh::kAllFaces) {
+        const std::uint32_t begin = direct.num_instructions();
+        emit_flux_face(setup, f, !mesh.neighbor(e, f).has_value(), sink);
+        expect_same_stream(direct,
+                           {begin, direct.num_instructions() - begin},
+                           cache.arena(), cache.flux(cls, f));
+      }
+    }
   }
 }
 

@@ -4,9 +4,12 @@
 // the validated bit-true execution.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mapping/element_program.h"
-#include "support/functional_sink.h"
 #include "pim/chip.h"
+#include "support/functional_sink.h"
+#include "support/lut.h"
 
 namespace wavepim::mapping {
 namespace {
@@ -28,9 +31,8 @@ TEST_P(SinkParity, VolumeAndIntegrationCostsMatchFunctionalLedger) {
   const ElementSetup setup(problem, param.mode, mesh.element_size());
 
   pim::Chip chip(pim::chip_512mb());
-  SinkPricing pricing;
-  pricing.model = &chip.arith();
-  pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
+  const SinkPricing pricing =
+      SinkPricing::make(chip.arith(), chip.interconnect());
 
   const std::uint32_t bpe = blocks_per_element(param.mode);
   FunctionalSink functional(chip, mesh, Placement(bpe), pricing);
@@ -70,9 +72,8 @@ TEST_P(SinkParity, FluxEnergyMatchesOverFullPeriodicMesh) {
   const ElementSetup setup(problem, param.mode, mesh.element_size());
 
   pim::Chip chip(pim::chip_512mb());
-  SinkPricing pricing;
-  pricing.model = &chip.arith();
-  pricing.lut_unit = pricing.rows_read(2) + pricing.rows_written(1);
+  const SinkPricing pricing =
+      SinkPricing::make(chip.arith(), chip.interconnect());
 
   const std::uint32_t bpe = blocks_per_element(param.mode);
   FunctionalSink functional(chip, mesh, Placement(bpe), pricing);
@@ -96,6 +97,38 @@ TEST_P(SinkParity, FluxEnergyMatchesOverFullPeriodicMesh) {
       cost.element_energy().value() * mesh.num_elements();
   EXPECT_NEAR(functional_energy.value(), expected, 1e-9 * expected)
       << param.name;
+}
+
+// The shipped Alg. 1 price of one LUT fetch against the oracle's
+// block-level executor: a LUT at block 5 fetched from block 0 charges
+// the compute block R_1, the switch leg and W_1, and the LUT block R_2.
+// The two sums associate differently, so they agree to rounding.
+TEST(SinkPricing, LutUnitMatchesAlgorithm1Execution) {
+  pim::Chip chip(pim::chip_512mb());
+  const SinkPricing pricing =
+      SinkPricing::make(chip.arith(), chip.interconnect());
+
+  pim::Block& compute = chip.block(0);
+  pim::Block& lut_block = chip.block(5);
+  const std::vector<float> contents = {0.5f, 0.25f, 0.125f};
+  const pim::LookupTable table(/*block_id=*/5, contents, lut_block);
+  lut_block.reset_cost();
+  compute.set(3, 2, 1.0f);  // the in-block index
+  const pim::LutInstructionFields fields{.opcode = pim::kLutOpcode,
+                                         .row_id = 3,
+                                         .offset_s = 2,
+                                         .lut_block_id = 5,
+                                         .offset_d = 7};
+  EXPECT_EQ(pim::execute_lut(fields, compute, /*compute_block_id=*/0,
+                             lut_block, table, chip.interconnect()),
+            0.25f);
+
+  const pim::OpCost charged = compute.consumed() + lut_block.consumed();
+  EXPECT_DOUBLE_EQ(charged.time.value(), pricing.lut_unit.time.value());
+  EXPECT_DOUBLE_EQ(charged.energy.value(), pricing.lut_unit.energy.value());
+  // The switch leg is part of the price.
+  EXPECT_GT(pricing.lut_unit.time.value(),
+            (pricing.rows_read(2) + pricing.rows_written(1)).time.value());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "pim/block.h"
 #include "pim/word.h"
+#include "support/block_ops.h"
 
 namespace wavepim::pim {
 namespace {
@@ -68,8 +69,9 @@ TEST(OpCost, Accumulates) {
 
 // --- Differential fuzz: Block scalar arithmetic vs the word kernels -------
 //
-// The --exec=word tier replaces Block::arith/fscale/faxpy/gather_rows
-// with the vectorizable kernels of pim/word.h. Its whole correctness
+// The --exec=word tier replaces the scalar block ops (the oracle's
+// arith/fscale/faxpy/gather_rows in support/block_ops.h) with the
+// vectorizable kernels of pim/word.h. Its whole correctness
 // claim is that each kernel computes the *same IEEE operation bit for
 // bit* — including every special-value case the solver can produce.
 // These sweeps feed both paths seeded-random operands laced with +-0,
@@ -153,7 +155,7 @@ TEST(WordKernelFuzz, BinaryOpsBitIdenticalToBlockArith) {
     Block block(&model);
     block.load_column(0, a);
     block.load_column(1, b);
-    block.arith(Opcode::Fadd, 0, 1, 2, 0, kRows);
+    arith(block, Opcode::Fadd, 0, 1, 2, 0, kRows);
 
     std::vector<float> dst(kRows, 0.0f);
     word::add(dst.data(), a.data(), b.data(), kRows);
@@ -173,15 +175,15 @@ TEST(WordKernelFuzz, ScaleAndAxpyBitIdenticalToBlockForms) {
 
     Block block(&model);
     block.load_column(0, src);
-    block.fscale(0, 1, c, 0, kRows);
+    fscale(block, 0, 1, c, 0, kRows);
     std::vector<float> dst(kRows, 0.0f);
     word::scale(dst.data(), src.data(), c, kRows);
     EXPECT_TRUE(bits_equal(dst, block.column(1))) << "scale seed " << seed;
 
     // Faxpy reaches the word kernels only as the first half of
-    // axpy_pair, whose d1 must match Block::faxpy on its own.
+    // axpy_pair, whose d1 must match faxpy on its own.
     block.load_column(2, acc);
-    block.faxpy(2, 0, a, c, 0, kRows);
+    faxpy(block, 2, 0, a, c, 0, kRows);
     std::vector<float> axpy_dst = acc;
     std::vector<float> second = acc;
     word::axpy_pair(axpy_dst.data(), src.data(), second.data(), a, c, 1.0f,
@@ -192,8 +194,8 @@ TEST(WordKernelFuzz, ScaleAndAxpyBitIdenticalToBlockForms) {
 }
 
 TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
-  // word::move is the one unfused movement kernel: Block's gather and
-  // scatter are both special cases of it.
+  // word::move is the one unfused movement kernel: gather_rows and
+  // scatter_rows are both special cases of it.
   static const ArithModel model;
   constexpr std::uint32_t kRows = Block::kRows;
   Rng rng(0xC0FFEEu);
@@ -211,7 +213,7 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
   }
   Block block(&model);
   block.load_column(0, src);
-  block.gather_rows(rows, 0, 0, 1);
+  gather_rows(block, rows, 0, 0, 1);
   std::vector<float> dst(kRows, 0.0f);
   word::move(dst.data(), iota.data(), src.data(), rows.data(),
              static_cast<std::uint32_t>(rows.size()));
@@ -219,13 +221,13 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
                          block.column(1).first(rows.size())));
 
   // Scatter-shaped move with repeated destination rows: forward order,
-  // last write wins — exactly Block::scatter_rows semantics.
+  // last write wins — exactly scatter_rows semantics.
   std::vector<std::uint32_t> dup_rows = {5, 9, 5, 11, 9, 5};
   const std::vector<float> values = {
       1.0f, std::numeric_limits<float>::quiet_NaN(), -0.0f, 2.5f,
       std::numeric_limits<float>::infinity(), 7.0f};
   block.load_column(3, src);
-  block.scatter_rows(dup_rows, 3, values, 4);
+  scatter_rows(block, dup_rows, 3, values, 4);
   std::vector<float> sdst = src;
   word::move(sdst.data(), dup_rows.data(), values.data(), iota.data(),
              static_cast<std::uint32_t>(dup_rows.size()));
@@ -237,7 +239,7 @@ TEST(WordKernelFuzz, MovementKernelsPreserveBitPatternsAndWriteOrder) {
 // The fusion peephole (WordPlan::fuse_stream) replaces op pairs, chains
 // and gather+consume sequences with the fused kernels below. The
 // correctness claim is bit-identity with the unfused op sequence — run
-// through the pim::Block ops the compiled tier executes — on every
+// through the scalar block ops the compiled tier executes — on every
 // surviving column, including when the dead-store pass passes
 // store_mid/store_g = false, in which case the scratch column must be
 // left byte-for-byte untouched while the primary results stay identical.
@@ -287,8 +289,8 @@ TEST(FusedKernelFuzz, ScaleAddMatchesUnfusedSequenceAllShapes) {
     // Fscale into mid, Fadd into dst.
     Block ref(&model);
     load_columns(ref, {&a, &b, &sentinel, &sentinel});
-    ref.fscale(0, 2, c, 0, kRows);
-    ref.arith(Opcode::Fadd, 1, 2, 3, 0, kRows);
+    fscale(ref, 0, 2, c, 0, kRows);
+    arith(ref, Opcode::Fadd, 1, 2, 3, 0, kRows);
 
     std::vector<float> mid = sentinel;
     std::vector<float> dst = sentinel;
@@ -309,8 +311,8 @@ TEST(FusedKernelFuzz, ScaleAddMatchesUnfusedSequenceAllShapes) {
     const auto rows = distinct_rows(rng, kRows, 48);
     Block iref(&model);
     load_columns(iref, {&a, &b, &sentinel, &sentinel});
-    iref.fscale_rows(0, 2, c, rows);
-    iref.arith_rows(Opcode::Fadd, 1, 2, 3, rows);
+    fscale_rows(iref, 0, 2, c, rows);
+    arith_rows(iref, Opcode::Fadd, 1, 2, 3, rows);
     std::vector<float> imid = sentinel;
     std::vector<float> idst = sentinel;
     word::scale_add_indexed(idst.data(), imid.data(), a.data(), b.data(), c,
@@ -337,8 +339,8 @@ TEST(FusedKernelFuzz, AxpyPairMatchesSequentialAxpys) {
     // Reference columns: 0 = s1, 1 = d1, 2 = d2.
     Block ref(&model);
     load_columns(ref, {&s1, &d1_init, &d2_init});
-    ref.faxpy(1, 0, a1, c1, 0, kRows);
-    ref.faxpy(2, 1, a2, c2, 0, kRows);
+    faxpy(ref, 1, 0, a1, c1, 0, kRows);
+    faxpy(ref, 2, 1, a2, c2, 0, kRows);
 
     std::vector<float> d1 = d1_init;
     std::vector<float> d2 = d2_init;
@@ -397,11 +399,11 @@ struct ChainCase {
     const std::uint32_t mid = k + 2;
     for (std::uint32_t j = 0; j < k; ++j) {
       if (rows.empty()) {
-        block.fscale(j, mid, imms[j], 0, Block::kRows);
-        block.arith(Opcode::Fadd, acc, mid, acc, 0, Block::kRows);
+        fscale(block, j, mid, imms[j], 0, Block::kRows);
+        arith(block, Opcode::Fadd, acc, mid, acc, 0, Block::kRows);
       } else {
-        block.fscale_rows(j, mid, imms[j], rows);
-        block.arith_rows(Opcode::Fadd, acc, mid, acc, rows);
+        fscale_rows(block, j, mid, imms[j], rows);
+        arith_rows(block, Opcode::Fadd, acc, mid, acc, rows);
       }
     }
   }
@@ -534,8 +536,8 @@ TEST(FusedKernelFuzz, GatherMulAndGatherMulAddMatchUnfusedSequences) {
     // gather_mul vs gather; mul.
     Block ref(&model);
     load_columns(ref, {&s, &b, &acc_init, &sentinel, &sentinel});
-    ref.gather_rows(rows, 0, 0, 3);
-    ref.arith(Opcode::Fmul, 3, 1, 4, 0, n);
+    gather_rows(ref, rows, 0, 0, 3);
+    arith(ref, Opcode::Fmul, 3, 1, 4, 0, n);
 
     std::vector<float> g = sentinel;
     std::vector<float> dst = sentinel;
@@ -556,7 +558,7 @@ TEST(FusedKernelFuzz, GatherMulAndGatherMulAddMatchUnfusedSequences) {
 
     // gather_mul_add vs gather; mul; add — all four store_g/store_mid
     // combinations leave acc identical; elided columns stay untouched.
-    ref.arith(Opcode::Fadd, 2, 4, 2, 0, n);
+    arith(ref, Opcode::Fadd, 2, 4, 2, 0, n);
     for (int combo = 0; combo < 4; ++combo) {
       const bool store_g = (combo & 1) != 0;
       const bool store_mid = (combo & 2) != 0;

@@ -1,4 +1,4 @@
-#include "pim/bitserial.h"
+#include "support/bitserial.h"
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "support/block_ops.h"
 
 namespace wavepim::pim {
 namespace {
@@ -24,24 +25,24 @@ TEST_F(BlockTest, StartsZeroedWithEmptyLedger) {
 
 TEST_F(BlockTest, RowWriteReadRoundTrip) {
   const std::vector<float> data = {1.0f, -2.5f, 3.25f};
-  block_.write_row(7, 4, data);
+  write_row(block_, 7, 4, data);
   std::vector<float> out(3);
-  block_.read_row(7, 4, out);
+  read_row(block_, 7, 4, out);
   EXPECT_EQ(out, data);
   EXPECT_GT(block_.consumed().time.value(), 0.0);
 }
 
 TEST_F(BlockTest, OutOfRangeAccessRejected) {
   std::vector<float> v(4);
-  EXPECT_THROW(block_.write_row(1024, 0, v), PreconditionError);
-  EXPECT_THROW(block_.write_row(0, 30, v), PreconditionError);  // 30+4 > 32
-  EXPECT_THROW(block_.read_row(0, 32, v), PreconditionError);
+  EXPECT_THROW(write_row(block_, 1024, 0, v), PreconditionError);
+  EXPECT_THROW(write_row(block_, 0, 30, v), PreconditionError);  // 30+4 > 32
+  EXPECT_THROW(read_row(block_, 0, 32, v), PreconditionError);
 }
 
 TEST_F(BlockTest, BroadcastReplicatesConstants) {
   const std::vector<float> consts = {3.14f, 2.71f};
-  block_.write_row(512, 10, consts);
-  block_.broadcast(512, 10, 2, 0, 512);
+  write_row(block_, 512, 10, consts);
+  broadcast(block_, 512, 10, 2, 0, 512);
   for (std::uint32_t r = 0; r < 512; ++r) {
     EXPECT_EQ(block_.at(r, 10), 3.14f);
     EXPECT_EQ(block_.at(r, 11), 2.71f);
@@ -55,8 +56,8 @@ TEST_F(BlockTest, BroadcastCostScalesWithRowCount) {
   Block large(&model_);
   small.set(512, 0, 1.0f);
   large.set(512, 0, 1.0f);
-  small.broadcast(512, 0, 1, 0, 16);
-  large.broadcast(512, 0, 1, 0, 512);
+  broadcast(small, 512, 0, 1, 0, 16);
+  broadcast(large, 512, 0, 1, 0, 512);
   EXPECT_GT(large.consumed().time.value(),
             10.0 * small.consumed().time.value());
 }
@@ -66,7 +67,7 @@ TEST_F(BlockTest, GatherRowsAppliesPermutation) {
     block_.set(r, 0, static_cast<float>(r));
   }
   const std::vector<std::uint32_t> perm = {7, 6, 5, 4, 3, 2, 1, 0};
-  block_.gather_rows(perm, 0, 0, 1);
+  gather_rows(block_, perm, 0, 0, 1);
   for (std::uint32_t r = 0; r < 8; ++r) {
     EXPECT_EQ(block_.at(r, 1), static_cast<float>(7 - r));
   }
@@ -78,7 +79,7 @@ TEST_F(BlockTest, GatherHandlesOverlappingSourceAndDestination) {
     block_.set(r, 5, static_cast<float>(r + 1));
   }
   const std::vector<std::uint32_t> shift = {1, 2, 3, 0};
-  block_.gather_rows(shift, 5, 0, 5);
+  gather_rows(block_, shift, 5, 0, 5);
   EXPECT_EQ(block_.at(0, 5), 2.0f);
   EXPECT_EQ(block_.at(1, 5), 3.0f);
   EXPECT_EQ(block_.at(2, 5), 4.0f);
@@ -90,9 +91,9 @@ TEST_F(BlockTest, RowParallelArithmetic) {
     block_.set(r, 0, static_cast<float>(r));
     block_.set(r, 1, 2.0f);
   }
-  block_.arith(Opcode::Fmul, 0, 1, 2, 0, 100);
-  block_.arith(Opcode::Fadd, 2, 1, 3, 0, 100);
-  block_.arith(Opcode::Fsub, 3, 0, 4, 0, 100);
+  arith(block_, Opcode::Fmul, 0, 1, 2, 0, 100);
+  arith(block_, Opcode::Fadd, 2, 1, 3, 0, 100);
+  arith(block_, Opcode::Fsub, 3, 0, 4, 0, 100);
   for (std::uint32_t r = 0; r < 100; ++r) {
     EXPECT_EQ(block_.at(r, 2), 2.0f * r);
     EXPECT_EQ(block_.at(r, 3), 2.0f * r + 2.0f);
@@ -101,7 +102,7 @@ TEST_F(BlockTest, RowParallelArithmetic) {
 }
 
 TEST_F(BlockTest, ArithRejectsUnsupportedOpcode) {
-  EXPECT_THROW(block_.arith(Opcode::MemCpy, 0, 1, 2, 0, 10),
+  EXPECT_THROW(arith(block_, Opcode::MemCpy, 0, 1, 2, 0, 10),
                PreconditionError);
 }
 
@@ -109,7 +110,7 @@ TEST_F(BlockTest, FscaleMultipliesByImmediate) {
   for (std::uint32_t r = 0; r < 10; ++r) {
     block_.set(r, 0, static_cast<float>(r));
   }
-  block_.fscale(0, 1, -0.5f, 0, 10);
+  fscale(block_, 0, 1, -0.5f, 0, 10);
   for (std::uint32_t r = 0; r < 10; ++r) {
     EXPECT_EQ(block_.at(r, 1), -0.5f * r);
   }
@@ -119,7 +120,7 @@ TEST_F(BlockTest, FaxpyImplementsIntegrationUpdate) {
   // k = a*k + dt*r, the RK auxiliary update.
   block_.set(0, 0, 10.0f);  // k
   block_.set(0, 1, 4.0f);   // r
-  block_.faxpy(0, 1, 0.5f, 0.25f, 0, 1);
+  faxpy(block_, 0, 1, 0.5f, 0.25f, 0, 1);
   EXPECT_EQ(block_.at(0, 0), 0.5f * 10.0f + 0.25f * 4.0f);
 }
 
@@ -127,7 +128,7 @@ TEST_F(BlockTest, CopyColsDuplicatesColumn) {
   for (std::uint32_t r = 0; r < 50; ++r) {
     block_.set(r, 3, static_cast<float>(2 * r));
   }
-  block_.copy_cols(3, 9, 0, 50);
+  copy_cols(block_, 3, 9, 0, 50);
   for (std::uint32_t r = 0; r < 50; ++r) {
     EXPECT_EQ(block_.at(r, 9), static_cast<float>(2 * r));
   }
@@ -136,16 +137,16 @@ TEST_F(BlockTest, CopyColsDuplicatesColumn) {
 TEST_F(BlockTest, ArithTimeIndependentOfRowsEnergyNot) {
   Block a(&model_);
   Block b(&model_);
-  a.arith(Opcode::Fadd, 0, 1, 2, 0, 1);
-  b.arith(Opcode::Fadd, 0, 1, 2, 0, 1024);
+  arith(a, Opcode::Fadd, 0, 1, 2, 0, 1);
+  arith(b, Opcode::Fadd, 0, 1, 2, 0, 1024);
   EXPECT_DOUBLE_EQ(a.consumed().time.value(), b.consumed().time.value());
   EXPECT_LT(a.consumed().energy.value(), b.consumed().energy.value());
 }
 
 TEST_F(BlockTest, LedgerAccumulatesAndResets) {
-  block_.arith(Opcode::Fadd, 0, 1, 2, 0, 10);
+  arith(block_, Opcode::Fadd, 0, 1, 2, 0, 10);
   const double t1 = block_.consumed().time.value();
-  block_.arith(Opcode::Fadd, 0, 1, 2, 0, 10);
+  arith(block_, Opcode::Fadd, 0, 1, 2, 0, 10);
   EXPECT_NEAR(block_.consumed().time.value(), 2 * t1, 1e-15);
   block_.reset_cost();
   EXPECT_EQ(block_.consumed().time.value(), 0.0);
@@ -180,17 +181,17 @@ TEST(BlockConstruction, RowExtentIsStrideAndBound) {
   const std::vector<float> row(1, 1.0f);
   const std::vector<std::uint32_t> past = {32};
   EXPECT_THROW((void)block.at(32, 0), PreconditionError);
-  EXPECT_THROW(block.write_row(32, 0, row), PreconditionError);
-  EXPECT_THROW(block.arith(Opcode::Fadd, 0, 1, 2, 0, 33), PreconditionError);
-  EXPECT_THROW(block.fscale(0, 1, 2.0f, 1, 32), PreconditionError);
-  EXPECT_THROW(block.arith_rows(Opcode::Fadd, 0, 1, 2, past),
+  EXPECT_THROW(write_row(block, 32, 0, row), PreconditionError);
+  EXPECT_THROW(arith(block, Opcode::Fadd, 0, 1, 2, 0, 33), PreconditionError);
+  EXPECT_THROW(fscale(block, 0, 1, 2.0f, 1, 32), PreconditionError);
+  EXPECT_THROW(arith_rows(block, Opcode::Fadd, 0, 1, 2, past),
                PreconditionError);
-  EXPECT_THROW(block.gather_rows(past, 0, 0, 1), PreconditionError);
-  EXPECT_THROW(block.broadcast(0, 0, 1, 0, 33), PreconditionError);
+  EXPECT_THROW(gather_rows(block, past, 0, 0, 1), PreconditionError);
+  EXPECT_THROW(broadcast(block, 0, 0, 1, 0, 33), PreconditionError);
   EXPECT_THROW(block.load_column(0, std::vector<float>(33)),
                PreconditionError);
   // The full extent of rows is reachable.
-  block.arith(Opcode::Fadd, 2, 2, 3, 0, 32);
+  arith(block, Opcode::Fadd, 2, 2, 3, 0, 32);
   EXPECT_EQ(block.at(31, 3), 10.0f);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "support/block_ops.h"
 
 namespace wavepim::pim {
 namespace {
@@ -31,9 +32,9 @@ TEST(Chip, StaticPowerMatchesTableComposition) {
 
 TEST(Chip, DrainPhaseAggregatesMaxTimeAndTotalEnergy) {
   Chip chip(chip_2gb());
-  chip.block(0).arith(Opcode::Fadd, 0, 1, 2, 0, 100);
-  chip.block(1).arith(Opcode::Fmul, 0, 1, 2, 0, 100);
-  chip.block(1).arith(Opcode::Fmul, 0, 1, 2, 0, 100);
+  arith(chip.block(0), Opcode::Fadd, 0, 1, 2, 0, 100);
+  arith(chip.block(1), Opcode::Fmul, 0, 1, 2, 0, 100);
+  arith(chip.block(1), Opcode::Fmul, 0, 1, 2, 0, 100);
 
   const auto a = chip.arith();
   const double t_fast = a.op_time(Opcode::Fadd).value();

@@ -5,6 +5,7 @@
 #include <array>
 
 #include "common/error.h"
+#include "support/lut.h"
 
 namespace wavepim::pim {
 namespace {
@@ -122,15 +123,6 @@ TEST(LutAddresses, FollowAlgorithm1) {
   EXPECT_EQ(a.index_bit_address, 3u * 1024 + 2 * 32);
   EXPECT_EQ(a.content_bit_address, 5ull * 1024 * 1024 + 100 * 32);
   EXPECT_EQ(a.dest_bit_address, 3u * 1024 + 9 * 32);
-}
-
-TEST(Opcode, ArithClassification) {
-  EXPECT_TRUE(is_arith(Opcode::Fadd));
-  EXPECT_TRUE(is_arith(Opcode::Fmul));
-  EXPECT_TRUE(is_arith(Opcode::Faxpy));
-  EXPECT_FALSE(is_arith(Opcode::MemCpy));
-  EXPECT_FALSE(is_arith(Opcode::ReadRow));
-  EXPECT_FALSE(is_arith(Opcode::LutLookup));
 }
 
 TEST(Opcode, NamesAreDistinct) {

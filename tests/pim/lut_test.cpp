@@ -1,4 +1,4 @@
-#include "pim/lut.h"
+#include "support/lut.h"
 
 #include <gtest/gtest.h>
 

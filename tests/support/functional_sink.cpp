@@ -1,6 +1,7 @@
 #include "support/functional_sink.h"
 
 #include "common/error.h"
+#include "support/block_ops.h"
 
 namespace wavepim::mapping {
 
@@ -24,44 +25,45 @@ void FunctionalSink::scatter(std::uint32_t group,
                              std::uint32_t col,
                              std::span<const float> values,
                              std::uint32_t distinct_values) {
-  block_of(element_, group).scatter_rows(rows, col, values, distinct_values);
+  pim::scatter_rows(block_of(element_, group), rows, col, values,
+                    distinct_values);
 }
 
 void FunctionalSink::gather(std::uint32_t group,
                             std::span<const std::uint32_t> src_rows,
                             std::uint32_t src_col, std::uint32_t dst_col) {
-  block_of(element_, group).gather_rows(src_rows, src_col, 0, dst_col);
+  pim::gather_rows(block_of(element_, group), src_rows, src_col, 0, dst_col);
 }
 
 void FunctionalSink::arith(std::uint32_t group, pim::Opcode op,
                            std::uint32_t col_a, std::uint32_t col_b,
                            std::uint32_t col_dst, std::uint32_t rows) {
-  block_of(element_, group).arith(op, col_a, col_b, col_dst, 0, rows);
+  pim::arith(block_of(element_, group), op, col_a, col_b, col_dst, 0, rows);
 }
 
 void FunctionalSink::fscale(std::uint32_t group, std::uint32_t col_src,
                             std::uint32_t col_dst, float imm,
                             std::uint32_t rows) {
-  block_of(element_, group).fscale(col_src, col_dst, imm, 0, rows);
+  pim::fscale(block_of(element_, group), col_src, col_dst, imm, 0, rows);
 }
 
 void FunctionalSink::faxpy(std::uint32_t group, std::uint32_t col_dst,
                            std::uint32_t col_src, float a, float c,
                            std::uint32_t rows) {
-  block_of(element_, group).faxpy(col_dst, col_src, a, c, 0, rows);
+  pim::faxpy(block_of(element_, group), col_dst, col_src, a, c, 0, rows);
 }
 
 void FunctionalSink::arith_rows(std::uint32_t group, pim::Opcode op,
                                 std::uint32_t col_a, std::uint32_t col_b,
                                 std::uint32_t col_dst,
                                 std::span<const std::uint32_t> rows) {
-  block_of(element_, group).arith_rows(op, col_a, col_b, col_dst, rows);
+  pim::arith_rows(block_of(element_, group), op, col_a, col_b, col_dst, rows);
 }
 
 void FunctionalSink::fscale_rows(std::uint32_t group, std::uint32_t col_src,
                                  std::uint32_t col_dst, float imm,
                                  std::span<const std::uint32_t> rows) {
-  block_of(element_, group).fscale_rows(col_src, col_dst, imm, rows);
+  pim::fscale_rows(block_of(element_, group), col_src, col_dst, imm, rows);
 }
 
 void FunctionalSink::move_rows(pim::Block& src, std::uint32_t src_col,

@@ -1,8 +1,8 @@
 #pragma once
 
 // The functional oracle's sink: executes an emitted program bit-true on
-// crossbar blocks, one call at a time, through pim::Block's own mutating
-// ops and ledger. The compiled plan re-implements the same execution and
+// crossbar blocks, one call at a time, through the ledgered block ops of
+// support/block_ops.h. The compiled plan re-implements the same execution and
 // accounting (resolved op arrays, batched per-block charges, pre-merged
 // transfer lists); tests drive both and compare them bit for bit.
 
