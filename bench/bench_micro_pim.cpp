@@ -3,10 +3,12 @@
 // service scheduler.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "mapping/simulation.h"
 #include "service/scheduler.h"
 #include "pim/interconnect.h"
@@ -93,6 +95,28 @@ BENCHMARK(BM_FunctionalPimStepThreaded)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The pool's own price per fan-out: 512 trivial iterations, so the time
+// is publishing the loop, waking the workers, claiming grains and
+// joining, at 1/2/4/8 workers. A step of the 512-element problem makes
+// about 70 such fan-outs, so this times the overhead the threaded step
+// rows pay.
+void BM_ParallelForFanOut(benchmark::State& state) {
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::uint32_t> out(512, 0);
+  for (auto _ : state) {
+    pool.parallel_for(out.size(), [&](std::size_t i) { out[i] += 1; });
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_ParallelForFanOut)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 // The two execution tiers head-to-head on the threaded 512-element
 // case: range(0) indexes mapping::kAllExecPaths (0 compiled, 1 word),
 // range(1) is the worker count. The first step runs outside the timed
@@ -119,6 +143,10 @@ void BM_FunctionalPimStepExecPath(benchmark::State& state) {
 BENCHMARK(BM_FunctionalPimStepExecPath)
     ->Args({0, 1})
     ->Args({1, 1})
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->Args({0, 4})
+    ->Args({1, 4})
     ->Args({0, 8})
     ->Args({1, 8})
     ->UseRealTime()

@@ -5,8 +5,10 @@
 // Usage: quickstart [--threads N | --threads=N] [--exec=compiled|word]
 //                   [--witness=N] [--trace=FILE] [--chip-blocks=N]
 //                   [--topology=htree|bus] [--net-backend=analytic|cycle]
-// Worker count and execution tier change wall-clock time only; fields
-// and cost reports are bit-identical for any combination. --trace records
+// --threads sizes the one pool that runs both the simulator and the
+// projection's network pricing. Worker count and execution tier change
+// wall-clock time only; fields and cost reports are bit-identical for
+// any combination. --trace records
 // the run and writes Chrome trace-event JSON (open in Perfetto or
 // chrome://tracing). --chip-blocks caps the chip's PIM blocks so the
 // validation run overflows on-chip capacity and exercises the batched

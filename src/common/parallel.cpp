@@ -1,9 +1,8 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <exception>
+#include <utility>
 
 #include "common/error.h"
 #include "trace/trace.h"
@@ -12,59 +11,96 @@ namespace wavepim {
 
 namespace {
 
-/// True while the current thread is a pool worker (any pool). Nested
-/// parallel_for calls detect it and run inline — see the header.
-thread_local bool t_in_pool_worker = false;
+/// True while the current thread runs a share of a fan-out (any pool's),
+/// as a worker or as a caller: nested parallel_for calls then run inline.
+thread_local bool t_in_share = false;
+
+/// Worker count requested via set_global_threads; 0 = no request.
+std::atomic<std::size_t> g_requested_threads{0};
+/// Latched once the global pool has been constructed.
+std::atomic<bool> g_global_created{false};
+
+/// Polls before a wait parks: spans the serial work between step fan-outs.
+constexpr int kSpins = 1 << 13;
+
+/// Waits until `a` no longer holds `old` and returns its new value.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& a,
+                           std::uint32_t old, bool spin) {
+  for (int i = 0; spin && i < kSpins; ++i) {
+    if (const std::uint32_t v = a.load(std::memory_order_acquire); v != old) {
+      return v;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  a.wait(old, std::memory_order_acquire);
+  return a.load(std::memory_order_acquire);
+}
 
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads)
     : size_(num_threads != 0
                 ? num_threads
-                : std::max<std::size_t>(1,
-                                        std::thread::hardware_concurrency())) {
-  if (size_ == 1) {
-    return;
-  }
-  workers_.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
+                : std::max(1U, std::thread::hardware_concurrency())),
+      spin_(size_ <= std::thread::hardware_concurrency()) {
+  for (std::size_t i = 1; i < size_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
+  generation_.fetch_add(1);
+  generation_.notify_all();
   for (auto& w : workers_) {
     w.join();
   }
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(task));
+// An odd generation is an open fan-out, an even one closed. A worker joins
+// `active_`, then checks the fan-out is still the one it woke for. Both
+// sides are sequentially consistent, so either the caller's wait sees the
+// join, or the worker sees the close and leaves without reading anything.
+void ThreadPool::worker_loop() {
+  t_in_share = true;
+  std::uint32_t seen = 0;
+  for (;;) {
+    seen = await_change(generation_, seen, spin_);
+    if (stop_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    active_.fetch_add(1);
+    if ((seen & 1) != 0 && generation_.load() == seen) {
+      run_share();
+    }
+    if (active_.fetch_sub(1) == 1) {
+      active_.notify_one();
+    }
   }
-  cv_.notify_one();
 }
 
-void ThreadPool::worker_loop() {
-  t_in_pool_worker = true;
+void ThreadPool::run_share() {
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) {
-        return;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
+    const std::size_t begin = cursor_.fetch_add(grain_);
+    if (begin >= n_ || failed_.load(std::memory_order_relaxed)) {
+      return;
     }
-    task();
+    const std::size_t end = std::min(n_, begin + grain_);
+    try {
+      // Closed before the share reports completion: once the caller
+      // returns it may stop tracing and export every thread's ring.
+      const trace::Span chunk_span("pool.chunk",
+                                   static_cast<double>(end - begin));
+      for (std::size_t i = begin; i < end; ++i) {
+        (*fn_)(i);
+      }
+    } catch (...) {
+      if (!failed_.exchange(true, std::memory_order_relaxed)) {
+        error_ = std::current_exception();
+      }
+    }
   }
 }
 
@@ -74,76 +110,32 @@ void ThreadPool::parallel_for(std::size_t n,
     return;
   }
   trace::Span span("pool.parallel_for", static_cast<double>(n));
-  const std::size_t workers = size();
-  // Inline paths: parallelism wouldn't pay, or we *are* a pool worker
-  // (fanning out from inside a worker can deadlock the pool — every
-  // worker could end up blocked on chunks only blocked workers would run).
-  if (workers <= 1 || n < 2 * workers || t_in_pool_worker) {
+  if (size_ == 1 || n < 2 || t_in_share) {
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }
     return;
   }
 
-  const std::size_t chunks = std::min(n, 4 * workers);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-
-  // Completion state lives on this frame, so every chunk touches it only
-  // under done_mutex: the caller cannot observe `remaining == 0` (and
-  // return, releasing the frame) until the last chunk has let go of the
-  // lock. `error` keeps the first exception thrown by any chunk; it is
-  // rethrown after every chunk has finished, since the chunks capture
-  // this frame by reference.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = chunks;
-  std::exception_ptr error;
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    enqueue([&, begin, end] {
-      std::exception_ptr thrown;
-      {
-        // Closed before the chunk reports completion: once the caller
-        // returns it may stop tracing and export every thread's ring.
-        trace::Span chunk_span("pool.chunk",
-                               static_cast<double>(end - begin));
-        try {
-          for (std::size_t i = begin; i < end; ++i) {
-            fn(i);
-          }
-        } catch (...) {
-          thrown = std::current_exception();
-        }
-      }
-      std::lock_guard lock(done_mutex);
-      if (thrown && !error) {
-        error = thrown;
-      }
-      if (--remaining == 0) {
-        done_cv.notify_one();
-      }
-    });
+  const std::lock_guard lock(fan_out_);
+  fn_ = &fn;
+  n_ = n;
+  grain_ = std::max<std::size_t>(1, n / (4 * size_));
+  cursor_.store(0, std::memory_order_relaxed);
+  generation_.fetch_add(1);  // open
+  generation_.notify_all();
+  t_in_share = true;
+  run_share();
+  t_in_share = false;
+  // Every index is claimed; once the active workers leave, all have run.
+  generation_.fetch_add(1);  // close
+  for (std::uint32_t left = active_.load(); left != 0;
+       left = await_change(active_, left, spin_)) {
   }
-
-  {
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  if (error) {
-    std::rethrow_exception(error);
+  if (failed_.exchange(false, std::memory_order_relaxed)) {
+    std::rethrow_exception(std::exchange(error_, nullptr));
   }
 }
-
-namespace {
-
-/// Worker count requested via set_global_threads; 0 = no request.
-std::atomic<std::size_t> g_requested_threads{0};
-/// Latched once the global pool has been constructed.
-std::atomic<bool> g_global_created{false};
-
-}  // namespace
 
 std::size_t ThreadPool::parse_thread_count(const char* value) {
   if (value == nullptr || *value == '\0') {

@@ -1,24 +1,28 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace wavepim {
 
-/// A small fixed-size thread pool.
-///
-/// The CPU reference dG solver and the PIM functional simulator use it for
-/// element-parallel loops.
+/// A fork-join thread pool: `size() - 1` persistent workers plus the
+/// thread that calls `parallel_for`, which runs a share of its own loop.
+/// Workers wait on a generation counter (a short spin, then
+/// `std::atomic::wait`; never a spin when the pool has more threads than
+/// the host has hardware threads). Every participant claims grains of
+/// consecutive indices from one cursor in increasing order, so a list
+/// sorted largest first is dealt out largest first.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means `hardware_concurrency()`. A
-  /// one-worker pool runs every loop inline on the caller, so it starts
-  /// no thread at all.
+  /// Sizes the pool to `num_threads` workers, the caller included; 0 means
+  /// `hardware_concurrency()`. Starts `num_threads - 1` threads, so a
+  /// one-worker pool runs every loop inline and starts no thread at all.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -27,20 +31,16 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Runs `fn(i)` for i in [0, n), split into contiguous chunks across the
-  /// pool, and blocks until all iterations complete. Runs inline when the
-  /// pool has a single worker or `n` is small.
+  /// Runs `fn(i)` for i in [0, n) across the pool and blocks until all
+  /// iterations complete. Runs inline, in index order, when the pool has
+  /// one worker, `n < 2`, or the caller is running a share of a fan-out
+  /// (any pool's, as a worker or inside its own call), where fanning out
+  /// again could wait on itself. Outside callers of one pool take turns.
   ///
-  /// Reentrancy: a `parallel_for` issued from inside a pool worker (any
-  /// pool's) runs inline on that worker. Nested fan-outs would otherwise
-  /// deadlock once every worker blocks waiting on chunks that only the
-  /// blocked workers could run.
-  ///
-  /// Exceptions: if `fn` throws, the loop still completes the chunks
-  /// already enqueued (their captured state must stay valid), then
-  /// rethrows one of the captured exceptions — the first one observed —
-  /// to the caller. A chunk stops at its first throwing iteration, so
-  /// some iterations may not run. The pool itself stays usable.
+  /// Exceptions: if `fn` throws, no further grain starts; the grains in
+  /// flight finish (their captured state must stay valid), then the first
+  /// exception observed is rethrown to the caller. A grain stops at its
+  /// throwing iteration. The pool itself stays usable.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Global pool shared by library components that do not take an explicit
@@ -58,20 +58,27 @@ class ThreadPool {
 
   /// Parses a `WAVEPIM_NUM_THREADS`-style value: a positive integer maps to
   /// itself, anything else (null, empty, junk, zero) to 0 — "use the
-  /// hardware". Exposed for testability; `global()` applies it to the
-  /// actual environment variable.
+  /// hardware". `global()` applies it to the environment variable.
   [[nodiscard]] static std::size_t parse_thread_count(const char* value);
 
  private:
-  void enqueue(std::function<void()> task);
   void worker_loop();
+  void run_share();
 
   std::size_t size_;
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
+  bool spin_;  ///< every thread has a hardware thread, so waits spin first
+  std::mutex fan_out_;  ///< held by the outside caller of the fan-out
+  // The open fan-out: written only while no worker is active.
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t grain_ = 1;
+  std::exception_ptr error_;  ///< written once, by whoever sets `failed_`
+  std::atomic<std::size_t> cursor_{0};  ///< next unclaimed index
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> active_{0};  ///< workers inside a fan-out
+  std::atomic<bool> failed_{false};  ///< reset by the caller's rethrow
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;  ///< last: they use every member above
 };
 
 /// Convenience wrapper over the global pool.

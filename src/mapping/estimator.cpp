@@ -210,7 +210,9 @@ std::vector<pim::ScheduleResult> BatchPricer::price_all(
     }
   }
 
-  // Price the misses, largest first so the long batches start early.
+  // Price the misses largest first: the pool claims indices in increasing
+  // order, so the long batches start first (a longest-processing-time
+  // list schedule over the workers).
   // Each keeps its own exception: parallel_for would rethrow whichever
   // it saw first, which depends on the worker count and timing.
   std::vector<std::size_t> by_size = misses;

@@ -104,7 +104,9 @@ class BatchPricer {
   ///
   /// Requests are matched against the stored entries and against each
   /// other first. The distinct batches left are priced on the global
-  /// thread pool, largest first, and stored in request order, so the
+  /// thread pool, largest first: the pool's workers claim them in that
+  /// order, one at a time, so the long batches start first and the short
+  /// ones fill in behind them. They are stored in request order, so the
   /// results and the pricer's state do not depend on the worker count.
   /// If any request throws, the entries of the requests before the first
   /// one that threw are stored, and that request's exception is

@@ -6,10 +6,6 @@ const char* to_string(Opcode op) {
   switch (op) {
     case Opcode::Nop:
       return "nop";
-    case Opcode::ReadRow:
-      return "read_row";
-    case Opcode::WriteRow:
-      return "write_row";
     case Opcode::BroadcastRow:
       return "broadcast_row";
     case Opcode::GatherRows:
@@ -30,10 +26,6 @@ const char* to_string(Opcode op) {
       return "memcpy";
     case Opcode::LutLookup:
       return "lut_lookup";
-    case Opcode::HostLoad:
-      return "host_load";
-    case Opcode::HostStore:
-      return "host_store";
   }
   return "?";
 }

@@ -9,11 +9,12 @@ namespace wavepim::pim {
 
 /// Opcodes of the ISA-based PIM system (§4.1). Instructions are sent from
 /// the host, pre-processed by the chip decoder, and expanded into
-/// micro-sequences for the target blocks.
+/// micro-sequences for the target blocks. The values are part of every
+/// cached stream's hash, so they stay fixed and retired opcodes leave gaps.
+/// `Nop` is an empty instruction's opcode; `CopyCols` is priced (Table 4)
+/// but not emitted.
 enum class Opcode : std::uint8_t {
   Nop = 0,
-  ReadRow = 1,       ///< memristor cells -> row buffer
-  WriteRow = 2,      ///< row buffer -> memristor cells
   BroadcastRow = 3,  ///< replicate one row's words into a row range
   GatherRows = 4,    ///< row permutation through the row buffer
   CopyCols = 5,      ///< row-parallel column copy within a block
@@ -24,8 +25,6 @@ enum class Opcode : std::uint8_t {
   Faxpy = 10,        ///< dst = a*dst + imm*src (integration update)
   MemCpy = 11,       ///< inter-block transfer via H-tree/Bus
   LutLookup = 12,    ///< Fig. 4 look-up-table instruction
-  HostLoad = 13,     ///< off-chip DRAM -> block rows
-  HostStore = 14,    ///< block rows -> off-chip DRAM
 };
 
 const char* to_string(Opcode op);

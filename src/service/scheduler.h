@@ -27,7 +27,9 @@ struct ServiceOptions {
   std::uint32_t num_chips = 1;
   Policy policy = Policy::Fifo;
   /// Worker count per tenant simulation (PimSimulation semantics: 1 is
-  /// serial, 0 the global pool). Never affects results.
+  /// serial, 0 the global pool). Applies when one chip steps alone: when
+  /// several do, their quanta fan out on the global pool and each runs
+  /// its loops inline. Never affects results.
   std::size_t threads = 1;
   pim::ChipConfig chip = pim::chip_512mb();
 };

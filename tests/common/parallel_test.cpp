@@ -7,8 +7,8 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <fstream>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -73,18 +73,27 @@ TEST(ThreadPool, SingleWorkerPoolStartsNoThread) {
     EXPECT_EQ(live_threads(), before);
   }
   {
-    // The probe does see workers when a pool has them.
+    // The probe does see workers when a pool has them: the caller is one
+    // of a pool's workers, so a two-worker pool starts one thread.
     ThreadPool pool(2);
-    EXPECT_EQ(live_threads(), before + 2);
+    EXPECT_EQ(live_threads(), before + 1);
   }
 }
 #endif
 
 TEST(ThreadPool, SmallNRunsInline) {
+  // The inline rule is `n < 2`: one iteration runs on the caller, while
+  // three on an eight-worker pool already fan out and each runs once.
   ThreadPool pool(8);
-  std::vector<int> touched(3, 0);
-  pool.parallel_for(3, [&](std::size_t i) { touched[i] = 1; });
-  EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 3);
+  std::thread::id runner;
+  pool.parallel_for(1,
+                    [&](std::size_t) { runner = std::this_thread::get_id(); });
+  EXPECT_EQ(runner, std::this_thread::get_id());
+  std::vector<std::atomic<int>> touched(3);
+  pool.parallel_for(3, [&](std::size_t i) { touched[i].fetch_add(1); });
+  for (const auto& t : touched) {
+    EXPECT_EQ(t.load(), 1);
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossCalls) {
@@ -106,21 +115,24 @@ TEST(ThreadPool, ReusableAcrossCalls) {
 }
 
 TEST(ThreadPool, ManyTinyFanOutsCompleteBeforeReturning) {
-  // Completion-race stress: each fan-out's bookkeeping lives on the
+  // Completion-race stress: the loop body and its captures live on the
   // caller's frame, which is dead (and scribbled over) as soon as
-  // parallel_for returns. A caller that returned while the last chunk
-  // still touched that frame would corrupt memory, hang or crash;
-  // every index must run exactly once, every time. n = 8 is the
-  // smallest fan-out a 4-worker pool does not run inline.
-  ThreadPool pool(4);
+  // parallel_for returns. A caller that returned while a worker still
+  // ran or counted a grain would corrupt memory, hang or crash; every
+  // index must run exactly once, every time. n = 2 is the smallest
+  // fan-out that reaches the workers.
   constexpr std::size_t kFanOuts = 100000;
-  constexpr std::size_t kN = 8;
-  for (std::size_t round = 0; round < kFanOuts; ++round) {
-    std::array<int, kN> counts{};
-    pool.parallel_for(kN, [&](std::size_t i) { counts[i] += 1; });
-    scribble_stack();
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(counts[i], 1) << "index " << i << " in fan-out " << round;
+  constexpr std::size_t kN = 2;
+  for (const std::size_t workers : {2, 4, 8}) {
+    ThreadPool pool(workers);
+    for (std::size_t round = 0; round < kFanOuts; ++round) {
+      std::array<int, kN> counts{};
+      pool.parallel_for(kN, [&](std::size_t i) { counts[i] += 1; });
+      scribble_stack();
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(counts[i], 1) << "index " << i << " in fan-out " << round
+                                << " on " << workers << " workers";
+      }
     }
   }
 }
@@ -145,12 +157,13 @@ TEST(ThreadPool, SingleIterationRunsInlineOnAnyPool) {
 
 TEST(ThreadPool, FewerIterationsThanWorkers) {
   ThreadPool pool(16);
-  // n < workers (and below the 2*workers inline threshold): every index
-  // must still run exactly once.
-  std::vector<int> counts(5, 0);
-  pool.parallel_for(counts.size(), [&](std::size_t i) { ++counts[i]; });
-  for (int c : counts) {
-    EXPECT_EQ(c, 1);
+  // n < workers fans out all the same: some workers find no index left,
+  // and every index must still run exactly once.
+  std::vector<std::atomic<int>> counts(5);
+  pool.parallel_for(counts.size(),
+                    [&](std::size_t i) { counts[i].fetch_add(1); });
+  for (const auto& c : counts) {
+    EXPECT_EQ(c.load(), 1);
   }
 }
 
@@ -216,8 +229,8 @@ TEST(ThreadPool, SetGlobalThreadsAfterCreationThrows) {
 
 TEST(ThreadPool, PropagatesExceptionFromWorker) {
   ThreadPool pool(4);
-  // 1000 iterations across 4 workers is far beyond the inline threshold,
-  // so the throw happens on a worker thread, not the caller.
+  // 1000 iterations fan out, so the throw happens in whichever share
+  // claims index 617: a worker's or the caller's own.
   EXPECT_THROW(pool.parallel_for(1000,
                                  [](std::size_t i) {
                                    if (i == 617) {
@@ -308,6 +321,64 @@ TEST(ThreadPool, NestedExceptionPropagatesToOuterCaller) {
                                    });
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, CallerShareNestsAndThrows) {
+  // The caller runs a share of its own fan-out. A nested parallel_for
+  // from that share must run inline (fanning out again on a pool whose
+  // workers are all taken would wait forever), and an exception thrown
+  // there must still reach the caller once the workers are done.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr std::size_t kN = 16;  // one index per grain
+  std::atomic<bool> caller_ran{false};
+  std::atomic<int> nested{0};
+  EXPECT_THROW(
+      pool.parallel_for(kN,
+                        [&](std::size_t) {
+                          if (std::this_thread::get_id() != caller) {
+                            // Hold the worker so an index is left over
+                            // for the caller's share.
+                            while (!caller_ran.load()) {
+                              std::this_thread::yield();
+                            }
+                            return;
+                          }
+                          caller_ran.store(true);
+                          pool.parallel_for(8, [&](std::size_t) {
+                            nested.fetch_add(1);
+                          });
+                          throw std::runtime_error("caller share");
+                        }),
+      std::runtime_error);
+  EXPECT_TRUE(caller_ran.load());
+  EXPECT_EQ(nested.load(), 8);
+  std::atomic<int> sum{0};
+  pool.parallel_for(100, [&](std::size_t) { sum.fetch_add(1); });
+  EXPECT_EQ(sum.load(), 100);
+}
+
+TEST(ThreadPool, ConcurrentOutsideCallersEachRunOnce) {
+  // Two threads that are not pool workers fan out on one pool at once;
+  // neither call may lose, repeat or mix up the other's indices.
+  ThreadPool pool(4);
+  constexpr int kRounds = 2000;
+  constexpr std::size_t kN = 64;
+  const auto caller = [&pool](std::vector<std::atomic<int>>& counts) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.parallel_for(kN, [&](std::size_t i) { counts[i].fetch_add(1); });
+    }
+  };
+  std::vector<std::atomic<int>> a(kN);
+  std::vector<std::atomic<int>> b(kN);
+  std::thread first(caller, std::ref(a));
+  std::thread second(caller, std::ref(b));
+  first.join();
+  second.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(a[i].load(), kRounds) << "first caller, index " << i;
+    EXPECT_EQ(b[i].load(), kRounds) << "second caller, index " << i;
+  }
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ void expect_worker_count_independent(MakeSim&& make, int steps) {
 
 TEST(ParallelDeterminism, AcousticLevel2MatchesSerialBitExact) {
   // Level 2: 64 elements, enough for real work distribution (the pool
-  // parallelises once n >= 2 * workers).
+  // fans out every loop of n >= 2).
   const auto make = [] {
     return std::make_unique<PimSimulation>(
         Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,

@@ -53,7 +53,8 @@ TEST(ArithModel, AddLatencyMatchesNorTiming) {
 TEST(ArithModel, NonBlockOpsAreRejected) {
   const ArithModel m;
   EXPECT_THROW((void)m.cycles(Opcode::MemCpy), InvariantError);
-  EXPECT_THROW((void)m.cycles(Opcode::ReadRow), InvariantError);
+  EXPECT_THROW((void)m.cycles(Opcode::GatherRows), InvariantError);
+  EXPECT_THROW((void)m.cycles(Opcode::LutLookup), InvariantError);
 }
 
 TEST(OpCost, Accumulates) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
+#include <string>
 
 #include "common/error.h"
 #include "support/lut.h"
@@ -129,7 +131,17 @@ TEST(Opcode, NamesAreDistinct) {
   EXPECT_STREQ(to_string(Opcode::Fadd), "fadd");
   EXPECT_STREQ(to_string(Opcode::MemCpy), "memcpy");
   EXPECT_STREQ(to_string(Opcode::LutLookup), "lut_lookup");
-  EXPECT_STREQ(to_string(Opcode::HostLoad), "host_load");
+  EXPECT_STREQ(to_string(Opcode::BroadcastRow), "broadcast_row");
+  // The nine opcodes the relocatable assembler emits.
+  const std::array emitted = {
+      Opcode::BroadcastRow, Opcode::GatherRows, Opcode::Fadd,
+      Opcode::Fsub,         Opcode::Fmul,       Opcode::Fscale,
+      Opcode::Faxpy,        Opcode::MemCpy,     Opcode::LutLookup};
+  std::set<std::string> names;
+  for (const Opcode op : emitted) {
+    names.insert(to_string(op));
+  }
+  EXPECT_EQ(names.size(), emitted.size());
 }
 
 }  // namespace

@@ -20,7 +20,9 @@
 // 1e-6 — the metrics are model outputs, not wall clock, so they are
 // reproducible to FP precision). --update-baseline merges the run into
 // the --baseline file instead of gating against it. --threads N (or
-// --threads=N) and --trace=FILE go through the tools' shared front end
+// --threads=N) sizes the one pool that runs both the simulator cells
+// and the estimator's network pricing; results do not depend on it.
+// --threads and --trace=FILE go through the tools' shared front end
 // (tools/frontend.h).
 #include <cstdio>
 #include <cstring>
@@ -53,8 +55,9 @@ int usage() {
       "                         file instead of gating against it\n"
       "  --out FILE             write the JSON report\n"
       "  --tables FILE          write the ASCII tables (also printed)\n"
-      "  --threads N            simulator worker threads (default: auto);\n"
-      "                         also --threads=N\n"
+      "  --threads N            worker threads for the simulator and the\n"
+      "                         network pricing (default: auto); also\n"
+      "                         --threads=N\n"
       "  --trace=FILE           write a Chrome trace-event JSON of the run\n"
       "  --filter SUBSTR        only run scenarios whose id contains this\n"
       "  --list                 print the scenario ids and exit\n");

@@ -46,10 +46,10 @@ int usage() {
       "physics: acoustic | elastic-central | elastic-riemann\n"
       "chip:    512MB | 2GB | 8GB | 16GB\n"
       "global options (accepted by every command, before the command):\n"
-      "--threads N (or --threads=N): worker threads for the CPU solver\n"
-      "             and the functional PIM simulator (default:\n"
-      "             WAVEPIM_NUM_THREADS or the hardware); results are\n"
-      "             identical for any count\n"
+      "--threads N (or --threads=N): worker threads for the CPU solver,\n"
+      "             the functional PIM simulator and network pricing\n"
+      "             (default: WAVEPIM_NUM_THREADS or the hardware);\n"
+      "             results are identical for any count\n"
       "--exec=compiled|word: execution tier of the functional\n"
       "             PIM simulator (default: word).\n"
       "             compiled runs the resolved execution plan, word runs\n"
