@@ -118,8 +118,9 @@ BENCHMARK(BM_ParallelForFanOut)
     ->Unit(benchmark::kMicrosecond);
 
 // The two execution tiers head-to-head on the threaded 512-element
-// case: range(0) indexes mapping::kAllExecPaths (0 compiled, 1 word),
-// range(1) is the worker count. The first step runs outside the timed
+// case, the gate that word (the tier every program runs) is no slower
+// than compiled: range(0) indexes mapping::kAllExecPaths (0 compiled,
+// 1 word), range(1) is the worker count. The first step runs outside the timed
 // loop so cache/plan construction is amortised the way a real run
 // amortises it; fields and cost reports are bit-identical across all
 // rows (mapping/exec_conformance_test.cpp).
@@ -186,7 +187,7 @@ BENCHMARK(BM_FunctionalPimStepWitness)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Batched residency on the compiled tier: the 512-element problem needs
+// Batched residency on the default tier: the 512-element problem needs
 // 512 blocks; range(0) caps the chip (0 = uncapped/resident). 128
 // blocks leave a 1-slice window + staging slot (the worst case: every
 // slice reloads each stage), 256 a 3-slice window. Fields and compute
@@ -197,12 +198,11 @@ void BM_FunctionalPimStepBatched(benchmark::State& state) {
   pim::ChipConfig chip = pim::chip_512mb();
   chip.block_limit = static_cast<std::uint32_t>(state.range(0));
   mapping::PimSimulation sim(problem, mapping::ExpansionMode::None, chip);
-  sim.set_exec_path(mapping::ExecPath::Compiled);
   sim.set_num_threads(8);
   dg::Field u(512, 4, 27);
   u.fill(0.5f);
   sim.load_state(u);
-  sim.step(1.0e-3);  // builds the compiled plan untimed
+  sim.step(1.0e-3);  // builds the plans untimed
   for (auto _ : state) {
     sim.step(1.0e-3);
   }
@@ -220,22 +220,21 @@ BENCHMARK(BM_FunctionalPimStepBatched)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The trace-overhead contract: the compiled-tier step loop with tracing
+// The trace-overhead contract: the default-tier step loop with tracing
 // compiled in but disabled (Arg(0)) must stay within 2% of the
-// BM_FunctionalPimStepExecPath/1/1 row — every span site collapses to a
-// single relaxed atomic load. Arg(1) runs the same loop with tracing
-// enabled (events recorded into the per-thread rings), the price of a
-// live --trace run.
+// BM_FunctionalPimStepExecPath/1/1 row, the word tier at 1 worker —
+// every span site collapses to a single relaxed atomic load. Arg(1)
+// runs the same loop with tracing enabled (events recorded into the
+// per-thread rings), the price of a live --trace run.
 void BM_FunctionalPimStepTrace(benchmark::State& state) {
   const mapping::Problem problem{dg::ProblemKind::Acoustic, 3, 3};
   mapping::PimSimulation sim(problem, mapping::ExpansionMode::None,
                              pim::chip_512mb());
-  sim.set_exec_path(mapping::ExecPath::Compiled);
   sim.set_num_threads(1);
   dg::Field u(512, 4, 27);
   u.fill(0.5f);
   sim.load_state(u);
-  sim.step(1.0e-3);  // builds the compiled plan untimed
+  sim.step(1.0e-3);  // builds the plans untimed
   const bool enabled = state.range(0) != 0;
   trace::set_enabled(enabled);
   for (auto _ : state) {

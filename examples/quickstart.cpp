@@ -2,13 +2,14 @@
 // solver, validate the bit-true Wave-PIM execution against it, and project
 // the run onto a 2 GB Wave-PIM chip and the GPU baselines.
 //
-// Usage: quickstart [--threads N | --threads=N] [--exec=compiled|word]
-//                   [--witness=N] [--trace=FILE] [--chip-blocks=N]
+// Usage: quickstart [--threads N | --threads=N] [--witness=N]
+//                   [--trace=FILE] [--chip-blocks=N]
 //                   [--topology=htree|bus] [--net-backend=analytic|cycle]
 // --threads sizes the one pool that runs both the simulator and the
-// projection's network pricing. Worker count and execution tier change
-// wall-clock time only; fields and cost reports are bit-identical for
-// any combination. --trace records
+// projection's network pricing. The worker count changes wall-clock time
+// only; fields and cost reports are bit-identical for any count.
+// --witness=N re-executes every Nth phase through the compiled plan and
+// compares block hashes (a mismatch exits 1). --trace records
 // the run and writes Chrome trace-event JSON (open in Perfetto or
 // chrome://tracing). --chip-blocks caps the chip's PIM blocks so the
 // validation run overflows on-chip capacity and exercises the batched
@@ -76,8 +77,7 @@ int quickstart(const frontend::SharedFlags& flags) {
   std::printf("CPU vs PIM functional simulation after 10 steps: "
               "rel. L-inf error = %.2e\n", err);
   bool witness_failed = false;
-  if (pim.exec_path() == mapping::ExecPath::Word &&
-      pim.witness_interval() != 0) {
+  if (pim.witness_interval() != 0) {
     const auto& ws = pim.witness_stats();
     std::printf("witness (cadence %u): %llu phase checks, %llu block "
                 "comparisons, %llu mismatches\n",
@@ -92,9 +92,8 @@ int quickstart(const frontend::SharedFlags& flags) {
     }
     witness_failed = ws.mismatches != 0;
   }
-  if (pim.exec_path() == mapping::ExecPath::Word &&
-      pim.word_plan() != nullptr) {
-    // Fusion summary for the word tier: how far the peephole passes
+  if (pim.word_plan() != nullptr) {
+    // Fusion summary: how far the word plan's peephole passes
     // compressed the kernel streams (the same numbers ride the
     // word.fuse.* trace counters in the --trace summary).
     const auto& fs = pim.word_plan()->fuse_stats();
@@ -173,8 +172,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: unknown option %s\n"
                    "usage: quickstart [--threads N | --threads=N] "
-                   "[--exec=compiled|word] [--witness=N] "
-                   "[--trace=FILE] [--chip-blocks=N] "
+                   "[--witness=N] [--trace=FILE] [--chip-blocks=N] "
                    "[--topology=htree|bus] "
                    "[--net-backend=analytic|cycle]\n",
                    argv[i]);

@@ -59,8 +59,6 @@ std::string Scenario::id() const {
   out += to_string(materials);
   out += block_limit == 0 ? std::string("/resident")
                           : "/win" + std::to_string(block_limit);
-  out += "/";
-  out += mapping::to_string(exec);
   if (net_backend == pim::NetBackendKind::Cycle) {
     out += "/net-cycle";
   }
@@ -70,7 +68,6 @@ std::string Scenario::id() const {
 namespace {
 
 using dg::ProblemKind;
-using mapping::ExecPath;
 using mapping::ExpansionMode;
 using mesh::Boundary;
 
@@ -86,7 +83,7 @@ Scenario paper(const mapping::Problem& problem) {
 /// RK-stepped time steps from the shared seeded state.
 Scenario sim(ProblemKind kind, int level, ExpansionMode expansion,
              Boundary boundary, Materials materials,
-             std::uint32_t block_limit, ExecPath exec,
+             std::uint32_t block_limit,
              pim::NetBackendKind net = pim::NetBackendKind::Analytic) {
   Scenario s;
   s.kind = CellKind::Sim;
@@ -95,7 +92,6 @@ Scenario sim(ProblemKind kind, int level, ExpansionMode expansion,
   s.boundary = boundary;
   s.materials = materials;
   s.block_limit = block_limit;
-  s.exec = exec;
   s.net_backend = net;
   return s;
 }
@@ -108,37 +104,29 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
 
   if (kind == MatrixKind::Reduced) {
     // Two paper benchmarks bracket the physics/flux axes (cheapest and
-    // most compute-intense); the sim slice runs both execution tiers
-    // against one over-capacity window plus one cell on each
-    // beyond-paper axis.
+    // most compute-intense); the sim slice runs resident and through
+    // one over-capacity window plus one cell on each beyond-paper axis.
     out.push_back(paper(benchmarks[0]));  // Acoustic_4
     out.push_back(paper(benchmarks[2]));  // Elastic-Riemann_4
     for (const std::uint32_t limit : {0u, 32u}) {
-      for (const ExecPath tier : mapping::kAllExecPaths) {
-        out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                          Boundary::Periodic, Materials::Uniform, limit,
-                          tier));
-      }
+      out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
+                        Boundary::Periodic, Materials::Uniform, limit));
     }
     out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
-                      Boundary::Periodic, Materials::Uniform, 0,
-                      ExecPath::Compiled));
+                      Boundary::Periodic, Materials::Uniform, 0));
     out.push_back(sim(ProblemKind::ElasticRiemann, 1, ExpansionMode::Elastic9,
-                      Boundary::Periodic, Materials::Uniform, 0,
-                      ExecPath::Compiled));
+                      Boundary::Periodic, Materials::Uniform, 0));
     out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                      Boundary::Reflective, Materials::Uniform, 0,
-                      ExecPath::Compiled));
+                      Boundary::Reflective, Materials::Uniform, 0));
     out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                      Boundary::Periodic, Materials::Layered, 0,
-                      ExecPath::Compiled));
+                      Boundary::Periodic, Materials::Layered, 0));
     // Cycle net-backend axis (resident and windowed): pricing-only, so
     // these cells must reproduce the analytic cells' field hashes while
     // adding the queuing metrics the analytic scheduler cannot see.
     for (const std::uint32_t limit : {0u, 32u}) {
       out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
                         Boundary::Periodic, Materials::Uniform, limit,
-                        ExecPath::Compiled, pim::NetBackendKind::Cycle));
+                        pim::NetBackendKind::Cycle));
     }
     return out;
   }
@@ -149,81 +137,61 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
     out.push_back(paper(problem));
   }
 
-  // Physics x tier x residency (uniform, periodic). Window sizes are
-  // one resident slice + the Fig. 7 staging slot at each problem's
+  // Physics x residency (uniform, periodic). Window sizes are one
+  // resident slice + the Fig. 7 staging slot at each problem's
   // blocks-per-slice.
   for (const std::uint32_t limit : {0u, 32u}) {
-    for (const ExecPath tier : mapping::kAllExecPaths) {
-      out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                        Boundary::Periodic, Materials::Uniform, limit, tier));
-    }
-  }
-  for (const ExecPath tier : mapping::kAllExecPaths) {
-    out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
-                      Boundary::Periodic, Materials::Uniform, 0, tier));
+    out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
+                      Boundary::Periodic, Materials::Uniform, limit));
   }
   out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
-                    Boundary::Periodic, Materials::Uniform, 96,
-                    ExecPath::Compiled));
-  for (const ExecPath tier : mapping::kAllExecPaths) {
-    out.push_back(sim(ProblemKind::ElasticRiemann, 1, ExpansionMode::Elastic9,
-                      Boundary::Periodic, Materials::Uniform, 0, tier));
-  }
+                    Boundary::Periodic, Materials::Uniform, 0));
+  out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
+                    Boundary::Periodic, Materials::Uniform, 96));
+  out.push_back(sim(ProblemKind::ElasticRiemann, 1, ExpansionMode::Elastic9,
+                    Boundary::Periodic, Materials::Uniform, 0));
   out.push_back(sim(ProblemKind::ElasticRiemann, 2, ExpansionMode::Elastic9,
-                    Boundary::Periodic, Materials::Uniform, 288,
-                    ExecPath::Compiled));
+                    Boundary::Periodic, Materials::Uniform, 288));
 
   // Expansion axis beyond the Table 5 defaults: the acoustic 4-block
   // split, resident and through a window.
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::Acoustic4,
-                    Boundary::Periodic, Materials::Uniform, 0,
-                    ExecPath::Compiled));
+                    Boundary::Periodic, Materials::Uniform, 0));
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::Acoustic4,
-                    Boundary::Periodic, Materials::Uniform, 128,
-                    ExecPath::Compiled));
+                    Boundary::Periodic, Materials::Uniform, 128));
 
   // Beyond-paper boundary axis (reflective walls; the PIM mapping
   // supports periodic/reflective — absorbing layers exist only in the
   // CPU DG solver and are documented as a deviation).
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                    Boundary::Reflective, Materials::Uniform, 0,
-                    ExecPath::Compiled));
+                    Boundary::Reflective, Materials::Uniform, 0));
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                    Boundary::Reflective, Materials::Uniform, 32,
-                    ExecPath::Compiled));
+                    Boundary::Reflective, Materials::Uniform, 32));
   out.push_back(sim(ProblemKind::ElasticCentral, 1, ExpansionMode::Elastic3,
-                    Boundary::Reflective, Materials::Uniform, 0,
-                    ExecPath::Compiled));
+                    Boundary::Reflective, Materials::Uniform, 0));
 
   // Beyond-paper heterogeneous-materials axis (two-layer media), alone
   // and combined with a window and with reflective walls.
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                    Boundary::Periodic, Materials::Layered, 0,
-                    ExecPath::Compiled));
+                    Boundary::Periodic, Materials::Layered, 0));
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                    Boundary::Periodic, Materials::Layered, 32,
-                    ExecPath::Compiled));
+                    Boundary::Periodic, Materials::Layered, 32));
   out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                    Boundary::Reflective, Materials::Layered, 0,
-                    ExecPath::Compiled));
+                    Boundary::Reflective, Materials::Layered, 0));
   out.push_back(sim(ProblemKind::ElasticCentral, 1, ExpansionMode::Elastic3,
-                    Boundary::Periodic, Materials::Layered, 0,
-                    ExecPath::Compiled));
+                    Boundary::Periodic, Materials::Layered, 0));
 
-  // Cycle net-backend axis: every tier resident (the backend must leave
-  // each tier's field hash untouched), the reduced matrix's windowed
-  // cell, and one elastic point with its heavier flux traffic.
-  for (const ExecPath tier : mapping::kAllExecPaths) {
+  // Cycle net-backend axis: resident and the reduced matrix's windowed
+  // cell (the backend must leave the field hash untouched), and one
+  // elastic point with its heavier flux traffic.
+  for (const std::uint32_t limit : {0u, 32u}) {
     out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                      Boundary::Periodic, Materials::Uniform, 0, tier,
+                      Boundary::Periodic, Materials::Uniform, limit,
                       pim::NetBackendKind::Cycle));
   }
-  out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                    Boundary::Periodic, Materials::Uniform, 32,
-                    ExecPath::Compiled, pim::NetBackendKind::Cycle));
   out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
                     Boundary::Periodic, Materials::Uniform, 0,
-                    ExecPath::Compiled, pim::NetBackendKind::Cycle));
+                    pim::NetBackendKind::Cycle));
   return out;
 }
 

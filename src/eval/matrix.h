@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "mapping/config.h"
-#include "mapping/simulation.h"
+#include "mesh/structured_mesh.h"
 
 namespace wavepim::eval {
 
@@ -16,7 +16,7 @@ namespace wavepim::eval {
 ///    platform row of the comparison grid.
 ///  * `Sim`   — the bit-true functional simulator on a small mesh: one
 ///    scenario per (physics x expansion x boundary x materials x
-///    residency window x execution tier) point, one cell per scenario.
+///    residency window x net backend) point, one cell per scenario.
 enum class CellKind : std::uint8_t { Paper, Sim };
 
 [[nodiscard]] const char* to_string(CellKind kind);
@@ -45,7 +45,6 @@ struct Scenario {
   /// 0 = fully resident; otherwise the chip is capped at this many
   /// blocks, forcing the batched residency window (over-capacity axis).
   std::uint32_t block_limit = 0;
-  mapping::ExecPath exec = mapping::ExecPath::Compiled;
   /// Interconnect timing backend (pricing-only: cycle cells reproduce
   /// the analytic cells' field hashes exactly; only the network channel
   /// and the `net_*` link metrics move).
@@ -53,7 +52,7 @@ struct Scenario {
   int sim_steps = 2;
 
   /// Stable scenario identifier, e.g. `paper/Acoustic_4` or
-  /// `sim/acoustic-l2/N/periodic/uniform/win32/compiled`. Cell ids are
+  /// `sim/acoustic-l2/N/periodic/uniform/win32`. Cell ids are
   /// derived from it (paper scenarios append the platform name; cycle
   /// net-backend cells append `/net-cycle` so the analytic ids — and the
   /// committed baseline cells keyed by them — are untouched).
@@ -61,10 +60,10 @@ struct Scenario {
 };
 
 /// Matrix selection: `Reduced` is the CI gate (small meshes, a subset
-/// of paper benchmarks, both execution tiers, one over-capacity
-/// window); `Full` is the complete cross product incl. both level-5
-/// paper benchmarks and the extended sim axes, and carries enough
-/// benchmarks to evaluate the Fig. 11/12 shape claims.
+/// of paper benchmarks, one over-capacity window); `Full` is the
+/// complete cross product incl. both level-5 paper benchmarks and the
+/// extended sim axes, and carries enough benchmarks to evaluate the
+/// Fig. 11/12 shape claims.
 enum class MatrixKind : std::uint8_t { Reduced, Full };
 
 [[nodiscard]] const char* to_string(MatrixKind kind);

@@ -66,14 +66,6 @@ std::unique_ptr<mapping::PimSimulation> make_simulation(
 CellResult run_sim_cell(const Scenario& s, const RunOptions& options) {
   auto sim = make_simulation(s);
   sim->set_num_threads(options.threads);
-  sim->set_exec_path(s.exec);
-  // Word cells run under the full differential witness: every phase
-  // application is re-executed bit-serially and hash-compared, and the
-  // counters land in the cell so the pinned matrix asserts zero
-  // mismatches forever.
-  if (s.exec == mapping::ExecPath::Word) {
-    sim->set_witness_interval(1);
-  }
   sim->load_state(seeded_state(*sim));
   for (int i = 0; i < s.sim_steps; ++i) {
     sim->step(2.0e-4);
@@ -83,7 +75,6 @@ CellResult run_sim_cell(const Scenario& s, const RunOptions& options) {
   CellResult cell;
   cell.id = s.id();
   cell.kind = CellKind::Sim;
-  cell.labels.emplace_back("exec", mapping::to_string(s.exec));
   cell.labels.emplace_back("expansion", mapping::to_string(s.expansion));
   cell.labels.emplace_back("boundary", s.boundary == mesh::Boundary::Periodic
                                            ? "periodic"
@@ -143,15 +134,6 @@ CellResult run_sim_cell(const Scenario& s, const RunOptions& options) {
                             static_cast<double>(residency.slice_stores()));
   cell.metrics.emplace_back("bytes_staged",
                             static_cast<double>(residency.bytes_staged()));
-  if (s.exec == mapping::ExecPath::Word) {
-    const auto& ws = sim->witness_stats();
-    cell.metrics.emplace_back("witness_checks",
-                              static_cast<double>(ws.checks));
-    cell.metrics.emplace_back("witness_blocks_checked",
-                              static_cast<double>(ws.blocks_checked));
-    cell.metrics.emplace_back("witness_mismatches",
-                              static_cast<double>(ws.mismatches));
-  }
   return cell;
 }
 

@@ -11,7 +11,7 @@
 namespace wavepim::eval {
 
 /// One evaluated matrix cell. Labels are exact-match facts (the field
-/// hash, the execution tier, the chosen Table 5 config); metrics are
+/// hash, the expansion, the chosen Table 5 config); metrics are
 /// numeric and compared against a baseline with a relative tolerance.
 /// Both keep insertion order so a serialised cell is byte-stable.
 struct CellResult {

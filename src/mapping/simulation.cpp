@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <limits>
 
 #include "common/error.h"
+#include "common/float_bits.h"
 #include "dg/rk.h"
 #include "mapping/config.h"
 #include "trace/trace.h"
@@ -16,18 +16,6 @@ namespace wavepim::mapping {
 namespace {
 
 constexpr std::uint32_t kNoStep = std::numeric_limits<std::uint32_t>::max();
-
-/// FNV-1a over a block's raw word storage — the witness's state hash
-/// (same constants as the conformance suites' chip hashes).
-std::uint64_t fnv1a_words(std::span<const float> words) {
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(words.data());
-  for (std::size_t i = 0; i < words.size() * sizeof(float); ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 /// Process-wide witness check count; keys the per-worker table copies.
 std::atomic<std::uint64_t> g_witness_check{0};
@@ -42,16 +30,6 @@ const char* to_string(ExecPath path) {
       return "word";
   }
   return "?";
-}
-
-bool parse_exec_path(const char* s, ExecPath& out) {
-  for (const ExecPath path : kAllExecPaths) {
-    if (std::strcmp(s, to_string(path)) == 0) {
-      out = path;
-      return true;
-    }
-  }
-  return false;
 }
 
 PimSimulation::PimSimulation(const Problem& problem, ExpansionMode mode,
@@ -594,8 +572,8 @@ void PimSimulation::witness_verify(
     for (std::uint32_t g = 0; g < bpe; ++g) {
       shadow_table[e * bpe + g] = table[e * bpe + g];
       witness_bad_[i * bpe + g] =
-          fnv1a_words(shadow_blocks[g].words()) !=
-          fnv1a_words(table[e * bpe + g]->words());
+          fnv1a_floats(shadow_blocks[g].words()) !=
+          fnv1a_floats(table[e * bpe + g]->words());
     }
   });
   witness_stats_.checks += 1;

@@ -24,7 +24,9 @@ namespace wavepim::mapping {
 /// bit-identical fields, cost channels and interconnect statistics
 /// (guarded by tests/mapping/exec_conformance_test.cpp), and both are
 /// checked against a test-side functional oracle that re-lowers every
-/// element each phase (tests/mapping/functional_oracle_test.cpp):
+/// element each phase (tests/mapping/functional_oracle_test.cpp). Every
+/// program runs the default, Word; only perfbench, the micro benches and
+/// the tests select a tier, to time or check the two against each other:
 ///
 ///  * `Compiled` — each shape class is lowered once into the program
 ///                 cache, and the cached streams are resolved into
@@ -42,9 +44,6 @@ inline constexpr ExecPath kAllExecPaths[] = {ExecPath::Compiled,
                                              ExecPath::Word};
 
 [[nodiscard]] const char* to_string(ExecPath path);
-/// Parses "compiled"/"word" (the to_string spellings). Returns
-/// false on anything else, leaving `out` untouched.
-bool parse_exec_path(const char* s, ExecPath& out);
 
 /// Bit-true Wave-PIM simulation: executes the mapped Volume / Flux /
 /// Integration instruction streams on functional crossbar blocks,
@@ -164,7 +163,8 @@ class PimSimulation {
   // word tier: a checked phase snapshots its elements' blocks before the
   // word kernels run, re-executes the phase through the ExecutionPlan on
   // shadow blocks seeded from the snapshot, and compares per-block
-  // FNV-1a hashes of the full stored post-state. Flux re-execution reads
+  // FNV-1a hashes of the full stored post-state (`fnv1a_floats`: any NaN
+  // hashes as the canonical quiet NaN). Flux re-execution reads
   // neighbour *variable* columns from the live blocks — safe, because no
   // phase writes them before Integration.
 

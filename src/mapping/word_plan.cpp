@@ -175,10 +175,10 @@ void WordPlan::fuse_stream(std::vector<WordOp>& ops) {
              rows_distinct(p.rows_a, p.count);
     };
     // The accumulate shape: q reads p's destination as its SECOND
-    // operand (matching the kernels' `other + mid` evaluation order —
-    // IEEE addition is not bitwise commutative for NaN payloads, so the
-    // operand order is part of the contract) and p's destination is not
-    // also q's first operand.
+    // operand (matching the kernels' `other + mid` source order; which
+    // of two NaN operands an add returns is still the compiler's choice,
+    // so NaN payloads are outside the contract, see canonical_bits) and
+    // p's destination is not also q's first operand.
     const auto accumulates = [](const WordOp& p, const WordOp& q) {
       return q.off_b == p.off_dst && q.off_a != p.off_dst;
     };

@@ -96,7 +96,7 @@ Interconnect::Interconnect(const ChipConfig& config, LinkParams link)
   }
   levels_ = config.htree_levels();
   switches_per_tile_ = config.htree_switches_per_tile();
-  level_offset_.assign(levels_, 0);
+  WAVEPIM_ASSERT(levels_ <= level_offset_.size(), "too many H-tree levels");
   std::uint32_t offset = 0;
   for (std::uint32_t level = 0; level < levels_; ++level) {
     level_offset_[level] = offset;

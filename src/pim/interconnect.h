@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -210,7 +212,12 @@ class Interconnect {
   std::uint32_t shift_ = 2;              ///< log2(arity)
   std::uint32_t levels_ = 4;             ///< tree levels above the blocks
   std::uint32_t switches_per_tile_ = 85;
-  std::vector<std::uint32_t> level_offset_;
+  /// First switch of each level within a tile. Held inline: every path
+  /// lookup on every pricing worker reads it, and a separately allocated
+  /// table can share a cache line with memory another thread writes.
+  /// Arity 2 has the most levels, log2(kBlocksPerTile).
+  std::array<std::uint32_t, std::countr_zero(ChipConfig::kBlocksPerTile)>
+      level_offset_{};
 };
 
 }  // namespace wavepim::pim

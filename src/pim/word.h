@@ -5,8 +5,8 @@
 
 namespace wavepim::pim::word {
 
-/// Word-level FP32 kernels — the fast-path substrate of the `--exec=word`
-/// execution tier (mapping/word_plan.h).
+/// Word-level FP32 kernels — the substrate of the word execution tier
+/// every program runs (mapping/word_plan.h).
 ///
 /// The functional Block model already stores FP32 words; the test-side
 /// oracle's block ops (tests/support/block_ops.h) pay per-op ledger

@@ -1,18 +1,18 @@
 #include "service/job.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <utility>
 
+#include "common/float_bits.h"
 #include "common/rng.h"
 
 namespace wavepim::service {
 
 std::string JobSpec::describe() const {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "job%u[%s %s %u-step]", id,
-                problem().name().c_str(), mapping::to_string(exec), steps);
+  std::snprintf(buf, sizeof(buf), "job%u[%s %u-step]", id,
+                problem().name().c_str(), steps);
   return buf;
 }
 
@@ -48,8 +48,8 @@ std::vector<JobSpec> generate_jobs(const GeneratorOptions& opt) {
     spec.boundary = rng.next_double() < 0.25 ? mesh::Boundary::Reflective
                                              : mesh::Boundary::Periodic;
 
-    spec.exec = rng.next_double() < 0.7 ? mapping::ExecPath::Compiled
-                                        : mapping::ExecPath::Word;
+    // The retired tier draw: kept so every seeded stream stays the same.
+    (void)rng.next_double();
 
     spec.steps = opt.zero_step_jobs
                      ? 0
@@ -93,18 +93,9 @@ dg::Field initial_state(const JobSpec& spec,
 }
 
 std::string field_hash(const dg::Field& field) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const float f : field.flat()) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &f, sizeof(bits));
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(fnv1a_floats(field.flat())));
   return buf;
 }
 
@@ -112,7 +103,6 @@ JobResult run_job_solo(const JobSpec& spec, pim::ChipConfig chip,
                        std::size_t threads) {
   mapping::PimSimulation sim(spec.problem(), spec.expansion, std::move(chip),
                              spec.boundary);
-  sim.set_exec_path(spec.exec);
   sim.set_num_threads(threads);
   sim.load_state(initial_state(spec, sim));
   for (std::uint32_t s = 0; s < spec.steps; ++s) {

@@ -12,7 +12,7 @@
 
 /// Simulation-as-a-service: job descriptions, the seeded request
 /// generator and the solo reference runner. A "job" is one complete
-/// wave simulation — mesh level, physics, execution tier, step budget —
+/// wave simulation — mesh level, physics, boundary, step budget —
 /// arriving at a point on the service's trace clock. The scheduler
 /// (scheduler.h) multiplexes many jobs over a pooled chip fleet; the
 /// contract is that every job's final field and cost ledgers are
@@ -34,7 +34,6 @@ struct JobSpec {
   int refinement_level = 1;
   int n1d = 3;
   mesh::Boundary boundary = mesh::Boundary::Periodic;
-  mapping::ExecPath exec = mapping::ExecPath::Word;
   std::uint32_t steps = 1;     ///< time-step budget (0 = load/read only)
   double deadline_s = 0.0;     ///< absolute deadline; <= 0 means none
   std::uint64_t state_seed = 0;  ///< perturbs the initial field
@@ -59,8 +58,8 @@ struct GeneratorOptions {
 
 /// The seeded heterogeneous stream: ~60% acoustic (some at mesh level
 /// 2), the rest split between central-flux and Riemann elastic, across
-/// both execution tiers and both boundary patterns. Sorted by
-/// (arrival, id); ids are 0..num_jobs-1.
+/// both boundary patterns. Sorted by (arrival, id); ids are
+/// 0..num_jobs-1.
 [[nodiscard]] std::vector<JobSpec> generate_jobs(const GeneratorOptions& opt);
 
 /// The job's deterministic initial field: the evaluation suite's seeded
@@ -69,8 +68,9 @@ struct GeneratorOptions {
 [[nodiscard]] dg::Field initial_state(const JobSpec& spec,
                                       const mapping::PimSimulation& sim);
 
-/// FNV-1a over the field's float bit patterns as 16 hex digits — the
-/// bit-exactness witness the conformance suite compares.
+/// FNV-1a over the field's float bit patterns as 16 hex digits, every
+/// NaN hashed as the canonical quiet NaN — the bit-exactness witness the
+/// conformance suite compares.
 [[nodiscard]] std::string field_hash(const dg::Field& field);
 
 /// What a finished job hands back: the bit-exactness witness plus the

@@ -142,7 +142,6 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     auto sim = std::make_unique<mapping::PimSimulation>(
         job.spec.problem(), job.spec.expansion, pool.chip(ci),
         job.spec.boundary);
-    sim->set_exec_path(job.spec.exec);
     sim->set_num_threads(options_.threads);
     sim->set_shared_cache(bank.cache_for(job.spec));
     if (job.has_checkpoint) {

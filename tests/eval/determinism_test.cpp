@@ -10,16 +10,16 @@
 #include "common/json.h"
 #include "eval/report.h"
 #include "eval/runner.h"
+#include "service/job.h"
 
 namespace wavepim::eval {
 namespace {
 
-Scenario sim_scenario(std::uint32_t block_limit, mapping::ExecPath exec) {
+Scenario sim_scenario(std::uint32_t block_limit) {
   Scenario s;
   s.kind = CellKind::Sim;
   s.problem = mapping::Problem{dg::ProblemKind::Acoustic, 2, 3};
   s.block_limit = block_limit;
-  s.exec = exec;
   return s;
 }
 
@@ -31,8 +31,41 @@ std::string dump_cell(const Scenario& s, int threads) {
   return json::dump(cell_to_json(cells[0]), 1);
 }
 
+std::string cell_hash(const Scenario& s) {
+  const auto cells = run_scenario(s, {}, nullptr);
+  EXPECT_EQ(cells.size(), 1u);
+  for (const auto& [key, value] : cells.at(0).labels) {
+    if (key == "field_hash") {
+      return value;
+    }
+  }
+  return {};
+}
+
+struct DirectRun {
+  std::string hash;
+  mapping::PimSimulation::WitnessStats witness;
+};
+
+/// Runs a uniform-media scenario outside the runner on a chosen tier and
+/// witness cadence, from the runner's seeded state (the service's initial
+/// state at job seed 0).
+DirectRun run_direct(const Scenario& s, mapping::ExecPath path,
+                     std::uint32_t witness) {
+  pim::ChipConfig chip = pim::chip_512mb();
+  chip.block_limit = s.block_limit;
+  mapping::PimSimulation sim(s.problem, s.expansion, chip, s.boundary);
+  sim.set_exec_path(path);
+  sim.set_witness_interval(witness);
+  sim.load_state(service::initial_state({}, sim));
+  for (int i = 0; i < s.sim_steps; ++i) {
+    sim.step(2.0e-4);
+  }
+  return {service::field_hash(sim.read_state()), sim.witness_stats()};
+}
+
 TEST(Determinism, ResidentCellIsByteIdenticalAcrossRunsAndThreads) {
-  const Scenario s = sim_scenario(0, mapping::ExecPath::Compiled);
+  const Scenario s = sim_scenario(0);
   const std::string first = dump_cell(s, 1);
   EXPECT_EQ(dump_cell(s, 1), first) << "re-run diverged";
   EXPECT_EQ(dump_cell(s, 4), first) << "thread count leaked into the report";
@@ -41,7 +74,7 @@ TEST(Determinism, ResidentCellIsByteIdenticalAcrossRunsAndThreads) {
 TEST(Determinism, OverCapacityCellIsByteIdenticalAcrossRunsAndThreads) {
   // block_limit 32 forces the batched residency window — the axis where
   // slice staging order could plausibly leak nondeterminism.
-  const Scenario s = sim_scenario(32, mapping::ExecPath::Compiled);
+  const Scenario s = sim_scenario(32);
   const std::string first = dump_cell(s, 1);
   EXPECT_EQ(dump_cell(s, 1), first) << "re-run diverged";
   EXPECT_EQ(dump_cell(s, 4), first) << "thread count leaked into the report";
@@ -50,55 +83,37 @@ TEST(Determinism, OverCapacityCellIsByteIdenticalAcrossRunsAndThreads) {
 }
 
 TEST(Determinism, WordCellIsByteIdenticalAcrossRunsAndThreads) {
-  // The word tier adds the vector engine and (in the runner) the full
-  // differential witness — both must serialise identically at any
-  // thread count, witness counters included.
-  const Scenario s = sim_scenario(32, mapping::ExecPath::Word);
+  // Sim cells run the word tier without the witness; an elastic-Riemann
+  // cell on the 9-block split must serialise identically at any thread
+  // count too, and carry no witness counters.
+  Scenario s = sim_scenario(0);
+  s.problem = mapping::Problem{dg::ProblemKind::ElasticRiemann, 1, 3};
+  s.expansion = mapping::ExpansionMode::Elastic9;
   const std::string first = dump_cell(s, 1);
   EXPECT_EQ(dump_cell(s, 1), first) << "re-run diverged";
   EXPECT_EQ(dump_cell(s, 4), first) << "thread count leaked into the report";
-  EXPECT_NE(first.find("witness_mismatches"), std::string::npos)
-      << "word cell did not carry the witness counters";
+  EXPECT_EQ(first.find("witness_"), std::string::npos);
 }
 
 TEST(Determinism, TiersAgreeOnTheFieldHash) {
-  // The two execution tiers are documented as bit-identical; their
-  // report cells must therefore carry the same field_hash label (the
-  // cost/residency metrics agree too, but exec/id fields differ).
-  std::string hashes[std::size(mapping::kAllExecPaths)];
-  int i = 0;
-  for (const auto exec : mapping::kAllExecPaths) {
-    const auto cells = run_scenario(sim_scenario(32, exec), {}, nullptr);
-    ASSERT_EQ(cells.size(), 1u);
-    for (const auto& [key, value] : cells[0].labels) {
-      if (key == "field_hash") {
-        hashes[i] = value;
-      }
-    }
-    ASSERT_FALSE(hashes[i].empty());
-    ++i;
-  }
-  EXPECT_EQ(hashes[0], hashes[1]);
+  // The two execution tiers are documented as bit-identical: the compiled
+  // tier, run outside the runner from the same seeded state, must land
+  // on the field_hash of the (word-tier) cell.
+  const Scenario s = sim_scenario(32);
+  const std::string hash = cell_hash(s);
+  ASSERT_FALSE(hash.empty());
+  EXPECT_EQ(run_direct(s, mapping::ExecPath::Compiled, 0).hash, hash);
 }
 
 TEST(Determinism, WordCellWitnessRunsCleanOverTheFullCadence) {
-  // The runner pins witness cadence 1 on word cells: every phase of
-  // every schedule step is re-executed bit-serially. Zero mismatches is
-  // the tentpole's conformance claim at the report layer.
-  const auto cells =
-      run_scenario(sim_scenario(32, mapping::ExecPath::Word), {}, nullptr);
-  ASSERT_EQ(cells.size(), 1u);
-  double checks = -1.0;
-  double mismatches = -1.0;
-  for (const auto& [key, value] : cells[0].metrics) {
-    if (key == "witness_checks") {
-      checks = value;
-    } else if (key == "witness_mismatches") {
-      mismatches = value;
-    }
-  }
-  EXPECT_GT(checks, 0.0) << "witness never ran";
-  EXPECT_EQ(mismatches, 0.0);
+  // The cell's run under the witness at cadence 1: every phase of every
+  // schedule step is re-executed bit-serially. Zero mismatches, and the
+  // witness leaves the cell's field_hash unchanged.
+  const Scenario s = sim_scenario(32);
+  const DirectRun run = run_direct(s, mapping::ExecPath::Word, 1);
+  EXPECT_GT(run.witness.checks, 0u) << "witness never ran";
+  EXPECT_EQ(run.witness.mismatches, 0u);
+  EXPECT_EQ(run.hash, cell_hash(s));
 }
 
 TEST(Determinism, PaperCellsAreByteIdenticalAcrossRuns) {

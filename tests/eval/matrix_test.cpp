@@ -1,8 +1,8 @@
 // The scenario matrix is declarative data the whole evaluation hangs
 // off: ids must be stable and unique, the reduced CI matrix must be a
 // strict subset of the full one, and the axes the matrix exists to
-// cover (both execution tiers, an over-capacity window, heterogeneous
-// materials, a reflective boundary) must actually be enumerated.
+// cover (an over-capacity window, heterogeneous materials, a reflective
+// boundary, the cycle net backend) must actually be enumerated.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -39,7 +39,7 @@ TEST(Matrix, ReducedIsSubsetOfFull) {
 
 TEST(Matrix, ReducedCoversTheGatingAxes) {
   const auto scenarios = build_matrix(MatrixKind::Reduced);
-  std::set<mapping::ExecPath> tiers;
+  bool cycle = false;
   bool over_capacity = false;
   bool layered = false;
   bool reflective = false;
@@ -49,13 +49,12 @@ TEST(Matrix, ReducedCoversTheGatingAxes) {
       paper = true;
       continue;
     }
-    tiers.insert(s.exec);
+    cycle = cycle || s.net_backend == pim::NetBackendKind::Cycle;
     over_capacity = over_capacity || s.block_limit != 0;
     layered = layered || s.materials == Materials::Layered;
     reflective = reflective || s.boundary == mesh::Boundary::Reflective;
   }
-  EXPECT_EQ(tiers.size(), std::size(mapping::kAllExecPaths))
-      << "reduced matrix must run every tier";
+  EXPECT_TRUE(cycle) << "reduced matrix must run the cycle net backend";
   EXPECT_TRUE(over_capacity)
       << "reduced matrix must include an over-capacity residency window";
   EXPECT_TRUE(layered);
@@ -94,8 +93,9 @@ TEST(Matrix, IdEncodesEveryAxis) {
   s.boundary = mesh::Boundary::Reflective;
   s.materials = Materials::Layered;
   s.block_limit = 96;
-  s.exec = mapping::ExecPath::Word;
-  EXPECT_EQ(s.id(), "sim/elastic-central-l2/Er/reflective/layered/win96/word");
+  s.net_backend = pim::NetBackendKind::Cycle;
+  EXPECT_EQ(s.id(),
+            "sim/elastic-central-l2/Er/reflective/layered/win96/net-cycle");
 }
 
 }  // namespace

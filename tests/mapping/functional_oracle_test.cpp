@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/float_bits.h"
 #include "dg/op_counter.h"
 #include "dg/physics.h"
 #include "dg/rk.h"
@@ -237,8 +238,8 @@ class Harness {
                         phase + " ledger of block " + std::to_string(b));
       for (std::uint32_t c = 0; c < pim::Block::kWords; ++c) {
         for (std::uint32_t r = 0; r < rows; ++r) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(oracle.at(r, c)),
-                    std::bit_cast<std::uint32_t>(plan.at(r, c)))
+          ASSERT_EQ(canonical_bits(oracle.at(r, c)),
+                    canonical_bits(plan.at(r, c)))
               << phase << ": block " << b << " word (" << r << ", " << c
               << ")";
         }

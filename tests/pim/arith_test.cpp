@@ -70,7 +70,7 @@ TEST(OpCost, Accumulates) {
 
 // --- Differential fuzz: Block scalar arithmetic vs the word kernels -------
 //
-// The --exec=word tier replaces the scalar block ops (the oracle's
+// The word tier replaces the scalar block ops (the oracle's
 // arith/fscale/faxpy/gather_rows in support/block_ops.h) with the
 // vectorizable kernels of pim/word.h. Its whole correctness
 // claim is that each kernel computes the *same IEEE operation bit for

@@ -126,7 +126,6 @@ std::vector<JobSpec> preemption_specs() {
   lng.arrival_s = 0.0;
   lng.kind = dg::ProblemKind::Acoustic;
   lng.expansion = mapping::ExpansionMode::None;
-  lng.exec = mapping::ExecPath::Compiled;
   lng.steps = 6;
   lng.state_seed = 17;
   specs.push_back(lng);
@@ -136,7 +135,6 @@ std::vector<JobSpec> preemption_specs() {
     spec.arrival_s = 1.0e-12 * static_cast<double>(i);  // before any quantum
     spec.kind = dg::ProblemKind::Acoustic;
     spec.expansion = mapping::ExpansionMode::None;
-    spec.exec = mapping::ExecPath::Word;
     spec.steps = 1;
     spec.deadline_s = 1.0e-6 * static_cast<double>(i);
     spec.state_seed = 100 + i;
@@ -180,7 +178,6 @@ TEST(ServiceConformance, WindowedPoolMatchesSoloRuns) {
     spec.kind = dg::ProblemKind::Acoustic;
     spec.expansion = mapping::ExpansionMode::None;
     spec.refinement_level = 2;
-    spec.exec = mapping::ExecPath::Compiled;
     spec.steps = i == 0 ? 3 : 1;
     spec.deadline_s = i == 0 ? 0.0 : 1.0e-6 * static_cast<double>(i);
     spec.state_seed = 31 + i;

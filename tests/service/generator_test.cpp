@@ -23,7 +23,6 @@ TEST(RequestGenerator, IdenticalOptionsProduceIdenticalStreams) {
     EXPECT_EQ(a[i].expansion, b[i].expansion);
     EXPECT_EQ(a[i].refinement_level, b[i].refinement_level);
     EXPECT_EQ(a[i].boundary, b[i].boundary);
-    EXPECT_EQ(a[i].exec, b[i].exec);
     EXPECT_EQ(a[i].steps, b[i].steps);
     EXPECT_EQ(a[i].deadline_s, b[i].deadline_s);
     EXPECT_EQ(a[i].state_seed, b[i].state_seed);
@@ -46,7 +45,6 @@ TEST(RequestGenerator, StreamShapeInvariants) {
   const auto jobs = generate_jobs(opt);
   ASSERT_EQ(jobs.size(), 64u);
   std::set<dg::ProblemKind> kinds;
-  std::set<mapping::ExecPath> tiers;
   double prev_arrival = 0.0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].id, static_cast<std::uint32_t>(i));
@@ -60,23 +58,19 @@ TEST(RequestGenerator, StreamShapeInvariants) {
       EXPECT_GT(jobs[i].deadline_s, jobs[i].arrival_s);
     }
     kinds.insert(jobs[i].kind);
-    tiers.insert(jobs[i].exec);
   }
-  // 64 draws see every physics and more than one execution tier.
+  // 64 draws see every physics.
   EXPECT_EQ(kinds.size(), 3u);
-  EXPECT_GE(tiers.size(), 2u);
 }
 
 TEST(RequestGenerator, DefaultStreamIsPinned) {
   // The first 16 specs of the default options (seed 1), bit for bit.
   // Adding or dropping any RNG draw shifts every later field, so this
-  // catches a generator change that the shape invariants would not. The
-  // tier is one uniform draw: below 0.7 compiled (job 3 draws below
-  // 0.1), otherwise word.
+  // catches a generator change that the shape invariants would not (the
+  // retired tier draw, made and discarded, is one of them).
   using K = dg::ProblemKind;
   using M = mapping::ExpansionMode;
   using B = mesh::Boundary;
-  using X = mapping::ExecPath;
   struct Pinned {
     std::uint64_t arrival_bits;
     K kind;
@@ -85,41 +79,40 @@ TEST(RequestGenerator, DefaultStreamIsPinned) {
     B boundary;
     std::uint32_t steps;
     std::uint64_t deadline_bits;
-    X exec;
   };
   const Pinned pinned[] = {
       {0x3f1bf592d574d6e0ull, K::ElasticCentral, M::Elastic3, 1, B::Periodic,
-       2, 0x0000000000000000ull, X::Compiled},
+       2, 0x0000000000000000ull},
       {0x3f2846843d2bc022ull, K::ElasticCentral, M::Elastic3, 1, B::Periodic,
-       1, 0x0000000000000000ull, X::Compiled},
+       1, 0x0000000000000000ull},
       {0x3f33a4cf9a0c0b68ull, K::ElasticRiemann, M::Elastic9, 1, B::Periodic,
-       3, 0x3f41a49c99c66cc8ull, X::Word},
+       3, 0x3f41a49c99c66cc8ull},
       {0x3f38cd07748347e4ull, K::Acoustic, M::None, 1, B::Periodic,
-       3, 0x0000000000000000ull, X::Compiled},
+       3, 0x0000000000000000ull},
       {0x3f3ef4632f45a87aull, K::Acoustic, M::None, 1, B::Periodic,
-       1, 0x0000000000000000ull, X::Word},
+       1, 0x0000000000000000ull},
       {0x3f41e3e5d0270a84ull, K::ElasticCentral, M::Elastic3, 1, B::Periodic,
-       3, 0x3f4de2a2ba87eb9aull, X::Word},
+       3, 0x3f4de2a2ba87eb9aull},
       {0x3f44848b2316f5f6ull, K::Acoustic, M::None, 1, B::Periodic,
-       4, 0x0000000000000000ull, X::Compiled},
+       4, 0x0000000000000000ull},
       {0x3f49067e4480908eull, K::Acoustic, M::None, 2, B::Periodic,
-       3, 0x3f4c0a11624584d6ull, X::Compiled},
+       3, 0x3f4c0a11624584d6ull},
       {0x3f4c86c7c198e552ull, K::Acoustic, M::None, 2, B::Periodic,
-       4, 0x0000000000000000ull, X::Word},
+       4, 0x0000000000000000ull},
       {0x3f507de16cda86ccull, K::ElasticRiemann, M::Elastic9, 1, B::Reflective,
-       2, 0x3f54f69713673a8bull, X::Compiled},
+       2, 0x3f54f69713673a8bull},
       {0x3f52da365df2fd60ull, K::ElasticCentral, M::Elastic3, 1, B::Reflective,
-       1, 0x0000000000000000ull, X::Compiled},
+       1, 0x0000000000000000ull},
       {0x3f553b9950bfb493ull, K::Acoustic, M::None, 2, B::Periodic,
-       3, 0x3f5a6728f2622783ull, X::Word},
+       3, 0x3f5a6728f2622783ull},
       {0x3f57243cfbf5c253ull, K::Acoustic, M::None, 1, B::Periodic,
-       3, 0x0000000000000000ull, X::Compiled},
+       3, 0x0000000000000000ull},
       {0x3f58348a70f171beull, K::ElasticCentral, M::Elastic3, 1, B::Periodic,
-       3, 0x0000000000000000ull, X::Compiled},
+       3, 0x0000000000000000ull},
       {0x3f59f238ec5125ecull, K::ElasticCentral, M::Elastic3, 1, B::Periodic,
-       1, 0x3f5b1e1851aff426ull, X::Word},
+       1, 0x3f5b1e1851aff426ull},
       {0x3f5b69a6eefab66full, K::Acoustic, M::None, 1, B::Reflective,
-       1, 0x3f5d460fa5217360ull, X::Compiled},
+       1, 0x3f5d460fa5217360ull},
   };
   const auto jobs = generate_jobs({});
   ASSERT_EQ(jobs.size(), std::size(pinned));
@@ -134,7 +127,6 @@ TEST(RequestGenerator, DefaultStreamIsPinned) {
     EXPECT_EQ(jobs[i].steps, pinned[i].steps);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(jobs[i].deadline_s),
               pinned[i].deadline_bits);
-    EXPECT_EQ(jobs[i].exec, pinned[i].exec);
   }
 }
 

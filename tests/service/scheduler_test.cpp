@@ -45,12 +45,10 @@ TEST(Scheduler, EdfFinishesUrgentJobEarlierThanFifo) {
   std::vector<JobSpec> specs(2);
   specs[0].id = 0;
   specs[0].steps = 6;
-  specs[0].exec = mapping::ExecPath::Compiled;
   specs[1].id = 1;
   specs[1].arrival_s = 1.0e-12;
   specs[1].steps = 1;
   specs[1].deadline_s = 1.0e-6;
-  specs[1].exec = mapping::ExecPath::Compiled;
   specs[1].state_seed = 5;
 
   ServiceOptions svc;
@@ -122,14 +120,12 @@ TEST(ChipPool, RecycledChipReproducesFreshChipResults) {
   JobSpec spec;
   spec.id = 0;
   spec.steps = 3;
-  spec.exec = mapping::ExecPath::Compiled;
   spec.state_seed = 7;
 
   ChipPool pool(1, pim::chip_512mb());
   const auto run_on_pool_chip = [&]() {
     mapping::PimSimulation sim(spec.problem(), spec.expansion, pool.chip(0),
                                spec.boundary);
-    sim.set_exec_path(spec.exec);
     sim.load_state(initial_state(spec, sim));
     for (std::uint32_t s = 0; s < spec.steps; ++s) {
       sim.step(kJobDt);

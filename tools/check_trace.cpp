@@ -1,8 +1,8 @@
 // check_trace — validates a Chrome trace-event JSON file produced by
 // --trace: the document parses, traceEvents is a well-formed array,
 // Begin/End events balance per thread, and the expected simulator spans
-// are present. CI's trace lane runs it against quickstart --trace output
-// on every execution tier.
+// are present. CI's trace lane runs it against quickstart --trace
+// output.
 //
 // Usage: check_trace <trace.json> [required-name ...]
 // With no explicit list, the default simulator span set is required. An
@@ -25,7 +25,7 @@ using namespace wavepim;
 
 namespace {
 
-/// Spans every quickstart run must contain, on any execution tier.
+/// Spans every quickstart run must contain.
 /// batch.load/batch.store bracket the schedule's Load/Store steps even
 /// when fully resident; hbm.stage only appears on batched (capped-chip)
 /// runs, so CI's batched lane requires it explicitly.

@@ -23,7 +23,6 @@ void SharedFlags::apply(pim::ChipConfig& chip) const {
 }
 
 void SharedFlags::apply(mapping::PimSimulation& sim) const {
-  sim.set_exec_path(exec);
   sim.set_witness_interval(witness);
 }
 
@@ -62,12 +61,6 @@ Parse parse_flag(int argc, char** argv, int& i, unsigned accepted,
       return bad("--threads wants a positive integer");
     }
     ThreadPool::set_global_threads(n);
-  } else if ((v = value(kExec, "--exec=")) != nullptr) {
-    mapping::ExecPath path{};
-    if (!mapping::parse_exec_path(v, path)) {
-      return bad("--exec wants compiled or word");
-    }
-    flags.exec = path;
   } else if ((v = value(kWitness, "--witness=")) != nullptr) {
     if (!parse_u32(v, flags.witness)) {
       return bad("--witness wants a cadence (0 = off)");

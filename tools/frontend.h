@@ -21,19 +21,17 @@ namespace wavepim::frontend {
 enum Flag : unsigned {
   kThreads = 1u << 0,     ///< --threads N or --threads=N: sizes the global
                           ///< pool at once
-  kExec = 1u << 1,        ///< --exec=compiled|word
-  kWitness = 1u << 2,     ///< --witness=N: word-tier cadence, 0 = off
-  kChipBlocks = 1u << 3,  ///< --chip-blocks=N: positive block cap
-  kTopology = 1u << 4,    ///< --topology=htree|bus
-  kNetBackend = 1u << 5,  ///< --net-backend=analytic|cycle
-  kTrace = 1u << 6,       ///< --trace=FILE: Chrome trace-event JSON
-  kAllFlags = (1u << 7) - 1,
+  kWitness = 1u << 1,     ///< --witness=N: witness cadence, 0 = off
+  kChipBlocks = 1u << 2,  ///< --chip-blocks=N: positive block cap
+  kTopology = 1u << 3,    ///< --topology=htree|bus
+  kNetBackend = 1u << 4,  ///< --net-backend=analytic|cycle
+  kTrace = 1u << 5,       ///< --trace=FILE: Chrome trace-event JSON
+  kAllFlags = (1u << 6) - 1,
 };
 
 /// Parsed values of the shared flags. The defaults are the library's, so
 /// applying an unflagged set changes nothing.
 struct SharedFlags {
-  mapping::ExecPath exec = mapping::ExecPath::Word;
   std::uint32_t witness = 0;
   std::uint32_t chip_blocks = 0;  ///< 0 = uncapped
   pim::Topology topology = pim::Topology::HTree;
@@ -44,7 +42,7 @@ struct SharedFlags {
   void apply_fabric(pim::ChipConfig& chip) const;
   /// The fabric, its timing kind and the block cap.
   void apply(pim::ChipConfig& chip) const;
-  /// The execution tier and the witness cadence.
+  /// The witness cadence.
   void apply(mapping::PimSimulation& sim) const;
 };
 

@@ -50,14 +50,10 @@ int usage() {
       "             the functional PIM simulator and network pricing\n"
       "             (default: WAVEPIM_NUM_THREADS or the hardware);\n"
       "             results are identical for any count\n"
-      "--exec=compiled|word: execution tier of the functional\n"
-      "             PIM simulator (default: word).\n"
-      "             compiled runs the resolved execution plan, word runs\n"
-      "             the vectorized word-level kernels; fields and cost\n"
-      "             reports are bit-identical across both\n"
-      "--witness=N: word tier only: re-execute every Nth phase\n"
-      "             application bit-serially on shadow blocks and compare\n"
-      "             full-state hashes (1 = every phase, 0/default = off)\n"
+      "--witness=N: re-execute every Nth phase application of the\n"
+      "             functional simulator through the compiled plan on\n"
+      "             shadow blocks and compare full-state hashes\n"
+      "             (1 = every phase, 0/default = off)\n"
       "--trace=FILE: record a structured trace of the run and write it\n"
       "             as Chrome trace-event JSON to FILE (open it in\n"
       "             Perfetto or chrome://tracing); also prints a\n"
