@@ -1,9 +1,7 @@
 // Reproduces Figure 14: intra-element vs inter-element flux time for the
 // H-tree and Bus interconnects across the paper's four case studies, and
 // the ~2.16x H-tree time saving. The cases and the table come from the
-// shared eval/figures library that tools/paper_eval also runs; this bench
-// prices them with the analytic network backend, paper_eval with the
-// cycle backend.
+// shared eval/figures library that tools/paper_eval also runs.
 #include "bench_util.h"
 #include "eval/figures.h"
 
@@ -12,7 +10,7 @@ using namespace wavepim;
 int main() {
   bench::header("Figure 14 — Comparison between H-Tree and Bus");
 
-  const auto data = eval::compute_fig14_data(pim::NetBackendKind::Analytic);
+  const auto data = eval::compute_fig14_data();
   eval::fig14_table(data).print();
   std::printf("\nPaper inter-element share of flux execution: 21.62%% "
               "(H-tree) / 58.41%% (Bus) without expansion, 42.77%% / "

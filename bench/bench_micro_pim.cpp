@@ -18,16 +18,14 @@ using namespace wavepim;
 
 namespace {
 
-// The list schedule on a contended flux-like batch under both backend
-// kinds. The makespan is the same; the cycle kind also folds per-link
-// busy/stall/occupancy statistics (a second input-order pass for the
-// sums, per-resource counters and a sort of the start times), so the
-// delta is the cost of that bookkeeping.
+// The list schedule on a contended flux-like batch, plain and with link
+// statistics (the `cycle` rows). The makespan, sums and energy are the
+// same; the link rows also fold per-link busy/stall/occupancy statistics
+// (per-resource counters and a sort of the start times), so the delta is
+// the cost of that bookkeeping.
 void BM_NetSchedule(benchmark::State& state) {
-  pim::ChipConfig config = pim::chip_2gb(pim::Topology::HTree);
-  config.net_backend = state.range(1) == 0 ? pim::NetBackendKind::Analytic
-                                           : pim::NetBackendKind::Cycle;
-  const pim::Interconnect net(config);
+  const pim::Interconnect net(pim::chip_2gb(pim::Topology::HTree));
+  const bool link_stats = state.range(1) != 0;
   std::vector<pim::Transfer> transfers;
   const auto n = static_cast<std::uint32_t>(state.range(0));
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -36,10 +34,10 @@ void BM_NetSchedule(benchmark::State& state) {
                          .words = 64});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.schedule(transfers).makespan);
+    benchmark::DoNotOptimize(net.schedule(transfers, link_stats).makespan);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(pim::to_string(config.net_backend));
+  state.SetLabel(link_stats ? "cycle" : "analytic");
 }
 BENCHMARK(BM_NetSchedule)
     ->ArgNames({"transfers", "cycle"})

@@ -4,7 +4,7 @@
 //
 // Usage: quickstart [--threads N | --threads=N] [--witness=N]
 //                   [--trace=FILE] [--chip-blocks=N]
-//                   [--topology=htree|bus] [--net-backend=analytic|cycle]
+//                   [--topology=htree|bus]
 // --threads sizes the one pool that runs both the simulator and the
 // projection's network pricing. The worker count changes wall-clock time
 // only; fields and cost reports are bit-identical for any count.
@@ -15,9 +15,8 @@
 // validation run overflows on-chip capacity and exercises the batched
 // residency path (fields stay bit-identical to the resident run; the
 // staging traffic shows up in the hbm cost channel). --topology selects
-// the validation chip's fabric and --net-backend its timing model; both
-// are pricing-only (the network cost channel moves, fields never do),
-// and the cycle backend additionally reports link queuing statistics.
+// the validation chip's fabric; it is pricing-only (the network cost
+// channel and the link queuing statistics move, fields never do).
 // The flags go through the tools' shared front end (tools/frontend.h):
 // a bad value exits 2, a library error (a --chip-blocks cap too small to
 // batch on, say) prints "error: ..." and exits 1.
@@ -119,20 +118,17 @@ int quickstart(const frontend::SharedFlags& flags) {
   const double net_time_s = pim.costs().network.time.value();
   const double overlap =
       net_time_s > 0.0 ? net.serial_sum.value() / net_time_s : 1.0;
-  std::printf("network (%s fabric, %s backend): %s serialized, %s on "
-              "fabric, overlap %.2fx over %llu transfers\n",
+  std::printf("network (%s fabric): %s serialized, %s on fabric, "
+              "overlap %.2fx over %llu transfers\n",
               pim::to_string(chip.topology),
-              pim::to_string(chip.net_backend),
               format_time(net.serial_sum).c_str(),
               format_time(seconds(net_time_s)).c_str(), overlap,
               static_cast<unsigned long long>(net.transfers));
-  if (net.link_schedules > 0) {
-    std::printf("link queuing: stall %s, max utilization %.1f%%, "
-                "peak queue %llu\n",
-                format_time(net.stall_time).c_str(),
-                100.0 * net.max_utilization,
-                static_cast<unsigned long long>(net.peak_queue));
-  }
+  std::printf("link queuing: stall %s, max utilization %.1f%%, "
+              "peak queue %llu\n",
+              format_time(net.stall_time).c_str(),
+              100.0 * net.max_utilization,
+              static_cast<unsigned long long>(net.peak_queue));
   if (flags.chip_blocks != 0) {
     std::printf("HBM staging (hbm channel): %s, %s over %llu slice moves\n",
                 format_time(pim.costs().hbm.time).c_str(),
@@ -173,8 +169,7 @@ int main(int argc, char** argv) {
                    "error: unknown option %s\n"
                    "usage: quickstart [--threads N | --threads=N] "
                    "[--witness=N] [--trace=FILE] [--chip-blocks=N] "
-                   "[--topology=htree|bus] "
-                   "[--net-backend=analytic|cycle]\n",
+                   "[--topology=htree|bus]\n",
                    argv[i]);
       return 2;
     }

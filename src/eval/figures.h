@@ -64,27 +64,28 @@ struct Fig14Row {
   double inter_share = 0.0;  ///< percent of flux execution
 };
 
-/// The Fig. 14 grid under one interconnect timing backend.
+/// The Fig. 14 grid.
 struct Fig14Data {
-  pim::NetBackendKind backend = pim::NetBackendKind::Analytic;
   /// Case-major, H-tree row before Bus row.
   std::vector<Fig14Row> rows;
 };
 
 /// Runs the paper's four Fig. 14 cases (Acoustic_4 on 512MB/2GB,
 /// Elastic-Central_4 on 2GB/8GB — the no-expansion and expansion pairs)
-/// through the estimator on each topology under the given backend. The
-/// H-tree-over-bus result is *derived* from path contention in the
-/// network schedule rather than assumed; the rows are the same under
-/// both backend kinds.
-[[nodiscard]] Fig14Data compute_fig14_data(pim::NetBackendKind backend);
+/// through the estimator on each topology. The H-tree-over-bus result is
+/// *derived* from path contention in the network schedule rather than
+/// assumed. `net_backend` only decides whether the estimator also
+/// collects link statistics, which leaves every row the same; perfbench
+/// times both, and the parameter goes with NetBackendKind.
+[[nodiscard]] Fig14Data compute_fig14_data(
+    pim::NetBackendKind net_backend = pim::NetBackendKind::Analytic);
 
 /// Fig. 14 main table: one row per (case, topology).
 [[nodiscard]] TextTable fig14_table(const Fig14Data& data);
 
 /// The Fig. 14 shape claims: Bus slower on every case, the paper's
-/// headline H-tree >= 2x over Bus on flux execution (cycle backend), and
-/// expansion raising the inter-element share.
+/// headline H-tree >= 2x over Bus on flux execution, and expansion
+/// raising the inter-element share.
 [[nodiscard]] std::vector<ShapeClaim> fig14_claims(const Fig14Data& data);
 
 }  // namespace wavepim::eval

@@ -59,9 +59,6 @@ std::string Scenario::id() const {
   out += to_string(materials);
   out += block_limit == 0 ? std::string("/resident")
                           : "/win" + std::to_string(block_limit);
-  if (net_backend == pim::NetBackendKind::Cycle) {
-    out += "/net-cycle";
-  }
   return out;
 }
 
@@ -83,8 +80,7 @@ Scenario paper(const mapping::Problem& problem) {
 /// RK-stepped time steps from the shared seeded state.
 Scenario sim(ProblemKind kind, int level, ExpansionMode expansion,
              Boundary boundary, Materials materials,
-             std::uint32_t block_limit,
-             pim::NetBackendKind net = pim::NetBackendKind::Analytic) {
+             std::uint32_t block_limit) {
   Scenario s;
   s.kind = CellKind::Sim;
   s.problem = mapping::Problem{kind, level, 3};
@@ -92,7 +88,6 @@ Scenario sim(ProblemKind kind, int level, ExpansionMode expansion,
   s.boundary = boundary;
   s.materials = materials;
   s.block_limit = block_limit;
-  s.net_backend = net;
   return s;
 }
 
@@ -120,14 +115,6 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
                       Boundary::Reflective, Materials::Uniform, 0));
     out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
                       Boundary::Periodic, Materials::Layered, 0));
-    // Cycle net-backend axis (resident and windowed): pricing-only, so
-    // these cells must reproduce the analytic cells' field hashes while
-    // adding the queuing metrics the analytic scheduler cannot see.
-    for (const std::uint32_t limit : {0u, 32u}) {
-      out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                        Boundary::Periodic, Materials::Uniform, limit,
-                        pim::NetBackendKind::Cycle));
-    }
     return out;
   }
 
@@ -180,18 +167,6 @@ std::vector<Scenario> build_matrix(MatrixKind kind) {
                     Boundary::Reflective, Materials::Layered, 0));
   out.push_back(sim(ProblemKind::ElasticCentral, 1, ExpansionMode::Elastic3,
                     Boundary::Periodic, Materials::Layered, 0));
-
-  // Cycle net-backend axis: resident and the reduced matrix's windowed
-  // cell (the backend must leave the field hash untouched), and one
-  // elastic point with its heavier flux traffic.
-  for (const std::uint32_t limit : {0u, 32u}) {
-    out.push_back(sim(ProblemKind::Acoustic, 2, ExpansionMode::None,
-                      Boundary::Periodic, Materials::Uniform, limit,
-                      pim::NetBackendKind::Cycle));
-  }
-  out.push_back(sim(ProblemKind::ElasticCentral, 2, ExpansionMode::Elastic3,
-                    Boundary::Periodic, Materials::Uniform, 0,
-                    pim::NetBackendKind::Cycle));
   return out;
 }
 

@@ -16,7 +16,7 @@ namespace wavepim::eval {
 ///    platform row of the comparison grid.
 ///  * `Sim`   — the bit-true functional simulator on a small mesh: one
 ///    scenario per (physics x expansion x boundary x materials x
-///    residency window x net backend) point, one cell per scenario.
+///    residency window) point, one cell per scenario.
 enum class CellKind : std::uint8_t { Paper, Sim };
 
 [[nodiscard]] const char* to_string(CellKind kind);
@@ -45,17 +45,11 @@ struct Scenario {
   /// 0 = fully resident; otherwise the chip is capped at this many
   /// blocks, forcing the batched residency window (over-capacity axis).
   std::uint32_t block_limit = 0;
-  /// Interconnect timing backend (pricing-only: cycle cells reproduce
-  /// the analytic cells' field hashes exactly; only the network channel
-  /// and the `net_*` link metrics move).
-  pim::NetBackendKind net_backend = pim::NetBackendKind::Analytic;
   int sim_steps = 2;
 
   /// Stable scenario identifier, e.g. `paper/Acoustic_4` or
   /// `sim/acoustic-l2/N/periodic/uniform/win32`. Cell ids are
-  /// derived from it (paper scenarios append the platform name; cycle
-  /// net-backend cells append `/net-cycle` so the analytic ids — and the
-  /// committed baseline cells keyed by them — are untouched).
+  /// derived from it (paper scenarios append the platform name).
   [[nodiscard]] std::string id() const;
 };
 

@@ -95,8 +95,7 @@ std::string render_tables(const MatrixResult& result) {
   }
 
   if (!result.fig14.rows.empty()) {
-    out += std::string("== Figure 14 — H-tree vs Bus (") +
-           pim::to_string(result.fig14.backend) + " net backend) ==\n\n";
+    out += "== Figure 14 — H-tree vs Bus ==\n\n";
     out += fig14_table(result.fig14).to_string();
     out += "\n";
   }

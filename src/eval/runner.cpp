@@ -33,7 +33,6 @@ std::unique_ptr<mapping::PimSimulation> make_simulation(
     const Scenario& s) {
   pim::ChipConfig chip = pim::chip_512mb();
   chip.block_limit = s.block_limit;
-  chip.net_backend = s.net_backend;
   if (s.materials == Materials::Uniform) {
     return std::make_unique<mapping::PimSimulation>(s.problem, s.expansion,
                                                     chip, s.boundary);
@@ -82,12 +81,6 @@ CellResult run_sim_cell(const Scenario& s, const RunOptions& options) {
   cell.labels.emplace_back("materials", to_string(s.materials));
   cell.labels.emplace_back(
       "residency", sim->residency().is_resident() ? "resident" : "windowed");
-  // The backend label (like the `net_*` link metrics below) is only
-  // attached to cycle cells, keeping analytic cells byte-identical to
-  // the pre-seam baseline.
-  if (s.net_backend == pim::NetBackendKind::Cycle) {
-    cell.labels.emplace_back("net_backend", pim::to_string(s.net_backend));
-  }
   cell.labels.emplace_back("field_hash", service::field_hash(out));
 
   const auto& costs = sim->costs();
@@ -111,17 +104,15 @@ CellResult run_sim_cell(const Scenario& s, const RunOptions& options) {
                             static_cast<double>(net.transfers));
   cell.metrics.emplace_back("net_words", static_cast<double>(net.words));
   cell.metrics.emplace_back("net_serial_s", net.serial_sum.value());
-  if (s.net_backend == pim::NetBackendKind::Cycle) {
-    cell.metrics.emplace_back("net_overlap",
-                              costs.network.time.value() > 0.0
-                                  ? net.serial_sum.value() /
-                                        costs.network.time.value()
-                                  : 1.0);
-    cell.metrics.emplace_back("net_stall_s", net.stall_time.value());
-    cell.metrics.emplace_back("net_max_utilization", net.max_utilization);
-    cell.metrics.emplace_back("net_peak_queue",
-                              static_cast<double>(net.peak_queue));
-  }
+  cell.metrics.emplace_back("net_overlap",
+                            costs.network.time.value() > 0.0
+                                ? net.serial_sum.value() /
+                                      costs.network.time.value()
+                                : 1.0);
+  cell.metrics.emplace_back("net_stall_s", net.stall_time.value());
+  cell.metrics.emplace_back("net_max_utilization", net.max_utilization);
+  cell.metrics.emplace_back("net_peak_queue",
+                            static_cast<double>(net.peak_queue));
 
   const auto& residency = sim->residency();
   cell.metrics.emplace_back("window_slices",
@@ -212,11 +203,10 @@ MatrixResult run_matrix(MatrixKind kind,
     for (auto& claim : fig12_claims(result.figures)) {
       result.claims.push_back(std::move(claim));
     }
-    // Fig. 14 rides the complete sweep too, computed under the *cycle*
-    // kind (which adds link statistics): the H-tree-over-bus headline
+    // Fig. 14 rides the complete sweep too: the H-tree-over-bus headline
     // is derived from the contention-aware list schedule instead of
     // being an input to the analytic formula.
-    result.fig14 = compute_fig14_data(pim::NetBackendKind::Cycle);
+    result.fig14 = compute_fig14_data();
     for (auto& claim : fig14_claims(result.fig14)) {
       result.claims.push_back(std::move(claim));
     }

@@ -38,7 +38,7 @@ struct RunOptions {
                                                    FigureData* figures);
 
 /// A fully evaluated matrix: every cell, the Fig. 11/12 grids of the
-/// paper scenarios, the cycle-backend Fig. 14 grid (complete runs only),
+/// paper scenarios, the Fig. 14 grid (complete runs only),
 /// and the shape-claim verdicts those grids support.
 struct MatrixResult {
   MatrixKind matrix = MatrixKind::Reduced;

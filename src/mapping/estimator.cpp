@@ -172,8 +172,11 @@ std::vector<pim::ScheduleResult> BatchPricer::price_all(
   batches.reserve(n);
   for (const Request& request : requests) {
     const pim::Interconnect& net = *request.net;
-    fabrics.push_back({net.topology(), net.config().htree_arity,
-                       net.backend_kind(), net.link()});
+    // The kind's one reader: link statistics only feed the net.link.*
+    // trace counters here.
+    fabrics.push_back(
+        {net.topology(), net.config().htree_arity,
+         net.config().net_backend == pim::NetBackendKind::Cycle, net.link()});
     batches.emplace_back(*request.recipe);
   }
   auto fits = [&](std::size_t request, std::uint64_t block_end) {
@@ -225,7 +228,8 @@ std::vector<pim::ScheduleResult> BatchPricer::price_all(
   parallel_for(by_size.size(), [&](std::size_t k) {
     const std::size_t j = by_size[k];
     try {
-      results[j] = requests[j].net->schedule(batches[j].view());
+      results[j] = requests[j].net->schedule(batches[j].view(),
+                                             fabrics[j].link_stats);
     } catch (...) {
       errors[j] = std::current_exception();
     }

@@ -58,11 +58,11 @@ struct StepEstimate {
 /// Prices the network batches of Estimators, scheduling each distinct
 /// batch once. A batch's transfers are a function of its Recipe, and its
 /// schedule a function of those transfers and the fabric (topology,
-/// H-tree arity, backend, link parameters), so a request that matches an
-/// earlier one on both is served the earlier result. Requests are
-/// compared in full, and only recipes and results are kept. A batch is
-/// never stored as a transfer list: the backends read it through a
-/// RecipeBatch, which generates each transfer from its index.
+/// H-tree arity, link-statistics request, link parameters), so a request
+/// that matches an earlier one on both is served the earlier result.
+/// Requests are compared in full, and only recipes and results are kept.
+/// A batch is never stored as a transfer list: the schedule reads it
+/// through a RecipeBatch, which generates each transfer from its index.
 ///
 /// Chip size is not part of the key: a schedule depends only on the
 /// blocks its transfers touch. A stored result is therefore served only
@@ -100,7 +100,8 @@ class BatchPricer {
     const Recipe* recipe = nullptr;
   };
 
-  /// The schedule of each request's batch, in request order.
+  /// The schedule of each request's batch, in request order. A request
+  /// whose chip's `net_backend` is `Cycle` is priced with link statistics.
   ///
   /// Requests are matched against the stored entries and against each
   /// other first. The distinct batches left are priced on the global
@@ -118,7 +119,7 @@ class BatchPricer {
   struct Fabric {
     pim::Topology topology;
     std::uint32_t htree_arity;
-    pim::NetBackendKind backend;
+    bool link_stats;
     pim::LinkParams link;
 
     bool operator==(const Fabric&) const = default;

@@ -441,11 +441,11 @@ void PimSimulation::drain_accumulators(std::vector<pim::OpCost>& acc,
 
 PimSimulation::NetDrain PimSimulation::measure_network(
     const std::vector<pim::Transfer>& transfers) const {
-  const auto result = net_->schedule(transfers);
+  // Drains are memoised, so the link bookkeeping runs once per list.
+  const auto result = net_->schedule(transfers, /*link_stats=*/true);
   NetDrain drain{.cost = {result.makespan, result.energy},
                  .transfers = transfers.size(),
                  .serial_sum = result.serial_sum,
-                 .has_link_stats = result.has_link_stats,
                  .links = result.links};
   for (const auto& t : transfers) {
     drain.words += t.words;
@@ -459,14 +459,11 @@ void PimSimulation::fold_network(const NetDrain& drain) {
   net_stats_.transfers += drain.transfers;
   net_stats_.words += drain.words;
   net_stats_.serial_sum += drain.serial_sum;
-  if (drain.has_link_stats) {
-    net_stats_.link_schedules += 1;
-    net_stats_.stall_time += drain.links.stall_time;
-    net_stats_.max_utilization =
-        std::max(net_stats_.max_utilization, drain.links.max_utilization);
-    net_stats_.peak_queue =
-        std::max<std::uint64_t>(net_stats_.peak_queue, drain.links.peak_queue);
-  }
+  net_stats_.stall_time += drain.links.stall_time;
+  net_stats_.max_utilization =
+      std::max(net_stats_.max_utilization, drain.links.max_utilization);
+  net_stats_.peak_queue =
+      std::max<std::uint64_t>(net_stats_.peak_queue, drain.links.peak_queue);
 }
 
 void PimSimulation::drain_network(

@@ -272,11 +272,8 @@ class PimSimulation {
     std::uint64_t transfers = 0;  ///< transfer descriptors scheduled
     std::uint64_t words = 0;      ///< 32-bit words moved
     Seconds serial_sum;           ///< sum of isolated latencies
-    // Link aggregates, populated only under the cycle kind (zero under
-    // the default analytic kind, which skips the link bookkeeping on the
-    // same schedule).
-    std::uint64_t link_schedules = 0;  ///< drains that carried link stats
-    Seconds stall_time;                ///< total per-transfer queue wait
+    // Link aggregates: every drain's schedule carries link statistics.
+    Seconds stall_time;            ///< total per-transfer queue wait
     double max_utilization = 0.0;  ///< busiest link fraction of any drain
     std::uint64_t peak_queue = 0;  ///< deepest per-link queue seen
   };
@@ -322,11 +319,11 @@ class PimSimulation {
     std::uint64_t transfers = 0;
     std::uint64_t words = 0;
     Seconds serial_sum;
-    bool has_link_stats = false;  ///< cycle backend ran this schedule
     pim::LinkStats links;
   };
-  /// Schedules a transfer list on the interconnect. Does not modify the
-  /// list (the plan's pre-merged lists are fed every stage).
+  /// Schedules a transfer list on the interconnect, with link statistics.
+  /// Does not modify the list (the plan's pre-merged lists are fed every
+  /// stage).
   [[nodiscard]] NetDrain measure_network(
       const std::vector<pim::Transfer>& transfers) const;
   /// Folds one drain into the network cost channel and NetStats.

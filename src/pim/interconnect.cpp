@@ -44,7 +44,7 @@ std::uint64_t release_hash(std::uint64_t i) {
 
 /// Isolated latency and energy of a transfer over a known number of
 /// switch hops: the arithmetic behind Interconnect::isolated_latency and
-/// transfer_energy, for the backends' loops, which know the hops already.
+/// transfer_energy, for the schedule loop, which knows the hops already.
 struct TransferCost {
   Seconds latency;
   Joules energy;
@@ -296,10 +296,10 @@ std::vector<std::uint32_t> release_order(const Interconnect& net,
 namespace {
 
 /// The one scheduling loop behind Interconnect::schedule. `kLinkStats`
-/// selects the cycle kind's bookkeeping; the analytic kind compiles
-/// without it. Each cycle-kind field matches the event-driven simulation
-/// of the per-link queues (every transfer queued at t = 0) bit for bit:
-///  - `serial_sum` and `energy` fold in input order, as that model does.
+/// adds the link bookkeeping; plain pricing compiles without it. Each
+/// field matches the event-driven simulation of the per-link queues
+/// (every transfer queued at t = 0) bit for bit:
+///  - `serial_sum` and `energy` fold in release order, as that model does.
 ///  - `peak_queue` is the most paths that cross one resource: the model's
 ///    initial queue length, independent of the schedule.
 ///  - `stall_time` sums the start times in ascending order. The model
@@ -313,7 +313,6 @@ namespace {
 template <bool kLinkStats>
 ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
   ScheduleResult result{};
-  result.has_link_stats = kLinkStats;
   // Each switch's channels as a min-heap of their free times, carved out
   // of one pool on the switch's first touch. A transfer starts when the
   // earliest-free channel of every switch on its path is free, and then
@@ -328,8 +327,8 @@ ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
   std::vector<Heap> heaps(net.num_resources());
   std::vector<double> pool;  ///< free times, in seconds
   std::vector<std::uint32_t> path;
-  // Cycle kind only: per-resource path count and busy time, and every
-  // transfer's start time.
+  // Link statistics only: per-resource path count and busy time, and
+  // every transfer's start time.
   std::vector<std::uint32_t> crossing;
   std::vector<Seconds> busy_time;
   std::vector<double> starts;
@@ -337,13 +336,6 @@ ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
     crossing.assign(heaps.size(), 0);
     busy_time.assign(heaps.size(), Seconds(0.0));
     starts.reserve(transfers.size());
-    for (std::size_t i = 0; i < transfers.size(); ++i) {
-      const Transfer t = transfers[i];
-      const TransferCost cost =
-          transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
-      result.serial_sum += cost.latency;
-      result.energy += cost.energy;
-    }
   }
   for (std::uint32_t i : release_order(net, transfers)) {
     const Transfer t = transfers[i];
@@ -351,10 +343,8 @@ ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
     const TransferCost cost =
         transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
     const Seconds duration = cost.latency;
-    if constexpr (!kLinkStats) {
-      result.serial_sum += duration;
-      result.energy += cost.energy;
-    }
+    result.serial_sum += duration;
+    result.energy += cost.energy;
 
     net.path_resources(t, path);
     double start = 0.0;
@@ -414,7 +404,8 @@ ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
 
 }  // namespace
 
-ScheduleResult Interconnect::schedule(TransferView transfers) const {
+ScheduleResult Interconnect::schedule(TransferView transfers,
+                                      bool link_stats) const {
   trace::Span span("net.schedule", static_cast<double>(transfers.size()));
   if (trace::enabled()) {
     std::uint64_t words = 0;
@@ -424,10 +415,9 @@ ScheduleResult Interconnect::schedule(TransferView transfers) const {
     trace::counter("net.transfers", static_cast<double>(transfers.size()));
     trace::counter("net.words", static_cast<double>(words));
   }
-  ScheduleResult result = config_.net_backend == NetBackendKind::Cycle
-                              ? list_schedule<true>(*this, transfers)
-                              : list_schedule<false>(*this, transfers);
-  if (trace::enabled() && result.has_link_stats) {
+  ScheduleResult result = link_stats ? list_schedule<true>(*this, transfers)
+                                     : list_schedule<false>(*this, transfers);
+  if (trace::enabled() && link_stats) {
     trace::counter("net.link.utilization", result.links.max_utilization);
     trace::counter("net.link.stall_cycles",
                    result.links.stall_time.value() /

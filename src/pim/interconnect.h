@@ -50,10 +50,9 @@ class TransferView {
   Generator generate_ = nullptr;
 };
 
-/// Per-link aggregates of one scheduled batch, produced on a chip whose
-/// `net_backend` is the cycle kind (`has_link_stats` below). "Link" means
-/// one contended resource of the fabric: an H-tree switch or a tile's bus
-/// switch.
+/// Per-link aggregates of one scheduled batch, filled when
+/// `Interconnect::schedule` is asked for them. "Link" means one contended
+/// resource of the fabric: an H-tree switch or a tile's bus switch.
 struct LinkStats {
   std::uint32_t links_used = 0;  ///< resources that carried any traffic
   /// Busy-time fraction of the busiest link over the batch makespan,
@@ -75,8 +74,7 @@ struct ScheduleResult {
   Seconds makespan;    ///< completion time with path contention
   Seconds serial_sum;  ///< sum of isolated latencies (no-overlap bound)
   Joules energy;
-  bool has_link_stats = false;  ///< set under the cycle kind
-  LinkStats links;
+  LinkStats links;  ///< zero unless link statistics were requested
 
   [[nodiscard]] double overlap_factor() const {
     return makespan.value() > 0.0 ? serial_sum.value() / makespan.value()
@@ -134,9 +132,6 @@ class Interconnect {
   [[nodiscard]] Topology topology() const { return config_.topology; }
   [[nodiscard]] const ChipConfig& config() const { return config_; }
   [[nodiscard]] const LinkParams& link() const { return link_; }
-  [[nodiscard]] NetBackendKind backend_kind() const {
-    return config_.net_backend;
-  }
 
   /// Number of switch hops between two blocks: up to the lowest common
   /// switch and back down within a tile, both tiles' full switch chains
@@ -156,13 +151,13 @@ class Interconnect {
   /// a free channel and holding one channel of each until it ends. Each
   /// switch keeps its channels' free times in a min-heap.
   ///
-  /// `ChipConfig::net_backend` picks what else is reported. Under the
-  /// cycle kind the result also carries LinkStats (exported as the
-  /// `net.link.*` trace counters), and `serial_sum` and `energy` are
-  /// folded in input order instead of release order. The makespan is the
-  /// same under both kinds.
+  /// With `link_stats` set the result also carries LinkStats (exported
+  /// as the `net.link.*` trace counters); otherwise `links` stays zero.
+  /// The request changes no other field: `serial_sum` and `energy` fold
+  /// in release order either way, so the two results are bit-equal in
+  /// makespan, serial sum and energy.
   ///
-  /// The cycle kind reads the schedule as per-link FIFO queues: every
+  /// The link statistics read the schedule as per-link FIFO queues: every
   /// transfer arrives at t = 0 and queues at each switch of its path in
   /// release order, and a switch with `c` channels, `b` of them busy, may
   /// start any of its first `c - b` waiting entries. Simulated event by
@@ -178,15 +173,15 @@ class Interconnect {
   ///
   /// Invariants (pinned by that test):
   ///  - `serial_sum` is the sum of isolated latencies and `energy` the sum
-  ///    of transfer energies; the two kinds differ only in summation
-  ///    order.
+  ///    of transfer energies, both folded in release order.
   ///  - `makespan <= serial_sum`.
   ///  - A single-transfer batch completes in its isolated latency, and a
   ///    batch of fully path-disjoint transfers in the max of theirs.
-  [[nodiscard]] ScheduleResult schedule(TransferView transfers) const;
-  [[nodiscard]] ScheduleResult schedule(
-      std::span<const Transfer> transfers) const {
-    return schedule(TransferView(transfers));
+  [[nodiscard]] ScheduleResult schedule(TransferView transfers,
+                                        bool link_stats = false) const;
+  [[nodiscard]] ScheduleResult schedule(std::span<const Transfer> transfers,
+                                        bool link_stats = false) const {
+    return schedule(TransferView(transfers), link_stats);
   }
 
   // --- Resource model (pinned by unit tests) ----------------------------

@@ -23,22 +23,6 @@ bool parse_topology(const char* s, Topology& out) {
   return false;
 }
 
-const char* to_string(NetBackendKind k) {
-  return k == NetBackendKind::Analytic ? "analytic" : "cycle";
-}
-
-bool parse_net_backend(const char* s, NetBackendKind& out) {
-  if (std::strcmp(s, "analytic") == 0) {
-    out = NetBackendKind::Analytic;
-    return true;
-  }
-  if (std::strcmp(s, "cycle") == 0) {
-    out = NetBackendKind::Cycle;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 ChipConfig make_chip(std::string name, Bytes capacity, Topology t) {

@@ -94,26 +94,16 @@ const char* to_string(Topology t);
 /// anything else, leaving `out` untouched.
 bool parse_topology(const char* s, Topology& out);
 
-/// What Interconnect::schedule reports for a phase's transfer batch
-/// (pim/interconnect.h). Both kinds run the same greedy list schedule:
-/// each transfer starts at the earliest time its whole path has a free
-/// channel slot, so they give the same makespan.
+/// Whether the estimator asks Interconnect::schedule for link statistics
+/// on this chip. Both kinds price every batch with the same list
+/// schedule and the same fold, so makespan, serial sum and energy are
+/// bit-equal; `Cycle` only adds the link statistics, whose one effect
+/// in the estimator is the `net.link.*` trace counters. The simulator
+/// always asks for them and does not read this.
 ///
-///  * `Analytic` — makespan, serial sum and energy. The default; every
-///    committed baseline was produced by it.
-///  * `Cycle`    — also link utilization, stall time and queue depth,
-///    the statistics of the per-link FIFO queues the schedule implies;
-///    the sums fold in input order rather than release order.
-///
-/// The kind touches only the `network` cost channel: fields, compute
-/// and hbm ledgers, and the network time, are bit-identical for either
-/// choice (pinned by tests/mapping/net_backend_conformance_test.cpp).
+/// Only perfbench, the benches and tests set `Cycle`; the kind goes with
+/// the benchmark change that also retires `mapping::ExecPath`.
 enum class NetBackendKind { Analytic, Cycle };
-
-const char* to_string(NetBackendKind k);
-/// Parses "analytic"/"cycle". Returns false on anything else, leaving
-/// `out` untouched.
-bool parse_net_backend(const char* s, NetBackendKind& out);
 
 /// Geometry of one Wave-PIM chip configuration.
 ///
@@ -131,8 +121,7 @@ struct ChipConfig {
   /// and the CLI under-provision a chip (forcing batched residency)
   /// without changing the tile geometry the interconnect is built from.
   std::uint32_t block_limit = 0;
-  /// Timing kind of the chip's interconnect (pricing-only; analytic
-  /// unless set, as the tools' --net-backend does).
+  /// Whether the estimator collects link statistics (see NetBackendKind).
   NetBackendKind net_backend = NetBackendKind::Analytic;
 
   static constexpr std::uint32_t kBlockRows = 1024;

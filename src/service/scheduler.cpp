@@ -297,7 +297,6 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     report.net.time_s += job.result.costs.network.time.value();
     report.net.transfers += job.result.net.transfers;
     report.net.words += job.result.net.words;
-    report.net.link_schedules += job.result.net.link_schedules;
     report.net.stall_s += job.result.net.stall_time.value();
     report.net.max_utilization =
         std::max(report.net.max_utilization, job.result.net.max_utilization);

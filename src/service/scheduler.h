@@ -37,8 +37,8 @@ struct ServiceOptions {
 /// Fleet-level interconnect aggregates, folded over every tenant's
 /// NetStats ledger. `serial_s` vs `time_s` exposes the path-parallelism
 /// the fabric extracted (the overlap factor the per-job ledgers price
-/// in but never used to surface); the stall/utilization/queue block is
-/// non-zero only when the tenants ran the cycle net backend.
+/// in but never used to surface); the stall/utilization/queue block
+/// folds the tenants' link statistics.
 struct NetSummary {
   double serial_s = 0.0;   ///< sum of isolated transfer latencies
   double time_s = 0.0;     ///< modelled network channel time (with overlap)
@@ -48,11 +48,10 @@ struct NetSummary {
   [[nodiscard]] double overlap() const {
     return time_s > 0.0 ? serial_s / time_s : 1.0;
   }
-  // Cycle-backend queuing aggregates (all zero under analytic).
-  std::uint64_t link_schedules = 0;  ///< drains that carried link stats
-  double stall_s = 0.0;              ///< total per-transfer queue wait
-  double max_utilization = 0.0;      ///< busiest link of any drain
-  std::uint64_t peak_queue = 0;      ///< deepest per-link queue seen
+  // Link queuing aggregates.
+  double stall_s = 0.0;          ///< total per-transfer queue wait
+  double max_utilization = 0.0;  ///< busiest link of any drain
+  std::uint64_t peak_queue = 0;  ///< deepest per-link queue seen
 };
 
 /// What one service run reports: every job's result (bit-identical to

@@ -1,5 +1,6 @@
-// Fig. 14 (H-tree vs bus under flux contention) under both network
-// backend kinds. The kinds run one list schedule, so every Fig. 14 row
+// Fig. 14 (H-tree vs bus under flux contention) with and without the
+// estimator's link statistics (the two NetBackendKind values perfbench
+// times). Both run one list schedule and one fold, so every Fig. 14 row
 // must be the same number under each, and the figure's shape claims must
 // hold under both.
 #include <gtest/gtest.h>

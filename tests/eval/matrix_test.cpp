@@ -2,7 +2,7 @@
 // off: ids must be stable and unique, the reduced CI matrix must be a
 // strict subset of the full one, and the axes the matrix exists to
 // cover (an over-capacity window, heterogeneous materials, a reflective
-// boundary, the cycle net backend) must actually be enumerated.
+// boundary) must actually be enumerated.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -39,7 +39,6 @@ TEST(Matrix, ReducedIsSubsetOfFull) {
 
 TEST(Matrix, ReducedCoversTheGatingAxes) {
   const auto scenarios = build_matrix(MatrixKind::Reduced);
-  bool cycle = false;
   bool over_capacity = false;
   bool layered = false;
   bool reflective = false;
@@ -49,12 +48,10 @@ TEST(Matrix, ReducedCoversTheGatingAxes) {
       paper = true;
       continue;
     }
-    cycle = cycle || s.net_backend == pim::NetBackendKind::Cycle;
     over_capacity = over_capacity || s.block_limit != 0;
     layered = layered || s.materials == Materials::Layered;
     reflective = reflective || s.boundary == mesh::Boundary::Reflective;
   }
-  EXPECT_TRUE(cycle) << "reduced matrix must run the cycle net backend";
   EXPECT_TRUE(over_capacity)
       << "reduced matrix must include an over-capacity residency window";
   EXPECT_TRUE(layered);
@@ -93,9 +90,7 @@ TEST(Matrix, IdEncodesEveryAxis) {
   s.boundary = mesh::Boundary::Reflective;
   s.materials = Materials::Layered;
   s.block_limit = 96;
-  s.net_backend = pim::NetBackendKind::Cycle;
-  EXPECT_EQ(s.id(),
-            "sim/elastic-central-l2/Er/reflective/layered/win96/net-cycle");
+  EXPECT_EQ(s.id(), "sim/elastic-central-l2/Er/reflective/layered/win96");
 }
 
 }  // namespace

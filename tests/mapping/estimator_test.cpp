@@ -342,7 +342,6 @@ void expect_bit_identical(const pim::ScheduleResult& got,
   EXPECT_EQ(bits(got.makespan.value()), bits(want.makespan.value()));
   EXPECT_EQ(bits(got.serial_sum.value()), bits(want.serial_sum.value()));
   EXPECT_EQ(bits(got.energy.value()), bits(want.energy.value()));
-  EXPECT_EQ(got.has_link_stats, want.has_link_stats);
   EXPECT_EQ(got.links.links_used, want.links.links_used);
   EXPECT_EQ(bits(got.links.max_utilization),
             bits(want.links.max_utilization));
@@ -396,7 +395,10 @@ TEST(BatchPricer, PricesEachBatchAsItsListedTransfers) {
     ASSERT_EQ(results.size(), recipes.size());
     for (std::size_t k = 0; k < recipes.size(); ++k) {
       SCOPED_TRACE("recipe " + std::to_string(k));
-      expect_bit_identical(results[k], net.schedule(expand(recipes[k])));
+      // Only a Cycle chip's requests carry link statistics.
+      expect_bit_identical(
+          results[k], net.schedule(expand(recipes[k]),
+                                   backend == pim::NetBackendKind::Cycle));
     }
   }
 }

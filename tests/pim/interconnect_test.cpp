@@ -133,16 +133,12 @@ TEST(Transfer, ZeroWordTransfersRejected) {
   const auto net = make(Topology::HTree);
   const Transfer t{.src_block = 0, .dst_block = 1, .words = 0};
   EXPECT_THROW((void)net.isolated_latency(t), PreconditionError);
-  for (const NetBackendKind kind :
-       {NetBackendKind::Analytic, NetBackendKind::Cycle}) {
-    ChipConfig config = chip_2gb();
-    config.net_backend = kind;
-    EXPECT_THROW((void)Interconnect(config).schedule({&t, 1}),
-                 PreconditionError);
+  for (const bool link_stats : {false, true}) {
+    EXPECT_THROW((void)net.schedule({&t, 1}, link_stats), PreconditionError);
   }
 }
 
-// --- Resource-model edge cases (shared by both timing backends) -------
+// --- Resource-model edge cases --------------------------------------
 
 std::vector<std::uint32_t> path_of(const Interconnect& net,
                                    const Transfer& t) {

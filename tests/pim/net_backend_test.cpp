@@ -1,10 +1,10 @@
-// Contract tests of Interconnect::schedule under both backend kinds: the
-// invariants documented on it, exact agreement between the kinds where
-// queuing cannot matter, and the cycle kind's link statistics. An
-// event-driven simulation of the per-link FIFO queues the cycle kind
-// describes is kept here as an oracle, and a seeded property test checks
-// every result field against it. Bit-identity of everything *outside*
-// the network channel lives in
+// Contract tests of Interconnect::schedule, plain and with link
+// statistics: the invariants documented on it, bit-equality of the two
+// results outside the link statistics, and the link statistics
+// themselves. An event-driven simulation of the per-link FIFO queues the
+// link statistics describe is kept here as an oracle, and a seeded
+// property test checks every result field against it. The simulator's
+// use of the link statistics is pinned in
 // tests/mapping/net_backend_conformance_test.cpp.
 #include "pim/interconnect.h"
 
@@ -24,18 +24,13 @@
 namespace wavepim::pim {
 namespace {
 
-Interconnect make(Topology t, NetBackendKind backend) {
-  ChipConfig config = chip_2gb(t);
-  config.net_backend = backend;  // explicit: env-independent tests
-  return Interconnect(config);
-}
+Interconnect make(Topology t) { return Interconnect(chip_2gb(t)); }
 
-const NetBackendKind kBackends[] = {NetBackendKind::Analytic,
-                                    NetBackendKind::Cycle};
+constexpr bool kLinkStats[] = {false, true};
 const Topology kTopologies[] = {Topology::HTree, Topology::Bus};
 
 /// Event-driven simulation of the per-link FIFO queues whose statistics
-/// the cycle kind reports, the oracle for Interconnect::schedule. Every
+/// Interconnect::schedule reports on request, its oracle. Every
 /// transfer of the batch arrives at t = 0 and waits in a FIFO queue at
 /// each switch of its path, ordered by release. A switch with k channels
 /// grants them FIFO with free-channel bypass: a transfer starts once it
@@ -46,15 +41,13 @@ const Topology kTopologies[] = {Topology::HTree, Topology::Bus};
 ScheduleResult event_model_schedule(const Interconnect& net,
                                     TransferView transfers) {
   ScheduleResult result{};
-  result.has_link_stats = true;
   if (transfers.empty()) {
     return result;
   }
   const std::uint32_t num_res = net.num_resources();
   const std::uint32_t n = static_cast<std::uint32_t>(transfers.size());
 
-  // Flattened per-transfer paths and durations; serial_sum/energy fold in
-  // arrival (input) order.
+  // Flattened per-transfer paths and durations.
   std::vector<std::uint32_t> path_begin(n + 1, 0);
   std::vector<std::uint32_t> paths;
   std::vector<Seconds> duration(n);
@@ -64,8 +57,6 @@ ScheduleResult event_model_schedule(const Interconnect& net,
       const Transfer t = transfers[i];
       WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
       duration[i] = net.isolated_latency(t);
-      result.serial_sum += duration[i];
-      result.energy += net.transfer_energy(t);
       net.path_resources(t, scratch);
       paths.insert(paths.end(), scratch.begin(), scratch.end());
       path_begin[i + 1] = static_cast<std::uint32_t>(paths.size());
@@ -77,11 +68,14 @@ ScheduleResult event_model_schedule(const Interconnect& net,
   };
 
   // Queues service strictly FIFO in the shared release order; `rank` is
-  // a transfer's position in it.
+  // a transfer's position in it. serial_sum and energy fold in it too.
   const std::vector<std::uint32_t> order = release_order(net, transfers);
   std::vector<std::uint32_t> rank(n);
   for (std::uint32_t pos = 0; pos < n; ++pos) {
-    rank[order[pos]] = pos;
+    const std::uint32_t i = order[pos];
+    rank[i] = pos;
+    result.serial_sum += duration[i];
+    result.energy += net.transfer_energy(transfers[i]);
   }
 
   // Release-ordered FIFO queue per resource. The head cursor advances
@@ -233,24 +227,12 @@ ScheduleResult event_model_schedule(const Interconnect& net,
   return result;
 }
 
-TEST(NetBackendSelection, ParseAndToStringRoundTrip) {
-  NetBackendKind kind{};
-  EXPECT_TRUE(parse_net_backend("analytic", kind));
-  EXPECT_EQ(kind, NetBackendKind::Analytic);
-  EXPECT_TRUE(parse_net_backend("cycle", kind));
-  EXPECT_EQ(kind, NetBackendKind::Cycle);
-  EXPECT_FALSE(parse_net_backend("event", kind));
-  EXPECT_FALSE(parse_net_backend("", kind));
-  EXPECT_STREQ(to_string(NetBackendKind::Analytic), "analytic");
-  EXPECT_STREQ(to_string(NetBackendKind::Cycle), "cycle");
-}
-
 TEST(NetBackendContract, SingleTransferCompletesInIsolatedLatency) {
   const Transfer t{.src_block = 3, .dst_block = 200, .words = 96};
   for (const Topology topo : kTopologies) {
-    for (const NetBackendKind backend : kBackends) {
-      const auto net = make(topo, backend);
-      const auto r = net.schedule({&t, 1});
+    for (const bool links : kLinkStats) {
+      const auto net = make(topo);
+      const auto r = net.schedule({&t, 1}, links);
       EXPECT_DOUBLE_EQ(r.makespan.value(), net.isolated_latency(t).value());
       EXPECT_DOUBLE_EQ(r.serial_sum.value(), net.isolated_latency(t).value());
       EXPECT_DOUBLE_EQ(r.energy.value(), net.transfer_energy(t).value());
@@ -259,22 +241,21 @@ TEST(NetBackendContract, SingleTransferCompletesInIsolatedLatency) {
 }
 
 TEST(NetBackendContract, DisjointPathsCompleteInMaxIsolatedLatency) {
-  // Distinct S0 subtrees: no shared switch, so both backends must price
-  // the batch at the slowest member exactly.
+  // Distinct S0 subtrees: no shared switch, so the batch must be priced
+  // at the slowest member exactly.
   const std::vector<Transfer> batch = {
       {.src_block = 0, .dst_block = 2, .words = 512},
       {.src_block = 4, .dst_block = 6, .words = 64},
       {.src_block = 8, .dst_block = 10, .words = 256},
   };
-  for (const NetBackendKind backend : kBackends) {
-    const auto net = make(Topology::HTree, backend);
-    double slowest = 0.0;
-    for (const auto& t : batch) {
-      slowest = std::max(slowest, net.isolated_latency(t).value());
-    }
-    const auto r = net.schedule(batch);
-    EXPECT_DOUBLE_EQ(r.makespan.value(), slowest)
-        << "backend " << to_string(backend);
+  const auto net = make(Topology::HTree);
+  double slowest = 0.0;
+  for (const auto& t : batch) {
+    slowest = std::max(slowest, net.isolated_latency(t).value());
+  }
+  for (const bool links : kLinkStats) {
+    EXPECT_DOUBLE_EQ(net.schedule(batch, links).makespan.value(), slowest)
+        << "link stats " << links;
   }
 }
 
@@ -286,33 +267,17 @@ TEST(NetBackendContract, MakespanBetweenCriticalPathAndSerialSum) {
                      .words = 32 + (b % 5) * 16});
   }
   for (const Topology topo : kTopologies) {
-    for (const NetBackendKind backend : kBackends) {
-      const auto net = make(topo, backend);
+    for (const bool links : kLinkStats) {
+      const auto net = make(topo);
       double slowest = 0.0;
       for (const auto& t : batch) {
         slowest = std::max(slowest, net.isolated_latency(t).value());
       }
-      const auto r = net.schedule(batch);
+      const auto r = net.schedule(batch, links);
       EXPECT_GE(r.makespan.value(), slowest);
       // serial_sum and makespan fold in different orders; allow FP slack.
       EXPECT_LE(r.makespan.value(), r.serial_sum.value() * (1.0 + 1e-9));
     }
-  }
-}
-
-TEST(NetBackendContract, SumsAgreeAcrossBackendsUpToSummationOrder) {
-  std::vector<Transfer> batch;
-  for (std::uint32_t b = 0; b < 64; ++b) {
-    batch.push_back({.src_block = b * 3 % 512, .dst_block = (b * 11 + 1) % 512,
-                     .words = 24 + b});
-  }
-  for (const Topology topo : kTopologies) {
-    const auto analytic = make(topo, NetBackendKind::Analytic).schedule(batch);
-    const auto cycle = make(topo, NetBackendKind::Cycle).schedule(batch);
-    EXPECT_NEAR(analytic.serial_sum.value(), cycle.serial_sum.value(),
-                1e-9 * analytic.serial_sum.value());
-    EXPECT_NEAR(analytic.energy.value(), cycle.energy.value(),
-                1e-9 * analytic.energy.value());
   }
 }
 
@@ -323,10 +288,10 @@ TEST(NetBackendContract, DeterministicAcrossRepeatedCalls) {
                      .dst_block = (b * 29 + 7) % 512, .words = 16 + b % 40});
   }
   for (const Topology topo : kTopologies) {
-    for (const NetBackendKind backend : kBackends) {
-      const auto net = make(topo, backend);
-      const auto a = net.schedule(batch);
-      const auto b = net.schedule(batch);
+    for (const bool links : kLinkStats) {
+      const auto net = make(topo);
+      const auto a = net.schedule(batch, links);
+      const auto b = net.schedule(batch, links);
       EXPECT_EQ(a.makespan.value(), b.makespan.value());
       EXPECT_EQ(a.serial_sum.value(), b.serial_sum.value());
       EXPECT_EQ(a.energy.value(), b.energy.value());
@@ -336,47 +301,60 @@ TEST(NetBackendContract, DeterministicAcrossRepeatedCalls) {
   }
 }
 
-TEST(CycleBackend, OnlyCycleProducesLinkStats) {
+TEST(CycleBackend, LinkStatsOnlyWhenAsked) {
+  // Both transfers cross one S0 switch, so the statistics are non-zero
+  // when asked for.
   const std::vector<Transfer> batch = {
       {.src_block = 0, .dst_block = 1, .words = 128},
       {.src_block = 2, .dst_block = 3, .words = 128},
   };
-  const auto analytic = make(Topology::HTree, NetBackendKind::Analytic);
-  const auto cycle = make(Topology::HTree, NetBackendKind::Cycle);
-  EXPECT_EQ(analytic.backend_kind(), NetBackendKind::Analytic);
-  EXPECT_EQ(cycle.backend_kind(), NetBackendKind::Cycle);
-  EXPECT_FALSE(analytic.schedule(batch).has_link_stats);
-  EXPECT_TRUE(cycle.schedule(batch).has_link_stats);
+  const auto net = make(Topology::HTree);
+  const LinkStats plain = net.schedule(batch).links;
+  EXPECT_EQ(plain.links_used, 0u);
+  EXPECT_EQ(plain.peak_queue, 0u);
+  EXPECT_EQ(plain.stall_time.value(), 0.0);
+  EXPECT_EQ(plain.max_utilization, 0.0);
+  EXPECT_EQ(plain.mean_utilization, 0.0);
+  const LinkStats asked = net.schedule(batch, /*link_stats=*/true).links;
+  EXPECT_EQ(asked.links_used, 1u);
+  EXPECT_EQ(asked.peak_queue, 2u);
+  EXPECT_GT(asked.stall_time.value(), 0.0);
 }
 
 TEST(CycleBackend, ContendedBatchStallsAndDisjointBatchDoesNot) {
-  const auto net = make(Topology::HTree, NetBackendKind::Cycle);
+  const auto net = make(Topology::HTree);
   // Both transfers cross the same S0 switch: one must queue.
-  const auto contended = net.schedule(std::vector<Transfer>{
-      {.src_block = 0, .dst_block = 1, .words = 128},
-      {.src_block = 2, .dst_block = 3, .words = 128},
-  });
+  const auto contended = net.schedule(
+      std::vector<Transfer>{
+          {.src_block = 0, .dst_block = 1, .words = 128},
+          {.src_block = 2, .dst_block = 3, .words = 128},
+      },
+      true);
   EXPECT_GT(contended.links.stall_time.value(), 0.0);
   EXPECT_GE(contended.links.peak_queue, 2u);
   EXPECT_NEAR(contended.makespan.value(), contended.serial_sum.value(),
               1e-12);
 
-  const auto disjoint = net.schedule(std::vector<Transfer>{
-      {.src_block = 0, .dst_block = 1, .words = 128},
-      {.src_block = 4, .dst_block = 5, .words = 128},
-  });
+  const auto disjoint = net.schedule(
+      std::vector<Transfer>{
+          {.src_block = 0, .dst_block = 1, .words = 128},
+          {.src_block = 4, .dst_block = 5, .words = 128},
+      },
+      true);
   EXPECT_EQ(disjoint.links.stall_time.value(), 0.0);
   EXPECT_EQ(disjoint.links.peak_queue, 1u);
 }
 
 TEST(CycleBackend, UtilizationIsNormalizedPerChannel) {
-  const auto net = make(Topology::HTree, NetBackendKind::Cycle);
+  const auto net = make(Topology::HTree);
   // Two equal transfers serialised through one single-channel S0 switch:
   // that switch is busy the whole makespan -> max utilization 1.
-  const auto r = net.schedule(std::vector<Transfer>{
-      {.src_block = 0, .dst_block = 1, .words = 256},
-      {.src_block = 2, .dst_block = 3, .words = 256},
-  });
+  const auto r = net.schedule(
+      std::vector<Transfer>{
+          {.src_block = 0, .dst_block = 1, .words = 256},
+          {.src_block = 2, .dst_block = 3, .words = 256},
+      },
+      true);
   EXPECT_EQ(r.links.links_used, 1u);
   EXPECT_NEAR(r.links.max_utilization, 1.0, 1e-12);
   EXPECT_GT(r.links.mean_utilization, 0.0);
@@ -391,8 +369,8 @@ TEST(CycleBackend, BusCollapsesToSerialWhileHtreeOverlaps) {
     batch.push_back({.src_block = 4 * g, .dst_block = 4 * g + 1,
                      .words = 512});
   }
-  const auto ht = make(Topology::HTree, NetBackendKind::Cycle).schedule(batch);
-  const auto bus = make(Topology::Bus, NetBackendKind::Cycle).schedule(batch);
+  const auto ht = make(Topology::HTree).schedule(batch, true);
+  const auto bus = make(Topology::Bus).schedule(batch, true);
   EXPECT_GT(ht.overlap_factor(), 60.0);
   EXPECT_NEAR(bus.overlap_factor(), 1.0, 1e-9);
   EXPECT_GT(bus.makespan.value() / ht.makespan.value(), 2.0);
@@ -401,26 +379,26 @@ TEST(CycleBackend, BusCollapsesToSerialWhileHtreeOverlaps) {
 }
 
 TEST(CycleBackend, SelfTransfersBypassTheHtreeFabric) {
-  const auto net = make(Topology::HTree, NetBackendKind::Cycle);
+  const auto net = make(Topology::HTree);
   const Transfer self{.src_block = 7, .dst_block = 7, .words = 64};
-  const auto r = net.schedule({&self, 1});
+  const auto r = net.schedule({&self, 1}, true);
   EXPECT_DOUBLE_EQ(r.makespan.value(), net.isolated_latency(self).value());
   EXPECT_EQ(r.links.links_used, 0u);
   EXPECT_EQ(r.links.stall_time.value(), 0.0);
 
   // On the bus the row buffer drives the shared medium, so even a
   // self-transfer claims (and shows up on) the tile switch.
-  const auto bus = make(Topology::Bus, NetBackendKind::Cycle);
-  const auto rb = bus.schedule({&self, 1});
+  const auto bus = make(Topology::Bus);
+  const auto rb = bus.schedule({&self, 1}, true);
   EXPECT_EQ(rb.links.links_used, 1u);
 }
 
 TEST(CycleBackend, EmptyBatchIsFree) {
-  const auto r = make(Topology::HTree, NetBackendKind::Cycle).schedule({});
+  const auto r = make(Topology::HTree).schedule({}, true);
   EXPECT_EQ(r.makespan.value(), 0.0);
   EXPECT_EQ(r.energy.value(), 0.0);
-  EXPECT_TRUE(r.has_link_stats);
   EXPECT_EQ(r.links.links_used, 0u);
+  EXPECT_EQ(r.links.peak_queue, 0u);
 }
 
 TEST(CycleBackend, WorksAcrossHtreeArities) {
@@ -429,34 +407,37 @@ TEST(CycleBackend, WorksAcrossHtreeArities) {
   for (const std::uint32_t arity : {2u, 16u}) {
     ChipConfig config = chip_2gb();
     config.htree_arity = arity;
-    config.net_backend = NetBackendKind::Cycle;
     const Interconnect net(config);
     std::vector<Transfer> batch;
     for (std::uint32_t b = 0; b < 96; ++b) {
       batch.push_back({.src_block = b, .dst_block = (b * 5 + 2) % 512,
                        .words = 48});
     }
-    const auto r = net.schedule(batch);
+    const auto r = net.schedule(batch, true);
     EXPECT_GT(r.makespan.value(), 0.0);
     EXPECT_LE(r.makespan.value(), r.serial_sum.value() * (1.0 + 1e-9));
-    EXPECT_TRUE(r.has_link_stats);
     EXPECT_GT(r.links.links_used, 0u);
+    EXPECT_GE(r.links.peak_queue, 1u);
   }
 }
 
-/// Every ScheduleResult field of the cycle kind against the event model.
-/// Utilisations fold busy time in release order where the model folded
-/// it in its start order, so they may differ by summation order: they are
-/// compared within 1e-12 relative, everything else exactly.
+/// Every ScheduleResult field of a links-requested schedule against the
+/// event model. Utilisations fold busy time in release order where the
+/// model folded it in its start order, so they may differ by summation
+/// order: they are compared within 1e-12 relative, everything else
+/// exactly. The plain schedule must match the links-requested one bit for
+/// bit outside the link statistics.
 void expect_matches_event_model(const Interconnect& net,
                                 const std::vector<Transfer>& batch) {
-  ASSERT_EQ(net.backend_kind(), NetBackendKind::Cycle);
-  const ScheduleResult got = net.schedule(batch);
+  const ScheduleResult got = net.schedule(batch, /*link_stats=*/true);
   const ScheduleResult want = event_model_schedule(net, TransferView(batch));
+  const ScheduleResult plain = net.schedule(batch);
   EXPECT_EQ(got.makespan.value(), want.makespan.value());
   EXPECT_EQ(got.serial_sum.value(), want.serial_sum.value());
   EXPECT_EQ(got.energy.value(), want.energy.value());
-  EXPECT_TRUE(got.has_link_stats);
+  EXPECT_EQ(plain.makespan.value(), got.makespan.value());
+  EXPECT_EQ(plain.serial_sum.value(), got.serial_sum.value());
+  EXPECT_EQ(plain.energy.value(), got.energy.value());
   EXPECT_EQ(got.links.stall_time.value(), want.links.stall_time.value());
   EXPECT_EQ(got.links.peak_queue, want.links.peak_queue);
   EXPECT_EQ(got.links.links_used, want.links.links_used);
@@ -481,7 +462,6 @@ TEST(CycleKind, MatchesTheEventModelOnRandomBatches) {
     ChipConfig config = chip_2gb(fabric.topology);
     config.capacity = ChipConfig::tile_bytes() * (1 + rng() % 4);
     config.htree_arity = fabric.arity;
-    config.net_backend = NetBackendKind::Cycle;
     const Interconnect net(config);
     const std::uint32_t blocks = config.num_blocks();
     // Log-uniform sizes from 1 to 3,000 transfers keep the slow oracle
@@ -521,9 +501,7 @@ TEST(CycleKind, MatchesTheEventModelOnRandomBatches) {
 TEST(CycleKind, MatchesTheEventModelOnTheNetScheduleBenchBatch) {
   // BM_NetSchedule's 4K-transfer batch: a contended flux-like exchange
   // over the whole 2GB H-tree.
-  ChipConfig config = chip_2gb(Topology::HTree);
-  config.net_backend = NetBackendKind::Cycle;
-  const Interconnect net(config);
+  const Interconnect net(chip_2gb(Topology::HTree));
   std::vector<Transfer> batch;
   for (std::uint32_t i = 0; i < 4096; ++i) {
     batch.push_back({.src_block = (i * 13) % 16384,

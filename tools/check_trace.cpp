@@ -7,9 +7,9 @@
 // Usage: check_trace <trace.json> [required-name ...]
 // With no explicit list, the default simulator span set is required. An
 // explicit required name is satisfied by a span *or* a counter of that
-// name, so CI lanes can pin counter families (e.g. the cycle net
-// backend's net.link.utilization / net.link.stall_cycles /
-// net.link.queue_depth) alongside spans.
+// name, so CI lanes can pin counter families (e.g. the simulator's
+// net.link.utilization / net.link.stall_cycles / net.link.queue_depth)
+// alongside spans.
 #include <cstdio>
 #include <fstream>
 #include <map>

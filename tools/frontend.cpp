@@ -14,7 +14,6 @@ namespace wavepim::frontend {
 
 void SharedFlags::apply_fabric(pim::ChipConfig& chip) const {
   chip.topology = topology;
-  chip.net_backend = net_backend;
 }
 
 void SharedFlags::apply(pim::ChipConfig& chip) const {
@@ -72,10 +71,6 @@ Parse parse_flag(int argc, char** argv, int& i, unsigned accepted,
   } else if ((v = value(kTopology, "--topology=")) != nullptr) {
     if (!pim::parse_topology(v, flags.topology)) {
       return bad("--topology wants htree or bus");
-    }
-  } else if ((v = value(kNetBackend, "--net-backend=")) != nullptr) {
-    if (!pim::parse_net_backend(v, flags.net_backend)) {
-      return bad("--net-backend wants analytic or cycle");
     }
   } else if ((v = value(kTrace, "--trace=")) != nullptr) {
     flags.trace_path = v;

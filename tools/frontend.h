@@ -24,9 +24,8 @@ enum Flag : unsigned {
   kWitness = 1u << 1,     ///< --witness=N: witness cadence, 0 = off
   kChipBlocks = 1u << 2,  ///< --chip-blocks=N: positive block cap
   kTopology = 1u << 3,    ///< --topology=htree|bus
-  kNetBackend = 1u << 4,  ///< --net-backend=analytic|cycle
-  kTrace = 1u << 5,       ///< --trace=FILE: Chrome trace-event JSON
-  kAllFlags = (1u << 6) - 1,
+  kTrace = 1u << 4,       ///< --trace=FILE: Chrome trace-event JSON
+  kAllFlags = (1u << 5) - 1,
 };
 
 /// Parsed values of the shared flags. The defaults are the library's, so
@@ -35,12 +34,11 @@ struct SharedFlags {
   std::uint32_t witness = 0;
   std::uint32_t chip_blocks = 0;  ///< 0 = uncapped
   pim::Topology topology = pim::Topology::HTree;
-  pim::NetBackendKind net_backend = pim::NetBackendKind::Analytic;
   std::string trace_path;  ///< empty: no trace
 
-  /// The fabric and its timing kind.
+  /// The fabric.
   void apply_fabric(pim::ChipConfig& chip) const;
-  /// The fabric, its timing kind and the block cap.
+  /// The fabric and the block cap.
   void apply(pim::ChipConfig& chip) const;
   /// The witness cadence.
   void apply(mapping::PimSimulation& sim) const;

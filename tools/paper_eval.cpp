@@ -3,7 +3,7 @@
 // Enumerates a declarative scenario matrix (paper benchmark x chip
 // capacity through the estimator/GPU stack, plus functional-simulation
 // cells across physics x expansion x boundary x materials x residency
-// window x net backend), runs every cell, prints Fig. 11/12-style
+// window), runs every cell, prints Fig. 11/12-style
 // performance and energy tables, and writes a machine-readable JSON
 // report. With --baseline it diffs the run against a committed report
 // (EXPERIMENTS_matrix.json) cell by cell — labels and field hashes

@@ -28,9 +28,9 @@ using namespace wavepim;
 
 namespace {
 
-// The global options. Every chip a subcommand selects takes the fabric,
-// timing kind and --chip-blocks cap; the compare/csv grids project their
-// PIM rows on the fabric too, and validate's chips take the fabric only.
+// The global options. Every chip a subcommand selects takes the fabric
+// and --chip-blocks cap; the compare/csv grids project their PIM rows on
+// the fabric too, and validate's chips take the fabric only.
 frontend::SharedFlags g_flags;
 
 int usage() {
@@ -65,13 +65,7 @@ int usage() {
       "             lands in the hbm cost channel\n"
       "--topology=htree|bus: interconnect fabric of every selected chip\n"
       "             (default: htree, the paper's Table 3 switch tree);\n"
-      "             compare/csv project their PIM rows on it too\n"
-      "--net-backend=analytic|cycle: interconnect timing backend of\n"
-      "             the chips estimate, schedule and validate build\n"
-      "             (default: analytic). Pricing-only: the network cost\n"
-      "             channel moves, fields and the compute/hbm ledgers\n"
-      "             never do; cycle models per-link FIFO queuing and\n"
-      "             exports net.link.* trace counters\n");
+      "             compare/csv project their PIM rows on it too\n");
   return 2;
 }
 

@@ -8,12 +8,11 @@
 // Usage: wavepim_serve [--chips=N] [--jobs=N] [--policy=fifo|srs|edf]
 //                      [--seed=N] [--threads=N] [--max-steps=N]
 //                      [--zero-step] [--trace=FILE]
-//                      [--topology=htree|bus] [--net-backend=analytic|cycle]
+//                      [--topology=htree|bus]
 //
-// --topology / --net-backend configure every pooled chip's fabric and
-// its timing backend. Both are pricing-only: job field hashes and the
-// compute/HBM ledgers are bit-identical across all four combinations
-// (pinned by the service slice of NetBackendConformance).
+// --topology configures every pooled chip's fabric. It is pricing-only:
+// job field hashes and the compute/HBM ledgers are bit-identical on
+// either fabric (pinned by NetBackendConformance).
 //
 // --trace records the run (service.* spans and counters plus the tenant
 // simulations underneath) and writes Chrome trace-event JSON. These
@@ -51,11 +50,10 @@ bool u32_flag(const char* arg, const char* prefix, std::uint32_t& out,
 int serve(const service::GeneratorOptions& gen,
           const service::ServiceOptions& svc) {
   std::printf("Wave-PIM service: %u jobs (seed %llu) over %u chip(s), "
-              "policy %s, %zu thread(s)/tenant, %s fabric (%s backend)\n\n",
+              "policy %s, %zu thread(s)/tenant, %s fabric\n\n",
               gen.num_jobs, static_cast<unsigned long long>(gen.seed),
               svc.num_chips, service::to_string(svc.policy), svc.threads,
-              pim::to_string(svc.chip.topology),
-              pim::to_string(svc.chip.net_backend));
+              pim::to_string(svc.chip.topology));
 
   const auto specs = service::generate_jobs(gen);
   service::Scheduler scheduler(svc);
@@ -94,13 +92,11 @@ int serve(const service::GeneratorOptions& gen,
               report.net.overlap(),
               static_cast<unsigned long long>(report.net.transfers),
               static_cast<unsigned long long>(report.net.words));
-  if (report.net.link_schedules > 0) {
-    std::printf("link queuing      stall %s, max utilization %.1f%%, "
-                "peak queue %llu\n",
-                format_time(seconds(report.net.stall_s)).c_str(),
-                100.0 * report.net.max_utilization,
-                static_cast<unsigned long long>(report.net.peak_queue));
-  }
+  std::printf("link queuing      stall %s, max utilization %.1f%%, "
+              "peak queue %llu\n",
+              format_time(seconds(report.net.stall_s)).c_str(),
+              100.0 * report.net.max_utilization,
+              static_cast<unsigned long long>(report.net.peak_queue));
   return 0;
 }
 
@@ -115,8 +111,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const auto parsed = frontend::parse_flag(
-        argc, argv, i,
-        frontend::kTrace | frontend::kTopology | frontend::kNetBackend, flags);
+        argc, argv, i, frontend::kTrace | frontend::kTopology, flags);
     if (parsed == frontend::Parse::Bad) {
       return 2;
     }
@@ -153,7 +148,7 @@ int main(int argc, char** argv) {
                  "usage: wavepim_serve [--chips=N] [--jobs=N] "
                  "[--policy=fifo|srs|edf] [--seed=N] [--threads=N] "
                  "[--max-steps=N] [--zero-step] [--trace=FILE] "
-                 "[--topology=htree|bus] [--net-backend=analytic|cycle]\n");
+                 "[--topology=htree|bus]\n");
     return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
   }
   gen.seed = seed32;
