@@ -269,10 +269,10 @@ void BM_DisabledSpanSite(benchmark::State& state) {
 BENCHMARK(BM_DisabledSpanSite);
 
 // Scheduler overhead in isolation: a stream of zero-step jobs runs the
-// whole service path — admission, policy selection, chip binding with a
-// state load, completion with a readback and recycle — without any
-// simulation quanta, so items/s is jobs/s through the scheduler itself.
-// Arg is the pool size.
+// whole service path — admission, policy selection, a first bind that
+// builds the job's simulation and loads its state, completion with a
+// readback — without any simulation quanta, so items/s is jobs/s
+// through the scheduler itself. Arg is the chip count.
 void BM_ServiceZeroStepJobs(benchmark::State& state) {
   const auto specs = service::generate_jobs(
       {.num_jobs = 16, .seed = 7, .zero_step_jobs = true});
@@ -289,7 +289,8 @@ void BM_ServiceZeroStepJobs(benchmark::State& state) {
 BENCHMARK(BM_ServiceZeroStepJobs)->Arg(1)->Arg(4);
 
 // Admission latency: producing the reproducible request stream itself
-// (the seeded draws for physics, tier, budget, deadline and arrival).
+// (the seeded draws for arrival, physics, boundary, budget and
+// deadline, plus the retired tier draw kept for stream identity).
 void BM_ServiceRequestGeneration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -102,20 +102,6 @@ PimSimulation::PimSimulation(
   init_chip(std::move(chip));
 }
 
-PimSimulation::PimSimulation(const Problem& problem, ExpansionMode mode,
-                             std::shared_ptr<pim::Chip> chip,
-                             mesh::Boundary boundary,
-                             dg::AcousticMaterial acoustic,
-                             dg::ElasticMaterial elastic)
-    : problem_(problem),
-      mesh_(problem.refinement_level, 1.0, boundary),
-      setup_(problem, mode, mesh_.element_size(), acoustic, elastic) {
-  WAVEPIM_REQUIRE(chip != nullptr, "pooled chip must not be null");
-  check_capacity(chip->config());
-  chip_ = std::move(chip);
-  attach_chip();
-}
-
 void PimSimulation::check_capacity(const pim::ChipConfig& chip) const {
   const std::uint32_t bpe = blocks_per_element(setup_.mode());
   const std::uint64_t needed = problem_.num_elements() * bpe;
@@ -145,11 +131,7 @@ void PimSimulation::check_capacity(const pim::ChipConfig& chip) const {
 
 void PimSimulation::init_chip(pim::ChipConfig chip) {
   check_capacity(chip);
-  chip_ = std::make_shared<pim::Chip>(std::move(chip));
-  attach_chip();
-}
-
-void PimSimulation::attach_chip() {
+  chip_ = std::make_unique<pim::Chip>(std::move(chip));
   const std::uint32_t bpe = blocks_per_element(setup_.mode());
   const std::uint64_t needed = problem_.num_elements() * bpe;
   const auto nodes = static_cast<std::uint32_t>(setup_.ref().num_nodes());
@@ -339,49 +321,6 @@ dg::Field PimSimulation::read_state() {
         mesh_.num_elements());
   }
   return u;
-}
-
-std::vector<float> PimSimulation::checkpoint() {
-  trace::Span span("pim.checkpoint");
-  const auto nodes = static_cast<std::size_t>(setup_.ref().num_nodes());
-  std::vector<float> out(static_cast<std::size_t>(mesh_.num_elements()) *
-                         problem_.num_vars() * 2 * nodes);
-  pool().parallel_for(mesh_.num_elements(), [&](std::size_t e) {
-    for (std::uint32_t v = 0; v < problem_.num_vars(); ++v) {
-      const std::uint32_t g = setup_.owner_of(v);
-      const auto& layout = setup_.layout(g);
-      const std::uint32_t slot = setup_.slot_of(v);
-      const std::uint32_t vb =
-          placement_.block_of(static_cast<mesh::ElementId>(e), g);
-      float* base = out.data() + (e * problem_.num_vars() + v) * 2 * nodes;
-      std::ranges::copy(state_column(vb, layout.col_var(slot)), base);
-      std::ranges::copy(state_column(vb, layout.col_aux(slot)), base + nodes);
-    }
-  });
-  return out;
-}
-
-void PimSimulation::restore_checkpoint(std::span<const float> state) {
-  trace::Span span("pim.restore");
-  const auto nodes = static_cast<std::size_t>(setup_.ref().num_nodes());
-  WAVEPIM_REQUIRE(state.size() ==
-                      static_cast<std::size_t>(mesh_.num_elements()) *
-                          problem_.num_vars() * 2 * nodes,
-                  "checkpoint shape does not match the problem");
-  pool().parallel_for(mesh_.num_elements(), [&](std::size_t e) {
-    for (std::uint32_t v = 0; v < problem_.num_vars(); ++v) {
-      const std::uint32_t g = setup_.owner_of(v);
-      const auto& layout = setup_.layout(g);
-      const std::uint32_t slot = setup_.slot_of(v);
-      const std::uint32_t vb =
-          placement_.block_of(static_cast<mesh::ElementId>(e), g);
-      const std::size_t base = (e * problem_.num_vars() + v) * 2 * nodes;
-      std::ranges::copy(state.subspan(base, nodes),
-                        state_column(vb, layout.col_var(slot)).begin());
-      std::ranges::copy(state.subspan(base + nodes, nodes),
-                        state_column(vb, layout.col_aux(slot)).begin());
-    }
-  });
 }
 
 void PimSimulation::fold_ledgers(std::span<const mesh::ElementId> elements,

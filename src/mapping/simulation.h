@@ -106,19 +106,6 @@ class PimSimulation {
                 const dg::MaterialField<dg::ElasticMaterial>& materials,
                 mesh::Boundary boundary = mesh::Boundary::Periodic);
 
-  /// Uniform materials on an externally owned (pooled) chip. The chip
-  /// must be exclusively this simulation's while it lives — the service
-  /// ChipPool enforces that; recycle it with pim::Chip::reset() only
-  /// after the simulation is destroyed (the residency table aliases its
-  /// blocks).
-  PimSimulation(const Problem& problem, ExpansionMode mode,
-                std::shared_ptr<pim::Chip> chip,
-                mesh::Boundary boundary = mesh::Boundary::Periodic,
-                dg::AcousticMaterial acoustic = {},
-                dg::ElasticMaterial elastic = {.lambda = 2.0,
-                                               .mu = 1.0,
-                                               .rho = 1.0});
-
   [[nodiscard]] const mesh::StructuredMesh& mesh() const { return mesh_; }
   [[nodiscard]] const ElementSetup& setup() const { return setup_; }
   [[nodiscard]] pim::Chip& chip() { return *chip_; }
@@ -222,24 +209,6 @@ class PimSimulation {
   /// instruction streams, each a pass over the residency schedule).
   void step(double dt);
 
-  // --- Preemption support (service layer) ----------------------------------
-  // A job parked at a time-step boundary and resumed on another chip (or
-  // the same chip after a reset) must be indistinguishable from a solo
-  // run: checkpoint/restore round-trip the *full* inter-step block state
-  // — variables AND RK auxiliaries (load_state zeroes the auxiliaries,
-  // which is only correct before the first step) — and seed_ledgers
-  // re-seats the cost fold so subsequent `+=` drains continue the exact
-  // solo left-fold. Both are cost-free by design: parking is host-side
-  // bookkeeping, and the solo-equivalent HBM charges stay where a solo
-  // run pays them (load_state at admission, read_state at completion).
-
-  /// Snapshot of the inter-step state, laid out per element, per
-  /// variable: the variable column then its auxiliary column.
-  [[nodiscard]] std::vector<float> checkpoint();
-  /// Restores a snapshot taken by `checkpoint()` on a simulation of the
-  /// same problem/mode (any chip, any residency window).
-  void restore_checkpoint(std::span<const float> state);
-
   /// Per-kernel accumulated cost since construction. Compute phases take
   /// the busiest block per phase; transfers are interconnect-scheduled.
   /// `hbm` prices the off-chip staging traffic (state load/readback when
@@ -278,15 +247,6 @@ class PimSimulation {
     std::uint64_t peak_queue = 0;  ///< deepest per-link queue seen
   };
   [[nodiscard]] const NetStats& net_stats() const { return net_stats_; }
-
-  /// Overwrites the cost and interconnect ledgers with the values a
-  /// parked run had accumulated, so the resumed run's drains append to
-  /// the same floating-point fold a never-preempted run would have (see
-  /// the preemption block above checkpoint()).
-  void seed_ledgers(const Costs& costs, const NetStats& net) {
-    costs_ = costs;
-    net_stats_ = net;
-  }
 
  private:
   [[nodiscard]] ThreadPool& pool();
@@ -334,14 +294,12 @@ class PimSimulation {
   /// (deterministic) increments are folded again every stage.
   void drain_network(std::optional<NetDrain>& cached,
                      const std::vector<pim::Transfer>& transfers);
-  /// Capacity diagnostics shared by both chip paths (throws
-  /// CapacityError with the choose_config hint when the problem cannot
-  /// even batch on this chip).
+  /// Capacity diagnostics (throws CapacityError with the choose_config
+  /// hint when the problem cannot even batch on this chip).
   void check_capacity(const pim::ChipConfig& chip) const;
+  /// Builds the chip and the pricing/residency/accumulator setup over it
+  /// — the tail every constructor shares.
   void init_chip(pim::ChipConfig chip);
-  /// Pricing/residency/accumulator setup over whatever chip_ points at
-  /// (owned or pooled) — the tail every constructor shares.
-  void attach_chip();
   void build_face_pairings();
 
   /// Builds the compiled plan on the first compiled step, and beneath it
@@ -381,9 +339,7 @@ class PimSimulation {
   Problem problem_;
   mesh::StructuredMesh mesh_;
   ElementSetup setup_;
-  /// Owned for the ChipConfig constructors; aliased when a pool hands in
-  /// an external chip (shared ownership keeps it alive past the pool).
-  std::shared_ptr<pim::Chip> chip_;
+  std::unique_ptr<pim::Chip> chip_;
   std::unique_ptr<ResidencyManager> residency_;
   /// Interconnect used to price transfers, which carry *virtual* block
   /// ids: the chip's own network when the problem is resident, otherwise

@@ -39,14 +39,6 @@ void Chip::set_row_extent(std::uint32_t rows) {
   row_extent_ = rows;
 }
 
-void Chip::reset() {
-  for (auto& slot : blocks_) {
-    slot.reset();
-  }
-  num_allocated_ = 0;
-  row_extent_ = Block::kRows;
-}
-
 bool Chip::block_allocated(std::uint32_t id) const {
   return id < blocks_.size() && blocks_[id] != nullptr;
 }

@@ -40,18 +40,10 @@ class Chip {
   void ensure_blocks(std::uint32_t count);
 
   /// Row extent of the blocks this chip allocates (see pim::Block):
-  /// Block::kRows until a tenant narrows it, which only while no block
-  /// is allocated. Capacity and costs keep the modelled geometry.
+  /// Block::kRows until its simulation narrows it, which only while no
+  /// block is allocated. Capacity and costs keep the modelled geometry.
   void set_row_extent(std::uint32_t rows);
   [[nodiscard]] std::uint32_t row_extent() const { return row_extent_; }
-
-  /// Returns the chip to its just-constructed state so a pool can hand it
-  /// to the next tenant: every allocated block is destroyed, the
-  /// allocation count is cleared and the row extent is back to
-  /// Block::kRows. Any Block* a previous tenant's residency table still
-  /// holds becomes dangling — destroy the tenant simulation before
-  /// recycling its chip.
-  void reset();
 
   [[nodiscard]] bool block_allocated(std::uint32_t id) const;
   [[nodiscard]] std::size_t num_allocated_blocks() const {

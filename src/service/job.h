@@ -14,10 +14,10 @@
 /// generator and the solo reference runner. A "job" is one complete
 /// wave simulation — mesh level, physics, boundary, step budget —
 /// arriving at a point on the service's trace clock. The scheduler
-/// (scheduler.h) multiplexes many jobs over a pooled chip fleet; the
+/// (scheduler.h) multiplexes many jobs over a few chip slots; the
 /// contract is that every job's final field and cost ledgers are
 /// bit-identical to `run_job_solo` of the same spec, whatever the
-/// policy, pool size or host thread count.
+/// policy, chip count or host thread count.
 namespace wavepim::service {
 
 /// All jobs advance with this fixed time step (the evaluation matrix's

@@ -10,7 +10,7 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/statistics.h"
-#include "service/chip_pool.h"
+#include "service/program_bank.h"
 #include "trace/trace.h"
 
 namespace wavepim::service {
@@ -44,26 +44,22 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A job's scheduler-side state. The parked ledgers and checkpoint hold
-/// everything a resume needs to continue the solo run's exact
-/// floating-point fold on a different chip.
+/// A job's scheduler-side state. The job owns its simulation (and the
+/// simulation its chip) from first bind to completion, parked or not,
+/// so a resumed job simply steps on.
 struct Job {
   JobSpec spec;
-  bool done = false;
   std::uint32_t steps_done = 0;
   std::uint32_t preemptions = 0;
   double first_bind_s = 0.0;
-  mapping::PimSimulation::Costs costs;
-  mapping::PimSimulation::NetStats net;
-  std::vector<float> parked;
-  bool has_checkpoint = false;
+  std::unique_ptr<mapping::PimSimulation> sim;
   JobResult result;
 };
 
-/// One chip's binding: the tenant simulation and the in-flight quantum's
-/// virtual completion time.
+/// One chip slot: the bound job, its simulation and the in-flight
+/// quantum's virtual completion time.
 struct ChipSlot {
-  std::unique_ptr<mapping::PimSimulation> sim;
+  mapping::PimSimulation* sim = nullptr;  ///< jobs[job].sim while bound
   int job = -1;
   bool inflight = false;
   double quantum_end = kInf;
@@ -84,7 +80,6 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     jobs[i].spec = specs[i];
   }
 
-  ChipPool pool(options_.num_chips, options_.chip);
   ProgramBank bank;
   std::vector<ChipSlot> slots(options_.num_chips);
   std::vector<int> queue;  ///< indices into `jobs`, unordered
@@ -116,7 +111,7 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     ChipSlot& slot = slots[ci];
     Job& job = jobs[static_cast<std::size_t>(slot.job)];
     // read_state charges the readback to the hbm channel exactly like
-    // the solo run's single readback (parked snapshots were cost-free).
+    // the solo run's single readback.
     const dg::Field out = slot.sim->read_state();
     job.result.id = job.spec.id;
     job.result.hash = field_hash(out);
@@ -127,11 +122,10 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     job.result.first_bind_s = job.first_bind_s;
     job.result.completion_s = now;
     job.result.preemptions = job.preemptions;
-    job.done = true;
     ++num_done;
     trace::instant("service.depart", job.spec.id);
-    slot.sim.reset();  // before recycle: residency aliases the blocks
-    pool.recycle(ci);
+    job.sim.reset();
+    slot.sim = nullptr;
     slot.job = -1;
   };
 
@@ -139,21 +133,20 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     trace::Span span("service.bind");
     ChipSlot& slot = slots[ci];
     Job& job = jobs[static_cast<std::size_t>(j)];
-    auto sim = std::make_unique<mapping::PimSimulation>(
-        job.spec.problem(), job.spec.expansion, pool.chip(ci),
-        job.spec.boundary);
-    sim->set_num_threads(options_.threads);
-    sim->set_shared_cache(bank.cache_for(job.spec));
-    if (job.has_checkpoint) {
-      trace::Span resume("service.resume");
-      sim->restore_checkpoint(job.parked);
-      sim->seed_ledgers(job.costs, job.net);
-    } else {
+    const bool first = job.sim == nullptr;
+    if (first) {
+      job.sim = std::make_unique<mapping::PimSimulation>(
+          job.spec.problem(), job.spec.expansion, options_.chip,
+          job.spec.boundary);
+      job.sim->set_shared_cache(bank.cache_for(job.spec));
+    }
+    job.sim->set_num_threads(options_.threads);
+    if (first) {
       // First bind pays the state load (hbm channel), like solo.
-      sim->load_state(initial_state(job.spec, *sim));
+      job.sim->load_state(initial_state(job.spec, *job.sim));
       job.first_bind_s = now;
     }
-    slot.sim = std::move(sim);
+    slot.sim = job.sim.get();
     slot.job = j;
     if (job.steps_done == job.spec.steps) {
       complete(ci);  // zero-step job: admission and readback only
@@ -165,15 +158,13 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
     ChipSlot& slot = slots[ci];
     const int j = slot.job;
     Job& job = jobs[static_cast<std::size_t>(j)];
-    job.costs = slot.sim->costs();
-    job.net = slot.sim->net_stats();
-    job.parked = slot.sim->checkpoint();
-    job.has_checkpoint = true;
+    // A parked job keeps its simulation but holds no worker thread: a
+    // one-worker pool starts none.
+    job.sim->set_num_threads(1);
     ++job.preemptions;
     ++preemptions;
     trace::instant("service.preempt", job.spec.id);
-    slot.sim.reset();  // before recycle: residency aliases the blocks
-    pool.recycle(ci);
+    slot.sim = nullptr;
     slot.job = -1;
     queue.push_back(j);
   };
@@ -319,7 +310,6 @@ ServiceReport Scheduler::run(std::vector<JobSpec> specs) {
   report.preemptions = preemptions;
   report.cache_builds = bank.builds();
   report.cache_hits = bank.hits();
-  report.chip_recycles = pool.recycles();
 
   trace::counter("service.jobs", static_cast<double>(report.jobs.size()));
   trace::counter("service.max_queue_depth",

@@ -26,10 +26,11 @@ enum class Policy : std::uint8_t { Fifo, Srs, Edf };
 struct ServiceOptions {
   std::uint32_t num_chips = 1;
   Policy policy = Policy::Fifo;
-  /// Worker count per tenant simulation (PimSimulation semantics: 1 is
-  /// serial, 0 the global pool). Applies when one chip steps alone: when
-  /// several do, their quanta fan out on the global pool and each runs
-  /// its loops inline. Never affects results.
+  /// Worker count per bound tenant simulation (PimSimulation semantics:
+  /// 1 is serial, 0 the global pool; a parked tenant drops to 1). Applies
+  /// when one chip steps alone: when several do, their quanta fan out on
+  /// the global pool and each runs its loops inline. Never affects
+  /// results.
   std::size_t threads = 1;
   pim::ChipConfig chip = pim::chip_512mb();
 };
@@ -67,27 +68,30 @@ struct ServiceReport {
   std::uint64_t preemptions = 0;
   std::uint64_t cache_builds = 0;  ///< distinct shape classes lowered
   std::uint64_t cache_hits = 0;    ///< jobs that reused a lowered class
-  std::uint64_t chip_recycles = 0;
   NetSummary net;  ///< interconnect traffic across the whole fleet
 };
 
-/// Discrete-event multiplexer of a job stream over a pooled fleet.
+/// Discrete-event multiplexer of a job stream over `num_chips` chip
+/// slots.
 ///
+/// Each job builds one PimSimulation (on a chip of its own, from
+/// `ServiceOptions::chip`) at its first bind and keeps it to completion;
+/// a chip slot is a scheduling index that says which job may step.
 /// Virtual time: the trace clock advances by each quantum's modelled
 /// duration (the delta of costs().total().time across one sim.step), so
 /// scheduling decisions depend only on the deterministic cost model —
 /// never on host wall-clock — and a run is reproducible for any host
 /// thread count. One quantum is one full time step; preemption happens
-/// only at quantum boundaries, where checkpoint/restore is bit-exact.
-/// Quanta due at the same virtual instant execute host-parallel across
-/// chips (distinct sims on distinct chips; the shared ProgramBank is
-/// internally synchronized); ties break on (chip index, job id).
+/// only at quantum boundaries, where a parked job simply stops stepping
+/// until a slot binds it again. Quanta due at the same virtual instant
+/// execute host-parallel across slots (distinct simulations; the shared
+/// ProgramBank is internally synchronized); ties break on (chip index,
+/// job id).
 ///
 /// Bit-identity contract: every job's final field hash and per-channel
-/// ledgers (pim volume/flux/integration, network, hbm) equal
-/// `run_job_solo` of the same spec. Parking snapshots the ledgers and
-/// the full inter-step state; resuming seeds them back, so the resumed
-/// run extends the exact floating-point fold of a never-preempted run.
+/// ledgers (pim volume/flux/integration, network, hbm) and link
+/// statistics equal `run_job_solo` of the same spec: a job runs the
+/// solo run's steps on one simulation, parked or not.
 class Scheduler {
  public:
   explicit Scheduler(ServiceOptions options) : options_(options) {}

@@ -61,28 +61,6 @@ TEST(Chip, ExposesSubModels) {
   EXPECT_EQ(chip.config().name, "PIM-8GB");
 }
 
-
-TEST(Chip, ResetClearsBlocksAndRestoresFullRowExtent) {
-  Chip chip(chip_512mb());
-  chip.set_row_extent(32);
-  chip.block(0).set(0, 0, 3.5f);
-  chip.block(3).set(1, 2, -1.0f);
-  ASSERT_EQ(chip.num_allocated_blocks(), 2u);
-
-  chip.reset();
-  EXPECT_EQ(chip.num_allocated_blocks(), 0u);
-  EXPECT_FALSE(chip.block_allocated(0));
-  EXPECT_FALSE(chip.block_allocated(3));
-  EXPECT_EQ(chip.row_extent(), Block::kRows);
-
-  // The next tenant sees a fresh fabric: re-touched blocks read zeros,
-  // not the previous tenant's columns, at the full extent.
-  EXPECT_EQ(chip.block(0).at(0, 0), 0.0f);
-  EXPECT_EQ(chip.block(3).at(1, 2), 0.0f);
-  EXPECT_EQ(chip.block(3).rows(), Block::kRows);
-  EXPECT_EQ(chip.num_allocated_blocks(), 2u);
-}
-
 TEST(Chip, BlocksStoreOnlyTheRowExtent) {
   Chip chip(chip_512mb());
   EXPECT_EQ(chip.row_extent(), Block::kRows);

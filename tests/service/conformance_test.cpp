@@ -1,8 +1,8 @@
 // ServiceConformance: the scheduler's bit-identity contract. Every job
-// that goes through the multiplexed fleet — whatever the policy, pool
-// size or host thread count, including jobs that were preempted and
-// resumed on a different chip — must hand back the exact field hash and
-// per-channel cost ledgers of a solo run on a private chip.
+// that goes through the multiplexed chips — whatever the policy, chip
+// count or host thread count, including jobs that were preempted and
+// resumed on a different chip slot — must hand back the exact field
+// hash, per-channel cost ledgers and link statistics of a solo run.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +12,7 @@
 
 #include "service/job.h"
 #include "service/scheduler.h"
+#include "support/preemption_stream.h"
 
 namespace wavepim::service {
 namespace {
@@ -36,13 +37,16 @@ void expect_matches_solo(const JobResult& got, const JobResult& solo) {
   EXPECT_EQ(got.net.transfers, solo.net.transfers);
   EXPECT_EQ(got.net.words, solo.net.words);
   EXPECT_EQ(got.net.serial_sum.value(), solo.net.serial_sum.value());
+  EXPECT_EQ(got.net.stall_time.value(), solo.net.stall_time.value());
+  EXPECT_EQ(got.net.max_utilization, solo.net.max_utilization);
+  EXPECT_EQ(got.net.peak_queue, solo.net.peak_queue);
   EXPECT_EQ(got.steps_run, solo.steps_run);
 }
 
-// One chip serves an n1d = 2 tenant (8-row block extent), an n1d = 4
-// tenant (64 rows), then n1d = 2 again: every recycle resizes the
-// chip's block storage, and each job must still match its solo run.
-TEST(ServiceConformance, RecycledChipTakesEachTenantsRowExtent) {
+// One chip slot serves an n1d = 2 tenant (8-row block extent), an
+// n1d = 4 tenant (64 rows), then n1d = 2 again: each tenant's chip takes
+// its own extent, and each job must still match its solo run.
+TEST(ServiceConformance, SuccessiveTenantsTakeTheirOwnRowExtent) {
   std::vector<JobSpec> specs;
   for (const int n1d : {2, 4, 2}) {
     JobSpec spec;
@@ -58,7 +62,6 @@ TEST(ServiceConformance, RecycledChipTakesEachTenantsRowExtent) {
   svc.policy = Policy::Fifo;
   const ServiceReport report = Scheduler(svc).run(specs);
   ASSERT_EQ(report.jobs.size(), specs.size());
-  EXPECT_GE(report.chip_recycles, specs.size());
   for (const JobSpec& spec : specs) {
     expect_matches_solo(report.jobs[spec.id],
                         run_job_solo(spec, pim::chip_512mb()));
@@ -115,47 +118,28 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{4})),
     grid_name);
 
-/// A stream built to force preemption on one chip: a long deadline-free
-/// job arrives first, then three urgent one-step jobs. Under Srs/Edf
-/// the long job must park at a step boundary and resume later — and
-/// still finish bit-identical to its solo run.
-std::vector<JobSpec> preemption_specs() {
-  std::vector<JobSpec> specs;
-  JobSpec lng;
-  lng.id = 0;
-  lng.arrival_s = 0.0;
-  lng.kind = dg::ProblemKind::Acoustic;
-  lng.expansion = mapping::ExpansionMode::None;
-  lng.steps = 6;
-  lng.state_seed = 17;
-  specs.push_back(lng);
-  for (std::uint32_t i = 1; i <= 3; ++i) {
-    JobSpec spec;
-    spec.id = i;
-    spec.arrival_s = 1.0e-12 * static_cast<double>(i);  // before any quantum
-    spec.kind = dg::ProblemKind::Acoustic;
-    spec.expansion = mapping::ExpansionMode::None;
-    spec.steps = 1;
-    spec.deadline_s = 1.0e-6 * static_cast<double>(i);
-    spec.state_seed = 100 + i;
-    specs.push_back(spec);
-  }
-  return specs;
-}
-
 class PreemptionConformance : public ::testing::TestWithParam<Policy> {};
 
+// At 4 threads a parked job gives up a 4-worker pool and takes a new
+// one on resume.
 TEST_P(PreemptionConformance, ParkedJobsResumeBitIdentical) {
   const auto specs = preemption_specs();
-  ServiceOptions svc;
-  svc.num_chips = 1;
-  svc.policy = GetParam();
-  const ServiceReport report = Scheduler(svc).run(specs);
-  EXPECT_GE(report.preemptions, 1u) << "stream was built to preempt";
-  EXPECT_GE(report.jobs[0].preemptions, 1u);
+  std::vector<JobResult> solo;
   for (const JobSpec& spec : specs) {
-    expect_matches_solo(report.jobs[spec.id],
-                        run_job_solo(spec, pim::chip_512mb()));
+    solo.push_back(run_job_solo(spec, pim::chip_512mb()));
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ServiceOptions svc;
+    svc.num_chips = 1;
+    svc.policy = GetParam();
+    svc.threads = threads;
+    const ServiceReport report = Scheduler(svc).run(specs);
+    EXPECT_GE(report.preemptions, 1u) << "stream was built to preempt";
+    EXPECT_GE(report.jobs[0].preemptions, 1u);
+    for (const JobSpec& spec : specs) {
+      expect_matches_solo(report.jobs[spec.id], solo[spec.id]);
+    }
   }
 }
 

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "service/chip_pool.h"
+#include "service/program_bank.h"
+#include "support/preemption_stream.h"
 
 namespace wavepim::service {
 namespace {
@@ -97,12 +96,15 @@ TEST(Scheduler, ReportStatisticsAreConsistent) {
   EXPECT_GT(report.chip_utilization, 0.0);
   EXPECT_LE(report.chip_utilization, 1.0);
   EXPECT_GE(report.max_queue_depth, 1u);
-  // Every departure and preemption recycles a chip.
-  EXPECT_EQ(report.chip_recycles,
-            report.jobs.size() + report.preemptions);
-  // Every job either lowered its shape class or reused one.
+  // Every job either lowered its shape class or reused one, once: a
+  // resumed job asks the bank nothing.
   EXPECT_EQ(report.cache_builds + report.cache_hits, report.jobs.size());
   EXPECT_GE(report.cache_builds, 1u);
+
+  svc.num_chips = 1;
+  const ServiceReport parked = Scheduler(svc).run(preemption_specs());
+  ASSERT_GE(parked.preemptions, 1u) << "stream was built to preempt";
+  EXPECT_EQ(parked.cache_builds + parked.cache_hits, parked.jobs.size());
 }
 
 TEST(Scheduler, MoreChipsNeverLengthenMakespan) {
@@ -114,36 +116,6 @@ TEST(Scheduler, MoreChipsNeverLengthenMakespan) {
   svc.num_chips = 4;
   const double four = Scheduler(svc).run(specs).makespan_s;
   EXPECT_LE(four, one);
-}
-
-TEST(ChipPool, RecycledChipReproducesFreshChipResults) {
-  JobSpec spec;
-  spec.id = 0;
-  spec.steps = 3;
-  spec.state_seed = 7;
-
-  ChipPool pool(1, pim::chip_512mb());
-  const auto run_on_pool_chip = [&]() {
-    mapping::PimSimulation sim(spec.problem(), spec.expansion, pool.chip(0),
-                               spec.boundary);
-    sim.load_state(initial_state(spec, sim));
-    for (std::uint32_t s = 0; s < spec.steps; ++s) {
-      sim.step(kJobDt);
-    }
-    return field_hash(sim.read_state());
-  };  // sim destroyed here, before the recycle
-
-  const std::string fresh = run_on_pool_chip();
-  pool.recycle(0);
-  const std::string recycled = run_on_pool_chip();
-  pool.recycle(0);
-  EXPECT_EQ(pool.recycles(), 2u);
-  // Same chip after recycling reproduces the fresh-chip run, and both
-  // match a solo run on a private chip — no stale column state leaks
-  // between tenants.
-  EXPECT_EQ(recycled, fresh);
-  EXPECT_EQ(fresh, run_job_solo(spec, pim::chip_512mb()).hash);
-  EXPECT_EQ(pool.chip(0)->num_allocated_blocks(), 0u);
 }
 
 TEST(ProgramBank, SharesOneCachePerShapeClass) {

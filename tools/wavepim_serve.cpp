@@ -1,18 +1,18 @@
 // wavepim_serve — simulation-as-a-service front end: generates a
 // seeded stream of heterogeneous wave-simulation jobs and multiplexes
-// it over a pooled chip fleet with the chosen scheduling policy,
+// it over a few simulated chips with the chosen scheduling policy,
 // reporting per-job latency percentiles, chip utilization and queue
 // pressure. Every job's final field and cost ledgers are bit-identical
-// to a solo run of the same job, whatever the policy or pool size.
+// to a solo run of the same job, whatever the policy or chip count.
 //
 // Usage: wavepim_serve [--chips=N] [--jobs=N] [--policy=fifo|srs|edf]
 //                      [--seed=N] [--threads=N] [--max-steps=N]
 //                      [--zero-step] [--trace=FILE]
 //                      [--topology=htree|bus]
 //
-// --topology configures every pooled chip's fabric. It is pricing-only:
+// --topology configures every job's chip fabric. It is pricing-only:
 // job field hashes and the compute/HBM ledgers are bit-identical on
-// either fabric (pinned by NetBackendConformance).
+// either fabric (pinned by LinkStatsConformance).
 //
 // --trace records the run (service.* spans and counters plus the tenant
 // simulations underneath) and writes Chrome trace-event JSON. These
@@ -26,7 +26,6 @@
 #include "common/parse.h"
 #include "common/units.h"
 #include "frontend.h"
-#include "service/chip_pool.h"
 #include "service/job.h"
 #include "service/scheduler.h"
 
@@ -83,8 +82,6 @@ int serve(const service::GeneratorOptions& gen,
   std::printf("program bank      %llu classes lowered, %llu jobs reused one\n",
               static_cast<unsigned long long>(report.cache_builds),
               static_cast<unsigned long long>(report.cache_hits));
-  std::printf("chip recycles     %llu\n",
-              static_cast<unsigned long long>(report.chip_recycles));
   std::printf("network           %s serialized, %s on fabric "
               "(overlap %.2fx, %llu transfers, %llu words)\n",
               format_time(seconds(report.net.serial_s)).c_str(),
