@@ -9,7 +9,6 @@
 #include "common/parallel.h"
 #include "dg/rk.h"
 #include "mapping/element_program.h"
-#include "mapping/program_cache.h"
 #include "mapping/residency.h"
 #include "mapping/sinks.h"
 #include "mesh/structured_mesh.h"
@@ -326,21 +325,15 @@ std::unique_ptr<Estimator::Plan> Estimator::plan() const {
 
   // --- Cost the representative element's kernels -------------------------
   // Every element of the (uniform, all-interior) representative class
-  // runs the same streams, so the per-class cached programs are costed
-  // once instead of re-emitting the kernels per query. Replay issues the
-  // identical sink-call sequence as direct emission, so the tallies match
-  // bit-for-bit.
-  ProgramCache cache(setup);
-  const std::uint32_t cls = 0;
-
-  replay(cache.arena(), cache.volume(cls), plan->vol);
+  // runs the same streams, so one element's emission, tallied once,
+  // prices them all.
+  emit_volume(setup, plan->vol);
   for (Face f : mesh::kAllFaces) {
-    replay(cache.arena(), cache.flux(cls, f),
-           mesh::normal_sign(f) < 0 ? plan->flux_minus : plan->flux_plus);
+    emit_flux_face(setup, f, /*boundary=*/false,
+                   mesh::normal_sign(f) < 0 ? plan->flux_minus
+                                            : plan->flux_plus);
   }
-  const ProgramCache::IntegrationProgram& integ_program =
-      cache.integration(/*stage=*/1, /*dt=*/1.0e-3f);
-  replay(integ_program.arena, integ_program.stream, plan->integ);
+  emit_integration_stage(setup, /*stage=*/1, /*dt=*/1.0e-3f, plan->integ);
 
   // --- Interconnect batches of one batch of elements ---------------------
   // Both face signs usually stage the same intra-element transfers; the

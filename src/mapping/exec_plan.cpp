@@ -1,5 +1,6 @@
 #include "mapping/exec_plan.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -251,7 +252,7 @@ void ExecutionPlan::check_rows(const Op& op, std::uint32_t row_extent) {
   }
 }
 
-ExecutionPlan::ExecutionPlan(ProgramCache& cache,
+ExecutionPlan::ExecutionPlan(const ProgramCache& cache,
                              const mesh::StructuredMesh& mesh,
                              Placement placement, SinkPricing pricing,
                              std::uint32_t row_extent)
@@ -503,15 +504,22 @@ const ExecutionPlan::StreamPlan& ExecutionPlan::integration(int stage,
   if (it != integration_.end()) {
     return it->second;
   }
+  // Emitted straight into the builder: the stage issues only full-column
+  // faxpy calls, so no op keeps a pointer into a row or value table
+  // (direct emission would leave one dangling).
   StreamPlan plan;
   PlanBuilder builder(plan, nullptr, pricing_, cache_.setup().num_groups(),
                       row_extent_);
-  const ProgramCache::IntegrationProgram& integ =
-      cache_.integration(stage, dt);
-  replay(integ.arena, integ.stream, builder);
+  emit_integration_stage(cache_.setup(), stage, dt, builder);
   builder.finish();
   WAVEPIM_REQUIRE(plan.transfers.empty(),
                   "integration streams move no data between blocks");
+  const auto carries_table = [](const Op& op) {
+    return op.rows_a != nullptr || op.rows_b != nullptr ||
+           op.values != nullptr;
+  };
+  WAVEPIM_REQUIRE(std::ranges::none_of(plan.ops, carries_table),
+                  "integration streams carry no row or value table");
   return integration_.emplace(key, std::move(plan)).first->second;
 }
 

@@ -61,8 +61,7 @@ namespace wavepim::mapping {
 /// Thread safety: the run_* methods are const and touch only the bound
 /// element's blocks (flux additionally reads neighbour variable columns,
 /// which no element writes during the phase). `integration()` lowers
-/// lazily and must be
-/// called before fanning out, mirroring `ProgramCache::integration`.
+/// lazily and must be called before fanning out.
 class ExecutionPlan {
  public:
   /// One resolved operation of a compiled stream. Row lists and constant
@@ -127,7 +126,7 @@ class ExecutionPlan {
   /// Compiles every class of `cache` and resolves the per-element
   /// binding tables. The cache (and its arena) must outlive the plan.
   /// Every op must pass check_rows at `row_extent` (Chip::row_extent).
-  ExecutionPlan(ProgramCache& cache, const mesh::StructuredMesh& mesh,
+  ExecutionPlan(const ProgramCache& cache, const mesh::StructuredMesh& mesh,
                 Placement placement, SinkPricing pricing,
                 std::uint32_t row_extent = pim::Block::kRows);
 
@@ -160,9 +159,10 @@ class ExecutionPlan {
   void settle_pull(pim::OpCost* accumulators, mesh::ElementId e,
                    mesh::Face face) const;
 
-  /// Compiled Integration stream for (stage, dt); lowered through the
-  /// cache on first request and memoised. Not thread-safe: fetch before
-  /// the parallel fan-out.
+  /// Compiled Integration stream for (stage, dt): emitted straight into
+  /// the plan builder on first request and memoised (the stage is
+  /// class-independent — every element runs the same stream). Not
+  /// thread-safe: fetch before the parallel fan-out.
   const StreamPlan& integration(int stage, float dt);
 
   /// Element-order merged transfer lists of one whole phase (flux in
@@ -230,7 +230,7 @@ class ExecutionPlan {
                   const std::array<std::uint32_t, 6>* neighbor_base,
                   const StreamPlan& stream) const;
 
-  ProgramCache& cache_;
+  const ProgramCache& cache_;
   Placement placement_;
   SinkPricing pricing_;
   std::uint32_t row_extent_;

@@ -1,7 +1,5 @@
 #include "mapping/program_cache.h"
 
-#include <bit>
-#include <mutex>
 #include <utility>
 
 #include "common/error.h"
@@ -334,10 +332,6 @@ ProgramCache::ProgramCache(
   }
 }
 
-ProgramCache::ProgramCache(const ElementSetup& setup) : setup_(setup) {
-  lower_class(ShapeClassKey{}, nullptr, {});
-}
-
 std::uint32_t ProgramCache::lower_class(
     const ShapeClassKey& key, const VolumeCoeffs* volume,
     const std::array<const FluxCoeffs*, 6>& flux) {
@@ -357,28 +351,6 @@ std::uint32_t ProgramCache::lower_class(
 
   classes_.push_back(streams);
   return static_cast<std::uint32_t>(classes_.size() - 1);
-}
-
-const ProgramCache::IntegrationProgram& ProgramCache::integration(int stage,
-                                                                  float dt) {
-  const auto key = std::make_pair(stage, std::bit_cast<std::uint32_t>(dt));
-  {
-    std::shared_lock lock(integration_mutex_);
-    const auto it = integration_.find(key);
-    if (it != integration_.end()) {
-      return *it->second;
-    }
-  }
-  std::unique_lock lock(integration_mutex_);
-  auto& slot = integration_[key];  // double-checked: a racer may have lowered
-  if (!slot) {
-    auto program = std::make_unique<IntegrationProgram>();
-    RelocatableAssembler sink(program->arena);
-    emit_integration_stage(setup_, stage, dt, sink);
-    program->stream = {0, program->arena.num_instructions()};
-    slot = std::move(program);
-  }
-  return *slot;
 }
 
 }  // namespace wavepim::mapping

@@ -3,10 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <shared_mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "mapping/element_program.h"
@@ -20,8 +17,8 @@ namespace wavepim::mapping {
 /// A structured mesh has only a handful of distinct element *shapes*:
 /// the equivalence class of (volume-coefficient set, per-face boundary
 /// kind and flux-coefficient set) under a fixed ElementSetup. Every
-/// element of a class emits the identical Volume / Flux / Integration
-/// instruction stream — only the *addresses* (which chip blocks, which
+/// element of a class emits the identical Volume / Flux instruction
+/// stream — only the *addresses* (which chip blocks, which
 /// neighbour) differ, and those are resolved by the executing sink, not
 /// by the stream. The cache therefore lowers each class exactly once
 /// into a shared flat arena and replays the stream per element.
@@ -134,11 +131,11 @@ class RelocatableAssembler : public ProgramSink {
 
 /// Replays a cached relocatable stream through a sink. The sink resolves
 /// the element-relative operands — the compiled plan's builder decodes
-/// them into op arrays, CostSink tallies the class's op counts, and the
-/// test-side FunctionalSink executes them on crossbar blocks. The replayed
-/// call sequence is identical to the original emission, so any
-/// sink-observable property (fields, ledgers, transfer lists, deferred
-/// charges) is bit-identical to uncached emission by construction.
+/// them into op arrays and the test-side FunctionalSink executes them on
+/// crossbar blocks. The replayed call sequence is identical to the
+/// original emission (tests/mapping/assembler_test.cpp checks it call by
+/// call), so any sink-observable property (fields, ledgers, transfer
+/// lists, deferred charges) is bit-identical to uncached emission.
 void replay(const ProgramArena& arena, StreamRef stream, ProgramSink& sink);
 
 /// Per-element shape class: which interned coefficient sets feed the
@@ -158,15 +155,13 @@ struct ShapeClassKey {
   auto operator<=>(const ShapeClassKey&) const = default;
 };
 
-/// Lowers and owns the per-class streams of one problem. Build once
-/// after the per-element coefficients are known; replay from any number
-/// of workers — and any number of *simulations*: the class streams and
-/// their arena are immutable after construction, and `integration`
-/// memoises per (stage, dt) behind a shared_mutex (shared-lock lookups,
-/// single-writer lowering) into per-entry arenas whose addresses are
-/// stable for the cache's lifetime. A service chip pool therefore hands
-/// one cache to every tenant of the same shape class (see
-/// service::ProgramBank) without copying a stream.
+/// Lowers and owns the Volume and Flux streams of every shape class of
+/// one problem. The cache is immutable once constructed, so any number
+/// of workers — and any number of *simulations* — may replay it without
+/// a lock: the service's ProgramBank hands one cache to every tenant of
+/// the same shape class without copying a stream. Integration stages are
+/// class-independent full-column updates with no row or value tables, so
+/// they are not cached: ExecutionPlan::integration emits them directly.
 class ProgramCache {
  public:
   /// Classifies every element of `mesh` (with optional per-element
@@ -175,10 +170,6 @@ class ProgramCache {
   ProgramCache(const ElementSetup& setup, const mesh::StructuredMesh& mesh,
                const std::vector<VolumeCoeffs>* volume_overrides,
                const std::vector<std::array<FluxCoeffs, 6>>* flux_overrides);
-
-  /// Mesh-free variant: one representative all-interior class with the
-  /// setup's uniform coefficients (the estimator's costing model).
-  explicit ProgramCache(const ElementSetup& setup);
 
   [[nodiscard]] const ElementSetup& setup() const { return setup_; }
   [[nodiscard]] const ProgramArena& arena() const { return arena_; }
@@ -197,22 +188,6 @@ class ProgramCache {
     return classes_[cls].flux[mesh::index_of(f)];
   }
 
-  /// One memoised integration stage: its own arena (so later lowerings
-  /// can never relocate a stream a concurrent reader is replaying) plus
-  /// the stream spanning it.
-  struct IntegrationProgram {
-    ProgramArena arena;
-    StreamRef stream;
-  };
-
-  /// Integration program for (stage, dt); lowered on first request and
-  /// memoised (class-independent — every element runs the same stream).
-  /// Thread-safe: lookups take a shared lock, a miss lowers under the
-  /// exclusive lock; the returned reference stays valid for the cache's
-  /// lifetime. Still fetch once per stage before the per-element
-  /// fan-out — not for safety, just to keep the lock off the hot loop.
-  const IntegrationProgram& integration(int stage, float dt);
-
  private:
   struct ClassStreams {
     StreamRef volume;
@@ -226,11 +201,7 @@ class ProgramCache {
   const ElementSetup& setup_;
   ProgramArena arena_;
   std::vector<ClassStreams> classes_;
-  std::vector<std::uint32_t> class_of_;  ///< per element; empty if mesh-free
-  std::shared_mutex integration_mutex_;
-  std::map<std::pair<int, std::uint32_t>,
-           std::unique_ptr<IntegrationProgram>>
-      integration_;
+  std::vector<std::uint32_t> class_of_;  ///< per element
 };
 
 }  // namespace wavepim::mapping

@@ -220,7 +220,8 @@ void PimSimulation::set_num_threads(std::size_t num_threads) {
       num_threads == 0 ? nullptr : std::make_unique<ThreadPool>(num_threads);
 }
 
-void PimSimulation::set_shared_cache(std::shared_ptr<ProgramCache> cache) {
+void PimSimulation::set_shared_cache(
+    std::shared_ptr<const ProgramCache> cache) {
   WAVEPIM_REQUIRE(cache != nullptr, "shared cache must not be null");
   WAVEPIM_REQUIRE(!cache_,
                   "set_shared_cache must precede the first cached step");
@@ -366,8 +367,8 @@ void PimSimulation::settle_charges() {
 void PimSimulation::drain_accumulators(std::vector<pim::OpCost>& acc,
                                        pim::OpCost& into) {
   trace::Span span("pim.drain_phase");
-  // Ascending virtual-id order fixes the energy reduction order, exactly
-  // like Chip::drain_phase fixes it over physical ids.
+  // Ascending virtual-id order fixes the energy reduction order, however
+  // the phase's work was distributed across workers.
   Seconds busiest{};
   Joules energy{};
   for (auto& cost : acc) {
@@ -569,8 +570,8 @@ void PimSimulation::run_schedule(double dt) {
 
   for (int stage = 0; stage < dg::Lsrk54::kNumStages; ++stage) {
     trace::Span stage_span("pim.rk_stage", static_cast<double>(stage));
-    // Lazy lowering of the stage's Integration stream happens before the
-    // fan-outs (running it is const and worker-safe).
+    // The plans lower the stage's Integration stream on first use, here
+    // before the fan-outs (running it is const and worker-safe).
     const ExecutionPlan::StreamPlan& integ_plan =
         plan_->integration(stage, static_cast<float>(dt));
     const WordPlan::WordStream* integ_word =

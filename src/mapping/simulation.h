@@ -134,10 +134,10 @@ class PimSimulation {
   /// Adopts a cache built elsewhere (the service ProgramBank's shared
   /// shape-class entry) instead of lowering a private one: tenants of
   /// the same (problem, expansion, boundary) class run the identical
-  /// streams, and ProgramCache::integration is thread-safe so tenants on
-  /// different chips may lower stages concurrently. Uniform-material
-  /// problems only; call before the first compiled/word step.
-  void set_shared_cache(std::shared_ptr<ProgramCache> cache);
+  /// streams, and the cache is immutable, so tenants on different chips
+  /// replay it concurrently. Uniform-material problems only; call before
+  /// the first compiled/word step.
+  void set_shared_cache(std::shared_ptr<const ProgramCache> cache);
   /// The compiled plan, once the first compiled step has built it.
   [[nodiscard]] const ExecutionPlan* execution_plan() const {
     return plan_.get();
@@ -355,7 +355,7 @@ class PimSimulation {
   NetStats net_stats_;
   ExecPath exec_path_ = ExecPath::Word;
   /// Built privately by ensure_plan, or adopted via set_shared_cache.
-  std::shared_ptr<ProgramCache> cache_;
+  std::shared_ptr<const ProgramCache> cache_;
   std::unique_ptr<ExecutionPlan> plan_;
   std::unique_ptr<WordPlan> word_plan_;
   /// Witness state (word tier). Everything below is touched only when

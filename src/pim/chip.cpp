@@ -1,9 +1,8 @@
 #include "pim/chip.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.h"
-#include "trace/trace.h"
 
 namespace wavepim::pim {
 
@@ -44,23 +43,5 @@ bool Chip::block_allocated(std::uint32_t id) const {
 }
 
 double Chip::static_power_w() const { return chip_static_power_w(config_); }
-
-Chip::PhaseCost Chip::drain_phase() {
-  trace::Span span("pim.drain_phase");
-  PhaseCost cost{};
-  // Fixed block-id order keeps the energy sum bit-identical no matter how
-  // the phase's work was distributed across threads.
-  for (auto& block : blocks_) {
-    if (!block) {
-      continue;
-    }
-    const OpCost& c = block->consumed();
-    cost.busiest_block = std::max(cost.busiest_block, c.time);
-    cost.energy += c.energy;
-    block->reset_cost();
-  }
-  cost.critical_path = cost.busiest_block;
-  return cost;
-}
 
 }  // namespace wavepim::pim

@@ -53,18 +53,6 @@ class Chip {
   /// Static power of the chip (Table 3 composition, excludes host & HBM).
   [[nodiscard]] double static_power_w() const;
 
-  /// Sums and clears the ledgers of all allocated blocks, returning
-  /// {max block time, total energy} — the aggregation for one parallel
-  /// phase across blocks. Blocks are visited in ascending id order, so the
-  /// floating-point energy total is deterministic regardless of how many
-  /// workers executed the phase.
-  struct PhaseCost {
-    Seconds critical_path;
-    Seconds busiest_block;
-    Joules energy;
-  };
-  PhaseCost drain_phase();
-
  private:
   ChipConfig config_;
   ArithModel arith_;

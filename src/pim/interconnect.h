@@ -168,7 +168,7 @@ class Interconnect {
   /// in the list schedule, no transfer is ever delayed by a later-ranked
   /// one. The queue statistics are therefore read off the list schedule
   /// (`list_schedule` in interconnect.cpp says how each field is
-  /// computed). tests/pim/net_backend_test.cpp keeps the event-driven
+  /// computed). tests/pim/link_stats_test.cpp keeps the event-driven
   /// simulation as an oracle and checks every result field against it.
   ///
   /// Invariants (pinned by that test):

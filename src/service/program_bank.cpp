@@ -4,14 +4,14 @@
 
 namespace wavepim::service {
 
-std::shared_ptr<mapping::ProgramCache> ProgramBank::cache_for(
+std::shared_ptr<const mapping::ProgramCache> ProgramBank::cache_for(
     const JobSpec& spec) {
   const Key key = key_of(spec);
   std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    // Lowering happens under the bank lock: one writer per class, and
-    // concurrent `integration()` readers on other entries are untouched.
+    // Lowering happens under the bank lock: one writer per class. Built
+    // entries are immutable, so tenants replay them without a lock.
     const mesh::StructuredMesh mesh(spec.refinement_level, 1.0,
                                     spec.boundary);
     it = entries_.emplace(key, std::make_shared<Entry>(spec, mesh)).first;

@@ -35,7 +35,7 @@ class ProgramBank {
   /// The shared cache for this job's shape class, lowering it on first
   /// use. The returned pointer keeps the backing entry (and the
   /// ElementSetup the cache references) alive.
-  [[nodiscard]] std::shared_ptr<mapping::ProgramCache> cache_for(
+  [[nodiscard]] std::shared_ptr<const mapping::ProgramCache> cache_for(
       const JobSpec& spec);
 
   /// Lookups that lowered their class, and lookups that found it lowered.

@@ -11,7 +11,6 @@
 
 #include "common/error.h"
 #include "mapping/element_program.h"
-#include "mapping/program_cache.h"
 #include "mapping/sinks.h"
 #include "mesh/face.h"
 #include "mesh/structured_mesh.h"
@@ -169,15 +168,14 @@ TEST(Estimator, SchedulesTheSharedFluxStagingBatchOnce) {
   Estimator e(problem, chip);
   {
     const ElementSetup setup(problem, e.config().expansion, 1.0 / 16.0);
-    ProgramCache cache(setup);
     const pim::ArithModel arith;
     SinkPricing pricing;
     pricing.model = &arith;
     CostSink minus(pricing, setup.num_groups());
     CostSink plus(pricing, setup.num_groups());
     for (const mesh::Face f : mesh::kAllFaces) {
-      replay(cache.arena(), cache.flux(0, f),
-             mesh::normal_sign(f) < 0 ? minus : plus);
+      emit_flux_face(setup, f, /*boundary=*/false,
+                     mesh::normal_sign(f) < 0 ? minus : plus);
     }
     ASSERT_FALSE(minus.intra().empty());
     ASSERT_EQ(minus.intra(), plus.intra());

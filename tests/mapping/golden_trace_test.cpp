@@ -99,7 +99,7 @@ KernelHashes hash_problem(const Problem& problem, ExpansionMode mode,
                           Boundary boundary) {
   mesh::StructuredMesh mesh(problem.refinement_level, 1.0, boundary);
   const ElementSetup setup(problem, mode, mesh.element_size());
-  ProgramCache cache(setup, mesh, nullptr, nullptr);
+  const ProgramCache cache(setup, mesh, nullptr, nullptr);
 
   KernelHashes h;
   for (std::uint32_t cls = 0; cls < cache.num_classes(); ++cls) {
@@ -108,9 +108,10 @@ KernelHashes hash_problem(const Problem& problem, ExpansionMode mode,
       fnv(h.flux, hash_stream(cache.arena(), cache.flux(cls, f)));
     }
   }
-  const ProgramCache::IntegrationProgram& integ =
-      cache.integration(/*stage=*/0, 1.0e-3f);
-  fnv(h.integration, hash_stream(integ.arena, integ.stream));
+  ProgramArena integ;
+  RelocatableAssembler assembler(integ);
+  emit_integration_stage(setup, /*stage=*/0, 1.0e-3f, assembler);
+  fnv(h.integration, hash_stream(integ, {0, integ.num_instructions()}));
   return h;
 }
 

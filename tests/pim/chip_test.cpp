@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "support/block_ops.h"
 
 namespace wavepim::pim {
 namespace {
@@ -28,29 +27,6 @@ TEST(Chip, RejectsOutOfRangeBlock) {
 TEST(Chip, StaticPowerMatchesTableComposition) {
   Chip chip(chip_2gb(Topology::HTree));
   EXPECT_NEAR(chip.static_power_w(), 115.02, 0.5);
-}
-
-TEST(Chip, DrainPhaseAggregatesMaxTimeAndTotalEnergy) {
-  Chip chip(chip_2gb());
-  arith(chip.block(0), Opcode::Fadd, 0, 1, 2, 0, 100);
-  arith(chip.block(1), Opcode::Fmul, 0, 1, 2, 0, 100);
-  arith(chip.block(1), Opcode::Fmul, 0, 1, 2, 0, 100);
-
-  const auto a = chip.arith();
-  const double t_fast = a.op_time(Opcode::Fadd).value();
-  const double t_slow = 2 * a.op_time(Opcode::Fmul).value();
-  const double e_total = a.op_energy(Opcode::Fadd, 100).value() +
-                         2 * a.op_energy(Opcode::Fmul, 100).value();
-
-  const auto phase = chip.drain_phase();
-  EXPECT_NEAR(phase.busiest_block.value(), t_slow, 1e-15);
-  EXPECT_GT(phase.busiest_block.value(), t_fast);
-  EXPECT_NEAR(phase.energy.value(), e_total, 1e-18);
-
-  // Ledgers are cleared after draining.
-  const auto empty = chip.drain_phase();
-  EXPECT_EQ(empty.busiest_block.value(), 0.0);
-  EXPECT_EQ(empty.energy.value(), 0.0);
 }
 
 TEST(Chip, ExposesSubModels) {
