@@ -41,17 +41,6 @@ ComparisonRow row_of(const gpumodel::PlatformEstimate& est) {
 
 }  // namespace
 
-gpumodel::PlatformEstimate System::project_pim(const mapping::Problem& problem,
-                                               const pim::ChipConfig& chip,
-                                               std::uint64_t steps,
-                                               const PimOptions& options) {
-  trace::Span span("system.project_pim");
-  pim::ChipConfig configured = chip;
-  configured.topology = options.topology;
-  const mapping::Estimator estimator(problem, configured, options.estimator);
-  return project(estimator, steps, options.scaling);
-}
-
 std::vector<ComparisonRow> System::compare_all(const mapping::Problem& problem,
                                                std::uint64_t steps,
                                                pim::Topology topology) {
@@ -74,8 +63,7 @@ std::vector<ComparisonRow> System::compare_all(const mapping::Problem& problem,
   for (const auto& chip : pim::standard_chips(topology)) {
     estimators.emplace_back(problem, chip);
   }
-  mapping::BatchPricer pricer;
-  mapping::Estimator::estimate_all(estimators, pricer);
+  mapping::Estimator::estimate_all(estimators);
   for (const auto scaling : {pim::ProcessScaling::node_28nm(),
                              pim::ProcessScaling::node_12nm()}) {
     for (const auto& estimator : estimators) {

@@ -27,23 +27,11 @@ struct ComparisonRow {
   bool is_pim = false;
 };
 
-/// Options for projecting a PIM platform.
-struct PimOptions {
-  pim::Topology topology = pim::Topology::HTree;
-  pim::ProcessScaling scaling = pim::ProcessScaling::node_28nm();
-  mapping::Estimator::Options estimator{};
-};
-
 /// The Wave-PIM system facade: projects wave-simulation benchmarks onto
 /// PIM chips and the GPU/CPU baselines, producing the comparisons the
 /// paper's evaluation section reports.
 class System {
  public:
-  /// Projects a problem on a PIM chip over `steps` time steps.
-  static gpumodel::PlatformEstimate project_pim(
-      const mapping::Problem& problem, const pim::ChipConfig& chip,
-      std::uint64_t steps, const PimOptions& options = {});
-
   /// Full evaluation grid for one benchmark: 3 GPUs x {unfused, fused}
   /// plus 4 PIM capacities x {28 nm, 12 nm}, normalised to
   /// Unfused-1080Ti (the paper's Figs. 11-12 layout).

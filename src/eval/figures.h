@@ -74,9 +74,11 @@ struct Fig14Data {
 /// Elastic-Central_4 on 2GB/8GB — the no-expansion and expansion pairs)
 /// through the estimator on each topology. The H-tree-over-bus result is
 /// *derived* from path contention in the network schedule rather than
-/// assumed. `net_backend` only decides whether the estimator also
-/// collects link statistics, which leaves every row the same; perfbench
-/// times both, and the parameter goes with NetBackendKind.
+/// assumed. The eight estimates are priced in one
+/// `mapping::Estimator::estimate_all` call, and each row equals its
+/// case's own estimate. `net_backend` only decides whether the estimator
+/// also collects link statistics, which leaves every row the same;
+/// perfbench times both, and the parameter goes with NetBackendKind.
 [[nodiscard]] Fig14Data compute_fig14_data(
     pim::NetBackendKind net_backend = pim::NetBackendKind::Analytic);
 

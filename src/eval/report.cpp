@@ -209,6 +209,14 @@ DiffResult diff_reports(const json::Value& baseline,
       }
       const double b = value.as_number();
       const double c = cur_value->as_number();
+      // A NaN deviation passes every comparison, so a non-finite current
+      // value is a regression of its own and stays out of `worst`.
+      if (!std::isfinite(c)) {
+        ++result.regressions;
+        flag(id, key, TextTable::num(b, 8), TextTable::num(c, 8),
+             "non-finite");
+        continue;
+      }
       const double scale = std::max(std::abs(b), std::abs(c));
       const double rel = scale > 0.0 ? std::abs(c - b) / scale : 0.0;
       result.worst = std::max(result.worst, rel);

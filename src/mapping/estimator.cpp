@@ -57,68 +57,89 @@ std::uint32_t log2_exact(std::uint64_t v) {
   return bits;
 }
 
+/// What a batch's schedule depends on besides its transfers.
+struct Fabric {
+  pim::Topology topology;
+  std::uint32_t htree_arity;
+  bool link_stats;
+  pim::LinkParams link;
+
+  bool operator==(const Fabric&) const = default;
+};
+
 }  // namespace
 
-RecipeBatch::RecipeBatch(const BatchPricer::Recipe& recipe)
-    : fetch_(recipe.normal_sign != 0),
-      normal_sign_(recipe.normal_sign),
-      bpe_(recipe.blocks_per_element) {
-  std::uint32_t max_group = 0;
-  auto add = [&](std::uint32_t src, std::uint32_t dst, std::uint32_t words,
-                 std::uint32_t axis) {
-    descriptors_.push_back({src, dst, words, axis});
-    max_group = std::max({max_group, src, dst});
-  };
-  std::uint64_t elements = 0;
-  if (fetch_) {
-    WAVEPIM_REQUIRE(std::has_single_bit(recipe.dim),
-                    "a fetch batch's grid edge must be a power of two");
-    for (const auto& d : recipe.inter) {
-      if (mesh::normal_sign(d.face) == normal_sign_) {
-        add(d.src_group, d.dst_group, d.words,
-            static_cast<std::uint32_t>(mesh::index_of(mesh::axis_of(d.face))));
-      }
-    }
-    dim_ = static_cast<std::uint32_t>(recipe.dim);
-    dim_bits_ = log2_exact(dim_);
-    spb_ = recipe.slices_per_batch;
-    spb_bits_ = log2_exact(spb_);
-    // Morton placement needs a power-of-two window.
-    morton_ = recipe.morton && (spb_ & (spb_ - 1)) == 0;
-    elements = recipe.dim * spb_ * recipe.dim;
-  } else {
-    for (const auto& d : recipe.intra) {
-      add(d.src_group, d.dst_group, d.words, 0);
-    }
-    elements = recipe.elements_per_batch;
+NetBatch NetBatch::staging(std::span<const CostSink::IntraDescriptor> intra,
+                           std::uint64_t elements,
+                           std::uint32_t blocks_per_element) {
+  NetBatch batch;
+  batch.bpe_ = blocks_per_element;
+  for (const auto& d : intra) {
+    batch.descriptors_.push_back({d.src_group, d.dst_group, d.words, 0});
   }
+  batch.finish(elements);
+  return batch;
+}
+
+NetBatch NetBatch::fetch(std::span<const CostSink::InterDescriptor> inter,
+                         int normal_sign, std::uint64_t dim,
+                         std::uint32_t slices,
+                         std::uint32_t blocks_per_element, bool morton) {
+  WAVEPIM_REQUIRE(std::has_single_bit(dim),
+                  "a fetch batch's grid edge must be a power of two");
+  NetBatch batch;
+  batch.normal_sign_ = normal_sign;
+  batch.bpe_ = blocks_per_element;
+  for (const auto& d : inter) {
+    if (mesh::normal_sign(d.face) == normal_sign) {
+      batch.descriptors_.push_back(
+          {d.src_group, d.dst_group, d.words,
+           static_cast<std::uint32_t>(mesh::index_of(mesh::axis_of(d.face)))});
+    }
+  }
+  batch.dim_ = static_cast<std::uint32_t>(dim);
+  batch.dim_bits_ = log2_exact(dim);
+  batch.spb_ = slices;
+  batch.spb_bits_ = log2_exact(slices);
+  // Morton placement needs a power-of-two window.
+  batch.morton_ = morton && (slices & (slices - 1)) == 0;
+  batch.finish(dim * slices * dim);
+  return batch;
+}
+
+void NetBatch::finish(std::uint64_t elements) {
   size_ = static_cast<std::size_t>(descriptors_.size() * elements);
   if (size_ != 0) {
+    std::uint32_t max_group = 0;
+    for (const Descriptor& d : descriptors_) {
+      max_group = std::max({max_group, d.src_group, d.dst_group});
+    }
     // Every element of the batch is some transfer's destination and some
     // transfer's source (a neighbour map is a bijection of the window),
     // and both placements are monotone in each coordinate, so the far
     // corner holds the largest element index.
-    const std::uint64_t last =
-        fetch_ ? local_of(dim_ - 1, spb_ - 1, dim_ - 1) : elements - 1;
+    const std::uint64_t last = normal_sign_ != 0
+                                   ? local_of(dim_ - 1, spb_ - 1, dim_ - 1)
+                                   : elements - 1;
     block_end_ = last * bpe_ + max_group + 1;
   }
 }
 
-pim::TransferView RecipeBatch::view() const {
-  return {size_, this, fetch_ ? &fetch_transfer : &staging_transfer};
+pim::TransferView NetBatch::view() const {
+  return {size_, this,
+          normal_sign_ != 0 ? &fetch_transfer : &staging_transfer};
 }
 
-std::uint64_t RecipeBatch::local_of(std::uint32_t x, std::uint32_t y,
-                                    std::uint32_t z) const {
+std::uint64_t NetBatch::local_of(std::uint32_t x, std::uint32_t y,
+                                 std::uint32_t z) const {
   if (morton_) {
     return morton3(x, y, z, dim_bits_, spb_bits_, dim_bits_);
   }
   return x + std::uint64_t{dim_} * (y + std::uint64_t{spb_} * z);
 }
 
-pim::Transfer RecipeBatch::staging_transfer(const void* self,
-                                            std::size_t i) {
-  const auto& batch = *static_cast<const RecipeBatch*>(self);
+pim::Transfer NetBatch::staging_transfer(const void* self, std::size_t i) {
+  const auto& batch = *static_cast<const NetBatch*>(self);
   const std::size_t per_element = batch.descriptors_.size();
   const std::uint64_t e = i / per_element;
   const Descriptor& d = batch.descriptors_[i % per_element];
@@ -132,8 +153,8 @@ pim::Transfer RecipeBatch::staging_transfer(const void* self,
 /// periodic wrap in x and z. y wraps within the resident slice window:
 /// y faces that leave the batch are staged through HBM per Fig. 7 and do
 /// not ride the on-chip network.
-pim::Transfer RecipeBatch::fetch_transfer(const void* self, std::size_t i) {
-  const auto& batch = *static_cast<const RecipeBatch*>(self);
+pim::Transfer NetBatch::fetch_transfer(const void* self, std::size_t i) {
+  const auto& batch = *static_cast<const NetBatch*>(self);
   const std::uint32_t dim = batch.dim_;
   const std::uint32_t spb = batch.spb_;
   std::uint32_t c[3];
@@ -161,49 +182,36 @@ pim::Transfer RecipeBatch::fetch_transfer(const void* self, std::size_t i) {
           .words = d.words};
 }
 
-std::vector<pim::ScheduleResult> BatchPricer::price_all(
-    std::span<const Request> requests) {
+std::vector<pim::ScheduleResult> price_batches(
+    std::span<const BatchRequest> requests) {
   const std::size_t n = requests.size();
   std::vector<pim::ScheduleResult> results(n);
   std::vector<Fabric> fabrics;
-  std::vector<RecipeBatch> batches;
   fabrics.reserve(n);
-  batches.reserve(n);
-  for (const Request& request : requests) {
+  for (const BatchRequest& request : requests) {
     const pim::Interconnect& net = *request.net;
     // The kind's one reader: link statistics only feed the net.link.*
     // trace counters here.
     fabrics.push_back(
         {net.topology(), net.config().htree_arity,
          net.config().net_backend == pim::NetBackendKind::Cycle, net.link()});
-    batches.emplace_back(*request.recipe);
   }
   auto fits = [&](std::size_t request, std::uint64_t block_end) {
     return block_end <= requests[request].net->config().num_blocks();
   };
 
-  // Each request is served by a stored entry, by an earlier request of
-  // this call that prices the same batch and fits both chips, or else
-  // prices its own batch (`owner[j] == j`).
-  constexpr std::size_t kStored = static_cast<std::size_t>(-1);
+  // Each request is served by an earlier request of the call that prices
+  // the same batch and fits both chips, or else prices its own batch
+  // (`owner[j] == j`).
   std::vector<std::size_t> owner(n);
   std::vector<std::size_t> misses;
   for (std::size_t j = 0; j < n; ++j) {
-    const Recipe& recipe = *requests[j].recipe;
-    const std::uint64_t block_end = batches[j].block_end();
+    const NetBatch& batch = *requests[j].batch;
     owner[j] = j;
-    for (const Entry& entry : entries_) {
-      if (fits(j, entry.block_end) && entry.fabric == fabrics[j] &&
-          entry.recipe == recipe) {
-        results[j] = entry.result;
-        owner[j] = kStored;
-        break;
-      }
-    }
     for (std::size_t k = 0; owner[j] == j && k < misses.size(); ++k) {
       const std::size_t m = misses[k];
-      if (fits(j, block_end) && fits(m, block_end) &&
-          fabrics[m] == fabrics[j] && *requests[m].recipe == recipe) {
+      if (fits(j, batch.block_end()) && fits(m, batch.block_end()) &&
+          fabrics[m] == fabrics[j] && *requests[m].batch == batch) {
         owner[j] = m;
       }
     }
@@ -219,33 +227,30 @@ std::vector<pim::ScheduleResult> BatchPricer::price_all(
   // it saw first, which depends on the worker count and timing.
   std::vector<std::size_t> by_size = misses;
   std::sort(by_size.begin(), by_size.end(), [&](std::size_t a, std::size_t b) {
-    const std::size_t size_a = batches[a].size();
-    const std::size_t size_b = batches[b].size();
+    const std::size_t size_a = requests[a].batch->size();
+    const std::size_t size_b = requests[b].batch->size();
     return size_a != size_b ? size_a > size_b : a < b;
   });
   std::vector<std::exception_ptr> errors(n);
   parallel_for(by_size.size(), [&](std::size_t k) {
     const std::size_t j = by_size[k];
     try {
-      results[j] = requests[j].net->schedule(batches[j].view(),
+      results[j] = requests[j].net->schedule(requests[j].batch->view(),
                                              fabrics[j].link_stats);
     } catch (...) {
       errors[j] = std::current_exception();
     }
   });
 
-  // Store the new entries in request order. A request-by-request pass
-  // stops at the first request that throws, so the entries before it are
-  // stored and its exception is rethrown.
+  // A request-by-request pass would stop at the first request that
+  // throws, so that request's exception is the one rethrown.
   for (const std::size_t m : misses) {
     if (errors[m]) {
       std::rethrow_exception(errors[m]);
     }
-    entries_.push_back({*requests[m].recipe, fabrics[m],
-                        batches[m].block_end(), results[m]});
   }
   for (std::size_t j = 0; j < n; ++j) {
-    if (owner[j] != kStored && owner[j] != j) {
+    if (owner[j] != j) {
       results[j] = results[owner[j]];
     }
   }
@@ -269,7 +274,7 @@ struct Estimator::Plan {
   CostSink integ;
   /// Volume staging, flux staging of each face sign, then the fetch of
   /// each face sign.
-  std::array<BatchPricer::Recipe, kBatches> recipes;
+  std::array<NetBatch, kBatches> batches;
 
   Plan(const pim::ChipConfig& chip, std::uint32_t groups)
       : net(chip),
@@ -282,28 +287,26 @@ struct Estimator::Plan {
 
 const StepEstimate& Estimator::estimate() const {
   if (!cached_) {
-    BatchPricer pricer;
-    estimate_all({this, 1}, pricer);
+    estimate_all({this, 1});
   }
   return *cached_;
 }
 
-void Estimator::estimate_all(std::span<const Estimator> estimators,
-                             BatchPricer& pricer) {
+void Estimator::estimate_all(std::span<const Estimator> estimators) {
   std::vector<const Estimator*> pending;
   std::vector<std::unique_ptr<Plan>> plans;
-  std::vector<BatchPricer::Request> requests;
+  std::vector<BatchRequest> requests;
   for (const Estimator& estimator : estimators) {
     if (estimator.cached_) {
       continue;
     }
     pending.push_back(&estimator);
     plans.push_back(estimator.plan());
-    for (const BatchPricer::Recipe& recipe : plans.back()->recipes) {
-      requests.push_back({&plans.back()->net, &recipe});
+    for (const NetBatch& batch : plans.back()->batches) {
+      requests.push_back({&plans.back()->net, &batch});
     }
   }
-  const std::vector<pim::ScheduleResult> results = pricer.price_all(requests);
+  const std::vector<pim::ScheduleResult> results = price_batches(requests);
   for (std::size_t k = 0; k < pending.size(); ++k) {
     pending[k]->cached_ = pending[k]->finish(
         *plans[k],
@@ -336,26 +339,19 @@ std::unique_ptr<Estimator::Plan> Estimator::plan() const {
   emit_integration_stage(setup, /*stage=*/1, /*dt=*/1.0e-3f, plan->integ);
 
   // --- Interconnect batches of one batch of elements ---------------------
-  // Both face signs usually stage the same intra-element transfers; the
-  // pricer schedules that batch once.
-  BatchPricer::Recipe recipe;
-  recipe.dim = 1ull << problem_.refinement_level;
-  recipe.slices_per_batch = config_.slices_per_batch;
-  recipe.blocks_per_element = blocks_per_element(config_.expansion);
-  recipe.elements_per_batch = config_.elements_per_batch;
-  recipe.morton = options_.morton_placement;
+  // Both face signs usually stage the same intra-element transfers;
+  // price_batches schedules that batch once.
+  const std::uint64_t dim = 1ull << problem_.refinement_level;
+  const std::uint32_t bpe = blocks_per_element(config_.expansion);
   auto staging = [&](const CostSink& sink) {
-    BatchPricer::Recipe staged = recipe;
-    staged.intra = sink.intra();
-    return staged;
+    return NetBatch::staging(sink.intra(), config_.elements_per_batch, bpe);
   };
   auto fetch = [&](const CostSink& sink, int normal_sign) {
-    BatchPricer::Recipe fetched = recipe;
-    fetched.normal_sign = normal_sign;
-    fetched.inter = sink.inter();
-    return fetched;
+    return NetBatch::fetch(sink.inter(), normal_sign, dim,
+                           config_.slices_per_batch, bpe,
+                           options_.morton_placement);
   };
-  plan->recipes = {staging(plan->vol), staging(plan->flux_minus),
+  plan->batches = {staging(plan->vol), staging(plan->flux_minus),
                    staging(plan->flux_plus), fetch(plan->flux_minus, -1),
                    fetch(plan->flux_plus, +1)};
   return plan;

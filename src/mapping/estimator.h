@@ -55,92 +55,30 @@ struct StepEstimate {
   }
 };
 
-/// Prices the network batches of Estimators, scheduling each distinct
-/// batch once. A batch's transfers are a function of its Recipe, and its
-/// schedule a function of those transfers and the fabric (topology,
-/// H-tree arity, link-statistics request, link parameters), so a request
-/// that matches an earlier one on both is served the earlier result.
-/// Requests are compared in full, and only recipes and results are kept.
-/// A batch is never stored as a transfer list: the schedule reads it
-/// through a RecipeBatch, which generates each transfer from its index.
-///
-/// Chip size is not part of the key: a schedule depends only on the
-/// blocks its transfers touch. A stored result is therefore served only
-/// to a chip whose `num_blocks()` (`block_limit` included) covers the
-/// batch's largest block id; any other request is priced afresh, and
-/// throws as it would without the pricer.
-///
-/// Thread-safety: `price_all` prices its distinct batches on the global
-/// thread pool, but a pricer's own state is not guarded. Call one
-/// pricer's `price_all` from one thread at a time.
-class BatchPricer {
+/// One network batch of an estimate, generated transfer by transfer: a
+/// batch is never stored as a transfer list. Transfer `i` is the one the
+/// batch lists at position `i`: a fetch runs over its descriptors, then
+/// z, y and x (x fastest), and a staging batch over elements, then
+/// descriptors. A batch keeps only what generates its transfers, so two
+/// batches built alike compare equal however they were asked for:
+/// descriptors of the other face sign, a staging batch's window and a
+/// Morton request on a window that is not a power of two are dropped.
+/// A default-constructed batch is empty.
+class NetBatch {
  public:
-  /// Everything a batch's transfers are generated from.
-  struct Recipe {
-    /// `normal_sign` 0 marks an intra-element staging batch, generated
-    /// from `intra` over `elements_per_batch` elements. A sign of -1 or
-    /// +1 marks a face-neighbour fetch batch, generated from the `inter`
-    /// descriptors of that sign over the batch's slice window.
-    int normal_sign = 0;
-    std::vector<CostSink::IntraDescriptor> intra;
-    std::vector<CostSink::InterDescriptor> inter;
-    std::uint64_t dim = 0;  ///< elements along x and z, a power of two
-    std::uint32_t slices_per_batch = 0;
-    std::uint32_t blocks_per_element = 0;
-    std::uint64_t elements_per_batch = 0;
-    bool morton = false;  ///< Estimator::Options::morton_placement
-
-    bool operator==(const Recipe&) const = default;
-  };
-
-  /// One batch to price: `recipe`'s batch on `net`. Both must outlive
-  /// the `price_all` call.
-  struct Request {
-    const pim::Interconnect* net = nullptr;
-    const Recipe* recipe = nullptr;
-  };
-
-  /// The schedule of each request's batch, in request order. A request
-  /// whose chip's `net_backend` is `Cycle` is priced with link statistics.
-  ///
-  /// Requests are matched against the stored entries and against each
-  /// other first. The distinct batches left are priced on the global
-  /// thread pool, largest first: the pool's workers claim them in that
-  /// order, one at a time, so the long batches start first and the short
-  /// ones fill in behind them. They are stored in request order, so the
-  /// results and the pricer's state do not depend on the worker count.
-  /// If any request throws, the entries of the requests before the first
-  /// one that threw are stored, and that request's exception is
-  /// rethrown: the one a request-by-request pass would have thrown.
-  [[nodiscard]] std::vector<pim::ScheduleResult> price_all(
-      std::span<const Request> requests);
-
- private:
-  struct Fabric {
-    pim::Topology topology;
-    std::uint32_t htree_arity;
-    bool link_stats;
-    pim::LinkParams link;
-
-    bool operator==(const Fabric&) const = default;
-  };
-  struct Entry {
-    Recipe recipe;
-    Fabric fabric;
-    std::uint64_t block_end;  ///< largest block id + 1; 0 when empty
-    pim::ScheduleResult result;
-  };
-  std::vector<Entry> entries_;
-};
-
-/// A Recipe's batch, generated transfer by transfer. Transfer `i` is the
-/// one the batch lists at position `i`: fetch batches run over their
-/// descriptors of the recipe's sign, then z, y and x (x fastest), and
-/// staging batches over elements, then descriptors. A RecipeBatch copies
-/// what it needs, so it does not refer to the recipe.
-class RecipeBatch {
- public:
-  explicit RecipeBatch(const BatchPricer::Recipe& recipe);
+  /// Intra-element staging: each of `elements` elements moves the
+  /// `intra` transfers between its own `blocks_per_element` blocks.
+  [[nodiscard]] static NetBatch staging(
+      std::span<const CostSink::IntraDescriptor> intra,
+      std::uint64_t elements, std::uint32_t blocks_per_element);
+  /// Face-neighbour fetch of the `inter` descriptors of `normal_sign`
+  /// (-1 or +1) over a window of `dim` x `slices` x `dim` elements, with
+  /// `dim` a power of two. `morton` places elements in Morton order when
+  /// `slices` is a power of two too (Estimator::Options::morton_placement).
+  [[nodiscard]] static NetBatch fetch(
+      std::span<const CostSink::InterDescriptor> inter, int normal_sign,
+      std::uint64_t dim, std::uint32_t slices,
+      std::uint32_t blocks_per_element, bool morton);
 
   [[nodiscard]] std::size_t size() const { return size_; }
   /// The batch as a transfer view. It reads this object, which must
@@ -149,22 +87,27 @@ class RecipeBatch {
   /// Largest block id of the batch + 1; 0 when the batch is empty.
   [[nodiscard]] std::uint64_t block_end() const { return block_end_; }
 
+  bool operator==(const NetBatch&) const = default;
+
  private:
   struct Descriptor {
     std::uint32_t src_group;
     std::uint32_t dst_group;
     std::uint32_t words;
     std::uint32_t axis;  ///< fetch batches: the face's axis index
+
+    bool operator==(const Descriptor&) const = default;
   };
   static pim::Transfer staging_transfer(const void* self, std::size_t i);
   static pim::Transfer fetch_transfer(const void* self, std::size_t i);
   /// Batch-local index of the element at (x, y, z).
   [[nodiscard]] std::uint64_t local_of(std::uint32_t x, std::uint32_t y,
                                        std::uint32_t z) const;
+  /// Sets `size_` and `block_end_` once the descriptors are in.
+  void finish(std::uint64_t elements);
 
   std::vector<Descriptor> descriptors_;
-  bool fetch_ = false;
-  int normal_sign_ = 0;
+  int normal_sign_ = 0;  ///< 0 for staging, else the fetched face sign
   std::uint32_t dim_ = 0;
   std::uint32_t dim_bits_ = 0;  ///< log2(dim)
   std::uint32_t spb_ = 0;
@@ -174,6 +117,36 @@ class RecipeBatch {
   std::size_t size_ = 0;
   std::uint64_t block_end_ = 0;
 };
+
+/// One batch to price: `batch` on `net`. Both must outlive the
+/// `price_batches` call.
+struct BatchRequest {
+  const pim::Interconnect* net = nullptr;
+  const NetBatch* batch = nullptr;
+};
+
+/// The schedule of each request's batch, in request order, scheduling
+/// each distinct batch of the call once. A schedule is a function of the
+/// batch and the fabric (topology, H-tree arity, link-statistics request,
+/// link parameters), so a request that matches an earlier one of the call
+/// on both is served its result. A request whose chip's `net_backend` is
+/// `Cycle` is priced with link statistics.
+///
+/// Chip size is not part of the key: a schedule depends only on the
+/// blocks its transfers touch. A result is therefore shared only between
+/// chips whose `num_blocks()` (`block_limit` included) both cover the
+/// batch's largest block id; any other request is priced on its own, and
+/// throws as it would alone.
+///
+/// The distinct batches are priced on the global thread pool, largest
+/// first: the pool's workers claim them in that order, one at a time, so
+/// the long batches start first and the short ones fill in behind them.
+/// If any request throws, the exception of the first one that threw is
+/// rethrown: the one a request-by-request pass would have thrown. Results
+/// and errors do not depend on the worker count, and no state outlives
+/// the call.
+[[nodiscard]] std::vector<pim::ScheduleResult> price_batches(
+    std::span<const BatchRequest> requests);
 
 /// Maps a wave-simulation problem onto a PIM chip configuration and
 /// projects per-step time and energy, reproducing the paper's methodology:
@@ -201,23 +174,22 @@ class Estimator {
   [[nodiscard]] const pim::ChipConfig& chip() const { return chip_; }
   [[nodiscard]] const MappingConfig& config() const { return config_; }
 
-  /// Per-step projection (cached after the first call). Prices the
-  /// network batches with a private BatchPricer.
+  /// Per-step projection (cached after the first call): `estimate_all`
+  /// on this estimator alone.
   [[nodiscard]] const StepEstimate& estimate() const;
 
   /// Estimates each of `estimators` that has no cached estimate yet and
   /// caches the result. All their network batches are priced in one
-  /// `pricer.price_all` call, so a batch that two of them map alike is
+  /// `price_batches` call, so a batch that two of them map alike is
   /// scheduled once, and distinct batches are priced in parallel.
-  static void estimate_all(std::span<const Estimator> estimators,
-                           BatchPricer& pricer);
+  static void estimate_all(std::span<const Estimator> estimators);
 
   /// Total projection over a run of `steps` time steps.
   [[nodiscard]] pim::OpCost run_cost(std::uint64_t steps) const;
 
  private:
   /// What an estimate needs besides the network schedules: the costed
-  /// sinks and the recipes of the five network batches.
+  /// sinks and the five network batches.
   struct Plan;
   static constexpr std::size_t kBatches = 5;
 

@@ -25,7 +25,7 @@ struct Transfer {
 /// by `operator[](i)`. The view either reads a stored list (the span
 /// constructor) or generates each transfer from a compact description of
 /// the batch, so that a large batch never has to sit in memory as a list
-/// (mapping::RecipeBatch). Either way it does not own what it reads.
+/// (mapping::NetBatch). Either way it does not own what it reads.
 class TransferView {
  public:
   /// Makes transfer `i` of the batch that `source` describes.

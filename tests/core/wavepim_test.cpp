@@ -14,18 +14,6 @@ namespace {
 
 using dg::ProblemKind;
 
-TEST(System, ProjectPimAppliesProcessScaling) {
-  const mapping::Problem problem{ProblemKind::Acoustic, 4, 8};
-  PimOptions node28;
-  PimOptions node12;
-  node12.scaling = pim::ProcessScaling::node_12nm();
-  const auto a = System::project_pim(problem, pim::chip_2gb(), 16, node28);
-  const auto b = System::project_pim(problem, pim::chip_2gb(), 16, node12);
-  EXPECT_NEAR(a.total_time.value() / b.total_time.value(), 3.81, 1e-9);
-  EXPECT_NEAR(a.total_energy.value() / b.total_energy.value(), 2.0, 1e-9);
-  EXPECT_NE(a.platform, b.platform);
-}
-
 TEST(System, CompareAllHasFullGrid) {
   const mapping::Problem problem{ProblemKind::Acoustic, 4, 8};
   const auto rows = System::compare_all(problem, 8);
@@ -77,16 +65,22 @@ TEST(System, TwelveNmRowsFasterThanTwentyEight) {
   const auto rows = System::compare_all({ProblemKind::Acoustic, 4, 8}, 4);
   double t28 = 0.0;
   double t12 = 0.0;
+  double e28 = 0.0;
+  double e12 = 0.0;
   for (const auto& row : rows) {
     if (row.platform == "PIM-2GB-28nm") {
       t28 = row.total_time.value();
+      e28 = row.total_energy.value();
     }
     if (row.platform == "PIM-2GB-12nm") {
       t12 = row.total_time.value();
+      e12 = row.total_energy.value();
     }
   }
   EXPECT_GT(t28, 0.0);
   EXPECT_NEAR(t28 / t12, 3.81, 1e-6);
+  EXPECT_GT(e28, 0.0);
+  EXPECT_NEAR(e28 / e12, 2.0, 1e-9);
 }
 
 /// {map.estimate, net.schedule} spans begun by compare_all over `problems`.
@@ -114,7 +108,7 @@ std::pair<std::uint64_t, std::uint64_t> count_estimates_and_schedules(
 TEST(System, CompareAllEstimatesEachChipOnce) {
   // One modelled run per chip: both process nodes and the peak-method
   // series read the same estimate, so each chip costs one map.estimate.
-  // The chips share one batch pricer: PIM-512MB schedules four batches
+  // The chips are priced in one call: PIM-512MB schedules four batches
   // (the two face signs share one flux staging batch), PIM-2GB three
   // (its empty volume staging batch is 512MB's), and PIM-8GB and
   // PIM-16GB map Acoustic_4 exactly as PIM-2GB does and schedule none.
@@ -125,8 +119,8 @@ TEST(System, CompareAllEstimatesEachChipOnce) {
 }
 
 TEST(System, CompareAllSchedulesEachDistinctBatchOnce) {
-  // The reduced matrix's paper cells: eight estimates, which without a
-  // shared pricer would schedule 4 batches each (32). Elastic-Riemann_4
+  // The reduced matrix's paper cells: eight estimates, which priced one
+  // at a time would schedule 4 batches each (32). Elastic-Riemann_4
   // adds four batches for each of PIM-512MB, 2GB and 8GB, and PIM-16GB
   // repeats PIM-8GB's.
   const auto [estimates, schedules] = count_estimates_and_schedules(
@@ -137,66 +131,38 @@ TEST(System, CompareAllSchedulesEachDistinctBatchOnce) {
 
 TEST(System, CompareAllRowsMatchEstimatorsWithTheirOwnPricers) {
   const std::uint64_t steps = 16;
-  for (const ProblemKind kind :
-       {ProblemKind::Acoustic, ProblemKind::ElasticRiemann}) {
-    const mapping::Problem problem{kind, 4, 8};
-    const auto rows = System::compare_all(problem, steps);
-    for (const auto& chip : pim::standard_chips()) {
-      const mapping::Estimator own(problem, chip);
-      const auto cost = own.run_cost(steps);
-      for (const auto scaling : {pim::ProcessScaling::node_28nm(),
-                                 pim::ProcessScaling::node_12nm()}) {
-        const std::string platform =
-            chip.name + (scaling.speedup > 1.0 ? "-12nm" : "-28nm");
-        const ComparisonRow* row = nullptr;
-        for (const auto& r : rows) {
-          if (r.is_pim && r.platform == platform) {
-            row = &r;
-          }
-        }
-        ASSERT_NE(row, nullptr) << platform;
-        const Seconds total = cost.time / scaling.speedup;
-        EXPECT_EQ(row->total_time.value(), total.value()) << platform;
-        EXPECT_EQ(row->step_time.value(),
-                  (total / static_cast<double>(steps)).value())
-            << platform;
-        EXPECT_EQ(row->total_energy.value(),
-                  (cost.energy / scaling.energy_saving).value())
-            << platform;
-        EXPECT_EQ(row->step_time_peak_method.value(),
-                  (own.estimate().step_time_peak_method / scaling.speedup)
-                      .value())
-            << platform;
-      }
-    }
-  }
-}
-
-TEST(System, CompareAllPimRowsMatchProjectPim) {
-  const mapping::Problem problem{ProblemKind::Acoustic, 4, 8};
-  const std::uint64_t steps = 16;
   for (const auto topology : {pim::Topology::HTree, pim::Topology::Bus}) {
-    const auto rows = System::compare_all(problem, steps, topology);
-    for (const auto scaling : {pim::ProcessScaling::node_28nm(),
-                               pim::ProcessScaling::node_12nm()}) {
+    for (const ProblemKind kind :
+         {ProblemKind::Acoustic, ProblemKind::ElasticRiemann}) {
+      const mapping::Problem problem{kind, 4, 8};
+      const auto rows = System::compare_all(problem, steps, topology);
       for (const auto& chip : pim::standard_chips(topology)) {
-        PimOptions options;
-        options.topology = topology;
-        options.scaling = scaling;
-        const auto est = System::project_pim(problem, chip, steps, options);
-        const ComparisonRow* row = nullptr;
-        for (const auto& r : rows) {
-          if (r.is_pim && r.platform == est.platform) {
-            row = &r;
+        const mapping::Estimator own(problem, chip);
+        const auto cost = own.run_cost(steps);
+        for (const auto scaling : {pim::ProcessScaling::node_28nm(),
+                                   pim::ProcessScaling::node_12nm()}) {
+          const std::string platform =
+              chip.name + (scaling.speedup > 1.0 ? "-12nm" : "-28nm");
+          const ComparisonRow* row = nullptr;
+          for (const auto& r : rows) {
+            if (r.is_pim && r.platform == platform) {
+              row = &r;
+            }
           }
+          ASSERT_NE(row, nullptr) << platform;
+          const Seconds total = cost.time / scaling.speedup;
+          EXPECT_EQ(row->total_time.value(), total.value()) << platform;
+          EXPECT_EQ(row->step_time.value(),
+                    (total / static_cast<double>(steps)).value())
+              << platform;
+          EXPECT_EQ(row->total_energy.value(),
+                    (cost.energy / scaling.energy_saving).value())
+              << platform;
+          EXPECT_EQ(row->step_time_peak_method.value(),
+                    (own.estimate().step_time_peak_method / scaling.speedup)
+                        .value())
+              << platform;
         }
-        ASSERT_NE(row, nullptr) << est.platform;
-        EXPECT_EQ(row->total_time.value(), est.total_time.value())
-            << est.platform;
-        EXPECT_EQ(row->step_time.value(), est.step_time.value())
-            << est.platform;
-        EXPECT_EQ(row->total_energy.value(), est.total_energy.value())
-            << est.platform;
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/figures.h"
+#include "mapping/estimator.h"
 
 namespace wavepim::eval {
 namespace {
@@ -30,6 +31,41 @@ TEST(Fig14, RowsAreBitEqualAcrossBackendKinds) {
     EXPECT_EQ(claims.size(), 3u);
     for (const ShapeClaim& claim : claims) {
       EXPECT_TRUE(claim.pass) << claim.claim;
+    }
+  }
+}
+
+TEST(Fig14, RowsMatchLoneEstimates) {
+  // The rows in order: each paper case, H-tree before Bus.
+  struct Case {
+    mapping::Problem problem;
+    pim::ChipConfig (*chip)(pim::Topology);
+    const char* label;
+  };
+  const Case cases[] = {
+      {{dg::ProblemKind::Acoustic, 4, 8}, pim::chip_512mb,
+       "Acoustic_4 / 512MB (N)"},
+      {{dg::ProblemKind::Acoustic, 4, 8}, pim::chip_2gb,
+       "Acoustic_4 / 2GB (Ep)"},
+      {{dg::ProblemKind::ElasticCentral, 4, 8}, pim::chip_2gb,
+       "Elastic-Central_4 / 2GB (Er)"},
+      {{dg::ProblemKind::ElasticCentral, 4, 8}, pim::chip_8gb,
+       "Elastic-Central_4 / 8GB (Er&Ep)"},
+  };
+  const Fig14Data data = compute_fig14_data();
+  ASSERT_EQ(data.rows.size(), 8u);
+  std::size_t i = 0;
+  for (const Case& c : cases) {
+    for (const auto topology : {pim::Topology::HTree, pim::Topology::Bus}) {
+      const Fig14Row& row = data.rows[i++];
+      SCOPED_TRACE(row.label + " / " + pim::to_string(row.topology));
+      EXPECT_EQ(row.label, c.label);
+      EXPECT_EQ(row.topology, topology);
+      const mapping::Estimator lone(c.problem, c.chip(topology));
+      const mapping::StepEstimate& est = lone.estimate();
+      EXPECT_EQ(row.flux_intra.value(), est.flux_intra_element.value());
+      EXPECT_EQ(row.flux_inter.value(), est.flux_inter_element.value());
+      EXPECT_EQ(row.step_time.value(), est.step_time.value());
     }
   }
 }

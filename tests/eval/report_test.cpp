@@ -4,6 +4,8 @@
 // cells. These tests drive them on hand-written documents.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "eval/report.h"
 
@@ -69,6 +71,31 @@ TEST(ReportDiff, MissingMetricIsARegression) {
   const auto diff = diff_reports(base, current);
   EXPECT_FALSE(diff.ok());
   EXPECT_NE(diff.table.find("(missing)"), std::string::npos);
+}
+
+TEST(ReportDiff, NonFiniteMetricIsARegression) {
+  const auto base = report_with_cell("sim/a", 1.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    const auto current = json::Value::make_object(
+        {{"cells",
+          json::Value::make_array({json::Value::make_object(
+              {{"id", json::Value::make_string("sim/a")},
+               {"labels", json::Value::make_object(
+                              {{"field_hash",
+                                json::Value::make_string("aaaa")}})},
+               {"metrics", json::Value::make_object(
+                               {{"total_time_s",
+                                 json::Value::make_number(bad)}})}})})}});
+    const auto diff = diff_reports(base, current, {.tolerance = 1e9});
+    EXPECT_FALSE(diff.ok());
+    EXPECT_EQ(diff.compared, 1);
+    EXPECT_EQ(diff.regressions, 1);
+    EXPECT_EQ(diff.worst, 0.0);
+    EXPECT_NE(diff.table.find("non-finite"), std::string::npos);
+  }
 }
 
 TEST(ReportDiff, NewCellsAreReportedNotFailed) {

@@ -38,13 +38,6 @@ std::uint64_t count_schedules(Body&& body) {
   return schedules;
 }
 
-void expect_same_result(const pim::ScheduleResult& got,
-                        const pim::ScheduleResult& want) {
-  EXPECT_EQ(got.makespan.value(), want.makespan.value());
-  EXPECT_EQ(got.serial_sum.value(), want.serial_sum.value());
-  EXPECT_EQ(got.energy.value(), want.energy.value());
-}
-
 TEST(Estimator, UsesTable5Configuration) {
   Estimator e({ProblemKind::Acoustic, 4, 8}, pim::chip_2gb());
   EXPECT_EQ(e.config().label(), "Ep");
@@ -195,8 +188,8 @@ TEST(Estimator, SchedulesTheSharedFluxStagingBatchOnce) {
 }
 
 // --- Oracles ----------------------------------------------------------------
-// The expansion the pricer ran before it generated batches from their
-// recipes: every transfer listed, in the order RecipeBatch indexes them.
+// The expansion the estimator ran before it generated batches: every
+// transfer listed, in the order NetBatch indexes them.
 
 std::uint64_t oracle_morton3(std::uint64_t x, std::uint64_t y,
                              std::uint64_t z, std::uint32_t x_bits,
@@ -226,12 +219,31 @@ std::uint32_t oracle_log2(std::uint64_t v) {
   return bits;
 }
 
-std::vector<pim::Transfer> expand_inter_transfers(
-    const BatchPricer::Recipe& recipe) {
-  const std::uint64_t dim = recipe.dim;
-  const std::uint32_t spb = recipe.slices_per_batch;
-  const std::uint32_t bpe = recipe.blocks_per_element;
-  const bool morton = recipe.morton && (spb & (spb - 1)) == 0;
+/// The parameters of a NetBatch, as the oracle reads them.
+struct BatchSpec {
+  /// 0 for a staging batch over `intra`, else the fetched face sign.
+  int normal_sign = 0;
+  std::vector<CostSink::IntraDescriptor> intra;
+  std::vector<CostSink::InterDescriptor> inter;
+  std::uint64_t dim = 0;
+  std::uint32_t slices = 0;
+  std::uint32_t blocks_per_element = 0;
+  std::uint64_t elements = 0;  ///< staging batches
+  bool morton = false;
+
+  [[nodiscard]] NetBatch batch() const {
+    return normal_sign == 0
+               ? NetBatch::staging(intra, elements, blocks_per_element)
+               : NetBatch::fetch(inter, normal_sign, dim, slices,
+                                 blocks_per_element, morton);
+  }
+};
+
+std::vector<pim::Transfer> expand_inter_transfers(const BatchSpec& spec) {
+  const std::uint64_t dim = spec.dim;
+  const std::uint32_t spb = spec.slices;
+  const std::uint32_t bpe = spec.blocks_per_element;
+  const bool morton = spec.morton && (spb & (spb - 1)) == 0;
   auto local_of = [&](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
     if (morton) {
       return oracle_morton3(x, y, z, oracle_log2(dim), oracle_log2(spb),
@@ -240,8 +252,8 @@ std::vector<pim::Transfer> expand_inter_transfers(
     return x + dim * (y + spb * z);
   };
   std::vector<pim::Transfer> transfers;
-  for (const auto& d : recipe.inter) {
-    if (mesh::normal_sign(d.face) != recipe.normal_sign) {
+  for (const auto& d : spec.inter) {
+    if (mesh::normal_sign(d.face) != spec.normal_sign) {
       continue;
     }
     const auto axis = mesh::index_of(mesh::axis_of(d.face));
@@ -251,7 +263,7 @@ std::vector<pim::Transfer> expand_inter_transfers(
           std::uint64_t c[3] = {x, y, z};
           const std::uint64_t limit = (axis == 1) ? spb : dim;
           std::uint64_t n = c[axis];
-          if (recipe.normal_sign < 0) {
+          if (spec.normal_sign < 0) {
             n = (n == 0) ? limit - 1 : n - 1;
           } else {
             n = (n + 1 == limit) ? 0 : n + 1;
@@ -273,12 +285,11 @@ std::vector<pim::Transfer> expand_inter_transfers(
   return transfers;
 }
 
-std::vector<pim::Transfer> expand_intra_transfers(
-    const BatchPricer::Recipe& recipe) {
-  const std::uint32_t bpe = recipe.blocks_per_element;
+std::vector<pim::Transfer> expand_intra_transfers(const BatchSpec& spec) {
+  const std::uint32_t bpe = spec.blocks_per_element;
   std::vector<pim::Transfer> transfers;
-  for (std::uint64_t e = 0; e < recipe.elements_per_batch; ++e) {
-    for (const auto& d : recipe.intra) {
+  for (std::uint64_t e = 0; e < spec.elements; ++e) {
+    for (const auto& d : spec.intra) {
       transfers.push_back(
           {.src_block = static_cast<std::uint32_t>(e * bpe + d.src_group),
            .dst_block = static_cast<std::uint32_t>(e * bpe + d.dst_group),
@@ -288,17 +299,17 @@ std::vector<pim::Transfer> expand_intra_transfers(
   return transfers;
 }
 
-std::vector<pim::Transfer> expand(const BatchPricer::Recipe& recipe) {
-  return recipe.normal_sign == 0 ? expand_intra_transfers(recipe)
-                                 : expand_inter_transfers(recipe);
+std::vector<pim::Transfer> expand(const BatchSpec& spec) {
+  return spec.normal_sign == 0 ? expand_intra_transfers(spec)
+                               : expand_inter_transfers(spec);
 }
 
-/// Fetch recipes of both normal signs, Morton placement on and off, over
-/// power-of-two windows and others, plus staging recipes. Every face has
+/// Fetch batches of both normal signs, Morton placement on and off, over
+/// power-of-two windows and others, plus staging batches. Every face has
 /// two descriptors, so a batch interleaves groups as real flux does.
-std::vector<BatchPricer::Recipe> sample_recipes() {
-  std::vector<BatchPricer::Recipe> recipes;
-  BatchPricer::Recipe fetch;
+std::vector<BatchSpec> sample_specs() {
+  std::vector<BatchSpec> specs;
+  BatchSpec fetch;
   std::uint32_t words = 3;
   for (const mesh::Face f : mesh::kAllFaces) {
     fetch.inter.push_back(
@@ -311,26 +322,23 @@ std::vector<BatchPricer::Recipe> sample_recipes() {
   for (const std::uint32_t spb : {8u, 6u, 1u}) {
     for (const int sign : {-1, +1}) {
       for (const bool morton : {false, true}) {
-        fetch.slices_per_batch = spb;
-        fetch.elements_per_batch = fetch.dim * spb * fetch.dim;
+        fetch.slices = spb;
         fetch.normal_sign = sign;
         fetch.morton = morton;
-        recipes.push_back(fetch);
+        specs.push_back(fetch);
       }
     }
   }
-  BatchPricer::Recipe staging;
+  BatchSpec staging;
   staging.intra = {{.src_group = 0, .dst_group = 1, .words = 8},
                    {.src_group = 2, .dst_group = 0, .words = 5},
                    {.src_group = 1, .dst_group = 1, .words = 2}};
-  staging.dim = 8;
-  staging.slices_per_batch = 6;
   staging.blocks_per_element = 3;
-  staging.elements_per_batch = 384;
-  recipes.push_back(staging);
+  staging.elements = 384;
+  specs.push_back(staging);
   staging.intra.clear();
-  recipes.push_back(staging);  // the empty batch
-  return recipes;
+  specs.push_back(staging);  // the empty batch
+  return specs;
 }
 
 /// Every field of two schedule results, bit for bit.
@@ -350,13 +358,13 @@ void expect_bit_identical(const pim::ScheduleResult& got,
   EXPECT_EQ(got.links.peak_queue, want.links.peak_queue);
 }
 
-TEST(RecipeBatch, GeneratesTheListedBatchAtEveryIndex) {
-  for (const BatchPricer::Recipe& recipe : sample_recipes()) {
-    SCOPED_TRACE("sign " + std::to_string(recipe.normal_sign) + ", spb " +
-                 std::to_string(recipe.slices_per_batch) + ", morton " +
-                 std::to_string(recipe.morton));
-    const std::vector<pim::Transfer> listed = expand(recipe);
-    const RecipeBatch batch(recipe);
+TEST(NetBatch, GeneratesTheListedBatchAtEveryIndex) {
+  for (const BatchSpec& spec : sample_specs()) {
+    SCOPED_TRACE("sign " + std::to_string(spec.normal_sign) + ", spb " +
+                 std::to_string(spec.slices) + ", morton " +
+                 std::to_string(spec.morton));
+    const std::vector<pim::Transfer> listed = expand(spec);
+    const NetBatch batch = spec.batch();
     const pim::TransferView view = batch.view();
     ASSERT_EQ(batch.size(), listed.size());
     ASSERT_EQ(view.size(), listed.size());
@@ -376,140 +384,130 @@ TEST(RecipeBatch, GeneratesTheListedBatchAtEveryIndex) {
   }
 }
 
-TEST(BatchPricer, PricesEachBatchAsItsListedTransfers) {
-  const std::vector<BatchPricer::Recipe> recipes = sample_recipes();
+TEST(PriceBatches, PricesEachBatchAsItsListedTransfers) {
+  const std::vector<BatchSpec> specs = sample_specs();
+  std::vector<NetBatch> batches;
+  for (const BatchSpec& spec : specs) {
+    batches.push_back(spec.batch());
+  }
   for (const pim::NetBackendKind backend :
        {pim::NetBackendKind::Analytic, pim::NetBackendKind::Cycle}) {
     pim::ChipConfig chip = pim::chip_2gb();
     chip.net_backend = backend;
     const pim::Interconnect net(chip);
-    std::vector<BatchPricer::Request> requests;
-    for (const BatchPricer::Recipe& recipe : recipes) {
-      requests.push_back({&net, &recipe});
+    std::vector<BatchRequest> requests;
+    for (const NetBatch& batch : batches) {
+      requests.push_back({&net, &batch});
     }
-    BatchPricer pricer;
-    const std::vector<pim::ScheduleResult> results =
-        pricer.price_all(requests);
-    ASSERT_EQ(results.size(), recipes.size());
-    for (std::size_t k = 0; k < recipes.size(); ++k) {
-      SCOPED_TRACE("recipe " + std::to_string(k));
+    const std::vector<pim::ScheduleResult> results = price_batches(requests);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      SCOPED_TRACE("batch " + std::to_string(k));
       // Only a Cycle chip's requests carry link statistics.
       expect_bit_identical(
-          results[k], net.schedule(expand(recipes[k]),
+          results[k], net.schedule(expand(specs[k]),
                                    backend == pim::NetBackendKind::Cycle));
     }
   }
 }
 
-/// Prices one request with `pricer`.
-pim::ScheduleResult price(BatchPricer& pricer, const pim::Interconnect& net,
-                          const BatchPricer::Recipe& recipe) {
-  const BatchPricer::Request request{&net, &recipe};
-  return pricer.price_all({&request, 1}).front();
-}
-
-TEST(BatchPricer, ServesAStoredResultOnlyToChipsItsBlocksFit) {
+TEST(PriceBatches, SharesAResultOnlyBetweenChipsItsBlocksFit) {
   // 1,000 elements of two blocks each: the batch's largest block id is
   // 1,999, far inside PIM-16GB.
-  BatchPricer::Recipe recipe;
-  recipe.intra = {{.src_group = 0, .dst_group = 1, .words = 8}};
-  recipe.blocks_per_element = 2;
-  recipe.elements_per_batch = 1000;
+  const CostSink::IntraDescriptor intra[] = {
+      {.src_group = 0, .dst_group = 1, .words = 8}};
+  const NetBatch batch = NetBatch::staging(intra, 1000, 2);
+  ASSERT_EQ(batch.block_end(), 2000u);
   pim::ChipConfig big = pim::chip_16gb();
   big.net_backend = pim::NetBackendKind::Analytic;
-  BatchPricer pricer;
-  pim::ScheduleResult first;
-  EXPECT_EQ(count_schedules([&] {
-              first = price(pricer, pim::Interconnect(big), recipe);
-            }),
-            1u);
+  const pim::Interconnect big_net(big);
 
-  // A chip whose block_limit ends just below that block is priced
-  // afresh, and throws as it would without the pricer...
+  // A chip whose block_limit ends just below that block is priced on its
+  // own, and throws as it would alone...
   pim::ChipConfig limited = big;
   limited.block_limit = 1999;
-  EXPECT_THROW((void)price(pricer, pim::Interconnect(limited), recipe),
-               PreconditionError);
+  const pim::Interconnect short_net(limited);
+  const BatchRequest too_small[] = {{&big_net, &batch}, {&short_net, &batch}};
+  EXPECT_THROW((void)price_batches(too_small), PreconditionError);
 
-  // ...while one that just holds it is served the stored result.
+  // ...while one that just holds it shares the big chip's schedule.
   limited.block_limit = 2000;
-  pim::ScheduleResult served;
-  EXPECT_EQ(count_schedules([&] {
-              served = price(pricer, pim::Interconnect(limited), recipe);
-            }),
-            0u);
-  expect_same_result(served, first);
-}
-
-TEST(BatchPricer, PricesRecipesThatDifferInSignOrMortonSeparately) {
-  // An 8 x 8 x 8 resident window (power-of-two, so Morton placement
-  // applies) with one fetch descriptor per face.
-  BatchPricer::Recipe minus;
-  for (const mesh::Face f : mesh::kAllFaces) {
-    minus.inter.push_back(
-        {.face = f, .src_group = 0, .dst_group = 0, .words = 16});
-  }
-  minus.normal_sign = -1;
-  minus.dim = 8;
-  minus.slices_per_batch = 8;
-  minus.blocks_per_element = 1;
-  minus.elements_per_batch = 512;
-  BatchPricer::Recipe plus = minus;
-  plus.normal_sign = +1;
-  BatchPricer::Recipe morton = minus;
-  morton.morton = true;
-
-  pim::ChipConfig chip = pim::chip_2gb();
-  chip.net_backend = pim::NetBackendKind::Analytic;
-  const pim::Interconnect net(chip);
-  BatchPricer pricer;
-  pim::ScheduleResult first[3];
-  EXPECT_EQ(count_schedules([&] {
-              first[0] = price(pricer, net, minus);
-              first[1] = price(pricer, net, plus);
-              first[2] = price(pricer, net, morton);
-            }),
-            3u);
-  // Asked again, each recipe is served its own result.
-  EXPECT_EQ(count_schedules([&] {
-              expect_same_result(price(pricer, net, minus), first[0]);
-              expect_same_result(price(pricer, net, plus), first[1]);
-              expect_same_result(price(pricer, net, morton), first[2]);
-            }),
-            0u);
-  // Row-major and Morton placement give different batches here.
-  EXPECT_NE(first[0].makespan.value(), first[2].makespan.value());
-}
-
-TEST(BatchPricer, SchedulesARepeatedRequestOfOneCallOnce) {
-  BatchPricer::Recipe minus;
-  for (const mesh::Face f : mesh::kAllFaces) {
-    minus.inter.push_back(
-        {.face = f, .src_group = 0, .dst_group = 0, .words = 16});
-  }
-  minus.normal_sign = -1;
-  minus.dim = 8;
-  minus.slices_per_batch = 8;
-  minus.blocks_per_element = 1;
-  BatchPricer::Recipe plus = minus;
-  plus.normal_sign = +1;
-
-  pim::ChipConfig chip = pim::chip_2gb();
-  chip.net_backend = pim::NetBackendKind::Analytic;
-  const pim::Interconnect net(chip);
-  const BatchPricer::Request requests[] = {
-      {&net, &minus}, {&net, &plus}, {&net, &minus}, {&net, &plus}};
-  BatchPricer pricer;
+  const pim::Interconnect fitting_net(limited);
+  const BatchRequest fitting[] = {{&big_net, &batch}, {&fitting_net, &batch}};
   std::vector<pim::ScheduleResult> results;
-  EXPECT_EQ(count_schedules([&] { results = pricer.price_all(requests); }),
+  EXPECT_EQ(count_schedules([&] { results = price_batches(fitting); }), 1u);
+  expect_bit_identical(results[1], results[0]);
+  expect_bit_identical(results[0], big_net.schedule(batch.view()));
+}
+
+// One fetch descriptor per face, 16 words each.
+std::vector<CostSink::InterDescriptor> one_fetch_per_face() {
+  std::vector<CostSink::InterDescriptor> inter;
+  for (const mesh::Face f : mesh::kAllFaces) {
+    inter.push_back({.face = f, .src_group = 0, .dst_group = 0, .words = 16});
+  }
+  return inter;
+}
+
+TEST(PriceBatches, PricesBatchesThatDifferInSignOrMortonSeparately) {
+  // An 8 x 8 x 8 resident window (power-of-two, so Morton placement
+  // applies).
+  const std::vector<CostSink::InterDescriptor> inter = one_fetch_per_face();
+  const NetBatch minus = NetBatch::fetch(inter, -1, 8, 8, 1, false);
+  const NetBatch plus = NetBatch::fetch(inter, +1, 8, 8, 1, false);
+  const NetBatch morton = NetBatch::fetch(inter, -1, 8, 8, 1, true);
+  // Built again from only the minus-side descriptors: the same batch.
+  std::vector<CostSink::InterDescriptor> minus_only;
+  for (const auto& d : inter) {
+    if (mesh::normal_sign(d.face) < 0) {
+      minus_only.push_back(d);
+    }
+  }
+  EXPECT_EQ(NetBatch::fetch(minus_only, -1, 8, 8, 1, false), minus);
+  EXPECT_NE(plus, minus);
+  EXPECT_NE(morton, minus);
+  // Morton placement needs a power-of-two window; on a window of six
+  // slices a Morton request builds the row-major batch.
+  EXPECT_EQ(NetBatch::fetch(inter, -1, 8, 6, 1, true),
+            NetBatch::fetch(inter, -1, 8, 6, 1, false));
+
+  pim::ChipConfig chip = pim::chip_2gb();
+  chip.net_backend = pim::NetBackendKind::Analytic;
+  const pim::Interconnect net(chip);
+  const BatchRequest requests[] = {
+      {&net, &minus}, {&net, &plus}, {&net, &morton}};
+  std::vector<pim::ScheduleResult> results;
+  EXPECT_EQ(count_schedules([&] { results = price_batches(requests); }),
+            3u);
+  expect_bit_identical(results[0], net.schedule(minus.view()));
+  expect_bit_identical(results[1], net.schedule(plus.view()));
+  expect_bit_identical(results[2], net.schedule(morton.view()));
+  // Row-major and Morton placement give different batches here.
+  EXPECT_NE(results[0].makespan.value(), results[2].makespan.value());
+}
+
+TEST(PriceBatches, SchedulesARepeatedRequestOfOneCallOnce) {
+  const std::vector<CostSink::InterDescriptor> inter = one_fetch_per_face();
+  const NetBatch minus = NetBatch::fetch(inter, -1, 8, 8, 1, false);
+  const NetBatch plus = NetBatch::fetch(inter, +1, 8, 8, 1, false);
+  // Equal to minus, but a distinct object.
+  const NetBatch minus_again = NetBatch::fetch(inter, -1, 8, 8, 1, false);
+
+  pim::ChipConfig chip = pim::chip_2gb();
+  chip.net_backend = pim::NetBackendKind::Analytic;
+  const pim::Interconnect net(chip);
+  const BatchRequest requests[] = {
+      {&net, &minus}, {&net, &plus}, {&net, &minus_again}, {&net, &plus}};
+  std::vector<pim::ScheduleResult> results;
+  EXPECT_EQ(count_schedules([&] { results = price_batches(requests); }),
             2u);
   expect_bit_identical(results[2], results[0]);
   expect_bit_identical(results[3], results[1]);
-  expect_bit_identical(results[0], net.schedule(expand(minus)));
-  expect_bit_identical(results[1], net.schedule(expand(plus)));
+  expect_bit_identical(results[0], net.schedule(minus.view()));
+  expect_bit_identical(results[1], net.schedule(plus.view()));
 }
 
-TEST(BatchPricer, RethrowsTheErrorOfTheFirstFailingRequest) {
+TEST(PriceBatches, RethrowsTheErrorOfTheFirstFailingRequest) {
   // Twelve distinct staging batches, enough to fan out on the pool. Two
   // of them fail: one on a chip whose block_limit ends below the batch's
   // last block, one because its transfers move no words. The later
@@ -527,43 +525,30 @@ TEST(BatchPricer, RethrowsTheErrorOfTheFirstFailingRequest) {
 
   for (const bool range_first : {true, false}) {
     SCOPED_TRACE(range_first ? "range failure first" : "words failure first");
-    std::vector<BatchPricer::Recipe> recipes(12);
-    std::vector<BatchPricer::Request> requests;
-    for (std::uint32_t k = 0; k < recipes.size(); ++k) {
-      recipes[k].intra = {{.src_group = 0, .dst_group = 1, .words = k + 1}};
-      recipes[k].blocks_per_element = 2;
-      recipes[k].elements_per_batch = 1000;
-      requests.push_back({&big_net, &recipes[k]});
-    }
     const std::size_t range_at = range_first ? 4 : 9;
     const std::size_t words_at = range_first ? 9 : 4;
+    std::vector<NetBatch> batches;
+    for (std::uint32_t k = 0; k < 12; ++k) {
+      const std::uint32_t words = k == words_at ? 0 : k + 1;
+      const CostSink::IntraDescriptor intra[] = {
+          {.src_group = 0, .dst_group = 1, .words = words}};
+      batches.push_back(
+          NetBatch::staging(intra, k == words_at ? 4000 : 1000, 2));
+    }
+    std::vector<BatchRequest> requests;
+    for (const NetBatch& batch : batches) {
+      requests.push_back({&big_net, &batch});
+    }
     requests[range_at].net = &limited_net;
-    recipes[words_at].intra[0].words = 0;
-    recipes[words_at].elements_per_batch = 4000;
 
-    BatchPricer pricer;
     try {
-      (void)pricer.price_all(requests);
-      ADD_FAILURE() << "price_all did not throw";
+      (void)price_batches(requests);
+      ADD_FAILURE() << "price_batches did not throw";
     } catch (const PreconditionError& e) {
       EXPECT_NE(std::string(e.what()).find(range_first ? out_of_range
                                                        : no_words),
                 std::string::npos)
           << e.what();
-    }
-
-    // The requests before the failure were stored; the ones after it
-    // were not.
-    for (std::size_t k = 0; k < recipes.size(); ++k) {
-      if (k == range_at || k == words_at) {
-        continue;
-      }
-      const BatchPricer::Request request{&big_net, &recipes[k]};
-      EXPECT_EQ(count_schedules([&] {
-                  (void)pricer.price_all({&request, 1});
-                }),
-                k < 4 ? 0u : 1u)
-          << "request " << k;
     }
   }
 }
