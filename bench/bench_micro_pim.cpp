@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "mapping/element_program.h"
+#include "mapping/estimator.h"
 #include "mapping/simulation.h"
 #include "service/scheduler.h"
 #include "pim/interconnect.h"
@@ -45,6 +47,61 @@ BENCHMARK(BM_NetSchedule)
     ->Args({4096, 1})
     ->Args({32768, 0})
     ->Args({32768, 1});
+
+// The two kinds of batch an estimate prices, as `Estimator` describes
+// them for Elastic-Riemann_4 on PIM-8GB's H-tree (256 tiles): the flux
+// staging between each element's own blocks (kind 0; under 2% of its
+// transfers cross a tile) and the face-neighbour fetch of the minus faces
+// (kind 1; about half cross a tile). Cross-tile transfers walk both
+// tiles' full switch chains, so the fetch costs several times more per
+// transfer. Rows report the cross-tile share as `cross_tile`.
+void BM_NetScheduleBatch(benchmark::State& state) {
+  const bool fetch = state.range(0) != 0;
+  const mapping::Problem problem{dg::ProblemKind::ElasticRiemann, 4, 8};
+  const pim::ChipConfig chip = pim::chip_8gb(pim::Topology::HTree);
+  const pim::Interconnect net(chip);
+  const mapping::MappingConfig config =
+      mapping::Estimator(problem, chip).config();
+  const mapping::ElementSetup setup(
+      problem, config.expansion,
+      1.0 / static_cast<double>(1ull << problem.refinement_level));
+  const pim::ArithModel arith;
+  mapping::CostSink sink(mapping::SinkPricing::make(arith, net),
+                         setup.num_groups());
+  for (const mesh::Face face : mesh::kAllFaces) {
+    if (mesh::normal_sign(face) < 0) {
+      mapping::emit_flux_face(setup, face, /*boundary=*/false, sink);
+    }
+  }
+  const std::uint32_t bpe = mapping::blocks_per_element(config.expansion);
+  const mapping::NetBatch batch =
+      fetch ? mapping::NetBatch::fetch(sink.inter(), -1,
+                                       1ull << problem.refinement_level,
+                                       config.slices_per_batch, bpe, false)
+            : mapping::NetBatch::staging(sink.intra(),
+                                         config.elements_per_batch, bpe);
+  const pim::TransferView view = batch.view();
+  std::size_t cross = 0;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const pim::Transfer t = view[i];
+    cross += t.src_block / pim::ChipConfig::kBlocksPerTile !=
+             t.dst_block / pim::ChipConfig::kBlocksPerTile;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.schedule(view).makespan);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(view.size()));
+  state.counters["transfers"] = static_cast<double>(view.size());
+  state.counters["cross_tile"] =
+      static_cast<double>(cross) / static_cast<double>(view.size());
+  state.SetLabel(fetch ? "fetch" : "staging");
+}
+BENCHMARK(BM_NetScheduleBatch)
+    ->ArgNames({"fetch"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // The shared release order alone (hop classes, then hash buckets), on
 // PIM-8GB's H-tree up to the size of the largest batch a paper cell

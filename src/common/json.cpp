@@ -370,6 +370,12 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 void append_number(std::string& out, double v) {
+  // JSON has no literal for NaN or the infinities, so a report holding
+  // one could not be read back.
+  if (!std::isfinite(v)) {
+    throw Error(std::string("JSON cannot hold the number ") +
+                (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf"));
+  }
   // Integers inside the exactly-representable range print without a
   // fraction; everything else uses %.17g, which round-trips any double.
   if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {

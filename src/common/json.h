@@ -61,7 +61,9 @@ class Value {
 /// integral (within the 2^53-safe range) and as shortest-round-trip
 /// doubles otherwise — the paper-eval baseline diff depends on
 /// serialise(parse(x)) being stable across runs. `indent` > 0 pretty-
-/// prints with that many spaces per level; 0 emits one line.
+/// prints with that many spaces per level; 0 emits one line. Throws
+/// wavepim::Error, naming the value, on a NaN or infinite number, which
+/// JSON cannot hold.
 [[nodiscard]] std::string dump(const Value& value, int indent = 0);
 
 }  // namespace wavepim::json

@@ -13,26 +13,6 @@ namespace {
 
 constexpr std::uint32_t kBlocksPerTile = ChipConfig::kBlocksPerTile;
 
-/// Replaces the minimum of a binary min-heap of channel free times by
-/// `value` (never below it) and restores the heap order. Plain doubles
-/// and a branch-free choice of the smaller child keep the sift cheap:
-/// which child is smaller is a coin flip the branch predictor loses.
-void replace_top(double* heap, std::uint32_t size, double value) {
-  std::uint32_t i = 0;
-  for (std::uint32_t child = 1; child < size; child = 2 * i + 1) {
-    if (child + 1 < size) {
-      child += heap[child + 1] < heap[child] ? 1 : 0;
-    }
-    const double next = heap[child];
-    if (!(next < value)) {
-      break;
-    }
-    heap[i] = next;
-    i = child;
-  }
-  heap[i] = value;
-}
-
 /// Low 56 bits of SplitMix64(i): the release order's deterministic,
 /// order-independent shuffle inside a hop class.
 std::uint64_t release_hash(std::uint64_t i) {
@@ -155,9 +135,11 @@ Joules Interconnect::transfer_energy(const Transfer& t) const {
   return transfer_cost(*this, t, hop_count(t.src_block, t.dst_block)).energy;
 }
 
-void Interconnect::path_resources(const Transfer& t,
-                                  std::vector<std::uint32_t>& out) const {
-  out.clear();
+// Inline: the schedule loop calls it once per transfer.
+inline std::uint32_t Interconnect::path(const Transfer& t, Path& out) const {
+  WAVEPIM_REQUIRE(
+      t.src_block < config_.num_blocks() && t.dst_block < config_.num_blocks(),
+      "block id out of range");
   const std::uint32_t src_tile = t.src_block / kBlocksPerTile;
   const std::uint32_t dst_tile = t.dst_block / kBlocksPerTile;
 
@@ -165,49 +147,49 @@ void Interconnect::path_resources(const Transfer& t,
     // A bus self-transfer still claims the tile switch: the row buffer
     // drives the shared medium even when the words return to the same
     // block (and the pre-seam scheduler priced it that way).
-    out.push_back(src_tile);
-    if (dst_tile != src_tile) {
-      out.push_back(dst_tile);
-    }
-    return;
+    out[0] = src_tile;
+    out[1] = dst_tile;
+    return src_tile == dst_tile ? 1 : 2;
   }
-
-  auto tile_base = [&](std::uint32_t tile) {
-    return tile * switches_per_tile_;
-  };
-  auto push_switch = [&](std::uint32_t tile, std::uint32_t level,
-                         std::uint32_t local) {
-    out.push_back(tile_base(tile) + level_offset_[level] +
-                  (local >> (shift_ * (level + 1))));
-  };
+  if (t.src_block == t.dst_block) {
+    return 0;
+  }
 
   const std::uint32_t a = t.src_block % kBlocksPerTile;
   const std::uint32_t b = t.dst_block % kBlocksPerTile;
-
+  auto switch_of = [&](std::uint32_t tile, std::uint32_t level,
+                       std::uint32_t local) {
+    return tile * switches_per_tile_ + level_offset_[level] +
+           (local >> (shift_ * (level + 1)));
+  };
+  // Within a tile: ascend from src to the LCA switch and descend to dst,
+  // the union of the two ancestor chains up to and including the LCA
+  // level. Across tiles: both full ancestor chains; the inter-tile
+  // crossbar leg is latency/energy-priced but not a shared resource.
+  std::uint32_t top = levels_;
   if (src_tile == dst_tile) {
-    if (t.src_block == t.dst_block) {
-      return;
-    }
-    // Ascend from src to the LCA switch, descend to dst: the union of the
-    // two ancestor chains up to and including the LCA level.
-    std::uint32_t lca = 0;
-    while ((a >> (shift_ * (lca + 1))) != (b >> (shift_ * (lca + 1)))) {
-      ++lca;
-    }
-    for (std::uint32_t level = 0; level < lca; ++level) {
-      push_switch(src_tile, level, a);
-      push_switch(dst_tile, level, b);
-    }
-    push_switch(src_tile, lca, a);
-    return;
+    // Level L switches group 2^(shift_ * (L + 1)) blocks, so the LCA is
+    // the level of the highest bit in which a and b differ, divided by
+    // shift_ (a power of two).
+    top = static_cast<std::uint32_t>(std::bit_width(a ^ b) - 1) >>
+          std::countr_zero(shift_);
   }
+  std::uint32_t n = 0;
+  for (std::uint32_t level = 0; level < top; ++level) {
+    out[n++] = switch_of(src_tile, level, a);
+    out[n++] = switch_of(dst_tile, level, b);
+  }
+  if (src_tile == dst_tile) {
+    out[n++] = switch_of(src_tile, top, a);
+  }
+  return n;
+}
 
-  // Cross-tile: both full ancestor chains; the inter-tile crossbar leg is
-  // latency/energy-priced but not a shared resource.
-  for (std::uint32_t level = 0; level < levels_; ++level) {
-    push_switch(src_tile, level, a);
-    push_switch(dst_tile, level, b);
-  }
+void Interconnect::path_resources(const Transfer& t,
+                                  std::vector<std::uint32_t>& out) const {
+  Path ids;
+  const std::uint32_t n = path(t, ids);
+  out.assign(ids.begin(), ids.begin() + n);
 }
 
 std::uint32_t Interconnect::resource_capacity(std::uint32_t resource) const {
@@ -293,11 +275,7 @@ std::vector<std::uint32_t> release_order(const Interconnect& net,
   return order;
 }
 
-namespace {
-
-/// The one scheduling loop behind Interconnect::schedule. `kLinkStats`
-/// adds the link bookkeeping; plain pricing compiles without it. Each
-/// field matches the event-driven simulation of the per-link queues
+/// Each field matches the event-driven simulation of the per-link queues
 /// (every transfer queued at t = 0) bit for bit:
 ///  - `serial_sum` and `energy` fold in release order, as that model does.
 ///  - `peak_queue` is the most paths that cross one resource: the model's
@@ -311,58 +289,107 @@ namespace {
 ///    of the repository's own traffic; on other batches the
 ///    utilizations may differ by summation order.
 template <bool kLinkStats>
-ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
+ScheduleResult Interconnect::list_schedule(TransferView transfers,
+                                           std::uint64_t& words) const {
   ScheduleResult result{};
-  // Each switch's channels as a min-heap of their free times, carved out
-  // of one pool on the switch's first touch. A transfer starts when the
+  // Each switch of c channels (a power of two) is a winner tree over its
+  // channels' free times: node 1 is the root, nodes c..2c-1 are the
+  // channels, and node i holds the minimum of nodes 2i and 2i+1 and, in
+  // `winner`, the channel node that holds it. A switch's 2c - 1 nodes
+  // are carved out of one pool on its first touch, so the switches a
+  // batch uses sit close together. A transfer starts when the
   // earliest-free channel of every switch on its path is free, and then
-  // holds one such channel of each until it ends. A switch's state is
-  // only the multiset of its free times: which of several equal minima a
+  // holds that channel of each until it ends. A switch's state is only
+  // the multiset of its free times: which of several equal minima a
   // transfer takes cannot change any later start, so no tie rule is
   // needed.
-  struct Heap {
-    std::uint32_t begin = 0;
-    std::uint32_t size = 0;  ///< 0 until first touch
-  };
-  std::vector<Heap> heaps(net.num_resources());
-  std::vector<double> pool;  ///< free times, in seconds
-  std::vector<std::uint32_t> path;
+  //
+  // `root[r]` is the pool slot of switch r's node 1, 0 until first
+  // touch: slot 0 is never carved.
+  std::vector<std::uint32_t> root(num_resources(), 0);
+  std::vector<double> time;  ///< free times, in seconds
+  /// Indexed like `time`. A node number fits a byte: the widest switch,
+  /// a binary tree's root, has kBlocksPerTile / 2 channels.
+  std::vector<std::uint8_t> winner;
+  static_assert(kBlocksPerTile <= 256);
+  // Room for every switch of the chip, so the pool never moves: pages
+  // that no switch is carved from are never touched.
+  const std::uint32_t channels_per_tile =
+      config_.topology == Topology::Bus ? 1
+                                        : levels_ * (kBlocksPerTile >> shift_);
+  time.reserve(std::size_t{2} * channels_per_tile * config_.num_tiles());
+  winner.reserve(time.capacity());
+  time.push_back(0.0);
+  winner.push_back(0);
   // Link statistics only: per-resource path count and busy time, and
   // every transfer's start time.
   std::vector<std::uint32_t> crossing;
   std::vector<Seconds> busy_time;
   std::vector<double> starts;
   if constexpr (kLinkStats) {
-    crossing.assign(heaps.size(), 0);
-    busy_time.assign(heaps.size(), Seconds(0.0));
+    crossing.assign(root.size(), 0);
+    busy_time.assign(root.size(), Seconds(0.0));
     starts.reserve(transfers.size());
   }
-  for (std::uint32_t i : release_order(net, transfers)) {
+  const bool bus = config_.topology == Topology::Bus;
+  Path ids;
+  Path first;  ///< pool slot of each path switch's node 0 (one before 1)
+  for (std::uint32_t i : release_order(*this, transfers)) {
     const Transfer t = transfers[i];
     WAVEPIM_REQUIRE(t.words > 0, "transfer must move at least one word");
-    const TransferCost cost =
-        transfer_cost(net, t, net.hop_count(t.src_block, t.dst_block));
+    words += t.words;
+    const std::uint32_t length = path(t, ids);
+    // hop_count from the path: the switches crossed on the H-tree; in and
+    // out of each tile switch on the bus, which a self-transfer claims
+    // without a hop.
+    std::uint32_t hops = length;
+    if (bus) {
+      hops = t.src_block == t.dst_block ? 0 : 2 * length;
+    }
+    const TransferCost cost = transfer_cost(*this, t, hops);
     const Seconds duration = cost.latency;
     result.serial_sum += duration;
     result.energy += cost.energy;
 
-    net.path_resources(t, path);
     double start = 0.0;
-    for (const std::uint32_t r : path) {
-      Heap& heap = heaps[r];
-      if (heap.size == 0) {
-        heap.begin = static_cast<std::uint32_t>(pool.size());
-        heap.size = net.resource_capacity(r);
-        pool.resize(pool.size() + heap.size, 0.0);
+    for (std::uint32_t p = 0; p < length; ++p) {
+      std::uint32_t& slot = root[ids[p]];
+      if (slot == 0) {
+        slot = static_cast<std::uint32_t>(time.size());
+        const std::uint32_t channels = resource_capacity(ids[p]);
+        time.resize(slot + 2 * channels - 1, 0.0);
+        winner.resize(time.size());
+        std::uint8_t* w = winner.data() + slot - 1;
+        for (std::uint32_t n = 2 * channels - 1; n > 0; --n) {
+          w[n] = static_cast<std::uint8_t>(n < channels ? w[2 * n] : n);
+        }
       }
-      start = std::max(start, pool[heap.begin]);
+      first[p] = slot - 1;
+      start = std::max(start, time[slot]);
     }
     const Seconds end = Seconds(start) + duration;
-    for (const std::uint32_t r : path) {
-      replace_top(pool.data() + heaps[r].begin, heaps[r].size, end.value());
+    for (std::uint32_t p = 0; p < length; ++p) {
+      // The root's channel takes the new free time, and every node on its
+      // way back to the root is recomputed from its sibling: loads whose
+      // addresses are known up front, and a select instead of a branch.
+      double* free = time.data() + first[p];
+      std::uint8_t* w = winner.data() + first[p];
+      std::uint32_t n = w[1];
+      double value = end.value();
+      std::uint32_t leaf = n;
+      free[n] = value;
+      for (; n > 1; n >>= 1) {
+        const double sibling = free[n ^ 1];
+        const std::uint32_t take =
+            0u - static_cast<std::uint32_t>(sibling < value);
+        leaf ^= (leaf ^ w[n ^ 1]) & take;
+        value = std::min(value, sibling);
+        free[n >> 1] = value;
+        w[n >> 1] = static_cast<std::uint8_t>(leaf);
+      }
       if constexpr (kLinkStats) {
-        ++crossing[r];
-        busy_time[r] += duration;  // folded in release order
+        ++crossing[ids[p]];
+        busy_time[ids[p]] += duration;  // folded in release order
       }
     }
     if constexpr (kLinkStats) {
@@ -389,7 +416,8 @@ ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
         ++links.links_used;
         const double util =
             busy_time[r].value() /
-            (static_cast<double>(heaps[r].size) * result.makespan.value());
+            (static_cast<double>(resource_capacity(r)) *
+             result.makespan.value());
         util_sum += util;
         links.max_utilization = std::max(links.max_utilization, util);
       }
@@ -402,21 +430,14 @@ ScheduleResult list_schedule(const Interconnect& net, TransferView transfers) {
   return result;
 }
 
-}  // namespace
-
 ScheduleResult Interconnect::schedule(TransferView transfers,
                                       bool link_stats) const {
   trace::Span span("net.schedule", static_cast<double>(transfers.size()));
-  if (trace::enabled()) {
-    std::uint64_t words = 0;
-    for (std::size_t i = 0; i < transfers.size(); ++i) {
-      words += transfers[i].words;
-    }
-    trace::counter("net.transfers", static_cast<double>(transfers.size()));
-    trace::counter("net.words", static_cast<double>(words));
-  }
-  ScheduleResult result = link_stats ? list_schedule<true>(*this, transfers)
-                                     : list_schedule<false>(*this, transfers);
+  std::uint64_t words = 0;
+  ScheduleResult result = link_stats ? list_schedule<true>(transfers, words)
+                                     : list_schedule<false>(transfers, words);
+  trace::counter("net.transfers", static_cast<double>(transfers.size()));
+  trace::counter("net.words", static_cast<double>(words));
   if (trace::enabled() && link_stats) {
     trace::counter("net.link.utilization", result.links.max_utilization);
     trace::counter("net.link.stall_cycles",

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "common/error.h"
 
 namespace wavepim {
@@ -94,6 +101,43 @@ TEST(JsonDump, NumbersIntegralAndRoundTrip) {
   const double pi = 3.141592653589793;
   const auto text = json::dump(json::Value::make_number(pi));
   EXPECT_EQ(json::parse(text).as_number(), pi);
+}
+
+TEST(JsonDump, RefusesNonFiniteNumbers) {
+  const std::pair<double, const char*> cases[] = {
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {-std::numeric_limits<double>::infinity(), "-inf"},
+  };
+  for (const auto& [value, name] : cases) {
+    // Also nested: a report's metric sits inside objects and arrays.
+    const auto doc = json::Value::make_object(
+        {{"m", json::Value::make_array({json::Value::make_number(value)})}});
+    try {
+      (void)json::dump(doc);
+      ADD_FAILURE() << name << " was dumped";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("number ") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsonDump, ExtremeFiniteNumbersRoundTrip) {
+  const auto round_trip = [](double value) {
+    return json::parse(json::dump(json::Value::make_number(value)))
+        .as_number();
+  };
+  for (const double value :
+       {std::numeric_limits<double>::denorm_min(), DBL_MAX, -DBL_MAX}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(round_trip(value)),
+              std::bit_cast<std::uint64_t>(value))
+        << value;
+  }
+  // -0.0 is integral, so it prints as the integer 0 and reads back equal.
+  EXPECT_EQ(json::dump(json::Value::make_number(-0.0)), "0");
+  EXPECT_EQ(round_trip(-0.0), -0.0);
 }
 
 TEST(JsonDump, EscapesStrings) {

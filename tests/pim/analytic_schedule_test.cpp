@@ -2,8 +2,10 @@
 // against straightforward reference implementations: a stable comparison
 // sort for the release order, and a linear scan for the lowest-index
 // earliest-free channel of every switch on a transfer's path (the
-// original scheduler). The production code keeps per-switch min-heaps
-// and a bucket sort; these tests pin that both changes are invisible.
+// original scheduler), with the link statistics that
+// Interconnect::schedule documents. The production code keeps per-switch
+// winner trees and a bucket sort; these tests pin that both changes are
+// invisible in every ScheduleResult field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,13 +39,21 @@ std::vector<std::uint32_t> reference_release_order(
   return order;
 }
 
+/// The list schedule by linear scan. With `link_stats` it also keeps the
+/// link statistics as `schedule` documents them: per-resource path count
+/// and busy time, folded in release order; start times summed in
+/// ascending order; utilisations as busy time over capacity x makespan.
 ScheduleResult reference_schedule(const Interconnect& net,
-                                  const std::vector<Transfer>& transfers) {
+                                  const std::vector<Transfer>& transfers,
+                                  bool link_stats = false) {
   ScheduleResult result{};
   std::vector<std::vector<Seconds>> slots(net.num_resources());
   for (std::uint32_t r = 0; r < slots.size(); ++r) {
     slots[r].assign(net.resource_capacity(r), Seconds(0.0));
   }
+  std::vector<std::uint32_t> crossing(slots.size(), 0);
+  std::vector<Seconds> busy(slots.size(), Seconds(0.0));
+  std::vector<Seconds> starts;
   std::vector<std::uint32_t> path;
   std::vector<std::size_t> chosen_slot;
   for (const std::uint32_t i : reference_release_order(net, transfers)) {
@@ -68,8 +78,40 @@ ScheduleResult reference_schedule(const Interconnect& net,
     const Seconds end = start + duration;
     for (std::size_t p = 0; p < path.size(); ++p) {
       slots[path[p]][chosen_slot[p]] = end;
+      ++crossing[path[p]];
+      busy[path[p]] += duration;
     }
+    starts.push_back(start);
     result.makespan = std::max(result.makespan, end);
+  }
+  if (!link_stats) {
+    return result;
+  }
+  LinkStats& links = result.links;
+  for (const std::uint32_t count : crossing) {
+    links.peak_queue = std::max(links.peak_queue, count);
+  }
+  std::sort(starts.begin(), starts.end());
+  for (const Seconds start : starts) {
+    links.stall_time += start;
+  }
+  if (result.makespan.value() > 0.0) {
+    double util_sum = 0.0;
+    for (std::uint32_t r = 0; r < busy.size(); ++r) {
+      if (busy[r].value() <= 0.0) {
+        continue;
+      }
+      ++links.links_used;
+      const double util =
+          busy[r].value() / (static_cast<double>(net.resource_capacity(r)) *
+                             result.makespan.value());
+      util_sum += util;
+      links.max_utilization = std::max(links.max_utilization, util);
+    }
+    if (links.links_used > 0) {
+      links.mean_utilization =
+          util_sum / static_cast<double>(links.links_used);
+    }
   }
   return result;
 }
@@ -114,7 +156,36 @@ void expect_bit_identical(const ScheduleResult& got,
   EXPECT_EQ(got.makespan.value(), want.makespan.value());
   EXPECT_EQ(got.serial_sum.value(), want.serial_sum.value());
   EXPECT_EQ(got.energy.value(), want.energy.value());
-  EXPECT_EQ(got.links.links_used, 0u);
+  EXPECT_EQ(got.links.links_used, want.links.links_used);
+  EXPECT_EQ(got.links.max_utilization, want.links.max_utilization);
+  EXPECT_EQ(got.links.mean_utilization, want.links.mean_utilization);
+  EXPECT_EQ(got.links.stall_time.value(), want.links.stall_time.value());
+  EXPECT_EQ(got.links.peak_queue, want.links.peak_queue);
+}
+
+/// Schedules `batch` without and with link statistics and compares every
+/// field with the reference.
+void expect_matches_reference(const Interconnect& net,
+                              const std::vector<Transfer>& batch) {
+  for (const bool link_stats : {false, true}) {
+    SCOPED_TRACE(link_stats ? "with link statistics" : "plain");
+    expect_bit_identical(net.schedule(batch, link_stats),
+                         reference_schedule(net, batch, link_stats));
+  }
+}
+
+/// The largest batch a paper cell schedules: 196,608 face-neighbour
+/// fetches on a 256-tile (PIM-8GB) chip, mostly within a tile.
+std::vector<Transfer> project_sized_batch(std::uint32_t blocks) {
+  std::vector<Transfer> fetch;
+  for (std::uint32_t i = 0; i < 196608; ++i) {
+    const std::uint32_t dst = (3 * i) % blocks;
+    const std::uint32_t step = i % 3 == 0 ? 3 : i % 3 == 1 ? 48 : 768;
+    fetch.push_back({.src_block = (dst + step) % blocks,
+                     .dst_block = dst,
+                     .words = 16});
+  }
+  return fetch;
 }
 
 struct Fabric {
@@ -137,8 +208,7 @@ TEST(AnalyticSchedule, MatchesLinearScanReferenceOnRandomBatches) {
                      << to_string(fabric.topology) << " arity "
                      << fabric.arity << ", " << tiles << " tiles, " << n
                      << " transfers");
-        expect_bit_identical(net.schedule(batch),
-                             reference_schedule(net, batch));
+        expect_matches_reference(net, batch);
       }
     }
   }
@@ -146,7 +216,7 @@ TEST(AnalyticSchedule, MatchesLinearScanReferenceOnRandomBatches) {
 
 TEST(AnalyticSchedule, MatchesReferenceWhenEveryDurationTies) {
   // Many equal transfers under one 64-channel root switch and the
-  // 16-channel switches below it: the heaps see long runs of equal free
+  // 16-channel switches below it: the trees see long runs of equal free
   // times, which the reference breaks by lowest channel index.
   const Interconnect net(chip_with(Topology::HTree, 4, 2));
   std::vector<Transfer> batch;
@@ -155,7 +225,38 @@ TEST(AnalyticSchedule, MatchesReferenceWhenEveryDurationTies) {
                      .dst_block = (i * 97 + 128) % 256,
                      .words = 32});
   }
-  expect_bit_identical(net.schedule(batch), reference_schedule(net, batch));
+  expect_matches_reference(net, batch);
+}
+
+TEST(AnalyticSchedule, MatchesReferenceOnAProjectSizedBatch) {
+  for (const Fabric fabric : kFabrics) {
+    const Interconnect net(chip_with(fabric.topology, fabric.arity, 256));
+    SCOPED_TRACE(testing::Message() << to_string(fabric.topology)
+                                    << " arity " << fabric.arity);
+    expect_matches_reference(net,
+                             project_sized_batch(net.config().num_blocks()));
+  }
+}
+
+TEST(AnalyticSchedule, MatchesReferenceWhenCrossTileDurationsTie) {
+  // Every transfer crosses tiles with the same word count, so each tile
+  // root queues about 1,000 equal transfers: more than the widest root
+  // (a binary tree's 128 channels) holds, and long runs of equal minima
+  // in every tree on the way.
+  for (const Fabric fabric : kFabrics) {
+    const Interconnect net(chip_with(fabric.topology, fabric.arity, 4));
+    const std::uint32_t blocks = net.config().num_blocks();
+    std::vector<Transfer> batch;
+    for (std::uint32_t i = 0; i < 2048; ++i) {
+      const std::uint32_t src = (i * 7) % blocks;
+      batch.push_back({.src_block = src,
+                       .dst_block = (src + 256 * (1 + i % 3)) % blocks,
+                       .words = 32});
+    }
+    SCOPED_TRACE(testing::Message() << to_string(fabric.topology)
+                                    << " arity " << fabric.arity);
+    expect_matches_reference(net, batch);
+  }
 }
 
 TEST(AnalyticSchedule, SelfTransfersAndEmptyBatch) {
@@ -166,8 +267,7 @@ TEST(AnalyticSchedule, SelfTransfersAndEmptyBatch) {
         {.src_block = 9, .dst_block = 9, .words = 64},
         {.src_block = 200, .dst_block = 200, .words = 8},
     };
-    expect_bit_identical(net.schedule(selves),
-                         reference_schedule(net, selves));
+    expect_matches_reference(net, selves);
     const auto empty = net.schedule({});
     EXPECT_EQ(empty.makespan.value(), 0.0);
     EXPECT_EQ(empty.serial_sum.value(), 0.0);
@@ -237,18 +337,8 @@ TEST(ReleaseOrder, MatchesStableSortAtBucketWidthEdges) {
 }
 
 TEST(ReleaseOrder, MatchesStableSortOnAProjectSizedBatch) {
-  // The largest batch a paper cell schedules: 196,608 face-neighbour
-  // fetches on a 256-tile (PIM-8GB) H-tree, mostly within a tile.
   const Interconnect net(chip_with(Topology::HTree, 4, 256));
-  std::vector<Transfer> fetch;
-  const std::uint32_t blocks = net.config().num_blocks();
-  for (std::uint32_t i = 0; i < 196608; ++i) {
-    const std::uint32_t dst = (3 * i) % blocks;
-    const std::uint32_t step = i % 3 == 0 ? 3 : i % 3 == 1 ? 48 : 768;
-    fetch.push_back({.src_block = (dst + step) % blocks,
-                     .dst_block = dst,
-                     .words = 16});
-  }
+  const auto fetch = project_sized_batch(net.config().num_blocks());
   EXPECT_EQ(release_order(net, fetch), reference_release_order(net, fetch));
 }
 
